@@ -4,9 +4,7 @@ coefficient fields, torsion invariants and the Euler-chain class."""
 
 from .census import census_branched, corpus, enumerate_triangulations
 from .complexes import (CellComplexX, GroupData, Representation,
-                        SpiderAnchors, TwistedComplex, build_complex,
-                        make_representation, presentation, spider_anchors,
-                        twisted_complex)
+                        SpiderAnchors, TwistedComplex, make_representation)
 from .errors import (BasisRankMismatch, CyclicTriangle, Disconnected,
                      InconsistentAnchor, MoveError, NonOrientable,
                      NonStandardDual, NotAcyclicNoBasis, NotApplicable,

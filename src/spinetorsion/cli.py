@@ -58,13 +58,19 @@ def _parse_rep_spec(spec):
         return ("free_abelian", None, None)
     if spec.startswith("cyclic:"):
         bits = spec.split(":")
-        if len(bits) not in (2, 3) or not bits[1].isdigit():
-            raise SpineSyntaxError("bad representation spec %r" % spec)
-        order = int(bits[1])
+        if len(bits) not in (2, 3) or not bits[1].isdigit() \
+                or int(bits[1]) < 1:
+            raise SpineSyntaxError("bad representation spec %r: the cyclic "
+                                   "order must be an integer >= 1" % spec)
         character = None
         if len(bits) == 3 and bits[2]:
-            character = [int(x) for x in bits[2].split(",")]
-        return ("cyclic", order, character)
+            try:
+                character = [int(x) for x in bits[2].split(",")]
+            except ValueError:
+                raise SpineSyntaxError(
+                    "bad representation spec %r: character entries must be "
+                    "integers" % spec) from None
+        return ("cyclic", int(bits[1]), character)
     raise SpineSyntaxError("bad representation spec %r" % spec)
 
 
@@ -321,10 +327,10 @@ def _run(args):
                 "spines": files}
 
     if cmd == "invariance":
+        kind, order, character = _parse_rep_spec(args.rep)
         spine = _read_spine(args.file)
         walk = random_walk(spine, args.steps, args.seed, h_null_only=True,
                            max_tets=args.max_tets)
-        kind, order, character = _parse_rep_spec(args.rep)
         report = invariance_suite(spine, walk, kind, order=order,
                                   character=character)
         steps = [{

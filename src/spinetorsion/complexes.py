@@ -222,7 +222,6 @@ class Representation:
         self.inverses = [x.inv() for x in self.images]
         self.kind = kind
         self.character = character
-        self.factors_through = True  # images are constant on H_1 classes
         for word in group.relators:
             if not self.word_image(word) == field.one:
                 raise RelatorNotKilled("a face relator does not map to 1")
@@ -399,18 +398,6 @@ class TwistedComplex:
         return True
 
 
-def build_complex(spine):
-    return CellComplexX(spine)
-
-
-def presentation(complex_x, spine=None):
-    return GroupData(complex_x)
-
-
-def spider_anchors(spine, complex_x):
-    return SpiderAnchors(spine, complex_x)
-
-
 def make_representation(group, kind, order=None, character=None):
     """Representation factory: kind in {"trivial", "free_abelian", "cyclic"}."""
     if kind == "trivial":
@@ -422,7 +409,3 @@ def make_representation(group, kind, order=None, character=None):
             raise ValueError("cyclic representation needs an order")
         return Representation.cyclic(group, order, character)
     raise ValueError("unknown representation kind %r" % kind)
-
-
-def twisted_complex(spine, complex_x, anchors, rep):
-    return TwistedComplex(spine, complex_x, anchors, rep)

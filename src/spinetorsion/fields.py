@@ -8,12 +8,18 @@ Two families are provided:
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
   vectors modulo the n-th cyclotomic polynomial.
 
-Matrix work over a function field is fraction-free: rows are cleared to
-Laurent-polynomial form, determinants use Bareiss elimination with exact
-division, and kernels and linear solves are assembled from Cramer ratios
-of Bareiss minors.  Over a cyclotomic field plain Gaussian elimination
-is exact and cheap.  ``cofactor_det`` gives an independent slow
-determinant used to cross-check the Bareiss engine.
+Each field has one elimination routine, ``_eliminate``, which visits the
+columns in a given order and returns the (row, column) pivot pairs; rank,
+column selection, determinant, kernel and linear solve each take one
+call of it.  Over a function field the rows are first cleared to
+Laurent-polynomial form and eliminated fraction-free (Bareiss 1968, with
+exact division by the previous pivot); clearing above the pivots as well
+leaves every pivot row equal to the last pivot times its reduced echelon
+row, from which kernels and solutions are read off.  Over a cyclotomic
+field plain Gauss-Jordan elimination is exact and cheap.  The greedy
+column choice "keep a column if it raises the rank" is exactly the pivot
+set of one elimination in that column order.  ``cofactor_det`` gives an
+independent slow determinant used to cross-check the engines.
 """
 
 from fractions import Fraction
@@ -346,18 +352,20 @@ class FunctionField:
         monomial; row scaling by nonzero factors preserves ranks, kernels
         and solution sets, and determinants divide out the factors.
         """
+        one = LaurentPoly.const(self.nvars, 1)
         cleared = []
         factors = []
         for row in matrix:
-            factor = LaurentPoly.const(self.nvars, 1)
-            for x in row:
-                factor = factor * x.den
+            dens = [(j, x.den) for j, x in enumerate(row) if x.den != one]
+            factor = one
+            for _j, d in dens:
+                factor = factor * d
             new_row = []
-            for x in row:
+            for k, x in enumerate(row):
                 e = x.num
-                for y in row:
-                    if y is not x:
-                        e = e * y.den
+                for j, d in dens:
+                    if j != k:
+                        e = e * d
                 new_row.append(e)
             mins = [0] * self.nvars
             for e in new_row:
@@ -372,138 +380,105 @@ class FunctionField:
             factors.append(factor)
         return cleared, factors
 
-    def _bareiss(self, rows, want_transform=False):
-        """Fraction-free elimination; returns (rank, pivot rows, pivot cols,
-        final pivot value, sign of row/col selection as a permutation)."""
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        A = [list(r) for r in rows]
+    def _eliminate(self, A, order, reduce=False):
+        """Fraction-free elimination of the Laurent matrix ``A``, in place.
+
+        Columns are visited in ``order``; a column with no nonzero entry at
+        or below the next pivot row is skipped.  Every entry stays a minor
+        of the input, so each division by the previous pivot is exact
+        (Bareiss).  With ``reduce`` the rows above each pivot are cleared
+        too, which leaves every pivot row equal to the last pivot times its
+        reduced echelon row.  Returns (pivots, last pivot, sign): the
+        (row, column) pivot pairs, the last pivot (for a square matrix of
+        full rank, its determinant after the row swaps) and the sign of
+        the row swaps.
+        """
+        m = len(A)
         prev = LaurentPoly.const(self.nvars, 1)
-        row_perm = list(range(m))
-        piv_rows, piv_cols = [], []
-        sign_swaps = 1
-        r = 0
-        used_cols = set()
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if not A[row_perm[i]][c].is_zero():
-                    pr = i
-                    break
+        pivots = []
+        sign = 1
+        for c in order:
+            r = len(pivots)
+            if r == m:
+                break
+            pr = next((i for i in range(r, m) if not A[i][c].is_zero()), None)
             if pr is None:
                 continue
             if pr != r:
-                row_perm[r], row_perm[pr] = row_perm[pr], row_perm[r]
-                sign_swaps = -sign_swaps
-            piv = A[row_perm[r]][c]
-            for i in range(r + 1, m):
-                ri = row_perm[i]
-                for j in range(n):
-                    if j == c or j in used_cols:
-                        continue
-                    num = piv * A[ri][j] - A[ri][c] * A[row_perm[r]][j]
-                    A[ri][j] = num.exact_div(prev)
-                A[ri][c] = LaurentPoly(self.nvars)
-            piv_rows.append(row_perm[r])
-            piv_cols.append(c)
-            used_cols.add(c)
+                A[r], A[pr] = A[pr], A[r]
+                sign = -sign
+            piv_row = A[r]
+            piv = piv_row[c]
+            for i in range(0 if reduce else r + 1, m):
+                if i == r:
+                    continue
+                f = A[i][c]
+                A[i] = [(piv * x).exact_div(prev) if y.is_zero()
+                        else (piv * x - f * y).exact_div(prev)
+                        for x, y in zip(A[i], piv_row)]
+            pivots.append((r, c))
             prev = piv
-            r += 1
-            if r == m:
-                break
-        return r, piv_rows, piv_cols, prev, sign_swaps
+        return pivots, prev, sign
 
     def det(self, matrix):
         """Determinant of a square matrix of field elements."""
         n = len(matrix)
         if n == 0:
             return self.one
-        cleared, factors = self._cleared(matrix)
-        rank, _pr, _pc, last_piv, swap_sign = self._bareiss(cleared)
-        if rank < n:
+        A, factors = self._cleared(matrix)
+        pivots, last, sign = self._eliminate(A, range(n))
+        if len(pivots) < n:
             return self.zero
-        num = last_piv if swap_sign == 1 else -last_piv
         den = factors[0]
         for f in factors[1:]:
             den = den * f
-        return RationalFunction(num, den)
+        return RationalFunction(last if sign == 1 else -last, den)
 
     def rank(self, matrix):
-        if not matrix or not matrix[0]:
+        if not matrix:
             return 0
-        cleared, _ = self._cleared(matrix)
-        return self._bareiss(cleared)[0]
+        return len(self._eliminate(self._cleared(matrix)[0],
+                                   range(len(matrix[0])))[0])
 
-    def _minor_det(self, cleared, rows, cols):
-        sub = [[cleared[i][j] for j in cols] for i in rows]
-        rank, _pr, _pc, piv, swaps = self._bareiss(sub)
-        if rank < len(rows):
-            return LaurentPoly(self.nvars)
-        return piv if swaps == 1 else -piv
+    def select_columns(self, matrix, order):
+        """The columns, in ``order``, that raise the rank of those before."""
+        return [c for _r, c in self._eliminate(self._cleared(matrix)[0], order)[0]]
 
-    def nullspace(self, matrix, col_order=None):
-        """Basis of the right kernel, one vector per non-pivot column.
-
-        ``col_order`` biases which columns become pivots; the resulting
-        basis is deterministic for a fixed order.
-        """
+    def nullspace(self, matrix):
+        """Reduced basis of the right kernel, one vector per non-pivot column."""
         if not matrix:
             return []
-        m, n = len(matrix), len(matrix[0])
-        order = list(col_order) if col_order is not None else list(range(n))
-        permuted = [[row[j] for j in order] for row in matrix]
-        cleared, _ = self._cleared(permuted)
-        rank, piv_rows, piv_cols_p, _piv, _s = self._bareiss(cleared)
-        piv_cols = [order[c] for c in piv_cols_p]
-        cleared0, _ = self._cleared(matrix)
-        d0 = self._minor_det(cleared0, piv_rows, piv_cols)
+        n = len(matrix[0])
+        A, _ = self._cleared(matrix)
+        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
+        pivot_cols = {c for _r, c in pivots}
         basis = []
         for j in range(n):
-            if j in piv_cols:
+            if j in pivot_cols:
                 continue
             vec = [self.zero] * n
             vec[j] = self.one
-            for i, pc in enumerate(piv_cols):
-                cols = list(piv_cols)
-                cols[i] = j
-                di = self._minor_det(cleared0, piv_rows, cols)
-                vec[pc] = RationalFunction(-di, d0) if not di.is_zero() else self.zero
+            for r, c in pivots:
+                if not A[r][j].is_zero():
+                    vec[c] = RationalFunction(-A[r][j], last)
             basis.append(vec)
         return basis
 
     def solve(self, matrix, rhs):
-        """One solution of A x = rhs, or None if inconsistent."""
+        """The solution of A x = rhs with free variables zero, or None if
+        inconsistent."""
         if not matrix:
             return [] if all(x.is_zero() for x in rhs) else None
-        m, n = len(matrix), len(matrix[0])
-        cleared, _ = self._cleared(matrix)
-        rank, piv_rows, piv_cols, _piv, _s = self._bareiss(cleared)
-        aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
-        if self.rank(aug) != rank:
-            return None
-        cleared_aug, _ = self._cleared(aug)
-        d0 = self._minor_det(cleared_aug, piv_rows, piv_cols)
+        n = len(matrix[0])
+        A, _ = self._cleared([row + [b] for row, b in zip(matrix, rhs)])
+        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
         sol = [self.zero] * n
-        for i, pc in enumerate(piv_cols):
-            cols = list(piv_cols)
-            cols[i] = n  # rhs column
-            di = self._minor_det(cleared_aug, piv_rows, cols)
-            sol[pc] = RationalFunction(di, d0) if not di.is_zero() else self.zero
+        for r, c in pivots:
+            if c == n:
+                return None
+            if not A[r][n].is_zero():
+                sol[c] = RationalFunction(A[r][n], last)
         return sol
-
-    def select_columns(self, matrix, order):
-        """Greedy independent column subset spanning the column space."""
-        if not matrix:
-            return []
-        selected = []
-        r = 0
-        for j in order:
-            trial = selected + [j]
-            sub = [[row[c] for c in trial] for row in matrix]
-            if self.rank(sub) > r:
-                selected.append(j)
-                r += 1
-        return selected
 
 
 def cyclotomic_polynomial(n):
@@ -718,102 +693,97 @@ class CyclotomicField:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
 
-    # -- generic exact Gaussian elimination ------------------------------------
+    # -- exact Gauss-Jordan elimination -----------------------------------------
+
+    def _eliminate(self, A, order, reduce=False):
+        """Gauss-Jordan elimination of ``A`` in place, pivot rows scaled to 1.
+
+        Columns are visited in ``order``; a column with no nonzero entry at
+        or below the next pivot row is skipped.  The rows below each pivot
+        are cleared, and with ``reduce`` the rows above it too, leaving
+        the reduced echelon form.  Returns (pivots, product, sign): the
+        (row, column) pivot pairs, the product of the pivots before
+        scaling and the sign of the row swaps.
+        """
+        m = len(A)
+        pivots = []
+        product = self.one
+        sign = 1
+        for c in order:
+            r = len(pivots)
+            if r == m:
+                break
+            pr = next((i for i in range(r, m) if not A[i][c].is_zero()), None)
+            if pr is None:
+                continue
+            if pr != r:
+                A[r], A[pr] = A[pr], A[r]
+                sign = -sign
+            piv = A[r][c]
+            product = product * piv
+            inv = piv.inv()
+            piv_row = A[r] = [x if x.is_zero() else x * inv for x in A[r]]
+            for i in range(0 if reduce else r + 1, m):
+                f = A[i][c]
+                if i != r and not f.is_zero():
+                    A[i] = [x if y.is_zero() else x - f * y
+                            for x, y in zip(A[i], piv_row)]
+            pivots.append((r, c))
+        return pivots, product, sign
 
     def det(self, matrix):
         n = len(matrix)
         if n == 0:
             return self.one
-        A = [list(r) for r in matrix]
-        out = self.one
-        for c in range(n):
-            pr = next((i for i in range(c, n) if not A[i][c].is_zero()), None)
-            if pr is None:
-                return self.zero
-            if pr != c:
-                A[c], A[pr] = A[pr], A[c]
-                out = -out
-            piv = A[c][c]
-            out = out * piv
-            inv = piv.inv()
-            for i in range(c + 1, n):
-                if A[i][c].is_zero():
-                    continue
-                f = A[i][c] * inv
-                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-        return out
-
-    def _rref(self, matrix, col_order=None):
-        m = len(matrix)
-        n = len(matrix[0]) if m else 0
-        order = list(col_order) if col_order is not None else list(range(n))
-        A = [list(r) for r in matrix]
-        piv_cols, piv_rows = [], []
-        r = 0
-        for c in order:
-            pr = next((i for i in range(m) if i not in piv_rows
-                       and not A[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            inv = A[pr][c].inv()
-            A[pr] = [a * inv for a in A[pr]]
-            for i in range(m):
-                if i != pr and not A[i][c].is_zero():
-                    f = A[i][c]
-                    A[i] = [a - f * b for a, b in zip(A[i], A[pr])]
-            piv_rows.append(pr)
-            piv_cols.append(c)
-            r += 1
-        return A, piv_rows, piv_cols
+        pivots, product, sign = self._eliminate([list(r) for r in matrix],
+                                                range(n))
+        if len(pivots) < n:
+            return self.zero
+        return product if sign == 1 else -product
 
     def rank(self, matrix):
         if not matrix:
             return 0
-        return len(self._rref(matrix)[1])
+        return len(self._eliminate([list(r) for r in matrix],
+                                   range(len(matrix[0])))[0])
 
-    def nullspace(self, matrix, col_order=None):
+    def select_columns(self, matrix, order):
+        """The columns, in ``order``, that raise the rank of those before."""
+        return [c for _r, c in self._eliminate([list(r) for r in matrix], order)[0]]
+
+    def nullspace(self, matrix):
+        """Reduced basis of the right kernel, one vector per non-pivot column."""
         if not matrix:
             return []
         n = len(matrix[0])
-        A, piv_rows, piv_cols = self._rref(matrix, col_order)
+        A = [list(r) for r in matrix]
+        pivots = self._eliminate(A, range(n), reduce=True)[0]
+        pivot_cols = {c for _r, c in pivots}
         basis = []
         for j in range(n):
-            if j in piv_cols:
+            if j in pivot_cols:
                 continue
             vec = [self.zero] * n
             vec[j] = self.one
-            for row, pc in zip(piv_rows, piv_cols):
-                vec[pc] = -A[row][j]
+            for r, c in pivots:
+                vec[c] = -A[r][j]
             basis.append(vec)
         return basis
 
     def solve(self, matrix, rhs):
+        """The solution of A x = rhs with free variables zero, or None if
+        inconsistent."""
         if not matrix:
             return [] if all(x.is_zero() for x in rhs) else None
         n = len(matrix[0])
-        aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
-        A, piv_rows, piv_cols = self._rref(aug, list(range(n)))
-        for i in range(len(A)):
-            if i not in piv_rows and not A[i][n].is_zero():
-                return None
-        if n in piv_cols:
-            return None
+        A = [row + [b] for row, b in zip(matrix, rhs)]
+        pivots = self._eliminate(A, range(n + 1), reduce=True)[0]
         sol = [self.zero] * n
-        for row, pc in zip(piv_rows, piv_cols):
-            sol[pc] = A[row][n]
+        for r, c in pivots:
+            if c == n:
+                return None
+            sol[c] = A[r][n]
         return sol
-
-    def select_columns(self, matrix, order):
-        if not matrix:
-            return []
-        selected = []
-        r = 0
-        for j in order:
-            sub = [[row[c] for c in selected + [j]] for row in matrix]
-            if self.rank(sub) > r:
-                selected.append(j)
-                r += 1
-        return selected
 
 
 def cofactor_det(field, matrix):

@@ -1,6 +1,4 @@
-"""Exact integer and rational linear algebra: Smith normal form, kernels, RREF."""
-
-from fractions import Fraction
+"""Exact integer linear algebra: Smith normal form and cokernels."""
 
 
 def smith_normal_form(matrix, rows, cols):
@@ -110,44 +108,3 @@ class CokernelData:
     def is_zero_class(self, x):
         free, tors = self.project(x)
         return not any(free) and not any(tors)
-
-
-def rational_rref(matrix, rows, cols):
-    """Reduced row echelon form over Q.  Returns (rref, pivot columns)."""
-    A = [[Fraction(x) for x in r] for r in matrix]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [v * inv for v in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
-
-
-def rational_nullspace(matrix, rows, cols):
-    """Echelon basis of the rational kernel, as a list of Fraction vectors."""
-    rref, pivots = rational_rref(matrix, rows, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
-
-
-def rational_rank(matrix, rows, cols):
-    return len(rational_rref(matrix, rows, cols)[1])

@@ -87,16 +87,6 @@ def describe_move(move):
 # -- positive move ---------------------------------------------------------------
 
 
-def _perm_sign_of_order(order):
-    s = 1
-    order = list(order)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if order[i] > order[j]:
-                s = -s
-    return s
-
-
 def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
     of the new central edge (0, 1 or 2 results)."""
@@ -109,7 +99,7 @@ def apply_positive(spine, face_class):
     p, q, r = _face_corners(f0)
     # Handedness: order the equator cycle so the three new tetrahedra,
     # labelled (apex0, apex1, x, y), are positively oriented.
-    s1 = spine.orientations[t0] * _perm_sign_of_order((f0, p, q, r))
+    s1 = spine.orientations[t0] * sign((f0, p, q, r))
     cyc = (p, q, r) if s1 == 1 else (p, r, q)
 
     T = trg.tet_count
@@ -378,7 +368,7 @@ def apply_negative(spine, edge_class):
 
     # Ambient orientation of the two new tetrahedra, from the first fan tet.
     tp0, ia0, jc0, enter0, exit0 = fan[0]
-    s0 = spine.orientations[tp0] * _perm_sign_of_order((ia0, enter0, exit0, jc0))
+    s0 = spine.orientations[tp0] * sign((ia0, enter0, exit0, jc0))
     orientations = [0] * new_count
     for t in survivors:
         orientations[remap[t]] = spine.orientations[t]
@@ -541,18 +531,33 @@ def _simplex_cells(label):
     return cell0, cell1
 
 
-def _cell_sink(bip, cell):
-    kind, verts = cell
-    vs = sorted(verts)
-    if kind == "edge":
-        u, v = vs
-        return v if bip.directed(u, v) else u
+def _sink(bip, verts):
+    """The vertex of a bipyramid simplex that its other vertices point to."""
     best = None
-    for w in vs:
-        if all(bip.directed(u, w) for u in vs if u != w):
+    for w in verts:
+        if all(bip.directed(u, w) for u in verts if u != w):
             best = w
-    assert best is not None, "cell %s has no sink" % (cell,)
+    assert best is not None, "simplex %s has no sink" % (verts,)
     return best
+
+
+def _tree_chains(bip, n):
+    """Edge chains of the fixed tree paths from each bipyramid vertex to
+    the root apex a, through external edges: b, d and e straight to a,
+    c through b.  Edge cells of X are oriented by the branching, so a
+    traversal contributes +1 along the branching direction and -1
+    against it."""
+    chains = {"a": [0] * n}
+    for label in _EQ_LABELS:
+        vec = [0] * n
+        cls, _ = bip.edge_class[frozenset(("a", label))]
+        vec[cls] += -1 if bip.directed("a", label) else 1
+        chains[label] = vec
+    vec = list(chains["b"])
+    cls, _ = bip.edge_class[frozenset(("c", "b"))]
+    vec[cls] += 1 if bip.directed("c", "b") else -1
+    chains["c"] = vec
+    return chains
 
 
 def h_cycle_check(move):
@@ -564,8 +569,8 @@ def h_cycle_check(move):
         dim = len(label) - 1
         eps = (-1) ** dim
         c0, c1 = _simplex_cells(label)
-        e0 = _cell_sink(bip, c0)
-        e1 = _cell_sink(bip, c1)
+        e0 = _sink(bip, c0[1])
+        e1 = _sink(bip, c1[1])
         rows.append((label, eps, e0, e1))
         if e0 != e1:
             total[e0] = total.get(e0, 0) + eps
@@ -574,34 +579,16 @@ def h_cycle_check(move):
     is_null = not total
 
     # Homology class of the certificate cycle: fixed tree paths to the
-    # root apex a through external edges, so a null total lifts to zero.
-    # Edge cells of X are oriented by the branching, so a traversal
-    # contributes +1 along the branching direction and -1 against it.
+    # root apex, so a null total lifts to zero.
     before = move.before
     n = len(before.triangulation.edge_classes)
-    tree_chain = {"a": [0] * n}
-
-    def chain_to(label):
-        if label in tree_chain:
-            return tree_chain[label]
-        vec = [0] * n
-        if label in _EQ_LABELS:
-            cls, _ = bip.edge_class[frozenset(("a", label))]
-            vec[cls] += -1 if bip.directed("a", label) else 1
-        else:  # label == "c": path c -> b -> a
-            cls, _ = bip.edge_class[frozenset(("c", "b"))]
-            vec[cls] += 1 if bip.directed("c", "b") else -1
-            sub = chain_to("b")
-            vec = [x + y for x, y in zip(vec, sub)]
-        tree_chain[label] = vec
-        return vec
-
+    chains = _tree_chains(bip, n)
     h_chain = [0] * n
     for (label, eps, e0, e1) in rows:
         if e0 == e1:
             continue
-        c1v = chain_to(e1)
-        c0v = chain_to(e0)
+        c1v = chains[e1]
+        c0v = chains[e0]
         h_chain = [h + eps * (x - y) for h, x, y in zip(h_chain, c1v, c0v)]
     from .complexes import CellComplexX, GroupData
     G = GroupData(CellComplexX(before))
@@ -813,31 +800,7 @@ def _site_tet_weights(move, rep_before, vec):
     """
     bip = move.bipyramid
     field = rep_before.field
-    n = len(move.before.triangulation.edge_classes)
-
-    chains = {"a": [0] * n}
-
-    def chain_to(label):
-        if label in chains:
-            return chains[label]
-        vec_ = [0] * n
-        if label in _EQ_LABELS:
-            cls, _ = bip.edge_class[frozenset(("a", label))]
-            vec_[cls] += -1 if bip.directed("a", label) else 1
-        else:
-            cls, _ = bip.edge_class[frozenset(("c", "b"))]
-            vec_[cls] += 1 if bip.directed("c", "b") else -1
-            vec_ = [x + y for x, y in zip(vec_, chain_to("b"))]
-        chains[label] = vec_
-        return vec_
-
-    def sink(cells):
-        best = None
-        for w in cells:
-            if all(bip.directed(u, w) for u in cells if u != w):
-                best = w
-        return best
-
+    chains = _tree_chains(bip, len(move.before.triangulation.edge_classes))
     if move.direction == "positive":
         before_of_apex = {"a": move.site_tets_before[0],
                           "c": move.site_tets_before[1]}
@@ -856,8 +819,8 @@ def _site_tet_weights(move, rep_before, vec):
     weights = {}
     for apex in ("a", "c"):
         for pr in _PAIRS:
-            end2 = sink((apex, "b", "d", "e"))      # two-tet side container
-            end3 = sink(("a", "c") + pr)            # three-tet side container
+            end2 = _sink(bip, (apex, "b", "d", "e"))  # two-tet side container
+            end3 = _sink(bip, ("a", "c") + pr)        # three-tet side container
             if move.direction == "positive":
                 lam = vec[before_of_apex[apex]]
                 end_bef, end_aft = end2, end3
@@ -866,7 +829,7 @@ def _site_tet_weights(move, rep_before, vec):
                 lam = vec[before_of_pair[pr]]
                 end_bef, end_aft = end3, end2
                 target = after_of_apex[apex]
-            path = [x - y for x, y in zip(chain_to(end_bef), chain_to(end_aft))]
+            path = [x - y for x, y in zip(chains[end_bef], chains[end_aft])]
             coeff = lam * rep_before.image_of_vector(path)
             if target in weights:
                 if not weights[target] == coeff:

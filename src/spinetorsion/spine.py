@@ -260,7 +260,6 @@ class BranchedSpine:
 
 def triangulation_encoding(trg):
     """Canonical oriented encoding of a bare triangulation (no branching)."""
-    dummy = [1] * len(trg.edge_classes)
     best = None
     for t0 in range(trg.tet_count):
         for rho0 in ALL_PERMS:

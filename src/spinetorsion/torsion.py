@@ -9,12 +9,10 @@ b_i and, without further data, canonical only up to sign; a homological
 orientation of the rational complex removes the sign.
 """
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
 from .fields import FunctionField, LaurentPoly, RationalFunction
-from .intlinalg import rational_nullspace, rational_rank
 
 
 class TorsionValue:
@@ -82,102 +80,51 @@ class HomologicalOrientation:
         return default_rational_homology(complex_x)
 
 
-def _int_matrices(complex_x):
-    return [complex_x.d1, complex_x.d2, complex_x.d3]
+def _greedy_lifts(field, dims, mats):
+    """Homology lifts for every degree with nonzero homology.
 
-
-def _rank_of_columns(columns, n):
-    """Rank of a list of length-n column vectors over Q."""
-    if not columns:
-        return 0
-    matrix = [[columns[j][r] for j in range(len(columns))] for r in range(n)]
-    return rational_rank(matrix, n, len(columns))
+    In degree i the reduced kernel basis of D_i (``mats[i - 1]``) follows
+    the image columns of D_{i+1} (``mats[i]``); the kernel vectors among
+    the pivot columns of one column selection over that matrix, which are
+    the ones a greedy pass would add to the image span, are the lifts.
+    Returns a dict degree -> list of chain vectors.
+    """
+    out = {}
+    for i in range(4):
+        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
+        image = list(zip(*mats[i])) if i < 3 else []
+        cols = image + kernel
+        span = [[col[r] for col in cols] for r in range(dims[i])]
+        picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
+                  if j >= len(image)]
+        if picked:
+            out[i] = picked
+    return out
 
 
 def default_rational_homology(complex_x):
     """Echelon bases of H_i(X; Q) for i = 0..3, as Fraction vectors."""
+    field = FunctionField(0)
+    mats = [[[field.from_int(x) for x in row] for row in d]
+            for d in (complex_x.d1, complex_x.d2, complex_x.d3)]
     dims = (1, complex_x.n_edges, complex_x.n_faces, complex_x.n_tets)
-    mats = _int_matrices(complex_x)
-    bases = []
-    for i in range(4):
-        n = dims[i]
-        if i == 0:
-            kernel = [[Fraction(1)]]
-        else:
-            A = mats[i - 1]
-            kernel = rational_nullspace(A, len(A), n)
-        if i < 3:
-            B = mats[i]
-            im_cols = [[Fraction(B[r][j]) for r in range(n)]
-                       for j in range(len(B[0]))]
-        else:
-            im_cols = []
-        picked = []
-        span = list(im_cols)
-        r = _rank_of_columns(span, n)
-        for v in kernel:
-            if _rank_of_columns(span + [v], n) > r:
-                span.append(v)
-                picked.append(v)
-                r += 1
-        bases.append(picked)
-    return bases
-
-
-def rational_betti_numbers(complex_x):
-    return [len(b) for b in default_rational_homology(complex_x)]
-
-
-def _boundary_list(tc):
-    """[D1, D2, D3, D4] with D4 the empty matrix out of nothing."""
-    d4 = [[] for _ in range(tc.dims[3])]
-    return [tc.d1, tc.d2, tc.d3, d4]
+    lifts = _greedy_lifts(field, dims, mats)
+    return [[[x.as_fraction() for x in v] for v in lifts.get(i, ())]
+            for i in range(4)]
 
 
 def _column(mat, j, nrows):
     return [mat[r][j] for r in range(nrows)]
 
 
-def auto_twisted_homology(tc, strategy=None):
+def auto_twisted_homology(tc):
     """Deterministic homology lifts h_i for every degree with nonzero homology.
 
     For each degree, kernel vectors (echelon order) are added greedily to
     the image columns until the kernel is spanned; the added vectors are
     the lifts.  Returns a dict degree -> list of chain vectors.
     """
-    field = tc.field
-    dims = tc.dims
-    mats = _boundary_list(tc)
-    out = {}
-    for i in range(4):
-        n = dims[i]
-        if i == 0:
-            kernel = [[field.one]]
-        else:
-            A = mats[i - 1]
-            kernel = field.nullspace(A) if A and A[0] else \
-                [[field.one if k == j else field.zero for k in range(n)]
-                 for j in range(n)]
-        if i < 3:
-            B = mats[i]  # D_{i+1}
-            im_cols = [_column(B, j, n) for j in range(len(B[0]) if B else 0)]
-        else:
-            im_cols = []
-        rank_im = field.rank([list(row) for row in zip(*im_cols)]) if im_cols else 0
-        # transpose back: columns as vectors
-        span = list(im_cols)
-        picked = []
-        r = rank_im
-        for v in kernel:
-            trial = span + [v]
-            mat = [list(col) for col in zip(*trial)]
-            if field.rank(mat) > r:
-                span.append(v)
-                picked.append(v)
-                r += 1
-        if picked:
-            out[i] = picked
-    return out
+    return _greedy_lifts(tc.field, tc.dims, [tc.d1, tc.d2, tc.d3])
 
 
 def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
@@ -193,12 +140,17 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
     """
     field = tc.field
     dims = tc.dims
-    mats = _boundary_list(tc)
-    ranks = [0] * 5
+    mats = [tc.d1, tc.d2, tc.d3]
+    orders = strategy or {}
+    selections = [[] for _ in range(5)]
     for i in range(1, 4):
-        A = mats[i - 1]
-        ranks[i] = field.rank(A) if A and A[0] else 0
-    betti = [dims[i] - ranks[i] - ranks[i + 1] for i in range(4)]
+        order = orders.get(i, range(dims[i]))
+        if sorted(order) != list(range(dims[i])):
+            raise BasisRankMismatch(
+                "degree %d: column order is not a permutation" % i)
+        selections[i] = field.select_columns(mats[i - 1], order)
+    betti = [dims[i] - len(selections[i]) - len(selections[i + 1])
+             for i in range(4)]
     acyclic = not any(betti)
     lifts = {}
     if not acyclic:
@@ -215,16 +167,6 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
             raise BasisRankMismatch(
                 "degree %d: homology rank %d but %d basis vectors"
                 % (i, betti[i], got))
-
-    orders = strategy or {}
-    selections = [[] for _ in range(5)]
-    for i in range(1, 4):
-        A = mats[i - 1]
-        ncols = len(A[0]) if A else 0
-        order = orders.get(i, list(range(ncols)))
-        selections[i] = field.select_columns(A, order) if ncols else []
-        if len(selections[i]) != ranks[i]:
-            raise BasisRankMismatch("column selection failed in degree %d" % i)
 
     value = field.one
     inverse_part = field.one
@@ -290,18 +232,20 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
     raw = torsion(tc, h=h, strategy=strategy, sigma=sigma, keep_sign=True)
     rat = rational_tc if rational_tc is not None else _rational_complex(spine)
     bases = orientation.resolve(rat.complex)
-    field0 = rat.field
-    lifts = {}
-    for i, basis in enumerate(bases):
-        if basis:
-            lifts[i] = [_fractions_to_field(field0, v) for v in basis]
-    a = torsion(rat, h=lifts, sigma=sigma, keep_sign=True)
-    sign = a.value.as_fraction()
-    flipped = raw.value if sign > 0 else -raw.value
-    return TorsionValue(tc.field, flipped, True, raw.acyclic,
+    lifts = {i: [_fractions_to_field(rat.field, v) for v in basis]
+             for i, basis in enumerate(bases) if basis}
+    return TorsionValue(tc.field, _oriented_value(raw, rat, lifts, sigma),
+                        True, raw.acyclic,
                         homology_basis_used=raw.homology_basis_used,
                         orientation_used="default" if orientation.bases is None
                         else "given")
+
+
+def _oriented_value(raw, rat, olifts, sigma=None):
+    """The raw twisted value times the sign of the rational torsion of
+    ``rat`` with homology lifts ``olifts``."""
+    a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
+    return raw.value if a.value.as_fraction() > 0 else -raw.value
 
 
 # -- Fox calculus cross-check ---------------------------------------------------
@@ -615,17 +559,15 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
               for i, basis in enumerate(obases) if basis}
 
     def values(sp, rep, lifts, olifts):
-        tcur = setup(sp, rep)
-        t = torsion(tcur, h=lifts if lifts else None)
+        raw = torsion(setup(sp, rep), h=lifts if lifts else None,
+                      keep_sign=True)
+        t = TorsionValue(raw.field, raw.value, False, raw.acyclic,
+                         homology_basis_used=raw.homology_basis_used)
         rat = _rational_complex(sp)
-        sgn = None
         try:
-            raw = torsion(tcur, h=lifts if lifts else None, keep_sign=True)
-            a = torsion(rat, h=olifts, keep_sign=True)
-            s = a.value.as_fraction()
-            sval = raw.value if s > 0 else -raw.value
-            sgn = TorsionValue(tcur.field, sval, True, raw.acyclic)
-        except (TorsionError, BasisRankMismatch):
+            sgn = TorsionValue(raw.field, _oriented_value(raw, rat, olifts),
+                               True, raw.acyclic)
+        except TorsionError:
             sgn = None
         return t, sgn
 

@@ -13,7 +13,7 @@ combinatorial and shared by the branched-spine layer on top.
 """
 
 from .errors import Disconnected, NonOrientable, NonStandardDual, UnpairedFace
-from .perms import compose, inverse, sign
+from .perms import inverse, sign
 
 
 class EdgeClass:
@@ -253,18 +253,8 @@ class Triangulation:
         assert chi % 2 == 0 and chi <= 2
         return chi, (2 - chi) // 2
 
-    def positive_corner_order(self, t):
-        """A corner ordering of tetrahedron t positive for its orientation."""
-        return (0, 1, 2, 3) if self.orientations[t] == 1 else (1, 0, 2, 3)
-
-
 def glue_both_ways(gluings, t, f, t2, f2, perm):
     """Record a gluing and its inverse in a gluing dict under construction."""
     perm = tuple(perm)
     gluings[(t, f)] = (t2, f2, perm)
     gluings[(t2, f2)] = (t, f, inverse(perm))
-
-
-def compose_gluing(g1, g2):
-    """Compose two gluing permutations (first g1, then g2)."""
-    return compose(g2, g1)

@@ -95,6 +95,16 @@ def test_torsion_errors_exit_2(golden_file, capsys):
     assert report["error"] == "NotAcyclicNoBasis"
 
 
+@pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:5:a"])
+@pytest.mark.parametrize("command", [
+    ["torsion"], ["invariance", "--steps", "3", "--seed", "1", "--max-tets", "2"]])
+def test_bad_rep_spec_exit_1(golden_file, command, spec, capsys):
+    status, report = run_cli(command + [golden_file, "--rep", spec], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert spec in report["message"]
+
+
 def test_torsion_with_auto_basis(golden_file, capsys):
     status, report = run_cli(["torsion", golden_file, "--rep", "free-abelian",
                               "--homology-basis", "auto"], capsys)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinetorsion.fields import (CyclotomicField, FunctionField, LaurentPoly,
-                                 RationalFunction, cofactor_det,
-                                 cyclotomic_polynomial)
+from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
+                                 FunctionField, LaurentPoly, RationalFunction,
+                                 cofactor_det, cyclotomic_polynomial)
 
 
 def rand_element(field, rnd, nterms=3, span=2):
@@ -85,6 +88,126 @@ def test_nullspace_and_solve_function_field():
             for a, xx in zip(row, sol):
                 acc = acc + a * xx
             assert acc == b
+
+
+def test_rows_repeating_one_element_object():
+    F = FunctionField(1)
+    t_plus_1 = F.monomial((1,)) + F.one
+    x = F.one / t_plus_1
+    M = [[x, x], [F.one, F.zero]]
+    assert F.det(M) == cofactor_det(F, M) == -x
+    assert F.solve([[x, x]], [F.one]) == [t_plus_1, F.zero]
+
+
+# -- properties of the elimination engines ------------------------------------
+
+FIELDS = (FunctionField(0), FunctionField(1), FunctionField(2),
+          CyclotomicField(5))
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def elements(draw, field):
+    if isinstance(field, CyclotomicField):
+        coeffs = draw(st.lists(SMALL, min_size=field.degree,
+                               max_size=field.degree))
+        return CyclotomicElement(field, [Fraction(c) for c in coeffs])
+
+    def poly(span):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(*span)] * field.nvars), SMALL,
+            max_size=2))
+        return LaurentPoly(field.nvars, terms)
+    num, den = poly((-1, 1)), poly((0, 1))
+    return RationalFunction(num, den if not den.is_zero() else None)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """A field and a matrix of up to 4 x 4 entries drawn from a small pool
+    of element objects, so rows often repeat one object."""
+    field = draw(st.sampled_from(FIELDS))
+    pool = draw(st.lists(elements(field), min_size=1, max_size=3))
+    pool.append(field.zero)
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    index = st.integers(0, len(pool) - 1)
+    rows = draw(st.lists(st.lists(index, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return field, [[pool[k] for k in row] for row in rows]
+
+
+def minor_rank(field, M):
+    """Rank as the size of the largest nonzero minor, by cofactor expansion."""
+    m, n = len(M), len(M[0])
+    for k in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                sub = [[M[i][j] for j in cols] for i in rows]
+                if not cofactor_det(field, sub).is_zero():
+                    return k
+    return 0
+
+
+def apply(field, M, x):
+    out = []
+    for row in M:
+        acc = field.zero
+        for a, b in zip(row, x):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_cofactor(field_and_matrix):
+    field, M = field_and_matrix
+    assert field.det(M) == cofactor_det(field, M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_select_columns_is_greedy(field_and_matrix, rnd):
+    field, M = field_and_matrix
+    order = list(range(len(M[0])))
+    rnd.shuffle(order)
+    kept = []
+    for j in order:
+        trial = kept + [j]
+        if minor_rank(field, [[row[c] for c in trial] for row in M]) > len(kept):
+            kept.append(j)
+    assert field.select_columns(M, order) == kept
+    assert field.rank(M) == len(kept)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices())
+def test_nullspace_is_annihilated(field_and_matrix):
+    field, M = field_and_matrix
+    basis = field.nullspace(M)
+    assert len(basis) == len(M[0]) - minor_rank(field, M)
+    for v in basis:
+        assert all(y.is_zero() for y in apply(field, M, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.data())
+def test_solve_exactly_when_consistent(field_and_matrix, data):
+    field, M = field_and_matrix
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(elements(field), min_size=len(M[0]),
+                               max_size=len(M[0])))
+        rhs = apply(field, M, x)
+    else:
+        rhs = data.draw(st.lists(elements(field), min_size=len(M),
+                                 max_size=len(M)))
+    augmented = [row + [b] for row, b in zip(M, rhs)]
+    consistent = minor_rank(field, augmented) == minor_rank(field, M)
+    sol = field.solve(M, rhs)
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert apply(field, M, sol) == rhs
 
 
 def test_exact_division_errors():

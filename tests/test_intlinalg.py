@@ -3,8 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from spinetorsion.intlinalg import (CokernelData, rational_nullspace,
-                                    rational_rank, smith_normal_form)
+from spinetorsion.fields import FunctionField
+from spinetorsion.intlinalg import CokernelData, smith_normal_form
 
 
 def minors_gcd(matrix, rows, cols, k):
@@ -85,10 +85,12 @@ def test_cokernel_data():
 
 
 def test_rational_nullspace():
+    F = FunctionField(0)
     A = [[1, 2, 3], [2, 4, 6]]
-    basis = rational_nullspace(A, 2, 3)
+    M = [[F.from_int(a) for a in row] for row in A]
+    basis = F.nullspace(M)
     assert len(basis) == 2
     for v in basis:
         for row in A:
-            assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
-    assert rational_rank(A, 2, 3) == 1
+            assert sum(Fraction(a) * x.as_fraction() for a, x in zip(row, v)) == 0
+    assert F.rank(M) == 1
