@@ -4,15 +4,18 @@ Triangulations are generated by a canonical backtracking search over face
 gluings.  Relabelling freedom is used in the standard two ways: every
 gluing permutation is odd (so all tetrahedron orientation bits are +1 and
 the triangulation is oriented by construction), and the first gluing into
-a fresh tetrahedron uses a fixed permutation.  Isomorphic duplicates are
-removed afterwards through canonical encodings, so the output is a list
-of pairwise non-isomorphic objects in a deterministic order.
+a fresh tetrahedron uses a fixed permutation.  Each complete gluing is
+encoded straight from its gluing dict, and a Triangulation is built only
+for a code not seen before.  That is sound because the checks a build can
+fail, connectedness (a disconnected gluing has no code) and a standard
+dual, are isomorphism-invariant, and it keeps the first candidate of each
+class, so the output is pairwise non-isomorphic in a deterministic order.
 """
 
-from .errors import Disconnected, NonStandardDual
+from .errors import NonStandardDual
 from .perms import ALL_PERMS, sign
-from .spine import BranchedSpine, enumerate_branchings, triangulation_encoding
-from .triangulation import Triangulation
+from .spine import encode_gluings, enumerate_branchings
+from .triangulation import Triangulation, glue_both_ways
 
 _ODD_WITH_IMAGE = {
     (f, f2): tuple(p for p in ALL_PERMS if sign(p) == -1 and p[f] == f2)
@@ -24,43 +27,40 @@ def enumerate_triangulations(tet_count):
     """All connected oriented triangulations with the given size, up to isomorphism."""
     results = []
     seen = set()
-    faces = [(t, f) for t in range(tet_count) for f in range(4)]
-
-    def complete(gluings):
+    orientations = (1,) * tet_count
+    for gluings in _complete_gluings(tet_count, {}, 1):
+        code = encode_gluings(gluings, orientations)
+        if code is None or code in seen:
+            continue
+        seen.add(code)
         try:
-            trg = Triangulation(tet_count, dict(gluings))
-        except (Disconnected, NonStandardDual):
-            return
-        code = triangulation_encoding(trg)
-        if code not in seen:
-            seen.add(code)
-            results.append(trg)
-
-    def extend(gluings, used):
-        open_faces = [x for x in faces if x[0] < used and x not in gluings]
-        if not open_faces:
-            if used == tet_count:
-                complete(gluings)
-            return
-        t, f = open_faces[0]
-        if used < tet_count:
-            t2 = used
-            perm = _ODD_WITH_IMAGE[(f, 0)][0]
-            child = dict(gluings)
-            child[(t, f)] = (t2, 0, perm)
-            inv = tuple(sorted(range(4), key=lambda k: perm[k]))
-            child[(t2, 0)] = (t, f, inv)
-            extend(child, used + 1)
-        for (t2, f2) in open_faces[1:] + ([] if (t, f) == open_faces[0] else []):
-            for perm in _ODD_WITH_IMAGE[(f, f2)]:
-                child = dict(gluings)
-                child[(t, f)] = (t2, f2, perm)
-                inv = tuple(sorted(range(4), key=lambda k: perm[k]))
-                child[(t2, f2)] = (t, f, inv)
-                extend(child, used)
-
-    extend({}, 1)
+            results.append(Triangulation(tet_count, gluings))
+        except NonStandardDual:
+            pass
     return results
+
+
+def _complete_gluings(tet_count, gluings, used):
+    """Every complete gluing extending ``gluings`` (which reaches tetrahedra
+    0..used-1), depth first, always gluing the first open face next."""
+    open_faces = [(t, f) for t in range(used) for f in range(4) if (t, f) not in gluings]
+    if not open_faces:
+        if used == tet_count:
+            yield gluings
+        return
+    t, f = open_faces[0]
+    if used < tet_count:
+        child = _glued(gluings, t, f, used, 0, _ODD_WITH_IMAGE[(f, 0)][0])
+        yield from _complete_gluings(tet_count, child, used + 1)
+    for (t2, f2) in open_faces[1:]:
+        for perm in _ODD_WITH_IMAGE[(f, f2)]:
+            yield from _complete_gluings(tet_count, _glued(gluings, t, f, t2, f2, perm), used)
+
+
+def _glued(gluings, t, f, t2, f2, perm):
+    child = dict(gluings)
+    glue_both_ways(child, t, f, t2, f2, perm)
+    return child
 
 
 def census_branched(tet_count):

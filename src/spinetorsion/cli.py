@@ -4,8 +4,8 @@ Subcommands: validate, branchings, summary, move, walk, hcheck, torsion,
 euler, census, invariance.  Every command prints one JSON report to
 stdout.  Reports are deterministic for fixed inputs, flags and seed;
 the optional --timing flag adds a timing_ms field that is exempt from
-the determinism guarantee.  Exit status: 0 success, 1 validation or
-syntax error, 2 computation error.
+the determinism guarantee.  Exit status: 0 success, 1 validation, syntax,
+argument or file error, 2 computation error.
 """
 
 import argparse
@@ -49,6 +49,12 @@ def spine_summary(spine):
 def _read_spine(path):
     with open(path) as fh:
         return parse(fh.read())
+
+
+def _at_least(value, low, flag):
+    if value < low:
+        raise SpineSyntaxError("%s must be at least %d, got %d" % (flag, low, value))
+    return value
 
 
 def _parse_rep_spec(spec):
@@ -208,7 +214,7 @@ def main(argv=None):
     try:
         report = _run(args)
         status = report.pop("_exit_status", 0)
-    except (SpineSyntaxError, ValidationError) as exc:
+    except (SpineSyntaxError, ValidationError, OSError) as exc:
         report = {"command": args.command, "error": type(exc).__name__,
                   "message": str(exc)}
         status = 1
@@ -268,7 +274,7 @@ def _run(args):
 
     if cmd == "walk":
         spine = _read_spine(args.file)
-        walk = random_walk(spine, args.steps, args.seed,
+        walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,
                            h_null_only=args.h_null_only,
                            max_tets=args.max_tets)
         final = walk[-1].after if walk else spine
@@ -313,7 +319,7 @@ def _run(args):
                 "dual_consistent": pd_consistency(spine)}
 
     if cmd == "census":
-        spines = census_branched(args.tets)
+        spines = census_branched(_at_least(args.tets, 1, "--tets"))
         files = [serialize(s) for s in spines]
         if args.out_dir:
             import os
@@ -329,7 +335,8 @@ def _run(args):
     if cmd == "invariance":
         kind, order, character = _parse_rep_spec(args.rep)
         spine = _read_spine(args.file)
-        walk = random_walk(spine, args.steps, args.seed, h_null_only=True,
+        walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,
+                           h_null_only=True,
                            max_tets=args.max_tets)
         report = invariance_suite(spine, walk, kind, order=order,
                                   character=character)

@@ -84,6 +84,13 @@ def describe_move(move):
     return "-edge %d" % move.site
 
 
+def _check_site(index, count, kind):
+    # A negative index would silently pick a class from the end.
+    if not 0 <= index < count:
+        raise NotApplicable("%s class %d out of range (%d %s classes)"
+                            % (kind, index, count, kind))
+
+
 # -- positive move ---------------------------------------------------------------
 
 
@@ -91,6 +98,7 @@ def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
     of the new central edge (0, 1 or 2 results)."""
     trg = spine.triangulation
+    _check_site(face_class, len(trg.face_classes), "face")
     (t0, f0), (t1, f1) = trg.face_classes[face_class]
     if t0 == t1:
         raise SelfAdjacentFace(
@@ -289,6 +297,7 @@ def _forward_edge_positive(ot, oi, oj, t0, t1, f0, f1, perm, cyc, slots):
 def apply_negative(spine, edge_class):
     """The branched 3-to-2 move at a valence-three edge class."""
     trg = spine.triangulation
+    _check_site(edge_class, len(trg.edge_classes), "edge")
     cls = trg.edge_classes[edge_class]
     if cls.size != 3:
         raise NotApplicable(

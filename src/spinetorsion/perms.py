@@ -1,8 +1,10 @@
-"""Permutations of the corner labels {0,1,2,3}, stored as 4-tuples of images."""
+"""Permutations of the corner labels {0,1,2,3}, stored as 4-tuples of images.
+
+The tables COMPOSE, INVERSE and SIGN act on indices into ALL_PERMS (identity
+first), so hot loops compose and invert by indexing instead of building tuples.
+"""
 
 from itertools import permutations
-
-IDENTITY = (0, 1, 2, 3)
 
 ALL_PERMS = tuple(permutations(range(4)))
 
@@ -44,7 +46,8 @@ def sign3(triple_a, triple_b):
     return s
 
 
-EVEN_PERMS = tuple(p for p in ALL_PERMS if sign(p) == 1)
-ODD_PERMS = tuple(p for p in ALL_PERMS if sign(p) == -1)
-
 PERM_INDEX = {p: i for i, p in enumerate(ALL_PERMS)}
+COMPOSE = tuple(tuple(PERM_INDEX[compose(p, q)] for q in ALL_PERMS) for p in ALL_PERMS)
+"""``COMPOSE[i][j]`` is the index of ALL_PERMS[i]∘ALL_PERMS[j]."""
+INVERSE = tuple(PERM_INDEX[inverse(p)] for p in ALL_PERMS)
+SIGN = tuple(sign(p) for p in ALL_PERMS)

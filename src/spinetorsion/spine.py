@@ -14,7 +14,7 @@ quotient complex X built in :mod:`spinetorsion.complexes`.
 """
 
 from .errors import CyclicTriangle, NonOrientable, NonStandardDual
-from .perms import ALL_PERMS, PERM_INDEX, compose, inverse, sign
+from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
 from .triangulation import Triangulation, _face_corners
 
 
@@ -57,10 +57,10 @@ class BranchedSpine:
     def _compute_ranks(self):
         """Per tetrahedron, the rank of each corner in the branching order.
 
-        Raises CyclicTriangle if some triangle is cyclically oriented.  A
-        triangle is acyclic exactly when its in-degrees are {0,1,2}; if all
-        four triangles of a tetrahedron are acyclic the tournament on its
-        corners is transitive, so in-degrees give a linear order.
+        Raises CyclicTriangle if some triangle is cyclically oriented.  The
+        tournament on a tetrahedron's corners is transitive, so in-degrees
+        0..3 give a linear order, exactly when none of its four triangles is
+        cyclic, i.e. has in-degree 1 at each corner within the triangle.
         """
         ranks = []
         for t in range(self.triangulation.tet_count):
@@ -71,43 +71,19 @@ class BranchedSpine:
                         indeg[j] += 1
                     else:
                         indeg[i] += 1
-            for f in range(4):
-                cs = _face_corners(f)
-                face_in = [0, 0, 0]
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        if self.edge_direction(t, cs[a], cs[b]):
-                            face_in[b] += 1
-                        else:
-                            face_in[a] += 1
-                if sorted(face_in) != [0, 1, 2]:
-                    raise CyclicTriangle(
-                        "face %d.%d has a cyclic edge orientation" % (t, f))
-            assert sorted(indeg) == [0, 1, 2, 3]
+            if sorted(indeg) != [0, 1, 2, 3]:
+                f = next(f for f in range(4) if all(
+                    indeg[c] - self.edge_direction(t, f, c) == 1 for c in _face_corners(f)))
+                raise CyclicTriangle("face %d.%d has a cyclic edge orientation" % (t, f))
             ranks.append(tuple(indeg))
         return tuple(ranks)
 
     def _check_standardness(self):
-        """Verify each dual region assembles into a disc.
-
-        The region dual to an edge class is the identification space of
-        one quadrilateral fin per class member, glued in the cyclic fan
-        order.  Its cell counts are checked explicitly: Euler
-        characteristic 1, connected by construction, and a single
-        boundary circle.
-        """
+        """Reject an edge class that passes through one tetrahedron edge twice."""
         for cls in self.triangulation.edge_classes:
-            k = cls.size
-            if k != len(set((m[0], frozenset(m[1:])) for m in cls.members)):
+            if cls.size != len(set((m[0], frozenset(m[1:])) for m in cls.members)):
                 raise NonStandardDual(
                     "edge class %d revisits a tetrahedron edge" % cls.index)
-            # Cells of the assembled fan: centre + k spoke endpoints shared
-            # between consecutive fins + k tet-centre corners; k inner spokes
-            # + 2k outer sides; k quads.
-            chi = (1 + k + k) - (k + 2 * k) + k
-            boundary_circles = 1  # the 2k outer sides close into one circuit
-            if chi != 1 or boundary_circles != 1:
-                raise NonStandardDual("region %d is not a disc" % cls.index)
 
     # -- branching queries -------------------------------------------------------
 
@@ -120,9 +96,6 @@ class BranchedSpine:
         """(class index, +1) if i->j equals the class direction, else (class, -1)."""
         k, s = self.triangulation.edge_class_of[(t, i, j)]
         return k, s * self.branching[k]
-
-    def corner_rank(self, t, c):
-        return self._ranks[t][c]
 
     def corners_by_rank(self, t):
         """Corners of tetrahedron t from source (rank 0) to sink (rank 3)."""
@@ -143,11 +116,6 @@ class BranchedSpine:
     def face_sink_source(self, t, f):
         s, _m, k = self.face_roles(t, f)
         return s, k
-
-    def face_class_roles(self, fc_index):
-        """(source, middle, sink) corners of the canonical instance of a face class."""
-        (t, f), _ = self.triangulation.face_classes[fc_index]
-        return (t, f), self.face_roles(t, f)
 
     # -- counts and Euler characteristics -----------------------------------------
 
@@ -208,35 +176,6 @@ class BranchedSpine:
             new_orient[tet_map[t]] = self.orientations[t] * sign(corner_perms[t])
         return BranchedSpine(new_trg, new_branching, new_orient)
 
-    def _encode_from_seed(self, t0, rho0):
-        """Deterministic relabelled encoding grown from one seed labelling."""
-        trg = self.triangulation
-        new_of = {t0: 0}
-        rho = {t0: rho0}
-        order = [t0]
-        glue_code = []
-        cursor = 0
-        while cursor < len(order):
-            t = order[cursor]
-            for f_new in range(4):
-                f_old = inverse(rho[t])[f_new]
-                t2, f2, perm = trg.gluings[(t, f_old)]
-                if t2 not in new_of:
-                    new_of[t2] = len(order)
-                    rho[t2] = compose(rho[t], inverse(perm))
-                    order.append(t2)
-                perm_new = compose(rho[t2], compose(perm, inverse(rho[t])))
-                glue_code.append((new_of[t2], PERM_INDEX[perm_new]))
-            cursor += 1
-        branch_code = []
-        for t in order:
-            rho_inv = inverse(rho[t])
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    branch_code.append(
-                        1 if self.edge_direction(t, rho_inv[i], rho_inv[j]) else 0)
-        return tuple(glue_code), tuple(branch_code)
-
     def canonical_encoding(self):
         """Minimal encoding over all orientation-positive seed labellings.
 
@@ -244,15 +183,7 @@ class BranchedSpine:
         branching-preserving relabelling exactly when their canonical
         encodings coincide.
         """
-        best = None
-        for t0 in range(self.triangulation.tet_count):
-            for rho0 in ALL_PERMS:
-                if self.orientations[t0] * sign(rho0) != 1:
-                    continue
-                code = self._encode_from_seed(t0, rho0)
-                if best is None or code < best:
-                    best = code
-        return best
+        return encode_gluings(self.triangulation.gluings, self.orientations, self._ranks)
 
     def is_isomorphic(self, other):
         return self.canonical_encoding() == other.canonical_encoding()
@@ -260,26 +191,89 @@ class BranchedSpine:
 
 def triangulation_encoding(trg):
     """Canonical oriented encoding of a bare triangulation (no branching)."""
-    best = None
-    for t0 in range(trg.tet_count):
-        for rho0 in ALL_PERMS:
-            if trg.orientations[t0] * sign(rho0) != 1:
+    return encode_gluings(trg.gluings, trg.orientations)[0]
+
+
+def encode_gluings(gluings, orientations, ranks=None):
+    """Isomorphism signature ``(gluing code, branch code)`` of a gluing dict.
+
+    Each seed, a tetrahedron t0 and a corner relabelling rho0 whose sign is
+    the orientation bit of t0, relabels the tetrahedra breadth-first and
+    codes each new face by the new index of the tetrahedron behind it and
+    the relabelled gluing permutation.  The least code over all seeds wins;
+    a seed stops at its first entry above the least code so far.  The
+    branch code (``()`` without ``ranks``, the per-tetrahedron branching
+    rank of each corner) only breaks ties, so it is built only for seeds
+    that reach the least gluing code.  Returns None for gluings that do
+    not connect every tetrahedron, so compared codes all have length 4n.
+    """
+    n = len(orientations)
+    glue = [[(gluings[(t, f)][0], PERM_INDEX[gluings[(t, f)][2]]) for f in range(4)]
+            for t in range(n)]
+    best = best_branch = None
+    for t0 in range(n):
+        for rho0 in range(24):
+            if SIGN[rho0] != orientations[t0]:
                 continue
-            spine = _UnbranchedView(trg)
-            code = BranchedSpine._encode_from_seed(spine, t0, rho0)[0]
-            if best is None or code < best:
-                best = code
-    return best
+            seeded = _encode_seed(glue, n, t0, rho0, best)
+            if seeded is None:
+                continue
+            code, rho, order = seeded
+            if best is None and len(order) < n:
+                return None
+            branch = () if ranks is None else _branch_code(ranks, rho, order)
+            if code != best or branch < best_branch:
+                best, best_branch = code, branch
+    return tuple(divmod(v, 24) for v in best), best_branch
 
 
-class _UnbranchedView:
-    """Just enough of the spine interface to reuse the seed encoder."""
+def _encode_seed(glue, n, t0, rho0, best):
+    """(code, rho, order) of one seed, or None once the code exceeds ``best``.
 
-    def __init__(self, trg):
-        self.triangulation = trg
+    An entry 24 * (new tetrahedron index) + (permutation index) orders like
+    the (index, permutation) pair it stands for.
+    """
+    new_of = [-1] * n
+    new_of[t0] = 0
+    rho = [0] * n
+    rho[t0] = rho0
+    order = [t0]
+    code = []
+    tied = best is not None
+    for t in order:
+        r = rho[t]
+        r_inv = INVERSE[r]
+        row = glue[t]
+        for f_old in ALL_PERMS[r_inv]:
+            t2, p = row[f_old]
+            k = new_of[t2]
+            if k < 0:
+                # The new labelling of t2 makes this gluing the identity (index 0).
+                k = new_of[t2] = len(order)
+                rho[t2] = COMPOSE[r][INVERSE[p]]
+                order.append(t2)
+                v = 24 * k
+            else:
+                v = 24 * k + COMPOSE[rho[t2]][COMPOSE[p][r_inv]]
+            if tied:
+                b = best[len(code)]
+                if v > b:
+                    return None
+                tied = v == b
+            code.append(v)
+    return code, rho, order
 
-    def edge_direction(self, t, i, j):
-        return True
+
+def _branch_code(ranks, rho, order):
+    """Per relabelled tetrahedron and corner pair i < j: 1 if the edge runs i -> j."""
+    code = []
+    for t in order:
+        rk, ri = ranks[t], ALL_PERMS[INVERSE[rho[t]]]
+        code.extend(int(rk[ri[i]] < rk[ri[j]]) for i, j in _CORNER_PAIRS)
+    return tuple(code)
+
+
+_CORNER_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
 def enumerate_branchings(trg):

@@ -70,13 +70,13 @@ def parse(text):
             continue
         parts = line.split()
         if parts[0] == "spine":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 _syntax(lineno, "expected 'spine <version>'")
             if int(parts[1]) != FORMAT_VERSION:
                 _syntax(lineno, "unsupported format version %s" % parts[1])
             version_seen = True
         elif parts[0] == "tets":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 _syntax(lineno, "expected 'tets <count>'")
             tet_count = int(parts[1])
         elif parts[0] == "glue":
@@ -89,7 +89,7 @@ def parse(text):
             except ValueError:
                 _syntax(lineno, "bad face reference in glue line")
             word = parts[5]
-            if len(word) != 3 or not word.isdigit():
+            if len(word) != 3 or not word.isdecimal():
                 _syntax(lineno, "bad permutation token %r" % word)
             images = [int(ch) for ch in word]
             if f2 in images or len(set(images)) != 3 or any(x > 3 for x in images):
@@ -108,14 +108,14 @@ def parse(text):
                 t = int(t)
             except ValueError:
                 _syntax(lineno, "bad edge reference")
-            if len(ij) != 2 or not ij.isdigit():
+            if len(ij) != 2 or not ij.isdecimal():
                 _syntax(lineno, "bad edge corners %r" % parts[3])
             i, j = int(ij[0]), int(ij[1])
             if i == j or i > 3 or j > 3:
                 _syntax(lineno, "bad edge corners %r" % parts[3])
             edge_lines.append((lineno, k, t, i, j))
         elif parts[0] == "orient":
-            if len(parts) != 3 or parts[2] not in ("+", "-"):
+            if len(parts) != 3 or not parts[1].isdecimal() or parts[2] not in ("+", "-"):
                 _syntax(lineno, "expected 'orient t +|-'")
             orient_lines[int(parts[1])] = 1 if parts[2] == "+" else -1
         else:
@@ -175,9 +175,10 @@ def parse_move_log(text):
         if parts[0] == "movelog":
             continue
         if parts[0] == "+" and len(parts) == 5 and parts[1] == "face" \
-                and parts[3] == "variant":
+                and parts[3] == "variant" and parts[2].isdecimal() and parts[4].isdecimal():
             steps.append(("positive", int(parts[2]), int(parts[4])))
-        elif parts[0] == "-" and len(parts) == 3 and parts[1] == "edge":
+        elif parts[0] == "-" and len(parts) == 3 and parts[1] == "edge" \
+                and parts[2].isdecimal():
             steps.append(("negative", int(parts[2]), 0))
         else:
             raise SpineSyntaxError("bad move line", line=lineno)

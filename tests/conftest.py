@@ -19,6 +19,11 @@ def corpus12(census1, census2):
 
 
 @pytest.fixture(scope="session")
-def corpus3(corpus12):
+def census3():
+    return census_branched(3)
+
+
+@pytest.fixture(scope="session")
+def corpus3(corpus12, census3):
     """Full corpus: census up to 3 tetrahedra (used by the acceptance suite)."""
-    return corpus12 + census_branched(3)
+    return corpus12 + census3

@@ -1,5 +1,23 @@
+import hashlib
+
 from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
+from spinetorsion.spinefile import serialize
+
+# sha256 of "count <N>\n" followed by the serialised census, in census order.
+CENSUS_DIGESTS = {
+    1: (4, "b3f05de6f790965c35049f7871220cb58691ae5e70efb9fb3a5dc5d605da7c5f"),
+    2: (46, "00605b0f399f5850873737b1bb49214b9c7a3f1dfb2e2eda7fc1f2264bdaba54"),
+    3: (800, "71fd1be49010e5e9e2e25461e38e661d54f0d62787e39798fcf378c5c429e9e4"),
+}
+
+
+def test_census_golden_digests(census1, census2, census3):
+    for n, spines in ((1, census1), (2, census2), (3, census3)):
+        count, digest = CENSUS_DIGESTS[n]
+        assert len(spines) == count
+        text = "count %d\n" % len(spines) + "".join(serialize(s) for s in spines)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_one_tet_census(census1):

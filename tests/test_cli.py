@@ -47,6 +47,34 @@ def test_validate_syntax_error_exit_1(tmp_path, capsys):
     assert "line 4" in report["message"]
 
 
+def test_missing_input_file_exit_1(tmp_path, capsys):
+    status, report = run_cli(["validate", str(tmp_path / "absent.txt")], capsys)
+    assert status == 1
+    assert report["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["move", "--face", "99"], ["move", "--edge", "99"],
+    ["hcheck", "--face", "-1"], ["move", "--face", "-1"]])
+def test_move_site_out_of_range_exit_2(two_variant_file, argv, capsys):
+    status, report = run_cli(argv[:1] + [two_variant_file] + argv[1:], capsys)
+    assert status == 2
+    assert report["error"] == "NotApplicable"
+    assert "out of range" in report["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "FILE", "--steps", "-3", "--seed", "1"],
+    ["invariance", "FILE", "--steps", "-3", "--seed", "1", "--rep", "trivial"],
+    ["census", "--tets", "0"], ["census", "--tets", "-2"]])
+def test_counts_below_minimum_exit_1(two_variant_file, argv, capsys):
+    argv = [two_variant_file if a == "FILE" else a for a in argv]
+    status, report = run_cli(argv, capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert "must be at least" in report["message"]
+
+
 def test_branchings(two_variant_file, capsys):
     status, report = run_cli(["branchings", two_variant_file], capsys)
     assert status == 0

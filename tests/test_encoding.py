@@ -1,0 +1,102 @@
+"""Isomorphism signatures: the integer-table encoder against a tuple oracle."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spinetorsion.census as census
+from spinetorsion.errors import Disconnected, NonStandardDual
+from spinetorsion.perms import ALL_PERMS, PERM_INDEX, compose, inverse, sign
+from spinetorsion.spine import encode_gluings, triangulation_encoding
+from spinetorsion.triangulation import Triangulation
+
+
+def oracle_seed(trg, direction, t0, rho0):
+    """Relabelled (gluing code, branch code) grown from one seed, on tuples."""
+    new_of = {t0: 0}
+    rho = {t0: rho0}
+    order = [t0]
+    glue_code = []
+    cursor = 0
+    while cursor < len(order):
+        t = order[cursor]
+        for f_new in range(4):
+            f_old = inverse(rho[t])[f_new]
+            t2, _f2, perm = trg.gluings[(t, f_old)]
+            if t2 not in new_of:
+                new_of[t2] = len(order)
+                rho[t2] = compose(rho[t], inverse(perm))
+                order.append(t2)
+            perm_new = compose(rho[t2], compose(perm, inverse(rho[t])))
+            glue_code.append((new_of[t2], PERM_INDEX[perm_new]))
+        cursor += 1
+    branch_code = []
+    for t in order:
+        rho_inv = inverse(rho[t])
+        for i in range(4):
+            for j in range(i + 1, 4):
+                branch_code.append(1 if direction(t, rho_inv[i], rho_inv[j]) else 0)
+    return tuple(glue_code), tuple(branch_code)
+
+
+def oracle_encoding(trg, orientations, direction):
+    """Least seed code over every orientation-positive seed, no early abort."""
+    return min(oracle_seed(trg, direction, t0, rho0)
+               for t0 in range(trg.tet_count) for rho0 in ALL_PERMS
+               if orientations[t0] * sign(rho0) == 1)
+
+
+@st.composite
+def relabelled(draw, corpus):
+    spine = corpus[draw(st.integers(0, len(corpus) - 1))]
+    n = spine.tet_count
+    tet_map = draw(st.permutations(range(n)))
+    corner_perms = draw(st.lists(st.sampled_from(ALL_PERMS), min_size=n, max_size=n))
+    return spine, spine.relabel(tet_map, corner_perms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_encoder_matches_tuple_oracle(corpus12, data):
+    _spine, other = data.draw(relabelled(corpus12))
+    trg = other.triangulation
+    assert other.canonical_encoding() == oracle_encoding(
+        trg, other.orientations, other.edge_direction)
+    assert triangulation_encoding(trg) == oracle_encoding(
+        trg, trg.orientations, lambda t, i, j: True)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_encoding_invariant_under_relabel(corpus12, data):
+    spine, other = data.draw(relabelled(corpus12))
+    assert other.canonical_encoding() == spine.canonical_encoding()
+    # The bare gluing code is invariant too once the orientation bits are
+    # carried along (a Triangulation normalises tetrahedron 0 to +1).
+    assert encode_gluings(other.triangulation.gluings, other.orientations)[0] == \
+        encode_gluings(spine.triangulation.gluings, spine.orientations)[0]
+
+
+def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
+    candidates = []
+
+    def recording(gluings, orientations, ranks=None):
+        candidates.append(dict(gluings))
+        return encode_gluings(gluings, orientations, ranks)
+
+    monkeypatch.setattr(census, "encode_gluings", recording)
+    census.enumerate_triangulations(2)
+    assert len(candidates) == 648
+    built = 0
+    for gluings in candidates:
+        code = encode_gluings(gluings, (1, 1))
+        try:
+            trg = Triangulation(2, gluings)
+        except Disconnected:
+            assert code is None
+            continue
+        except NonStandardDual:
+            continue
+        assert trg.orientations == (1, 1)
+        assert code[0] == triangulation_encoding(trg)
+        built += 1
+    assert built > 0

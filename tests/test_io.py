@@ -41,6 +41,24 @@ def test_malformed_permutation_token_names_line():
     assert "permutation" in str(err.value)
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("orient 0 +", "orient . +", 8),
+    ("tets 1", "tets \u00b2", 2),  # a digit that int() rejects
+], ids=["orient", "tets"])
+def test_non_numeric_field_names_line(old, new, line):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse(ONE_TET.replace(old, new))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("move", ["+ face x variant 0", "+ face 0 variant y",
+                                  "- edge x"])
+def test_non_numeric_move_log_site_names_line(move):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse_move_log("movelog 1\n%s\n" % move)
+    assert err.value.line == 2
+
+
 def test_missing_header_rejected():
     with pytest.raises(SpineSyntaxError):
         parse(ONE_TET.replace("spine 1\n", ""))
