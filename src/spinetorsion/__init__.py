@@ -14,9 +14,9 @@ from .errors import (BasisRankMismatch, CyclicTriangle, Disconnected,
 from .euler import (EulerData, euler_chain_class, euler_data, maw_cochain,
                     path_choice_independence, pd_consistency)
 from .moves import (HCycleReport, MoveInstance, apply_negative, apply_positive,
-                    available_moves, h_cycle_check, is_rigid, random_walk,
-                    transport_homology, transport_rational_homology,
-                    transport_representation)
+                    available_moves, h_cycle_check, is_rigid, positive_move,
+                    random_walk, transport_homology,
+                    transport_rational_homology, transport_representation)
 from .spine import BranchedSpine, enumerate_branchings, sink_source
 from .spinefile import (parse, parse_move_log, replay_move_log, serialize,
                         serialize_move_log, validate)

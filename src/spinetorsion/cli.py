@@ -20,8 +20,8 @@ from .errors import (MoveError, RelatorNotKilled, SpineError,
                      SpineSyntaxError, TorsionError, TransportFailure,
                      ValidationError)
 from .euler import euler_data, path_choice_independence, pd_consistency
-from .moves import (apply_negative, apply_positive, available_moves,
-                    h_cycle_check, is_rigid, random_walk)
+from .moves import (apply_negative, h_cycle_check, is_rigid, positive_move,
+                    random_walk)
 from .spinefile import (parse, parse_move_log, replay_move_log, serialize,
                         serialize_move_log)
 from .torsion import (HomologicalOrientation, auto_twisted_homology,
@@ -257,13 +257,7 @@ def _run(args):
         if (args.face is None) == (args.edge is None):
             raise SpineSyntaxError("give exactly one of --face or --edge")
         if args.face is not None:
-            options = apply_positive(spine, args.face)
-            if not options:
-                raise MoveError("no branched positive move at face %d" % args.face)
-            if not (0 <= args.variant < len(options)):
-                raise MoveError("variant %d out of range (%d available)"
-                                % (args.variant, len(options)))
-            move = options[args.variant]
+            move = positive_move(spine, args.face, args.variant)
         else:
             move = apply_negative(spine, args.edge)
         if args.out:
@@ -289,13 +283,7 @@ def _run(args):
 
     if cmd == "hcheck":
         spine = _read_spine(args.file)
-        options = apply_positive(spine, args.face)
-        if not options:
-            raise MoveError("no branched positive move at face %d" % args.face)
-        if not (0 <= args.variant < len(options)):
-            raise MoveError("variant %d out of range (%d available)"
-                            % (args.variant, len(options)))
-        move = options[args.variant]
+        move = positive_move(spine, args.face, args.variant)
         return {"command": cmd, "site": args.face, "variant": args.variant,
                 "table": _hcheck_report(h_cycle_check(move))}
 

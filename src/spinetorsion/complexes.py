@@ -26,7 +26,7 @@ g ends at vertex g*[path], so the twisted boundary entries below are
 exact words in the edge generators, evaluated through a representation.
 """
 
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import RelatorNotKilled
 from .intlinalg import CokernelData
@@ -83,6 +83,26 @@ class CellComplexX:
 
     def euler_characteristic(self):
         return 1 - self.n_edges + self.n_faces - self.n_tets
+
+    @cached_property
+    def rational_complex(self):
+        """The untwisted complex over Q, read off d1..d3; computed once.
+
+        Entry by entry it equals the trivial-representation TwistedComplex,
+        without the Smith form a Representation needs.
+        """
+        from .fields import FunctionField
+        field = FunctionField(0)
+        return ChainComplex(
+            field, (1, self.n_edges, self.n_faces, self.n_tets),
+            *[[[field.from_int(x) for x in row] for row in d]
+              for d in (self.d1, self.d2, self.d3)])
+
+    @cached_property
+    def rational_homology(self):
+        """``default_rational_homology`` of this complex, computed once."""
+        from .torsion import default_rational_homology
+        return default_rational_homology(self)
 
 
 class GroupData:
@@ -316,7 +336,58 @@ class Representation:
         return char  # trivial character: only option when H_1 has no part to use
 
 
-class TwistedComplex:
+class ChainComplex:
+    """Boundary matrices d1, d2, d3 over a coefficient field.
+
+    Dimensions (1, E, F, T).  The column selections, homology lifts and raw
+    torsion of the default bases are computed on first use and kept: the
+    matrices are never changed after construction.
+    """
+
+    def __init__(self, field, dims, d1, d2, d3):
+        self.field = field
+        self.dims = dims
+        self.d1 = d1
+        self.d2 = d2
+        self.d3 = d3
+
+    @cached_property
+    def default_selections(self):
+        """``torsion.column_selections`` in the identity column order."""
+        from .torsion import column_selections
+        return column_selections(self)
+
+    @cached_property
+    def default_lifts(self):
+        """``torsion.auto_twisted_homology`` of this complex."""
+        from .torsion import auto_twisted_homology
+        return auto_twisted_homology(self)
+
+    @cached_property
+    def default_torsion(self):
+        """Raw (sign-kept) torsion value in the default bases: identity
+        column order, and the auto lifts unless the complex is acyclic."""
+        from .torsion import default_raw_torsion
+        return default_raw_torsion(self)
+
+    def verify_complex(self):
+        """Exact check that consecutive boundaries compose to zero."""
+        for left, right in ((self.d1, self.d2), (self.d2, self.d3)):
+            rows = len(left)
+            mid = len(right)
+            cols = len(right[0]) if mid else 0
+            for i in range(rows):
+                for j in range(cols):
+                    acc = self.field.zero
+                    for k in range(mid):
+                        if not (left[i][k].is_zero() or right[k][j].is_zero()):
+                            acc = acc + left[i][k] * right[k][j]
+                    if not acc.is_zero():
+                        return False
+        return True
+
+
+class TwistedComplex(ChainComplex):
     """Boundary matrices of the phi-twisted cellular complex.
 
     Dimensions (1, E, 2V, V); the matrices are expressed in the
@@ -329,13 +400,13 @@ class TwistedComplex:
         self.complex = complex_x
         self.anchors = anchors
         self.rep = rep
-        self.field = rep.field
+        field = rep.field
         E, F, T = complex_x.n_edges, complex_x.n_faces, complex_x.n_tets
-        self.dims = (1, E, F, T)
-        zero, one = self.field.zero, self.field.one
-        self.d1 = [[one - rep.inverses[j] for j in range(E)]]
-        self.d2 = [[zero] * F for _ in range(E)]
-        self.d3 = [[zero] * T for _ in range(F)]
+        zero, one = field.zero, field.one
+        super().__init__(field, (1, E, F, T),
+                         [[one - rep.inverses[j] for j in range(E)]],
+                         [[zero] * F for _ in range(E)],
+                         [[zero] * T for _ in range(F)])
         self._build_d2()
         self._build_d3()
 
@@ -365,25 +436,6 @@ class TwistedComplex:
                 if sgn < 0:
                     coeff = -coeff
                 self.d3[fc][t] = self.d3[fc][t] + coeff
-
-    def matrices(self):
-        return self.d1, self.d2, self.d3
-
-    def verify_complex(self):
-        """Exact check that consecutive boundaries compose to zero."""
-        for left, right in ((self.d1, self.d2), (self.d2, self.d3)):
-            rows = len(left)
-            mid = len(right)
-            cols = len(right[0]) if mid else 0
-            for i in range(rows):
-                for j in range(cols):
-                    acc = self.field.zero
-                    for k in range(mid):
-                        if not (left[i][k].is_zero() or right[k][j].is_zero()):
-                            acc = acc + left[i][k] * right[k][j]
-                    if not acc.is_zero():
-                        return False
-        return True
 
     def matches_integer_complex(self):
         """True when the entries equal the untwisted integer matrices."""

@@ -18,7 +18,7 @@ certificate sums the signed differences of the two targets.  A null sum
 certifies that torsion is unchanged by the move.
 """
 
-from .errors import (CyclicTriangle, Disconnected, NonOrientable,
+from .errors import (CyclicTriangle, Disconnected, MoveError, NonOrientable,
                      NonStandardDual, NotApplicable, ResultNonStandard,
                      SelfAdjacentFace, Stuck, TransportFailure)
 from .perms import inverse, sign
@@ -289,6 +289,21 @@ def _forward_edge_positive(ot, oi, oj, t0, t1, f0, f1, perm, cyc, slots):
         if {oi, oj} == {x, y}:
             return (slots[i], 2, 3)
     raise AssertionError("unmapped site edge")
+
+
+def positive_move(spine, face_class, variant=0):
+    """The ``variant``-th branched 2-to-3 move at a face class.
+
+    MoveError when the face class has no branched move or the variant is
+    out of range, instead of an empty list or a bare index error.
+    """
+    options = apply_positive(spine, face_class)
+    if not options:
+        raise MoveError("no branched positive move at face %d" % face_class)
+    if not 0 <= variant < len(options):
+        raise MoveError("variant %d out of range (%d available)"
+                        % (variant, len(options)))
+    return options[variant]
 
 
 # -- negative move ---------------------------------------------------------------

@@ -117,13 +117,20 @@ def parse(text):
         elif parts[0] == "orient":
             if len(parts) != 3 or not parts[1].isdecimal() or parts[2] not in ("+", "-"):
                 _syntax(lineno, "expected 'orient t +|-'")
-            orient_lines[int(parts[1])] = 1 if parts[2] == "+" else -1
+            t = int(parts[1])
+            if t in orient_lines:
+                _syntax(lineno, "repeated orient line for tetrahedron %d" % t)
+            orient_lines[t] = (lineno, 1 if parts[2] == "+" else -1)
         else:
             _syntax(lineno, "unknown declaration %r" % parts[0])
     if not version_seen:
         raise SpineSyntaxError("missing 'spine <version>' header", line=1)
     if tet_count is None:
         raise SpineSyntaxError("missing 'tets <count>' line", line=1)
+    for t, (lineno, _sign) in orient_lines.items():
+        if t >= tet_count:
+            _syntax(lineno, "orient line for tetrahedron %d, but there are %d"
+                    % (t, tet_count))
     trg = Triangulation(tet_count, gluings)
     branching = [None] * len(trg.edge_classes)
     for (lineno, k, t, i, j) in edge_lines:
@@ -139,7 +146,7 @@ def parse(text):
             "no direction given for edge class %d" % missing[0], line=1)
     orientations = None
     if orient_lines:
-        orientations = [orient_lines.get(t, 0) for t in range(tet_count)]
+        orientations = [orient_lines.get(t, (0, 0))[1] for t in range(tet_count)]
         if 0 in orientations:
             raise SpineSyntaxError(
                 "orient lines must cover all tetrahedra or none", line=1)
@@ -187,13 +194,12 @@ def parse_move_log(text):
 
 def replay_move_log(spine, steps):
     """Apply a parsed move log; returns the list of MoveInstance."""
-    from .moves import apply_negative, apply_positive
+    from .moves import apply_negative, positive_move
     walk = []
     cur = spine
     for kind, site, variant in steps:
         if kind == "positive":
-            options = apply_positive(cur, site)
-            move = options[variant]
+            move = positive_move(cur, site, variant)
         else:
             move = apply_negative(cur, site)
         walk.append(move)

@@ -68,7 +68,7 @@ class HomologicalOrientation:
     """Ordered rational homology bases, one per degree, or the default.
 
     The default is the deterministic echelon choice made by
-    ``default_rational_homology``.
+    ``default_rational_homology``, which a CellComplexX computes once.
     """
 
     def __init__(self, bases=None):
@@ -77,24 +77,35 @@ class HomologicalOrientation:
     def resolve(self, complex_x):
         if self.bases is not None:
             return self.bases
-        return default_rational_homology(complex_x)
+        return complex_x.rational_homology
 
 
-def _greedy_lifts(field, dims, mats):
-    """Homology lifts for every degree with nonzero homology.
+def default_rational_homology(complex_x):
+    """Echelon bases of H_i(X; Q) for i = 0..3, as Fraction vectors: the
+    default lifts of X's rational complex."""
+    lifts = complex_x.rational_complex.default_lifts
+    return [[[x.as_fraction() for x in v] for v in lifts.get(i, ())]
+            for i in range(4)]
 
-    In degree i the reduced kernel basis of D_i (``mats[i - 1]``) follows
-    the image columns of D_{i+1} (``mats[i]``); the kernel vectors among
-    the pivot columns of one column selection over that matrix, which are
-    the ones a greedy pass would add to the image span, are the lifts.
-    Returns a dict degree -> list of chain vectors.
+
+def auto_twisted_homology(tc):
+    """Deterministic homology lifts h_i for every degree with nonzero homology.
+
+    ``tc`` is any ChainComplex, the rational complex of a CellComplexX
+    included.  In degree i the reduced kernel basis of d_i follows the
+    image columns of d_{i+1}; the kernel vectors among the pivot columns of
+    one column selection over that matrix, which are the ones a greedy
+    pass would add to the image span, are the lifts.  Returns a dict
+    degree -> list of chain vectors.
     """
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
     out = {}
     for i in range(4):
         kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
         image = list(zip(*mats[i])) if i < 3 else []
         cols = image + kernel
-        span = [[col[r] for col in cols] for r in range(dims[i])]
+        span = [[col[r] for col in cols] for r in range(tc.dims[i])]
         picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
                   if j >= len(image)]
         if picked:
@@ -102,76 +113,47 @@ def _greedy_lifts(field, dims, mats):
     return out
 
 
-def default_rational_homology(complex_x):
-    """Echelon bases of H_i(X; Q) for i = 0..3, as Fraction vectors."""
-    field = FunctionField(0)
-    mats = [[[field.from_int(x) for x in row] for row in d]
-            for d in (complex_x.d1, complex_x.d2, complex_x.d3)]
-    dims = (1, complex_x.n_edges, complex_x.n_faces, complex_x.n_tets)
-    lifts = _greedy_lifts(field, dims, mats)
-    return [[[x.as_fraction() for x in v] for v in lifts.get(i, ())]
+def column_selections(cx, strategy=None):
+    """The b_i selections: for i = 1..3, the pivot columns of d_i visited in
+    the order ``strategy[i]`` (identity when absent); entries 0 and 4 are
+    empty."""
+    orders = strategy or {}
+    mats = (cx.d1, cx.d2, cx.d3)
+    selections = [[] for _ in range(5)]
+    for i in range(1, 4):
+        order = orders.get(i, range(cx.dims[i]))
+        if sorted(order) != list(range(cx.dims[i])):
+            raise BasisRankMismatch(
+                "degree %d: column order is not a permutation" % i)
+        selections[i] = cx.field.select_columns(mats[i - 1], order)
+    return tuple(selections)
+
+
+def _betti(cx, selections):
+    return [cx.dims[i] - len(selections[i]) - len(selections[i + 1])
             for i in range(4)]
+
+
+def default_raw_torsion(cx):
+    """The raw torsion value of ``cx`` in the default bases: identity column
+    order, and the auto lifts unless the complex is acyclic."""
+    selections = cx.default_selections
+    lifts = cx.default_lifts if any(_betti(cx, selections)) else {}
+    return _raw_value(cx, selections, lifts)
 
 
 def _column(mat, j, nrows):
     return [mat[r][j] for r in range(nrows)]
 
 
-def auto_twisted_homology(tc):
-    """Deterministic homology lifts h_i for every degree with nonzero homology.
-
-    For each degree, kernel vectors (echelon order) are added greedily to
-    the image columns until the kernel is spanned; the added vectors are
-    the lifts.  Returns a dict degree -> list of chain vectors.
-    """
-    return _greedy_lifts(tc.field, tc.dims, [tc.d1, tc.d2, tc.d3])
-
-
-def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
-    """Torsion of a twisted complex with respect to its preferred bases.
-
-    ``h`` supplies homology lifts: None (complex must be acyclic),
-    "auto" (deterministic default lifts), or a dict degree -> list of
-    chain vectors over the coefficient field.  ``strategy`` optionally
-    gives per-degree column preference orders for the b_i selection, and
-    ``sigma`` per-degree permutations of the cell ordering (which can
-    only flip the sign).  With ``keep_sign`` the raw value for this cell
-    ordering is kept instead of the canonical +-representative.
-    """
-    field = tc.field
-    dims = tc.dims
-    mats = [tc.d1, tc.d2, tc.d3]
-    orders = strategy or {}
-    selections = [[] for _ in range(5)]
-    for i in range(1, 4):
-        order = orders.get(i, range(dims[i]))
-        if sorted(order) != list(range(dims[i])):
-            raise BasisRankMismatch(
-                "degree %d: column order is not a permutation" % i)
-        selections[i] = field.select_columns(mats[i - 1], order)
-    betti = [dims[i] - len(selections[i]) - len(selections[i + 1])
-             for i in range(4)]
-    acyclic = not any(betti)
-    lifts = {}
-    if not acyclic:
-        if h is None:
-            raise NotAcyclicNoBasis(
-                "twisted homology has dimensions %s; supply a basis" % (betti,))
-        if h == "auto":
-            lifts = auto_twisted_homology(tc)
-        else:
-            lifts = h
+def _raw_value(cx, selections, lifts, sigma=None):
+    """Alternating product of the change-of-basis determinants, with the
+    rows of degree i permuted by ``sigma[i]`` where given."""
+    field = cx.field
+    mats = (cx.d1, cx.d2, cx.d3)
+    value = inverse_part = field.one
     for i in range(4):
-        got = len(lifts.get(i, ()))
-        if got != betti[i]:
-            raise BasisRankMismatch(
-                "degree %d: homology rank %d but %d basis vectors"
-                % (i, betti[i], got))
-
-    value = field.one
-    inverse_part = field.one
-    for i in range(4):
-        n = dims[i]
+        n = cx.dims[i]
         cols = []
         if i + 1 <= 3:
             B = mats[i]
@@ -199,41 +181,69 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
             value = value * d
         else:
             inverse_part = inverse_part * d
-    result = value * inverse_part.inv()
-    return TorsionValue(tc.field, result, keep_sign, acyclic,
-                        homology_basis_used="auto" if h == "auto" else
-                        ("given" if lifts else None))
+    return value * inverse_part.inv()
 
 
-def _rational_complex(spine):
-    from .complexes import CellComplexX, GroupData, Representation, \
-        SpiderAnchors, TwistedComplex
-    X = CellComplexX(spine)
-    G = GroupData(X)
-    A = SpiderAnchors(spine, X)
-    rep = Representation.trivial(G)
-    return TwistedComplex(spine, X, A, rep)
+def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
+    """Torsion of a twisted complex with respect to its preferred bases.
 
-
-def _fractions_to_field(field, vec):
-    return [field.from_fraction(x) for x in vec]
+    ``h`` supplies homology lifts: None (complex must be acyclic),
+    "auto" (the complex's ``default_lifts``), or a dict degree -> list of
+    chain vectors over the coefficient field.  ``strategy`` optionally
+    gives per-degree column preference orders for the b_i selection, and
+    ``sigma`` per-degree permutations of the cell ordering (which can
+    only flip the sign).  With ``keep_sign`` the raw value for this cell
+    ordering is kept instead of the canonical +-representative.  Without
+    ``strategy`` and ``sigma``, and with ``h`` None or "auto", the value is
+    the complex's ``default_torsion``, computed once per complex.
+    """
+    selections = column_selections(tc, strategy) if strategy \
+        else tc.default_selections
+    betti = _betti(tc, selections)
+    acyclic = not any(betti)
+    if not acyclic and h is None:
+        raise NotAcyclicNoBasis(
+            "twisted homology has dimensions %s; supply a basis" % (betti,))
+    if h in (None, "auto") and not strategy and not sigma:
+        value = tc.default_torsion
+    else:
+        lifts = {}
+        if not acyclic:
+            lifts = tc.default_lifts if h == "auto" else h
+        for i in range(4):
+            got = len(lifts.get(i, ()))
+            if got != betti[i]:
+                raise BasisRankMismatch(
+                    "degree %d: homology rank %d but %d basis vectors"
+                    % (i, betti[i], got))
+        value = _raw_value(tc, selections, lifts, sigma)
+    if h == "auto":
+        used = "auto"
+    else:
+        used = None if acyclic or h is None else "given"
+    return TorsionValue(tc.field, value, keep_sign, acyclic,
+                        homology_basis_used=used)
 
 
 def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
-                         sigma=None, rational_tc=None):
+                         sigma=None):
     """Sign-refined torsion: the cell-order sign is fixed by an orientation.
 
     The torsion of the rational untwisted complex is computed with the
     same cell ordering and with homology bases compatible with the given
     homological orientation; its sign multiplies the raw twisted value,
-    making the result independent of the ordering.
+    making the result independent of the ordering.  ``spine`` is the spine
+    ``tc`` was built on: the rational complex and the default orientation
+    are read off ``tc.complex``, and the raw value comes from ``torsion``,
+    so neither is recomputed for a complex that already has them.
     """
     orientation = orientation or HomologicalOrientation()
     raw = torsion(tc, h=h, strategy=strategy, sigma=sigma, keep_sign=True)
-    rat = rational_tc if rational_tc is not None else _rational_complex(spine)
-    bases = orientation.resolve(rat.complex)
-    lifts = {i: [_fractions_to_field(rat.field, v) for v in basis]
-             for i, basis in enumerate(bases) if basis}
+    rat = tc.complex.rational_complex
+    # The default orientation's bases are the default lifts of ``rat``.
+    lifts = "auto" if orientation.bases is None else {
+        i: [[rat.field.from_fraction(x) for x in v] for v in basis]
+        for i, basis in enumerate(orientation.bases) if basis}
     return TorsionValue(tc.field, _oriented_value(raw, rat, lifts, sigma),
                         True, raw.acyclic,
                         homology_basis_used=raw.homology_basis_used,
@@ -243,7 +253,8 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
 
 def _oriented_value(raw, rat, olifts, sigma=None):
     """The raw twisted value times the sign of the rational torsion of
-    ``rat`` with homology lifts ``olifts``."""
+    ``rat`` with homology lifts ``olifts`` ("auto": the default
+    orientation)."""
     a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
     return raw.value if a.value.as_fraction() > 0 else -raw.value
 
@@ -535,10 +546,9 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
         SpiderAnchors, TwistedComplex
     from .errors import TransportFailure
 
-    def setup(sp, rep):
-        X = CellComplexX(sp)
-        A = SpiderAnchors(sp, X)
-        return TwistedComplex(sp, X, A, rep)
+    def setup(sp, rep, X=None):
+        X = X or CellComplexX(sp)
+        return TwistedComplex(sp, X, SpiderAnchors(sp, X), rep)
 
     X0 = CellComplexX(spine)
     G0 = GroupData(X0)
@@ -551,22 +561,17 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
     else:
         raise ValueError("unknown representation kind %r" % rep_kind)
 
-    tc = setup(spine, rep)
+    tc = setup(spine, rep, X0)
     lifts = auto_twisted_homology(tc)
-    rat_tc = _rational_complex(spine)
-    obases = default_rational_homology(rat_tc.complex)
-    olifts = {i: [_fractions_to_field(rat_tc.field, v) for v in basis]
-              for i, basis in enumerate(obases) if basis}
+    olifts = X0.rational_complex.default_lifts
 
-    def values(sp, rep, lifts, olifts):
-        raw = torsion(setup(sp, rep), h=lifts if lifts else None,
-                      keep_sign=True)
+    def values(tc, lifts, olifts):
+        raw = torsion(tc, h=lifts if lifts else None, keep_sign=True)
         t = TorsionValue(raw.field, raw.value, False, raw.acyclic,
                          homology_basis_used=raw.homology_basis_used)
-        rat = _rational_complex(sp)
         try:
-            sgn = TorsionValue(raw.field, _oriented_value(raw, rat, olifts),
-                               True, raw.acyclic)
+            sgn = TorsionValue(raw.field, _oriented_value(
+                raw, tc.complex.rational_complex, olifts), True, raw.acyclic)
         except TorsionError:
             sgn = None
         return t, sgn
@@ -574,11 +579,10 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
     steps = []
     all_equal = True
     first_violation = None
-    cur_spine = spine
     cur_rep = rep
     cur_lifts = lifts
     cur_olifts = olifts
-    before_t, before_s = values(cur_spine, cur_rep, cur_lifts, cur_olifts)
+    before_t, before_s = values(tc, cur_lifts, cur_olifts)
     for idx, move in enumerate(walk):
         report = moves_mod.h_cycle_check(move)
         if not report.is_null:
@@ -600,7 +604,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
                 "orientation transport failed: %s" % exc
         if new_lifts is None:
             raise TransportFailure(note or "homology transport failed")
-        after_t, after_s = values(move.after, new_rep, new_lifts,
+        after_t, after_s = values(setup(move.after, new_rep), new_lifts,
                                   new_olifts if new_olifts is not None else {})
         equal = before_t.equal_up_to_sign(after_t)
         sgn_equal = None
@@ -614,7 +618,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
             all_equal = False
             if first_violation is None:
                 first_violation = idx
-        cur_spine, cur_rep, cur_lifts = move.after, new_rep, new_lifts
+        cur_rep, cur_lifts = new_rep, new_lifts
         cur_olifts = new_olifts if new_olifts is not None else {}
         before_t, before_s = after_t, after_s
     return InvarianceReport(steps, all_equal, first_violation)

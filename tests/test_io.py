@@ -1,6 +1,7 @@
 import pytest
 
-from spinetorsion.errors import NonOrientable, SpineSyntaxError
+from spinetorsion import moves
+from spinetorsion.errors import MoveError, NonOrientable, SpineSyntaxError
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log, validate)
@@ -85,6 +86,33 @@ def test_orient_lines_optional_but_validated():
     bad = TWO_VARIANT.replace("orient 1 +", "orient 1 -")
     with pytest.raises(NonOrientable):
         parse(bad)
+
+
+@pytest.mark.parametrize("extra,message", [
+    ("orient 5 -", "tetrahedron 5"),
+    ("orient 0 -", "repeated"),
+], ids=["out-of-range", "repeated"])
+def test_bad_orient_line_names_line(extra, message):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse(ONE_TET + extra + "\n")
+    assert err.value.line == 9
+    assert message in str(err.value)
+
+
+def test_replay_variant_out_of_range_is_move_error():
+    s = parse(TWO_VARIANT)
+    assert len(moves.apply_positive(s, 0)) == 2
+    with pytest.raises(MoveError, match="variant 7 out of range"):
+        replay_move_log(s, parse_move_log("movelog 1\n+ face 0 variant 7\n"))
+
+
+def test_replay_face_without_branched_move_is_move_error(monkeypatch):
+    # No census spine up to three tetrahedra has such a face; an empty
+    # option list stands in for one.
+    monkeypatch.setattr(moves, "apply_positive", lambda spine, face: [])
+    with pytest.raises(MoveError, match="no branched positive move at face 0"):
+        replay_move_log(parse(TWO_VARIANT),
+                        parse_move_log("movelog 1\n+ face 0 variant 0\n"))
 
 
 def test_move_log_round_trip_and_replay():

@@ -6,7 +6,7 @@ import pytest
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
-from spinetorsion.fields import LaurentPoly
+from spinetorsion.fields import CyclotomicField, FunctionField, LaurentPoly
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (HomologicalOrientation, TorsionValue,
                                   auto_twisted_homology,
@@ -212,3 +212,93 @@ def test_torsion_value_equality_semantics():
     assert a == b
     neg = TorsionValue(tc.field, -a.value, False, a.acyclic)
     assert neg == a  # canonical representative modulo sign
+
+
+def _as_key(value):
+    return (value.to_str(), value.sign_fixed, value.acyclic,
+            value.homology_basis_used, value.orientation_used)
+
+
+def _flip_degree0(bases):
+    flipped = [list(map(list, b)) for b in bases]
+    flipped[0][0] = [-x for x in flipped[0][0]]
+    return HomologicalOrientation(flipped)
+
+
+@pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 5)])
+def test_memoised_values_match_fresh_complexes(corpus12, kind, order):
+    rnd = random.Random(11)
+    for s in corpus12:
+        def fresh():
+            return build(s, kind, order)[2]
+
+        ref_t = _as_key(torsion(fresh(), h="auto"))
+        ref_s = _as_key(sign_refined_torsion(s, fresh(), h="auto"))
+        tc = fresh()
+        assert _as_key(torsion(tc, h="auto")) == ref_t
+        assert _as_key(sign_refined_torsion(s, tc, h="auto")) == ref_s
+        assert _as_key(sign_refined_torsion(s, tc, h="auto")) == ref_s
+        assert _as_key(torsion(tc, h="auto")) == ref_t
+        tc = fresh()
+        assert _as_key(sign_refined_torsion(s, tc, h="auto")) == ref_s
+        assert _as_key(torsion(tc, h="auto")) == ref_t
+        if ref_t[2]:  # acyclic
+            assert _as_key(torsion(tc)) == _as_key(torsion(fresh()))
+        else:
+            with pytest.raises(NotAcyclicNoBasis):
+                torsion(tc)
+
+        # Other arguments after the memo is filled take the full path.
+        strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
+                 if i}
+        sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
+        orientation = _flip_degree0(default_rational_homology(tc.complex))
+        for kwargs in ({"strategy": strat}, {"sigma": sig},
+                       {"sigma": sig, "keep_sign": True}):
+            assert _as_key(torsion(tc, h="auto", **kwargs)) == \
+                _as_key(torsion(fresh(), h="auto", **kwargs))
+        for kwargs in ({"strategy": strat}, {"sigma": sig},
+                       {"orientation": orientation}):
+            assert _as_key(sign_refined_torsion(s, tc, h="auto", **kwargs)) \
+                == _as_key(sign_refined_torsion(s, fresh(), h="auto", **kwargs))
+        flipped = sign_refined_torsion(s, tc, h="auto", orientation=orientation)
+        assert flipped.value == -sign_refined_torsion(s, tc, h="auto").value
+
+
+def test_rational_complex_is_the_trivial_twisted_complex(corpus12):
+    for s in corpus12:
+        X, G, trivial = build(s, "trivial")
+        rat = X.rational_complex
+        assert rat.field == trivial.field and rat.dims == trivial.dims
+        assert (rat.d1, rat.d2, rat.d3) == (trivial.d1, trivial.d2, trivial.d3)
+        assert X.rational_homology == default_rational_homology(CellComplexX(s))
+
+
+def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
+    eliminations = []
+    for cls in (FunctionField, CyclotomicField):
+        def counting(self, *args, _original=cls._eliminate, **kwargs):
+            eliminations.append(self)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "_eliminate", counting)
+
+    def over(field):
+        return sum(f is field for f in eliminations)
+
+    for s in corpus12[::5]:
+        X = CellComplexX(s)
+        G = GroupData(X)
+        A = SpiderAnchors(s, X)
+        first = TwistedComplex(s, X, A, Representation.free_abelian(G))
+        torsion(first, h="auto")
+        assert over(first.field) > 0
+        eliminations.clear()
+        sign_refined_torsion(s, first, h="auto")
+        assert over(first.field) == 0
+        assert over(X.rational_complex.field) > 0
+        # A second representation on the same X reuses the rational side.
+        second = TwistedComplex(s, X, A, Representation.cyclic(G, 5))
+        eliminations.clear()
+        sign_refined_torsion(s, second, h="auto")
+        assert over(X.rational_complex.field) == 0
+        assert over(second.field) > 0
