@@ -71,6 +71,7 @@ class CellComplexX:
     def _build_d3(self):
         spine = self.spine
         trg = spine.triangulation
+        self.d3_terms = []   # (face class, tet, sign, sink corner of the face)
         for t in range(self.n_tets):
             pos = (0, 1, 2, 3) if spine.orientations[t] == 1 else (1, 0, 2, 3)
             for i in range(4):
@@ -79,6 +80,7 @@ class CellComplexX:
                 roles = spine.face_roles(t, omitted)
                 sgn = (-1) ** i * sign3(w, roles)
                 fc = trg.face_class_of[(t, omitted)]
+                self.d3_terms.append((fc, t, sgn, roles[2]))
                 self.d3[fc][t] += sgn
 
     def euler_characteristic(self):
@@ -370,6 +372,10 @@ class ChainComplex:
         from .torsion import default_raw_torsion
         return default_raw_torsion(self)
 
+    def path_image(self, vec):
+        """Image of an integer edge chain under the twisting; 1 untwisted."""
+        return self.field.one
+
     def verify_complex(self):
         """Exact check that consecutive boundaries compose to zero."""
         for left, right in ((self.d1, self.d2), (self.d2, self.d3)):
@@ -421,21 +427,14 @@ class TwistedComplex(ChainComplex):
                 self.d2[cls][fc] = val
 
     def _build_d3(self):
-        spine = self.spine
-        trg = spine.triangulation
-        rep = self.rep
-        for t in range(self.complex.n_tets):
-            pos = (0, 1, 2, 3) if spine.orientations[t] == 1 else (1, 0, 2, 3)
-            for i in range(4):
-                omitted = pos[i]
-                w = tuple(c for c in pos if c != omitted)
-                roles = spine.face_roles(t, omitted)
-                sgn = (-1) ** i * sign3(w, roles)
-                fc = trg.face_class_of[(t, omitted)]
-                coeff = rep.word_image(self.anchors.tet_corner_word(t, roles[2]))
-                if sgn < 0:
-                    coeff = -coeff
-                self.d3[fc][t] = self.d3[fc][t] + coeff
+        for fc, t, sgn, sink in self.complex.d3_terms:
+            coeff = self.rep.word_image(self.anchors.tet_corner_word(t, sink))
+            if sgn < 0:
+                coeff = -coeff
+            self.d3[fc][t] = self.d3[fc][t] + coeff
+
+    def path_image(self, vec):
+        return self.rep.image_of_vector(vec)
 
     def matches_integer_complex(self):
         """True when the entries equal the untwisted integer matrices."""

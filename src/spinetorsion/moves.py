@@ -18,6 +18,8 @@ certificate sums the signed differences of the two targets.  A null sum
 certifies that torsion is unchanged by the move.
 """
 
+from functools import cached_property
+
 from .errors import (CyclicTriangle, Disconnected, MoveError, NonOrientable,
                      NonStandardDual, NotApplicable, ResultNonStandard,
                      SelfAdjacentFace, Stuck, TransportFailure)
@@ -511,15 +513,23 @@ class HCycleReport:
     of a row is epsilon * (end0 - end1) as a formal sum of the external
     vertex labels, ``total`` collects all rows, and ``is_null`` certifies
     the move torsion-safe.  ``h_class`` is the class of the certificate
-    cycle in the first homology of the quotient complex, in Smith
-    coordinates of the before spine (always defined; zero when is_null).
+    cycle ``h_chain`` in the first homology of the quotient complex, in
+    Smith coordinates of the ``before`` spine (always defined; zero when
+    is_null); it is computed on first read, so the certificate alone
+    builds no Smith form.
     """
 
-    def __init__(self, rows, total, is_null, h_class):
+    def __init__(self, rows, total, is_null, before, h_chain):
         self.rows = rows
         self.total = total
         self.is_null = is_null
-        self.h_class = h_class
+        self.before = before
+        self.h_chain = h_chain
+
+    @cached_property
+    def h_class(self):
+        from .complexes import CellComplexX, GroupData
+        return GroupData(CellComplexX(self.before)).class_of_vector(self.h_chain)
 
     def row_boundary(self, row):
         _label, eps, e0, e1 = row
@@ -602,8 +612,8 @@ def h_cycle_check(move):
     total = {k: v for k, v in total.items() if v}
     is_null = not total
 
-    # Homology class of the certificate cycle: fixed tree paths to the
-    # root apex, so a null total lifts to zero.
+    # The certificate cycle: fixed tree paths to the root apex, so a null
+    # total lifts to zero.
     before = move.before
     n = len(before.triangulation.edge_classes)
     chains = _tree_chains(bip, n)
@@ -614,10 +624,7 @@ def h_cycle_check(move):
         c1v = chains[e1]
         c0v = chains[e0]
         h_chain = [h + eps * (x - y) for h, x, y in zip(h_chain, c1v, c0v)]
-    from .complexes import CellComplexX, GroupData
-    G = GroupData(CellComplexX(before))
-    h_class = G.class_of_vector(h_chain)
-    return HCycleReport(rows, total, is_null, h_class)
+    return HCycleReport(rows, total, is_null, before, h_chain)
 
 
 # -- rigidity and walks -----------------------------------------------------------
@@ -680,12 +687,6 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
 # -- transports across a move -----------------------------------------------------
 
 
-def _twisted(spine, rep):
-    from .complexes import CellComplexX, SpiderAnchors, TwistedComplex
-    X = CellComplexX(spine)
-    return TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
-
-
 def transport_representation(move, rep):
     """The representation on the after spine induced by the correspondence.
 
@@ -739,9 +740,12 @@ def _zero_out(field, vec, coords, columns):
     return out
 
 
-def transport_homology(move, rep_before, rep_after, lifts):
+def transport_homology(move, before, after, lifts):
     """Carry homology lifts across a move correspondence.
 
+    ``before`` and ``after`` are the chain complexes of the move's two
+    spines over one field: the TwistedComplex of a representation and of
+    its transport, or the rational complexes of the two CellComplexX.
     Degree 0 is the base point; degree-1 cycles inject after the central
     coordinate (if any) is removed with face boundaries; degree-2 cycles
     inject after their coordinates on vanishing faces are removed with
@@ -749,58 +753,57 @@ def transport_homology(move, rep_before, rep_after, lifts):
     coefficients and the site coefficients are re-solved in the after
     complex.  Raises TransportFailure when a class cannot be resolved.
     """
-    tc_before = _twisted(move.before, rep_before)
-    tc_after = _twisted(move.after, rep_after)
-    field = rep_before.field
+    field = before.field
+    zero = after.field.zero
     out = {}
-    dims_after = tc_after.dims
+    dims_after = after.dims
     for deg, vecs in lifts.items():
         if not vecs:
             continue
         new_vecs = []
         for vec in vecs:
             if deg == 0:
-                new_vecs.append([rep_after.field.one])
+                new_vecs.append([after.field.one])
                 continue
             if deg == 1:
                 v = list(vec)
                 if move.direction == "negative":
                     central = move.central_class_before
-                    cols = [[tc_before.d2[r][j] for r in range(len(tc_before.d2))]
+                    cols = [[before.d2[r][j] for r in range(len(before.d2))]
                             for j in move.vanished_faces]
                     v = _zero_out(field, v, [central], cols)
                     if v is None:
                         raise TransportFailure("degree-1 class stuck on the "
                                                "central edge")
-                w = [rep_after.field.zero] * dims_after[1]
+                w = [zero] * dims_after[1]
                 for old, new in move.edge_map.items():
                     w[new] = v[old]
                 new_vecs.append(w)
                 continue
             if deg == 2:
-                cols = [[tc_before.d3[r][j] for r in range(len(tc_before.d3))]
+                cols = [[before.d3[r][j] for r in range(len(before.d3))]
                         for j in move.site_tets_before]
                 v = _zero_out(field, list(vec), list(move.vanished_faces), cols)
                 if v is None:
                     raise TransportFailure("degree-2 class stuck on the site")
-                w = [rep_after.field.zero] * dims_after[2]
+                w = [zero] * dims_after[2]
                 for old, new in move.face_map.items():
                     w[new] = v[old]
                 new_vecs.append(w)
                 continue
             # Degree 3: outside coefficients carry over; site coefficients
             # come from the common-subdivision weights.
-            w_out = [rep_after.field.zero] * dims_after[3]
+            w_out = [zero] * dims_after[3]
             for old, new in move.tet_map.items():
                 w_out[new] = vec[old]
-            site_coeffs = _site_tet_weights(move, rep_before, vec)
+            site_coeffs = _site_tet_weights(move, before, vec)
             for j, c in site_coeffs.items():
                 w_out[j] = c
             for r in range(dims_after[2]):
-                acc = rep_after.field.zero
+                acc = zero
                 for j in range(dims_after[3]):
-                    if not (tc_after.d3[r][j].is_zero() or w_out[j].is_zero()):
-                        acc = acc + tc_after.d3[r][j] * w_out[j]
+                    if not (after.d3[r][j].is_zero() or w_out[j].is_zero()):
+                        acc = acc + after.d3[r][j] * w_out[j]
                 if not acc.is_zero():
                     raise TransportFailure(
                         "transported degree-3 chain is not a cycle")
@@ -812,7 +815,7 @@ def transport_homology(move, rep_before, rep_after, lifts):
 _PAIRS = (("b", "d"), ("d", "e"), ("e", "b"))
 
 
-def _site_tet_weights(move, rep_before, vec):
+def _site_tet_weights(move, before, vec):
     """After-side site coefficients of a degree-3 cycle, via the bipyramid.
 
     Every sub-tetrahedron of the common subdivision lies in one cell of
@@ -820,10 +823,10 @@ def _site_tet_weights(move, rep_before, vec):
     by the class of a path between the two flow targets.  The after
     coefficient on a cell is the before coefficient of the other
     container times the image of that path, and must agree across the
-    sub-tetrahedra of the cell.
+    sub-tetrahedra of the cell.  The image of the path is
+    ``before.path_image``.
     """
     bip = move.bipyramid
-    field = rep_before.field
     chains = _tree_chains(bip, len(move.before.triangulation.edge_classes))
     if move.direction == "positive":
         before_of_apex = {"a": move.site_tets_before[0],
@@ -854,7 +857,7 @@ def _site_tet_weights(move, rep_before, vec):
                 end_bef, end_aft = end3, end2
                 target = after_of_apex[apex]
             path = [x - y for x, y in zip(chains[end_bef], chains[end_aft])]
-            coeff = lam * rep_before.image_of_vector(path)
+            coeff = lam * before.path_image(path)
             if target in weights:
                 if not weights[target] == coeff:
                     raise TransportFailure(
@@ -864,11 +867,8 @@ def _site_tet_weights(move, rep_before, vec):
     return weights
 
 
-def transport_rational_homology(move, olifts):
-    """Transport rational homology lifts (for the sign refinement)."""
-    from .complexes import CellComplexX, GroupData, Representation
-    G1 = GroupData(CellComplexX(move.before))
-    G2 = GroupData(CellComplexX(move.after))
-    r1 = Representation.trivial(G1)
-    r2 = Representation.trivial(G2)
-    return transport_homology(move, r1, r2, olifts)
+def transport_rational_homology(move, x_before, x_after, olifts):
+    """Transport rational homology lifts (for the sign refinement) over the
+    rational complexes of the CellComplexX of the move's two spines."""
+    return transport_homology(move, x_before.rational_complex,
+                              x_after.rational_complex, olifts)

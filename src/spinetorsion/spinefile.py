@@ -88,6 +88,8 @@ def parse(text):
                 t, f, t2, f2 = int(t), int(f), int(t2), int(f2)
             except ValueError:
                 _syntax(lineno, "bad face reference in glue line")
+            if not (0 <= f <= 3 and 0 <= f2 <= 3):
+                _syntax(lineno, "face index out of range 0..3 in glue line")
             word = parts[5]
             if len(word) != 3 or not word.isdecimal():
                 _syntax(lineno, "bad permutation token %r" % word)

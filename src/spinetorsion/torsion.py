@@ -546,10 +546,6 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
         SpiderAnchors, TwistedComplex
     from .errors import TransportFailure
 
-    def setup(sp, rep, X=None):
-        X = X or CellComplexX(sp)
-        return TwistedComplex(sp, X, SpiderAnchors(sp, X), rep)
-
     X0 = CellComplexX(spine)
     G0 = GroupData(X0)
     if rep_kind == "trivial":
@@ -561,7 +557,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
     else:
         raise ValueError("unknown representation kind %r" % rep_kind)
 
-    tc = setup(spine, rep, X0)
+    tc = TwistedComplex(spine, X0, SpiderAnchors(spine, X0), rep)
     lifts = auto_twisted_homology(tc)
     olifts = X0.rational_complex.default_lifts
 
@@ -579,7 +575,6 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
     steps = []
     all_equal = True
     first_violation = None
-    cur_rep = rep
     cur_lifts = lifts
     cur_olifts = olifts
     before_t, before_s = values(tc, cur_lifts, cur_olifts)
@@ -588,23 +583,26 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
         if not report.is_null:
             raise TorsionError(
                 "step %d: move has a nonzero invariance certificate" % idx)
-        new_rep = moves_mod.transport_representation(move, cur_rep)
+        new_rep = moves_mod.transport_representation(move, tc.rep)
+        X = new_rep.group.complex
+        new_tc = TwistedComplex(move.after, X, SpiderAnchors(move.after, X),
+                                new_rep)
         note = None
         try:
-            new_lifts = moves_mod.transport_homology(move, cur_rep, new_rep,
-                                                     cur_lifts)
+            new_lifts = moves_mod.transport_homology(move, tc, new_tc, cur_lifts)
         except TransportFailure as exc:
             new_lifts = None
             note = "homology transport failed: %s" % exc
         try:
-            new_olifts = moves_mod.transport_rational_homology(move, cur_olifts)
+            new_olifts = moves_mod.transport_rational_homology(
+                move, tc.complex, X, cur_olifts)
         except TransportFailure as exc:
             new_olifts = None
             note = (note + "; " if note else "") + \
                 "orientation transport failed: %s" % exc
         if new_lifts is None:
             raise TransportFailure(note or "homology transport failed")
-        after_t, after_s = values(setup(move.after, new_rep), new_lifts,
+        after_t, after_s = values(new_tc, new_lifts,
                                   new_olifts if new_olifts is not None else {})
         equal = before_t.equal_up_to_sign(after_t)
         sgn_equal = None
@@ -618,7 +616,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
             all_equal = False
             if first_violation is None:
                 first_violation = idx
-        cur_rep, cur_lifts = new_rep, new_lifts
+        tc, cur_lifts = new_tc, new_lifts
         cur_olifts = new_olifts if new_olifts is not None else {}
         before_t, before_s = after_t, after_s
     return InvarianceReport(steps, all_equal, first_violation)

@@ -47,6 +47,16 @@ def test_validate_syntax_error_exit_1(tmp_path, capsys):
     assert "line 4" in report["message"]
 
 
+def test_glue_face_out_of_range_exit_1(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text(ONE_TET.replace("glue 0.2 -> 0.3 : 012",
+                                 "glue 0.5 -> 0.3 : 012"))
+    status, report = run_cli(["validate", str(p)], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert "line 4" in report["message"]
+
+
 def test_missing_input_file_exit_1(tmp_path, capsys):
     status, report = run_cli(["validate", str(tmp_path / "absent.txt")], capsys)
     assert status == 1

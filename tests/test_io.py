@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinetorsion import moves
-from spinetorsion.errors import MoveError, NonOrientable, SpineSyntaxError
+from spinetorsion.errors import (MoveError, NonOrientable, SpineError,
+                                 SpineSyntaxError)
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log, validate)
@@ -124,3 +127,53 @@ def test_move_log_round_trip_and_replay():
     replayed = replay_move_log(s, steps)
     assert replayed[-1].after.is_isomorphic(walk[-1].after)
     assert serialize(replayed[-1].after) == serialize(walk[-1].after)
+
+
+@pytest.mark.parametrize("glue", ["glue 0.5 -> 0.3 : 012",
+                                  "glue 0.2 -> 0.7 : 012",
+                                  "glue 0.-1 -> 0.3 : 012"],
+                         ids=["left", "right", "negative"])
+def test_glue_face_index_out_of_range_names_line(glue):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse(ONE_TET.replace("glue 0.2 -> 0.3 : 012", glue))
+    assert err.value.line == 4
+    assert "face index" in str(err.value)
+
+
+_FIXTURE_TEXTS = (ONE_TET, TWO_VARIANT, GOLDEN, TORSION2)
+_BAD_TOKENS = ("-1", "4", "9", "99", "4294967296", "x", ".", "->", ":", "",
+               "0.9", "1.-1", "01234", "²", "+-")
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture text with one to three random mutations: a substituted
+    character, a deleted or duplicated line, or a token replaced by an
+    out-of-range or non-numeric value."""
+    lines = draw(st.sampled_from(_FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("char", "delete", "duplicate", "token")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "char" and lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            ch = draw(st.characters(codec="utf-8", exclude_characters="\n\r"))
+            lines[i] = lines[i][:j] + ch + lines[i][j + 1:]
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(_BAD_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_fixture())
+def test_parse_mutations_raise_only_spine_errors(text):
+    try:
+        parse(text)
+    except SpineError:
+        pass

@@ -1,11 +1,13 @@
 import pytest
 
+from spinetorsion.complexes import CellComplexX, GroupData, TwistedComplex
 from spinetorsion.errors import (NotApplicable, ResultNonStandard,
                                  SelfAdjacentFace, Stuck)
 from spinetorsion.moves import (apply_negative, apply_positive,
                                 available_moves, h_cycle_check, is_rigid,
                                 random_walk)
 from spinetorsion.spinefile import parse
+from spinetorsion.torsion import invariance_suite
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
 
@@ -200,3 +202,43 @@ def test_available_moves_order_is_canonical():
     b = [(m.direction, m.site, m.variant) for m in available_moves(s)]
     assert a == b
     assert a == sorted(a, key=lambda x: (x[0] != "positive", x[1], x[2]))
+
+
+def _count_constructions(monkeypatch):
+    """Count CellComplexX, GroupData and TwistedComplex constructions,
+    however the constructing module imported the class."""
+    counts = {"CellComplexX": 0, "GroupData": 0, "TwistedComplex": 0}
+    for cls in (CellComplexX, GroupData, TwistedComplex):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_invariance_suite_builds_one_complex_per_spine(census2, monkeypatch):
+    spine = census2[5]
+    walk = random_walk(spine, 6, seed=1, h_null_only=True)
+    counts = _count_constructions(monkeypatch)
+    report = invariance_suite(spine, walk, "cyclic", order=5)
+    assert report.all_equal
+    spines = len(walk) + 1
+    assert counts["CellComplexX"] <= spines
+    assert counts["TwistedComplex"] <= spines
+    assert counts["GroupData"] <= spines
+
+
+def test_h_null_filter_builds_no_smith_form(census2, monkeypatch):
+    counts = _count_constructions(monkeypatch)
+    assert available_moves(census2[5], h_null_only=True)
+    assert counts == {"CellComplexX": 0, "GroupData": 0, "TwistedComplex": 0}
+
+
+def test_lazy_h_class_is_the_class_of_the_chain(census2):
+    for s in census2:
+        for m in available_moves(s):
+            report = h_cycle_check(m)
+            assert "h_class" not in vars(report)
+            G = GroupData(CellComplexX(m.before))
+            assert report.h_class == G.class_of_vector(report.h_chain)
