@@ -46,9 +46,18 @@ def spine_summary(spine):
     }
 
 
+# Largest order n accepted in ``cyclic:n``.  Q(zeta_n) has degree phi(n) < n;
+# every field up to this order builds in about 0.1 s.
+MAX_CYCLIC_ORDER = 1000
+
+
 def _read_spine(path):
-    with open(path) as fh:
-        return parse(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpineSyntaxError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return parse(text)
 
 
 def _at_least(value, low, flag):
@@ -64,12 +73,15 @@ def _parse_rep_spec(spec):
         return ("free_abelian", None, None)
     if spec.startswith("cyclic:"):
         bits = spec.split(":")
-        if len(bits) not in (2, 3) or not bits[1].isdigit() \
-                or int(bits[1]) < 1:
+        order = bits[1] if len(bits) in (2, 3) else ""
+        # The length test keeps int() off strings too long to convert.
+        if not (order.isdecimal() and len(order) <= len(str(MAX_CYCLIC_ORDER))
+                and 1 <= int(order) <= MAX_CYCLIC_ORDER):
             raise SpineSyntaxError("bad representation spec %r: the cyclic "
-                                   "order must be an integer >= 1" % spec)
+                                   "order must be an integer from 1 to %d"
+                                   % (spec, MAX_CYCLIC_ORDER))
         character = None
-        if len(bits) == 3 and bits[2]:
+        if len(bits) == 3:
             try:
                 character = [int(x) for x in bits[2].split(",")]
             except ValueError:

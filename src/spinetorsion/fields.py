@@ -3,27 +3,36 @@
 Two families are provided:
 
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
-  stored as reduced fractions of Laurent polynomials with Fraction
+  stored as reduced fractions of Laurent polynomials with rational
   coefficients; r = 0 degenerates to plain Q.
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
-  vectors modulo the n-th cyclotomic polynomial.
+  vectors modulo the n-th cyclotomic polynomial Phi_n.
 
-Each field has one elimination routine, ``_eliminate``, which visits the
-columns in a given order and returns the (row, column) pivot pairs; rank,
-column selection, determinant, kernel and linear solve each take one
-call of it.  Over a function field the rows are first cleared to
-Laurent-polynomial form and eliminated fraction-free (Bareiss 1968, with
-exact division by the previous pivot); clearing above the pivots as well
+Both fields share one matrix engine, ``_bareiss``: fraction-free
+elimination (Bareiss 1968) over integer polynomials held as exponent
+dicts, Z[t1^+-1..tr^+-1] for a function field and Z[z] for a cyclotomic
+field, whose entries are the integer lifts of coefficient vectors.  Every
+intermediate entry is a minor of the input (Sylvester's identity), so
+each division by the previous pivot is exact in the ring, and a minor is
+zero in the field exactly when the Gauss-Jordan entry is: pivots, row
+swaps and sign are those of elimination over the field.  The fields
+differ only in the pivot test: a nonzero dict over Z[t^+-1], an entry
+that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
+during elimination, only the entries read out.  Each field clears its
+rows to coprime integer coefficients, keeping the row factors for the
+determinant, and eliminates once per rank, column selection,
+determinant, kernel or linear solve.  Clearing above the pivots as well
 leaves every pivot row equal to the last pivot times its reduced echelon
-row, from which kernels and solutions are read off.  Over a cyclotomic
-field plain Gauss-Jordan elimination is exact and cheap.  The greedy
-column choice "keep a column if it raises the rank" is exactly the pivot
-set of one elimination in that column order.  ``cofactor_det`` gives an
-independent slow determinant used to cross-check the engines.
+row, from which kernels and solutions are read off with one inversion of
+the last pivot.  The greedy column choice "keep a column if it raises
+the rank" is exactly the pivot set of one elimination in that column
+order.  ``cofactor_det`` gives an independent slow determinant used to
+cross-check the engine.
 """
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _add, sub as _sub
 
 _SYMPY_RINGS = {}
 
@@ -37,10 +46,124 @@ def _sympy_ring(nvars):
     return _SYMPY_RINGS[nvars]
 
 
+# -- exponent-dict polynomials ------------------------------------------------
+#
+# A polynomial is a dict from exponent tuples to nonzero coefficients: ints
+# on the elimination path, ints or Fractions in a LaurentPoly.
+
+
+def _quo(a, b):
+    """a / b, an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a) / b if r else q
+
+
+def _dot(pairs):
+    """The sum of the products a * b over the (a, b) pairs of polynomials."""
+    out = {}
+    get = out.get
+    for a, b in pairs:
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = tuple(map(_add, k1, k2))
+                out[k] = get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _pdiv(a, b):
+    """The exact quotient a / b in the Laurent ring; raises if not exact."""
+    if not b:
+        raise ZeroDivisionError("division by zero Laurent polynomial")
+    if len(b) == 1:
+        (kb, vb), = b.items()
+        if vb == 1 and not any(kb):
+            return a
+        return {tuple(map(_sub, k, kb)): _quo(v, vb) for k, v in a.items()}
+    if not a:
+        return a
+    # In each variable the quotient's exponents span those of a less those
+    # of b; a quotient term outside that box proves the division inexact.
+    lo = tuple(map(_sub, map(min, zip(*a)), map(min, zip(*b))))
+    hi = tuple(map(_sub, map(max, zip(*a)), map(max, zip(*b))))
+    kb = max(b)
+    vb = b[kb]
+    rem = dict(a)
+    out = {}
+    while rem:
+        ka = max(rem)
+        q = tuple(map(_sub, ka, kb))
+        if not all(l <= e <= h for l, e, h in zip(lo, q, hi)):
+            raise ArithmeticError("non-exact Laurent division")
+        c = out[q] = _quo(rem[ka], vb)
+        for k, v in b.items():
+            k = tuple(map(_add, q, k))
+            s = rem.get(k, 0) - c * v
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return out
+
+
+def _integral(row):
+    """The row of polynomials scaled by mul / div to coprime integer
+    coefficients, and (mul, div)."""
+    den = _int_lcm(*(v.denominator for e in row for v in e.values()))
+    if den != 1 or any(type(v) is not int for e in row for v in e.values()):
+        row = [{k: v.numerator * (den // v.denominator) for k, v in e.items()}
+               for e in row]
+    g = _int_gcd(*(v for e in row for v in e.values()))
+    if g > 1:
+        row = [{k: v // g for k, v in e.items()} for e in row]
+    return row, (den, g or 1)
+
+
+def _bareiss(A, order, nonzero, reduce=False):
+    """Fraction-free elimination of the polynomial matrix ``A``, in place.
+
+    ``nonzero`` tells whether an entry is nonzero in the field.  Columns
+    are visited in ``order``; a column with no such entry at or below the
+    next pivot row is skipped.  Every entry stays a minor of the input, so
+    each division by the previous pivot is exact (Bareiss).  With
+    ``reduce`` the rows above each pivot are cleared too, which leaves
+    every pivot row equal to the last pivot times its reduced echelon row.
+    Returns (pivots, last pivot, sign): the (row, column) pivot pairs, the
+    last pivot (for a square matrix of full rank, its determinant after
+    the row swaps) and the sign of the row swaps.
+    """
+    m = len(A)
+    prev = None
+    pivots = []
+    sign = 1
+    for c in order:
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if nonzero(A[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            A[r], A[pr] = A[pr], A[r]
+            sign = -sign
+        piv_row = A[r]
+        piv = piv_row[c]
+        if prev is None:  # the unit, keyed like the entries
+            prev = {tuple(0 for _e in next(iter(piv))): 1}
+        for i in range(0 if reduce else r + 1, m):
+            if i == r:
+                continue
+            f = {k: -v for k, v in A[i][c].items()}
+            A[i] = [_pdiv(_dot(((piv, x), (f, y))), prev) if x or (f and y) else x
+                    for x, y in zip(A[i], piv_row)]
+        pivots.append((r, c))
+        prev = piv
+    return pivots, prev, sign
+
+
 class LaurentPoly:
     """A Laurent polynomial in ``nvars`` variables over Q.
 
-    ``terms`` maps exponent tuples to nonzero Fractions.
+    ``terms`` maps exponent tuples to nonzero ints or Fractions.
     """
 
     __slots__ = ("nvars", "terms")
@@ -51,13 +174,14 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, nvars, value):
-        value = Fraction(value)
-        return cls(nvars, {(0,) * nvars: value} if value else {})
+        return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
         coeff = Fraction(coeff)
-        return cls(nvars, {tuple(exps): coeff} if coeff else {})
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        return _lp(nvars, {tuple(exps): coeff} if coeff else {})
 
     def is_zero(self):
         return not self.terms
@@ -69,34 +193,17 @@ class LaurentPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LaurentPoly(self.nvars, out)
+        one = {(0,) * self.nvars: 1}
+        return _lp(self.nvars, _dot(((self.terms, one), (other.terms, one))))
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {k: -v for k, v in self.terms.items()})
+        return _lp(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return LaurentPoly(self.nvars)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentPoly(self.nvars, out)
+        return _lp(self.nvars, _dot(((self.terms, other.terms),)))
 
     def scale(self, c):
         c = Fraction(c)
@@ -138,30 +245,7 @@ class LaurentPoly:
 
     def exact_div(self, other):
         """Exact quotient self / other in the Laurent ring; raises if not exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentPoly(self.nvars)
-        if other.is_monomial():
-            (k2, v2), = other.terms.items()
-            return LaurentPoly(self.nvars,
-                               {tuple(a - b for a, b in zip(k, k2)): v / v2
-                                for k, v in self.terms.items()})
-        rem = self
-        out = {}
-        lead2 = other.lead_key()
-        c2 = other.terms[lead2]
-        limit = len(self.terms) * (len(other.terms) + 1) + 8
-        while not rem.is_zero():
-            lead1 = rem.lead_key()
-            q = tuple(a - b for a, b in zip(lead1, lead2))
-            c = rem.terms[lead1] / c2
-            out[q] = c
-            rem = rem - other * LaurentPoly.monomial(self.nvars, q, c)
-            limit -= 1
-            if limit < 0:
-                raise ArithmeticError("non-exact Laurent division")
-        return LaurentPoly(self.nvars, out)
+        return _lp(self.nvars, _pdiv(self.terms, other.terms))
 
     def to_sympy(self):
         ring = _sympy_ring(self.nvars)
@@ -198,6 +282,13 @@ class LaurentPoly:
         for part in bits[1:]:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
+
+
+def _lp(nvars, terms):
+    """A LaurentPoly on a dict with no zero coefficient, taken as it is."""
+    p = object.__new__(LaurentPoly)
+    p.nvars, p.terms = nvars, terms
+    return p
 
 
 def _lp_gcd(a, b):
@@ -305,7 +396,7 @@ class RationalFunction:
             (kn, vn), = self.num.terms.items()
             (kd, vd), = self.den.terms.items()
             if not any(kn) and not any(kd):
-                return vn / vd
+                return Fraction(vn) / vd
         raise ValueError("not a constant")
 
     def str_in(self, names):
@@ -346,79 +437,41 @@ class FunctionField:
     # -- fraction-free matrix engine ------------------------------------------
 
     def _cleared(self, matrix):
-        """(Laurent matrix with nonnegative exponents, row factors).
+        """(integer polynomial rows, row factors (polynomial, (mul, div))).
 
-        Each row is scaled by the product of its denominators and a
-        monomial; row scaling by nonzero factors preserves ranks, kernels
-        and solution sets, and determinants divide out the factors.
+        Each row is multiplied by the product of its denominators, the
+        factor's polynomial, and by mul / div, which makes its coefficients
+        coprime integers; row scaling by nonzero factors preserves ranks,
+        kernels and solution sets, and determinants divide out the factors.
         """
-        one = LaurentPoly.const(self.nvars, 1)
+        one = {(0,) * self.nvars: 1}
         cleared = []
         factors = []
         for row in matrix:
-            dens = [(j, x.den) for j, x in enumerate(row) if x.den != one]
-            factor = one
-            for _j, d in dens:
-                factor = factor * d
+            dens = [(j, x.den.terms) for j, x in enumerate(row)
+                    if x.den.terms != one]
             new_row = []
             for k, x in enumerate(row):
-                e = x.num
+                e = x.num.terms
                 for j, d in dens:
                     if j != k:
-                        e = e * d
+                        e = _dot(((e, d),))
                 new_row.append(e)
-            mins = [0] * self.nvars
-            for e in new_row:
-                if not e.is_zero():
-                    m = e.min_exponents()
-                    mins = [min(a, b) for a, b in zip(mins, m)]
-            if any(mins):
-                shift = tuple(-m for m in mins)
-                new_row = [e.shift(shift) for e in new_row]
-                factor = factor.shift(shift)
+            new_row, scale = _integral(new_row)
+            factor = one
+            for _j, d in dens:
+                factor = _dot(((factor, d),))
             cleared.append(new_row)
-            factors.append(factor)
+            factors.append((factor, scale))
         return cleared, factors
 
     def _eliminate(self, A, order, reduce=False):
-        """Fraction-free elimination of the Laurent matrix ``A``, in place.
+        """``_bareiss`` over Z[t1^+-1..tr^+-1], where any nonzero entry
+        is a pivot."""
+        return _bareiss(A, order, bool, reduce)
 
-        Columns are visited in ``order``; a column with no nonzero entry at
-        or below the next pivot row is skipped.  Every entry stays a minor
-        of the input, so each division by the previous pivot is exact
-        (Bareiss).  With ``reduce`` the rows above each pivot are cleared
-        too, which leaves every pivot row equal to the last pivot times its
-        reduced echelon row.  Returns (pivots, last pivot, sign): the
-        (row, column) pivot pairs, the last pivot (for a square matrix of
-        full rank, its determinant after the row swaps) and the sign of
-        the row swaps.
-        """
-        m = len(A)
-        prev = LaurentPoly.const(self.nvars, 1)
-        pivots = []
-        sign = 1
-        for c in order:
-            r = len(pivots)
-            if r == m:
-                break
-            pr = next((i for i in range(r, m) if not A[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            if pr != r:
-                A[r], A[pr] = A[pr], A[r]
-                sign = -sign
-            piv_row = A[r]
-            piv = piv_row[c]
-            for i in range(0 if reduce else r + 1, m):
-                if i == r:
-                    continue
-                f = A[i][c]
-                A[i] = [(piv * x).exact_div(prev) if y.is_zero()
-                        else (piv * x - f * y).exact_div(prev)
-                        for x, y in zip(A[i], piv_row)]
-            pivots.append((r, c))
-            prev = piv
-        return pivots, prev, sign
+    def _fraction(self, num, den):
+        return RationalFunction(_lp(self.nvars, num), _lp(self.nvars, den))
 
     def det(self, matrix):
         """Determinant of a square matrix of field elements."""
@@ -429,10 +482,15 @@ class FunctionField:
         pivots, last, sign = self._eliminate(A, range(n))
         if len(pivots) < n:
             return self.zero
-        den = factors[0]
-        for f in factors[1:]:
-            den = den * f
-        return RationalFunction(last if sign == 1 else -last, den)
+        # Each row was multiplied by its factor times mul / div.
+        den = {(0,) * self.nvars: sign}
+        mul = div = 1
+        for factor, (m, d) in factors:
+            den = _dot(((den, factor),))
+            mul *= m
+            div *= d
+        return self._fraction({k: v * div for k, v in last.items()},
+                              {k: v * mul for k, v in den.items()})
 
     def rank(self, matrix):
         if not matrix:
@@ -459,8 +517,9 @@ class FunctionField:
             vec = [self.zero] * n
             vec[j] = self.one
             for r, c in pivots:
-                if not A[r][j].is_zero():
-                    vec[c] = RationalFunction(-A[r][j], last)
+                if A[r][j]:
+                    vec[c] = self._fraction({k: -v for k, v in A[r][j].items()},
+                                            last)
             basis.append(vec)
         return basis
 
@@ -476,8 +535,8 @@ class FunctionField:
         for r, c in pivots:
             if c == n:
                 return None
-            if not A[r][n].is_zero():
-                sol[c] = RationalFunction(A[r][n], last)
+            if A[r][n]:
+                sol[c] = self._fraction(A[r][n], last)
         return sol
 
 
@@ -508,7 +567,8 @@ def cyclotomic_polynomial(n):
 
 
 class CyclotomicElement:
-    """An element of Q(zeta_n), coefficients of 1, z, .., z^(deg-1)."""
+    """An element of Q(zeta_n): its coefficients of 1, z, .., z^(deg-1),
+    ints or Fractions."""
 
     __slots__ = ("field", "coeffs")
 
@@ -539,20 +599,8 @@ class CyclotomicElement:
         return CyclotomicElement(self.field, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        deg = self.field.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            if conv[k]:
-                red = self.field.power_table[k]
-                for i in range(deg):
-                    out[i] += conv[k] * red[i]
-        return CyclotomicElement(self.field, out)
+        field = self.field
+        return field._element(_dot(((field._lift(self), field._lift(other)),)))
 
     def inv(self):
         return self.field.invert(self)
@@ -562,7 +610,7 @@ class CyclotomicElement:
 
 
 class CyclotomicField:
-    """Q(zeta_n) with generic exact Gaussian elimination."""
+    """Q(zeta_n), with matrices eliminated over Z[z] (see ``_bareiss``)."""
 
     def __init__(self, order):
         if order < 1:
@@ -570,8 +618,7 @@ class CyclotomicField:
         self.order = order
         self.phi = tuple(cyclotomic_polynomial(order))
         self.degree = len(self.phi) - 1
-        self.power_table = self._powers()
-        self.zero = CyclotomicElement(self, [Fraction(0)] * self.degree)
+        self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
     def __eq__(self, other):
@@ -580,98 +627,31 @@ class CyclotomicField:
     def __repr__(self):
         return "CyclotomicField(%d)" % self.order
 
-    def _powers(self):
-        deg = self.degree
-        table = {}
-        cur = [-Fraction(c, self.phi[-1]) for c in self.phi[:-1]]
-        table[deg] = list(cur)
-        for k in range(deg + 1, 2 * deg - 1):
-            nxt = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(deg):
-                    nxt[i] += top * table[deg][i]
-            table[k] = nxt
-            cur = nxt
-        return table
-
     def from_int(self, k):
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(k)
-        return CyclotomicElement(self, coeffs)
+        return self.from_fraction(k)
 
     def from_fraction(self, q):
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
-        return CyclotomicElement(self, coeffs)
+        return CyclotomicElement(self, [Fraction(q)]
+                                 + [Fraction(0)] * (self.degree - 1))
 
     def zeta(self, power=1):
-        power %= self.order
-        # Reduce z^power mod the cyclotomic polynomial via repeated shifts.
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(1)
-        el = CyclotomicElement(self, coeffs)
-        if self.degree == 0:
-            raise ValueError("degenerate field")
-        zc = [Fraction(0)] * self.degree
-        if self.degree == 1:
-            zc[0] = -Fraction(self.phi[0], self.phi[1])
-        else:
-            zc[1] = Fraction(1)
-        z = CyclotomicElement(self, zc)
-        for _ in range(power):
-            el = el * z
-        return el
+        return self._element({(power % self.order,): 1})
 
     def invert(self, el):
-        """Extended Euclid in Q[z] against the cyclotomic polynomial."""
+        """The inverse of ``el``: multiplication by it, as a matrix over Q,
+        solved for 1."""
         if el.is_zero():
             raise ZeroDivisionError("inverting zero")
-
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def divmod_poly(a, b):
-            a = list(a)
-            q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-            while len(a) >= len(b) and any(a):
-                shift = len(a) - len(b)
-                c = a[-1] / b[-1]
-                q[shift] += c
-                for i, bc in enumerate(b):
-                    a[shift + i] -= c * bc
-                trim(a)
-                if not a:
-                    break
-            return q, a
-
-        r0 = [Fraction(c) for c in self.phi]
-        r1 = trim(list(el.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = divmod_poly(r0, r1)
-            # s_next = s0 - q * s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc * sc
-            s_next = [a - b for a, b in
-                      zip(s0 + [Fraction(0)] * (len(prod) - len(s0)), prod)] \
-                if len(prod) >= len(s0) else \
-                     [a - b for a, b in
-                      zip(s0, prod + [Fraction(0)] * (len(s0) - len(prod)))]
-            r0, r1 = r1, trim(r)
-            s0, s1 = s1, trim(s_next) or [Fraction(0)]
-        # r0 is the gcd, a nonzero constant since phi is irreducible.
-        if len(r0) != 1:
-            raise ArithmeticError("element not invertible; field arithmetic broken")
-        c = r0[0]
-        coeffs = [x / c for x in s0]
-        coeffs = (coeffs + [Fraction(0)] * self.degree)[:self.degree]
-        return CyclotomicElement(self, coeffs)
+        deg = self.degree
+        ((p,),), ((mul, div),) = self._lifted([[el]])
+        cols = [self._reduced({(i + j,): c for (i,), c in p.items()})
+                for j in range(deg)]
+        A = [[{(): col[i]} if col[i] else {} for col in cols]
+             + [{(): 1} if i == 0 else {}] for i in range(deg)]
+        pivots, last, _s = _bareiss(A, range(deg), bool, reduce=True)
+        return CyclotomicElement(self, [Fraction(A[r][deg].get((), 0) * mul,
+                                                 last[()] * div)
+                                        for r, _c in pivots])
 
     def element_str(self, x):
         bits = []
@@ -693,71 +673,81 @@ class CyclotomicField:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
 
-    # -- exact Gauss-Jordan elimination -----------------------------------------
+    # -- fraction-free matrix engine ------------------------------------------
+
+    def _lift(self, x):
+        """The coefficients of ``x`` as a polynomial in z."""
+        return {(i,): c for i, c in enumerate(x.coeffs) if c}
+
+    def _lifted(self, matrix):
+        """(rows of integer lifts in Z[z], row scales (mul, div)): each row
+        is multiplied by mul / div to coprime integer coefficients."""
+        rows, scales = [], []
+        for row in matrix:
+            lift, scale = _integral([self._lift(x) for x in row])
+            rows.append(lift)
+            scales.append(scale)
+        return rows, scales
+
+    def _reduced(self, p):
+        """The coefficient list of the lift ``p`` modulo the monic Phi_n."""
+        deg = self.degree
+        coeffs = [0] * max(deg, max(p)[0] + 1 if p else 0)
+        for (k,), v in p.items():
+            coeffs[k] = v
+        for k in range(len(coeffs) - 1, deg - 1, -1):
+            top = coeffs[k]
+            if top:
+                for i, c in enumerate(self.phi[:-1], k - deg):
+                    coeffs[i] -= top * c
+        return coeffs[:deg]
+
+    def _nonzero(self, p):
+        """Whether the lift ``p`` is nonzero in the field; below the degree
+        of Phi_n that is whether it is a nonzero polynomial."""
+        return bool(p) and (max(p)[0] < self.degree or any(self._reduced(p)))
+
+    def _element(self, p, scale=1):
+        """The field element of the lift ``p``, times ``scale``."""
+        return CyclotomicElement(self, [c * scale for c in self._reduced(p)])
 
     def _eliminate(self, A, order, reduce=False):
-        """Gauss-Jordan elimination of ``A`` in place, pivot rows scaled to 1.
-
-        Columns are visited in ``order``; a column with no nonzero entry at
-        or below the next pivot row is skipped.  The rows below each pivot
-        are cleared, and with ``reduce`` the rows above it too, leaving
-        the reduced echelon form.  Returns (pivots, product, sign): the
-        (row, column) pivot pairs, the product of the pivots before
-        scaling and the sign of the row swaps.
-        """
-        m = len(A)
-        pivots = []
-        product = self.one
-        sign = 1
-        for c in order:
-            r = len(pivots)
-            if r == m:
-                break
-            pr = next((i for i in range(r, m) if not A[i][c].is_zero()), None)
-            if pr is None:
-                continue
-            if pr != r:
-                A[r], A[pr] = A[pr], A[r]
-                sign = -sign
-            piv = A[r][c]
-            product = product * piv
-            inv = piv.inv()
-            piv_row = A[r] = [x if x.is_zero() else x * inv for x in A[r]]
-            for i in range(0 if reduce else r + 1, m):
-                f = A[i][c]
-                if i != r and not f.is_zero():
-                    A[i] = [x if y.is_zero() else x - f * y
-                            for x, y in zip(A[i], piv_row)]
-            pivots.append((r, c))
-        return pivots, product, sign
+        """``_bareiss`` over Z[z], where an entry is a pivot when Phi_n does
+        not divide it."""
+        return _bareiss(A, order, self._nonzero, reduce)
 
     def det(self, matrix):
         n = len(matrix)
         if n == 0:
             return self.one
-        pivots, product, sign = self._eliminate([list(r) for r in matrix],
-                                                range(n))
+        A, scales = self._lifted(matrix)
+        pivots, last, sign = self._eliminate(A, range(n))
         if len(pivots) < n:
             return self.zero
-        return product if sign == 1 else -product
+        mul = div = 1
+        for m, d in scales:
+            mul *= m
+            div *= d
+        return self._element(last, Fraction(sign * div, mul))
 
     def rank(self, matrix):
         if not matrix:
             return 0
-        return len(self._eliminate([list(r) for r in matrix],
+        return len(self._eliminate(self._lifted(matrix)[0],
                                    range(len(matrix[0])))[0])
 
     def select_columns(self, matrix, order):
         """The columns, in ``order``, that raise the rank of those before."""
-        return [c for _r, c in self._eliminate([list(r) for r in matrix], order)[0]]
+        return [c for _r, c in self._eliminate(self._lifted(matrix)[0], order)[0]]
 
     def nullspace(self, matrix):
         """Reduced basis of the right kernel, one vector per non-pivot column."""
         if not matrix:
             return []
         n = len(matrix[0])
-        A = [list(r) for r in matrix]
-        pivots = self._eliminate(A, range(n), reduce=True)[0]
+        A = self._lifted(matrix)[0]
+        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
+        inv = -self._element(last).inv() if pivots else None
         pivot_cols = {c for _r, c in pivots}
         basis = []
         for j in range(n):
@@ -766,7 +756,8 @@ class CyclotomicField:
             vec = [self.zero] * n
             vec[j] = self.one
             for r, c in pivots:
-                vec[c] = -A[r][j]
+                if A[r][j]:
+                    vec[c] = self._element(A[r][j]) * inv
             basis.append(vec)
         return basis
 
@@ -776,13 +767,15 @@ class CyclotomicField:
         if not matrix:
             return [] if all(x.is_zero() for x in rhs) else None
         n = len(matrix[0])
-        A = [row + [b] for row, b in zip(matrix, rhs)]
-        pivots = self._eliminate(A, range(n + 1), reduce=True)[0]
+        A = self._lifted([row + [b] for row, b in zip(matrix, rhs)])[0]
+        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
+        if any(c == n for _r, c in pivots):
+            return None
+        inv = self._element(last).inv() if pivots else None
         sol = [self.zero] * n
         for r, c in pivots:
-            if c == n:
-                return None
-            sol[c] = A[r][n]
+            if A[r][n]:
+                sol[c] = self._element(A[r][n]) * inv
         return sol
 
 

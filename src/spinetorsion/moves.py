@@ -599,12 +599,13 @@ def h_cycle_check(move):
     bip = move.bipyramid
     rows = []
     total = {}
+    sinks = {}  # one per distinct containing cell
     for label in _ROW_ORDER:
         dim = len(label) - 1
         eps = (-1) ** dim
-        c0, c1 = _simplex_cells(label)
-        e0 = _sink(bip, c0[1])
-        e1 = _sink(bip, c1[1])
+        e0, e1 = (sinks[cell] if cell in sinks
+                  else sinks.setdefault(cell, _sink(bip, cell[1]))
+                  for cell in _simplex_cells(label))
         rows.append((label, eps, e0, e1))
         if e0 != e1:
             total[e0] = total.get(e0, 0) + eps

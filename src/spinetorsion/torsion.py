@@ -9,6 +9,7 @@ b_i and, without further data, canonical only up to sign; a homological
 orientation of the rational complex removes the sign.
 """
 
+from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
@@ -365,7 +366,7 @@ def _poly_divmod(a, b):
     lc = b.terms[(db,)]
     while not r.is_zero() and max(k[0] for k in r.terms) >= db:
         dr = max(k[0] for k in r.terms)
-        c = r.terms[(dr,)] / lc
+        c = Fraction(r.terms[(dr,)]) / lc
         m = LaurentPoly.monomial(1, (dr - db,), c)
         q = q + m
         r = r - m * b

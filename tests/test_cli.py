@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from spinetorsion.cli import main
+from spinetorsion.cli import MAX_CYCLIC_ORDER, _parse_rep_spec, main
 
 from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
 
@@ -141,6 +141,29 @@ def test_bad_rep_spec_exit_1(golden_file, command, spec, capsys):
     assert status == 1
     assert report["error"] == "SpineSyntaxError"
     assert spec in report["message"]
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:99999999999999999999", "cyclic:\u00b2", "cyclic:5:",
+    "cyclic:%d" % (MAX_CYCLIC_ORDER + 1)])
+def test_rep_spec_outside_contract_exit_1(golden_file, spec, capsys):
+    status, report = run_cli(["torsion", golden_file, "--rep", spec], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert spec in report["message"]
+
+
+def test_cyclic_order_bound():
+    assert _parse_rep_spec("cyclic:%d" % MAX_CYCLIC_ORDER)[1] == MAX_CYCLIC_ORDER
+
+
+def test_non_utf8_spine_file_exit_1(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(GOLDEN.encode() + b"# caf\xe9\n")
+    status, report = run_cli(["validate", str(p)], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert "UTF-8" in report["message"]
 
 
 def test_torsion_with_auto_basis(golden_file, capsys):

@@ -101,21 +101,25 @@ def test_rows_repeating_one_element_object():
 
 # -- properties of the elimination engines ------------------------------------
 
+# Phi_n of degree 1, 2, 2, 4 and 4, prime and composite n.
 FIELDS = (FunctionField(0), FunctionField(1), FunctionField(2),
-          CyclotomicField(5))
+          CyclotomicField(1), CyclotomicField(3), CyclotomicField(4),
+          CyclotomicField(5), CyclotomicField(12))
 SMALL = st.integers(-2, 2)
+# Mostly integers; halves and thirds make the engines clear row contents.
+COEFFS = st.builds(Fraction, SMALL, st.sampled_from((1, 1, 1, 2, 3)))
 
 
 @st.composite
 def elements(draw, field):
     if isinstance(field, CyclotomicField):
-        coeffs = draw(st.lists(SMALL, min_size=field.degree,
+        coeffs = draw(st.lists(COEFFS, min_size=field.degree,
                                max_size=field.degree))
-        return CyclotomicElement(field, [Fraction(c) for c in coeffs])
+        return CyclotomicElement(field, coeffs)
 
     def poly(span):
         terms = draw(st.dictionaries(
-            st.tuples(*[st.integers(*span)] * field.nvars), SMALL,
+            st.tuples(*[st.integers(*span)] * field.nvars), COEFFS,
             max_size=2))
         return LaurentPoly(field.nvars, terms)
     num, den = poly((-1, 1)), poly((0, 1))
@@ -254,6 +258,22 @@ def test_cyclotomic_linalg():
         for a, x in zip(row, v):
             acc = acc + a * x
         assert acc.is_zero()
+
+
+def test_cyclotomic_det_zero_in_field_not_in_ring():
+    # det [[1, z], [z^4, 1]] = 1 - z^5 is a nonzero polynomial in z but zero
+    # in Q(zeta_5): a pivot test that only asks for a nonzero lift in Z[z]
+    # takes it for rank 2.
+    C = CyclotomicField(5)
+    z, z4 = C.zeta(1), C.zeta(4)
+    A = [[C.one, z], [z4, C.one]]
+    assert C.rank(A) == 1
+    assert C.det(A).is_zero()
+    (v,) = C.nullspace(A)
+    assert all(x.is_zero() for x in apply(C, A, v))
+    assert C.solve(A, [C.one, C.zero]) is None
+    sol = C.solve(A, [C.one, z4])
+    assert sol is not None and apply(C, A, sol) == [C.one, z4]
 
 
 def test_element_strings():

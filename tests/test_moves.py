@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from spinetorsion.complexes import CellComplexX, GroupData, TwistedComplex
 from spinetorsion.errors import (NotApplicable, ResultNonStandard,
@@ -6,7 +8,8 @@ from spinetorsion.errors import (NotApplicable, ResultNonStandard,
 from spinetorsion.moves import (apply_negative, apply_positive,
                                 available_moves, h_cycle_check, is_rigid,
                                 random_walk)
-from spinetorsion.spinefile import parse
+from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
+                                    serialize, serialize_move_log)
 from spinetorsion.torsion import invariance_suite
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
@@ -38,14 +41,14 @@ def test_two_variant_face():
         assert m.after.spine_edge_count == 2 * m.after.tet_count
 
 
-def test_positive_then_negative_is_identity(census2):
+def test_positive_then_negative_is_identity(corpus12):
     count = 0
-    for s in census2[:12]:
+    for s in corpus12:
         for m in all_positive_moves(s):
             inv = apply_negative(m.after, m.central_class_after)
             assert inv.after.is_isomorphic(s)
             count += 1
-    assert count > 10
+    assert count == 136
 
 
 def test_negative_then_positive_is_identity(census2):
@@ -182,6 +185,19 @@ def test_random_walk_deterministic():
     assert [(m.direction, m.site, m.variant) for m in w1] == \
            [(m.direction, m.site, m.variant) for m in w2]
     assert w1[-1].after.is_isomorphic(w2[-1].after)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_replayed_move_log_reaches_the_walk_end(census2, data):
+    start = census2[data.draw(st.integers(0, len(census2) - 1))]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    try:
+        walk = random_walk(start, 4, seed, max_tets=5)
+    except Stuck:
+        reject()
+    replayed = replay_move_log(start, parse_move_log(serialize_move_log(walk)))
+    assert serialize(replayed[-1].after) == serialize(walk[-1].after)
 
 
 def test_random_walk_stuck_on_rigid(census1):
