@@ -14,18 +14,15 @@ import sys
 import time
 
 from .census import census_branched
-from .complexes import (CellComplexX, GroupData, Representation,
-                        SpiderAnchors, TwistedComplex)
-from .errors import (MoveError, RelatorNotKilled, SpineError,
-                     SpineSyntaxError, TorsionError, TransportFailure,
-                     ValidationError)
+from .complexes import (CellComplexX, GroupData, SpiderAnchors,
+                        TwistedComplex, make_representation)
+from .errors import (MoveError, RelatorNotKilled, SpineSyntaxError,
+                     TorsionError, TransportFailure, ValidationError)
 from .euler import euler_data, path_choice_independence, pd_consistency
 from .moves import (apply_negative, h_cycle_check, is_rigid, positive_move,
                     random_walk)
-from .spinefile import (parse, parse_move_log, replay_move_log, serialize,
-                        serialize_move_log)
-from .torsion import (HomologicalOrientation, auto_twisted_homology,
-                      invariance_suite, sign_refined_torsion, torsion)
+from .spinefile import parse, serialize, serialize_move_log
+from .torsion import invariance_suite, sign_refined_torsion, torsion
 
 
 def spine_summary(spine):
@@ -61,7 +58,8 @@ def _read_spine(path):
 
 
 def _at_least(value, low, flag):
-    if value < low:
+    """``value`` when it is None or at least ``low``, else SpineSyntaxError."""
+    if value is not None and value < low:
         raise SpineSyntaxError("%s must be at least %d, got %d" % (flag, low, value))
     return value
 
@@ -92,19 +90,9 @@ def _parse_rep_spec(spec):
     raise SpineSyntaxError("bad representation spec %r" % spec)
 
 
-def _make_rep(group, spec):
-    kind, order, character = _parse_rep_spec(spec)
-    if kind == "trivial":
-        return Representation.trivial(group)
-    if kind == "free_abelian":
-        return Representation.free_abelian(group)
-    return Representation.cyclic(group, order, character)
-
-
 def _torsion_report(spine, spec, sign_refined, homology_basis):
     X = CellComplexX(spine)
-    G = GroupData(X)
-    rep = _make_rep(G, spec)
+    rep = make_representation(GroupData(X), *_parse_rep_spec(spec))
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     h = "auto" if homology_basis == "auto" else None
     if sign_refined:
@@ -282,7 +270,7 @@ def _run(args):
         spine = _read_spine(args.file)
         walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,
                            h_null_only=args.h_null_only,
-                           max_tets=args.max_tets)
+                           max_tets=_at_least(args.max_tets, 1, "--max-tets"))
         final = walk[-1].after if walk else spine
         if args.out:
             with open(args.out, "w") as fh:
@@ -337,7 +325,7 @@ def _run(args):
         spine = _read_spine(args.file)
         walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,
                            h_null_only=True,
-                           max_tets=args.max_tets)
+                           max_tets=_at_least(args.max_tets, 1, "--max-tets"))
         report = invariance_suite(spine, walk, kind, order=order,
                                   character=character)
         steps = [{

@@ -100,12 +100,6 @@ class CellComplexX:
             *[[[field.from_int(x) for x in row] for row in d]
               for d in (self.d1, self.d2, self.d3)])
 
-    @cached_property
-    def rational_homology(self):
-        """``default_rational_homology`` of this complex, computed once."""
-        from .torsion import default_rational_homology
-        return default_rational_homology(self)
-
 
 class GroupData:
     """Edge-generator, face-relator presentation of pi_1(X) and its H_1.

@@ -9,11 +9,11 @@ b_i and, without further data, canonical only up to sign; a homological
 orientation of the rational complex removes the sign.
 """
 
-from fractions import Fraction
+from itertools import combinations
 from math import gcd as _int_gcd
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
-from .fields import FunctionField, LaurentPoly, RationalFunction
+from .fields import FunctionField, LaurentPoly, RationalFunction, _lp_gcd
 
 
 class TorsionValue:
@@ -69,16 +69,12 @@ class HomologicalOrientation:
     """Ordered rational homology bases, one per degree, or the default.
 
     The default is the deterministic echelon choice made by
-    ``default_rational_homology``, which a CellComplexX computes once.
+    ``default_rational_homology``: the default lifts of the rational
+    complex.
     """
 
     def __init__(self, bases=None):
         self.bases = bases  # None means default
-
-    def resolve(self, complex_x):
-        if self.bases is not None:
-            return self.bases
-        return complex_x.rational_homology
 
 
 def default_rational_homology(complex_x):
@@ -316,197 +312,67 @@ def _normalize_poly(p):
     return p.scale(1 / c)
 
 
-def _poly_gcd(a, b):
-    from .fields import _lp_gcd
-    if a.is_zero():
-        return _normalize_poly(b)
-    if b.is_zero():
-        return _normalize_poly(a)
-    return _normalize_poly(_lp_gcd(_normalize_poly(a), _normalize_poly(b)))
+def _minor_gcd(A, size):
+    """The gcd of the ``size`` x ``size`` minors of ``A``, canonical up to
+    +-t^k; 0 when every such minor vanishes or there is none.
+
+    ``A`` is a list of rows over Q(t) whose minors are Laurent polynomials.
+    When ``A`` presents a module M on n generators, the gcd generates the
+    Fitting ideal F_{n-size}(M) over the PID Q[t, 1/t]: the order of the
+    torsion of M when M has free rank n - size, and 0 when the rank is
+    larger.
+    """
+    field = FunctionField(1)
+    g = LaurentPoly(1)
+    for rows in combinations(range(len(A)), size):
+        for cols in combinations(range(len(A[0])), size):
+            d = field.det([[A[i][j] for j in cols] for i in rows])
+            if not d.is_zero():
+                g = _normalize_poly(_lp_gcd(g, _normalize_poly(d.num)))
+            if g.is_monomial():
+                return g
+    return g
 
 
 def fox_alexander(group, character):
     """One-variable Alexander polynomial of the presentation, by Fox calculus.
 
     The gcd of the (n-1)-minors of the Fox matrix (n = number of
-    generators), canonical up to +-t^k.  Convention: a presentation with
-    no relators has polynomial 0 (the module is free, of order zero).
+    generators), canonical up to +-t^k.  The Fox matrix presents coker d2
+    of the presentation complex over Q[t, 1/t]; a nonzero character makes
+    d1 nonzero, so coker d2 = H_1 + Q[t, 1/t] and the gcd is the order of
+    H_1 of the infinite cyclic cover, 0 when that H_1 has a free part.
+    Convention: a presentation with no relators has polynomial 0 (the
+    module is free, of order zero).
     """
-    n = group.n_generators
-    m = len(group.relators)
-    if m == 0:
+    if not group.relators:
         return LaurentPoly(1)
-    A = [[fox_derivative_image(w, g, character) for g in range(n)]
-         for w in group.relators]
-    size = n - 1
-    if size == 0:
-        return LaurentPoly.const(1, 1)
-    if m < size:
-        return LaurentPoly(1)
-    field = FunctionField(1)
-    from itertools import combinations
-    g = LaurentPoly(1)
-    for rows in combinations(range(m), size):
-        for cols in combinations(range(n), size):
-            sub = [[RationalFunction(A[i][j]) for j in cols] for i in rows]
-            d = field.det(sub)
-            if not d.is_zero():
-                g = _poly_gcd(g, d.num)
-            if g.is_monomial():
-                return _normalize_poly(g)
-    return _normalize_poly(g)
-
-
-def _poly_divmod(a, b):
-    """Division with remainder in Q[t]; inputs LaurentPoly(1) with
-    nonnegative exponents."""
-    q = LaurentPoly(1)
-    r = a
-    db = max(k[0] for k in b.terms)
-    lc = b.terms[(db,)]
-    while not r.is_zero() and max(k[0] for k in r.terms) >= db:
-        dr = max(k[0] for k in r.terms)
-        c = Fraction(r.terms[(dr,)]) / lc
-        m = LaurentPoly.monomial(1, (dr - db,), c)
-        q = q + m
-        r = r - m * b
-    return q, r
-
-
-def _poly_snf(matrix, rows, cols):
-    """Smith normal form over Q[t] with the right transform pair.
-
-    Returns (D, V, Vinv) with A * V = U^-1 * D for some unimodular U;
-    only V and its inverse are tracked (enough for kernel coordinates).
-    Entries are LaurentPoly(1) with nonnegative exponents.
-    """
-    A = [[matrix[i][j] for j in range(cols)] for i in range(rows)]
-    V = [[LaurentPoly.const(1, 1) if i == j else LaurentPoly(1)
-          for j in range(cols)] for i in range(cols)]
-    Vinv = [[LaurentPoly.const(1, 1) if i == j else LaurentPoly(1)
-             for j in range(cols)] for i in range(cols)]
-
-    def deg(p):
-        return max(k[0] for k in p.terms) if not p.is_zero() else -1
-
-    def col_op(i, j, q):  # col i -= q * col j ; row j of Vinv += q * row i
-        for r in range(rows):
-            A[r][i] = A[r][i] - q * A[r][j]
-        for r in range(cols):
-            V[r][i] = V[r][i] - q * V[r][j]
-        for c in range(cols):
-            Vinv[j][c] = Vinv[j][c] + q * Vinv[i][c]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        for c in range(cols):
-            A[i][c] = A[i][c] - q * A[j][c]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if not A[i][j].is_zero() and (
-                        pivot is None or deg(A[i][j]) < deg(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        again = False
-        for i in range(t + 1, rows):
-            if A[i][t].is_zero():
-                continue
-            q, r = _poly_divmod(A[i][t], A[t][t])
-            row_op(i, t, q)
-            if not r.is_zero():
-                again = True
-        for j in range(t + 1, cols):
-            if A[t][j].is_zero():
-                continue
-            q, r = _poly_divmod(A[t][j], A[t][t])
-            col_op(j, t, q)
-            if not r.is_zero():
-                again = True
-        if again or any(not A[i][t].is_zero() for i in range(t + 1, rows)) or \
-                any(not A[t][j].is_zero() for j in range(t + 1, cols)):
-            continue
-        t += 1
-    return A, V, Vinv
+    A = [[RationalFunction(fox_derivative_image(w, g, character))
+          for g in range(group.n_generators)] for w in group.relators]
+    return _minor_gcd(A, group.n_generators - 1)
 
 
 def twisted_h1_order(complex_x, group, character):
     """Order of the degree-1 homology of the t-twisted complex over Q[t, 1/t].
 
-    Built from the twisted boundary matrices (not from Fox derivatives):
-    a kernel basis of the twisted d1 comes from its Smith form over Q[t],
-    the twisted d2 columns are rewritten in that basis, and the order is
-    the product of the invariant factors, or 0 when a free part remains.
-    Canonical up to +-t^k, comparable with ``fox_alexander``.
+    Built from the twisted boundary matrices (not from Fox derivatives).
+    A nonzero character makes the twisted d1 nonzero, so its image is a
+    free module of rank 1 and coker d2 = H_1 + Q[t, 1/t]; the order of
+    H_1 is then the gcd of the (n-1)-minors of the twisted d2 (n = number
+    of edges), and 0 when H_1 has a free part.  Canonical up to +-t^k,
+    comparable with ``fox_alexander``.  An all-zero character gives d1 = 0
+    and raises ValueError.
     """
     from .complexes import Representation, SpiderAnchors, TwistedComplex
+    if not any(character):
+        raise ValueError("the character must be nonzero")
     field = FunctionField(1)
     images = [field.monomial((character[j],))
               for j in range(group.n_generators)]
     rep = Representation(group, field, images, "free_abelian")
     anchors = SpiderAnchors(complex_x.spine, complex_x)
     tc = TwistedComplex(complex_x.spine, complex_x, anchors, rep)
-    n = complex_x.n_edges
-
-    def entry_poly(x):
-        shift = x.num.min_exponents()
-        assert x.den.is_monomial() and not any(x.den.lead_key())
-        return x.num, shift[0]
-
-    # Clear the d1 row and d2 columns to nonnegative exponents; unit
-    # factors are irrelevant for invariant-factor classes.
-    d1 = [tc.d1[0][j].num for j in range(n)]
-    shift = min((min(k[0] for k in p.terms) for p in d1 if not p.is_zero()),
-                default=0)
-    d1 = [p.shift((-shift,)) if not p.is_zero() else p for p in d1]
-    _D, V, Vinv = _poly_snf([d1], 1, n)
-    # Kernel basis of d1: columns 1.. of V (the image of column 0 spans im d1).
-    m = len(complex_x.face_sides)
-    Y = [[LaurentPoly(1) for _ in range(m)] for _ in range(n)]
-    for j in range(m):
-        col = [tc.d2[i][j] for i in range(n)]
-        polys = []
-        sh = 0
-        for x in col:
-            if not x.is_zero():
-                sh = min(sh, x.num.min_exponents()[0])
-        for x in col:
-            polys.append(x.num.shift((-sh,)))
-        # coordinates in V: y = Vinv * x ; y[0] must vanish.
-        for i in range(n):
-            acc = LaurentPoly(1)
-            for k2 in range(n):
-                if not polys[k2].is_zero() and not Vinv[i][k2].is_zero():
-                    acc = acc + Vinv[i][k2] * polys[k2]
-            Y[i][j] = acc
-        if not Y[0][j].is_zero():
-            raise TorsionError("twisted d2 column escapes the kernel of d1")
-    Yk = [Y[i] for i in range(1, n)]
-    D, _V2, _Vi2 = _poly_snf(Yk, n - 1, m)
-    order = LaurentPoly.const(1, 1)
-    rank = 0
-    for i in range(min(n - 1, m)):
-        if not D[i][i].is_zero():
-            order = order * D[i][i]
-            rank += 1
-    if rank < n - 1:
-        return LaurentPoly(1)
-    return _normalize_poly(order)
+    return _minor_gcd(tc.d2, complex_x.n_edges - 1)
 
 
 # -- invariance harness ---------------------------------------------------------
@@ -543,21 +409,12 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
     InvarianceReport; the first violating move, if any, is pinpointed.
     """
     from . import moves as moves_mod
-    from .complexes import CellComplexX, GroupData, Representation, \
-        SpiderAnchors, TwistedComplex
+    from .complexes import CellComplexX, GroupData, SpiderAnchors, \
+        TwistedComplex, make_representation
     from .errors import TransportFailure
 
     X0 = CellComplexX(spine)
-    G0 = GroupData(X0)
-    if rep_kind == "trivial":
-        rep = Representation.trivial(G0)
-    elif rep_kind == "free_abelian":
-        rep = Representation.free_abelian(G0)
-    elif rep_kind == "cyclic":
-        rep = Representation.cyclic(G0, order, character)
-    else:
-        raise ValueError("unknown representation kind %r" % rep_kind)
-
+    rep = make_representation(GroupData(X0), rep_kind, order, character)
     tc = TwistedComplex(spine, X0, SpiderAnchors(spine, X0), rep)
     lifts = auto_twisted_homology(tc)
     olifts = X0.rational_complex.default_lifts

@@ -76,7 +76,13 @@ def test_move_site_out_of_range_exit_2(two_variant_file, argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["walk", "FILE", "--steps", "-3", "--seed", "1"],
     ["invariance", "FILE", "--steps", "-3", "--seed", "1", "--rep", "trivial"],
-    ["census", "--tets", "0"], ["census", "--tets", "-2"]])
+    ["census", "--tets", "0"], ["census", "--tets", "-2"],
+    ["walk", "FILE", "--steps", "3", "--seed", "1", "--max-tets", "0"],
+    ["walk", "FILE", "--steps", "3", "--seed", "1", "--max-tets", "-3"],
+    ["invariance", "FILE", "--steps", "3", "--seed", "1", "--rep", "trivial",
+     "--max-tets", "0"],
+    ["invariance", "FILE", "--steps", "3", "--seed", "1", "--rep", "trivial",
+     "--max-tets", "-3"]])
 def test_counts_below_minimum_exit_1(two_variant_file, argv, capsys):
     argv = [two_variant_file if a == "FILE" else a for a in argv]
     status, report = run_cli(argv, capsys)
