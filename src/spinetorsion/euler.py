@@ -20,7 +20,7 @@ the pinning of this vertex-corner rule is validated by
 the cell duality as a 1-cycle, is homologous to the chain class.
 """
 
-from .complexes import CellComplexX, GroupData
+from .complexes import CellComplexX, GroupData, SpiderAnchors
 
 
 class EulerData:
@@ -117,17 +117,9 @@ def path_choice_independence(spine, complex_x=None, group=None):
         direct[cls] += sgn
         if not group.h1.is_zero_class([a - b for a, b in zip(via_m, direct)]):
             return False
+    anchors = SpiderAnchors(spine, group.complex)
     for t in range(trg.tet_count):
-        r0, r1, r2, r3 = spine.corners_by_rank(t)
-        routes = [((r0, r3),), ((r0, r1), (r1, r3)), ((r0, r2), (r2, r3)),
-                  ((r0, r1), (r1, r2), (r2, r3))]
-        vecs = []
-        for route in routes:
-            v = [0] * n
-            for (u, w) in route:
-                cls, sgn = spine.oriented_class(t, u, w)
-                v[cls] += sgn
-            vecs.append(v)
+        vecs = [group.abelianized_word(w) for w in anchors.tet_path_words(t)]
         for v in vecs[1:]:
             if not group.h1.is_zero_class([a - b for a, b in zip(v, vecs[0])]):
                 return False

@@ -6,14 +6,21 @@ new edge needs an orientation, constrained by the branching condition
 (0, 1 or 2 choices).  A negative move is the inverse, applicable at an
 edge class of valence three lying in three distinct tetrahedra.
 
-Each move carries an unfolded local model of the bipyramid where it
-happens: five vertex labels (apexes ``a``, ``c`` and equator ``b``,
-``d``, ``e``), the branching directions of its ten edges, and cell
-correspondences between the two triangulations of the bipyramid.  The
-invariance certificate of a move is computed on the common subdivision
-of the bipyramid by its centre: for each of its 21 internal cells (1
-vertex, 5 edges, 9 faces, 6 tetrahedra) the flow target is the sink of
-the smallest containing cell of either triangulation, and the
+Both moves swap the two triangulations of one bipyramid with apexes
+``a``, ``c`` and equator ``b``, ``d``, ``e``: the two tetrahedra
+{a,b,d,e} and {c,b,d,e} around the equator face, and the three
+tetrahedra {a,c,x,y} around the central edge ac.  A move gives each site
+tetrahedron, before and after, the bipyramid labels of its corners, and
+one rebuild derives the rest by matching label sets: where each external
+face and its gluing go, which faces lie inside the bipyramid, the after
+branching, and the tetrahedron, edge and face correspondences.  The
+``Bipyramid`` of a move keeps the branching directions of its ten edges
+and the edge classes of its nine external edges.
+
+The invariance certificate of a move is computed on the common
+subdivision of the bipyramid by its centre: for each of its 21 internal
+cells (1 vertex, 5 edges, 9 faces, 6 tetrahedra) the flow target is the
+sink of the smallest containing cell of either triangulation, and the
 certificate sums the signed differences of the two targets.  A null sum
 certifies that torsion is unchanged by the move.
 """
@@ -23,12 +30,13 @@ from functools import cached_property
 from .errors import (CyclicTriangle, Disconnected, MoveError, NonOrientable,
                      NonStandardDual, NotApplicable, ResultNonStandard,
                      SelfAdjacentFace, Stuck, TransportFailure)
-from .perms import inverse, sign
+from .perms import compose, inverse, sign
 from .rng import SplitMix64
-from .spine import BranchedSpine
-from .triangulation import Triangulation, _face_corners
+from .spine import _CORNER_PAIRS, BranchedSpine
+from .triangulation import Triangulation, _face_corners, glue_both_ways
 
 _EQ_LABELS = ("b", "d", "e")
+_IDENTITY = (0, 1, 2, 3)
 _ROW_ORDER = ("v", "va", "vb", "vc", "vd", "ve",
               "vab", "vad", "vae", "vcb", "vcd", "vce",
               "vbe", "ved", "vdb",
@@ -36,12 +44,12 @@ _ROW_ORDER = ("v", "va", "vb", "vc", "vd", "ve",
 
 
 class Bipyramid:
-    """Unfolded local model: vertex labels, edge directions, edge classes.
+    """Unfolded local model: edge directions and edge classes by label.
 
-    ``dirs`` maps an ordered label pair to True when the branching points
-    from the first to the second.  ``edge_class`` maps unordered external
-    label pairs to (edge class of the before spine, +-1), the sign saying
-    whether the direction first->second agrees with the class direction.
+    ``dirs`` maps each ordered pair of distinct vertex labels to True
+    when the branching points from the first to the second.
+    ``edge_class`` maps the unordered label pair of each external edge
+    (all but ac) to its edge class in the before spine.
     """
 
     def __init__(self, dirs, edge_class):
@@ -49,35 +57,41 @@ class Bipyramid:
         self.edge_class = edge_class
 
     def directed(self, u, v):
-        if (u, v) in self.dirs:
-            return self.dirs[(u, v)]
-        return not self.dirs[(v, u)]
+        return self.dirs[(u, v)]
 
 
 class MoveInstance:
-    """One performed move, with its before/after spines and correspondences."""
+    """One performed move, with its before/after spines and correspondences.
+
+    The site tetrahedra of each side make up the bipyramid; the site
+    labels spell the bipyramid labels of their corners 0..3, e.g. "cbed"
+    for a tetrahedron whose corner 0 is the apex c and corner 1 is b.
+    """
 
     def __init__(self, direction, site, variant, new_edge_direction,
                  before, after, tet_map, edge_map, face_map, bipyramid,
                  site_tets_before, site_tets_after,
+                 site_labels_before, site_labels_after,
                  vanished_faces, created_faces,
-                 central_class_before=None, central_class_after=None):
+                 central_class_before, central_class_after):
         self.direction = direction          # "positive" or "negative"
         self.site = site                    # face class (positive) or edge class
         self.variant = variant              # index among the returned instances
-        self.new_edge_direction = new_edge_direction  # +1 apex0->apex1 (positive)
+        self.new_edge_direction = new_edge_direction  # +1 a->c, -1 c->a (positive)
         self.before = before
         self.after = after
         self.tet_map = tet_map              # old tet -> new tet, surviving only
         self.edge_map = edge_map            # old edge class -> new edge class
         self.face_map = face_map            # old face class -> new face class
         self.bipyramid = bipyramid
-        self.site_tets_before = site_tets_before
-        self.site_tets_after = site_tets_after
-        self.vanished_faces = vanished_faces    # before face classes that die
-        self.created_faces = created_faces      # after face classes that appear
-        self.central_class_before = central_class_before
-        self.central_class_after = central_class_after
+        self.site_tets_before = site_tets_before      # before tets of the bipyramid
+        self.site_tets_after = site_tets_after        # after tets of the bipyramid
+        self.site_labels_before = site_labels_before  # their labels, one string each
+        self.site_labels_after = site_labels_after
+        self.vanished_faces = vanished_faces    # before face classes inside the bipyramid
+        self.created_faces = created_faces      # after face classes inside the bipyramid
+        self.central_class_before = central_class_before  # edge ac (negative)
+        self.central_class_after = central_class_after    # edge ac (positive)
 
 
 def describe_move(move):
@@ -91,6 +105,145 @@ def _check_site(index, count, kind):
     if not 0 <= index < count:
         raise NotApplicable("%s class %d out of range (%d %s classes)"
                             % (kind, index, count, kind))
+
+
+# -- one rebuild for both moves ----------------------------------------------------
+
+
+def _faces_by_labels(site):
+    """Faces of the site tetrahedra keyed by their label sets: a set named
+    once is a face of the bipyramid's boundary, one named twice lies inside."""
+    faces = {}
+    for t, lab in site:
+        for f in range(4):
+            faces.setdefault(frozenset(lab[:f] + lab[f + 1:]), []).append((t, f))
+    return faces
+
+
+def _follow(lab, lab2, f2):
+    """Corner map from the tetrahedron labelled ``lab`` onto the one
+    labelled ``lab2`` across their common face, which is face f2 of the
+    second: each corner goes to the corner with its label, the one
+    opposite the face to f2."""
+    return tuple(lab2.index(x) if x in lab2 else f2 for x in lab)
+
+
+def _pair_class(trg, site, u, v):
+    """Edge class of the edge labelled u, v in a site, or None."""
+    for t, lab in site:
+        if u in lab and v in lab:
+            return trg.edge_class_of[(t, lab.index(u), lab.index(v))][0]
+    return None
+
+
+def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs):
+    """The moves that retriangulate a labelled bipyramid of ``spine``.
+
+    ``old_site`` and ``new_site`` list (tetrahedron, labels) for the two
+    sides, ``index`` sends every other tetrahedron of ``spine`` to its
+    index after the move, and ``orientations`` are the after orientation
+    bits.  One move is returned per direction of the central edge in
+    ``ac_dirs`` (True: a->c) whose branching has no cyclic face.
+    """
+    trg = spine.triangulation
+    old_labels, new_labels = dict(old_site), dict(new_site)
+    new_faces = _faces_by_labels(new_site)
+    # Where each face outside the bipyramid's interior goes: (tetrahedron,
+    # face, corner map).  A boundary face goes to the face with its labels
+    # on the other side; interior faces have no entry.
+    moved = {(t, f): (n, f, _IDENTITY) for t, n in index.items()
+             for f in range(4)}
+    for key, sides in _faces_by_labels(old_site).items():
+        if len(sides) == 1:
+            (t, f), = sides
+            (nt, nf), = new_faces[key]
+            moved[(t, f)] = (nt, nf, _follow(old_labels[t], new_labels[nt], nf))
+
+    # Distinct outside faces move to distinct faces (distinct tetrahedra,
+    # or distinct label sets on the boundary): no face can end up glued to
+    # itself, so the result needs no check for that.
+    gluings = {}
+    for side, (t2, f2, g) in trg.gluings.items():
+        if side in moved:
+            nt, nf, lam = moved[side]
+            nt2, nf2, lam2 = moved[(t2, f2)]
+            if lam is not _IDENTITY:
+                g = compose(g, inverse(lam))
+            if lam2 is not _IDENTITY:
+                g = compose(lam2, g)
+            gluings[(nt, nf)] = (nt2, nf2, g)
+    new_inner = []
+    for sides in new_faces.values():
+        if len(sides) == 2:
+            (nt, nf), (nt2, nf2) = sides
+            glue_both_ways(gluings, nt, nf, nt2, nf2,
+                           _follow(new_labels[nt], new_labels[nt2], nf2))
+            new_inner.append((nt, nf))
+    try:
+        after_trg = Triangulation(len(orientations), gluings)
+    except (NonStandardDual, NonOrientable, Disconnected) as exc:
+        raise ResultNonStandard(str(exc))
+
+    central_before = _pair_class(trg, old_site, "a", "c")
+    central_after = _pair_class(after_trg, new_site, "a", "c")
+    edge_map = {}
+    for k, cls in enumerate(trg.edge_classes):
+        if k == central_before:
+            continue
+        kept = next(((index[t], i, j) for t, i, j in cls.members
+                     if t in index), None)
+        if kept is None:
+            t, i, j = cls.members[0]
+            lab = old_labels[t]
+            edge_map[k] = _pair_class(after_trg, new_site, lab[i], lab[j])
+        else:
+            edge_map[k] = after_trg.edge_class_of[kept][0]
+    face_map = {}
+    vanished = set()
+    for k, (side, _) in enumerate(trg.face_classes):
+        if side in moved:
+            face_map[k] = after_trg.face_class_of[moved[side][:2]]
+        else:
+            vanished.add(k)
+    created = tuple(sorted({after_trg.face_class_of[side] for side in new_inner}))
+    vanished = tuple(sorted(vanished))
+
+    dirs, edge_class = {}, {}
+    for t, lab in old_site:
+        for i, j in _CORNER_PAIRS:
+            u, v = lab[i], lab[j]
+            edge_class[frozenset((u, v))], s = spine.oriented_class(t, i, j)
+            dirs[(u, v)], dirs[(v, u)] = s == 1, s != 1
+    edge_class.pop(frozenset("ac"), None)
+    old_of = {n: t for t, n in index.items()}
+    positive = central_before is None  # the central edge is new
+    moves = []
+    for ac in ac_dirs:
+        bip = Bipyramid({**dirs, ("a", "c"): ac, ("c", "a"): not ac},
+                        edge_class)
+        branching = []
+        for cls in after_trg.edge_classes:
+            nt, i, j = cls.members[0]
+            if nt in old_of:
+                d = spine.edge_direction(old_of[nt], i, j)
+            else:
+                d = bip.directed(new_labels[nt][i], new_labels[nt][j])
+            branching.append(1 if d else -1)
+        try:
+            after = BranchedSpine(after_trg, branching, orientations)
+        except CyclicTriangle:
+            continue
+        except NonStandardDual as exc:
+            raise ResultNonStandard(str(exc))
+        moves.append(MoveInstance(
+            "positive" if positive else "negative",
+            vanished[0] if positive else central_before, len(moves),
+            (1 if ac else -1) if positive else None, spine, after,
+            index, edge_map, face_map, bip,
+            tuple(old_labels), tuple(new_labels),
+            tuple(old_labels.values()), tuple(new_labels.values()),
+            vanished, created, central_before, central_after))
+    return moves
 
 
 # -- positive move ---------------------------------------------------------------
@@ -107,190 +260,22 @@ def apply_positive(spine, face_class):
             "face class %d has both sides on tetrahedron %d" % (face_class, t0))
     perm = trg.gluings[(t0, f0)][2]
     p, q, r = _face_corners(f0)
-    # Handedness: order the equator cycle so the three new tetrahedra,
-    # labelled (apex0, apex1, x, y), are positively oriented.
-    s1 = spine.orientations[t0] * sign((f0, p, q, r))
-    cyc = (p, q, r) if s1 == 1 else (p, r, q)
-
+    # Handedness: order the equator so that the three new tetrahedra,
+    # labelled (a, c, x, y), are positively oriented.
+    cyc = (p, q, r) if spine.orientations[t0] * sign((f0, p, q, r)) == 1 \
+        else (p, r, q)
+    lab0, lab1 = ["a"] * 4, ["c"] * 4
+    for x, label in zip(cyc, _EQ_LABELS):
+        lab0[x] = lab1[perm[x]] = label
     T = trg.tet_count
-    slots = (t0, t1, T)  # the three new tetrahedra
-    new_count = T + 1
-
-    def pair(i):
-        return cyc[i], cyc[(i + 1) % 3]
-
-    # Relocation of the old external faces into the new tetrahedra.
-    reloc = {}
-    for qidx in range(3):
-        x = cyc[qidx]
-        y, z = pair((qidx + 1) % 3)
-        n = slots[(qidx + 1) % 3]
-        lam_top = {f0: 0, y: 2, z: 3, x: 1}
-        reloc[(t0, x)] = (n, 1, lam_top)
-        lam_bot = {f1: 1, perm[y]: 2, perm[z]: 3, perm[x]: 0}
-        reloc[(t1, perm[x])] = (n, 0, lam_bot)
-
-    gluings = {}
-    done = set()
-    for (t, f), (t2, f2, g) in trg.gluings.items():
-        if (t, f) in done or (t2, f2) in done:
-            continue
-        if (t, f) in ((t0, f0), (t1, f1)):
-            continue
-        done.add((t, f))
-        done.add((t2, f2))
-        if (t, f) in reloc:
-            nt, nf, lam = reloc[(t, f)]
-        else:
-            nt, nf, lam = t, f, {i: i for i in range(4)}
-        if (t2, f2) in reloc:
-            nt2, nf2, lam2 = reloc[(t2, f2)]
-        else:
-            nt2, nf2, lam2 = t2, f2, {i: i for i in range(4)}
-        lam_inv = {v: k for k, v in lam.items()}
-        newg = tuple(lam2[g[lam_inv[i]]] for i in range(4))
-        gluings[(nt, nf)] = (nt2, nf2, newg)
-        gluings[(nt2, nf2)] = (nt, nf, inverse(newg))
-    for i in range(3):
-        a_t, b_t = slots[i], slots[(i + 1) % 3]
-        g = (0, 1, 3, 2)
-        gluings[(a_t, 2)] = (b_t, 3, g)
-        gluings[(b_t, 3)] = (a_t, 2, inverse(g))
-
-    try:
-        after_trg = Triangulation(new_count, gluings)
-    except (NonStandardDual, NonOrientable, Disconnected) as exc:
-        raise ResultNonStandard(str(exc))
-
-    # Old preimages of the new tetrahedron corners.
-    corner_pre = {}
-    for i in range(3):
-        x, y = pair(i)
-        corner_pre[slots[i]] = {0: (t0, f0), 1: (t1, f1, "apex1"),
-                                2: (t0, x), 3: (t0, y)}
-
-    def old_edge_direction(nt, ni, nj):
-        """Direction of a non-central new edge, read off the before spine."""
-        if nt not in corner_pre:
-            return spine.edge_direction(nt, ni, nj)
-        i_, j_ = sorted((ni, nj))
-        x, y = pair(slots.index(nt))
-        table = {(0, 2): (t0, f0, x), (0, 3): (t0, f0, y),
-                 (2, 3): (t0, x, y),
-                 (1, 2): (t1, f1, perm[x]), (1, 3): (t1, f1, perm[y])}
-        ot, oi, oj = table[(i_, j_)]
-        d = spine.edge_direction(ot, oi, oj)
-        return d if (i_, j_) == (ni, nj) else not d
-
-    central = None
-    for cls in after_trg.edge_classes:
-        nt, ni, nj = cls.members[0]
-        if nt in slots and {ni, nj} == {0, 1}:
-            central = cls.index
-            break
-    assert central is not None
-
-    orientations = list(spine.orientations) + [1]
-    for s_ in slots:
-        orientations[s_] = 1
-
-    results = []
-    for variant, new_dir in enumerate((1, -1)):
-        branching = []
-        ok = True
-        for cls in after_trg.edge_classes:
-            if cls.index == central:
-                nt, ni, nj = cls.members[0]
-                forward = (ni, nj) == (0, 1)
-                branching.append(1 if (forward == (new_dir == 1)) else -1)
-                continue
-            nt, ni, nj = cls.members[0]
-            branching.append(1 if old_edge_direction(nt, ni, nj) else -1)
-        try:
-            after = BranchedSpine(after_trg, branching, orientations)
-        except CyclicTriangle:
-            continue
-        except NonStandardDual as exc:
-            raise ResultNonStandard(str(exc))
-
-        tet_map = {t: t for t in range(T) if t not in (t0, t1)}
-        edge_map = {}
-        for k, old_cls in enumerate(trg.edge_classes):
-            member = None
-            for (ot, oi, oj) in old_cls.members:
-                if ot not in (t0, t1):
-                    member = (ot, oi, oj)
-                    break
-            if member is None:
-                ot, oi, oj = old_cls.members[0]
-                member = _forward_edge_positive(ot, oi, oj, t0, t1, f0, f1,
-                                                perm, cyc, slots)
-            edge_map[k] = after_trg.edge_class_of[member][0]
-        face_map = {}
-        for k, ((ft, ff), _) in enumerate(trg.face_classes):
-            if k == face_class:
-                continue
-            if (ft, ff) in reloc:
-                nt, nf, _ = reloc[(ft, ff)]
-                face_map[k] = after_trg.face_class_of[(nt, nf)]
-            else:
-                face_map[k] = after_trg.face_class_of[(ft, ff)]
-        created = sorted({after_trg.face_class_of[(slots[i], 2)]
-                          for i in range(3)})
-
-        bdirs = {}
-        labels = dict(zip(_EQ_LABELS, cyc))
-        bec = {}
-        for li, x in labels.items():
-            bdirs[("a", li)] = spine.edge_direction(t0, f0, x)
-            bec[frozenset(("a", li))] = spine.oriented_class(t0, f0, x)
-            bdirs[("c", li)] = spine.edge_direction(t1, f1, perm[x])
-            bec[frozenset(("c", li))] = spine.oriented_class(t1, f1, perm[x])
-        for i in range(3):
-            u, v = _EQ_LABELS[i], _EQ_LABELS[(i + 1) % 3]
-            bdirs[(u, v)] = spine.edge_direction(t0, labels[u], labels[v])
-            bec[frozenset((u, v))] = spine.oriented_class(t0, labels[u], labels[v])
-        bdirs[("a", "c")] = new_dir == 1
-        bip = Bipyramid(bdirs, bec)
-
-        results.append(MoveInstance(
-            "positive", face_class, len(results), new_dir, spine, after,
-            tet_map, edge_map, face_map, bip,
-            (t0, t1), slots, (face_class,), tuple(created),
-            central_class_before=None, central_class_after=central))
-    return results
-
-
-def _forward_edge_positive(ot, oi, oj, t0, t1, f0, f1, perm, cyc, slots):
-    """Image of an old site edge under the 2-3 relocation."""
-    def pair(i):
-        return cyc[i], cyc[(i + 1) % 3]
-
-    if ot == t1:
-        pinv = inverse(perm)
-        if f1 in (oi, oj):
-            u = pinv[oj if oi == f1 else oi]
-            for i in range(3):
-                x, y = pair(i)
-                if u == x:
-                    return (slots[i], 1, 2)
-                if u == y:
-                    return (slots[i], 1, 3)
-        oi, oj = pinv[oi], pinv[oj]
-        ot = t0
-    if f0 in (oi, oj):
-        u = oj if oi == f0 else oi
-        for i in range(3):
-            x, y = pair(i)
-            if u == x:
-                return (slots[i], 0, 2)
-            if u == y:
-                return (slots[i], 0, 3)
-    for i in range(3):
-        x, y = pair(i)
-        if {oi, oj} == {x, y}:
-            return (slots[i], 2, 3)
-    raise AssertionError("unmapped site edge")
+    slots = (t0, t1, T)
+    new_site = [(slots[i], "ac" + _EQ_LABELS[i] + _EQ_LABELS[(i + 1) % 3])
+                for i in range(3)]
+    orientations = [1 if t in slots else o
+                    for t, o in enumerate(spine.orientations)] + [1]
+    return _rebuild(spine, [(t0, "".join(lab0)), (t1, "".join(lab1))],
+                    new_site, {t: t for t in range(T) if t not in (t0, t1)},
+                    orientations, (True, False))
 
 
 def positive_move(spine, face_class, variant=0):
@@ -319,188 +304,37 @@ def apply_negative(spine, edge_class):
     if cls.size != 3:
         raise NotApplicable(
             "edge class %d has valence %d, need 3" % (edge_class, cls.size))
-    fan = list(cls.fan)
-    tets = [f[0] for f in fan]
+    tets = [member[0] for member in cls.members]
     if len(set(tets)) != 3:
         raise NotApplicable(
             "edge class %d does not meet three distinct tetrahedra" % edge_class)
+    fan = cls.fan
     if spine.branching[edge_class] == -1:
         # Work with the branching direction: swap the ends of each member.
         fan = [(t, j, i, enter, exit_) for (t, i, j, enter, exit_) in fan]
-    # fan[p] = (T_p, a_end, c_end, enter, exit)
-
-    T = trg.tet_count
-    survivors = sorted(t for t in range(T) if t not in tets)
-    remap = {t: i for i, t in enumerate(survivors)}
-    t_top = len(survivors)
-    t_bot = len(survivors) + 1
-    new_count = T - 1
-
-    pos_bot = {0: 1, 1: 3, 2: 2}   # equator index -> corner of the bottom tet
-
-    # Corner relocations: old (T_p, corner) into top/bottom tetrahedra.
-    lam_top, lam_bot = {}, {}
-    for pidx, (tp, ia, jc, enter, exit_) in enumerate(fan):
-        lam_top[(tp, ia)] = 0
-        lam_top[(tp, enter)] = 1 + pidx
-        lam_top[(tp, exit_)] = 1 + (pidx - 1) % 3
-        lam_bot[(tp, jc)] = 0
-        lam_bot[(tp, enter)] = pos_bot[pidx]
-        lam_bot[(tp, exit_)] = pos_bot[(pidx - 1) % 3]
-
-    reloc = {}
-    for pidx, (tp, ia, jc, enter, exit_) in enumerate(fan):
-        qidx = (pidx + 1) % 3
-        lam = {c: lam_top[(tp, c)] for c in (ia, enter, exit_)}
-        lam[jc] = 1 + qidx
-        reloc[(tp, jc)] = (t_top, 1 + qidx, lam)
-        lamb = {c: lam_bot[(tp, c)] for c in (jc, enter, exit_)}
-        lamb[ia] = pos_bot[qidx]
-        reloc[(tp, ia)] = (t_bot, pos_bot[qidx], lamb)
-
-    gluings = {}
-    done = set()
-    internal_faces = {(tp, enter) for (tp, _ia, _jc, enter, _x) in fan} | \
-                     {(tp, exit_) for (tp, _ia, _jc, _e, exit_) in fan}
-    for (t, f), (t2, f2, g) in trg.gluings.items():
-        if (t, f) in done or (t2, f2) in done:
-            continue
-        if (t, f) in internal_faces:
-            continue
-        done.add((t, f))
-        done.add((t2, f2))
-        if (t, f) in reloc:
-            nt, nf, lam = reloc[(t, f)]
-        else:
-            nt, nf, lam = remap[t], f, {i: i for i in range(4)}
-        if (t2, f2) in reloc:
-            nt2, nf2, lam2 = reloc[(t2, f2)]
-        else:
-            nt2, nf2, lam2 = remap[t2], f2, {i: i for i in range(4)}
-        lam_inv = {v: k for k, v in lam.items()}
-        newg = tuple(lam2[g[lam_inv[i]]] for i in range(4))
-        if (nt, nf) == (nt2, nf2):
-            raise NotApplicable("degenerate identification at the site")
-        gluings[(nt, nf)] = (nt2, nf2, newg)
-        gluings[(nt2, nf2)] = (nt, nf, inverse(newg))
-    g = (0, 1, 3, 2)
-    gluings[(t_top, 0)] = (t_bot, 0, g)
-    gluings[(t_bot, 0)] = (t_top, 0, inverse(g))
-
-    try:
-        after_trg = Triangulation(new_count, gluings)
-    except (NonStandardDual, NonOrientable, Disconnected) as exc:
-        raise ResultNonStandard(str(exc))
-
+    # The p-th tetrahedron of the fan is {a, c, EQ[p], EQ[p-1]}: the walk
+    # enters it through the face opposite EQ[p] and leaves opposite EQ[p-1].
+    old_site = []
+    for p, (t, ia, jc, enter, exit_) in enumerate(fan):
+        lab = [None] * 4
+        lab[ia], lab[jc], lab[enter], lab[exit_] = \
+            "a", "c", _EQ_LABELS[p], _EQ_LABELS[p - 1]
+        old_site.append((t, "".join(lab)))
+    survivors = [t for t in range(trg.tet_count) if t not in tets]
+    n = len(survivors)
     # Ambient orientation of the two new tetrahedra, from the first fan tet.
-    tp0, ia0, jc0, enter0, exit0 = fan[0]
-    s0 = spine.orientations[tp0] * sign((ia0, enter0, exit0, jc0))
-    orientations = [0] * new_count
-    for t in survivors:
-        orientations[remap[t]] = spine.orientations[t]
-    orientations[t_top] = -s0
-    orientations[t_bot] = -s0
-
-    def new_edge_dir(nt, ni, nj):
-        if nt < t_top:
-            t = survivors[nt]
-            return spine.edge_direction(t, ni, nj)
-        i_, j_ = sorted((ni, nj))
-        if nt == t_top and i_ == 0:
-            pidx = j_ - 1
-            tp, ia, jc, enter, exit_ = fan[pidx]
-            d = spine.edge_direction(tp, ia, enter)
-        elif nt == t_top:
-            pa, qa = i_ - 1, j_ - 1
-            pidx = qa if (qa - pa) % 3 == 1 else pa
-            tp, ia, jc, enter, exit_ = fan[pidx]
-            if pa == pidx:  # edge (u_pidx, u_{pidx-1}) read enter -> exit
-                d = spine.edge_direction(tp, enter, exit_)
-            else:
-                d = spine.edge_direction(tp, exit_, enter)
-        else:
-            inv_bot = {v: k for k, v in pos_bot.items()}
-            if i_ == 0:
-                pidx = inv_bot[j_]
-                tp, ia, jc, enter, exit_ = fan[pidx]
-                d = spine.edge_direction(tp, jc, enter)
-            else:
-                pa, qa = inv_bot[i_], inv_bot[j_]
-                pidx = qa if (qa - pa) % 3 == 1 else pa
-                tp, ia, jc, enter, exit_ = fan[pidx]
-                if pa == pidx:
-                    d = spine.edge_direction(tp, enter, exit_)
-                else:
-                    d = spine.edge_direction(tp, exit_, enter)
-        return d if (i_, j_) == (ni, nj) else not d
-
-    branching = []
-    for cls2 in after_trg.edge_classes:
-        nt, ni, nj = cls2.members[0]
-        branching.append(1 if new_edge_dir(nt, ni, nj) else -1)
-    try:
-        after = BranchedSpine(after_trg, branching, orientations)
-    except CyclicTriangle:
+    t, ia, jc, enter, exit_ = fan[0]
+    s0 = spine.orientations[t] * sign((ia, enter, exit_, jc))
+    orientations = [spine.orientations[t] for t in survivors] + [-s0, -s0]
+    moves = _rebuild(spine, old_site, [(n, "abde"), (n + 1, "cbed")],
+                     {t: i for i, t in enumerate(survivors)}, orientations,
+                     (True,))
+    if not moves:
         raise NotApplicable("restricted branching is not a branching "
                             "(the new face is cyclic)")
-    except NonStandardDual as exc:
-        raise ResultNonStandard(str(exc))
+    return moves[0]
 
-    tet_map = {t: remap[t] for t in survivors}
-    edge_map = {}
-    for k, old_cls in enumerate(trg.edge_classes):
-        if k == edge_class:
-            continue
-        image = None
-        for (ot, oi, oj) in old_cls.members:
-            if ot not in tets:
-                image = after_trg.edge_class_of[(remap[ot], oi, oj)][0]
-                break
-        if image is None:
-            ot, oi, oj = old_cls.members[0]
-            pidx = tets.index(ot)
-            tp, ia, jc, enter, exit_ = fan[pidx]
-            pairs = {ia, jc}
-            if jc not in (oi, oj):
-                nt = t_top
-                lam = {ia: 0, enter: 1 + pidx, exit_: 1 + (pidx - 1) % 3}
-            else:
-                nt = t_bot
-                lam = {jc: 0, enter: pos_bot[pidx], exit_: pos_bot[(pidx - 1) % 3]}
-            image = after_trg.edge_class_of[(nt, lam[oi], lam[oj])][0]
-        edge_map[k] = image
-    vanished = []
-    face_map = {}
-    for k, ((ft, ff), (ft2, ff2)) in enumerate(trg.face_classes):
-        if (ft, ff) in internal_faces:
-            vanished.append(k)
-            continue
-        if (ft, ff) in reloc:
-            nt, nf, _ = reloc[(ft, ff)]
-            face_map[k] = after_trg.face_class_of[(nt, nf)]
-        else:
-            face_map[k] = after_trg.face_class_of[(remap[ft], ff)]
-    created = (after_trg.face_class_of[(t_top, 0)],)
 
-    bdirs = {}
-    bec = {}
-    for pidx, (tp, ia, jc, enter, exit_) in enumerate(fan):
-        li = _EQ_LABELS[pidx]
-        bdirs[("a", li)] = spine.edge_direction(tp, ia, enter)
-        bec[frozenset(("a", li))] = spine.oriented_class(tp, ia, enter)
-        bdirs[("c", li)] = spine.edge_direction(tp, jc, enter)
-        bec[frozenset(("c", li))] = spine.oriented_class(tp, jc, enter)
-        u, v = _EQ_LABELS[(pidx - 1) % 3], li
-        bdirs[(u, v)] = spine.edge_direction(tp, exit_, enter)
-        bec[frozenset((u, v))] = spine.oriented_class(tp, exit_, enter)
-    bdirs[("a", "c")] = True
-    bip = Bipyramid(bdirs, bec)
-
-    return MoveInstance(
-        "negative", edge_class, 0, None, spine, after,
-        tet_map, edge_map, face_map, bip,
-        tuple(tets), (t_top, t_bot), tuple(sorted(vanished)), created,
-        central_class_before=edge_class, central_class_after=None)
 
 
 # -- invariance certificate -------------------------------------------------------
@@ -584,11 +418,11 @@ def _tree_chains(bip, n):
     chains = {"a": [0] * n}
     for label in _EQ_LABELS:
         vec = [0] * n
-        cls, _ = bip.edge_class[frozenset(("a", label))]
+        cls = bip.edge_class[frozenset(("a", label))]
         vec[cls] += -1 if bip.directed("a", label) else 1
         chains[label] = vec
     vec = list(chains["b"])
-    cls, _ = bip.edge_class[frozenset(("c", "b"))]
+    cls = bip.edge_class[frozenset(("c", "b"))]
     vec[cls] += 1 if bip.directed("c", "b") else -1
     chains["c"] = vec
     return chains
@@ -631,26 +465,25 @@ def h_cycle_check(move):
 # -- rigidity and walks -----------------------------------------------------------
 
 
-def is_rigid(spine):
-    """True when no branched positive move applies at any face class."""
+def _positive_moves(spine):
+    """The positive moves of a spine, by face class and variant."""
     for fc in range(len(spine.triangulation.face_classes)):
         try:
-            if apply_positive(spine, fc):
-                return False
+            moves = apply_positive(spine, fc)
         except (SelfAdjacentFace, ResultNonStandard):
             continue
-    return True
+        yield from moves
+
+
+def is_rigid(spine):
+    """True when no branched positive move applies at any face class."""
+    return next(_positive_moves(spine), None) is None
 
 
 def available_moves(spine, h_null_only=False):
     """All applicable moves in canonical order (positive by face class and
     variant, then negative by edge class)."""
-    out = []
-    for fc in range(len(spine.triangulation.face_classes)):
-        try:
-            out.extend(apply_positive(spine, fc))
-        except (SelfAdjacentFace, ResultNonStandard):
-            continue
+    out = list(_positive_moves(spine))
     for ec in range(len(spine.triangulation.edge_classes)):
         try:
             out.append(apply_negative(spine, ec))
@@ -710,7 +543,7 @@ def transport_representation(move, rep):
         bip = move.bipyramid
 
         def leg(u, v):
-            cls, _ = bip.edge_class[frozenset((u, v))]
+            cls = bip.edge_class[frozenset((u, v))]
             return rep.images[cls] if bip.directed(u, v) else rep.inverses[cls]
 
         path = leg("a", "b") * leg("b", "c")
@@ -829,36 +662,22 @@ def _site_tet_weights(move, before, vec):
     """
     bip = move.bipyramid
     chains = _tree_chains(bip, len(move.before.triangulation.edge_classes))
-    if move.direction == "positive":
-        before_of_apex = {"a": move.site_tets_before[0],
-                          "c": move.site_tets_before[1]}
-        after_of_pair = {p: move.site_tets_after[i]
-                         for i, p in enumerate(_PAIRS)}
-    else:
-        fan_pairs = {(_EQ_LABELS[(p - 1) % 3], _EQ_LABELS[p]):
-                     move.site_tets_before[p] for p in range(3)}
-        before_of_pair = {}
-        for pr in _PAIRS:
-            match = next(k for k in fan_pairs if set(k) == set(pr))
-            before_of_pair[pr] = fan_pairs[match]
-        after_of_apex = {"a": move.site_tets_after[0],
-                         "c": move.site_tets_after[1]}
+    before_site = list(zip(move.site_tets_before, move.site_labels_before))
+    after_site = list(zip(move.site_tets_after, move.site_labels_after))
+
+    def container(site, cell):
+        return next((t, lab) for t, lab in site if set(cell) <= set(lab))
 
     weights = {}
     for apex in ("a", "c"):
         for pr in _PAIRS:
-            end2 = _sink(bip, (apex, "b", "d", "e"))  # two-tet side container
-            end3 = _sink(bip, ("a", "c") + pr)        # three-tet side container
-            if move.direction == "positive":
-                lam = vec[before_of_apex[apex]]
-                end_bef, end_aft = end2, end3
-                target = after_of_pair[pr]
-            else:
-                lam = vec[before_of_pair[pr]]
-                end_bef, end_aft = end3, end2
-                target = after_of_apex[apex]
-            path = [x - y for x, y in zip(chains[end_bef], chains[end_aft])]
-            coeff = lam * before.path_image(path)
+            # The sub-tetrahedron at apex and pr lies in the site tetrahedron
+            # on each side whose labels contain them.
+            t_bef, lab_bef = container(before_site, (apex,) + pr)
+            target, lab_aft = container(after_site, (apex,) + pr)
+            path = [x - y for x, y in zip(chains[_sink(bip, lab_bef)],
+                                          chains[_sink(bip, lab_aft)])]
+            coeff = vec[t_bef] * before.path_image(path)
             if target in weights:
                 if not weights[target] == coeff:
                     raise TransportFailure(

@@ -398,8 +398,7 @@ class InvarianceReport:
         self.first_violation = first_violation
 
 
-def invariance_suite(spine, walk, rep_kind, order=None, character=None,
-                     check_sign_refined=True):
+def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     """Compare torsion along a walk of moves with null invariance certificates.
 
     The representation, homology lifts and homological orientation are
@@ -464,7 +463,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None,
                                   new_olifts if new_olifts is not None else {})
         equal = before_t.equal_up_to_sign(after_t)
         sgn_equal = None
-        if check_sign_refined and before_s is not None and after_s is not None \
+        if before_s is not None and after_s is not None \
                 and new_olifts is not None:
             sgn_equal = before_s.value == after_s.value
         steps.append(InvarianceStep(

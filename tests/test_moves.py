@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -23,6 +25,31 @@ def all_positive_moves(spine):
         except (SelfAdjacentFace, ResultNonStandard):
             pass
     return out
+
+
+# sha256 of every move that available_moves finds on the census <= 2 and
+# on each spine one positive move from census 2, in order: per move its
+# site, correspondences, certificate rows and serialised after spine.
+MOVES_DIGEST = (186, 1302,
+                "4e55663ff3286bec6c254048ea69d3f891504161bb4ae2945339d853138f81dc")
+
+
+def _move_text(m):
+    return repr((m.direction, m.site, m.variant, m.new_edge_direction,
+                 sorted(m.tet_map.items()), sorted(m.edge_map.items()),
+                 sorted(m.face_map.items()), tuple(m.site_tets_before),
+                 tuple(m.site_tets_after), tuple(m.vanished_faces),
+                 tuple(m.created_faces), m.central_class_before,
+                 m.central_class_after, h_cycle_check(m).rows)) \
+        + "\n" + serialize(m.after)
+
+
+def test_move_outputs_are_pinned(corpus12, census2):
+    spines = corpus12 + [m.after for s in census2 for m in all_positive_moves(s)]
+    moves = [m for s in spines for m in available_moves(s)]
+    text = "".join(_move_text(m) for m in moves)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(spines), len(moves), digest) == MOVES_DIGEST
 
 
 def test_self_adjacent_face_rejected():
