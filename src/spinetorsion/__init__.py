@@ -6,11 +6,11 @@ from .census import census_branched, corpus, enumerate_triangulations
 from .complexes import (CellComplexX, GroupData, Representation,
                         SpiderAnchors, TwistedComplex, make_representation)
 from .errors import (BasisRankMismatch, CyclicTriangle, Disconnected,
-                     InconsistentAnchor, MoveError, NonOrientable,
-                     NonStandardDual, NotAcyclicNoBasis, NotApplicable,
-                     RelatorNotKilled, ResultNonStandard, SelfAdjacentFace,
-                     SpineError, SpineSyntaxError, Stuck, TorsionError,
-                     TransportFailure, UnpairedFace, ValidationError)
+                     MoveError, NonOrientable, NonStandardDual,
+                     NotAcyclicNoBasis, NotApplicable, RelatorNotKilled,
+                     ResultNonStandard, SelfAdjacentFace, SpineError,
+                     SpineSyntaxError, Stuck, TorsionError, TransportFailure,
+                     UnpairedFace, ValidationError)
 from .euler import (EulerData, euler_chain_class, euler_data, maw_cochain,
                     path_choice_independence, pd_consistency)
 from .moves import (HCycleReport, MoveInstance, apply_negative, apply_positive,

@@ -75,9 +75,5 @@ class RelatorNotKilled(SpineError):
     """A representation does not send every face relator to 1."""
 
 
-class InconsistentAnchor(SpineError):
-    """Two edge paths anchoring the same cell lift disagree; internal invariant broken."""
-
-
 class TransportFailure(SpineError):
     """A homology basis could not be carried across a move correspondence."""

@@ -18,16 +18,20 @@ zero in the field exactly when the Gauss-Jordan entry is: pivots, row
 swaps and sign are those of elimination over the field.  The fields
 differ only in the pivot test: a nonzero dict over Z[t^+-1], an entry
 that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
-during elimination, only the entries read out.  Each field clears its
-rows to coprime integer coefficients, keeping the row factors for the
-determinant, and eliminates once per rank, column selection,
-determinant, kernel or linear solve.  Clearing above the pivots as well
-leaves every pivot row equal to the last pivot times its reduced echelon
-row, from which kernels and solutions are read off with one inversion of
-the last pivot.  The greedy column choice "keep a column if it raises
-the rank" is exactly the pivot set of one elimination in that column
-order.  ``cofactor_det`` gives an independent slow determinant used to
-cross-check the engine.
+during elimination, only the entries read out.
+
+Rank, column selection, determinant, kernel and linear solve are written
+once, in ``_Field``, and each eliminates once.  A field supplies only
+what differs: its elements as (numerator, denominator) polynomials (a
+cyclotomic element is its lift over the unit), its pivot test, and the
+read-out p -> p / den into the field.  Rows are cleared to coprime
+integer coefficients first, keeping the row factors for the determinant.
+Clearing above the pivots as well leaves every pivot row equal to the
+last pivot times its reduced echelon row, from which kernels and
+solutions are read off by dividing by the last pivot.  The greedy column
+choice "keep a column if it raises the rank" is exactly the pivot set of
+one elimination in that column order.  ``cofactor_det`` gives an
+independent slow determinant used to cross-check the engine.
 """
 
 from fractions import Fraction
@@ -344,10 +348,6 @@ class RationalFunction:
                 npoly = npoly.exact_div(g)
                 den = den.exact_div(g)
             num = npoly.shift(nshift) if any(nshift) else npoly
-            shift2 = den.min_exponents()
-            if any(shift2):
-                den = den.shift(tuple(-e for e in shift2))
-                num = num.shift(tuple(-e for e in shift2))
         c = den.signed_content()
         if c != 1:
             den = den.scale(1 / c)
@@ -407,14 +407,128 @@ class RationalFunction:
         return "(%s)/(%s)" % (num, self.den.str_terms(names))
 
 
-class FunctionField:
-    """Q(t1..tr) with fraction-free matrix routines."""
+class _Field:
+    """The matrix routines of both fields, written once.
+
+    A field supplies ``_unit``, the one of its polynomial ring keyed like
+    the entries; ``_parts(x)``, an element as (numerator, denominator)
+    polynomials; ``_eliminate``, ``_bareiss`` with its pivot test; and
+    ``_divider(den)``, the map p -> p / den into the field.
+    """
+
+    def _cleared(self, matrix):
+        """(integer polynomial rows, row factors (polynomial, (mul, div))).
+
+        Each row is multiplied by the product of its denominators, the
+        factor's polynomial, and by mul / div, which makes its coefficients
+        coprime integers; row scaling by nonzero factors preserves ranks,
+        kernels and solution sets, and determinants divide out the factors.
+        """
+        one = self._unit
+        cleared = []
+        factors = []
+        for row in matrix:
+            parts = [self._parts(x) for x in row]
+            dens = [(j, d) for j, (_n, d) in enumerate(parts) if d != one]
+            new_row = []
+            for k, (e, _d) in enumerate(parts):
+                for j, d in dens:
+                    if j != k:
+                        e = _dot(((e, d),))
+                new_row.append(e)
+            new_row, scale = _integral(new_row)
+            factor = one
+            for _j, d in dens:
+                factor = _dot(((factor, d),))
+            cleared.append(new_row)
+            factors.append((factor, scale))
+        return cleared, factors
+
+    def det(self, matrix):
+        """Determinant of a square matrix of field elements."""
+        n = len(matrix)
+        if n == 0:
+            return self.one
+        A, factors = self._cleared(matrix)
+        pivots, last, sign = self._eliminate(A, range(n))
+        if len(pivots) < n:
+            return self.zero
+        # Each row was multiplied by its factor times mul / div.
+        den = {k: sign for k in self._unit}
+        mul = div = 1
+        for factor, (m, d) in factors:
+            den = _dot(((den, factor),))
+            mul *= m
+            div *= d
+        return self._divider({k: v * mul for k, v in den.items()})(
+            {k: v * div for k, v in last.items()})
+
+    def rank(self, matrix):
+        if not matrix:
+            return 0
+        return len(self._eliminate(self._cleared(matrix)[0],
+                                   range(len(matrix[0])))[0])
+
+    def select_columns(self, matrix, order):
+        """The columns, in ``order``, that raise the rank of those before."""
+        return [c for _r, c in self._eliminate(self._cleared(matrix)[0], order)[0]]
+
+    def nullspace(self, matrix):
+        """Reduced basis of the right kernel, one vector per non-pivot column."""
+        if not matrix:
+            return []
+        n = len(matrix[0])
+        A = self._cleared(matrix)[0]
+        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
+        divide = self._divider(last) if pivots else None
+        pivot_cols = {c for _r, c in pivots}
+        basis = []
+        for j in range(n):
+            if j in pivot_cols:
+                continue
+            vec = [self.zero] * n
+            vec[j] = self.one
+            for r, c in pivots:
+                if A[r][j]:
+                    vec[c] = divide({k: -v for k, v in A[r][j].items()})
+            basis.append(vec)
+        return basis
+
+    def solve(self, matrix, rhs):
+        """The solution of A x = rhs with free variables zero, or None if
+        inconsistent."""
+        if not matrix:
+            return [] if all(x.is_zero() for x in rhs) else None
+        n = len(matrix[0])
+        A = self._cleared([row + [b] for row, b in zip(matrix, rhs)])[0]
+        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
+        if any(c == n for _r, c in pivots):
+            return None
+        divide = self._divider(last) if pivots else None
+        sol = [self.zero] * n
+        for r, c in pivots:
+            if A[r][n]:
+                sol[c] = divide(A[r][n])
+        return sol
+
+
+# Each field binds these in its own namespace, so that one field's routines
+# can be wrapped (say, by a profiler) without touching the other's.
+_ROUTINES = (_Field.rank, _Field.select_columns, _Field.det, _Field.nullspace,
+             _Field.solve)
+
+
+class FunctionField(_Field):
+    """Q(t1..tr), with matrices eliminated over Z[t1^+-1..tr^+-1]."""
+
+    rank, select_columns, det, nullspace, solve = _ROUTINES
 
     def __init__(self, nvars):
         self.nvars = nvars
         self.names = tuple("t%d" % (i + 1) for i in range(nvars))
         self.zero = RationalFunction(LaurentPoly(nvars))
         self.one = RationalFunction(LaurentPoly.const(nvars, 1))
+        self._unit = {(0,) * nvars: 1}
 
     def __eq__(self, other):
         return isinstance(other, FunctionField) and self.nvars == other.nvars
@@ -434,110 +548,17 @@ class FunctionField:
     def element_str(self, x):
         return x.str_in(self.names)
 
-    # -- fraction-free matrix engine ------------------------------------------
-
-    def _cleared(self, matrix):
-        """(integer polynomial rows, row factors (polynomial, (mul, div))).
-
-        Each row is multiplied by the product of its denominators, the
-        factor's polynomial, and by mul / div, which makes its coefficients
-        coprime integers; row scaling by nonzero factors preserves ranks,
-        kernels and solution sets, and determinants divide out the factors.
-        """
-        one = {(0,) * self.nvars: 1}
-        cleared = []
-        factors = []
-        for row in matrix:
-            dens = [(j, x.den.terms) for j, x in enumerate(row)
-                    if x.den.terms != one]
-            new_row = []
-            for k, x in enumerate(row):
-                e = x.num.terms
-                for j, d in dens:
-                    if j != k:
-                        e = _dot(((e, d),))
-                new_row.append(e)
-            new_row, scale = _integral(new_row)
-            factor = one
-            for _j, d in dens:
-                factor = _dot(((factor, d),))
-            cleared.append(new_row)
-            factors.append((factor, scale))
-        return cleared, factors
+    def _parts(self, x):
+        return x.num.terms, x.den.terms
 
     def _eliminate(self, A, order, reduce=False):
         """``_bareiss`` over Z[t1^+-1..tr^+-1], where any nonzero entry
         is a pivot."""
         return _bareiss(A, order, bool, reduce)
 
-    def _fraction(self, num, den):
-        return RationalFunction(_lp(self.nvars, num), _lp(self.nvars, den))
-
-    def det(self, matrix):
-        """Determinant of a square matrix of field elements."""
-        n = len(matrix)
-        if n == 0:
-            return self.one
-        A, factors = self._cleared(matrix)
-        pivots, last, sign = self._eliminate(A, range(n))
-        if len(pivots) < n:
-            return self.zero
-        # Each row was multiplied by its factor times mul / div.
-        den = {(0,) * self.nvars: sign}
-        mul = div = 1
-        for factor, (m, d) in factors:
-            den = _dot(((den, factor),))
-            mul *= m
-            div *= d
-        return self._fraction({k: v * div for k, v in last.items()},
-                              {k: v * mul for k, v in den.items()})
-
-    def rank(self, matrix):
-        if not matrix:
-            return 0
-        return len(self._eliminate(self._cleared(matrix)[0],
-                                   range(len(matrix[0])))[0])
-
-    def select_columns(self, matrix, order):
-        """The columns, in ``order``, that raise the rank of those before."""
-        return [c for _r, c in self._eliminate(self._cleared(matrix)[0], order)[0]]
-
-    def nullspace(self, matrix):
-        """Reduced basis of the right kernel, one vector per non-pivot column."""
-        if not matrix:
-            return []
-        n = len(matrix[0])
-        A, _ = self._cleared(matrix)
-        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
-        pivot_cols = {c for _r, c in pivots}
-        basis = []
-        for j in range(n):
-            if j in pivot_cols:
-                continue
-            vec = [self.zero] * n
-            vec[j] = self.one
-            for r, c in pivots:
-                if A[r][j]:
-                    vec[c] = self._fraction({k: -v for k, v in A[r][j].items()},
-                                            last)
-            basis.append(vec)
-        return basis
-
-    def solve(self, matrix, rhs):
-        """The solution of A x = rhs with free variables zero, or None if
-        inconsistent."""
-        if not matrix:
-            return [] if all(x.is_zero() for x in rhs) else None
-        n = len(matrix[0])
-        A, _ = self._cleared([row + [b] for row, b in zip(matrix, rhs)])
-        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
-        sol = [self.zero] * n
-        for r, c in pivots:
-            if c == n:
-                return None
-            if A[r][n]:
-                sol[c] = self._fraction(A[r][n], last)
-        return sol
+    def _divider(self, den):
+        den = _lp(self.nvars, den)
+        return lambda p: RationalFunction(_lp(self.nvars, p), den)
 
 
 def cyclotomic_polynomial(n):
@@ -609,8 +630,10 @@ class CyclotomicElement:
         return self * other.inv()
 
 
-class CyclotomicField:
+class CyclotomicField(_Field):
     """Q(zeta_n), with matrices eliminated over Z[z] (see ``_bareiss``)."""
+
+    rank, select_columns, det, nullspace, solve = _ROUTINES
 
     def __init__(self, order):
         if order < 1:
@@ -620,6 +643,7 @@ class CyclotomicField:
         self.degree = len(self.phi) - 1
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
+        self._unit = {(0,): 1}
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and self.order == other.order
@@ -643,7 +667,7 @@ class CyclotomicField:
         if el.is_zero():
             raise ZeroDivisionError("inverting zero")
         deg = self.degree
-        ((p,),), ((mul, div),) = self._lifted([[el]])
+        (p,), (mul, div) = _integral([self._lift(el)])
         cols = [self._reduced({(i + j,): c for (i,), c in p.items()})
                 for j in range(deg)]
         A = [[{(): col[i]} if col[i] else {} for col in cols]
@@ -673,21 +697,12 @@ class CyclotomicField:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
 
-    # -- fraction-free matrix engine ------------------------------------------
-
     def _lift(self, x):
         """The coefficients of ``x`` as a polynomial in z."""
         return {(i,): c for i, c in enumerate(x.coeffs) if c}
 
-    def _lifted(self, matrix):
-        """(rows of integer lifts in Z[z], row scales (mul, div)): each row
-        is multiplied by mul / div to coprime integer coefficients."""
-        rows, scales = [], []
-        for row in matrix:
-            lift, scale = _integral([self._lift(x) for x in row])
-            rows.append(lift)
-            scales.append(scale)
-        return rows, scales
+    def _parts(self, x):
+        return self._lift(x), self._unit
 
     def _reduced(self, p):
         """The coefficient list of the lift ``p`` modulo the monic Phi_n."""
@@ -716,67 +731,14 @@ class CyclotomicField:
         not divide it."""
         return _bareiss(A, order, self._nonzero, reduce)
 
-    def det(self, matrix):
-        n = len(matrix)
-        if n == 0:
-            return self.one
-        A, scales = self._lifted(matrix)
-        pivots, last, sign = self._eliminate(A, range(n))
-        if len(pivots) < n:
-            return self.zero
-        mul = div = 1
-        for m, d in scales:
-            mul *= m
-            div *= d
-        return self._element(last, Fraction(sign * div, mul))
-
-    def rank(self, matrix):
-        if not matrix:
-            return 0
-        return len(self._eliminate(self._lifted(matrix)[0],
-                                   range(len(matrix[0])))[0])
-
-    def select_columns(self, matrix, order):
-        """The columns, in ``order``, that raise the rank of those before."""
-        return [c for _r, c in self._eliminate(self._lifted(matrix)[0], order)[0]]
-
-    def nullspace(self, matrix):
-        """Reduced basis of the right kernel, one vector per non-pivot column."""
-        if not matrix:
-            return []
-        n = len(matrix[0])
-        A = self._lifted(matrix)[0]
-        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
-        inv = -self._element(last).inv() if pivots else None
-        pivot_cols = {c for _r, c in pivots}
-        basis = []
-        for j in range(n):
-            if j in pivot_cols:
-                continue
-            vec = [self.zero] * n
-            vec[j] = self.one
-            for r, c in pivots:
-                if A[r][j]:
-                    vec[c] = self._element(A[r][j]) * inv
-            basis.append(vec)
-        return basis
-
-    def solve(self, matrix, rhs):
-        """The solution of A x = rhs with free variables zero, or None if
-        inconsistent."""
-        if not matrix:
-            return [] if all(x.is_zero() for x in rhs) else None
-        n = len(matrix[0])
-        A = self._lifted([row + [b] for row, b in zip(matrix, rhs)])[0]
-        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
-        if any(c == n for _r, c in pivots):
-            return None
-        inv = self._element(last).inv() if pivots else None
-        sol = [self.zero] * n
-        for r, c in pivots:
-            if A[r][n]:
-                sol[c] = self._element(A[r][n]) * inv
-        return sol
+    def _divider(self, den):
+        """A scaling by a Fraction when ``den`` is a constant, else a
+        product with its inverse, taken once."""
+        if den.keys() == {(0,)}:
+            scale = Fraction(1, den[(0,)])
+            return lambda p: self._element(p, scale)
+        inv = self._element(den).inv()
+        return lambda p: self._element(p) * inv
 
 
 def cofactor_det(field, matrix):

@@ -22,13 +22,8 @@ def inverse(p):
 
 
 def sign(p):
-    """Parity of a 4-permutation: +1 even, -1 odd."""
-    s = 1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                s = -s
-    return s
+    """Parity of a 4-permutation, a tuple or a list: +1 even, -1 odd."""
+    return SIGN[PERM_INDEX[tuple(p)]]
 
 
 def sign3(triple_a, triple_b):
@@ -50,4 +45,6 @@ PERM_INDEX = {p: i for i, p in enumerate(ALL_PERMS)}
 COMPOSE = tuple(tuple(PERM_INDEX[compose(p, q)] for q in ALL_PERMS) for p in ALL_PERMS)
 """``COMPOSE[i][j]`` is the index of ALL_PERMS[i]∘ALL_PERMS[j]."""
 INVERSE = tuple(PERM_INDEX[inverse(p)] for p in ALL_PERMS)
-SIGN = tuple(sign(p) for p in ALL_PERMS)
+SIGN = tuple((-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+             for p in ALL_PERMS)
+"""``SIGN[i]`` is the parity of ALL_PERMS[i], counted by inversions."""

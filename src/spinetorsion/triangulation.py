@@ -12,6 +12,8 @@ orientations, around-the-edge fans, vertex links) is purely
 combinatorial and shared by the branched-spine layer on top.
 """
 
+from functools import cached_property
+
 from .errors import Disconnected, NonOrientable, NonStandardDual, UnpairedFace
 from .perms import inverse, sign
 
@@ -58,7 +60,6 @@ class Triangulation:
         self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
         self.edge_classes, self.edge_class_of = self._edge_classes()
-        self.vertex_classes, self.vertex_class_of = self._vertex_classes()
 
     # -- construction checks -------------------------------------------------
 
@@ -187,7 +188,10 @@ class Triangulation:
         assert len(of) == 12 * self.tet_count
         return tuple(classes), of
 
-    def _vertex_classes(self):
+    @cached_property
+    def vertex_classes(self):
+        """The corners (t, c) glued into each vertex, one sorted tuple per
+        class; built on first use."""
         parent = {(t, c): (t, c) for t in range(self.tet_count) for c in range(4)}
 
         def find(x):
@@ -204,54 +208,27 @@ class Triangulation:
         groups = {}
         for key in parent:
             groups.setdefault(find(key), []).append(key)
-        classes = tuple(tuple(sorted(g)) for g in
-                        sorted(groups.values(), key=lambda g: min(g)))
-        of = {}
-        for idx, cls in enumerate(classes):
-            for key in cls:
-                of[key] = idx
-        return classes, of
+        return tuple(tuple(sorted(g)) for g in
+                     sorted(groups.values(), key=lambda g: min(g)))
 
     # -- vertex links ----------------------------------------------------------
 
     def vertex_link(self, vclass_index):
         """Euler characteristic and genus of the link surface of a vertex class.
 
-        The link is assembled from one normal triangle per (tet, corner)
-        instance; triangle sides are glued according to the face gluings.
+        The link has one normal triangle per corner (t, c) of the class,
+        one vertex per end of an edge class at the vertex, and each side
+        shared by two triangles, so chi = ends - 3 corners / 2 + corners.
         """
-        corners = self.vertex_classes[vclass_index]
-        ntri = len(corners)
-        # Link-vertex identifications: corner (t, c, x) of the normal triangle
-        # at (t, c) sits on the tetrahedron edge {c, x}.
-        parent = {}
-        for (t, c) in corners:
-            for x in range(4):
-                if x != c:
-                    parent[(t, c, x)] = (t, c, x)
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for (t, c) in corners:
-            for f in range(4):
-                if f == c:
-                    continue
-                t2, _, perm = self.gluings[(t, f)]
-                for x in range(4):
-                    if x != c and x != f:
-                        a = find((t, c, x))
-                        b = find((t2, perm[c], perm[x]))
-                        if a != b:
-                            parent[a] = b
-        nvert = len({find(k) for k in parent})
-        nedge = (3 * ntri) // 2
-        chi = nvert - nedge + ntri
+        corners = set(self.vertex_classes[vclass_index])
+        ends = 0
+        for cls in self.edge_classes:
+            t, i, j = cls.members[0]
+            ends += ((t, i) in corners) + ((t, j) in corners)
+        chi = ends - len(corners) // 2
         assert chi % 2 == 0 and chi <= 2
         return chi, (2 - chi) // 2
+
 
 def glue_both_ways(gluings, t, f, t2, f2, perm):
     """Record a gluing and its inverse in a gluing dict under construction."""

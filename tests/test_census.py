@@ -49,3 +49,12 @@ def test_census_deterministic():
 def test_triangulation_enumeration_counts():
     assert len(enumerate_triangulations(1)) == 6
     assert len(census_branched(1)) == 4
+
+
+# sha256 of repr(boundary_report()) per spine of census <= 3, one a line.
+BOUNDARY_DIGEST = "e50ca4c3ef17dec28a2bafe23a83fc4001c2b90b0e0e538fd58fdc2c1fcc10c1"
+
+
+def test_boundary_reports_are_pinned(corpus3):
+    text = "\n".join(repr(s.boundary_report()) for s in corpus3)
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_DIGEST
