@@ -109,6 +109,14 @@ def _pdiv(a, b):
     return out
 
 
+def _int_or_fraction(q):
+    """The rational ``q`` as an int when integral, else as a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _integral(row):
     """The row of polynomials scaled by mul / div to coprime integer
     coefficients, and (mul, div)."""
@@ -182,9 +190,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
-        coeff = Fraction(coeff)
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
+        coeff = _int_or_fraction(coeff)
         return _lp(nvars, {tuple(exps): coeff} if coeff else {})
 
     def is_zero(self):
@@ -408,13 +414,17 @@ class RationalFunction:
 
 
 class _Field:
-    """The matrix routines of both fields, written once.
+    """The matrix routines and ``from_int`` of both fields, written once.
 
-    A field supplies ``_unit``, the one of its polynomial ring keyed like
-    the entries; ``_parts(x)``, an element as (numerator, denominator)
-    polynomials; ``_eliminate``, ``_bareiss`` with its pivot test; and
-    ``_divider(den)``, the map p -> p / den into the field.
+    A field supplies ``from_fraction(q)``, the constant q; ``_unit``, the
+    one of its polynomial ring keyed like the entries; ``_parts(x)``, an
+    element as (numerator, denominator) polynomials; ``_eliminate``,
+    ``_bareiss`` with its pivot test; and ``_divider(den)``, the map
+    p -> p / den into the field.
     """
+
+    def from_int(self, k):
+        return self.from_fraction(k)
 
     def _cleared(self, matrix):
         """(integer polynomial rows, row factors (polynomial, (mul, div))).
@@ -536,11 +546,11 @@ class FunctionField(_Field):
     def __repr__(self):
         return "FunctionField(%d)" % self.nvars
 
-    def from_int(self, k):
-        return RationalFunction(LaurentPoly.const(self.nvars, k))
-
     def from_fraction(self, q):
-        return RationalFunction(LaurentPoly.const(self.nvars, q))
+        """The constant ``q``, built in canonical form: numerator ``q`` (an
+        int when integral) over the denominator 1."""
+        return RationalFunction(LaurentPoly.const(self.nvars, q), self.one.den,
+                                _canonical=True)
 
     def monomial(self, exps, coeff=1):
         return RationalFunction(LaurentPoly.monomial(self.nvars, exps, coeff))
@@ -651,23 +661,26 @@ class CyclotomicField(_Field):
     def __repr__(self):
         return "CyclotomicField(%d)" % self.order
 
-    def from_int(self, k):
-        return self.from_fraction(k)
-
     def from_fraction(self, q):
-        return CyclotomicElement(self, [Fraction(q)]
-                                 + [Fraction(0)] * (self.degree - 1))
+        """The constant ``q``, an int coefficient when integral."""
+        return CyclotomicElement(self, [_int_or_fraction(q)]
+                                 + [0] * (self.degree - 1))
 
     def zeta(self, power=1):
         return self._element({(power % self.order,): 1})
 
     def invert(self, el):
-        """The inverse of ``el``: multiplication by it, as a matrix over Q,
-        solved for 1."""
+        """The inverse of ``el``: z^-k when ``el`` is z^k, otherwise
+        multiplication by ``el``, as a matrix over Q, solved for 1."""
         if el.is_zero():
             raise ZeroDivisionError("inverting zero")
+        p = self._lift(el)
+        if len(p) == 1:
+            ((k,), c), = p.items()
+            if c == 1:
+                return self.zeta(-k)
         deg = self.degree
-        (p,), (mul, div) = _integral([self._lift(el)])
+        (p,), (mul, div) = _integral([p])
         cols = [self._reduced({(i + j,): c for (i,), c in p.items()})
                 for j in range(deg)]
         A = [[{(): col[i]} if col[i] else {} for col in cols]

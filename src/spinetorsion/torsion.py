@@ -7,6 +7,14 @@ subset of cells whose boundaries form a basis of the image of d_i and
 h_i lifts a basis of the i-th homology.  The value is independent of the
 b_i and, without further data, canonical only up to sign; a homological
 orientation of the rational complex removes the sign.
+
+The columns of b_i are unit vectors, so each determinant is computed as
+its Laplace minor along them:
+
+    det[d b_{i+1} | h_i | e_{b_i}] = sgn(R ++ b_i) * det(rows R of [d b_{i+1} | h_i])
+
+where R lists the cells of degree i not in b_i in ascending order, and a
+row order sigma[i] multiplies the value by sgn(sigma[i]).
 """
 
 from itertools import combinations
@@ -89,24 +97,33 @@ def auto_twisted_homology(tc):
     """Deterministic homology lifts h_i for every degree with nonzero homology.
 
     ``tc`` is any ChainComplex, the rational complex of a CellComplexX
-    included.  In degree i the reduced kernel basis of d_i follows the
-    image columns of d_{i+1}; the kernel vectors among the pivot columns of
-    one column selection over that matrix, which are the ones a greedy
-    pass would add to the image span, are the lifts.  Returns a dict
+    included.  The lifts in degree i are the vectors of the reduced kernel
+    basis of d_i that a greedy pass would add to the span of the columns of
+    d_{i+1}, in that order.  The pass runs in kernel coordinates: on the
+    free (non-pivot) coordinates of d_i the reduced basis is the identity,
+    so it is one column selection over [those rows of d_{i+1} | I].  A
+    degree with Betti number 0 has no lifts and is skipped.  Returns a dict
     degree -> list of chain vectors.
     """
     field = tc.field
     mats = (tc.d1, tc.d2, tc.d3)
+    selections = tc.default_selections
     out = {}
-    for i in range(4):
+    for i, betti in enumerate(_betti(tc, selections)):
+        if not betti:
+            continue
         kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
-        image = list(zip(*mats[i])) if i < 3 else []
-        cols = image + kernel
-        span = [[col[r] for col in cols] for r in range(tc.dims[i])]
-        picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
-                  if j >= len(image)]
-        if picked:
-            out[i] = picked
+        if i == 3:
+            out[i] = kernel
+            continue
+        pivots = set(selections[i])
+        free = [r for r in range(tc.dims[i]) if r not in pivots]
+        n = tc.dims[i + 1]
+        span = [mats[i][r] + [field.one if c == k else field.zero
+                              for c in range(len(free))]
+                for k, r in enumerate(free)]
+        out[i] = [kernel[j - n] for j in
+                  field.select_columns(span, range(n + len(free))) if j >= n]
     return out
 
 
@@ -133,47 +150,42 @@ def _betti(cx, selections):
 
 def default_raw_torsion(cx):
     """The raw torsion value of ``cx`` in the default bases: identity column
-    order, and the auto lifts unless the complex is acyclic."""
-    selections = cx.default_selections
-    lifts = cx.default_lifts if any(_betti(cx, selections)) else {}
-    return _raw_value(cx, selections, lifts)
+    order and the auto lifts (none for an acyclic complex)."""
+    return _raw_value(cx, cx.default_selections, cx.default_lifts)
 
 
-def _column(mat, j, nrows):
-    return [mat[r][j] for r in range(nrows)]
+def _sign(perm):
+    """The sign of a permutation given as a sequence of distinct ints."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def _raw_value(cx, selections, lifts, sigma=None):
-    """Alternating product of the change-of-basis determinants, with the
-    rows of degree i permuted by ``sigma[i]`` where given."""
+    """Alternating product of the change-of-basis determinants, each as its
+    Laplace minor along the unit columns of b_i, with the rows of degree i
+    in the order ``sigma[i]`` where given.  Each degree must have as many
+    lifts as its Betti number; ``torsion`` checks that."""
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
     value = inverse_part = field.one
-    for i in range(4):
-        n = cx.dims[i]
-        cols = []
-        if i + 1 <= 3:
-            B = mats[i]
-            for j in selections[i + 1]:
-                cols.append(_column(B, j, n))
-        for v in lifts.get(i, ()):
-            if len(v) != n:
-                raise BasisRankMismatch("degree %d lift has wrong length" % i)
-            cols.append(list(v))
-        for j in selections[i]:
-            e = [field.zero] * n
-            e[j] = field.one
-            cols.append(e)
-        if len(cols) != n:
-            raise BasisRankMismatch(
-                "degree %d: %d basis vectors for dimension %d" % (i, len(cols), n))
-        M = [[cols[c][r] for c in range(n)] for r in range(n)]
-        if sigma is not None and i in sigma:
-            M = [M[sigma[i][r]] for r in range(n)]
-        d = field.det(M)
+    for i, n in enumerate(cx.dims):
+        vecs = lifts.get(i, ())
+        if any(len(v) != n for v in vecs):
+            raise BasisRankMismatch("degree %d lift has wrong length" % i)
+        sign = 1
+        if sigma and i in sigma:
+            if sorted(sigma[i]) != list(range(n)):
+                raise BasisRankMismatch(
+                    "degree %d: row order is not a permutation" % i)
+            sign = _sign(sigma[i])
+        basis = set(selections[i])
+        rows = [r for r in range(n) if r not in basis]
+        d = field.det([[mats[i][r][j] for j in selections[i + 1]]
+                       + [v[r] for v in vecs] for r in rows])
         if d.is_zero():
             raise BasisRankMismatch(
                 "degree %d: combined columns are not a basis" % i)
+        if sign * _sign(rows + selections[i]) < 0:
+            d = -d
         if i % 2 == 0:
             value = value * d
         else:
@@ -189,10 +201,12 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
     chain vectors over the coefficient field.  ``strategy`` optionally
     gives per-degree column preference orders for the b_i selection, and
     ``sigma`` per-degree permutations of the cell ordering (which can
-    only flip the sign).  With ``keep_sign`` the raw value for this cell
-    ordering is kept instead of the canonical +-representative.  Without
-    ``strategy`` and ``sigma``, and with ``h`` None or "auto", the value is
-    the complex's ``default_torsion``, computed once per complex.
+    only flip the sign); either raises BasisRankMismatch for an order that
+    is not a permutation of the cells of its degree.  With ``keep_sign``
+    the raw value for this cell ordering is kept instead of the canonical
+    +-representative.  Without ``strategy`` and ``sigma``, and with ``h``
+    None or "auto", the value is the complex's ``default_torsion``,
+    computed once per complex.
     """
     selections = column_selections(tc, strategy) if strategy \
         else tc.default_selections

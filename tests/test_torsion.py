@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
 from spinetorsion.fields import CyclotomicField, FunctionField, LaurentPoly
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (HomologicalOrientation, TorsionValue,
-                                  auto_twisted_homology,
+                                  auto_twisted_homology, column_selections,
                                   default_rational_homology,
                                   default_z_character, fox_alexander,
                                   sign_refined_torsion, torsion,
@@ -335,3 +336,141 @@ def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
         sign_refined_torsion(s, second, h="auto")
         assert over(X.rational_complex.field) == 0
         assert over(second.field) > 0
+
+
+@pytest.mark.parametrize("sigma", [
+    {1: [0]},                      # too short
+    {0: [0, 1]},                   # too long
+    {1: [1, 2]},                   # an index past the last cell
+    {2: [0, 1, 1, 3]},             # a repeated index
+])
+def test_sigma_must_be_a_permutation(sigma):
+    s = parse(GOLDEN)
+    _X, _G, tc = build(s, "free_abelian")
+    message = "degree %d: row order is not a permutation" % next(iter(sigma))
+    with pytest.raises(BasisRankMismatch, match=message):
+        torsion(tc, h="auto", sigma=sigma)
+    with pytest.raises(BasisRankMismatch, match=message):
+        sign_refined_torsion(s, tc, h="auto", sigma=sigma)
+
+
+# sha256 of the element strings of torsion outputs over census <= 2 for both
+# representations, as the full change-of-basis matrices gave them when pinned.
+TORSION_DIGEST = "12c172f9b5f1934c1ce2c850c8720efddbcdccfac5254849f027bf1d780ccf24"
+
+
+def test_torsion_outputs_are_pinned(corpus12):
+    rnd = random.Random(10)
+    lines = []
+    for s in corpus12:
+        for kind, order in (("free_abelian", None), ("cyclic", 5)):
+            tc = build(s, kind, order)[2]
+            field = tc.field
+            lines += [kind, torsion(tc, h="auto").to_str(),
+                      torsion(tc, h="auto", keep_sign=True).to_str(),
+                      sign_refined_torsion(s, tc, h="auto").to_str()]
+            for i, vecs in sorted(tc.default_lifts.items()):
+                lines += ["%d: [%s]" % (i, ", ".join(map(field.element_str, v)))
+                          for v in vecs]
+            strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
+                     if i}
+            sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
+            for kwargs in ({"strategy": strat}, {"sigma": sig},
+                           {"strategy": strat, "sigma": sig}):
+                lines += [torsion(tc, h="auto", keep_sign=True, **kwargs).to_str(),
+                          sign_refined_torsion(s, tc, h="auto", **kwargs).to_str()]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == TORSION_DIGEST, text
+
+
+# -- the full change-of-basis matrices, kept as oracles ---------------------------
+
+
+def _full_matrix_lifts(tc):
+    """The lifts picked by one column selection over the n_i-row span
+    [columns of d_{i+1} | reduced kernel basis of d_i], in every degree."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    out = {}
+    for i in range(4):
+        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
+        image = list(zip(*mats[i])) if i < 3 else []
+        cols = image + kernel
+        span = [[col[r] for col in cols] for r in range(tc.dims[i])]
+        picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
+                  if j >= len(image)]
+        if picked:
+            out[i] = picked
+    return out
+
+
+def _full_matrix_value(tc, selections, lifts, sigma):
+    """The alternating product of the n_i x n_i determinants
+    [d b_{i+1} | h_i | unit columns at b_i], rows in the order sigma[i];
+    None when one of them vanishes."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    value = field.one
+    for i, n in enumerate(tc.dims):
+        cols = [[mats[i][r][j] for r in range(n)] for j in selections[i + 1]]
+        cols += [list(v) for v in lifts.get(i, ())]
+        cols += [[field.one if r == j else field.zero for r in range(n)]
+                 for j in selections[i]]
+        M = [[col[r] for col in cols] for r in range(n)]
+        if i in sigma:
+            M = [M[r] for r in sigma[i]]
+        d = field.det(M)
+        if d.is_zero():
+            return None
+        value = value * d if i % 2 == 0 else value * d.inv()
+    return value
+
+
+def _random_lifts(tc, rnd):
+    """The default lifts, each scaled and moved by random boundaries; now and
+    then one replaced by a boundary or by another lift, which is no basis."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    out = {}
+    for i, vecs in tc.default_lifts.items():
+        out[i] = []
+        for v in vecs:
+            c = field.from_fraction(Fraction(rnd.choice((-2, -1, 1, 2)),
+                                             rnd.choice((1, 2))))
+            w = [c * x for x in v]
+            for j in range(tc.dims[i + 1] if i < 3 else 0):
+                a = field.from_int(rnd.randint(-1, 1))
+                w = [x + a * mats[i][r][j] for r, x in enumerate(w)]
+            out[i].append(w)
+        if rnd.random() < 0.1 and i < 3:
+            j = rnd.randrange(tc.dims[i + 1])
+            out[i][-1] = [row[j] for row in mats[i]]
+        elif rnd.random() < 0.1 and len(vecs) > 1:
+            out[i][-1] = out[i][0]
+    return out
+
+
+@pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 5)])
+def test_minors_match_full_matrix_oracle(corpus12, kind, order):
+    rnd = random.Random(13)
+    outcomes = set()
+    for s in corpus12:
+        tc = build(s, kind, order)[2]
+        assert tc.default_lifts == _full_matrix_lifts(tc)
+        for _ in range(4):
+            strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
+                     if i and rnd.random() < 0.7}
+            sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
+                   if rnd.random() < 0.7}
+            lifts = _random_lifts(tc, rnd)
+            expected = _full_matrix_value(
+                tc, column_selections(tc, strat), lifts, sig)
+            outcomes.add(expected is None)
+            kwargs = {"h": lifts or None, "strategy": strat, "sigma": sig,
+                      "keep_sign": True}
+            if expected is None:
+                with pytest.raises(BasisRankMismatch, match="not a basis"):
+                    torsion(tc, **kwargs)
+            else:
+                assert torsion(tc, **kwargs).value == expected
+    assert outcomes == {True, False}
