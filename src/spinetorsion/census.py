@@ -75,11 +75,3 @@ def census_branched(tet_count):
             if code not in spines:
                 spines[code] = spine
     return [spines[code] for code in sorted(spines)]
-
-
-def corpus(max_tets):
-    """The branched-spine census for every size up to ``max_tets``, concatenated."""
-    out = []
-    for n in range(1, max_tets + 1):
-        out.extend(census_branched(n))
-    return out

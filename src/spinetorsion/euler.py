@@ -50,10 +50,10 @@ def _chain_vector(spine):
     return vec
 
 
-def euler_chain_class(spine, complex_x=None, group=None):
+def euler_chain_class(spine, group=None):
     """The class of the spider-difference cycle in H_1 of the quotient complex,
     in Smith coordinates (free part, torsion part)."""
-    group = group or GroupData(complex_x or CellComplexX(spine))
+    group = group or GroupData(CellComplexX(spine))
     return group.class_of_vector(_chain_vector(spine))
 
 
@@ -95,14 +95,14 @@ def euler_data(spine):
     return EulerData(G.class_of_vector(vec), cochain, counts, vec)
 
 
-def path_choice_independence(spine, complex_x=None, group=None):
+def path_choice_independence(spine):
     """All source-to-sink routes in every face and tetrahedron agree in H_1.
 
     The face routes differ by the face relator; tetrahedron routes by
     combinations of its faces' relators.  Returns True when every
     difference projects to zero.
     """
-    group = group or GroupData(complex_x or CellComplexX(spine))
+    group = GroupData(CellComplexX(spine))
     trg = spine.triangulation
     n = group.n_generators
     for fc in range(len(trg.face_classes)):

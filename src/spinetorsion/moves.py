@@ -556,13 +556,10 @@ def transport_representation(move, rep):
 def _zero_out(field, vec, coords, columns):
     """Subtract a combination of ``columns`` from ``vec`` so that the
     listed coordinates vanish; returns the new vector or None."""
-    if not coords:
-        return list(vec)
     rhs = [vec[c] for c in coords]
     if all(x.is_zero() for x in rhs):
-        return list(vec)
-    sub = [[col[c] for col in columns] for c in coords]
-    sol = field.solve(sub, rhs)
+        return vec
+    sol = field.solve([[col[c] for col in columns] for c in coords], rhs)
     if sol is None:
         return None
     out = list(vec)
@@ -580,69 +577,65 @@ def transport_homology(move, before, after, lifts):
     ``before`` and ``after`` are the chain complexes of the move's two
     spines over one field: the TwistedComplex of a representation and of
     its transport, or the rational complexes of the two CellComplexX.
-    Degree 0 is the base point; degree-1 cycles inject after the central
-    coordinate (if any) is removed with face boundaries; degree-2 cycles
-    inject after their coordinates on vanishing faces are removed with
-    tetrahedron boundaries; degree-3 cycles keep their outside
-    coefficients and the site coefficients are re-solved in the after
-    complex.  Raises TransportFailure when a class cannot be resolved.
+    Degree 0 is the base point.  A cycle of degree 1 or 2 injects once
+    its coordinates on the cells that vanish are cleared with boundaries:
+    the central edge of a negative move with the boundaries of the
+    vanishing faces, the vanishing faces with the boundaries of the site
+    tetrahedra.  Degree-3 cycles keep their outside coefficients and the
+    site coefficients are re-solved in the after complex.  Raises
+    TransportFailure when a class cannot be resolved.
     """
     field = before.field
     zero = after.field.zero
-    out = {}
     dims_after = after.dims
+    # Degrees 1 and 2: the coordinates that vanish, the boundary matrix
+    # and cells that clear them, the correspondence, and where a class
+    # that cannot be cleared is stuck.
+    central = [move.central_class_before] if move.direction == "negative" \
+        else []
+    rules = {1: (central, before.d2, move.vanished_faces, move.edge_map,
+                 "the central edge"),
+             2: (move.vanished_faces, before.d3, move.site_tets_before,
+                 move.face_map, "the site")}
+    out = {}
     for deg, vecs in lifts.items():
         if not vecs:
             continue
-        new_vecs = []
-        for vec in vecs:
-            if deg == 0:
-                new_vecs.append([after.field.one])
-                continue
-            if deg == 1:
-                v = list(vec)
-                if move.direction == "negative":
-                    central = move.central_class_before
-                    cols = [[before.d2[r][j] for r in range(len(before.d2))]
-                            for j in move.vanished_faces]
-                    v = _zero_out(field, v, [central], cols)
-                    if v is None:
-                        raise TransportFailure("degree-1 class stuck on the "
-                                               "central edge")
-                w = [zero] * dims_after[1]
-                for old, new in move.edge_map.items():
-                    w[new] = v[old]
-                new_vecs.append(w)
-                continue
-            if deg == 2:
-                cols = [[before.d3[r][j] for r in range(len(before.d3))]
-                        for j in move.site_tets_before]
-                v = _zero_out(field, list(vec), list(move.vanished_faces), cols)
+        new_vecs = out[deg] = []
+        if deg == 0:
+            new_vecs.extend([after.field.one] for _ in vecs)
+        elif deg in rules:
+            coords, d, clearing, corr, where = rules[deg]
+            cols = [[row[j] for row in d] for j in clearing]
+            for vec in vecs:
+                v = _zero_out(field, vec, coords, cols)
                 if v is None:
-                    raise TransportFailure("degree-2 class stuck on the site")
-                w = [zero] * dims_after[2]
-                for old, new in move.face_map.items():
+                    raise TransportFailure("degree-%d class stuck on %s"
+                                           % (deg, where))
+                w = [zero] * dims_after[deg]
+                for old, new in corr.items():
                     w[new] = v[old]
                 new_vecs.append(w)
-                continue
-            # Degree 3: outside coefficients carry over; site coefficients
-            # come from the common-subdivision weights.
-            w_out = [zero] * dims_after[3]
-            for old, new in move.tet_map.items():
-                w_out[new] = vec[old]
-            site_coeffs = _site_tet_weights(move, before, vec)
-            for j, c in site_coeffs.items():
-                w_out[j] = c
-            for r in range(dims_after[2]):
-                acc = zero
-                for j in range(dims_after[3]):
-                    if not (after.d3[r][j].is_zero() or w_out[j].is_zero()):
-                        acc = acc + after.d3[r][j] * w_out[j]
-                if not acc.is_zero():
-                    raise TransportFailure(
-                        "transported degree-3 chain is not a cycle")
-            new_vecs.append(w_out)
-        out[deg] = new_vecs
+        else:
+            for vec in vecs:
+                # Degree 3: outside coefficients carry over; site
+                # coefficients come from the common-subdivision weights.
+                w_out = [zero] * dims_after[3]
+                for old, new in move.tet_map.items():
+                    w_out[new] = vec[old]
+                site_coeffs = _site_tet_weights(move, before, vec)
+                for j, c in site_coeffs.items():
+                    w_out[j] = c
+                for r in range(dims_after[2]):
+                    acc = zero
+                    for j in range(dims_after[3]):
+                        if not (after.d3[r][j].is_zero()
+                                or w_out[j].is_zero()):
+                            acc = acc + after.d3[r][j] * w_out[j]
+                    if not acc.is_zero():
+                        raise TransportFailure(
+                            "transported degree-3 chain is not a cycle")
+                new_vecs.append(w_out)
     return out
 
 

@@ -102,20 +102,11 @@ class BranchedSpine:
         rk = self._ranks[t]
         return tuple(sorted(range(4), key=lambda c: rk[c]))
 
-    def tet_sink_source(self, t):
-        """(source corner, sink corner) of tetrahedron t."""
-        order = self.corners_by_rank(t)
-        return order[0], order[3]
-
     def face_roles(self, t, f):
         """(source, middle, sink) corners of face f of tetrahedron t."""
         cs = _face_corners(f)
         order = sorted(cs, key=lambda c: self._ranks[t][c])
         return tuple(order)
-
-    def face_sink_source(self, t, f):
-        s, _m, k = self.face_roles(t, f)
-        return s, k
 
     # -- counts and Euler characteristics -----------------------------------------
 
@@ -293,10 +284,3 @@ def enumerate_branchings(trg):
         except CyclicTriangle:
             continue
     return found
-
-
-def sink_source(spine, simplex):
-    """(source, sink) corners of a tetrahedron ``t`` or face ``(t, f)``."""
-    if isinstance(simplex, tuple):
-        return spine.face_sink_source(*simplex)
-    return spine.tet_sink_source(simplex)

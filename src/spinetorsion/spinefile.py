@@ -155,11 +155,6 @@ def parse(text):
     return BranchedSpine(trg, branching, orientations)
 
 
-def validate(text):
-    """Parse-and-validate entry point; alias of :func:`parse`."""
-    return parse(text)
-
-
 # -- move logs --------------------------------------------------------------------
 
 

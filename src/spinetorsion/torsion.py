@@ -73,26 +73,6 @@ def canonical_up_to_sign(field, value):
     return -value if _leading_is_negative(field, value) else value
 
 
-class HomologicalOrientation:
-    """Ordered rational homology bases, one per degree, or the default.
-
-    The default is the deterministic echelon choice made by
-    ``default_rational_homology``: the default lifts of the rational
-    complex.
-    """
-
-    def __init__(self, bases=None):
-        self.bases = bases  # None means default
-
-
-def default_rational_homology(complex_x):
-    """Echelon bases of H_i(X; Q) for i = 0..3, as Fraction vectors: the
-    default lifts of X's rational complex."""
-    lifts = complex_x.rational_complex.default_lifts
-    return [[[x.as_fraction() for x in v] for v in lifts.get(i, ())]
-            for i in range(4)]
-
-
 def auto_twisted_homology(tc):
     """Deterministic homology lifts h_i for every degree with nonzero homology.
 
@@ -243,22 +223,21 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
     The torsion of the rational untwisted complex is computed with the
     same cell ordering and with homology bases compatible with the given
     homological orientation; its sign multiplies the raw twisted value,
-    making the result independent of the ordering.  ``spine`` is the spine
+    making the result independent of the ordering.  ``orientation`` is
+    None, the default lifts of ``tc.complex.rational_complex``, or a dict
+    degree -> list of chain vectors over that complex's field, one per
+    Betti number, like ``h`` of ``torsion``.  ``spine`` is the spine
     ``tc`` was built on: the rational complex and the default orientation
     are read off ``tc.complex``, and the raw value comes from ``torsion``,
     so neither is recomputed for a complex that already has them.
     """
-    orientation = orientation or HomologicalOrientation()
     raw = torsion(tc, h=h, strategy=strategy, sigma=sigma, keep_sign=True)
-    rat = tc.complex.rational_complex
-    # The default orientation's bases are the default lifts of ``rat``.
-    lifts = "auto" if orientation.bases is None else {
-        i: [[rat.field.from_fraction(x) for x in v] for v in basis]
-        for i, basis in enumerate(orientation.bases) if basis}
-    return TorsionValue(tc.field, _oriented_value(raw, rat, lifts, sigma),
-                        True, raw.acyclic,
+    value = _oriented_value(raw, tc.complex.rational_complex,
+                            "auto" if orientation is None else orientation,
+                            sigma)
+    return TorsionValue(tc.field, value, True, raw.acyclic,
                         homology_basis_used=raw.homology_basis_used,
-                        orientation_used="default" if orientation.bases is None
+                        orientation_used="default" if orientation is None
                         else "given")
 
 
@@ -418,7 +397,8 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     The representation, homology lifts and homological orientation are
     fixed on the first spine and transported along each move; torsion
     must agree up to sign at every step, and exactly for the
-    sign-refined value wherever transport succeeds.  Returns an
+    sign-refined value until an orientation transport fails.  A failed
+    homology transport raises TransportFailure.  Returns an
     InvarianceReport; the first violating move, if any, is pinpointed.
     """
     from . import moves as moves_mod
@@ -426,68 +406,55 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
         TwistedComplex, make_representation
     from .errors import TransportFailure
 
-    X0 = CellComplexX(spine)
-    rep = make_representation(GroupData(X0), rep_kind, order, character)
-    tc = TwistedComplex(spine, X0, SpiderAnchors(spine, X0), rep)
+    X = CellComplexX(spine)
+    rep = make_representation(GroupData(X), rep_kind, order, character)
+    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     lifts = auto_twisted_homology(tc)
-    olifts = X0.rational_complex.default_lifts
+    olifts = X.rational_complex.default_lifts  # None once transport fails
 
     def values(tc, lifts, olifts):
-        raw = torsion(tc, h=lifts if lifts else None, keep_sign=True)
-        t = TorsionValue(raw.field, raw.value, False, raw.acyclic,
-                         homology_basis_used=raw.homology_basis_used)
-        try:
-            sgn = TorsionValue(raw.field, _oriented_value(
-                raw, tc.complex.rational_complex, olifts), True, raw.acyclic)
-        except TorsionError:
-            sgn = None
-        return t, sgn
+        """Torsion up to sign, and the sign-refined value (None without
+        an orientation)."""
+        raw = torsion(tc, h=lifts or None, keep_sign=True)
+        sgn = None if olifts is None else _oriented_value(
+            raw, tc.complex.rational_complex, olifts)
+        return TorsionValue(raw.field, raw.value, False, raw.acyclic,
+                            homology_basis_used=raw.homology_basis_used), sgn
 
     steps = []
-    all_equal = True
     first_violation = None
-    cur_lifts = lifts
-    cur_olifts = olifts
-    before_t, before_s = values(tc, cur_lifts, cur_olifts)
+    before_t, before_s = values(tc, lifts, olifts)
     for idx, move in enumerate(walk):
-        report = moves_mod.h_cycle_check(move)
-        if not report.is_null:
+        if not moves_mod.h_cycle_check(move).is_null:
             raise TorsionError(
                 "step %d: move has a nonzero invariance certificate" % idx)
         new_rep = moves_mod.transport_representation(move, tc.rep)
         X = new_rep.group.complex
         new_tc = TwistedComplex(move.after, X, SpiderAnchors(move.after, X),
                                 new_rep)
-        note = None
+        notes = []
         try:
-            new_lifts = moves_mod.transport_homology(move, tc, new_tc, cur_lifts)
+            lifts = moves_mod.transport_homology(move, tc, new_tc, lifts)
         except TransportFailure as exc:
-            new_lifts = None
-            note = "homology transport failed: %s" % exc
-        try:
-            new_olifts = moves_mod.transport_rational_homology(
-                move, tc.complex, X, cur_olifts)
-        except TransportFailure as exc:
-            new_olifts = None
-            note = (note + "; " if note else "") + \
-                "orientation transport failed: %s" % exc
-        if new_lifts is None:
-            raise TransportFailure(note or "homology transport failed")
-        after_t, after_s = values(new_tc, new_lifts,
-                                  new_olifts if new_olifts is not None else {})
+            lifts = None
+            notes.append("homology transport failed: %s" % exc)
+        if olifts is not None:
+            try:
+                olifts = moves_mod.transport_rational_homology(
+                    move, tc.complex, X, olifts)
+            except TransportFailure as exc:
+                olifts = None
+                notes.append("orientation transport failed: %s" % exc)
+        note = "; ".join(notes) or None
+        if lifts is None:
+            raise TransportFailure(note)
+        after_t, after_s = values(new_tc, lifts, olifts)
         equal = before_t.equal_up_to_sign(after_t)
-        sgn_equal = None
-        if before_s is not None and after_s is not None \
-                and new_olifts is not None:
-            sgn_equal = before_s.value == after_s.value
+        sgn_equal = None if after_s is None else before_s == after_s
         steps.append(InvarianceStep(
             moves_mod.describe_move(move), before_t, after_t, equal,
             sgn_equal, note))
-        if not equal or sgn_equal is False:
-            all_equal = False
-            if first_violation is None:
-                first_violation = idx
-        tc, cur_lifts = new_tc, new_lifts
-        cur_olifts = new_olifts if new_olifts is not None else {}
-        before_t, before_s = after_t, after_s
-    return InvarianceReport(steps, all_equal, first_violation)
+        if first_violation is None and (not equal or sgn_equal is False):
+            first_violation = idx
+        tc, before_t, before_s = new_tc, after_t, after_s
+    return InvarianceReport(steps, first_violation is None, first_violation)

@@ -7,14 +7,14 @@ from spinetorsion.errors import (MoveError, NonOrientable, SpineError,
                                  SpineSyntaxError)
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
-                                    serialize, serialize_move_log, validate)
+                                    serialize, serialize_move_log)
 
 from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
 
 
 def test_fixture_files_validate():
     for text in (ONE_TET, TWO_VARIANT, GOLDEN, TORSION2):
-        spine = validate(text)
+        spine = parse(text)
         assert spine.spine_edge_count == 2 * spine.spine_vertex_count
 
 

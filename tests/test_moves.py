@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from spinetorsion.complexes import CellComplexX, GroupData, TwistedComplex
+from spinetorsion import moves
+from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
+                                    TwistedComplex, make_representation)
 from spinetorsion.errors import (NotApplicable, ResultNonStandard,
-                                 SelfAdjacentFace, Stuck)
+                                 SelfAdjacentFace, Stuck, TransportFailure)
 from spinetorsion.moves import (apply_negative, apply_positive,
                                 available_moves, h_cycle_check, is_rigid,
-                                random_walk)
+                                random_walk, transport_homology,
+                                transport_rational_homology,
+                                transport_representation)
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log)
-from spinetorsion.torsion import invariance_suite
+from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
+                                  torsion)
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
 
@@ -285,3 +290,106 @@ def test_lazy_h_class_is_the_class_of_the_chain(census2):
             assert "h_class" not in vars(report)
             G = GroupData(CellComplexX(m.before))
             assert report.h_class == G.class_of_vector(report.h_chain)
+
+
+def _is_cycle(cx, deg, vec):
+    if deg == 0:
+        return True
+    for row in (cx.d1, cx.d2, cx.d3)[deg - 1]:
+        acc = cx.field.zero
+        for x, y in zip(row, vec):
+            acc = acc + x * y
+        if not acc.is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 5),
+                                        ("rational", None)])
+def test_transported_lifts_are_homology_bases(census2, kind, order):
+    # Lifts carried along every move of 3-step h-null walks stay cycles of
+    # the after complex, in the right number per degree and independent
+    # modulo boundaries: torsion raises BasisRankMismatch otherwise.
+    moved = 0
+    for i, start in enumerate(census2):
+        try:
+            walk = random_walk(start, 3, seed=i, h_null_only=True, max_tets=5)
+        except Stuck:
+            continue
+        X = CellComplexX(start)
+        if kind == "rational":
+            cx = X.rational_complex
+        else:
+            rep = make_representation(GroupData(X), kind, order)
+            cx = TwistedComplex(start, X, SpiderAnchors(start, X), rep)
+        lifts = auto_twisted_homology(cx)
+        for move in walk:
+            if kind == "rational":
+                X_after = CellComplexX(move.after)
+                after = X_after.rational_complex
+                lifts = transport_rational_homology(move, X, X_after, lifts)
+            else:
+                rep = transport_representation(move, cx.rep)
+                X_after = rep.group.complex
+                after = TwistedComplex(move.after, X_after,
+                                       SpiderAnchors(move.after, X_after), rep)
+                lifts = transport_homology(move, cx, after, lifts)
+            for deg, vecs in lifts.items():
+                for vec in vecs:
+                    assert len(vec) == after.dims[deg]
+                    assert _is_cycle(after, deg, vec)
+            torsion(after, h=lifts or None)
+            X, cx = X_after, after
+            moved += 1
+    assert moved >= 100
+
+
+def _failing_once(monkeypatch, name):
+    """Make ``moves.<name>`` raise TransportFailure("x") on its first call
+    and behave as before afterwards."""
+    original = getattr(moves, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise TransportFailure("x")
+        return original(*args)
+    monkeypatch.setattr(moves, name, patched)
+
+
+def test_invariance_suite_failure_paths(census2, monkeypatch):
+    spine = census2[5]
+    walk = random_walk(spine, 4, seed=1, h_null_only=True)
+    ref = invariance_suite(spine, walk, "cyclic", order=5)
+    assert ref.all_equal
+    assert [st.sign_refined_equal for st in ref.steps] == [True] * 4
+    assert [st.transport_note for st in ref.steps] == [None] * 4
+
+    # A failed orientation transport ends the sign-refined comparison for
+    # the rest of the walk; torsion up to sign is still compared.
+    with monkeypatch.context() as m:
+        _failing_once(m, "transport_rational_homology")
+        report = invariance_suite(spine, walk, "cyclic", order=5)
+    assert [st.transport_note for st in report.steps] == \
+        ["orientation transport failed: x", None, None, None]
+    assert [st.sign_refined_equal for st in report.steps] == [None] * 4
+    assert [st.equal for st in report.steps] == [True] * 4
+    assert [(st.before_value, st.after_value) for st in report.steps] == \
+        [(st.before_value, st.after_value) for st in ref.steps]
+    assert report.all_equal and report.first_violation is None
+
+    # A failed homology transport raises, with the orientation failure
+    # appended when both fail.
+    with monkeypatch.context() as m:
+        _failing_once(m, "transport_homology")
+        with pytest.raises(TransportFailure) as exc:
+            invariance_suite(spine, walk, "cyclic", order=5)
+    assert str(exc.value) == "homology transport failed: x"
+    with monkeypatch.context() as m:
+        _failing_once(m, "transport_homology")
+        _failing_once(m, "transport_rational_homology")
+        with pytest.raises(TransportFailure) as exc:
+            invariance_suite(spine, walk, "cyclic", order=5)
+    assert str(exc.value) == ("homology transport failed: x; "
+                              "orientation transport failed: x")

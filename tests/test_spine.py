@@ -6,7 +6,7 @@ import pytest
 from spinetorsion.census import enumerate_triangulations
 from spinetorsion.errors import CyclicTriangle, NonOrientable
 from spinetorsion.perms import ALL_PERMS
-from spinetorsion.spine import BranchedSpine, enumerate_branchings, sink_source
+from spinetorsion.spine import BranchedSpine, enumerate_branchings
 from spinetorsion.spinefile import parse
 from spinetorsion.triangulation import _face_corners
 
@@ -56,7 +56,7 @@ def test_branchings_closed_under_global_reversal():
 def test_every_branching_has_unique_sink_and_source(corpus12):
     for spine in corpus12:
         for t in range(spine.tet_count):
-            src, snk = spine.tet_sink_source(t)
+            src, _r1, _r2, snk = spine.corners_by_rank(t)
             for c in range(4):
                 outgoing = sum(1 for x in range(4) if x != c
                                and spine.edge_direction(t, c, x))
@@ -99,7 +99,7 @@ def test_face_sink_source_against_edge_scan(corpus12):
     for s in corpus12[:20]:
         for t in range(s.tet_count):
             for f in range(4):
-                src, snk = sink_source(s, (t, f))
+                src, _m, snk = s.face_roles(t, f)
                 cs = _face_corners(f)
                 for c in cs:
                     others = [x for x in cs if x != c]
@@ -113,17 +113,15 @@ def test_face_sink_source_against_edge_scan(corpus12):
 def test_tet_sink_is_sink_of_its_faces(corpus12):
     for s in corpus12[:20]:
         for t in range(s.tet_count):
-            src, snk = sink_source(s, t)
+            src, _r1, _r2, snk = s.corners_by_rank(t)
             for f in range(4):
                 if f == snk:
                     continue  # the face opposite the sink misses it
-                fsrc, fsnk = s.face_sink_source(t, f)
-                assert fsnk == snk
+                assert s.face_roles(t, f)[2] == snk
             for f in range(4):
                 if f == src:
                     continue
-                fsrc, _ = s.face_sink_source(t, f)
-                assert fsrc == src
+                assert s.face_roles(t, f)[0] == src
 
 
 def test_euler_characteristics(corpus12):

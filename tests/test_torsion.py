@@ -9,10 +9,9 @@ from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
 from spinetorsion.fields import CyclotomicField, FunctionField, LaurentPoly
 from spinetorsion.spinefile import parse
-from spinetorsion.torsion import (HomologicalOrientation, TorsionValue,
-                                  auto_twisted_homology, column_selections,
-                                  default_rational_homology,
-                                  default_z_character, fox_alexander,
+from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
+                                  column_selections, default_z_character,
+                                  fox_alexander,
                                   sign_refined_torsion, torsion,
                                   twisted_h1_order)
 
@@ -118,15 +117,13 @@ def test_orientation_flip_negates_value():
     _X, _G, tc = build(s, "free_abelian")
     lifts = auto_twisted_homology(tc)
     h = lifts if lifts else None
-    rat = CellComplexX(s)
-    bases = default_rational_homology(rat)
-    ref = sign_refined_torsion(s, tc, h=h, orientation=HomologicalOrientation(bases))
+    bases = CellComplexX(s).rational_complex.default_lifts
+    ref = sign_refined_torsion(s, tc, h=h, orientation=bases)
     # flip one basis vector in an odd degree with nonzero homology
-    flipped = [list(map(list, b)) for b in bases]
-    odd = next(i for i in (1, 3) if bases[i])
+    flipped = {i: list(map(list, b)) for i, b in bases.items()}
+    odd = next(i for i in (1, 3) if bases.get(i))
     flipped[odd][0] = [-x for x in flipped[odd][0]]
-    other = sign_refined_torsion(s, tc, h=h,
-                                 orientation=HomologicalOrientation(flipped))
+    other = sign_refined_torsion(s, tc, h=h, orientation=flipped)
     assert other.value == -ref.value
 
 
@@ -151,10 +148,9 @@ def test_acyclic_instances_have_zero_quotient_euler_characteristic(corpus12):
 
 def test_betti_numbers_default_homology(corpus12):
     for s in corpus12[:10]:
-        X = CellComplexX(s)
-        bases = default_rational_homology(X)
+        bases = CellComplexX(s).rational_complex.default_lifts
         assert len(bases[0]) == 1  # connected
-        chi = sum((-1) ** i * len(b) for i, b in enumerate(bases))
+        chi = sum((-1) ** i * len(b) for i, b in bases.items())
         assert chi == s.euler_characteristics()[1]
 
 
@@ -255,9 +251,9 @@ def _as_key(value):
 
 
 def _flip_degree0(bases):
-    flipped = [list(map(list, b)) for b in bases]
+    flipped = {i: list(map(list, b)) for i, b in bases.items()}
     flipped[0][0] = [-x for x in flipped[0][0]]
-    return HomologicalOrientation(flipped)
+    return flipped
 
 
 @pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 5)])
@@ -287,7 +283,7 @@ def test_memoised_values_match_fresh_complexes(corpus12, kind, order):
         strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                  if i}
         sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-        orientation = _flip_degree0(default_rational_homology(tc.complex))
+        orientation = _flip_degree0(tc.complex.rational_complex.default_lifts)
         for kwargs in ({"strategy": strat}, {"sigma": sig},
                        {"sigma": sig, "keep_sign": True}):
             assert _as_key(torsion(tc, h="auto", **kwargs)) == \
