@@ -14,7 +14,8 @@ class, so the output is pairwise non-isomorphic in a deterministic order.
 
 from .errors import NonStandardDual
 from .perms import ALL_PERMS, sign
-from .spine import encode_gluings, enumerate_branchings
+from .spine import (encode_gluings, enumerate_branchings, least_seeds,
+                    signature_from_seeds)
 from .triangulation import Triangulation, glue_both_ways
 
 _ODD_WITH_IMAGE = {
@@ -66,12 +67,15 @@ def _glued(gluings, t, f, t2, f2, perm):
 def census_branched(tet_count):
     """All branched spines with the given number of tetrahedra, up to isomorphism.
 
-    Deterministic: spines are sorted by canonical encoding.
+    Deterministic: spines are sorted by canonical encoding.  The seeds
+    that reach the least gluing code are found once per triangulation; each
+    branching only builds its branch codes over them.
     """
     spines = {}
     for trg in enumerate_triangulations(tet_count):
+        least = least_seeds(trg.gluings, trg.orientations)
         for spine in enumerate_branchings(trg):
-            code = spine.canonical_encoding()
+            code = signature_from_seeds(least, spine.ranks)
             if code not in spines:
                 spines[code] = spine
     return [spines[code] for code in sorted(spines)]

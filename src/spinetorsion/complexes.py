@@ -31,7 +31,6 @@ from functools import cached_property
 from .errors import RelatorNotKilled
 from .intlinalg import CokernelData
 from .perms import sign3
-from .triangulation import _face_corners
 
 
 class CellComplexX:
@@ -322,8 +321,9 @@ class ChainComplex:
     """Boundary matrices d1, d2, d3 over a coefficient field.
 
     Dimensions (1, E, F, T).  The column selections, homology lifts and raw
-    torsion of the default bases are computed on first use and kept: the
-    matrices are never changed after construction.
+    torsion of the default bases, and the eliminations they are read off,
+    are computed on first use and kept: the matrices are never changed
+    after construction.
     """
 
     def __init__(self, field, dims, d1, d2, d3):
@@ -334,10 +334,22 @@ class ChainComplex:
         self.d3 = d3
 
     @cached_property
+    def default_selection_pass(self):
+        """``torsion.selection_pass`` in the identity column order."""
+        from .torsion import selection_pass
+        return selection_pass(self)
+
+    @property
     def default_selections(self):
         """``torsion.column_selections`` in the identity column order."""
-        from .torsion import column_selections
-        return column_selections(self)
+        return self.default_selection_pass[0]
+
+    @cached_property
+    def default_lift_pass(self):
+        """``torsion.lift_pass``: the lift coordinates and minors of the
+        degrees with homology."""
+        from .torsion import lift_pass
+        return lift_pass(self)
 
     @cached_property
     def default_lifts(self):

@@ -30,11 +30,14 @@ Clearing above the pivots as well leaves every pivot row equal to the
 last pivot times its reduced echelon row, from which kernels and
 solutions are read off by dividing by the last pivot.  The greedy column
 choice "keep a column if it raises the rank" is exactly the pivot set of
-one elimination in that column order.  ``cofactor_det`` gives an
-independent slow determinant used to cross-check the engine.
+one elimination in that column order, and ``select_minor`` reads the
+determinant of the chosen columns off the same last pivot, with the row
+bookkeeping of ``det``.  ``cofactor_det`` gives an independent slow
+determinant used to cross-check the engine.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add, sub as _sub
 
@@ -454,16 +457,18 @@ class _Field:
             factors.append((factor, scale))
         return cleared, factors
 
-    def det(self, matrix):
-        """Determinant of a square matrix of field elements."""
-        n = len(matrix)
-        if n == 0:
-            return self.one
-        A, factors = self._cleared(matrix)
-        pivots, last, sign = self._eliminate(A, range(n))
-        if len(pivots) < n:
+    def _minor(self, factors, elimination):
+        """The determinant of the pivot columns of an elimination of rows
+        cleared with ``factors``: zero unless there is a pivot in every row.
+
+        The last pivot is that determinant for the cleared rows after the
+        row swaps; each row was multiplied by its factor times mul / div.
+        """
+        pivots, last, sign = elimination
+        if len(pivots) < len(factors):
             return self.zero
-        # Each row was multiplied by its factor times mul / div.
+        if not factors:
+            return self.one
         den = {k: sign for k in self._unit}
         mul = div = 1
         for factor, (m, d) in factors:
@@ -472,6 +477,20 @@ class _Field:
             div *= d
         return self._divider({k: v * mul for k, v in den.items()})(
             {k: v * div for k, v in last.items()})
+
+    def det(self, matrix):
+        """Determinant of a square matrix of field elements."""
+        A, factors = self._cleared(matrix)
+        return self._minor(factors, self._eliminate(A, range(len(matrix))))
+
+    def select_minor(self, matrix, order):
+        """``select_columns`` and, from the same elimination, the
+        determinant of the selected columns in that order: zero unless
+        they are as many as the rows."""
+        A, factors = self._cleared(matrix)
+        elimination = self._eliminate(A, order)
+        return ([c for _r, c in elimination[0]],
+                self._minor(factors, elimination))
 
     def rank(self, matrix):
         if not matrix:
@@ -669,16 +688,29 @@ class CyclotomicField(_Field):
     def zeta(self, power=1):
         return self._element({(power % self.order,): 1})
 
+    @cached_property
+    def _zeta_exponents(self):
+        """The exponent k of each power z^k, 0 <= k < n, keyed by its
+        coefficients: z^k for k >= deg(Phi_n) is stored reduced."""
+        out = {}
+        coeffs = [1] + [0] * (self.degree - 1)
+        for k in range(self.order):
+            out[tuple(coeffs)] = k
+            top = coeffs[-1]
+            coeffs = [0] + coeffs[:-1]
+            if top:  # z^deg = -(Phi_n - z^deg)
+                coeffs = [c - top * f for c, f in zip(coeffs, self.phi)]
+        return out
+
     def invert(self, el):
         """The inverse of ``el``: z^-k when ``el`` is z^k, otherwise
         multiplication by ``el``, as a matrix over Q, solved for 1."""
         if el.is_zero():
             raise ZeroDivisionError("inverting zero")
+        k = self._zeta_exponents.get(el.coeffs)
+        if k is not None:
+            return self.zeta(-k)
         p = self._lift(el)
-        if len(p) == 1:
-            ((k,), c), = p.items()
-            if c == 1:
-                return self.zeta(-k)
         deg = self.degree
         (p,), (mul, div) = _integral([p])
         cols = [self._reduced({(i + j,): c for (i,), c in p.items()})

@@ -23,7 +23,9 @@ class BranchedSpine:
 
     ``branching[k]`` is +1 if edge class k is directed as its stored
     reference orientation, -1 otherwise.  ``orientations[t]`` is the
-    ambient orientation bit of tetrahedron t.
+    ambient orientation bit of tetrahedron t.  ``ranks[t][c]`` is the rank
+    of corner c of tetrahedron t in the branching order, 0 at the source
+    and 3 at the sink.
     """
 
     def __init__(self, triangulation, branching, orientations=None):
@@ -38,7 +40,7 @@ class BranchedSpine:
         else:
             self.orientations = tuple(orientations)
             self._check_orientations()
-        self._ranks = self._compute_ranks()
+        self.ranks = self._compute_ranks()
         self._check_standardness()
 
     # -- validation ------------------------------------------------------------
@@ -99,13 +101,13 @@ class BranchedSpine:
 
     def corners_by_rank(self, t):
         """Corners of tetrahedron t from source (rank 0) to sink (rank 3)."""
-        rk = self._ranks[t]
+        rk = self.ranks[t]
         return tuple(sorted(range(4), key=lambda c: rk[c]))
 
     def face_roles(self, t, f):
         """(source, middle, sink) corners of face f of tetrahedron t."""
         cs = _face_corners(f)
-        order = sorted(cs, key=lambda c: self._ranks[t][c])
+        order = sorted(cs, key=lambda c: self.ranks[t][c])
         return tuple(order)
 
     # -- counts and Euler characteristics -----------------------------------------
@@ -174,7 +176,7 @@ class BranchedSpine:
         branching-preserving relabelling exactly when their canonical
         encodings coincide.
         """
-        return encode_gluings(self.triangulation.gluings, self.orientations, self._ranks)
+        return encode_gluings(self.triangulation.gluings, self.orientations, self.ranks)
 
     def is_isomorphic(self, other):
         return self.canonical_encoding() == other.canonical_encoding()
@@ -191,17 +193,30 @@ def encode_gluings(gluings, orientations, ranks=None):
     Each seed, a tetrahedron t0 and a corner relabelling rho0 whose sign is
     the orientation bit of t0, relabels the tetrahedra breadth-first and
     codes each new face by the new index of the tetrahedron behind it and
-    the relabelled gluing permutation.  The least code over all seeds wins;
-    a seed stops at its first entry above the least code so far.  The
-    branch code (``()`` without ``ranks``, the per-tetrahedron branching
-    rank of each corner) only breaks ties, so it is built only for seeds
-    that reach the least gluing code.  Returns None for gluings that do
-    not connect every tetrahedron, so compared codes all have length 4n.
+    the relabelled gluing permutation.  The least code over all seeds wins
+    (``least_seeds``).  The branch code (``()`` without ``ranks``, the
+    per-tetrahedron branching rank of each corner) only breaks ties, so it
+    is built only for seeds that reach the least gluing code
+    (``signature_from_seeds``).  Returns None for gluings that do not
+    connect every tetrahedron, so compared codes all have length 4n.
+    """
+    least = least_seeds(gluings, orientations)
+    return None if least is None else signature_from_seeds(least, ranks)
+
+
+def least_seeds(gluings, orientations):
+    """(least gluing code, the (rho, order) of every seed that reaches it),
+    or None for gluings that do not connect every tetrahedron.
+
+    A seed stops at its first entry above the least code so far.  Only the
+    branch code tells apart the seeds kept, so every branching of one
+    triangulation shares them.
     """
     n = len(orientations)
     glue = [[(gluings[(t, f)][0], PERM_INDEX[gluings[(t, f)][2]]) for f in range(4)]
             for t in range(n)]
-    best = best_branch = None
+    best = None
+    seeds = []
     for t0 in range(n):
         for rho0 in range(24):
             if SIGN[rho0] != orientations[t0]:
@@ -212,10 +227,19 @@ def encode_gluings(gluings, orientations, ranks=None):
             code, rho, order = seeded
             if best is None and len(order) < n:
                 return None
-            branch = () if ranks is None else _branch_code(ranks, rho, order)
-            if code != best or branch < best_branch:
-                best, best_branch = code, branch
-    return tuple(divmod(v, 24) for v in best), best_branch
+            if code != best:
+                best, seeds = code, []
+            seeds.append((rho, order))
+    return best, seeds
+
+
+def signature_from_seeds(least, ranks=None):
+    """The signature of ``encode_gluings`` from the ``least_seeds`` of the
+    gluings: the least branch code over the seeds kept breaks the tie."""
+    best, seeds = least
+    branch = () if ranks is None else min(
+        _branch_code(ranks, rho, order) for rho, order in seeds)
+    return tuple(divmod(v, 24) for v in best), branch
 
 
 def _encode_seed(glue, n, t0, rho0, best):

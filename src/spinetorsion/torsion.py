@@ -11,10 +11,23 @@ orientation of the rational complex removes the sign.
 The columns of b_i are unit vectors, so each determinant is computed as
 its Laplace minor along them:
 
-    det[d b_{i+1} | h_i | e_{b_i}] = sgn(R ++ b_i) * det(rows R of [d b_{i+1} | h_i])
+    det[d b_{i+1} | h_i | e_{b_i}] = sgn(R_i ++ b_i) * det(rows R_i of [d b_{i+1} | h_i])
 
-where R lists the cells of degree i not in b_i in ascending order, and a
-row order sigma[i] multiplies the value by sgn(sigma[i]).
+where R_i lists the cells of degree i not in b_i in ascending order, the
+free (non-pivot) coordinates of d_i, and a row order sigma[i] multiplies
+the value by sgn(sigma[i]).
+
+Rows are restricted to R_i.  Restriction to R_i is injective on ker d_i,
+which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1}, in any
+column order, picks the same b_{i+1} as the whole d_{i+1}; the degrees
+are eliminated in order 0 to 3, each on the rows left free by the one
+before.  Each minor of the default bases is read off the same pivots:
+in a degree without homology the block is square and its determinant is
+the last pivot of that elimination; in a degree with homology one
+elimination of [rows R_i of d_{i+1} | I] gives b_{i+1}, then the lift
+coordinates (its identity pivots, where the reduced kernel basis of d_i
+is the identity), and the minor as its last pivot.  The kernel itself is
+computed only where the lift vectors are read.
 """
 
 from itertools import combinations
@@ -79,31 +92,83 @@ def auto_twisted_homology(tc):
     ``tc`` is any ChainComplex, the rational complex of a CellComplexX
     included.  The lifts in degree i are the vectors of the reduced kernel
     basis of d_i that a greedy pass would add to the span of the columns of
-    d_{i+1}, in that order.  The pass runs in kernel coordinates: on the
-    free (non-pivot) coordinates of d_i the reduced basis is the identity,
-    so it is one column selection over [those rows of d_{i+1} | I].  A
-    degree with Betti number 0 has no lifts and is skipped.  Returns a dict
-    degree -> list of chain vectors.
+    d_{i+1}, in that order.  On the free coordinates R_i of d_i the reduced
+    basis is the identity, so they are the basis vectors at the lift
+    coordinates that ``lift_pass`` picks.  A degree with Betti number 0
+    has no lifts and is skipped.  Returns a dict degree -> list of chain
+    vectors.
     """
     field = tc.field
     mats = (tc.d1, tc.d2, tc.d3)
-    selections = tc.default_selections
     out = {}
-    for i, betti in enumerate(_betti(tc, selections)):
+    for i, (coords, _minor) in tc.default_lift_pass.items():
+        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
+        out[i] = [kernel[k] for k in coords]
+    return out
+
+
+def _free_rows(n, basis):
+    """R_i: the cells of a degree with ``n`` cells outside the selection
+    ``basis``, ascending."""
+    basis = set(basis)
+    return [r for r in range(n) if r not in basis]
+
+
+def selection_pass(cx, strategy=None):
+    """The b_i selections and, per degree i, the minor det(rows R_i of
+    d b_{i+1}), from one elimination per degree.
+
+    Degree by degree from 0, d_{i+1} is eliminated on the rows R_i only,
+    its columns visited in the order ``strategy[i + 1]`` (identity when
+    absent).  The minor is zero in a degree with homology, where the block
+    is not square.  Returns (selections, minors): selections[i] for
+    i = 0..4, entries 0 and 4 empty.
+    """
+    orders = strategy or {}
+    field = cx.field
+    mats = (cx.d1, cx.d2, cx.d3)
+    selections = [[] for _ in range(5)]
+    minors = []
+    for i in range(3):
+        order = orders.get(i + 1, range(cx.dims[i + 1]))
+        if sorted(order) != list(range(cx.dims[i + 1])):
+            raise BasisRankMismatch(
+                "degree %d: column order is not a permutation" % (i + 1))
+        rows = _free_rows(cx.dims[i], selections[i])
+        selections[i + 1], minor = field.select_minor(
+            [mats[i][r] for r in rows], order)
+        minors.append(minor)
+    # d_4 = 0, so degree 3 has an empty block, square exactly when acyclic.
+    minors.append(field.zero if len(selections[3]) < cx.dims[3] else field.one)
+    return tuple(selections), minors
+
+
+def lift_pass(cx):
+    """Per degree i with homology, (lift coordinates, minor): one
+    elimination of [rows R_i of d_{i+1} | I] in identity column order.
+
+    Its pivots are b_{i+1}, then the identity columns that the auto lifts
+    take from the reduced kernel basis of d_i, as indices into R_i.  The
+    block of those pivot columns is rows R_i of [d b_{i+1} | h_i], so its
+    determinant is the degree's minor.
+    """
+    selections = cx.default_selections
+    field = cx.field
+    mats = (cx.d1, cx.d2, cx.d3)
+    out = {}
+    for i, betti in enumerate(_betti(cx, selections)):
         if not betti:
             continue
-        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
-        if i == 3:
-            out[i] = kernel
+        rows = _free_rows(cx.dims[i], selections[i])
+        if i == 3:  # d_4 = 0: every kernel vector is a lift
+            out[i] = (list(range(len(rows))), field.one)
             continue
-        pivots = set(selections[i])
-        free = [r for r in range(tc.dims[i]) if r not in pivots]
-        n = tc.dims[i + 1]
-        span = [mats[i][r] + [field.one if c == k else field.zero
-                              for c in range(len(free))]
-                for k, r in enumerate(free)]
-        out[i] = [kernel[j - n] for j in
-                  field.select_columns(span, range(n + len(free))) if j >= n]
+        n = cx.dims[i + 1]
+        cols, minor = field.select_minor(
+            [mats[i][r] + [field.one if c == k else field.zero
+                           for c in range(len(rows))]
+             for k, r in enumerate(rows)], range(n + len(rows)))
+        out[i] = ([c - n for c in cols if c >= n], minor)
     return out
 
 
@@ -111,16 +176,7 @@ def column_selections(cx, strategy=None):
     """The b_i selections: for i = 1..3, the pivot columns of d_i visited in
     the order ``strategy[i]`` (identity when absent); entries 0 and 4 are
     empty."""
-    orders = strategy or {}
-    mats = (cx.d1, cx.d2, cx.d3)
-    selections = [[] for _ in range(5)]
-    for i in range(1, 4):
-        order = orders.get(i, range(cx.dims[i]))
-        if sorted(order) != list(range(cx.dims[i])):
-            raise BasisRankMismatch(
-                "degree %d: column order is not a permutation" % i)
-        selections[i] = cx.field.select_columns(mats[i - 1], order)
-    return tuple(selections)
+    return selection_pass(cx, strategy)[0]
 
 
 def _betti(cx, selections):
@@ -130,8 +186,13 @@ def _betti(cx, selections):
 
 def default_raw_torsion(cx):
     """The raw torsion value of ``cx`` in the default bases: identity column
-    order and the auto lifts (none for an acyclic complex)."""
-    return _raw_value(cx, cx.default_selections, cx.default_lifts)
+    order and the auto lifts (none for an acyclic complex).  Each minor is
+    the last pivot of the elimination that chose b_{i+1}: ``lift_pass`` in
+    a degree with homology, ``selection_pass`` in the others."""
+    minors = list(cx.default_selection_pass[1])
+    for i, (_coords, minor) in cx.default_lift_pass.items():
+        minors[i] = minor
+    return _alternating_product(cx, cx.default_selections, minors)
 
 
 def _sign(perm):
@@ -139,14 +200,17 @@ def _sign(perm):
     return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
-def _raw_value(cx, selections, lifts, sigma=None):
+def _raw_value(cx, passed, lifts, sigma=None):
     """Alternating product of the change-of-basis determinants, each as its
     Laplace minor along the unit columns of b_i, with the rows of degree i
-    in the order ``sigma[i]`` where given.  Each degree must have as many
-    lifts as its Betti number; ``torsion`` checks that."""
+    in the order ``sigma[i]`` where given.  ``passed`` is the
+    ``selection_pass`` that chose the b_i; a degree without lifts takes
+    its minor from it.  Each degree must have as many lifts as its Betti
+    number; ``torsion`` checks that."""
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
-    value = inverse_part = field.one
+    selections, known = passed
+    minors = []
     for i, n in enumerate(cx.dims):
         vecs = lifts.get(i, ())
         if any(len(v) != n for v in vecs):
@@ -157,14 +221,25 @@ def _raw_value(cx, selections, lifts, sigma=None):
                 raise BasisRankMismatch(
                     "degree %d: row order is not a permutation" % i)
             sign = _sign(sigma[i])
-        basis = set(selections[i])
-        rows = [r for r in range(n) if r not in basis]
-        d = field.det([[mats[i][r][j] for j in selections[i + 1]]
-                       + [v[r] for v in vecs] for r in rows])
+        if vecs:
+            d = field.det([[mats[i][r][j] for j in selections[i + 1]]
+                           + [v[r] for v in vecs]
+                           for r in _free_rows(n, selections[i])])
+        else:
+            d = known[i]
         if d.is_zero():
             raise BasisRankMismatch(
                 "degree %d: combined columns are not a basis" % i)
-        if sign * _sign(rows + selections[i]) < 0:
+        minors.append(d if sign > 0 else -d)
+    return _alternating_product(cx, selections, minors)
+
+
+def _alternating_product(cx, selections, minors):
+    """The product of the even-degree minors over the odd-degree ones, each
+    times the Laplace sign sgn(R_i ++ b_i)."""
+    value = inverse_part = cx.field.one
+    for i, (n, d) in enumerate(zip(cx.dims, minors)):
+        if _sign(_free_rows(n, selections[i]) + selections[i]) < 0:
             d = -d
         if i % 2 == 0:
             value = value * d
@@ -188,8 +263,9 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
     None or "auto", the value is the complex's ``default_torsion``,
     computed once per complex.
     """
-    selections = column_selections(tc, strategy) if strategy \
-        else tc.default_selections
+    passed = selection_pass(tc, strategy) if strategy \
+        else tc.default_selection_pass
+    selections = passed[0]
     betti = _betti(tc, selections)
     acyclic = not any(betti)
     if not acyclic and h is None:
@@ -207,7 +283,7 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
                 raise BasisRankMismatch(
                     "degree %d: homology rank %d but %d basis vectors"
                     % (i, betti[i], got))
-        value = _raw_value(tc, selections, lifts, sigma)
+        value = _raw_value(tc, passed, lifts, sigma)
     if h == "auto":
         used = "auto"
     else:
@@ -409,7 +485,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     X = CellComplexX(spine)
     rep = make_representation(GroupData(X), rep_kind, order, character)
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
-    lifts = auto_twisted_homology(tc)
+    lifts = tc.default_lifts
     olifts = X.rational_complex.default_lifts  # None once transport fails
 
     def values(tc, lifts, olifts):

@@ -8,12 +8,10 @@ the full branched-spine census with up to three tetrahedra.
 import random
 import time
 
-import pytest
-
 from spinetorsion.census import census_branched
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
-from spinetorsion.errors import NotAcyclicNoBasis, Stuck
+from spinetorsion.errors import Stuck
 from spinetorsion.euler import (euler_chain_class, maw_cochain,
                                 path_choice_independence)
 from spinetorsion.moves import apply_positive, h_cycle_check, is_rigid, \

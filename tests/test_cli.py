@@ -1,12 +1,10 @@
 import json
-import io
-import sys
 
 import pytest
 
 from spinetorsion.cli import MAX_CYCLIC_ORDER, _parse_rep_spec, main
 
-from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
+from fixtures import GOLDEN, ONE_TET, TWO_VARIANT
 
 
 def run_cli(argv, capsys):

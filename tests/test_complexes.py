@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 

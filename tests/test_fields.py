@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinetorsion import fields
 from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
                                  FunctionField, LaurentPoly, RationalFunction,
                                  cofactor_det, cyclotomic_polynomial)
@@ -184,6 +185,9 @@ def test_select_columns_is_greedy(field_and_matrix, rnd):
             kept.append(j)
     assert field.select_columns(M, order) == kept
     assert field.rank(M) == len(kept)
+    square = len(kept) == len(M)
+    assert field.select_minor(M, order) == (kept, cofactor_det(
+        field, [[row[c] for c in kept] for row in M]) if square else field.zero)
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,6 +248,19 @@ def test_cyclotomic_field_axioms():
         a = z - C.from_int(2)
         assert a * a.inv() == C.one
         assert C.zeta(n - 1) * z == C.one
+
+
+def test_roots_of_unity_invert_without_elimination(monkeypatch):
+    # z^k for k >= deg Phi_n is stored reduced (z^4 = -1 - z - z^2 - z^3 in
+    # Q(zeta_5)); it still inverts as z^-k.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eliminated to invert a root of unity")
+    monkeypatch.setattr(fields, "_bareiss", refuse)
+    for n in (1, 2, 4, 5, 7, 12):
+        C = CyclotomicField(n)
+        for k in range(n):
+            assert C.zeta(k).inv() == C.zeta(-k)
+            assert C.zeta(k) * C.zeta(-k) == C.one
 
 
 def test_cyclotomic_linalg():

@@ -7,7 +7,8 @@ import pytest
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
-from spinetorsion.fields import CyclotomicField, FunctionField, LaurentPoly
+from spinetorsion.fields import CyclotomicField, FunctionField
+from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
                                   column_selections, default_z_character,
@@ -382,6 +383,15 @@ def test_torsion_outputs_are_pinned(corpus12):
 # -- the full change-of-basis matrices, kept as oracles ---------------------------
 
 
+def _full_matrix_selections(tc, strategy):
+    """For i = 1..3, the pivot columns of the whole d_i visited in the order
+    ``strategy[i]`` (identity when absent); entries 0 and 4 empty."""
+    mats = (tc.d1, tc.d2, tc.d3)
+    return ([],) + tuple(
+        tc.field.select_columns(mats[i - 1], strategy.get(i, range(tc.dims[i])))
+        for i in (1, 2, 3)) + ([],)
+
+
 def _full_matrix_lifts(tc):
     """The lifts picked by one column selection over the n_i-row span
     [columns of d_{i+1} | reduced kernel basis of d_i], in every degree."""
@@ -460,7 +470,7 @@ def test_minors_match_full_matrix_oracle(corpus12, kind, order):
                    if rnd.random() < 0.7}
             lifts = _random_lifts(tc, rnd)
             expected = _full_matrix_value(
-                tc, column_selections(tc, strat), lifts, sig)
+                tc, _full_matrix_selections(tc, strat), lifts, sig)
             outcomes.add(expected is None)
             kwargs = {"h": lifts or None, "strategy": strat, "sigma": sig,
                       "keep_sign": True}
@@ -470,3 +480,64 @@ def test_minors_match_full_matrix_oracle(corpus12, kind, order):
             else:
                 assert torsion(tc, **kwargs).value == expected
     assert outcomes == {True, False}
+
+
+@pytest.fixture(scope="module")
+def walk_spines(census2):
+    """Six-tetrahedron spines at the end of walks from census-2 starts; some
+    of their complexes have homology in degree 1, some in degree 2."""
+    return [random_walk(census2[i], 6, seed=i, max_tets=6)[-1].after
+            for i in (0, 9, 33, 36)]
+
+
+def _oracle_complexes(s):
+    """The rational complex and the free-abelian, cyclic:3 and cyclic:5
+    twisted complexes of the spine ``s``."""
+    X = CellComplexX(s)
+    G = GroupData(X)
+    A = SpiderAnchors(s, X)
+    return [X.rational_complex,
+            TwistedComplex(s, X, A, Representation.free_abelian(G))] + [
+        TwistedComplex(s, X, A, Representation.cyclic(G, order))
+        for order in (3, 5)]
+
+
+def test_selections_and_default_torsion_match_full_matrices(corpus12,
+                                                            walk_spines):
+    rnd = random.Random(17)
+    walk_homology = set()
+    for s in corpus12 + walk_spines:
+        for tc in _oracle_complexes(s):
+            full = _full_matrix_selections(tc, {})
+            assert tc.default_selections == full
+            for _ in range(2):
+                strat = {i: rnd.sample(range(n), n)
+                         for i, n in enumerate(tc.dims) if i}
+                assert column_selections(tc, strat) == \
+                    _full_matrix_selections(tc, strat)
+            lifts = _full_matrix_lifts(tc)
+            assert tc.default_lifts == lifts
+            assert tc.default_torsion == _full_matrix_value(tc, full, lifts, {})
+            if s in walk_spines:
+                walk_homology.update(lifts)
+    assert {1, 2} <= walk_homology
+
+
+def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
+    calls = []
+    for cls in (FunctionField, CyclotomicField):
+        def counting(self, matrix, _original=cls.nullspace):
+            calls.append(self)
+            return _original(self, matrix)
+        monkeypatch.setattr(cls, "nullspace", counting)
+
+    complexes = []
+    for s in corpus12:
+        for kind, order in (("free_abelian", None), ("cyclic", 5)):
+            tc = build(s, kind, order)[2]
+            torsion(tc, h="auto")
+            sign_refined_torsion(s, tc, h="auto")
+            complexes.append(tc)
+    assert calls == []
+    # The kernel is read where the lift vectors are.
+    assert [tc.default_lifts for tc in complexes] and calls
