@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .errors import RelatorNotKilled
 from .intlinalg import CokernelData
-from .perms import sign3
+from .perms import parity
 
 
 class CellComplexX:
@@ -75,7 +75,7 @@ class CellComplexX:
                 omitted = pos[i]
                 w = tuple(c for c in pos if c != omitted)
                 roles = spine.face_roles(t, omitted)
-                sgn = (-1) ** i * sign3(w, roles)
+                sgn = (-1) ** i * parity([roles.index(c) for c in w])
                 fc = trg.face_class_of[(t, omitted)]
                 self.d3_terms.append((fc, t, sgn, roles[2]))
                 self.d3[fc][t] += sgn
@@ -245,9 +245,9 @@ class Representation:
         return out
 
     @classmethod
-    def trivial(cls, group, field=None):
+    def trivial(cls, group):
         from .fields import FunctionField
-        field = field or FunctionField(0)
+        field = FunctionField(0)
         return cls(group, field, [field.one] * group.n_generators, "trivial")
 
     @classmethod
@@ -341,13 +341,13 @@ class ChainComplex:
 
     @property
     def default_selections(self):
-        """``torsion.column_selections`` in the identity column order."""
+        """The b_i selections of ``default_selection_pass``."""
         return self.default_selection_pass[0]
 
     @cached_property
     def default_lift_pass(self):
-        """``torsion.lift_pass``: the lift coordinates and minors of the
-        degrees with homology."""
+        """``torsion.lift_pass``: the lift coordinates of the degrees with
+        homology and the minors of the default bases."""
         from .torsion import lift_pass
         return lift_pass(self)
 
@@ -361,8 +361,9 @@ class ChainComplex:
     def default_torsion(self):
         """Raw (sign-kept) torsion value in the default bases: identity
         column order, and the auto lifts unless the complex is acyclic."""
-        from .torsion import default_raw_torsion
-        return default_raw_torsion(self)
+        from .torsion import _raw_value
+        return _raw_value(self, self.default_selections,
+                          self.default_lift_pass[1])
 
     def path_image(self, vec):
         """Image of an integer edge chain under the twisting; 1 untwisted."""

@@ -20,20 +20,21 @@ differ only in the pivot test: a nonzero dict over Z[t^+-1], an entry
 that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
 during elimination, only the entries read out.
 
-Rank, column selection, determinant, kernel and linear solve are written
-once, in ``_Field``, and each eliminates once.  A field supplies only
-what differs: its elements as (numerator, denominator) polynomials (a
-cyclotomic element is its lift over the unit), its pivot test, and the
-read-out p -> p / den into the field.  Rows are cleared to coprime
-integer coefficients first, keeping the row factors for the determinant.
-Clearing above the pivots as well leaves every pivot row equal to the
-last pivot times its reduced echelon row, from which kernels and
-solutions are read off by dividing by the last pivot.  The greedy column
-choice "keep a column if it raises the rank" is exactly the pivot set of
-one elimination in that column order, and ``select_minor`` reads the
-determinant of the chosen columns off the same last pivot, with the row
-bookkeeping of ``det``.  ``cofactor_det`` gives an independent slow
-determinant used to cross-check the engine.
+The matrix routines are written once, in ``_Field``, and each eliminates
+once.  A field supplies only what differs: its elements as (numerator,
+denominator) polynomials (a cyclotomic element is its lift over the
+unit), its pivot test, and the read-out p -> p / den into the field.
+Rows are cleared to coprime integer coefficients first, keeping the row
+factors for the determinant.  The greedy column choice "keep a column if
+it raises the rank" is exactly the pivot set of one elimination in that
+column order, and ``select_minor``, the one routine that reads a minor,
+takes the determinant of the chosen columns off its last pivot and the
+row factors.  ``select_columns`` is its columns, ``rank`` their number
+and ``det`` its minor in the identity order.  ``nullspace`` and ``solve``
+clear above the pivots as well, which leaves every pivot row equal to
+the last pivot times its reduced echelon row, and read kernels and
+solutions off by dividing by the last pivot.  ``cofactor_det`` gives an
+independent slow determinant used to cross-check the engine.
 """
 
 from fractions import Fraction
@@ -273,28 +274,28 @@ class LaurentPoly:
         return cls(nvars, terms)
 
     def str_terms(self, names):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            mono = "*".join(
-                ("%s" % names[i] if e == 1 else "%s^%d" % (names[i], e))
-                for i, e in enumerate(k) if e != 0)
-            if mono:
-                if c == 1:
-                    part = mono
-                elif c == -1:
-                    part = "-" + mono
-                else:
-                    part = "%s*%s" % (c, mono)
-            else:
-                part = "%s" % c
-            bits.append(part)
-        out = bits[0]
-        for part in bits[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return _terms_str(sorted(self.terms.items(), reverse=True), names)
+
+
+def _terms_str(terms, names):
+    """The (exponents, coefficient) pairs ``terms`` printed in their order as
+    a sum of c*x1^e1*..: unit coefficients and exponents 1 are left out,
+    zero exponents skipped, and "0" is the empty sum."""
+    bits = []
+    for k, c in terms:
+        mono = "*".join(n if e == 1 else "%s^%d" % (n, e)
+                        for n, e in zip(names, k) if e)
+        if not mono:
+            bits.append("%s" % c)
+        else:
+            bits.append(mono if c == 1 else "-" + mono if c == -1
+                        else "%s*%s" % (c, mono))
+    if not bits:
+        return "0"
+    out = bits[0]
+    for part in bits[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 def _lp(nvars, terms):
@@ -457,50 +458,41 @@ class _Field:
             factors.append((factor, scale))
         return cleared, factors
 
-    def _minor(self, factors, elimination):
-        """The determinant of the pivot columns of an elimination of rows
-        cleared with ``factors``: zero unless there is a pivot in every row.
+    def select_minor(self, matrix, order):
+        """The columns, in ``order``, that raise the rank of those before,
+        and the determinant of those columns in that order: zero unless
+        they are as many as the rows.
 
-        The last pivot is that determinant for the cleared rows after the
-        row swaps; each row was multiplied by its factor times mul / div.
+        The last pivot of the one elimination is that determinant for the
+        cleared rows after the row swaps; each row was multiplied by its
+        factor times mul / div.
         """
-        pivots, last, sign = elimination
+        A, factors = self._cleared(matrix)
+        pivots, last, sign = self._eliminate(A, order)
+        cols = [c for _r, c in pivots]
         if len(pivots) < len(factors):
-            return self.zero
+            return cols, self.zero
         if not factors:
-            return self.one
+            return cols, self.one
         den = {k: sign for k in self._unit}
         mul = div = 1
         for factor, (m, d) in factors:
             den = _dot(((den, factor),))
             mul *= m
             div *= d
-        return self._divider({k: v * mul for k, v in den.items()})(
+        return cols, self._divider({k: v * mul for k, v in den.items()})(
             {k: v * div for k, v in last.items()})
 
     def det(self, matrix):
         """Determinant of a square matrix of field elements."""
-        A, factors = self._cleared(matrix)
-        return self._minor(factors, self._eliminate(A, range(len(matrix))))
-
-    def select_minor(self, matrix, order):
-        """``select_columns`` and, from the same elimination, the
-        determinant of the selected columns in that order: zero unless
-        they are as many as the rows."""
-        A, factors = self._cleared(matrix)
-        elimination = self._eliminate(A, order)
-        return ([c for _r, c in elimination[0]],
-                self._minor(factors, elimination))
-
-    def rank(self, matrix):
-        if not matrix:
-            return 0
-        return len(self._eliminate(self._cleared(matrix)[0],
-                                   range(len(matrix[0])))[0])
+        return self.select_minor(matrix, range(len(matrix)))[1]
 
     def select_columns(self, matrix, order):
         """The columns, in ``order``, that raise the rank of those before."""
-        return [c for _r, c in self._eliminate(self._cleared(matrix)[0], order)[0]]
+        return self.select_minor(matrix, order)[0]
+
+    def rank(self, matrix):
+        return len(self.select_columns(matrix, range(len(matrix[0])))) if matrix else 0
 
     def nullspace(self, matrix):
         """Reduced basis of the right kernel, one vector per non-pivot column."""
@@ -571,8 +563,8 @@ class FunctionField(_Field):
         return RationalFunction(LaurentPoly.const(self.nvars, q), self.one.den,
                                 _canonical=True)
 
-    def monomial(self, exps, coeff=1):
-        return RationalFunction(LaurentPoly.monomial(self.nvars, exps, coeff))
+    def monomial(self, exps):
+        return RationalFunction(LaurentPoly.monomial(self.nvars, exps))
 
     def element_str(self, x):
         return x.str_in(self.names)
@@ -723,24 +715,8 @@ class CyclotomicField(_Field):
                                         for r, _c in pivots])
 
     def element_str(self, x):
-        bits = []
-        for i, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                bits.append("%s" % c)
-            elif i == 1:
-                bits.append("z" if c == 1 else "-z" if c == -1 else "%s*z" % c)
-            else:
-                mono = "z^%d" % i
-                bits.append(mono if c == 1 else "-" + mono if c == -1
-                            else "%s*%s" % (c, mono))
-        if not bits:
-            return "0"
-        out = bits[0]
-        for part in bits[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return _terms_str((((i,), c) for i, c in enumerate(x.coeffs) if c),
+                          ("z",))
 
     def _lift(self, x):
         """The coefficients of ``x`` as a polynomial in z."""

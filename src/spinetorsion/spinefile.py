@@ -17,7 +17,9 @@ line orients edge class k (classes are numbered by their smallest
 tetrahedron edge) by giving its smallest member as an ordered corner
 pair.  ``orient`` lines fix the ambient orientation bit of every
 tetrahedron; they may be omitted on input, in which case tetrahedron 0
-is oriented positively.
+is oriented positively.  A second ``spine`` or ``tets`` line, a face glued
+twice, or a class or tetrahedron given a second ``edge`` or ``orient``
+line is a syntax error.
 
 Serialisation is canonical, so parse(serialize(s)) == s and
 serialize(parse(text)) == text byte-for-byte for serialiser output.
@@ -61,7 +63,8 @@ def parse(text):
     """Parse a spine file into a validated BranchedSpine."""
     tet_count = None
     gluings = {}
-    edge_lines = []
+    glued = {}  # face -> the line that glued it
+    edge_lines = {}
     orient_lines = {}
     version_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,12 +75,16 @@ def parse(text):
         if parts[0] == "spine":
             if len(parts) != 2 or not parts[1].isdecimal():
                 _syntax(lineno, "expected 'spine <version>'")
+            if version_seen:
+                _syntax(lineno, "repeated 'spine' line")
             if int(parts[1]) != FORMAT_VERSION:
                 _syntax(lineno, "unsupported format version %s" % parts[1])
             version_seen = True
         elif parts[0] == "tets":
             if len(parts) != 2 or not parts[1].isdecimal():
                 _syntax(lineno, "expected 'tets <count>'")
+            if tet_count is not None:
+                _syntax(lineno, "repeated 'tets' line")
             tet_count = int(parts[1])
         elif parts[0] == "glue":
             if len(parts) != 6 or parts[2] != "->" or parts[4] != ":":
@@ -96,6 +103,11 @@ def parse(text):
             images = [int(ch) for ch in word]
             if f2 in images or len(set(images)) != 3 or any(x > 3 for x in images):
                 _syntax(lineno, "bad permutation token %r" % word)
+            for face in ((t, f), (t2, f2)):
+                if face in glued:
+                    _syntax(lineno, "face %d.%d already glued on line %d"
+                            % (face + (glued[face],)))
+            glued[(t, f)] = glued[(t2, f2)] = lineno
             perm = [None] * 4
             perm[f] = f2
             for corner, image in zip(_face_corners(f), images):
@@ -115,7 +127,9 @@ def parse(text):
             i, j = int(ij[0]), int(ij[1])
             if i == j or i > 3 or j > 3:
                 _syntax(lineno, "bad edge corners %r" % parts[3])
-            edge_lines.append((lineno, k, t, i, j))
+            if k in edge_lines:
+                _syntax(lineno, "repeated edge line for class %d" % k)
+            edge_lines[k] = (lineno, t, i, j)
         elif parts[0] == "orient":
             if len(parts) != 3 or not parts[1].isdecimal() or parts[2] not in ("+", "-"):
                 _syntax(lineno, "expected 'orient t +|-'")
@@ -129,13 +143,13 @@ def parse(text):
         raise SpineSyntaxError("missing 'spine <version>' header", line=1)
     if tet_count is None:
         raise SpineSyntaxError("missing 'tets <count>' line", line=1)
-    for t, (lineno, _sign) in orient_lines.items():
+    for t, (lineno, _bit) in orient_lines.items():
         if t >= tet_count:
             _syntax(lineno, "orient line for tetrahedron %d, but there are %d"
                     % (t, tet_count))
     trg = Triangulation(tet_count, gluings)
     branching = [None] * len(trg.edge_classes)
-    for (lineno, k, t, i, j) in edge_lines:
+    for k, (lineno, t, i, j) in edge_lines.items():
         if not (0 <= k < len(branching)):
             _syntax(lineno, "edge class %d out of range" % k)
         cls_sign = trg.edge_class_of.get((t, i, j))

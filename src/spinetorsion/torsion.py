@@ -15,19 +15,24 @@ its Laplace minor along them:
 
 where R_i lists the cells of degree i not in b_i in ascending order, the
 free (non-pivot) coordinates of d_i, and a row order sigma[i] multiplies
-the value by sgn(sigma[i]).
+the value by sgn(sigma[i]).  Each step has one routine: the b_i and the
+minors come from ``select_minor`` eliminations, ``_raw_value`` takes the
+alternating product with both signs, and every sign is ``perms.parity``.
 
 Rows are restricted to R_i.  Restriction to R_i is injective on ker d_i,
 which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1}, in any
 column order, picks the same b_{i+1} as the whole d_{i+1}; the degrees
 are eliminated in order 0 to 3, each on the rows left free by the one
-before.  Each minor of the default bases is read off the same pivots:
-in a degree without homology the block is square and its determinant is
-the last pivot of that elimination; in a degree with homology one
-elimination of [rows R_i of d_{i+1} | I] gives b_{i+1}, then the lift
-coordinates (its identity pivots, where the reduced kernel basis of d_i
-is the identity), and the minor as its last pivot.  The kernel itself is
-computed only where the lift vectors are read.
+before (``selection_pass``).  Each minor of the default bases is read off
+the same pivots: in a degree without homology the block is square and
+its determinant is the last pivot of that elimination; in a degree with
+homology one elimination of [rows R_i of d_{i+1} | I] gives b_{i+1},
+then the lift coordinates (its identity pivots, where the reduced kernel
+basis of d_i is the identity), and the minor as its last pivot
+(``lift_pass``).  The default bases read those minors, with or without
+a row order; a determinant is taken only for given lifts, or for auto
+lifts under a column ``strategy``.  The kernel itself is computed only
+where the lift vectors are read.
 """
 
 from itertools import combinations
@@ -35,6 +40,7 @@ from math import gcd as _int_gcd
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
 from .fields import FunctionField, LaurentPoly, RationalFunction, _lp_gcd
+from .perms import parity
 
 
 class TorsionValue:
@@ -101,7 +107,7 @@ def auto_twisted_homology(tc):
     field = tc.field
     mats = (tc.d1, tc.d2, tc.d3)
     out = {}
-    for i, (coords, _minor) in tc.default_lift_pass.items():
+    for i, coords in tc.default_lift_pass[0].items():
         kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
         out[i] = [kernel[k] for k in coords]
     return out
@@ -144,39 +150,36 @@ def selection_pass(cx, strategy=None):
 
 
 def lift_pass(cx):
-    """Per degree i with homology, (lift coordinates, minor): one
-    elimination of [rows R_i of d_{i+1} | I] in identity column order.
+    """The lift coordinates and the minors of the default bases: one
+    elimination of [rows R_i of d_{i+1} | I], in identity column order, per
+    degree i with homology.
 
     Its pivots are b_{i+1}, then the identity columns that the auto lifts
     take from the reduced kernel basis of d_i, as indices into R_i.  The
     block of those pivot columns is rows R_i of [d b_{i+1} | h_i], so its
-    determinant is the degree's minor.
+    determinant is the degree's minor; the other degrees keep the minor of
+    the default ``selection_pass``.  Returns (coordinates, minors): a dict
+    degree -> indices into R_i, and the minor of every degree.
     """
-    selections = cx.default_selections
+    selections, minors = cx.default_selection_pass
+    minors = list(minors)
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
-    out = {}
+    coords = {}
     for i, betti in enumerate(_betti(cx, selections)):
         if not betti:
             continue
         rows = _free_rows(cx.dims[i], selections[i])
         if i == 3:  # d_4 = 0: every kernel vector is a lift
-            out[i] = (list(range(len(rows))), field.one)
+            coords[i], minors[i] = list(range(len(rows))), field.one
             continue
         n = cx.dims[i + 1]
-        cols, minor = field.select_minor(
+        cols, minors[i] = field.select_minor(
             [mats[i][r] + [field.one if c == k else field.zero
                            for c in range(len(rows))]
              for k, r in enumerate(rows)], range(n + len(rows)))
-        out[i] = ([c - n for c in cols if c >= n], minor)
-    return out
-
-
-def column_selections(cx, strategy=None):
-    """The b_i selections: for i = 1..3, the pivot columns of d_i visited in
-    the order ``strategy[i]`` (identity when absent); entries 0 and 4 are
-    empty."""
-    return selection_pass(cx, strategy)[0]
+        coords[i] = [c - n for c in cols if c >= n]
+    return coords, minors
 
 
 def _betti(cx, selections):
@@ -184,62 +187,24 @@ def _betti(cx, selections):
             for i in range(4)]
 
 
-def default_raw_torsion(cx):
-    """The raw torsion value of ``cx`` in the default bases: identity column
-    order and the auto lifts (none for an acyclic complex).  Each minor is
-    the last pivot of the elimination that chose b_{i+1}: ``lift_pass`` in
-    a degree with homology, ``selection_pass`` in the others."""
-    minors = list(cx.default_selection_pass[1])
-    for i, (_coords, minor) in cx.default_lift_pass.items():
-        minors[i] = minor
-    return _alternating_product(cx, cx.default_selections, minors)
-
-
-def _sign(perm):
-    """The sign of a permutation given as a sequence of distinct ints."""
-    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
-
-
-def _raw_value(cx, passed, lifts, sigma=None):
-    """Alternating product of the change-of-basis determinants, each as its
-    Laplace minor along the unit columns of b_i, with the rows of degree i
-    in the order ``sigma[i]`` where given.  ``passed`` is the
-    ``selection_pass`` that chose the b_i; a degree without lifts takes
-    its minor from it.  Each degree must have as many lifts as its Betti
-    number; ``torsion`` checks that."""
-    field = cx.field
-    mats = (cx.d1, cx.d2, cx.d3)
-    selections, known = passed
-    minors = []
-    for i, n in enumerate(cx.dims):
-        vecs = lifts.get(i, ())
-        if any(len(v) != n for v in vecs):
-            raise BasisRankMismatch("degree %d lift has wrong length" % i)
-        sign = 1
+def _raw_value(cx, selections, minors, sigma=None):
+    """The alternating product of the change-of-basis determinants of the
+    selections b_i, each its minor minors[i] = det(rows R_i of
+    [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i) and, where
+    ``sigma[i]`` orders the rows of degree i, sgn(sigma[i]).  A zero minor
+    means its columns are no basis."""
+    value = inverse_part = cx.field.one
+    for i, (n, d) in enumerate(zip(cx.dims, minors)):
+        sign = parity(_free_rows(n, selections[i]) + selections[i])
         if sigma and i in sigma:
             if sorted(sigma[i]) != list(range(n)):
                 raise BasisRankMismatch(
                     "degree %d: row order is not a permutation" % i)
-            sign = _sign(sigma[i])
-        if vecs:
-            d = field.det([[mats[i][r][j] for j in selections[i + 1]]
-                           + [v[r] for v in vecs]
-                           for r in _free_rows(n, selections[i])])
-        else:
-            d = known[i]
+            sign *= parity(sigma[i])
         if d.is_zero():
             raise BasisRankMismatch(
                 "degree %d: combined columns are not a basis" % i)
-        minors.append(d if sign > 0 else -d)
-    return _alternating_product(cx, selections, minors)
-
-
-def _alternating_product(cx, selections, minors):
-    """The product of the even-degree minors over the odd-degree ones, each
-    times the Laplace sign sgn(R_i ++ b_i)."""
-    value = inverse_part = cx.field.one
-    for i, (n, d) in enumerate(zip(cx.dims, minors)):
-        if _sign(_free_rows(n, selections[i]) + selections[i]) < 0:
+        if sign < 0:
             d = -d
         if i % 2 == 0:
             value = value * d
@@ -259,31 +224,39 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
     only flip the sign); either raises BasisRankMismatch for an order that
     is not a permutation of the cells of its degree.  With ``keep_sign``
     the raw value for this cell ordering is kept instead of the canonical
-    +-representative.  Without ``strategy`` and ``sigma``, and with ``h``
-    None or "auto", the value is the complex's ``default_torsion``,
+    +-representative.  Without ``strategy``, and with ``h`` None or
+    "auto", the minors are those of the default bases, and without
+    ``sigma`` as well the value is the complex's ``default_torsion``,
     computed once per complex.
     """
-    passed = selection_pass(tc, strategy) if strategy \
+    selections, minors = selection_pass(tc, strategy) if strategy \
         else tc.default_selection_pass
-    selections = passed[0]
     betti = _betti(tc, selections)
     acyclic = not any(betti)
     if not acyclic and h is None:
         raise NotAcyclicNoBasis(
             "twisted homology has dimensions %s; supply a basis" % (betti,))
-    if h in (None, "auto") and not strategy and not sigma:
-        value = tc.default_torsion
-    else:
-        lifts = {}
-        if not acyclic:
-            lifts = tc.default_lifts if h == "auto" else h
-        for i in range(4):
-            got = len(lifts.get(i, ()))
-            if got != betti[i]:
+    default = not strategy and (acyclic or h == "auto")
+    if default:
+        minors = tc.default_lift_pass[1]
+    elif not acyclic:  # det(rows R_i of [d b_{i+1} | h_i]) where h_i is given
+        lifts = tc.default_lifts if h == "auto" else h
+        mats = (tc.d1, tc.d2, tc.d3)
+        minors = list(minors)
+        for i, n in enumerate(tc.dims):
+            vecs = lifts.get(i, ())
+            if len(vecs) != betti[i]:
                 raise BasisRankMismatch(
                     "degree %d: homology rank %d but %d basis vectors"
-                    % (i, betti[i], got))
-        value = _raw_value(tc, passed, lifts, sigma)
+                    % (i, betti[i], len(vecs)))
+            if any(len(v) != n for v in vecs):
+                raise BasisRankMismatch("degree %d lift has wrong length" % i)
+            if vecs:
+                minors[i] = tc.field.det(
+                    [[mats[i][r][j] for j in selections[i + 1]]
+                     + [v[r] for v in vecs] for r in _free_rows(n, selections[i])])
+    value = tc.default_torsion if default and not sigma \
+        else _raw_value(tc, selections, minors, sigma)
     if h == "auto":
         used = "auto"
     else:

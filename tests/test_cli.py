@@ -55,6 +55,16 @@ def test_glue_face_out_of_range_exit_1(tmp_path, capsys):
     assert "line 4" in report["message"]
 
 
+def test_repeated_edge_line_exit_1(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_text(TWO_VARIANT.replace("edge 1 : 0.03\n",
+                                     "edge 1 : 0.03\nedge 1 : 0.30\n"))
+    status, report = run_cli(["validate", str(p)], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert "line 9" in report["message"]
+
+
 def test_missing_input_file_exit_1(tmp_path, capsys):
     status, report = run_cli(["validate", str(tmp_path / "absent.txt")], capsys)
     assert status == 1

@@ -1,7 +1,11 @@
-"""Every module of the package and of the tests reads each name it imports."""
+"""Every module of the package and of the tests reads each name it imports,
+and the CLI starts without sympy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,16 @@ def test_no_unread_imports():
     unread = {str(p.relative_to(ROOT)): names for p in files
               if (names := unread_imports(p))}
     assert unread == {}
+
+
+def test_cli_import_loads_no_sympy():
+    # sympy is imported only where a gcd needs it; a cold import of it
+    # costs every CLI process about half a second.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, spinetorsion.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -102,6 +102,32 @@ def test_bad_orient_line_names_line(extra, message):
     assert message in str(err.value)
 
 
+def _insert_after(text, line, extra):
+    """``text`` with the line ``extra`` inserted after its line ``line``
+    (0: at the top)."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:line] + [extra + "\n"] + lines[line:])
+
+
+@pytest.mark.parametrize("text,line,message", [
+    (_insert_after(TWO_VARIANT, 8, "edge 1 : 0.30"), 9,
+     "repeated edge line for class 1"),
+    (_insert_after(ONE_TET, 2, "glue 0.0 -> 0.1 : 032"), 4,
+     "face 0.0 already glued on line 3"),
+    (_insert_after(ONE_TET, 2, "glue 0.2 -> 0.1 : 023"), 4,
+     "face 0.1 already glued on line 3"),
+    (_insert_after(ONE_TET, 4, "glue 0.3 -> 0.1 : 023"), 5,
+     "face 0.3 already glued on line 4"),
+    (ONE_TET + "tets 1\n", 9, "repeated 'tets' line"),
+    (ONE_TET + "spine 1\n", 9, "repeated 'spine' line"),
+], ids=["edge", "glue-left", "glue-right", "glue-other-side", "tets", "spine"])
+def test_repeated_declaration_names_line(text, line, message):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 def test_replay_variant_out_of_range_is_move_error():
     s = parse(TWO_VARIANT)
     assert len(moves.apply_positive(s, 0)) == 2

@@ -11,10 +11,9 @@ from spinetorsion.fields import CyclotomicField, FunctionField
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
-                                  column_selections, default_z_character,
-                                  fox_alexander,
-                                  sign_refined_torsion, torsion,
-                                  twisted_h1_order)
+                                  default_z_character, fox_alexander,
+                                  selection_pass, sign_refined_torsion,
+                                  torsion, twisted_h1_order)
 
 from fixtures import GOLDEN, ONE_TET
 
@@ -513,7 +512,7 @@ def test_selections_and_default_torsion_match_full_matrices(corpus12,
             for _ in range(2):
                 strat = {i: rnd.sample(range(n), n)
                          for i, n in enumerate(tc.dims) if i}
-                assert column_selections(tc, strat) == \
+                assert selection_pass(tc, strat)[0] == \
                     _full_matrix_selections(tc, strat)
             lifts = _full_matrix_lifts(tc)
             assert tc.default_lifts == lifts
@@ -524,19 +523,26 @@ def test_selections_and_default_torsion_match_full_matrices(corpus12,
 
 
 def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
+    # Nor a determinant: with or without a row order, the default bases
+    # read their minors off the selection and lift passes.
     calls = []
     for cls in (FunctionField, CyclotomicField):
-        def counting(self, matrix, _original=cls.nullspace):
-            calls.append(self)
-            return _original(self, matrix)
-        monkeypatch.setattr(cls, "nullspace", counting)
+        for name in ("nullspace", "det"):
+            def counting(self, matrix, _original=getattr(cls, name),
+                         _name=name):
+                calls.append((self, _name))
+                return _original(self, matrix)
+            monkeypatch.setattr(cls, name, counting)
 
+    rnd = random.Random(29)
     complexes = []
     for s in corpus12:
         for kind, order in (("free_abelian", None), ("cyclic", 5)):
             tc = build(s, kind, order)[2]
-            torsion(tc, h="auto")
-            sign_refined_torsion(s, tc, h="auto")
+            sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
+            for kwargs in ({}, {"sigma": sig}):
+                torsion(tc, h="auto", **kwargs)
+                sign_refined_torsion(s, tc, h="auto", **kwargs)
             complexes.append(tc)
     assert calls == []
     # The kernel is read where the lift vectors are.

@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import pytest
 
 from spinetorsion.errors import Disconnected, NonOrientable, UnpairedFace
-from spinetorsion.perms import ALL_PERMS, compose, inverse, sign
+from spinetorsion.perms import (ALL_PERMS, SIGN, compose, inverse, parity,
+                                sign)
 from spinetorsion.triangulation import Triangulation, glue_both_ways
 
 
@@ -10,6 +13,29 @@ def test_perm_helpers():
         assert compose(p, inverse(p)) == (0, 1, 2, 3)
     assert sign((0, 1, 2, 3)) == 1
     assert sign((1, 0, 2, 3)) == -1
+
+
+def _cycle_sign(p):
+    """(-1)^(n - number of cycles) of the permutation i -> p[i]."""
+    seen = set()
+    cycles = 0
+    for start in range(len(p)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+    return (-1) ** (len(p) - cycles)
+
+
+def test_parity_counts_cycles():
+    for n in range(7):
+        for p in permutations(range(n)):
+            assert parity(p) == _cycle_sign(p)
+    assert SIGN == tuple(parity(p) for p in ALL_PERMS)
+    # Any distinct comparable items: the sign of the sort.
+    assert parity((7, 3, 5)) == parity((2, 0, 1)) == 1
 
 
 def one_tet_gluings(p1, p2, pairing=((0, 1), (2, 3))):
