@@ -4,7 +4,8 @@ Two families are provided:
 
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
   stored as reduced fractions of Laurent polynomials with rational
-  coefficients; r = 0 degenerates to plain Q.
+  coefficients (their gcd is taken in ``polygcd``); r = 0 degenerates to
+  plain Q.
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
   vectors modulo the n-th cyclotomic polynomial Phi_n.
 
@@ -41,18 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add, sub as _sub
-
-_SYMPY_RINGS = {}
-
-
-def _sympy_ring(nvars):
-    if nvars not in _SYMPY_RINGS:
-        from sympy import QQ
-        from sympy.polys.rings import ring
-        names = ",".join("t%d" % (i + 1) for i in range(nvars))
-        _SYMPY_RINGS[nvars] = ring(names, QQ)[0]
-    return _SYMPY_RINGS[nvars]
-
 
 # -- exponent-dict polynomials ------------------------------------------------
 #
@@ -261,18 +250,6 @@ class LaurentPoly:
         """Exact quotient self / other in the Laurent ring; raises if not exact."""
         return _lp(self.nvars, _pdiv(self.terms, other.terms))
 
-    def to_sympy(self):
-        ring = _sympy_ring(self.nvars)
-        from sympy import QQ
-        return ring.from_dict({k: QQ(v) for k, v in self.terms.items()})
-
-    @classmethod
-    def from_sympy(cls, nvars, p):
-        terms = {}
-        for k, c in p.terms():
-            terms[tuple(k)] = Fraction(c.numerator, c.denominator)
-        return cls(nvars, terms)
-
     def str_terms(self, names):
         return _terms_str(sorted(self.terms.items(), reverse=True), names)
 
@@ -318,8 +295,9 @@ def _lp_gcd(a, b):
         keys = list(a.terms) + list(b.terms)
         exps = tuple(min(k[i] for k in keys) for i in range(nvars))
         return LaurentPoly.monomial(nvars, exps)
-    g = a.to_sympy().gcd(b.to_sympy())
-    return LaurentPoly.from_sympy(nvars, g)
+    # Imported here: a process that never needs a gcd never compiles it.
+    from .polygcd import gcd
+    return _lp(nvars, gcd(_integral([a.terms])[0][0], _integral([b.terms])[0][0]))
 
 
 class RationalFunction:

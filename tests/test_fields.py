@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinetorsion import fields
+from spinetorsion import fields, polygcd
 from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
                                  FunctionField, LaurentPoly, RationalFunction,
                                  cofactor_det, cyclotomic_polynomial)
@@ -226,6 +226,98 @@ def test_exact_division_errors():
         one.exact_div(one - t)
     with pytest.raises(ZeroDivisionError):
         one.exact_div(LaurentPoly(1))
+
+
+# -- the gcd over Z[t1..tr] ---------------------------------------------------
+
+
+def planted_pair(rnd, nvars, terms=(4, 5), deg=(2, 3)):
+    """Two integer polynomials in ``nvars`` variables with a random common
+    factor of up to terms[0] terms and degree deg[0] in each variable, and
+    random cofactors of up to terms[1] terms and degree deg[1]."""
+    def poly(nterms, d):
+        while True:
+            p = {tuple(rnd.randint(0, d) for _ in range(nvars)): rnd.randint(-9, 9)
+                 for _ in range(rnd.randint(1, nterms))}
+            p = {k: v for k, v in p.items() if v}
+            if p:
+                return p
+    c = poly(terms[0], deg[0])
+    return (fields._dot(((c, poly(terms[1], deg[1])),)),
+            fields._dot(((c, poly(terms[1], deg[1])),)))
+
+
+def proportional(p, q):
+    """Whether the polynomials ``p`` and ``q`` differ by a rational factor."""
+    if p.keys() != q.keys():
+        return False
+    k0 = next(iter(p))
+    return all(p[k] * q[k0] == q[k] * p[k0] for k in p)
+
+
+def quotient(f, h):
+    """f / h, asserted to be a polynomial with integer coefficients."""
+    q = fields._pdiv(f, h)
+    assert all(e >= 0 for k in q for e in k)
+    assert all(type(v) is int for v in q.values())
+    return q
+
+
+def test_gcd_matches_sympy_on_planted_factors():
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    rnd = random.Random(14)
+    rings = {n: ring(",".join("t%d" % (i + 1) for i in range(n)), ZZ)[0]
+             for n in (1, 2, 3)}
+    for i in range(300):
+        nvars = 1 + i % 3
+        f, g = planted_pair(rnd, nvars)
+        R = rings[nvars]
+        want = R.from_dict(f).gcd(R.from_dict(g))
+        assert proportional(polygcd.gcd(f, g),
+                            {k: int(v) for k, v in want.items()}), (f, g)
+
+
+@st.composite
+def planted_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                            st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+    c, a, b = draw(polys), draw(polys), draw(polys)
+    return fields._dot(((c, a),)), fields._dot(((c, b),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_pairs())
+def test_gcd_divides_and_leaves_coprime_cofactors(pair):
+    f, g = pair
+    h = polygcd.gcd(f, g)
+    cofactors = quotient(f, h), quotient(g, h)
+    assert list(polygcd.prs_gcd(*cofactors)) == [(0,) * len(next(iter(f)))]
+
+
+def test_prs_gcd_on_small_pairs(monkeypatch):
+    # The heuristic gcd almost never fails on real inputs, so the remainder
+    # sequence is checked on its own, on inputs small enough for it.
+    rnd = random.Random(3)
+    pairs = [planted_pair(rnd, 1 + i % 3, terms=(3, 3), deg=(1, 2))
+             for i in range(60)]
+    for f, g in pairs:
+        assert proportional(polygcd.prs_gcd(f, g), polygcd.gcd(f, g)), (f, g)
+    monkeypatch.setattr(polygcd, "HEU_GCD_MAX", 0)
+    for f, g in pairs[:10]:
+        assert polygcd.gcd(f, g) == polygcd.prs_gcd(f, g)
+
+
+def test_gcd_takes_no_monomial_unit_for_a_factor():
+    # t1*t2*t3 divides both in the Laurent ring, where t3 is a unit, but t3
+    # does not divide b in the polynomial ring.
+    a = LaurentPoly(3, {(2, 1, 2): 20, (2, 1, 1): -25})
+    b = LaurentPoly(3, {(2, 2, 2): Fraction(5, 9), (3, 2, 0): Fraction(5, 3),
+                        (1, 1, 1): Fraction(25, 9)})
+    assert list(fields._lp_gcd(a, b).terms) == [(1, 1, 0)]
+    assert RationalFunction(a, b).den.min_exponents() == (0, 0, 0)
 
 
 def test_cyclotomic_polynomials():
