@@ -14,8 +14,7 @@ class, so the output is pairwise non-isomorphic in a deterministic order.
 
 from .errors import NonStandardDual
 from .perms import ALL_PERMS, sign
-from .spine import (encode_gluings, enumerate_branchings, least_seeds,
-                    signature_from_seeds)
+from .spine import encode_gluings, least_seeds, signature_from_seeds
 from .triangulation import Triangulation, glue_both_ways
 
 _ODD_WITH_IMAGE = {
@@ -71,6 +70,7 @@ def census_branched(tet_count):
     that reach the least gluing code are found once per triangulation; each
     branching only builds its branch codes over them.
     """
+    from .spine import enumerate_branchings  # per call, so a patch in spine is seen
     spines = {}
     for trg in enumerate_triangulations(tet_count):
         least = least_seeds(trg.gluings, trg.orientations)

@@ -13,19 +13,13 @@ import json
 import sys
 import time
 
-from .census import census_branched
-from .complexes import (CellComplexX, GroupData, SpiderAnchors,
-                        TwistedComplex, make_representation)
 from .errors import (MoveError, RelatorNotKilled, SpineSyntaxError,
                      TorsionError, TransportFailure, ValidationError)
-from .euler import euler_data, path_choice_independence, pd_consistency
-from .moves import (apply_negative, h_cycle_check, is_rigid, positive_move,
-                    random_walk)
 from .spinefile import parse, serialize, serialize_move_log
-from .torsion import invariance_suite, sign_refined_torsion, torsion
 
 
 def spine_summary(spine):
+    from .complexes import CellComplexX, GroupData
     group = GroupData(CellComplexX(spine))
     chi_spine, chi_x = spine.euler_characteristics()
     return {
@@ -90,11 +84,13 @@ def _parse_rep_spec(spec):
     raise SpineSyntaxError("bad representation spec %r" % spec)
 
 
-def _torsion_report(spine, spec, sign_refined, homology_basis):
+def _torsion_report(spine, spec, sign_refined, h):
+    from .complexes import (CellComplexX, GroupData, SpiderAnchors,
+                            TwistedComplex, make_representation)
+    from .torsion import sign_refined_torsion, torsion
     X = CellComplexX(spine)
     rep = make_representation(GroupData(X), *_parse_rep_spec(spec))
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
-    h = "auto" if homology_basis == "auto" else None
     if sign_refined:
         value = sign_refined_torsion(spine, tc, h=h)
     else:
@@ -210,7 +206,7 @@ def main(argv=None):
     p.add_argument("--max-tets", type=int, default=None)
 
     args = ap.parse_args(argv)
-    start = time.time()
+    start = time.perf_counter()
     try:
         report = _run(args)
         status = report.pop("_exit_status", 0)
@@ -223,7 +219,7 @@ def main(argv=None):
                   "message": str(exc)}
         status = 2
     if args.timing:
-        report["timing_ms"] = int((time.time() - start) * 1000)
+        report["timing_ms"] = int((time.perf_counter() - start) * 1000)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return status
@@ -244,6 +240,8 @@ def _run(args):
                 "branchings": [list(s.branching) for s in found]}
 
     if cmd == "summary":
+        from .complexes import CellComplexX
+        from .moves import is_rigid
         spine = _read_spine(args.file)
         out = {"command": cmd, "summary": spine_summary(spine)}
         out["rigid"] = is_rigid(spine)
@@ -253,6 +251,7 @@ def _run(args):
         return out
 
     if cmd == "move":
+        from .moves import apply_negative, positive_move
         spine = _read_spine(args.file)
         if (args.face is None) == (args.edge is None):
             raise SpineSyntaxError("give exactly one of --face or --edge")
@@ -267,6 +266,7 @@ def _run(args):
                 "move_log": serialize_move_log([move])}
 
     if cmd == "walk":
+        from .moves import random_walk
         spine = _read_spine(args.file)
         walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,
                            h_null_only=args.h_null_only,
@@ -282,6 +282,7 @@ def _run(args):
                 "final_spine": serialize(final)}
 
     if cmd == "hcheck":
+        from .moves import h_cycle_check, positive_move
         spine = _read_spine(args.file)
         move = positive_move(spine, args.face, args.variant)
         return {"command": cmd, "site": args.face, "variant": args.variant,
@@ -289,12 +290,11 @@ def _run(args):
 
     if cmd == "torsion":
         spine = _read_spine(args.file)
-        out = {"command": cmd}
-        out.update(_torsion_report(spine, args.rep, args.sign_refined,
-                                   args.homology_basis))
-        return out
+        return {"command": cmd, **_torsion_report(
+            spine, args.rep, args.sign_refined, args.homology_basis)}
 
     if cmd == "euler":
+        from .euler import euler_data, path_choice_independence, pd_consistency
         spine = _read_spine(args.file)
         data = euler_data(spine)
         free, tors = data.chain_class
@@ -307,6 +307,7 @@ def _run(args):
                 "dual_consistent": pd_consistency(spine)}
 
     if cmd == "census":
+        from .census import census_branched
         spines = census_branched(_at_least(args.tets, 1, "--tets"))
         files = [serialize(s) for s in spines]
         if args.out_dir:
@@ -321,6 +322,8 @@ def _run(args):
                 "spines": files}
 
     if cmd == "invariance":
+        from .moves import random_walk
+        from .torsion import invariance_suite
         kind, order, character = _parse_rep_spec(args.rep)
         spine = _read_spine(args.file)
         walk = random_walk(spine, _at_least(args.steps, 0, "--steps"), args.seed,

@@ -1,22 +1,24 @@
 """Every module of the package and of the tests reads each name it imports,
-and no part of the package loads sympy."""
+no part of the package loads sympy, and a process loads only the modules
+its command runs."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
+import pytest
+
+import spinetorsion
 from spinetorsion.spinefile import serialize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def unread_imports(path):
-    """The names that ``path`` binds by an import and never reads.
-
-    A package ``__init__`` is skipped: its imports are the package's API.
-    """
+    """The names that ``path`` binds by an import and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -29,24 +31,30 @@ def unread_imports(path):
 
 
 def test_no_unread_imports():
-    files = [p for p in sorted((ROOT / "src").rglob("*.py"))
-             if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 20
     unread = {str(p.relative_to(ROOT)): names for p in files
               if (names := unread_imports(p))}
     assert unread == {}
 
 
-def loaded_modules(code, *args):
-    """The modules loaded after ``code`` runs with ``args`` in a fresh
-    interpreter; ``code`` may print to stdout, the list comes last."""
+def run_fresh(code, *args):
+    """The stdout lines of ``code`` run with ``args`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run(
-        [sys.executable, "-c", code + "\nprint(' '.join(sorted(sys.modules)))",
-         *args], env=env, capture_output=True, text=True, check=True).stdout
-    return set(out.splitlines()[-1].split())
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def loaded_modules(code, *args):
+    """The modules loaded after ``code`` runs with ``args`` in a fresh
+    interpreter; ``code`` may print to stdout, the list comes last."""
+    return set(run_fresh(code + "\nprint(' '.join(sorted(sys.modules)))", *args)[-1].split())
+
+
+def package_modules(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("spinetorsion.")}
 
 
 def sympy_modules(modules):
@@ -87,3 +95,101 @@ def test_no_sympy_import_in_src():
             found += [str(path.relative_to(ROOT)) for name in names
                       if name.split(".")[0] == "sympy"]
     assert found == []
+
+
+# The package's 60 exported names, in the order of ``__all__``.
+EXPORTS = [
+    "census_branched", "enumerate_triangulations",
+    "CellComplexX", "GroupData", "Representation", "SpiderAnchors",
+    "TwistedComplex", "make_representation",
+    "BasisRankMismatch", "CyclicTriangle", "Disconnected", "MoveError",
+    "NonOrientable", "NonStandardDual", "NotAcyclicNoBasis", "NotApplicable",
+    "RelatorNotKilled", "ResultNonStandard", "SelfAdjacentFace", "SpineError",
+    "SpineSyntaxError", "Stuck", "TorsionError", "TransportFailure",
+    "UnpairedFace", "ValidationError",
+    "EulerData", "euler_chain_class", "euler_data", "maw_cochain",
+    "path_choice_independence", "pd_consistency",
+    "HCycleReport", "MoveInstance", "apply_negative", "apply_positive",
+    "available_moves", "h_cycle_check", "is_rigid", "positive_move",
+    "random_walk", "transport_homology", "transport_rational_homology",
+    "transport_representation",
+    "BranchedSpine", "enumerate_branchings",
+    "parse", "parse_move_log", "replay_move_log", "serialize",
+    "serialize_move_log",
+    "TorsionValue", "auto_twisted_homology", "default_z_character",
+    "fox_alexander", "invariance_suite", "sign_refined_torsion", "torsion",
+    "twisted_h1_order",
+    "Triangulation",
+]
+
+
+def test_package_import_loads_no_submodule():
+    assert package_modules(loaded_modules("import sys, spinetorsion")) == set()
+
+
+def test_cli_import_loads_only_the_spine_parser():
+    modules = package_modules(loaded_modules("import sys, spinetorsion.cli"))
+    assert modules == {"cli", "errors", "perms", "spine", "spinefile", "triangulation"}
+
+
+@pytest.mark.parametrize("args, loads, skips", [
+    (["validate"], {"complexes", "intlinalg"},
+     {"fields", "torsion", "moves", "census", "euler"}),
+    (["summary"], {"complexes", "moves", "rng"},
+     {"fields", "torsion", "census", "euler"}),
+    (["torsion", "--rep", "cyclic:5", "--sign-refined"], {"fields", "torsion"},
+     {"moves", "census", "euler"}),
+    (["euler"], {"euler"}, {"fields", "torsion", "moves", "census"}),
+])
+def test_command_loads_only_what_it_runs(census2, tmp_path, args, loads, skips):
+    path = tmp_path / "spine.txt"
+    path.write_text(serialize(census2[4]), encoding="utf-8")
+    modules = package_modules(loaded_modules(
+        "import sys\nfrom spinetorsion.cli import main\nmain(sys.argv[1:])",
+        args[0], str(path), *args[1:]))
+    assert modules >= loads and not modules & skips
+
+
+def test_package_exports():
+    assert spinetorsion.__all__ == EXPORTS
+    namespace = {}
+    exec("from spinetorsion import *", namespace)
+    assert set(EXPORTS) <= set(namespace) and set(EXPORTS) <= set(dir(spinetorsion))
+    assert not hasattr(spinetorsion, "no_such_name")
+    from spinetorsion import moves
+    assert isinstance(moves, types.ModuleType) and moves.__name__ == "spinetorsion.moves"
+
+
+def test_exports_survive_submodule_loads():
+    # Loading submodule ``torsion`` sets the package attribute ``torsion``;
+    # the exported function must keep that name whatever loads first.
+    out = run_fresh("""
+import importlib, pkgutil, sys, spinetorsion as S
+from spinetorsion import moves
+print(moves.__name__)
+for info in sorted(pkgutil.iter_modules(S.__path__), key=lambda m: m.name, reverse=True):
+    importlib.import_module("spinetorsion." + info.name)
+print(sorted(n for n in S.__all__
+             if getattr(S, n) is not getattr(sys.modules[getattr(S, n).__module__], n)))
+print(S.torsion is sys.modules["spinetorsion.torsion"].torsion, callable(S.torsion))
+""")
+    assert out == ["spinetorsion.moves", "[]", "True True"]
+
+
+def test_modules_loaded_while_traced_keep_no_wrapper():
+    # The benchmark's tracer imports its target modules one by one while it
+    # patches; a module that bound a patched function at import would keep
+    # the wrapper, and go on recording spans, after ``uninstall``.
+    out = run_fresh("""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import spinetorsion as S
+t = tracer.Tracer()
+t.install()
+t.uninstall()
+S.census_branched(1)
+print(len(t.start))
+""", str(ROOT / "perfbench" / "tracer.py"))
+    assert out == ["0"]
