@@ -87,8 +87,8 @@ class CellComplexX:
         Entry by entry it equals the trivial-representation TwistedComplex,
         without the Smith form a Representation needs.
         """
-        from .fields import FunctionField
-        field = FunctionField(0)
+        from .fields import RationalField
+        field = RationalField()
         return ChainComplex(
             field, (1, self.n_edges, self.n_faces, self.n_tets),
             *[[[field.from_int(x) for x in row] for row in d]
@@ -246,8 +246,8 @@ class Representation:
 
     @classmethod
     def trivial(cls, group):
-        from .fields import FunctionField
-        field = FunctionField(0)
+        from .fields import RationalField
+        field = RationalField()
         return cls(group, field, [field.one] * group.n_generators, "trivial")
 
     @classmethod

@@ -1,30 +1,38 @@
 """Exact coefficient fields for twisted complexes and torsion values.
 
-Two families are provided:
+Three fields are provided:
 
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
   stored as reduced fractions of Laurent polynomials with rational
-  coefficients (their gcd is taken in ``polygcd``); r = 0 degenerates to
-  plain Q.
+  coefficients (their gcd is taken in ``polygcd``); the twisted complexes
+  of free-abelian representations.  r = 0 degenerates to Q, which
+  nothing builds by default.
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
-  vectors modulo the n-th cyclotomic polynomial Phi_n.
+  vectors modulo the n-th cyclotomic polynomial Phi_n; the twisted
+  complexes of cyclic representations.
+- ``RationalField()``: Q, elements an int when integral, else a
+  Fraction; the trivial representation and the untwisted rational
+  complex whose torsion sign refines the others.  Its elements print as
+  the constants of ``FunctionField(0)`` do.
 
-Both fields share one matrix engine, ``_bareiss``: fraction-free
+The fields share one matrix engine, ``_bareiss``: fraction-free
 elimination (Bareiss 1968) over integer polynomials held as exponent
-dicts, Z[t1^+-1..tr^+-1] for a function field and Z[z] for a cyclotomic
-field, whose entries are the integer lifts of coefficient vectors.  Every
-intermediate entry is a minor of the input (Sylvester's identity), so
-each division by the previous pivot is exact in the ring, and a minor is
-zero in the field exactly when the Gauss-Jordan entry is: pivots, row
-swaps and sign are those of elimination over the field.  The fields
-differ only in the pivot test: a nonzero dict over Z[t^+-1], an entry
-that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
+dicts, Z[t1^+-1..tr^+-1] for a function field, Z (no variable) for Q
+and Z[z] for a cyclotomic field, whose entries are the integer lifts of
+coefficient vectors.  Every intermediate entry is a minor of the input
+(Sylvester's identity), so each division by the previous pivot is exact
+in the ring, and a minor is zero in the field exactly when the
+Gauss-Jordan entry is: pivots, row swaps and sign are those of
+elimination over the field.  The fields
+differ only in the pivot test: a nonzero dict over Z[t^+-1] and Z, an
+entry that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
 during elimination, only the entries read out.
 
 The matrix routines are written once, in ``_Field``, and each eliminates
 once.  A field supplies only what differs: its elements as (numerator,
 denominator) polynomials (a cyclotomic element is its lift over the
-unit), its pivot test, and the read-out p -> p / den into the field.
+unit), its pivot test, the read-out p -> p / den into the field and,
+for values up to sign, whether the leading coefficient is negative.
 Rows are cleared to coprime integer coefficients first, keeping the row
 factors for the determinant.  The greedy column choice "keep a column if
 it raises the rank" is exactly the pivot set of one elimination in that
@@ -396,13 +404,14 @@ class RationalFunction:
 
 
 class _Field:
-    """The matrix routines and ``from_int`` of both fields, written once.
+    """The matrix routines and ``from_int`` of every field, written once.
 
     A field supplies ``from_fraction(q)``, the constant q; ``_unit``, the
     one of its polynomial ring keyed like the entries; ``_parts(x)``, an
     element as (numerator, denominator) polynomials; ``_eliminate``,
-    ``_bareiss`` with its pivot test; and ``_divider(den)``, the map
-    p -> p / den into the field.
+    ``_bareiss`` with its pivot test; ``_divider(den)``, the map
+    p -> p / den into the field; and ``leading_is_negative(x)``, the sign
+    that the representative of +-x up to sign makes positive.
     """
 
     def from_int(self, k):
@@ -547,6 +556,10 @@ class FunctionField(_Field):
     def element_str(self, x):
         return x.str_in(self.names)
 
+    def leading_is_negative(self, x):
+        """Whether the leading coefficient of the numerator is negative."""
+        return x.num.lead_coeff() < 0
+
     def _parts(self, x):
         return x.num.terms, x.den.terms
 
@@ -558,6 +571,87 @@ class FunctionField(_Field):
     def _divider(self, den):
         den = _lp(self.nvars, den)
         return lambda p: RationalFunction(_lp(self.nvars, p), den)
+
+
+class Rational:
+    """An element of Q: ``q`` is an int when integral, else a Fraction."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        self.q = q if type(q) is int or q.denominator != 1 else q.numerator
+
+    def is_zero(self):
+        return not self.q
+
+    def __eq__(self, other):
+        return isinstance(other, Rational) and self.q == other.q
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __add__(self, other):
+        return Rational(self.q + other.q)
+
+    def __sub__(self, other):
+        return Rational(self.q - other.q)
+
+    def __neg__(self):
+        return Rational(-self.q)
+
+    def __mul__(self, other):
+        return Rational(self.q * other.q)
+
+    def inv(self):
+        return Rational(_quo(1, self.q) if type(self.q) is int else 1 / self.q)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def as_fraction(self):
+        return Fraction(self.q)
+
+
+class RationalField(_Field):
+    """Q, with matrices eliminated over Z (0-variable polynomials)."""
+
+    rank, select_columns, det, nullspace, solve = _ROUTINES
+
+    def __init__(self):
+        self.zero = Rational(0)
+        self.one = Rational(1)
+        self._unit = {(): 1}
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __repr__(self):
+        return "RationalField()"
+
+    def from_fraction(self, q):
+        return Rational(q if type(q) is int else Fraction(q))
+
+    def element_str(self, x):
+        return str(x.q)
+
+    def leading_is_negative(self, x):
+        return x.q < 0
+
+    def _parts(self, x):
+        q = x.q
+        if type(q) is int:
+            return ({(): q} if q else {}), self._unit
+        return {(): q.numerator}, {(): q.denominator}
+
+    def _eliminate(self, A, order, reduce=False):
+        """``_bareiss`` over Z, where any nonzero entry is a pivot."""
+        return _bareiss(A, order, bool, reduce)
+
+    def _divider(self, den):
+        """The map p -> p / den: one division by the integer ``den`` per
+        entry, an int when exact."""
+        d = den[()]
+        return lambda p: Rational(_quo(p[()], d))
 
 
 def cyclotomic_polynomial(n):
@@ -695,6 +789,10 @@ class CyclotomicField(_Field):
     def element_str(self, x):
         return _terms_str((((i,), c) for i, c in enumerate(x.coeffs) if c),
                           ("z",))
+
+    def leading_is_negative(self, x):
+        """Whether the coefficient of the highest power of z is negative."""
+        return next((c < 0 for c in reversed(x.coeffs) if c), False)
 
     def _lift(self, x):
         """The coefficients of ``x`` as a polynomial in z."""

@@ -483,7 +483,13 @@ def is_rigid(spine):
 def available_moves(spine, h_null_only=False):
     """All applicable moves in canonical order (positive by face class and
     variant, then negative by edge class)."""
-    out = list(_positive_moves(spine))
+    return _moves(spine, h_null_only, True)
+
+
+def _moves(spine, h_null_only, positive):
+    """``available_moves``, without building the positive moves unless
+    ``positive``."""
+    out = list(_positive_moves(spine)) if positive else []
     for ec in range(len(spine.triangulation.edge_classes)):
         try:
             out.append(apply_negative(spine, ec))
@@ -500,13 +506,15 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
     The candidate list at each step is deterministic and the choice is
     driven by SplitMix64(seed), so identical inputs replay identical
     walks.  ``max_tets`` optionally drops positive moves that would grow
-    the spine past the bound.  Raises Stuck when no move applies.
+    the spine past the bound; a positive move adds one tetrahedron, so at
+    the bound none is built.  Raises Stuck when no move applies.
     """
     rng = SplitMix64(seed)
     walk = []
     cur = spine
     for _ in range(steps):
-        moves = available_moves(cur, h_null_only=h_null_only)
+        moves = _moves(cur, h_null_only,
+                       max_tets is None or cur.tet_count < max_tets)
         if max_tets is not None:
             moves = [m for m in moves
                      if m.after.tet_count <= max_tets]

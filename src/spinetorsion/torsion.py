@@ -79,17 +79,8 @@ class TorsionValue:
         return self.field.element_str(self.value)
 
 
-def _leading_is_negative(field, value):
-    if isinstance(value, RationalFunction):
-        return value.num.lead_coeff() < 0
-    for c in reversed(value.coeffs):
-        if c:
-            return c < 0
-    return False
-
-
 def canonical_up_to_sign(field, value):
-    return -value if _leading_is_negative(field, value) else value
+    return -value if field.leading_is_negative(value) else value
 
 
 def auto_twisted_homology(tc):
@@ -295,7 +286,7 @@ def _oriented_value(raw, rat, olifts, sigma=None):
     ``rat`` with homology lifts ``olifts`` ("auto": the default
     orientation)."""
     a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
-    return raw.value if a.value.as_fraction() > 0 else -raw.value
+    return -raw.value if rat.field.leading_is_negative(a.value) else raw.value
 
 
 # -- Fox calculus cross-check ---------------------------------------------------

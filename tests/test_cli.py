@@ -1,10 +1,15 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from spinetorsion.cli import MAX_CYCLIC_ORDER, _parse_rep_spec, main
+from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
+                                    SpiderAnchors, TwistedComplex)
+from spinetorsion.torsion import sign_refined_torsion, torsion
 
-from fixtures import GOLDEN, ONE_TET, TWO_VARIANT
+from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
 
 
 def run_cli(argv, capsys):
@@ -240,3 +245,41 @@ def test_euler_command(golden_file, capsys):
     assert report["path_choice_independent"]
     assert report["dual_consistent"]
     assert all(isinstance(x, int) for x in report["cochain"])
+
+
+# sha256 of the trivial-representation outputs: torsion and sign-refined
+# torsion over census <= 2, then the CLI torsion and invariance reports on the
+# fixture spines, as the untwisted complex printed them when pinned.
+TRIVIAL_DIGEST = "9e78cd17ae64af39d55b6689836e2f9463508fe327e183c6fc26147206d0c86b"
+
+
+def test_trivial_representation_outputs_are_pinned(corpus12, tmp_path, capsys):
+    rnd = random.Random(16)
+    lines = []
+    for s in corpus12:
+        X = CellComplexX(s)
+        tc = TwistedComplex(s, X, SpiderAnchors(s, X),
+                            Representation.trivial(GroupData(X)))
+        sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
+        lines += [torsion(tc, h="auto").to_str(),
+                  torsion(tc, h="auto", keep_sign=True).to_str(),
+                  sign_refined_torsion(s, tc, h="auto").to_str(),
+                  sign_refined_torsion(s, tc, h="auto", sigma=sig).to_str()]
+        lines += ["%d: [%s]" % (i, ", ".join(map(tc.field.element_str, v)))
+                  for i, vecs in sorted(tc.default_lifts.items()) for v in vecs]
+    for name, text in (("ONE_TET", ONE_TET), ("TWO_VARIANT", TWO_VARIANT),
+                       ("GOLDEN", GOLDEN), ("TORSION2", TORSION2)):
+        path = tmp_path / name
+        path.write_text(text)
+        runs = [["torsion", str(path), "--rep", "trivial",
+                 "--homology-basis", "auto"] + refined
+                for refined in ([], ["--sign-refined"])]
+        runs += [["invariance", str(path), "--steps", "4", "--seed", str(seed),
+                  "--rep", "trivial", "--max-tets", "5"] for seed in range(3)]
+        for argv in runs:
+            status, report = run_cli(argv, capsys)
+            lines.append("%s %s %d %s" % (name, " ".join(argv[:1] + argv[2:]),
+                                          status,
+                                          json.dumps(report, sort_keys=True)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIVIAL_DIGEST, text

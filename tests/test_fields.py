@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from spinetorsion import fields, polygcd
 from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
-                                 FunctionField, LaurentPoly, RationalFunction,
-                                 cofactor_det, cyclotomic_polynomial)
+                                 FunctionField, LaurentPoly, RationalField,
+                                 RationalFunction, cofactor_det,
+                                 cyclotomic_polynomial)
 
 
 def rand_element(field, rnd, nterms=3, span=2):
@@ -104,7 +105,7 @@ def test_rows_repeating_one_element_object():
 # -- properties of the elimination engines ------------------------------------
 
 # Phi_n of degree 1, 2, 2, 4 and 4, prime and composite n.
-FIELDS = (FunctionField(0), FunctionField(1), FunctionField(2),
+FIELDS = (RationalField(), FunctionField(0), FunctionField(1), FunctionField(2),
           CyclotomicField(1), CyclotomicField(3), CyclotomicField(4),
           CyclotomicField(5), CyclotomicField(12))
 SMALL = st.integers(-2, 2)
@@ -114,6 +115,8 @@ COEFFS = st.builds(Fraction, SMALL, st.sampled_from((1, 1, 1, 2, 3)))
 
 @st.composite
 def elements(draw, field):
+    if isinstance(field, RationalField):
+        return field.from_fraction(draw(COEFFS))
     if isinstance(field, CyclotomicField):
         coeffs = draw(st.lists(COEFFS, min_size=field.degree,
                                max_size=field.degree))
@@ -458,3 +461,48 @@ def test_matrix_routine_outputs_are_pinned():
             lines += map(show, field.nullspace(M))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == ROUTINES_DIGEST, text
+
+
+# -- Q against Q(t1..tr) with no variable ---------------------------------------
+
+
+def _big(rnd):
+    """A rational with a numerator of 20 to 30 digits over 15 to 25 digits."""
+    return Fraction(rnd.choice((-1, 1)) * rnd.randint(10 ** 19, 10 ** 30),
+                    rnd.randint(10 ** 14, 10 ** 25))
+
+
+def test_rational_field_prints_what_function_field_0_prints():
+    F, Q = FunctionField(0), RationalField()
+    to_q = lambda x: Q.from_fraction(x.as_fraction())
+    rnd = random.Random(12)
+    for k in range(60):
+        m, n = rnd.randint(1, 5), rnd.randint(1, 5)
+        M = _seeded_matrix(F, rnd, m, n)
+        if k % 3 == 1:  # a zero row
+            M[rnd.randrange(m)] = [F.zero] * n
+        if k % 3 == 2:  # large numerators and denominators, a row scaled
+            M = [[F.from_fraction(_big(rnd)) if rnd.random() < 0.3 else x
+                  for x in row] for row in M]
+            big = F.from_fraction(_big(rnd))
+            M[0] = [big * x for x in M[0]]
+        order = list(range(n))
+        rnd.shuffle(order)
+        x = [F.from_fraction(_big(rnd) if k % 3 == 2 else
+                             Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
+             for _ in range(n)]
+        rhs = [apply(F, M, x), [_seeded_element(F, rnd) for _ in M]]
+        d = min(m, n)
+        outputs = []
+        for field, A, bs in ((F, M, rhs),
+                             (Q, [list(map(to_q, row)) for row in M],
+                              [list(map(to_q, b)) for b in rhs])):
+            show = lambda vec: ("None" if vec is None else
+                                [field.element_str(y) for y in vec])
+            square = [row[:d] for row in A[:d]]
+            outputs.append([field.rank(A), field.select_columns(A, order),
+                            field.element_str(field.det(square)),
+                            [show(v) for v in field.nullspace(A)]]
+                           + [show(field.solve(A, b)) for b in bs])
+            assert field.det(square) == cofactor_det(field, square)
+        assert outputs[0] == outputs[1]

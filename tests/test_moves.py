@@ -14,6 +14,7 @@ from spinetorsion.moves import (apply_negative, apply_positive,
                                 random_walk, transport_homology,
                                 transport_rational_homology,
                                 transport_representation)
+from spinetorsion.rng import SplitMix64
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log)
 from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
@@ -235,6 +236,50 @@ def test_replayed_move_log_reaches_the_walk_end(census2, data):
 def test_random_walk_stuck_on_rigid(census1):
     with pytest.raises(Stuck):
         random_walk(census1[0], 1, seed=0)
+
+
+def _walk_log(walk_fn, start, seed, h_null_only, max_tets):
+    """The move log of a 3-step walk, or where it got stuck."""
+    try:
+        return serialize_move_log(walk_fn(start, 3, seed, h_null_only,
+                                          max_tets))
+    except Stuck as exc:
+        return str(exc)
+
+
+def _reference_walk(spine, steps, seed, h_null_only, max_tets, memo):
+    """``random_walk`` as the bound first filtered it: every candidate of
+    ``available_moves`` built, then those past ``max_tets`` dropped.  The
+    candidates are kept in ``memo`` by spine file and filter."""
+    rng = SplitMix64(seed)
+    walk = []
+    cur = spine
+    for _ in range(steps):
+        key = (serialize(cur), h_null_only)
+        if key not in memo:
+            memo[key] = available_moves(cur, h_null_only=h_null_only)
+        cands = [m for m in memo[key] if m.after.tet_count <= max_tets]
+        if not cands:
+            raise Stuck("no applicable move after %d steps" % len(walk))
+        walk.append(cands[rng.below(len(cands))])
+        cur = walk[-1].after
+    return walk
+
+
+def test_bounded_walk_matches_filtered_candidates(census2):
+    # Skipping the positive moves at the bound leaves every walk as it was.
+    logs = set()
+    for start in census2:
+        memo = {}
+        for seed in range(5):
+            for max_tets in range(2, 6):
+                args = (start, seed, seed % 2 == 1, max_tets)
+                log = _walk_log(random_walk, *args)
+                assert log == _walk_log(
+                    lambda *a: _reference_walk(*a, memo=memo), *args)
+                logs.add(log)
+    assert any(log.startswith("no applicable") for log in logs)
+    assert sum(log.startswith("movelog") for log in logs) > 100
 
 
 def test_filtered_walk_is_h_null():

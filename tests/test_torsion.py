@@ -7,7 +7,7 @@ import pytest
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
-from spinetorsion.fields import CyclotomicField, FunctionField
+from spinetorsion.fields import CyclotomicField, FunctionField, RationalField
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
@@ -306,7 +306,7 @@ def test_rational_complex_is_the_trivial_twisted_complex(corpus12):
 
 def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
     eliminations = []
-    for cls in (FunctionField, CyclotomicField):
+    for cls in (FunctionField, CyclotomicField, RationalField):
         def counting(self, *args, _original=cls._eliminate, **kwargs):
             eliminations.append(self)
             return _original(self, *args, **kwargs)
@@ -526,7 +526,7 @@ def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
     # Nor a determinant: with or without a row order, the default bases
     # read their minors off the selection and lift passes.
     calls = []
-    for cls in (FunctionField, CyclotomicField):
+    for cls in (FunctionField, CyclotomicField, RationalField):
         for name in ("nullspace", "det"):
             def counting(self, matrix, _original=getattr(cls, name),
                          _name=name):
