@@ -19,8 +19,7 @@ from .spinefile import parse, serialize, serialize_move_log
 
 
 def spine_summary(spine):
-    from .complexes import CellComplexX, GroupData
-    group = GroupData(CellComplexX(spine))
+    group = spine.group
     chi_spine, chi_x = spine.euler_characteristics()
     return {
         "tetrahedra": spine.tet_count,
@@ -85,11 +84,10 @@ def _parse_rep_spec(spec):
 
 
 def _torsion_report(spine, spec, sign_refined, h):
-    from .complexes import (CellComplexX, GroupData, SpiderAnchors,
-                            TwistedComplex, make_representation)
+    from .complexes import SpiderAnchors, TwistedComplex, make_representation
     from .torsion import sign_refined_torsion, torsion
-    X = CellComplexX(spine)
-    rep = make_representation(GroupData(X), *_parse_rep_spec(spec))
+    X = spine.complex
+    rep = make_representation(spine.group, *_parse_rep_spec(spec))
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     if sign_refined:
         value = sign_refined_torsion(spine, tc, h=h)
@@ -215,8 +213,11 @@ def main(argv=None):
                   "message": str(exc)}
         status = 1
     except (MoveError, TorsionError, TransportFailure, RelatorNotKilled) as exc:
+        message = str(exc)
+        if getattr(exc, "step", None) is not None:
+            message = "step %d (%s): %s" % (exc.step, exc.move, message)
         report = {"command": args.command, "error": type(exc).__name__,
-                  "message": str(exc)}
+                  "message": message}
         status = 2
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)
@@ -240,13 +241,12 @@ def _run(args):
                 "branchings": [list(s.branching) for s in found]}
 
     if cmd == "summary":
-        from .complexes import CellComplexX
         from .moves import is_rigid
         spine = _read_spine(args.file)
         out = {"command": cmd, "summary": spine_summary(spine)}
         out["rigid"] = is_rigid(spine)
         if args.matrices:
-            X = CellComplexX(spine)
+            X = spine.complex
             out["boundary_matrices"] = {"d1": X.d1, "d2": X.d2, "d3": X.d3}
         return out
 

@@ -34,10 +34,14 @@ from .perms import parity
 
 
 class CellComplexX:
-    """Integer cellular chain complex of the one-vertex quotient space."""
+    """Integer cellular chain complex of the one-vertex quotient space.
+
+    X reads its spine only while it is built and keeps no reference to
+    it, so a spine can keep its X (``BranchedSpine.complex``) without a
+    reference cycle.
+    """
 
     def __init__(self, spine):
-        self.spine = spine
         trg = spine.triangulation
         self.n_edges = len(trg.edge_classes)
         self.n_faces = len(trg.face_classes)
@@ -46,11 +50,10 @@ class CellComplexX:
         self.d1 = [[0] * self.n_edges]
         self.d2 = [[0] * self.n_faces for _ in range(self.n_edges)]
         self.d3 = [[0] * self.n_tets for _ in range(self.n_faces)]
-        self._build_d2()
-        self._build_d3()
+        self._build_d2(spine)
+        self._build_d3(spine)
 
-    def _build_d2(self):
-        spine = self.spine
+    def _build_d2(self, spine):
         trg = spine.triangulation
         for fc in range(self.n_faces):
             (t, f), _ = trg.face_classes[fc]
@@ -65,8 +68,7 @@ class CellComplexX:
             self.d2[cls_b][fc] += 1
             self.d2[cls_c][fc] -= 1
 
-    def _build_d3(self):
-        spine = self.spine
+    def _build_d3(self, spine):
         trg = spine.triangulation
         self.d3_terms = []   # (face class, tet, sign, sink corner of the face)
         for t in range(self.n_tets):
@@ -323,7 +325,8 @@ class ChainComplex:
     Dimensions (1, E, F, T).  The column selections, homology lifts and raw
     torsion of the default bases, and the eliminations they are read off,
     are computed on first use and kept: the matrices are never changed
-    after construction.
+    after construction.  ``signs`` keeps the sign of the torsion under
+    given homology lifts and row order (``torsion._oriented_value``).
     """
 
     def __init__(self, field, dims, d1, d2, d3):
@@ -332,6 +335,7 @@ class ChainComplex:
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
+        self.signs = {}
 
     @cached_property
     def default_selection_pass(self):
@@ -404,20 +408,9 @@ class TwistedComplex(ChainComplex):
         zero, one = field.zero, field.one
         super().__init__(field, (1, E, F, T),
                          [[one - rep.inverses[j] for j in range(E)]],
-                         [[zero] * F for _ in range(E)],
+                         twisted_d2(complex_x, rep),
                          [[zero] * T for _ in range(F)])
-        self._build_d2()
         self._build_d3()
-
-    def _build_d2(self):
-        rep = self.rep
-        for fc, (cls_a, cls_b, cls_c) in enumerate(self.complex.face_sides):
-            col = {}
-            col[cls_a] = col.get(cls_a, self.field.zero) + rep.inverses[cls_b]
-            col[cls_b] = col.get(cls_b, self.field.zero) + self.field.one
-            col[cls_c] = col.get(cls_c, self.field.zero) - self.field.one
-            for cls, val in col.items():
-                self.d2[cls][fc] = val
 
     def _build_d3(self):
         for fc, t, sgn, sink in self.complex.d3_terms:
@@ -440,6 +433,21 @@ class TwistedComplex(ChainComplex):
                     if not x == f.from_int(k):
                         return False
         return True
+
+
+def twisted_d2(complex_x, rep):
+    """The twisted d2 of X under ``rep`` in the preferred-lift bases; it
+    reads only the face sides of X, not its spine."""
+    field = rep.field
+    d2 = [[field.zero] * complex_x.n_faces for _ in range(complex_x.n_edges)]
+    for fc, (cls_a, cls_b, cls_c) in enumerate(complex_x.face_sides):
+        col = {}
+        col[cls_a] = col.get(cls_a, field.zero) + rep.inverses[cls_b]
+        col[cls_b] = col.get(cls_b, field.zero) + field.one
+        col[cls_c] = col.get(cls_c, field.zero) - field.one
+        for cls, val in col.items():
+            d2[cls][fc] = val
+    return d2
 
 
 def make_representation(group, kind, order=None, character=None):

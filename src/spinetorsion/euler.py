@@ -20,7 +20,7 @@ the pinning of this vertex-corner rule is validated by
 the cell duality as a 1-cycle, is homologous to the chain class.
 """
 
-from .complexes import CellComplexX, GroupData, SpiderAnchors
+from .complexes import SpiderAnchors
 
 
 class EulerData:
@@ -53,7 +53,7 @@ def _chain_vector(spine):
 def euler_chain_class(spine, group=None):
     """The class of the spider-difference cycle in H_1 of the quotient complex,
     in Smith coordinates (free part, torsion part)."""
-    group = group or GroupData(CellComplexX(spine))
+    group = group or spine.group
     return group.class_of_vector(_chain_vector(spine))
 
 
@@ -88,11 +88,9 @@ def maw_cochain(spine):
 
 
 def euler_data(spine):
-    X = CellComplexX(spine)
-    G = GroupData(X)
     vec = _chain_vector(spine)
     cochain, counts = maw_cochain(spine)
-    return EulerData(G.class_of_vector(vec), cochain, counts, vec)
+    return EulerData(spine.group.class_of_vector(vec), cochain, counts, vec)
 
 
 def path_choice_independence(spine):
@@ -102,7 +100,7 @@ def path_choice_independence(spine):
     combinations of its faces' relators.  Returns True when every
     difference projects to zero.
     """
-    group = GroupData(CellComplexX(spine))
+    group = spine.group
     trg = spine.triangulation
     n = group.n_generators
     for fc in range(len(trg.face_classes)):
@@ -134,8 +132,6 @@ def pd_consistency(spine):
     one vertex); consistency means it is homologous to the spider
     difference, which pins the vertex-corner rule of the maw field.
     """
-    X = CellComplexX(spine)
-    G = GroupData(X)
     cochain, _ = maw_cochain(spine)
     diff = [a - b for a, b in zip(cochain, _chain_vector(spine))]
-    return G.h1.is_zero_class(diff)
+    return spine.group.h1.is_zero_class(diff)

@@ -26,10 +26,11 @@ certifies that torsion is unchanged by the move.
 """
 
 from functools import cached_property
+from itertools import combinations
 
-from .errors import (CyclicTriangle, Disconnected, MoveError, NonOrientable,
-                     NonStandardDual, NotApplicable, ResultNonStandard,
-                     SelfAdjacentFace, Stuck, TransportFailure)
+from .errors import (Disconnected, MoveError, NonOrientable, NonStandardDual,
+                     NotApplicable, ResultNonStandard, SelfAdjacentFace, Stuck,
+                     TransportFailure)
 from .perms import compose, inverse, sign
 from .rng import SplitMix64
 from .spine import _CORNER_PAIRS, BranchedSpine
@@ -136,18 +137,44 @@ def _pair_class(trg, site, u, v):
     return None
 
 
-def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs):
+def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
+             h_null_only):
     """The moves that retriangulate a labelled bipyramid of ``spine``.
 
     ``old_site`` and ``new_site`` list (tetrahedron, labels) for the two
     sides, ``index`` sends every other tetrahedron of ``spine`` to its
     index after the move, and ``orientations`` are the after orientation
-    bits.  One move is returned per direction of the central edge in
-    ``ac_dirs`` (True: a->c) whose branching has no cyclic face.
+    bits.  Variants are numbered over the directions of the central edge
+    in ``ac_dirs`` (True: a->c) whose branching has no cyclic face.  One
+    move is returned per variant or, with ``h_null_only``, per variant
+    whose certificate is null: the certificate is read off the before
+    spine, so no after spine is built for a variant it rejects.
     """
     trg = spine.triangulation
     old_labels, new_labels = dict(old_site), dict(new_site)
     new_faces = _faces_by_labels(new_site)
+    dirs, edge_class = {}, {}
+    for t, lab in old_site:
+        for i, j in _CORNER_PAIRS:
+            u, v = lab[i], lab[j]
+            edge_class[frozenset((u, v))], s = spine.oriented_class(t, i, j)
+            dirs[(u, v)], dirs[(v, u)] = s == 1, s != 1
+    edge_class.pop(frozenset("ac"), None)
+    # Every face but the new inner ones keeps its before directions, and
+    # the ten triangles of the bipyramid are all its vertex triples: a
+    # variant has a branching exactly when it has a certificate.
+    variants = []
+    for ac in ac_dirs:
+        bip = Bipyramid({**dirs, ("a", "c"): ac, ("c", "a"): not ac},
+                        edge_class)
+        cert = _certificate(bip)
+        if cert is not None:
+            variants.append((bip, cert[2]))
+    chosen = [(k, bip) for k, (bip, is_null) in enumerate(variants)
+              if is_null or not h_null_only]
+    if h_null_only and not chosen:
+        return []
+
     # Where each face outside the bipyramid's interior goes: (tetrahedron,
     # face, corner map).  A boundary face goes to the face with its labels
     # on the other side; interior faces have no entry.
@@ -208,19 +235,10 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs):
     created = tuple(sorted({after_trg.face_class_of[side] for side in new_inner}))
     vanished = tuple(sorted(vanished))
 
-    dirs, edge_class = {}, {}
-    for t, lab in old_site:
-        for i, j in _CORNER_PAIRS:
-            u, v = lab[i], lab[j]
-            edge_class[frozenset((u, v))], s = spine.oriented_class(t, i, j)
-            dirs[(u, v)], dirs[(v, u)] = s == 1, s != 1
-    edge_class.pop(frozenset("ac"), None)
     old_of = {n: t for t, n in index.items()}
     positive = central_before is None  # the central edge is new
     moves = []
-    for ac in ac_dirs:
-        bip = Bipyramid({**dirs, ("a", "c"): ac, ("c", "a"): not ac},
-                        edge_class)
+    for variant, bip in chosen:
         branching = []
         for cls in after_trg.edge_classes:
             nt, i, j = cls.members[0]
@@ -231,15 +249,13 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs):
             branching.append(1 if d else -1)
         try:
             after = BranchedSpine(after_trg, branching, orientations)
-        except CyclicTriangle:
-            continue
         except NonStandardDual as exc:
             raise ResultNonStandard(str(exc))
         moves.append(MoveInstance(
             "positive" if positive else "negative",
-            vanished[0] if positive else central_before, len(moves),
-            (1 if ac else -1) if positive else None, spine, after,
-            index, edge_map, face_map, bip,
+            vanished[0] if positive else central_before, variant,
+            (1 if bip.directed("a", "c") else -1) if positive else None,
+            spine, after, index, edge_map, face_map, bip,
             tuple(old_labels), tuple(new_labels),
             tuple(old_labels.values()), tuple(new_labels.values()),
             vanished, created, central_before, central_after))
@@ -252,6 +268,12 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs):
 def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
     of the new central edge (0, 1 or 2 results)."""
+    return _positive(spine, face_class, False)
+
+
+def _positive(spine, face_class, h_null_only):
+    """``apply_positive``; with ``h_null_only``, only the moves whose
+    certificate is null, the others never built."""
     trg = spine.triangulation
     _check_site(face_class, len(trg.face_classes), "face")
     (t0, f0), (t1, f1) = trg.face_classes[face_class]
@@ -275,7 +297,7 @@ def apply_positive(spine, face_class):
                     for t, o in enumerate(spine.orientations)] + [1]
     return _rebuild(spine, [(t0, "".join(lab0)), (t1, "".join(lab1))],
                     new_site, {t: t for t in range(T) if t not in (t0, t1)},
-                    orientations, (True, False))
+                    orientations, (True, False), h_null_only)
 
 
 def positive_move(spine, face_class, variant=0):
@@ -298,6 +320,16 @@ def positive_move(spine, face_class, variant=0):
 
 def apply_negative(spine, edge_class):
     """The branched 3-to-2 move at a valence-three edge class."""
+    moves = _negative(spine, edge_class, False)
+    if not moves:
+        raise NotApplicable("restricted branching is not a branching "
+                            "(the new face is cyclic)")
+    return moves[0]
+
+
+def _negative(spine, edge_class, h_null_only):
+    """[``apply_negative``], or [] when its new face is cyclic or, with
+    ``h_null_only``, its certificate is not null."""
     trg = spine.triangulation
     _check_site(edge_class, len(trg.edge_classes), "edge")
     cls = trg.edge_classes[edge_class]
@@ -326,15 +358,9 @@ def apply_negative(spine, edge_class):
     t, ia, jc, enter, exit_ = fan[0]
     s0 = spine.orientations[t] * sign((ia, enter, exit_, jc))
     orientations = [spine.orientations[t] for t in survivors] + [-s0, -s0]
-    moves = _rebuild(spine, old_site, [(n, "abde"), (n + 1, "cbed")],
-                     {t: i for i, t in enumerate(survivors)}, orientations,
-                     (True,))
-    if not moves:
-        raise NotApplicable("restricted branching is not a branching "
-                            "(the new face is cyclic)")
-    return moves[0]
-
-
+    return _rebuild(spine, old_site, [(n, "abde"), (n + 1, "cbed")],
+                    {t: i for i, t in enumerate(survivors)}, orientations,
+                    (True,), h_null_only)
 
 
 # -- invariance certificate -------------------------------------------------------
@@ -346,24 +372,38 @@ class HCycleReport:
     ``rows``: list of (simplex label, epsilon, end0, end1); the boundary
     of a row is epsilon * (end0 - end1) as a formal sum of the external
     vertex labels, ``total`` collects all rows, and ``is_null`` certifies
-    the move torsion-safe.  ``h_class`` is the class of the certificate
-    cycle ``h_chain`` in the first homology of the quotient complex, in
-    Smith coordinates of the ``before`` spine (always defined; zero when
-    is_null); it is computed on first read, so the certificate alone
-    builds no Smith form.
+    the move torsion-safe.  The three depend only on the ten edge
+    directions of the ``bipyramid``, so they are looked up, computed once
+    per direction pattern; each report has its own ``rows`` and ``total``.
+    ``h_chain`` is the certificate cycle on the edge classes of the
+    ``before`` spine and ``h_class`` its class in the first homology of the
+    quotient complex, in Smith coordinates of ``before.group`` (always
+    defined; zero when is_null).  Both are computed on first read, so the
+    certificate alone builds no chain and no Smith form.
     """
 
-    def __init__(self, rows, total, is_null, before, h_chain):
+    def __init__(self, rows, total, is_null, before, bipyramid):
         self.rows = rows
         self.total = total
         self.is_null = is_null
         self.before = before
-        self.h_chain = h_chain
+        self.bipyramid = bipyramid
+
+    @cached_property
+    def h_chain(self):
+        # The rows sum eps * (chain of end1 - chain of end0) over fixed
+        # tree paths to the root apex, which is minus the total at each
+        # end: a null total lifts to zero.
+        n = len(self.before.triangulation.edge_classes)
+        chains = _tree_chains(self.bipyramid, n)
+        h_chain = [0] * n
+        for v, c in self.total.items():
+            h_chain = [h - c * x for h, x in zip(h_chain, chains[v])]
+        return h_chain
 
     @cached_property
     def h_class(self):
-        from .complexes import CellComplexX, GroupData
-        return GroupData(CellComplexX(self.before)).class_of_vector(self.h_chain)
+        return self.before.group.class_of_vector(self.h_chain)
 
     def row_boundary(self, row):
         _label, eps, e0, e1 = row
@@ -428,48 +468,60 @@ def _tree_chains(bip, n):
     return chains
 
 
+# Certificates by direction pattern: the directions of the ten edges of
+# the bipyramid, in the order of _DIRECTION_PAIRS.
+_DIRECTION_PAIRS = tuple(combinations("abcde", 2))
+_CERTIFICATES = {}
+
+
+def _certificate(bip):
+    """(rows, total, is_null) of a bipyramid, or None when some triangle of
+    it is cyclic; computed once per direction pattern, and callers copy
+    what they hand out.
+
+    The triangles are all ten vertex triples, so none is cyclic exactly
+    when the directions order the five vertices linearly: the vertices
+    then have 0, 1, 2, 3 and 4 outgoing edges."""
+    key = tuple([bip.dirs[p] for p in _DIRECTION_PAIRS])
+    if key in _CERTIFICATES:
+        return _CERTIFICATES[key]
+    cert = None
+    if sorted(sum(bip.dirs[(u, v)] for v in "abcde" if v != u)
+              for u in "abcde") == [0, 1, 2, 3, 4]:
+        rows = []
+        total = {}
+        sinks = {}  # one per distinct containing cell
+        for label in _ROW_ORDER:
+            dim = len(label) - 1
+            eps = (-1) ** dim
+            e0, e1 = (sinks[cell] if cell in sinks
+                      else sinks.setdefault(cell, _sink(bip, cell[1]))
+                      for cell in _simplex_cells(label))
+            rows.append((label, eps, e0, e1))
+            if e0 != e1:
+                total[e0] = total.get(e0, 0) + eps
+                total[e1] = total.get(e1, 0) - eps
+        total = {k: v for k, v in total.items() if v}
+        cert = rows, total, not total
+    _CERTIFICATES[key] = cert
+    return cert
+
+
 def h_cycle_check(move):
     """Certificate table of a move instance; see HCycleReport."""
-    bip = move.bipyramid
-    rows = []
-    total = {}
-    sinks = {}  # one per distinct containing cell
-    for label in _ROW_ORDER:
-        dim = len(label) - 1
-        eps = (-1) ** dim
-        e0, e1 = (sinks[cell] if cell in sinks
-                  else sinks.setdefault(cell, _sink(bip, cell[1]))
-                  for cell in _simplex_cells(label))
-        rows.append((label, eps, e0, e1))
-        if e0 != e1:
-            total[e0] = total.get(e0, 0) + eps
-            total[e1] = total.get(e1, 0) - eps
-    total = {k: v for k, v in total.items() if v}
-    is_null = not total
-
-    # The certificate cycle: fixed tree paths to the root apex, so a null
-    # total lifts to zero.
-    before = move.before
-    n = len(before.triangulation.edge_classes)
-    chains = _tree_chains(bip, n)
-    h_chain = [0] * n
-    for (label, eps, e0, e1) in rows:
-        if e0 == e1:
-            continue
-        c1v = chains[e1]
-        c0v = chains[e0]
-        h_chain = [h + eps * (x - y) for h, x, y in zip(h_chain, c1v, c0v)]
-    return HCycleReport(rows, total, is_null, before, h_chain)
+    rows, total, is_null = _certificate(move.bipyramid)
+    return HCycleReport(list(rows), dict(total), is_null, move.before,
+                        move.bipyramid)
 
 
 # -- rigidity and walks -----------------------------------------------------------
 
 
-def _positive_moves(spine):
+def _positive_moves(spine, h_null_only=False):
     """The positive moves of a spine, by face class and variant."""
     for fc in range(len(spine.triangulation.face_classes)):
         try:
-            moves = apply_positive(spine, fc)
+            moves = _positive(spine, fc, h_null_only)
         except (SelfAdjacentFace, ResultNonStandard):
             continue
         yield from moves
@@ -488,15 +540,14 @@ def available_moves(spine, h_null_only=False):
 
 def _moves(spine, h_null_only, positive):
     """``available_moves``, without building the positive moves unless
-    ``positive``."""
-    out = list(_positive_moves(spine)) if positive else []
+    ``positive``.  With ``h_null_only`` each candidate is certified before
+    its after spine is built."""
+    out = list(_positive_moves(spine, h_null_only)) if positive else []
     for ec in range(len(spine.triangulation.edge_classes)):
         try:
-            out.append(apply_negative(spine, ec))
+            out.extend(_negative(spine, ec, h_null_only))
         except (NotApplicable, ResultNonStandard):
             continue
-    if h_null_only:
-        out = [m for m in out if h_cycle_check(m).is_null]
     return out
 
 
@@ -536,9 +587,8 @@ def transport_representation(move, rep):
     positive move maps to the product along an external two-edge path
     from apex to apex, which is its class in the common model.
     """
-    from .complexes import CellComplexX, GroupData, Representation
-    after = move.after
-    G2 = GroupData(CellComplexX(after))
+    from .complexes import Representation
+    G2 = move.after.group
     field = rep.field
     images = [None] * G2.n_generators
     for old, new in move.edge_map.items():

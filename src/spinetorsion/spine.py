@@ -13,6 +13,8 @@ chi(spine) = E - V and chi(X) = 1 - chi(spine) for the one-vertex
 quotient complex X built in :mod:`spinetorsion.complexes`.
 """
 
+from functools import cached_property
+
 from .errors import CyclicTriangle, NonOrientable, NonStandardDual
 from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
 from .triangulation import Triangulation, _face_corners
@@ -26,6 +28,13 @@ class BranchedSpine:
     ambient orientation bit of tetrahedron t.  ``ranks[t][c]`` is the rank
     of corner c of tetrahedron t in the branching order, 0 at the source
     and 3 at the sink.
+
+    ``complex`` (the quotient complex X of :mod:`spinetorsion.complexes`)
+    and ``group`` (its presentation and the Smith form of H_1) are built
+    on first read and kept, so every representation, certificate class,
+    transport and report on one spine shares them, X's rational complex
+    included.  X keeps no reference to the spine, so the cache makes no
+    reference cycle.
     """
 
     def __init__(self, triangulation, branching, orientations=None):
@@ -42,6 +51,16 @@ class BranchedSpine:
             self._check_orientations()
         self.ranks = self._compute_ranks()
         self._check_standardness()
+
+    @cached_property
+    def complex(self):
+        from .complexes import CellComplexX
+        return CellComplexX(self)
+
+    @cached_property
+    def group(self):
+        from .complexes import GroupData
+        return GroupData(self.complex)
 
     # -- validation ------------------------------------------------------------
 

@@ -284,9 +284,19 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
 def _oriented_value(raw, rat, olifts, sigma=None):
     """The raw twisted value times the sign of the rational torsion of
     ``rat`` with homology lifts ``olifts`` ("auto": the default
-    orientation)."""
-    a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
-    return -raw.value if rat.field.leading_is_negative(a.value) else raw.value
+    orientation).  The sign is kept in ``rat.signs``, keyed by the values
+    of the lifts and the row order, so each representation of one spine,
+    and each walk that carries the same lifts to it, reads it once."""
+    lifts = olifts if olifts == "auto" else tuple(
+        (i, tuple(map(tuple, vecs))) for i, vecs in sorted(olifts.items()))
+    order = tuple((i, tuple(p)) for i, p in sorted(sigma.items())) \
+        if sigma else None
+    key = lifts, order
+    negative = rat.signs.get(key)
+    if negative is None:
+        a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
+        negative = rat.signs[key] = rat.field.leading_is_negative(a.value)
+    return -raw.value if negative else raw.value
 
 
 # -- Fox calculus cross-check ---------------------------------------------------
@@ -396,16 +406,14 @@ def twisted_h1_order(complex_x, group, character):
     comparable with ``fox_alexander``.  An all-zero character gives d1 = 0
     and raises ValueError.
     """
-    from .complexes import Representation, SpiderAnchors, TwistedComplex
+    from .complexes import Representation, twisted_d2
     if not any(character):
         raise ValueError("the character must be nonzero")
     field = FunctionField(1)
     images = [field.monomial((character[j],))
               for j in range(group.n_generators)]
     rep = Representation(group, field, images, "free_abelian")
-    anchors = SpiderAnchors(complex_x.spine, complex_x)
-    tc = TwistedComplex(complex_x.spine, complex_x, anchors, rep)
-    return _minor_gcd(tc.d2, complex_x.n_edges - 1)
+    return _minor_gcd(twisted_d2(complex_x, rep), complex_x.n_edges - 1)
 
 
 # -- invariance harness ---------------------------------------------------------
@@ -438,16 +446,23 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     fixed on the first spine and transported along each move; torsion
     must agree up to sign at every step, and exactly for the
     sign-refined value until an orientation transport fails.  A failed
-    homology transport raises TransportFailure.  Returns an
+    homology transport raises TransportFailure, whose ``step`` and
+    ``move`` name the walk step and its move.  Returns an
     InvarianceReport; the first violating move, if any, is pinpointed.
+
+    Everything that does not depend on the representation is read off
+    the spines of the walk and kept there: each spine's ``complex`` and
+    ``group``, its rational complex, and the rational torsion sign of
+    each orientation carried to it.  A second suite over the same walk,
+    for another representation, builds only its twisted complexes, its
+    transports and their torsion.
     """
     from . import moves as moves_mod
-    from .complexes import CellComplexX, GroupData, SpiderAnchors, \
-        TwistedComplex, make_representation
+    from .complexes import SpiderAnchors, TwistedComplex, make_representation
     from .errors import TransportFailure
 
-    X = CellComplexX(spine)
-    rep = make_representation(GroupData(X), rep_kind, order, character)
+    X = spine.complex
+    rep = make_representation(spine.group, rep_kind, order, character)
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     lifts = tc.default_lifts
     olifts = X.rational_complex.default_lifts  # None once transport fails
@@ -487,7 +502,9 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
                 notes.append("orientation transport failed: %s" % exc)
         note = "; ".join(notes) or None
         if lifts is None:
-            raise TransportFailure(note)
+            exc = TransportFailure(note)
+            exc.step, exc.move = idx, moves_mod.describe_move(move)
+            raise exc
         after_t, after_s = values(new_tc, lifts, olifts)
         equal = before_t.equal_up_to_sign(after_t)
         sgn_equal = None if after_s is None else before_s == after_s

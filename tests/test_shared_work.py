@@ -1,0 +1,276 @@
+"""Work shared along certified walks stays invisible in every output.
+
+Certificates come from a table keyed by the bipyramid's edge directions,
+each spine keeps its quotient complex and Smith form, each rational
+complex keeps the torsion sign of each orientation, and h-null candidates
+are certified before their after spine is built.  Each test compares the
+shared result with one computed from scratch.
+"""
+
+import gc
+import json
+import weakref
+from itertools import combinations
+from types import SimpleNamespace
+
+import pytest
+
+from spinetorsion import cli, moves
+from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
+                                    TwistedComplex, make_representation)
+from spinetorsion.errors import Stuck, TransportFailure
+from spinetorsion.moves import (available_moves, describe_move,
+                                h_cycle_check, random_walk)
+from spinetorsion.rng import SplitMix64
+from spinetorsion.spinefile import parse, serialize
+from spinetorsion.torsion import invariance_suite, sign_refined_torsion
+
+
+def _direct_certificate(move):
+    """The 21-row certificate of a move computed row by row, as before the
+    table: (rows, total, is_null, h_chain)."""
+    bip = move.bipyramid
+    rows = []
+    total = {}
+    for label in moves._ROW_ORDER:
+        eps = (-1) ** (len(label) - 1)
+        e0, e1 = (moves._sink(bip, cell[1])
+                  for cell in moves._simplex_cells(label))
+        rows.append((label, eps, e0, e1))
+        if e0 != e1:
+            total[e0] = total.get(e0, 0) + eps
+            total[e1] = total.get(e1, 0) - eps
+    total = {k: v for k, v in total.items() if v}
+    n = len(move.before.triangulation.edge_classes)
+    chains = moves._tree_chains(bip, n)
+    h_chain = [0] * n
+    for (_label, eps, e0, e1) in rows:
+        if e0 != e1:
+            h_chain = [h + eps * (x - y)
+                       for h, x, y in zip(h_chain, chains[e1], chains[e0])]
+    return rows, total, not total, h_chain
+
+
+def _looked_up(move):
+    report = h_cycle_check(move)
+    return report.rows, report.total, report.is_null, report.h_chain
+
+
+def _walk_spines(census2):
+    """Spines of 3-6 tetrahedra met on seeded walks from census-2 starts."""
+    out = []
+    for i in range(0, len(census2), 4):
+        try:
+            walk = random_walk(census2[i], 6, seed=i, max_tets=6)
+        except Stuck:
+            continue
+        out.extend(m.after for m in walk if m.after.tet_count >= 3)
+    return out
+
+
+def test_certificate_table_matches_direct_computation(corpus12, census2):
+    spines = corpus12 + _walk_spines(census2)
+    checked = sizes = 0
+    for s in spines:
+        for m in available_moves(s):
+            report = h_cycle_check(m)
+            assert _looked_up(m) == _direct_certificate(m)
+            group = GroupData(CellComplexX(m.before))
+            assert report.h_class == group.class_of_vector(report.h_chain)
+            checked += 1
+        sizes |= 1 << s.tet_count
+    assert checked > 900
+    assert sizes >> 3 & 0b1111 == 0b1111  # walk spines of 3, 4, 5 and 6 tets
+
+
+def test_certificate_table_covers_every_direction_pattern():
+    # Ten edge directions give 1,024 patterns; exactly the 120 linear
+    # orders of the five vertices have no cyclic triangle, and only they
+    # have a certificate.
+    labels = "abcde"
+    pairs = list(combinations(labels, 2))
+    external = [p for p in pairs if p != ("a", "c")]
+    edge_class = {frozenset(p): k for k, p in enumerate(external)}
+    before = SimpleNamespace(
+        triangulation=SimpleNamespace(edge_classes=range(len(external))))
+    linear = 0
+    for bits in range(1 << len(pairs)):
+        dirs = {}
+        for k, (u, v) in enumerate(pairs):
+            dirs[(u, v)] = bool(bits >> k & 1)
+            dirs[(v, u)] = not dirs[(u, v)]
+        bip = moves.Bipyramid(dirs, edge_class)
+        cyclic = any(not any(all(dirs[(u, w)] for u in tri if u != w)
+                             for w in tri)
+                     for tri in combinations(labels, 3))
+        if cyclic:
+            assert moves._certificate(bip) is None
+            continue
+        linear += 1
+        move = SimpleNamespace(bipyramid=bip, before=before)
+        assert _looked_up(move) == _direct_certificate(move)
+        # Each report owns its rows and total: changing one leaves the table.
+        report = h_cycle_check(move)
+        report.rows.clear()
+        report.total["a"] = 99
+        assert _looked_up(move) == _direct_certificate(move)
+    assert linear == 120
+
+
+def _move_key(m):
+    return m.direction, m.site, m.variant, serialize(m.after)
+
+
+def test_certify_first_matches_filtered_candidates(census2):
+    # At every spine of every 3-step h-null walk (census-2 starts, seeds
+    # 0-4), the certified-first candidates are the certified ones of all
+    # candidates, and the walk takes the same moves as one that chooses
+    # among those.
+    filtered = {}
+    walked = 0
+    for start in census2:
+        for seed in range(5):
+            rng = SplitMix64(seed)
+            cur, expected = start, []
+            for _ in range(3):
+                text = serialize(cur)
+                if text not in filtered:
+                    filtered[text] = [m for m in available_moves(cur)
+                                      if h_cycle_check(m).is_null]
+                    assert [_move_key(m) for m in
+                            available_moves(cur, h_null_only=True)] == \
+                        [_move_key(m) for m in filtered[text]]
+                cands = [m for m in filtered[text] if m.after.tet_count <= 5]
+                if not cands:
+                    break
+                expected.append(cands[rng.below(len(cands))])
+                cur = expected[-1].after
+            try:
+                walk = random_walk(start, 3, seed, h_null_only=True, max_tets=5)
+            except Stuck:
+                assert len(expected) < 3
+                continue
+            assert [_move_key(m) for m in walk] == \
+                [_move_key(m) for m in expected]
+            walked += 1
+    assert walked > 100
+
+
+def _report_text(report):
+    return json.dumps([[st.description, st.before_value.to_str(),
+                        st.after_value.to_str(), st.equal,
+                        st.sign_refined_equal, st.transport_note]
+                       for st in report.steps]
+                      + [report.all_equal, report.first_violation])
+
+
+def test_shared_work_stays_invisible(census2):
+    # Free-abelian, cyclic:5, then free-abelian again on one walk object
+    # print as a fresh parse and a fresh walk do.  Start 33 keeps its
+    # sign-refined flips.
+    checked = 0
+    for i in (5, 12, 33, 40):
+        text = serialize(census2[i])
+        try:
+            walk = random_walk(parse(text), 6, seed=i, h_null_only=True,
+                               max_tets=6)
+        except Stuck:
+            continue
+        spine = walk[0].before
+        for kind, order in (("free_abelian", None), ("cyclic", 5),
+                            ("free_abelian", None)):
+            shared = invariance_suite(spine, walk, kind, order=order)
+            fresh = parse(text)
+            fresh_walk = random_walk(fresh, 6, seed=i, h_null_only=True,
+                                     max_tets=6)
+            assert _report_text(shared) == _report_text(
+                invariance_suite(fresh, fresh_walk, kind, order=order))
+        assert spine.complex.rational_complex.signs
+        checked += 1
+    assert checked >= 3
+
+
+def _orientations(X):
+    """The default orientation of X's rational complex, and the one with
+    its degree-0 lift negated (the opposite orientation)."""
+    lifts = X.rational_complex.default_lifts
+    return lifts, {**lifts, 0: [[-x for x in lifts[0][0]]]}
+
+
+def test_rational_signs_are_kept_per_orientation(census2):
+    # Opposite orientations of one rational complex, read in turn from its
+    # memo, give opposite values, each as a fresh spine gives it.
+    for s in census2[:12]:
+        values = []
+        for shared in (True, False):
+            spine = parse(serialize(s))
+            for k in (0, 1, 0):
+                if not shared:
+                    spine = parse(serialize(s))
+                X = spine.complex
+                tc = TwistedComplex(spine, X, SpiderAnchors(spine, X),
+                                    make_representation(spine.group, "cyclic", 5))
+                values.append(sign_refined_torsion(
+                    spine, tc, h="auto", orientation=_orientations(X)[k]).to_str())
+        assert values[:3] == values[3:]
+        assert values[0] == values[2] != values[1]
+
+
+def test_spine_caches_make_no_reference_cycle(census2):
+    # Everything a spine keeps refers to it weakly or not at all, so it is
+    # freed by reference counting alone, with every cache filled.
+    spine = parse(serialize(census2[5]))
+    walk = random_walk(spine, 3, seed=1, h_null_only=True)
+    X = spine.complex
+    rep = make_representation(spine.group, "cyclic", 5)
+    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
+    sign_refined_torsion(spine, tc, h="auto")
+    invariance_suite(spine, walk, "free_abelian")
+    assert X.rational_complex.signs
+    refs = [weakref.ref(x) for x in (spine, X, spine.group, walk[-1].after)]
+    gc.disable()
+    try:
+        del spine, walk, X, rep, tc
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _failing_at(monkeypatch, call):
+    """Make ``moves.transport_homology`` raise TransportFailure("x") on its
+    ``call``-th call.  Each step calls it for the twisted lifts, then
+    (through ``transport_rational_homology``) for the orientation."""
+    original = moves.transport_homology
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise TransportFailure("x")
+        return original(*args)
+    monkeypatch.setattr(moves, "transport_homology", patched)
+
+
+@pytest.mark.parametrize("step", [0, 2])
+def test_transport_failure_names_its_step(census2, monkeypatch, tmp_path,
+                                          capsys, step):
+    path = tmp_path / "start.spine"
+    path.write_text(serialize(census2[5]))
+    walk = random_walk(census2[5], 4, seed=1, h_null_only=True)
+    with monkeypatch.context() as m:
+        _failing_at(m, 2 * step + 1)
+        with pytest.raises(TransportFailure) as exc:
+            invariance_suite(census2[5], walk, "cyclic", order=5)
+    assert (exc.value.step, exc.value.move) == (step, describe_move(walk[step]))
+    assert str(exc.value) == "homology transport failed: x"
+
+    with monkeypatch.context() as m:
+        _failing_at(m, 2 * step + 1)
+        status = cli.main(["invariance", str(path), "--steps", "4",
+                           "--seed", "1", "--rep", "cyclic:5"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 2
+    assert report == {
+        "command": "invariance", "error": "TransportFailure",
+        "message": "step %d (%s): homology transport failed: x"
+                   % (step, describe_move(walk[step]))}
