@@ -50,11 +50,10 @@ def _chain_vector(spine):
     return vec
 
 
-def euler_chain_class(spine, group=None):
+def euler_chain_class(spine):
     """The class of the spider-difference cycle in H_1 of the quotient complex,
     in Smith coordinates (free part, torsion part)."""
-    group = group or spine.group
-    return group.class_of_vector(_chain_vector(spine))
+    return spine.group.class_of_vector(_chain_vector(spine))
 
 
 def tangent_edges(spine, t):

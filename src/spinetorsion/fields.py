@@ -5,8 +5,9 @@ Three fields are provided:
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
   stored as reduced fractions of Laurent polynomials with rational
   coefficients (their gcd is taken in ``polygcd``); the twisted complexes
-  of free-abelian representations.  r = 0 degenerates to Q, which
-  nothing builds by default.
+  of free-abelian representations.  r = 0 degenerates to Q: the
+  free-abelian representation of a spine whose H_1 has free rank 0
+  builds it (25 of the 46 spines of the 2-tetrahedron census).
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
   vectors modulo the n-th cyclotomic polynomial Phi_n; the twisted
   complexes of cyclic representations.
@@ -408,14 +409,20 @@ class _Field:
 
     A field supplies ``from_fraction(q)``, the constant q; ``_unit``, the
     one of its polynomial ring keyed like the entries; ``_parts(x)``, an
-    element as (numerator, denominator) polynomials; ``_eliminate``,
-    ``_bareiss`` with its pivot test; ``_divider(den)``, the map
-    p -> p / den into the field; and ``leading_is_negative(x)``, the sign
-    that the representative of +-x up to sign makes positive.
+    element as (numerator, denominator) polynomials; ``_nonzero(p)``,
+    the pivot test of ``_bareiss`` (any nonzero entry, unless overridden);
+    ``_divider(den)``, the map p -> p / den into the field; and
+    ``leading_is_negative(x)``, the sign that the representative of +-x
+    up to sign makes positive.
     """
+
+    _nonzero = bool
 
     def from_int(self, k):
         return self.from_fraction(k)
+
+    def _eliminate(self, A, order, reduce=False):
+        return _bareiss(A, order, self._nonzero, reduce)
 
     def _cleared(self, matrix):
         """(integer polynomial rows, row factors (polynomial, (mul, div))).
@@ -563,11 +570,6 @@ class FunctionField(_Field):
     def _parts(self, x):
         return x.num.terms, x.den.terms
 
-    def _eliminate(self, A, order, reduce=False):
-        """``_bareiss`` over Z[t1^+-1..tr^+-1], where any nonzero entry
-        is a pivot."""
-        return _bareiss(A, order, bool, reduce)
-
     def _divider(self, den):
         den = _lp(self.nvars, den)
         return lambda p: RationalFunction(_lp(self.nvars, p), den)
@@ -642,10 +644,6 @@ class RationalField(_Field):
         if type(q) is int:
             return ({(): q} if q else {}), self._unit
         return {(): q.numerator}, {(): q.denominator}
-
-    def _eliminate(self, A, order, reduce=False):
-        """``_bareiss`` over Z, where any nonzero entry is a pivot."""
-        return _bareiss(A, order, bool, reduce)
 
     def _divider(self, den):
         """The map p -> p / den: one division by the integer ``den`` per
@@ -822,11 +820,6 @@ class CyclotomicField(_Field):
     def _element(self, p, scale=1):
         """The field element of the lift ``p``, times ``scale``."""
         return CyclotomicElement(self, [c * scale for c in self._reduced(p)])
-
-    def _eliminate(self, A, order, reduce=False):
-        """``_bareiss`` over Z[z], where an entry is a pivot when Phi_n does
-        not divide it."""
-        return _bareiss(A, order, self._nonzero, reduce)
 
     def _divider(self, den):
         """A scaling by a Fraction when ``den`` is a constant, else a

@@ -13,20 +13,24 @@ tetrahedra {a,c,x,y} around the central edge ac.  A move gives each site
 tetrahedron, before and after, the bipyramid labels of its corners, and
 one rebuild derives the rest by matching label sets: where each external
 face and its gluing go, which faces lie inside the bipyramid, the after
-branching, and the tetrahedron, edge and face correspondences.  The
-``Bipyramid`` of a move keeps the branching directions of its ten edges
-and the edge classes of its nine external edges.
+branching, and the tetrahedron, edge and face correspondences.
+
+A variant of a move has a branching exactly when the directions of the
+ten edges order the five labels linearly (Benedetti-Petronio, LNM 1653).
+The ``Bipyramid`` of a move keeps that order, from source to sink, and
+the edge classes of its nine external edges; edge directions and the
+sink of every cell are read off the order.
 
 The invariance certificate of a move is computed on the common
 subdivision of the bipyramid by its centre: for each of its 21 internal
 cells (1 vertex, 5 edges, 9 faces, 6 tetrahedra) the flow target is the
 sink of the smallest containing cell of either triangulation, and the
 certificate sums the signed differences of the two targets.  A null sum
-certifies that torsion is unchanged by the move.
+certifies that torsion is unchanged by the move.  It depends on the
+order alone, so it is computed once per order (at most 120).
 """
 
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (Disconnected, MoveError, NonOrientable, NonStandardDual,
                      NotApplicable, ResultNonStandard, SelfAdjacentFace, Stuck,
@@ -45,20 +49,34 @@ _ROW_ORDER = ("v", "va", "vb", "vc", "vd", "ve",
 
 
 class Bipyramid:
-    """Unfolded local model: edge directions and edge classes by label.
+    """Unfolded local model: the branching order and edge classes by label.
 
-    ``dirs`` maps each ordered pair of distinct vertex labels to True
-    when the branching points from the first to the second.
-    ``edge_class`` maps the unordered label pair of each external edge
-    (all but ac) to its edge class in the before spine.
+    ``order`` spells the five vertex labels from source to sink and
+    ``rank`` maps each label to its place in it; every edge points from
+    the lower rank to the higher.  ``edge_class`` maps the unordered
+    label pair of each external edge (all but ac) to its edge class in
+    the before spine.
     """
 
-    def __init__(self, dirs, edge_class):
-        self.dirs = dirs
+    def __init__(self, order, edge_class):
+        self.order = order
+        self.rank = {x: k for k, x in enumerate(order)}
         self.edge_class = edge_class
 
     def directed(self, u, v):
-        return self.dirs[(u, v)]
+        return self.rank[u] < self.rank[v]
+
+
+def _linear_order(arrows):
+    """The five labels from source to sink when the directed edges
+    ``arrows`` (one (u, v) per edge, for u -> v) order them linearly,
+    i.e. the labels point to 4, 3, 2, 1 and 0 others; else None, as then
+    some triangle is cyclic."""
+    out = dict.fromkeys("abcde", 0)
+    for u, _v in arrows:
+        out[u] += 1
+    order = "".join(sorted(out, key=out.get, reverse=True))
+    return order if [out[x] for x in order] == [4, 3, 2, 1, 0] else None
 
 
 class MoveInstance:
@@ -153,23 +171,24 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
     trg = spine.triangulation
     old_labels, new_labels = dict(old_site), dict(new_site)
     new_faces = _faces_by_labels(new_site)
-    dirs, edge_class = {}, {}
+    arrows, edge_class = {}, {}
     for t, lab in old_site:
+        rk = spine.ranks[t]
         for i, j in _CORNER_PAIRS:
-            u, v = lab[i], lab[j]
-            edge_class[frozenset((u, v))], s = spine.oriented_class(t, i, j)
-            dirs[(u, v)], dirs[(v, u)] = s == 1, s != 1
+            edge = frozenset((lab[i], lab[j]))
+            edge_class[edge] = trg.edge_class_of[(t, i, j)][0]
+            arrows[edge] = (lab[i], lab[j]) if rk[i] < rk[j] else (lab[j], lab[i])
     edge_class.pop(frozenset("ac"), None)
     # Every face but the new inner ones keeps its before directions, and
     # the ten triangles of the bipyramid are all its vertex triples: a
-    # variant has a branching exactly when it has a certificate.
+    # variant has a branching exactly when its directions are linear.
     variants = []
     for ac in ac_dirs:
-        bip = Bipyramid({**dirs, ("a", "c"): ac, ("c", "a"): not ac},
-                        edge_class)
-        cert = _certificate(bip)
-        if cert is not None:
-            variants.append((bip, cert[2]))
+        arrows[frozenset("ac")] = ("a", "c") if ac else ("c", "a")
+        order = _linear_order(arrows.values())
+        if order is not None:
+            bip = Bipyramid(order, edge_class)
+            variants.append((bip, _certificate(bip)[2]))
     chosen = [(k, bip) for k, (bip, is_null) in enumerate(variants)
               if is_null or not h_null_only]
     if h_null_only and not chosen:
@@ -372,9 +391,9 @@ class HCycleReport:
     ``rows``: list of (simplex label, epsilon, end0, end1); the boundary
     of a row is epsilon * (end0 - end1) as a formal sum of the external
     vertex labels, ``total`` collects all rows, and ``is_null`` certifies
-    the move torsion-safe.  The three depend only on the ten edge
-    directions of the ``bipyramid``, so they are looked up, computed once
-    per direction pattern; each report has its own ``rows`` and ``total``.
+    the move torsion-safe.  The three depend only on the branching order
+    of the ``bipyramid``, so they are looked up, computed once per order;
+    each report has its own ``rows`` and ``total``.
     ``h_chain`` is the certificate cycle on the edge classes of the
     ``before`` spine and ``h_class`` its class in the first homology of the
     quotient complex, in Smith coordinates of ``before.group`` (always
@@ -415,38 +434,20 @@ class HCycleReport:
 
 
 def _simplex_cells(label):
-    """(cell of the 2-tet triangulation, cell of the 3-tet one) containing
-    the interior of an internal simplex of the common subdivision."""
-    verts = tuple(label[1:])
-    eq = set(_EQ_LABELS)
-    apexes = {ch for ch in verts if ch in "ac"}
-    equator = [ch for ch in verts if ch in eq]
+    """The vertices of the cell of the 2-tet triangulation and of the
+    3-tet one containing the interior of an internal simplex of the
+    common subdivision."""
+    verts = label[1:]
     # Before: the two tetrahedra are {a}+equator and {c}+equator, sharing
     # the equator face.  After: central edge ac, faces {a,c,x}, tets
     # {a,c,x,y}.
-    if "a" in apexes:
-        cell0 = ("tet", frozenset("a" + "".join(_EQ_LABELS)))
-    elif "c" in apexes:
-        cell0 = ("tet", frozenset("c" + "".join(_EQ_LABELS)))
-    else:
-        cell0 = ("face", frozenset(_EQ_LABELS))
-    if not equator:
-        cell1 = ("edge", frozenset("ac"))
-    elif len(equator) == 1:
-        cell1 = ("face", frozenset("ac" + equator[0]))
-    else:
-        cell1 = ("tet", frozenset("ac" + "".join(equator)))
-    return cell0, cell1
+    apex = "a" if "a" in verts else "c" if "c" in verts else ""
+    return apex + "bde", "ac" + "".join(x for x in verts if x in "bde")
 
 
 def _sink(bip, verts):
     """The vertex of a bipyramid simplex that its other vertices point to."""
-    best = None
-    for w in verts:
-        if all(bip.directed(u, w) for u in verts if u != w):
-            best = w
-    assert best is not None, "simplex %s has no sink" % (verts,)
-    return best
+    return max(verts, key=bip.rank.__getitem__)
 
 
 def _tree_chains(bip, n):
@@ -468,42 +469,26 @@ def _tree_chains(bip, n):
     return chains
 
 
-# Certificates by direction pattern: the directions of the ten edges of
-# the bipyramid, in the order of _DIRECTION_PAIRS.
-_DIRECTION_PAIRS = tuple(combinations("abcde", 2))
+# Certificates by branching order of the bipyramid.
 _CERTIFICATES = {}
 
 
 def _certificate(bip):
-    """(rows, total, is_null) of a bipyramid, or None when some triangle of
-    it is cyclic; computed once per direction pattern, and callers copy
-    what they hand out.
-
-    The triangles are all ten vertex triples, so none is cyclic exactly
-    when the directions order the five vertices linearly: the vertices
-    then have 0, 1, 2, 3 and 4 outgoing edges."""
-    key = tuple([bip.dirs[p] for p in _DIRECTION_PAIRS])
-    if key in _CERTIFICATES:
-        return _CERTIFICATES[key]
-    cert = None
-    if sorted(sum(bip.dirs[(u, v)] for v in "abcde" if v != u)
-              for u in "abcde") == [0, 1, 2, 3, 4]:
+    """(rows, total, is_null) of a bipyramid, computed once per order;
+    callers copy what they hand out."""
+    cert = _CERTIFICATES.get(bip.order)
+    if cert is None:
         rows = []
         total = {}
-        sinks = {}  # one per distinct containing cell
         for label in _ROW_ORDER:
-            dim = len(label) - 1
-            eps = (-1) ** dim
-            e0, e1 = (sinks[cell] if cell in sinks
-                      else sinks.setdefault(cell, _sink(bip, cell[1]))
-                      for cell in _simplex_cells(label))
+            eps = (-1) ** (len(label) - 1)
+            e0, e1 = (_sink(bip, cell) for cell in _simplex_cells(label))
             rows.append((label, eps, e0, e1))
             if e0 != e1:
                 total[e0] = total.get(e0, 0) + eps
                 total[e1] = total.get(e1, 0) - eps
         total = {k: v for k, v in total.items() if v}
-        cert = rows, total, not total
-    _CERTIFICATES[key] = cert
+        cert = _CERTIFICATES[bip.order] = rows, total, not total
     return cert
 
 
@@ -584,8 +569,8 @@ def transport_representation(move, rep):
     """The representation on the after spine induced by the correspondence.
 
     Surviving edge classes keep their images; the central edge of a
-    positive move maps to the product along an external two-edge path
-    from apex to apex, which is its class in the common model.
+    positive move maps to the image of the tree path from c to a, through
+    b, which is its class in the common model.
     """
     from .complexes import Representation
     G2 = move.after.group
@@ -595,18 +580,12 @@ def transport_representation(move, rep):
         images[new] = rep.images[old]
     if move.direction == "positive":
         # The central generator is the class of the new edge as oriented
-        # by the branching; its image is the product along an external
-        # two-edge path between the apexes, inverted when the chosen
-        # orientation runs from the second apex to the first.
+        # by the branching: the path from c to a, reversed when a -> c.
         bip = move.bipyramid
-
-        def leg(u, v):
-            cls = bip.edge_class[frozenset((u, v))]
-            return rep.images[cls] if bip.directed(u, v) else rep.inverses[cls]
-
-        path = leg("a", "b") * leg("b", "c")
-        images[move.central_class_after] = path if bip.directed("a", "c") \
-            else path.inv()
+        path = _tree_chains(bip, len(rep.images))["c"]
+        if bip.directed("a", "c"):
+            path = [-x for x in path]
+        images[move.central_class_after] = rep.image_of_vector(path)
     assert all(v is not None for v in images)
     return Representation(G2, field, images, rep.kind, rep.character)
 

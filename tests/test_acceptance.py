@@ -252,7 +252,7 @@ def test_criterion_10_euler_chain_coherence(corpus3):
         assert all(n % 2 == 0 for n in counts)
         G = GroupData(CellComplexX(s))
         if G.free_rank == 0 and not G.torsion:
-            free, tors = euler_chain_class(s, group=G)
+            free, tors = euler_chain_class(s)
             assert not any(free) and not any(tors)
             trivial_cases += 1
     assert trivial_cases > 0

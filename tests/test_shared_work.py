@@ -1,6 +1,6 @@
 """Work shared along certified walks stays invisible in every output.
 
-Certificates come from a table keyed by the bipyramid's edge directions,
+Certificates come from a table keyed by the bipyramid's branching order,
 each spine keeps its quotient complex and Smith form, each rational
 complex keeps the torsion sign of each orientation, and h-null candidates
 are certified before their after spine is built.  Each test compares the
@@ -26,15 +26,39 @@ from spinetorsion.spinefile import parse, serialize
 from spinetorsion.torsion import invariance_suite, sign_refined_torsion
 
 
-def _direct_certificate(move):
-    """The 21-row certificate of a move computed row by row, as before the
-    table: (rows, total, is_null, h_chain)."""
+def _scanned_sink(dirs, verts):
+    """The vertex of a simplex that its other vertices point to, found by
+    scanning the directions ``dirs`` of its edges."""
+    sinks = [w for w in verts
+             if all(dirs[(u, w)] for u in verts if u != w)]
+    assert len(sinks) == 1, "simplex %s has no single sink" % (verts,)
+    return sinks[0]
+
+
+def _move_directions(move):
+    """The directions of the ten edges of a move's bipyramid, by ordered
+    label pair, read off the before spine and the new edge's direction."""
+    dirs = {}
+    for t, lab in zip(move.site_tets_before, move.site_labels_before):
+        for i, j in combinations(range(4), 2):
+            d = move.before.edge_direction(t, i, j)
+            dirs[(lab[i], lab[j])], dirs[(lab[j], lab[i])] = d, not d
+    if move.direction == "positive":
+        d = move.new_edge_direction == 1
+        dirs[("a", "c")], dirs[("c", "a")] = d, not d
+    return dirs
+
+
+def _direct_certificate(move, dirs):
+    """The 21-row certificate of a move computed row by row from the edge
+    directions ``dirs``, as before the table: (rows, total, is_null,
+    h_chain)."""
     bip = move.bipyramid
     rows = []
     total = {}
     for label in moves._ROW_ORDER:
         eps = (-1) ** (len(label) - 1)
-        e0, e1 = (moves._sink(bip, cell[1])
+        e0, e1 = (_scanned_sink(dirs, cell)
                   for cell in moves._simplex_cells(label))
         rows.append((label, eps, e0, e1))
         if e0 != e1:
@@ -74,47 +98,54 @@ def test_certificate_table_matches_direct_computation(corpus12, census2):
     for s in spines:
         for m in available_moves(s):
             report = h_cycle_check(m)
-            assert _looked_up(m) == _direct_certificate(m)
+            assert _looked_up(m) == _direct_certificate(m, _move_directions(m))
             group = GroupData(CellComplexX(m.before))
             assert report.h_class == group.class_of_vector(report.h_chain)
             checked += 1
         sizes |= 1 << s.tet_count
     assert checked > 900
     assert sizes >> 3 & 0b1111 == 0b1111  # walk spines of 3, 4, 5 and 6 tets
+    # The table holds one certificate per linear order of the labels.
+    assert 0 < len(moves._CERTIFICATES) <= 120
+    assert all(sorted(order) == list("abcde") and cert is not None
+               for order, cert in moves._CERTIFICATES.items())
 
 
 def test_certificate_table_covers_every_direction_pattern():
     # Ten edge directions give 1,024 patterns; exactly the 120 linear
     # orders of the five vertices have no cyclic triangle, and only they
-    # have a certificate.
+    # give a bipyramid, whose order reproduces the pattern.
     labels = "abcde"
     pairs = list(combinations(labels, 2))
     external = [p for p in pairs if p != ("a", "c")]
     edge_class = {frozenset(p): k for k, p in enumerate(external)}
     before = SimpleNamespace(
         triangulation=SimpleNamespace(edge_classes=range(len(external))))
-    linear = 0
+    orders = set()
     for bits in range(1 << len(pairs)):
         dirs = {}
         for k, (u, v) in enumerate(pairs):
             dirs[(u, v)] = bool(bits >> k & 1)
             dirs[(v, u)] = not dirs[(u, v)]
-        bip = moves.Bipyramid(dirs, edge_class)
+        order = moves._linear_order(
+            (u, v) if dirs[(u, v)] else (v, u) for u, v in pairs)
         cyclic = any(not any(all(dirs[(u, w)] for u in tri if u != w)
                              for w in tri)
                      for tri in combinations(labels, 3))
+        assert (order is None) == cyclic
         if cyclic:
-            assert moves._certificate(bip) is None
             continue
-        linear += 1
+        orders.add(order)
+        bip = moves.Bipyramid(order, edge_class)
+        assert all(bip.directed(u, v) == d for (u, v), d in dirs.items())
         move = SimpleNamespace(bipyramid=bip, before=before)
-        assert _looked_up(move) == _direct_certificate(move)
+        assert _looked_up(move) == _direct_certificate(move, dirs)
         # Each report owns its rows and total: changing one leaves the table.
         report = h_cycle_check(move)
         report.rows.clear()
         report.total["a"] = 99
-        assert _looked_up(move) == _direct_certificate(move)
-    assert linear == 120
+        assert _looked_up(move) == _direct_certificate(move, dirs)
+    assert len(orders) == 120
 
 
 def _move_key(m):
