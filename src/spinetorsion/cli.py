@@ -142,8 +142,25 @@ def _move_report(move):
     }
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects; ``command`` is the subcommand
+    it names, or None."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise _UsageError instead of printing
+    usage to stderr and exiting with status 2; its subparsers are too."""
+
+    def error(self, message):
+        raise _UsageError(self.prog.partition(" ")[2] or None, message)
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="spinetorsion",
         description="Branched spines, sliding moves and torsion invariants.")
     ap.add_argument("--timing", action="store_true",
@@ -203,11 +220,19 @@ def main(argv=None):
     p.add_argument("--rep", required=True)
     p.add_argument("--max-tets", type=int, default=None)
 
-    args = ap.parse_args(argv)
-    start = time.perf_counter()
+    args = None
     try:
+        args, extra = ap.parse_known_args(argv)
+        start = time.perf_counter()
+        if extra:
+            raise _UsageError(args.command,
+                              "unrecognized arguments: %s" % " ".join(extra))
         report = _run(args)
         status = report.pop("_exit_status", 0)
+    except _UsageError as exc:
+        report = {"command": exc.command, "error": "UsageError",
+                  "message": str(exc)}
+        status = 1
     except (SpineSyntaxError, ValidationError, OSError) as exc:
         report = {"command": args.command, "error": type(exc).__name__,
                   "message": str(exc)}
@@ -219,7 +244,7 @@ def main(argv=None):
         report = {"command": args.command, "error": type(exc).__name__,
                   "message": message}
         status = 2
-    if args.timing:
+    if args is not None and args.timing:
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

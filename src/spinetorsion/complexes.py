@@ -211,46 +211,67 @@ class SpiderAnchors:
 
 
 class Representation:
-    """A homomorphism of the edge generators into the units of a field.
+    """A homomorphism of the edge generators into the units of a field,
+    kept as its integer character.
 
-    ``kind`` is one of "trivial", "free_abelian", "cyclic"; in all cases
-    the images are constant on H_1 classes, and every face relator is
-    checked to map to 1 at construction time.
+    ``exponents[g]`` is the exponent tuple of generator g's image: the
+    free Smith coordinates of its H_1 class in Z^r for "free_abelian"
+    (the monomial t1^e1..tr^er; r = 0 maps into Q), a 1-tuple residue k
+    mod n for "cyclic" (zeta_n^k), and () for "trivial" (1).  The image of
+    a word or an integer edge chain is the monomial of the sum of its
+    letters' exponents, taken mod n for a cyclic character, and every
+    face relator is checked at construction to sum to the identity
+    exponent, so the images are constant on H_1 classes.  Entries of
+    twisted matrices are built once each from (exponent, integer
+    coefficient) terms by the field's ``from_terms``; ``images`` and
+    ``inverses``, the monomials of the generators and of their inverses,
+    are derived on first read.
     """
 
-    def __init__(self, group, field, images, kind, character=None):
+    def __init__(self, group, field, exponents, kind, character=None):
         self.group = group
         self.field = field
-        self.images = list(images)
-        self.inverses = [x.inv() for x in self.images]
+        self.exponents = [tuple(e) for e in exponents]
         self.kind = kind
         self.character = character
+        self.modulus = field.order if kind == "cyclic" else 0
+        self.identity = (0,) * len(self.exponents[0]) if self.exponents else ()
         for word in group.relators:
-            if not self.word_image(word) == field.one:
+            if self.exponent_of_word(word) != self.identity:
                 raise RelatorNotKilled("a face relator does not map to 1")
 
+    def exponent_of_word(self, word):
+        """The exponent of the image of ``word``, (generator, power) pairs."""
+        out = list(self.identity)
+        for g, k in word:
+            if k:
+                out = [a + k * b for a, b in zip(out, self.exponents[g])]
+        if self.modulus:
+            return tuple(a % self.modulus for a in out)
+        return tuple(out)
+
+    def exponent_of_vector(self, vec):
+        """The exponent of the image of the integer edge chain ``vec``."""
+        return self.exponent_of_word(enumerate(vec))
+
     def word_image(self, word):
-        out = self.field.one
-        for g, e in word:
-            out = out * (self.images[g] if e > 0 else self.inverses[g])
-        return out
+        return self.field.from_terms(((self.exponent_of_word(word), 1),))
 
     def image_of_vector(self, vec):
-        out = self.field.one
-        for j, e in enumerate(vec):
-            if e > 0:
-                for _ in range(e):
-                    out = out * self.images[j]
-            elif e < 0:
-                for _ in range(-e):
-                    out = out * self.inverses[j]
-        return out
+        return self.field.from_terms(((self.exponent_of_vector(vec), 1),))
+
+    @cached_property
+    def images(self):
+        return [self.word_image(((g, 1),)) for g in range(len(self.exponents))]
+
+    @cached_property
+    def inverses(self):
+        return [self.word_image(((g, -1),)) for g in range(len(self.exponents))]
 
     @classmethod
     def trivial(cls, group):
         from .fields import RationalField
-        field = RationalField()
-        return cls(group, field, [field.one] * group.n_generators, "trivial")
+        return cls(group, RationalField(), [()] * group.n_generators, "trivial")
 
     @classmethod
     def free_abelian(cls, group):
@@ -258,16 +279,15 @@ class Representation:
 
         Torsion in H_1 is killed: images depend on the free coordinates
         only, keeping the target an integral domain with a usable field
-        of fractions.
+        of fractions: Q(t1..tr) for free rank r, and Q itself for free
+        rank 0, where every image is 1.
         """
-        from .fields import FunctionField
+        from .fields import FunctionField, RationalField
         r = group.free_rank
-        field = FunctionField(r)
-        images = []
-        for j in range(group.n_generators):
-            free, _tors = group.generator_class(j)
-            images.append(field.monomial(free))
-        return cls(group, field, images, "free_abelian")
+        field = FunctionField(r) if r else RationalField()
+        exponents = [tuple(group.generator_class(j)[0])
+                     for j in range(group.n_generators)]
+        return cls(group, field, exponents, "free_abelian")
 
     @classmethod
     def cyclic(cls, group, order, character=None):
@@ -295,14 +315,14 @@ class Representation:
                 raise RelatorNotKilled(
                     "character value %d on a torsion generator of order %d "
                     "does not vanish mod %d" % (val, d, order))
-        images = []
+        exponents = []
         for j in range(group.n_generators):
             free, tors = group.generator_class(j)
             k = sum(f * c for f, c in zip(free, character[:group.free_rank]))
             k += sum(tv * c for tv, c in
                      zip(tors, character[group.free_rank:]))
-            images.append(field.zeta(k % order))
-        return cls(group, field, images, "cyclic", character)
+            exponents.append((k % order,))
+        return cls(group, field, exponents, "cyclic", character)
 
     @staticmethod
     def _default_character(group, order):
@@ -405,19 +425,19 @@ class TwistedComplex(ChainComplex):
         self.rep = rep
         field = rep.field
         E, F, T = complex_x.n_edges, complex_x.n_faces, complex_x.n_tets
-        zero, one = field.zero, field.one
+        entry = field.from_terms
+        d3 = [[field.zero] * T for _ in range(F)]
+        terms = {}
+        for fc, t, sgn, sink in complex_x.d3_terms:
+            exp = rep.exponent_of_word(anchors.tet_corner_word(t, sink))
+            terms.setdefault((fc, t), []).append((exp, sgn))
+        for (fc, t), cell_terms in terms.items():
+            d3[fc][t] = entry(cell_terms)
         super().__init__(field, (1, E, F, T),
-                         [[one - rep.inverses[j] for j in range(E)]],
-                         twisted_d2(complex_x, rep),
-                         [[zero] * T for _ in range(F)])
-        self._build_d3()
-
-    def _build_d3(self):
-        for fc, t, sgn, sink in self.complex.d3_terms:
-            coeff = self.rep.word_image(self.anchors.tet_corner_word(t, sink))
-            if sgn < 0:
-                coeff = -coeff
-            self.d3[fc][t] = self.d3[fc][t] + coeff
+                         [[entry(((rep.identity, 1),
+                                  (rep.exponent_of_word(((j, -1),)), -1)))
+                           for j in range(E)]],
+                         twisted_d2(complex_x, rep), d3)
 
     def path_image(self, vec):
         return self.rep.image_of_vector(vec)
@@ -439,14 +459,15 @@ def twisted_d2(complex_x, rep):
     """The twisted d2 of X under ``rep`` in the preferred-lift bases; it
     reads only the face sides of X, not its spine."""
     field = rep.field
+    one = rep.identity
     d2 = [[field.zero] * complex_x.n_faces for _ in range(complex_x.n_edges)]
     for fc, (cls_a, cls_b, cls_c) in enumerate(complex_x.face_sides):
         col = {}
-        col[cls_a] = col.get(cls_a, field.zero) + rep.inverses[cls_b]
-        col[cls_b] = col.get(cls_b, field.zero) + field.one
-        col[cls_c] = col.get(cls_c, field.zero) - field.one
-        for cls, val in col.items():
-            d2[cls][fc] = val
+        for cls, term in ((cls_a, (rep.exponent_of_word(((cls_b, -1),)), 1)),
+                          (cls_b, (one, 1)), (cls_c, (one, -1))):
+            col.setdefault(cls, []).append(term)
+        for cls, terms in col.items():
+            d2[cls][fc] = field.from_terms(terms)
     return d2
 
 

@@ -5,57 +5,80 @@ Three fields are provided:
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
   stored as reduced fractions of Laurent polynomials with rational
   coefficients (their gcd is taken in ``polygcd``); the twisted complexes
-  of free-abelian representations.  r = 0 degenerates to Q: the
-  free-abelian representation of a spine whose H_1 has free rank 0
-  builds it (25 of the 46 spines of the 2-tetrahedron census).
+  of free-abelian representations.  r = 0 degenerates to Q, printed
+  alike; the free-abelian representation of a spine whose H_1 has free
+  rank 0 maps into ``RationalField()`` instead.
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
   vectors modulo the n-th cyclotomic polynomial Phi_n; the twisted
   complexes of cyclic representations.
 - ``RationalField()``: Q, elements an int when integral, else a
-  Fraction; the trivial representation and the untwisted rational
-  complex whose torsion sign refines the others.  Its elements print as
-  the constants of ``FunctionField(0)`` do.
+  Fraction; the trivial representation, free-abelian representations of
+  free rank 0 (25 of the 46 spines of the 2-tetrahedron census) and the
+  untwisted rational complex whose torsion sign refines the others.  Its
+  elements print as the constants of ``FunctionField(0)`` do.
+
+A representation hands a field its matrix entries through one hook,
+``from_terms``: the element sum of c * x^e over (exponent, integer
+coefficient) terms, x^e being t1^e1..tr^er, zeta_n^e with e taken mod n,
+or 1 for the exponent ().
 
 The fields share one matrix engine, ``_bareiss``: fraction-free
-elimination (Bareiss 1968) over integer polynomials held as exponent
-dicts, Z[t1^+-1..tr^+-1] for a function field, Z (no variable) for Q
-and Z[z] for a cyclotomic field, whose entries are the integer lifts of
-coefficient vectors.  Every intermediate entry is a minor of the input
-(Sylvester's identity), so each division by the previous pivot is exact
-in the ring, and a minor is zero in the field exactly when the
-Gauss-Jordan entry is: pivots, row swaps and sign are those of
-elimination over the field.  The fields
-differ only in the pivot test: a nonzero dict over Z[t^+-1] and Z, an
-entry that Phi_n does not divide over Z[z].  Nothing is reduced mod Phi_n
-during elimination, only the entries read out.
+elimination (Bareiss 1968) on plain ints.  Each row is cleared first to
+integer polynomials with nonnegative exponents, in Z[t1..tr] for a
+function field, Z (no variable) for Q and Z[z] for a cyclotomic field,
+whose entries are the integer lifts of coefficient vectors: it is
+multiplied by its denominators, by the monomial that lifts its negative
+exponents to 0 and by a rational that makes its coefficients coprime
+integers, and keeps those as its row factor.  (Only negative exponents
+are lifted: a cyclotomic lift has none, so its row factors stay
+constants and no z^-k reaches ``CyclotomicField._divider``.)  Each entry
+is then packed once into an int by Kronecker substitution
+(``_Kronecker``), and the loop is integer Bareiss,
+x <- (piv*x - f*y) // prev.  Every entry it
+keeps is a minor of the cleared input (Sylvester's identity), so each
+division by the previous pivot is exact in the polynomial ring and,
+evaluation being a ring homomorphism, exact on the ints, however far the
+products before it overflow the packing box.  ``_Kronecker`` sizes its
+slots so that every minor decodes: a minor has degree at most D_v in x_v
+and coefficients at most H in size, so slots of k = H.bit_length() + 1
+bits, s_(v+1) = s_v * (D_v + 1) of them per unit of x_v, hold it as
+signed digits.  Only entries that are read are decoded: the last pivot,
+the cyclotomic pivot candidates and, when the rows above the pivots are
+cleared too, the pivot rows.  A minor is zero in the field exactly when
+the Gauss-Jordan entry is: pivots, row swaps and sign are those of
+elimination over the field.  The fields differ only in the pivot test:
+a nonzero int over Z[t1..tr] and Z, and over Z[z] an entry that Phi_n
+does not divide, decoded and reduced only when its top slot reaches the
+degree of Phi_n.  Nothing is reduced mod Phi_n during elimination, only
+the entries read out.
 
 The matrix routines are written once, in ``_Field``, and each eliminates
 once.  A field supplies only what differs: its elements as (numerator,
 denominator) polynomials (a cyclotomic element is its lift over the
-unit), its pivot test, the read-out p -> p / den into the field and,
-for values up to sign, whether the leading coefficient is negative.
-Rows are cleared to coprime integer coefficients first, keeping the row
-factors for the determinant.  The greedy column choice "keep a column if
-it raises the rank" is exactly the pivot set of one elimination in that
-column order, and ``select_minor``, the one routine that reads a minor,
-takes the determinant of the chosen columns off its last pivot and the
-row factors.  ``select_columns`` is its columns, ``rank`` their number
-and ``det`` its minor in the identity order.  ``nullspace`` and ``solve``
-clear above the pivots as well, which leaves every pivot row equal to
-the last pivot times its reduced echelon row, and read kernels and
-solutions off by dividing by the last pivot.  ``cofactor_det`` gives an
-independent slow determinant used to cross-check the engine.
+unit), its pivot test, the read-out p -> p / den into the field, the
+element of an integer character and, for values up to sign, whether the
+leading coefficient is negative.  The greedy column choice "keep a
+column if it raises the rank" is exactly the pivot set of one
+elimination in that column order, and ``select_minor``, the one routine
+that reads a minor, takes the determinant of the chosen columns off its
+last pivot and the row factors.  ``select_columns`` is its columns,
+``rank`` their number and ``det`` its minor in the identity order.
+``nullspace`` and ``solve`` clear above the pivots as well, which leaves
+every pivot row equal to the last pivot times its reduced echelon row,
+and read kernels and solutions off by dividing by the last pivot.
+``cofactor_det`` gives an independent slow determinant used to
+cross-check the engine.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 
 # -- exponent-dict polynomials ------------------------------------------------
 #
 # A polynomial is a dict from exponent tuples to nonzero coefficients: ints
-# on the elimination path, ints or Fractions in a LaurentPoly.
+# in a cleared row, ints or Fractions in a LaurentPoly.
 
 
 def _quo(a, b):
@@ -122,18 +145,94 @@ def _int_or_fraction(q):
 def _integral(row):
     """The row of polynomials scaled by mul / div to coprime integer
     coefficients, and (mul, div)."""
-    den = _int_lcm(*(v.denominator for e in row for v in e.values()))
-    if den != 1 or any(type(v) is not int for e in row for v in e.values()):
+    values = [v for e in row for v in e.values()]
+    den = 1
+    if any(type(v) is not int for v in values):
+        den = _int_lcm(*(v.denominator for v in values))
         row = [{k: v.numerator * (den // v.denominator) for k, v in e.items()}
                for e in row]
-    g = _int_gcd(*(v for e in row for v in e.values()))
+        values = [v for e in row for v in e.values()]
+    g = _int_gcd(*values)
     if g > 1:
         row = [{k: v // g for k, v in e.items()} for e in row]
     return row, (den, g or 1)
 
 
+class _Kronecker:
+    """Kronecker substitution for the integer polynomial rows of one matrix.
+
+    The rows have nonnegative exponents.  A polynomial p becomes the int
+    p(2^k, 2^(k*s_2), .., 2^(k*s_r)): variable v goes to 2^(k*s_v), with
+    s_1 = 1 and s_(v+1) = s_v * (D_v + 1), where D_v is the sum over the
+    rows of the row's largest exponent of v.  A minor of the rows takes
+    one entry from each of its rows, so its degree in v is at most D_v
+    and its terms fall in distinct slots, and its l1 norm is at most
+    H = prod over the rows of max(1, l1 norm of the row).  A coefficient
+    c then has |c| <= H < 2^(k-1) for k = H.bit_length() + 1, and reads
+    back as the signed digit of its slot.  Evaluation is a ring
+    homomorphism, so an identity between polynomials holds between their
+    ints, whatever their size; only a minor is read back (``unpack``).
+    When every exponent is 0 there is one slot: an entry packs to its
+    constant coefficient.
+    """
+
+    __slots__ = ("zero", "width", "strides", "radices", "slots", "_offset")
+
+    def __init__(self, rows, zero):
+        self.zero = zero
+        degrees = [0] * len(zero)
+        for row in rows:
+            keys = [e for p in row for e in p]
+            if keys:
+                degrees = list(map(_add, degrees, map(max, zip(*keys))))
+        self.radices = [d + 1 for d in degrees]
+        self.strides = []
+        self.slots = 1
+        for d in self.radices:
+            self.strides.append(self.slots)
+            self.slots *= d
+        self.width = self._offset = 0
+        if self.slots > 1:
+            bound = 1
+            for row in rows:
+                bound *= max(1, sum(abs(c) for p in row for c in p.values()))
+            self.width = bound.bit_length() + 1
+            # Half a slot in every slot: the signed digits read as unsigned.
+            self._offset = int(("1" + "0" * (self.width - 1)) * self.slots, 2)
+
+    def pack(self, p):
+        if self.slots == 1:
+            return p.get(self.zero, 0)
+        k = self.width
+        return sum(c << k * sum(map(_mul, e, self.strides)) for e, c in p.items())
+
+    def top(self, x):
+        """The slot of the highest term of the minor ``x``, nonzero.
+
+        With digits below 2^(k-1) in size, a top digit in slot t puts |x|
+        strictly between 2^(k*t - 1) and 2^(k*t + k - 1)."""
+        return abs(x).bit_length() // self.width if self.slots > 1 else 0
+
+    def unpack(self, x):
+        """The polynomial that packs to the minor ``x``."""
+        if self.slots == 1:
+            return {self.zero: x} if x else {}
+        if not x:
+            return {}
+        k = self.width
+        n = k * (self.top(x) + 1)
+        bits = format(x + (self._offset & ((1 << n) - 1)), "b").zfill(n)
+        half = 1 << (k - 1)
+        out = {}
+        for i, end in enumerate(range(n, 0, -k)):
+            c = int(bits[end - k:end], 2) - half
+            if c:
+                out[tuple(i // s % d for s, d in zip(self.strides, self.radices))] = c
+        return out
+
+
 def _bareiss(A, order, nonzero, reduce=False):
-    """Fraction-free elimination of the polynomial matrix ``A``, in place.
+    """Fraction-free elimination of the int matrix ``A``, in place.
 
     ``nonzero`` tells whether an entry is nonzero in the field.  Columns
     are visited in ``order``; a column with no such entry at or below the
@@ -143,10 +242,10 @@ def _bareiss(A, order, nonzero, reduce=False):
     every pivot row equal to the last pivot times its reduced echelon row.
     Returns (pivots, last pivot, sign): the (row, column) pivot pairs, the
     last pivot (for a square matrix of full rank, its determinant after
-    the row swaps) and the sign of the row swaps.
+    the row swaps; 1 without pivots) and the sign of the row swaps.
     """
     m = len(A)
-    prev = None
+    prev = 1
     pivots = []
     sign = 1
     for c in order:
@@ -161,14 +260,11 @@ def _bareiss(A, order, nonzero, reduce=False):
             sign = -sign
         piv_row = A[r]
         piv = piv_row[c]
-        if prev is None:  # the unit, keyed like the entries
-            prev = {tuple(0 for _e in next(iter(piv))): 1}
         for i in range(0 if reduce else r + 1, m):
-            if i == r:
-                continue
-            f = {k: -v for k, v in A[i][c].items()}
-            A[i] = [_pdiv(_dot(((piv, x), (f, y))), prev) if x or (f and y) else x
-                    for x, y in zip(A[i], piv_row)]
+            if i != r:
+                f = A[i][c]
+                A[i] = [(piv * x - f * y) // prev
+                        for x, y in zip(A[i], piv_row)]
         pivots.append((r, c))
         prev = piv
     return pivots, prev, sign
@@ -405,29 +501,50 @@ class RationalFunction:
 
 
 class _Field:
-    """The matrix routines and ``from_int`` of every field, written once.
+    """The matrix routines, ``from_int`` and ``from_terms`` of every field,
+    written once.
 
     A field supplies ``from_fraction(q)``, the constant q; ``_unit``, the
     one of its polynomial ring keyed like the entries; ``_parts(x)``, an
-    element as (numerator, denominator) polynomials; ``_nonzero(p)``,
-    the pivot test of ``_bareiss`` (any nonzero entry, unless overridden);
+    element as (numerator, denominator) polynomials; ``_element_of(p)``,
+    the element of an integer polynomial keyed by character exponents
+    (see ``from_terms``); ``_pivot_test(codec)``, the pivot test of
+    ``_bareiss`` on packed entries (any nonzero int, unless overridden);
     ``_divider(den)``, the map p -> p / den into the field; and
     ``leading_is_negative(x)``, the sign that the representative of +-x
     up to sign makes positive.
     """
 
-    _nonzero = bool
-
     def from_int(self, k):
         return self.from_fraction(k)
 
-    def _eliminate(self, A, order, reduce=False):
-        return _bareiss(A, order, self._nonzero, reduce)
+    def from_terms(self, terms):
+        """The sum of c * x^e over the (exponent, int coefficient) ``terms``:
+        x^e is t1^e1..tr^er, zeta_n^e, or 1 for the exponent ()."""
+        p = {}
+        for e, c in terms:
+            p[e] = p.get(e, 0) + c
+        return self._element_of({e: c for e, c in p.items() if c})
+
+    def _pivot_test(self, _codec):
+        return bool
+
+    def _eliminate(self, matrix, order, reduce=False):
+        """One elimination of ``matrix``, its rows cleared and packed:
+        (packed rows after it, their ``_Kronecker``, row factors, pivots,
+        last pivot, sign); see ``_bareiss``."""
+        rows, factors = self._cleared(matrix)
+        codec = _Kronecker(rows, next(iter(self._unit)))
+        A = [list(map(codec.pack, row)) for row in rows]
+        pivots, last, sign = _bareiss(A, order, self._pivot_test(codec), reduce)
+        return A, codec, factors, pivots, last, sign
 
     def _cleared(self, matrix):
-        """(integer polynomial rows, row factors (polynomial, (mul, div))).
+        """(integer polynomial rows with nonnegative exponents, row factors
+        (polynomial, (mul, div))).
 
-        Each row is multiplied by the product of its denominators, the
+        Each row is multiplied by the product of its denominators and by
+        the monomial that lifts its negative exponents to 0, together the
         factor's polynomial, and by mul / div, which makes its coefficients
         coprime integers; row scaling by nonzero factors preserves ranks,
         kernels and solution sets, and determinants divide out the factors.
@@ -448,6 +565,12 @@ class _Field:
             factor = one
             for _j, d in dens:
                 factor = _dot(((factor, d),))
+            keys = [k for e in new_row for k in e]
+            lift = tuple(-min(0, *col) for col in zip(*keys))
+            if any(lift):
+                def shift(p):
+                    return {tuple(map(_add, k, lift)): v for k, v in p.items()}
+                new_row, factor = list(map(shift, new_row)), shift(factor)
             cleared.append(new_row)
             factors.append((factor, scale))
         return cleared, factors
@@ -461,8 +584,7 @@ class _Field:
         cleared rows after the row swaps; each row was multiplied by its
         factor times mul / div.
         """
-        A, factors = self._cleared(matrix)
-        pivots, last, sign = self._eliminate(A, order)
+        _A, codec, factors, pivots, last, sign = self._eliminate(matrix, order)
         cols = [c for _r, c in pivots]
         if len(pivots) < len(factors):
             return cols, self.zero
@@ -471,11 +593,12 @@ class _Field:
         den = {k: sign for k in self._unit}
         mul = div = 1
         for factor, (m, d) in factors:
-            den = _dot(((den, factor),))
+            if factor != self._unit:
+                den = _dot(((den, factor),))
             mul *= m
             div *= d
         return cols, self._divider({k: v * mul for k, v in den.items()})(
-            {k: v * div for k, v in last.items()})
+            {k: v * div for k, v in codec.unpack(last).items()})
 
     def det(self, matrix):
         """Determinant of a square matrix of field elements."""
@@ -493,9 +616,9 @@ class _Field:
         if not matrix:
             return []
         n = len(matrix[0])
-        A = self._cleared(matrix)[0]
-        pivots, last, _s = self._eliminate(A, range(n), reduce=True)
-        divide = self._divider(last) if pivots else None
+        A, codec, _f, pivots, last, _s = self._eliminate(matrix, range(n),
+                                                         reduce=True)
+        divide = self._divider(codec.unpack(last))
         pivot_cols = {c for _r, c in pivots}
         basis = []
         for j in range(n):
@@ -505,7 +628,7 @@ class _Field:
             vec[j] = self.one
             for r, c in pivots:
                 if A[r][j]:
-                    vec[c] = divide({k: -v for k, v in A[r][j].items()})
+                    vec[c] = divide(codec.unpack(-A[r][j]))
             basis.append(vec)
         return basis
 
@@ -515,15 +638,15 @@ class _Field:
         if not matrix:
             return [] if all(x.is_zero() for x in rhs) else None
         n = len(matrix[0])
-        A = self._cleared([row + [b] for row, b in zip(matrix, rhs)])[0]
-        pivots, last, _s = self._eliminate(A, range(n + 1), reduce=True)
+        A, codec, _f, pivots, last, _s = self._eliminate(
+            [row + [b] for row, b in zip(matrix, rhs)], range(n + 1), reduce=True)
         if any(c == n for _r, c in pivots):
             return None
-        divide = self._divider(last) if pivots else None
+        divide = self._divider(codec.unpack(last))
         sol = [self.zero] * n
         for r, c in pivots:
             if A[r][n]:
-                sol[c] = divide(A[r][n])
+                sol[c] = divide(codec.unpack(A[r][n]))
         return sol
 
 
@@ -559,6 +682,10 @@ class FunctionField(_Field):
 
     def monomial(self, exps):
         return RationalFunction(LaurentPoly.monomial(self.nvars, exps))
+
+    def _element_of(self, p):
+        """The Laurent polynomial ``p`` over the denominator 1, canonical."""
+        return RationalFunction(_lp(self.nvars, p), self.one.den, _canonical=True)
 
     def element_str(self, x):
         return x.str_in(self.names)
@@ -632,6 +759,9 @@ class RationalField(_Field):
 
     def from_fraction(self, q):
         return Rational(q if type(q) is int else Fraction(q))
+
+    def _element_of(self, p):
+        return Rational(p.get((), 0))
 
     def element_str(self, x):
         return str(x.q)
@@ -777,11 +907,9 @@ class CyclotomicField(_Field):
         (p,), (mul, div) = _integral([p])
         cols = [self._reduced({(i + j,): c for (i,), c in p.items()})
                 for j in range(deg)]
-        A = [[{(): col[i]} if col[i] else {} for col in cols]
-             + [{(): 1} if i == 0 else {}] for i in range(deg)]
+        A = [[col[i] for col in cols] + [int(i == 0)] for i in range(deg)]
         pivots, last, _s = _bareiss(A, range(deg), bool, reduce=True)
-        return CyclotomicElement(self, [Fraction(A[r][deg].get((), 0) * mul,
-                                                 last[()] * div)
+        return CyclotomicElement(self, [Fraction(A[r][deg] * mul, last * div)
                                         for r, _c in pivots])
 
     def element_str(self, x):
@@ -812,21 +940,35 @@ class CyclotomicField(_Field):
                     coeffs[i] -= top * c
         return coeffs[:deg]
 
-    def _nonzero(self, p):
-        """Whether the lift ``p`` is nonzero in the field; below the degree
-        of Phi_n that is whether it is a nonzero polynomial."""
-        return bool(p) and (max(p)[0] < self.degree or any(self._reduced(p)))
+    def _pivot_test(self, codec):
+        """Whether a packed entry, a minor, is nonzero in the field; below
+        the degree of Phi_n that is whether it is nonzero at all."""
+        deg = self.degree
 
-    def _element(self, p, scale=1):
-        """The field element of the lift ``p``, times ``scale``."""
-        return CyclotomicElement(self, [c * scale for c in self._reduced(p)])
+        def nonzero(x):
+            return bool(x) and (codec.top(x) < deg
+                                or any(self._reduced(codec.unpack(x))))
+        return nonzero
+
+    def _element(self, p):
+        """The field element of the lift ``p``."""
+        return CyclotomicElement(self, self._reduced(p))
+
+    def _element_of(self, p):
+        """The element of ``p``, its exponents taken mod n."""
+        lift = {}
+        for (e,), c in p.items():
+            e = (e % self.order,)
+            lift[e] = lift.get(e, 0) + c
+        return self._element(lift)
 
     def _divider(self, den):
-        """A scaling by a Fraction when ``den`` is a constant, else a
-        product with its inverse, taken once."""
+        """A division of each coefficient when ``den`` is a constant, else
+        a product with its inverse, taken once."""
         if den.keys() == {(0,)}:
-            scale = Fraction(1, den[(0,)])
-            return lambda p: self._element(p, scale)
+            d = den[(0,)]
+            return lambda p: CyclotomicElement(
+                self, [_quo(c, d) for c in self._reduced(p)])
         inv = self._element(den).inv()
         return lambda p: self._element(p) * inv
 

@@ -568,26 +568,25 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
 def transport_representation(move, rep):
     """The representation on the after spine induced by the correspondence.
 
-    Surviving edge classes keep their images; the central edge of a
-    positive move maps to the image of the tree path from c to a, through
+    Surviving edge classes keep their exponents; the central edge of a
+    positive move gets the exponent of the tree path from c to a, through
     b, which is its class in the common model.
     """
     from .complexes import Representation
     G2 = move.after.group
-    field = rep.field
-    images = [None] * G2.n_generators
+    exponents = [None] * G2.n_generators
     for old, new in move.edge_map.items():
-        images[new] = rep.images[old]
+        exponents[new] = rep.exponents[old]
     if move.direction == "positive":
         # The central generator is the class of the new edge as oriented
         # by the branching: the path from c to a, reversed when a -> c.
         bip = move.bipyramid
-        path = _tree_chains(bip, len(rep.images))["c"]
+        path = _tree_chains(bip, len(rep.exponents))["c"]
         if bip.directed("a", "c"):
             path = [-x for x in path]
-        images[move.central_class_after] = rep.image_of_vector(path)
-    assert all(v is not None for v in images)
-    return Representation(G2, field, images, rep.kind, rep.character)
+        exponents[move.central_class_after] = rep.exponent_of_vector(path)
+    assert all(v is not None for v in exponents)
+    return Representation(G2, rep.field, exponents, rep.kind, rep.character)
 
 
 def _zero_out(field, vec, coords, columns):

@@ -409,10 +409,9 @@ def twisted_h1_order(complex_x, group, character):
     from .complexes import Representation, twisted_d2
     if not any(character):
         raise ValueError("the character must be nonzero")
-    field = FunctionField(1)
-    images = [field.monomial((character[j],))
-              for j in range(group.n_generators)]
-    rep = Representation(group, field, images, "free_abelian")
+    rep = Representation(group, FunctionField(1),
+                         [(character[j],) for j in range(group.n_generators)],
+                         "free_abelian")
     return _minor_gcd(twisted_d2(complex_x, rep), complex_x.n_edges - 1)
 
 

@@ -172,6 +172,29 @@ def test_rep_spec_outside_contract_exit_1(golden_file, spec, capsys):
     assert spec in report["message"]
 
 
+@pytest.mark.parametrize("argv,command,words", [
+    (["torsion"], "torsion", "required"),
+    (["bogus"], None, "invalid choice"),
+    (["invariance", "FILE", "--steps", "x"], "invariance", "invalid int"),
+    (["summary", "FILE", "--nope"], "summary", "unrecognized arguments: --nope")])
+def test_usage_errors_are_json_exit_1(golden_file, argv, command, words, capsys):
+    argv = [golden_file if a == "FILE" else a for a in argv]
+    status = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert status == 1 and captured.err == ""
+    assert set(report) == {"command", "error", "message"}
+    assert (report["command"], report["error"]) == (command, "UsageError")
+    assert words in report["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spinetorsion torsion")
+
+
 def test_cyclic_order_bound():
     assert _parse_rep_spec("cyclic:%d" % MAX_CYCLIC_ORDER)[1] == MAX_CYCLIC_ORDER
 

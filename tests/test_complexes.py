@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import gcd
 
@@ -6,7 +7,9 @@ import pytest
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex,
                                     make_representation)
-from spinetorsion.errors import RelatorNotKilled
+from spinetorsion.errors import RelatorNotKilled, Stuck
+from spinetorsion.fields import CyclotomicField, FunctionField, RationalField
+from spinetorsion.moves import _tree_chains, random_walk, transport_representation
 from spinetorsion.intlinalg import smith_normal_form
 from spinetorsion.spinefile import parse
 
@@ -204,6 +207,10 @@ def test_free_abelian_images_are_monomials(corpus12):
     for s in corpus12[:10]:
         G = GroupData(CellComplexX(s))
         rep = Representation.free_abelian(G)
+        if G.free_rank == 0:  # no variable: the images are 1 in Q
+            assert rep.field == RationalField()
+            assert all(x == rep.field.one for x in rep.images)
+            continue
         for j in range(G.n_generators):
             free, _tors = G.generator_class(j)
             img = rep.images[j]
@@ -269,3 +276,99 @@ def test_twisted_d1_row_pattern(corpus12):
         one = rep.field.one
         for j in range(X.n_edges):
             assert tw.d1[0][j] == one - rep.inverses[j]
+
+
+# -- the integer character against products in the field ------------------------
+
+
+def _generator_images(G, rep):
+    """Each generator's image built in the field from its H_1 class:
+    t1^f1..tr^fr from its free coordinates f, or zeta_n multiplied out
+    k times, k the character of its Smith coordinates."""
+    if rep.kind == "free_abelian":
+        if not G.free_rank:
+            return RationalField(), [RationalField().one] * G.n_generators
+        F = FunctionField(G.free_rank)
+        return F, [F.monomial(G.generator_class(j)[0])
+                   for j in range(G.n_generators)]
+    C = CyclotomicField(rep.field.order)
+    out = []
+    for j in range(G.n_generators):
+        free, tors = G.generator_class(j)
+        k = sum(c * x for c, x in zip(rep.character, tuple(free) + tuple(tors)))
+        x = C.one
+        for _ in range(k % C.order):
+            x = x * C.zeta(1)
+        out.append(x)
+    return C, out
+
+
+def _product(field, images, pairs):
+    """The product of images[g]^k over the (g, k) ``pairs``."""
+    out = field.one
+    for g, k in pairs:
+        x = images[g] if k > 0 else images[g].inv()
+        for _ in range(abs(k)):
+            out = out * x
+    return out
+
+
+@pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 1),
+                                        ("cyclic", 5), ("cyclic", 12)])
+def test_character_matches_field_products(corpus12, kind, order):
+    rnd = random.Random(order)
+    for s in corpus12:
+        X = CellComplexX(s)
+        G = GroupData(X)
+        A = SpiderAnchors(s, X)
+        rep = make_representation(G, kind, order)
+        field, images = _generator_images(G, rep)
+        assert rep.field == field
+        assert rep.images == images
+        assert rep.inverses == [x.inv() for x in images]
+        words = list(G.relators)
+        words += [A.face_anchor_word(fc) for fc in range(X.n_faces)]
+        words += [A.tet_corner_word(t, c) for t in range(s.tet_count)
+                  for c in range(4)]
+        words += [w for t in range(s.tet_count) for w in A.tet_path_words(t)]
+        for w in words:
+            assert rep.word_image(w) == _product(field, images, w)
+        for _ in range(5):
+            vec = [rnd.randint(-2, 2) for _ in range(G.n_generators)]
+            assert rep.image_of_vector(vec) == _product(field, images, enumerate(vec))
+
+
+def test_transported_character_matches_tree_path_products(census2):
+    for i, s in enumerate(census2[::3]):
+        try:
+            walk = random_walk(s, 4, 300 + i, h_null_only=True, max_tets=5)
+        except Stuck:
+            continue
+        for kind, order in (("free_abelian", None), ("cyclic", 5)):
+            rep = make_representation(s.group, kind, order)
+            for move in walk:
+                after = transport_representation(move, rep)
+                for old, new in move.edge_map.items():
+                    assert after.images[new] == rep.images[old]
+                if move.direction == "positive":
+                    bip = move.bipyramid
+                    sign = -1 if bip.directed("a", "c") else 1
+                    path = _tree_chains(bip, len(rep.exponents))["c"]
+                    assert after.images[move.central_class_after] == _product(
+                        rep.field, rep.images,
+                        [(g, sign * k) for g, k in enumerate(path)])
+                rep = after
+
+
+def test_character_off_h1_raises(corpus12):
+    # A generator sent to t (or zeta_7) and the others to 1: the relator of
+    # a face whose boundary meets that generator sums to its d2 entry, not 0.
+    for s in corpus12[:10]:
+        X = CellComplexX(s)
+        G = GroupData(X)
+        j = next(g for g in range(G.n_generators) if any(X.d2[g]))
+        unit = [(int(g == j),) for g in range(G.n_generators)]
+        with pytest.raises(RelatorNotKilled):
+            Representation(G, FunctionField(1), unit, "free_abelian")
+        with pytest.raises(RelatorNotKilled):
+            Representation(G, CyclotomicField(7), unit, "cyclic")

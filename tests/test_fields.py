@@ -506,3 +506,109 @@ def test_rational_field_prints_what_function_field_0_prints():
                            + [show(field.solve(A, b)) for b in bs])
             assert field.det(square) == cofactor_det(field, square)
         assert outputs[0] == outputs[1]
+
+
+# -- the packed elimination at its limits -------------------------------------
+
+
+def _check_routines(field, M, x):
+    """Rank against the largest nonzero minor, det against cofactor
+    expansion, every kernel vector annihilated and the system A y = A x
+    solved, each checked by multiplying out in the field."""
+    assert field.rank(M) == minor_rank(field, M)
+    if len(M) == len(M[0]):
+        assert field.det(M) == cofactor_det(field, M)
+    for v in field.nullspace(M):
+        assert all(y.is_zero() for y in apply(field, M, v))
+    b = apply(field, M, x)
+    sol = field.solve(M, b)
+    assert sol is not None and apply(field, M, sol) == b
+
+
+def _seeded_rows(field, rnd, entry, size=4):
+    """1 to ``size`` rows of ``entry(rnd)``, zero a quarter of the time,
+    half of the time square, and half of the time with a last row that
+    combines two above it."""
+    m = rnd.randint(1, size)
+    n = m if rnd.random() < 0.5 else rnd.randint(1, size)
+    M = [[entry(rnd) if rnd.random() < 0.75 else field.zero for _ in range(n)]
+         for _ in range(m)]
+    if m > 2 and rnd.random() < 0.5:
+        a, b = entry(rnd), entry(rnd)
+        M[-1] = [a * x + b * y for x, y in zip(M[0], M[1])]
+    return M
+
+
+def test_packed_kernel_on_huge_laurent_coefficients():
+    F = FunctionField(2)
+    t1 = F.monomial((1, 0))
+
+    def entry(rnd):
+        x = F.from_terms(
+            ((rnd.randint(-2, 2), rnd.randint(-2, 2)),
+             rnd.choice((-1, 1)) * rnd.randint(2 ** 70, 2 ** 90))
+            for _ in range(rnd.randint(1, 3)))
+        if x.is_zero():
+            return F.one
+        return x / (t1 + F.one) if rnd.random() < 0.1 else x
+
+    rnd = random.Random(21)
+    for _ in range(20):
+        M = _seeded_rows(F, rnd, entry, size=3)
+        _check_routines(F, M, [entry(rnd) for _ in M[0]])
+
+
+def test_packed_kernel_on_huge_fractions():
+    Q = RationalField()
+    entry = lambda rnd: Q.from_fraction(_big(rnd))
+    rnd = random.Random(22)
+    for _ in range(12):
+        M = _seeded_rows(Q, rnd, entry)
+        _check_routines(Q, M, [entry(rnd) for _ in M[0]])
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_ring_multiples_of_phi_are_not_pivots(n, monkeypatch):
+    # A row and z^k times it, both stored reduced mod Phi_n: after the first
+    # step the second row holds nonzero multiples of Phi_n in Z[z] (for
+    # n > 1), which are zero in the field and must be passed over.
+    C = CyclotomicField(n)
+    rejected = []
+
+    def recording(self, codec, _original=CyclotomicField._pivot_test):
+        test = _original(self, codec)
+
+        def nonzero(x):
+            out = test(x)
+            if x and not out:
+                rejected.append(x)
+            return out
+        return nonzero
+    monkeypatch.setattr(CyclotomicField, "_pivot_test", recording)
+
+    def entry(rnd):
+        return CyclotomicElement(C, [rnd.randint(-3, 3) for _ in range(C.degree)])
+
+    rnd = random.Random(n)
+    for _ in range(10):
+        size = rnd.randint(2, 4)
+        first = [entry(rnd) for _ in range(size)]
+        rows = [first, [C.zeta(rnd.randrange(1, n + 1)) * x for x in first]]
+        rows += [[entry(rnd) for _ in range(size)] for _ in range(size - 2)]
+        _check_routines(C, rows, [entry(rnd) for _ in range(size)])
+    assert bool(rejected) == (n > 1)
+
+
+def test_minor_filling_its_slot_decodes():
+    # det [[a t, 1], [1, -a t]] = -a^2 t^2 - 1 with a = 2^40: its top
+    # coefficient has the bit length of the bound H = (a + 1)^2, so the
+    # slot is one sign bit wider than the coefficient.  (A minor of rows
+    # cleared to coprime coefficients equals H itself only when H = 1.)
+    F = FunctionField(1)
+    a = F.from_int(2 ** 40) * F.monomial((1,))
+    M = [[a, F.one], [F.one, -a]]
+    assert F.det(M) == cofactor_det(F, M) == -(a * a) - F.one
+    rows, _factors = F._cleared(M)
+    codec = fields._Kronecker(rows, (0,))
+    assert codec.width == (2 ** 80).bit_length() + 1
+    assert all(codec.unpack(codec.pack(p)) == p for row in rows for p in row)

@@ -6,7 +6,7 @@ import pytest
 
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
-from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis
+from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis, Stuck
 from spinetorsion.fields import CyclotomicField, FunctionField, RationalField
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import parse
@@ -547,3 +547,60 @@ def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
     assert calls == []
     # The kernel is read where the lift vectors are.
     assert [tc.default_lifts for tc in complexes] and calls
+
+
+# -- large inputs: walk spines of 10-14 tetrahedra, high cyclic orders ------------
+
+
+def _walk_spines(census2):
+    """Four spines of 10-14 tetrahedra for each H1 free rank 0, 1 and 2 of
+    the start: the first of each size on seeded 14-step h-null walks from
+    census-2 starts of that rank, taken in order."""
+    out = []
+    for rank in (0, 1, 2):
+        mine = []
+        for i, s in enumerate(census2):
+            if s.group.free_rank != rank or len(mine) >= 4:
+                continue
+            try:
+                walk = random_walk(s, 14, 1000 + i, h_null_only=True, max_tets=14)
+            except Stuck:
+                continue
+            first = {}
+            for move in walk:
+                if move.after.tet_count >= 10:
+                    first.setdefault(move.after.tet_count, move.after)
+            mine += [first[n] for n in sorted(first)]
+        out += mine[:4]
+    return out
+
+
+def _torsion_lines(spines, kind, order):
+    lines = []
+    for s in spines:
+        tc = build(s, kind, order)[2]
+        lines += [torsion(tc, h="auto").to_str(),
+                  sign_refined_torsion(s, tc, h="auto").to_str()]
+    return lines
+
+
+# sha256 of the torsion and sign-refined torsion strings, as first printed.
+LARGE_INPUT_DIGESTS = {
+    "walk free_abelian": "b0c5ce5b221eb171c706e10e743dc2f02672d025fc632d1f3860857883a04e17",
+    "walk cyclic:5": "89c701e510fd1f3dc7d2285fc9485cc422b7e489c302ca609aa8d3fadfea9b33",
+    "census2 cyclic:31": "55d050e3818a133df45bb02ed5ce97133c91f618197f623882894b9234069488",
+    "census2[3:6] cyclic:97": "a99204a962cc350168d1956dde4fc312f2b9d3d8b42d13032fed3a8fdd7e45b4",
+}
+
+
+def test_large_input_torsion_is_pinned(census2):
+    walk = _walk_spines(census2)
+    assert len(walk) == 12 and all(10 <= s.tet_count <= 14 for s in walk)
+    runs = {"walk free_abelian": (walk, "free_abelian", None),
+            "walk cyclic:5": (walk, "cyclic", 5),
+            "census2 cyclic:31": (census2, "cyclic", 31),
+            "census2[3:6] cyclic:97": (census2[3:6], "cyclic", 97)}
+    for name, (spines, kind, order) in runs.items():
+        text = "\n".join(_torsion_lines(spines, kind, order))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            LARGE_INPUT_DIGESTS[name], (name, text)
