@@ -3,8 +3,10 @@
 Three fields are provided:
 
 - ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
-  stored as reduced fractions of Laurent polynomials with rational
-  coefficients (their gcd is taken in ``polygcd``); the twisted complexes
+  ``RationalFunction``s: reduced pairs (num, den) of exponent dicts, the
+  Laurent polynomials {exponent tuple: int or Fraction} that the matrix
+  engine uses too, with den in the one normal form of a polynomial
+  (``_normal``) and the gcd taken in ``polygcd``; the twisted complexes
   of free-abelian representations.  r = 0 degenerates to Q, printed
   alike; the free-abelian representation of a spine whose H_1 has free
   rank 0 maps into ``RationalField()`` instead.
@@ -78,7 +80,7 @@ from operator import add as _add, mul as _mul, sub as _sub
 # -- exponent-dict polynomials ------------------------------------------------
 #
 # A polynomial is a dict from exponent tuples to nonzero coefficients: ints
-# in a cleared row, ints or Fractions in a LaurentPoly.
+# in a cleared row, ints or Fractions in a ``RationalFunction``.
 
 
 def _quo(a, b):
@@ -270,95 +272,6 @@ def _bareiss(A, order, nonzero, reduce=False):
     return pivots, prev, sign
 
 
-class LaurentPoly:
-    """A Laurent polynomial in ``nvars`` variables over Q.
-
-    ``terms`` maps exponent tuples to nonzero ints or Fractions.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v} if terms else {}
-
-    @classmethod
-    def const(cls, nvars, value):
-        return cls.monomial(nvars, (0,) * nvars, value)
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        coeff = _int_or_fraction(coeff)
-        return _lp(nvars, {tuple(exps): coeff} if coeff else {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        one = {(0,) * self.nvars: 1}
-        return _lp(self.nvars, _dot(((self.terms, one), (other.terms, one))))
-
-    def __neg__(self):
-        return _lp(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return _lp(self.nvars, _dot(((self.terms, other.terms),)))
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return LaurentPoly(self.nvars)
-        return LaurentPoly(self.nvars, {k: v * c for k, v in self.terms.items()})
-
-    def shift(self, exps):
-        return LaurentPoly(self.nvars,
-                           {tuple(a + b for a, b in zip(k, exps)): v
-                            for k, v in self.terms.items()})
-
-    def lead_key(self):
-        return max(self.terms) if self.terms else None
-
-    def lead_coeff(self):
-        return self.terms[max(self.terms)] if self.terms else Fraction(0)
-
-    def min_exponents(self):
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(k[i] for k in self.terms) for i in range(self.nvars))
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def signed_content(self):
-        """Positive-lead normaliser: self / signed_content() is integer-primitive
-        with positive leading coefficient."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for v in self.terms.values():
-            num = _int_gcd(num, abs(v.numerator))
-            den = den * v.denominator // _int_gcd(den, v.denominator)
-        c = Fraction(num, den)
-        return c if self.lead_coeff() > 0 else -c
-
-    def exact_div(self, other):
-        """Exact quotient self / other in the Laurent ring; raises if not exact."""
-        return _lp(self.nvars, _pdiv(self.terms, other.terms))
-
-    def str_terms(self, names):
-        return _terms_str(sorted(self.terms.items(), reverse=True), names)
-
-
 def _terms_str(terms, names):
     """The (exponents, coefficient) pairs ``terms`` printed in their order as
     a sum of c*x1^e1*..: unit coefficients and exponents 1 are left out,
@@ -380,103 +293,98 @@ def _terms_str(terms, names):
     return out
 
 
-def _lp(nvars, terms):
-    """A LaurentPoly on a dict with no zero coefficient, taken as it is."""
-    p = object.__new__(LaurentPoly)
-    p.nvars, p.terms = nvars, terms
-    return p
-
-
-def _lp_gcd(a, b):
-    """GCD of Laurent polynomials with nonnegative exponents, up to units."""
-    nvars = a.nvars
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    if nvars == 0:
-        return LaurentPoly.const(0, 1)
-    if a.is_monomial() or b.is_monomial():
-        keys = list(a.terms) + list(b.terms)
-        exps = tuple(min(k[i] for k in keys) for i in range(nvars))
-        return LaurentPoly.monomial(nvars, exps)
-    # Imported here: a process that never needs a gcd never compiles it.
-    from .polygcd import gcd
-    return _lp(nvars, gcd(_integral([a.terms])[0][0], _integral([b.terms])[0][0]))
+def _normal(p):
+    """(shift, c, q) with p = t^shift * c * q for the nonzero polynomial
+    ``p``: q has least exponent 0 in every variable, coprime integer
+    coefficients and a positive leading coefficient (its largest exponent
+    tuple), and c is an int or a Fraction.  q is thus the one normal form
+    of p up to the units c * t^k (c rational) of the Laurent ring."""
+    shift = tuple(map(min, zip(*p)))
+    (q,), (mul, div) = _integral([p])
+    if q[max(q)] < 0:
+        div = -div
+    if div < 0 or any(shift):
+        q = {tuple(map(_sub, k, shift)): v if div > 0 else -v for k, v in q.items()}
+    return shift, _quo(div, mul), q
 
 
 class RationalFunction:
-    """A reduced fraction of Laurent polynomials; always canonical.
+    """An element of Q(t1..tr), r = ``nvars``: a reduced pair of exponent
+    dicts, ``num`` over ``den``, with nonzero int or Fraction coefficients.
 
-    Canonical form: the denominator is an integer-primitive polynomial
-    with nonnegative exponents (minimum exponent 0 in every variable) and
-    positive leading coefficient; numerator and denominator are coprime.
+    Canonical form: ``den`` is its own ``_normal`` form (least exponent 0
+    in every variable, coprime integer coefficients, positive leading
+    coefficient), and ``num`` and ``den`` are coprime, so equal values
+    have equal pairs.  Without ``den`` the value is the Laurent polynomial
+    ``num`` over 1, taken as it is: it must have no zero coefficient.
     """
 
     __slots__ = ("nvars", "num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
-        self.nvars = num.nvars
-        if den is None:
-            den = LaurentPoly.const(self.nvars, 1)
-        if den.is_zero():
+    def __init__(self, nvars, num, den=None):
+        self.nvars = nvars
+        if den is not None and not den:
             raise ZeroDivisionError("zero denominator")
-        if _canonical:
-            self.num, self.den = num, den
+        if den is None or not num:
+            self.num, self.den = num, {(0,) * nvars: 1}
             return
-        if num.is_zero():
-            self.num = num
-            self.den = LaurentPoly.const(self.nvars, 1)
-            return
-        # Pull the denominator's monomial unit into the numerator.
-        shift = den.min_exponents()
-        if any(shift):
-            den = den.shift(tuple(-e for e in shift))
-            num = num.shift(tuple(-e for e in shift))
-        if not den.is_monomial():
-            nshift = num.min_exponents()
-            npoly = num.shift(tuple(-e for e in nshift)) if any(nshift) else num
-            g = _lp_gcd(npoly, den)
-            if not (g.is_monomial() and g.lead_key() == (0,) * self.nvars):
-                npoly = npoly.exact_div(g)
-                den = den.exact_div(g)
-            num = npoly.shift(nshift) if any(nshift) else npoly
-        c = den.signed_content()
-        if c != 1:
-            den = den.scale(1 / c)
-            num = num.scale(1 / c)
-        self.num = num
-        self.den = den
+        # den = t^s * c * q, so num / den = t^-s / c * num / q.  Unless q
+        # is 1, num = t^s' * c' * p is normalised too and gcd(p, q) cancels.
+        shift, c, den = _normal(den)
+        shift, c = tuple(-e for e in shift), 1 / Fraction(c)
+        if len(den) > 1:
+            nshift, nc, num = _normal(num)
+            shift, c = tuple(map(_add, shift, nshift)), c * nc
+            if len(num) > 1:
+                # Imported here: a process that never needs a gcd never
+                # compiles it.
+                from .polygcd import gcd
+                g = gcd(num, den)
+                if len(g) > 1:
+                    g = _normal(g)[2]
+                    num, den = _pdiv(num, g), _pdiv(den, g)
+        if c != 1 or any(shift):
+            c = _int_or_fraction(c)
+            num = {tuple(map(_add, k, shift)): _int_or_fraction(v * c)
+                   for k, v in num.items()}
+        self.num, self.den = num, den
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction) and self.num == other.num
                 and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __add__(self, other):
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+            one = {(0,) * self.nvars: 1}
+            return RationalFunction(
+                self.nvars, _dot(((self.num, one), (other.num, one))), self.den)
+        return RationalFunction(
+            self.nvars, _dot(((self.num, other.den), (other.num, self.den))),
+            _dot(((self.den, other.den),)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _canonical=True)
+        # -num and den are still a reduced pair.
+        x = object.__new__(RationalFunction)
+        x.nvars, x.num, x.den = self.nvars, {k: -v for k, v in self.num.items()}, self.den
+        return x
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.nvars, _dot(((self.num, other.num),)),
+                                _dot(((self.den, other.den),)))
 
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction(self.nvars, self.den, self.num)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -485,19 +393,17 @@ class RationalFunction:
         """The rational value, if constant; raises otherwise."""
         if self.is_zero():
             return Fraction(0)
-        if self.num.is_monomial() and self.den.is_monomial():
-            (kn, vn), = self.num.terms.items()
-            (kd, vd), = self.den.terms.items()
-            if not any(kn) and not any(kd):
-                return Fraction(vn) / vd
+        key = (0,) * self.nvars
+        if self.num.keys() == self.den.keys() == {key}:
+            return Fraction(self.num[key]) / self.den[key]
         raise ValueError("not a constant")
 
     def str_in(self, names):
-        num = self.num.str_terms(names)
-        if self.den.is_monomial() and self.den.lead_key() == (0,) * self.nvars \
-                and self.den.lead_coeff() == 1:
+        num = _terms_str(sorted(self.num.items(), reverse=True), names)
+        if len(self.den) == 1:  # canonical: the denominator 1
             return num
-        return "(%s)/(%s)" % (num, self.den.str_terms(names))
+        return "(%s)/(%s)" % (num, _terms_str(sorted(self.den.items(), reverse=True),
+                                              names))
 
 
 class _Field:
@@ -664,9 +570,9 @@ class FunctionField(_Field):
     def __init__(self, nvars):
         self.nvars = nvars
         self.names = tuple("t%d" % (i + 1) for i in range(nvars))
-        self.zero = RationalFunction(LaurentPoly(nvars))
-        self.one = RationalFunction(LaurentPoly.const(nvars, 1))
-        self._unit = {(0,) * nvars: 1}
+        self.zero = RationalFunction(nvars, {})
+        self.one = RationalFunction(nvars, {(0,) * nvars: 1})
+        self._unit = self.one.num
 
     def __eq__(self, other):
         return isinstance(other, FunctionField) and self.nvars == other.nvars
@@ -675,31 +581,29 @@ class FunctionField(_Field):
         return "FunctionField(%d)" % self.nvars
 
     def from_fraction(self, q):
-        """The constant ``q``, built in canonical form: numerator ``q`` (an
-        int when integral) over the denominator 1."""
-        return RationalFunction(LaurentPoly.const(self.nvars, q), self.one.den,
-                                _canonical=True)
+        """The constant ``q``: numerator ``q``, an int when integral, over 1."""
+        q = _int_or_fraction(q)
+        return RationalFunction(self.nvars, {(0,) * self.nvars: q} if q else {})
 
     def monomial(self, exps):
-        return RationalFunction(LaurentPoly.monomial(self.nvars, exps))
+        return RationalFunction(self.nvars, {tuple(exps): 1})
 
     def _element_of(self, p):
-        """The Laurent polynomial ``p`` over the denominator 1, canonical."""
-        return RationalFunction(_lp(self.nvars, p), self.one.den, _canonical=True)
+        """The Laurent polynomial ``p`` over 1."""
+        return RationalFunction(self.nvars, p)
 
     def element_str(self, x):
         return x.str_in(self.names)
 
     def leading_is_negative(self, x):
         """Whether the leading coefficient of the numerator is negative."""
-        return x.num.lead_coeff() < 0
+        return bool(x.num) and x.num[max(x.num)] < 0
 
     def _parts(self, x):
-        return x.num.terms, x.den.terms
+        return x.num, x.den
 
     def _divider(self, den):
-        den = _lp(self.nvars, den)
-        return lambda p: RationalFunction(_lp(self.nvars, p), den)
+        return lambda p: RationalFunction(self.nvars, p, den)
 
 
 class Rational:

@@ -59,6 +59,18 @@ def _syntax(lineno, msg):
     raise SpineSyntaxError(msg, line=lineno)
 
 
+def _number(lineno, token, msg):
+    """The int of the decimal ``token``, else the syntax error ``msg`` at
+    ``lineno``; a token past CPython's limit on int-string conversion
+    (4,300 digits) is such an error too."""
+    if token.isdecimal():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    _syntax(lineno, msg)
+
+
 def parse(text):
     """Parse a spine file into a validated BranchedSpine."""
     tet_count = None
@@ -73,19 +85,21 @@ def parse(text):
             continue
         parts = line.split()
         if parts[0] == "spine":
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2:
                 _syntax(lineno, "expected 'spine <version>'")
+            version = _number(lineno, parts[1], "expected 'spine <version>'")
             if version_seen:
                 _syntax(lineno, "repeated 'spine' line")
-            if int(parts[1]) != FORMAT_VERSION:
+            if version != FORMAT_VERSION:
                 _syntax(lineno, "unsupported format version %s" % parts[1])
             version_seen = True
         elif parts[0] == "tets":
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2:
                 _syntax(lineno, "expected 'tets <count>'")
+            count = _number(lineno, parts[1], "expected 'tets <count>'")
             if tet_count is not None:
                 _syntax(lineno, "repeated 'tets' line")
-            tet_count = int(parts[1])
+            tet_count = count
         elif parts[0] == "glue":
             if len(parts) != 6 or parts[2] != "->" or parts[4] != ":":
                 _syntax(lineno, "expected 'glue t.f -> t.f : xyz'")
@@ -131,9 +145,9 @@ def parse(text):
                 _syntax(lineno, "repeated edge line for class %d" % k)
             edge_lines[k] = (lineno, t, i, j)
         elif parts[0] == "orient":
-            if len(parts) != 3 or not parts[1].isdecimal() or parts[2] not in ("+", "-"):
+            if len(parts) != 3 or parts[2] not in ("+", "-"):
                 _syntax(lineno, "expected 'orient t +|-'")
-            t = int(parts[1])
+            t = _number(lineno, parts[1], "expected 'orient t +|-'")
             if t in orient_lines:
                 _syntax(lineno, "repeated orient line for tetrahedron %d" % t)
             orient_lines[t] = (lineno, 1 if parts[2] == "+" else -1)
@@ -193,11 +207,11 @@ def parse_move_log(text):
         if parts[0] == "movelog":
             continue
         if parts[0] == "+" and len(parts) == 5 and parts[1] == "face" \
-                and parts[3] == "variant" and parts[2].isdecimal() and parts[4].isdecimal():
-            steps.append(("positive", int(parts[2]), int(parts[4])))
-        elif parts[0] == "-" and len(parts) == 3 and parts[1] == "edge" \
-                and parts[2].isdecimal():
-            steps.append(("negative", int(parts[2]), 0))
+                and parts[3] == "variant":
+            steps.append(("positive", _number(lineno, parts[2], "bad move line"),
+                          _number(lineno, parts[4], "bad move line")))
+        elif parts[0] == "-" and len(parts) == 3 and parts[1] == "edge":
+            steps.append(("negative", _number(lineno, parts[2], "bad move line"), 0))
         else:
             raise SpineSyntaxError("bad move line", line=lineno)
     return steps

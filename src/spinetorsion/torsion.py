@@ -39,7 +39,7 @@ from itertools import combinations
 from math import gcd as _int_gcd
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
-from .fields import FunctionField, LaurentPoly, RationalFunction, _lp_gcd
+from .fields import FunctionField, RationalFunction, _normal
 from .perms import parity
 
 
@@ -325,39 +325,30 @@ def default_z_character(group):
 
 
 def fox_derivative_image(word, gen, character):
-    """Fox derivative of a relator word, pushed into Q[t, 1/t].
+    """Fox derivative of a relator word, pushed into Q[t, 1/t]: an exponent
+    dict {(k,): coefficient of t^k}.
 
     The free derivative is evaluated through the ring map sending each
     generator x to t^character[x].
     """
-    out = LaurentPoly(1)
+    out = {}
     prefix_exp = 0
     for x, e in word:
         if e > 0:
             if x == gen:
-                out = out + LaurentPoly.monomial(1, (prefix_exp,))
+                out[(prefix_exp,)] = out.get((prefix_exp,), 0) + 1
             prefix_exp += character[x]
         else:
             prefix_exp -= character[x]
             if x == gen:
-                out = out - LaurentPoly.monomial(1, (prefix_exp,))
-    return out
-
-
-def _normalize_poly(p):
-    """Canonical representative modulo units +-t^k: integer-primitive,
-    positive leading coefficient, lowest exponent zero."""
-    if p.is_zero():
-        return p
-    shift = p.min_exponents()
-    p = p.shift((-shift[0],))
-    c = p.signed_content()
-    return p.scale(1 / c)
+                out[(prefix_exp,)] = out.get((prefix_exp,), 0) - 1
+    return {k: v for k, v in out.items() if v}
 
 
 def _minor_gcd(A, size):
-    """The gcd of the ``size`` x ``size`` minors of ``A``, canonical up to
-    +-t^k; 0 when every such minor vanishes or there is none.
+    """The gcd of the ``size`` x ``size`` minors of ``A`` as an exponent
+    dict, canonical up to +-t^k (the ``fields._normal`` form); {}, the
+    zero polynomial, when every such minor vanishes or there is none.
 
     ``A`` is a list of rows over Q(t) whose minors are Laurent polynomials.
     When ``A`` presents a module M on n generators, the gcd generates the
@@ -365,14 +356,15 @@ def _minor_gcd(A, size):
     torsion of M when M has free rank n - size, and 0 when the rank is
     larger.
     """
+    from .polygcd import gcd
     field = FunctionField(1)
-    g = LaurentPoly(1)
+    g = {}
     for rows in combinations(range(len(A)), size):
         for cols in combinations(range(len(A[0])), size):
-            d = field.det([[A[i][j] for j in cols] for i in rows])
-            if not d.is_zero():
-                g = _normalize_poly(_lp_gcd(g, _normalize_poly(d.num)))
-            if g.is_monomial():
+            d = field.det([[A[i][j] for j in cols] for i in rows]).num
+            if d:
+                g = _normal(gcd(g, _normal(d)[2]) if g else d)[2]
+            if len(g) == 1:
                 return g
     return g
 
@@ -381,7 +373,7 @@ def fox_alexander(group, character):
     """One-variable Alexander polynomial of the presentation, by Fox calculus.
 
     The gcd of the (n-1)-minors of the Fox matrix (n = number of
-    generators), canonical up to +-t^k.  The Fox matrix presents coker d2
+    generators), canonical up to +-t^k, as an exponent dict {(k,): c}.  The Fox matrix presents coker d2
     of the presentation complex over Q[t, 1/t]; a nonzero character makes
     d1 nonzero, so coker d2 = H_1 + Q[t, 1/t] and the gcd is the order of
     H_1 of the infinite cyclic cover, 0 when that H_1 has a free part.
@@ -389,8 +381,8 @@ def fox_alexander(group, character):
     module is free, of order zero).
     """
     if not group.relators:
-        return LaurentPoly(1)
-    A = [[RationalFunction(fox_derivative_image(w, g, character))
+        return {}
+    A = [[RationalFunction(1, fox_derivative_image(w, g, character))
           for g in range(group.n_generators)] for w in group.relators]
     return _minor_gcd(A, group.n_generators - 1)
 
@@ -402,8 +394,8 @@ def twisted_h1_order(complex_x, group, character):
     A nonzero character makes the twisted d1 nonzero, so its image is a
     free module of rank 1 and coker d2 = H_1 + Q[t, 1/t]; the order of
     H_1 is then the gcd of the (n-1)-minors of the twisted d2 (n = number
-    of edges), and 0 when H_1 has a free part.  Canonical up to +-t^k,
-    comparable with ``fox_alexander``.  An all-zero character gives d1 = 0
+    of edges), and 0 when H_1 has a free part.  An exponent dict, canonical
+    up to +-t^k, comparable with ``fox_alexander``.  An all-zero character gives d1 = 0
     and raises ValueError.
     """
     from .complexes import Representation, twisted_d2

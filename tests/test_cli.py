@@ -50,6 +50,16 @@ def test_validate_syntax_error_exit_1(tmp_path, capsys):
     assert "line 4" in report["message"]
 
 
+def test_validate_oversize_tet_count_exit_1(tmp_path, capsys):
+    # 5,000 digits: int() refuses the string past 4,300.
+    p = tmp_path / "bad.txt"
+    p.write_text(ONE_TET.replace("tets 1", "tets " + "1" * 5000))
+    status, report = run_cli(["validate", str(p)], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert "line 2" in report["message"]
+
+
 def test_glue_face_out_of_range_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text(ONE_TET.replace("glue 0.2 -> 0.3 : 012",

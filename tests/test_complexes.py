@@ -214,11 +214,11 @@ def test_free_abelian_images_are_monomials(corpus12):
         for j in range(G.n_generators):
             free, _tors = G.generator_class(j)
             img = rep.images[j]
-            assert img.den.is_monomial()
-            assert img.num.is_monomial()
+            assert len(img.den) == 1
+            assert len(img.num) == 1
             if any(free):
-                key = img.num.lead_key()
-                shift = img.den.lead_key()
+                key = max(img.num)
+                shift = max(img.den)
                 assert tuple(a - b for a, b in zip(key, shift)) == free
 
 

@@ -2,16 +2,19 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinetorsion import fields, polygcd
+from spinetorsion.complexes import CellComplexX, GroupData
 from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
-                                 FunctionField, LaurentPoly, RationalField,
+                                 FunctionField, RationalField,
                                  RationalFunction, cofactor_det,
                                  cyclotomic_polynomial)
+from spinetorsion.torsion import default_z_character, fox_alexander
 
 
 def rand_element(field, rnd, nterms=3, span=2):
@@ -19,10 +22,8 @@ def rand_element(field, rnd, nterms=3, span=2):
     for _ in range(nterms):
         key = tuple(rnd.randint(-span, span) for _ in range(field.nvars))
         terms[key] = Fraction(rnd.randint(-3, 3))
-    p = LaurentPoly(field.nvars, terms)
-    if p.is_zero():
-        p = LaurentPoly.const(field.nvars, 1)
-    return RationalFunction(p)
+    p = {k: v for k, v in terms.items() if v}
+    return RationalFunction(field.nvars, p or {(0,) * field.nvars: 1})
 
 
 def test_rational_function_canonical_reduction():
@@ -35,8 +36,8 @@ def test_rational_function_canonical_reduction():
     assert b == (t + one).inv()
     # monomial units move to the numerator; denominators are primitive
     c = F.monomial((-3,)) / (t - one)
-    assert c.den.min_exponents() == (0,)
-    assert c.den.signed_content() == 1
+    assert tuple(map(min, zip(*c.den))) == (0,)
+    assert fields._normal(c.den)[1] == 1
 
 
 def test_field_axioms_function_field():
@@ -126,9 +127,9 @@ def elements(draw, field):
         terms = draw(st.dictionaries(
             st.tuples(*[st.integers(*span)] * field.nvars), COEFFS,
             max_size=2))
-        return LaurentPoly(field.nvars, terms)
+        return {k: v for k, v in terms.items() if v}
     num, den = poly((-1, 1)), poly((0, 1))
-    return RationalFunction(num, den if not den.is_zero() else None)
+    return RationalFunction(field.nvars, num, den or None)
 
 
 @st.composite
@@ -223,12 +224,11 @@ def test_solve_exactly_when_consistent(field_and_matrix, data):
 
 
 def test_exact_division_errors():
-    t = LaurentPoly.monomial(1, (1,))
-    one = LaurentPoly.const(1, 1)
+    one = {(0,): 1}
     with pytest.raises(ArithmeticError):
-        one.exact_div(one - t)
+        fields._pdiv(one, {(0,): 1, (1,): -1})
     with pytest.raises(ZeroDivisionError):
-        one.exact_div(LaurentPoly(1))
+        fields._pdiv(one, {})
 
 
 # -- the gcd over Z[t1..tr] ---------------------------------------------------
@@ -316,11 +316,83 @@ def test_prs_gcd_on_small_pairs(monkeypatch):
 def test_gcd_takes_no_monomial_unit_for_a_factor():
     # t1*t2*t3 divides both in the Laurent ring, where t3 is a unit, but t3
     # does not divide b in the polynomial ring.
-    a = LaurentPoly(3, {(2, 1, 2): 20, (2, 1, 1): -25})
-    b = LaurentPoly(3, {(2, 2, 2): Fraction(5, 9), (3, 2, 0): Fraction(5, 3),
-                        (1, 1, 1): Fraction(25, 9)})
-    assert list(fields._lp_gcd(a, b).terms) == [(1, 1, 0)]
-    assert RationalFunction(a, b).den.min_exponents() == (0, 0, 0)
+    a = {(2, 1, 2): 20, (2, 1, 1): -25}
+    b = {(2, 2, 2): Fraction(5, 9), (3, 2, 0): Fraction(5, 3),
+         (1, 1, 1): Fraction(25, 9)}
+    integral = lambda p: fields._integral([p])[0][0]
+    assert list(polygcd.gcd(integral(a), integral(b))) == [(1, 1, 0)]
+    assert tuple(map(min, zip(*RationalFunction(3, a, b).den))) == (0, 0, 0)
+
+
+# -- the canonical form of Q(t1..tr) -------------------------------------------
+
+
+def assert_normal(p):
+    """``p`` has least exponent 0 in every variable, coprime integer
+    coefficients and a positive leading coefficient."""
+    assert all(min(col) == 0 for col in zip(*p))
+    assert all(Fraction(v).denominator == 1 for v in p.values())
+    assert gcd(*map(int, p.values())) == 1
+    assert p[max(p)] > 0
+
+
+def cleared(p):
+    """``p`` times the lcm of its denominators and the monomial that takes
+    its least exponents to 0."""
+    den = lcm(*(Fraction(v).denominator for v in p.values()))
+    low = tuple(map(min, zip(*p)))
+    return {tuple(e - m for e, m in zip(k, low)): int(v * den) for k, v in p.items()}
+
+
+@st.composite
+def unit_multiples(draw):
+    """(r, p*c*t^k, q, f): Laurent polynomials p, q and f in r variables
+    with Fraction coefficients, q and f nonzero, a nonzero Fraction c and
+    a shift t^k."""
+    r = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * r)
+
+    def poly(min_size):
+        return draw(st.dictionaries(exps, COEFFS.filter(bool), min_size=min_size,
+                                    max_size=3))
+    p, q, f = poly(0), poly(1), poly(1)
+    c = draw(COEFFS.filter(bool)) * draw(st.sampled_from((1, 5, 7)))
+    unit = {draw(exps): c}
+    return r, fields._dot(((p, unit),)), q, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_multiples())
+def test_common_factors_and_units_do_not_change_the_value(case):
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    r, p, q, f = case
+    x = RationalFunction(r, fields._dot(((p, f),)), fields._dot(((q, f),)))
+    y = RationalFunction(r, p, q)
+    assert x == y and hash(x) == hash(y)
+    assert_normal(x.den)
+    if x.is_zero():
+        assert x.den == {(0,) * r: 1}
+    else:
+        R = ring(",".join("t%d" % (i + 1) for i in range(r)), ZZ)[0]
+        assert R.from_dict(cleared(x.num)).gcd(R.from_dict(x.den)).is_ground
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(r, p or q, {})
+
+
+def test_fox_alexander_is_in_normal_form(corpus12):
+    checked = 0
+    for s in corpus12:
+        G = GroupData(CellComplexX(s))
+        chi = default_z_character(G)
+        if chi is None:
+            continue
+        poly = fox_alexander(G, chi)
+        if poly:
+            assert_normal(poly)
+            checked += 1
+    assert checked >= 10
 
 
 def test_cyclotomic_polynomials():
@@ -413,13 +485,13 @@ def _seeded_element(field, rnd):
                                          for _ in range(field.degree)])
 
     def poly(lo, hi, nterms):
-        return LaurentPoly(field.nvars, {
-            tuple(rnd.randint(lo, hi) for _ in range(field.nvars)): q()
-            for _ in range(nterms)})
+        p = {tuple(rnd.randint(lo, hi) for _ in range(field.nvars)): q()
+             for _ in range(nterms)}
+        return {k: v for k, v in p.items() if v}
     num, den = poly(-1, 2, rnd.randint(1, 3)), poly(0, 1, rnd.randint(0, 2))
-    if num.is_zero():
+    if not num:
         return field.one
-    return RationalFunction(num, den if not den.is_zero() else None)
+    return RationalFunction(field.nvars, num, den or None)
 
 
 def _seeded_matrix(field, rnd, m, n):
@@ -461,6 +533,43 @@ def test_matrix_routine_outputs_are_pinned():
             lines += map(show, field.nullspace(M))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == ROUTINES_DIGEST, text
+
+
+def _seeded_fraction(field, rnd):
+    """p*c*t^k*f / (q*f): seeded Laurent polynomials p, q and f, a Fraction
+    c and a Laurent shift t^k, so that reducing it cancels f and moves c
+    and t^k into the numerator."""
+    def poly(lo, hi):
+        return field.from_terms(
+            (tuple(rnd.randint(lo, hi) for _ in range(field.nvars)), rnd.randint(-4, 4))
+            for _ in range(rnd.randint(1, 3)))
+    p, q, f = poly(-2, 2), poly(-1, 2), poly(-1, 1)
+    q = field.one if q.is_zero() else q
+    f = field.one if f.is_zero() else f
+    c = field.from_fraction(Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9),
+                                     rnd.randint(1, 9)))
+    shift = field.monomial(tuple(rnd.randint(-2, 2) for _ in range(field.nvars)))
+    return (p * c * shift * f) / (q * f)
+
+
+# sha256 of the element strings of 250 seeded fractions per field and of the
+# sum, product and inverse of each with the one before, as printed when pinned.
+FRACTIONS_DIGEST = "ff12a60b3c6b1b17bad2dd552a72f95b799eaa10ca45edb7b57267f21e9e56dc"
+
+
+def test_field_arithmetic_is_pinned():
+    lines = []
+    for field in (FunctionField(1), FunctionField(2)):
+        rnd = random.Random(repr(field))
+        prev = field.one
+        for _ in range(250):
+            x = _seeded_fraction(field, rnd)
+            values = [x, x + prev, x * prev] + ([] if x.is_zero() else [x.inv()])
+            lines += map(field.element_str, values)
+            prev = x
+    assert len(lines) > 1900
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FRACTIONS_DIGEST, text
 
 
 # -- Q against Q(t1..tr) with no variable ---------------------------------------

@@ -38,6 +38,43 @@ def test_no_unread_imports():
     assert unread == {}
 
 
+def private_definitions(tree):
+    """(name, statement) for each module-level name of ``tree`` that starts
+    with one underscore, bound by a def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def loaded_names(node):
+    """The names and attribute names that ``node`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_unread_private_helpers():
+    # A private helper that nothing reads any longer is dead code; a read
+    # inside its own definition (a recursive call) does not count.
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    statements = [(node, loaded_names(node)) for tree in trees.values()
+                  for node in tree.body]
+    defined = [(path, name, node) for path, tree in trees.items()
+               for name, node in private_definitions(tree)]
+    assert len(defined) > 50
+    unread = [(path, name) for path, name, node in defined
+              if not any(name in reads for other, reads in statements if other is not node)]
+    assert unread == []
+
+
 def run_fresh(code, *args):
     """The stdout lines of ``code`` run with ``args`` in a fresh interpreter."""
     env = dict(os.environ)

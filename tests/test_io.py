@@ -63,6 +63,32 @@ def test_non_numeric_move_log_site_names_line(move):
     assert err.value.line == 2
 
 
+# Past CPython's 4,300-digit limit on int-string conversion, where int()
+# raises ValueError.
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("spine 1", "spine " + _HUGE, 1),
+    ("tets 1", "tets " + _HUGE, 2),
+    ("orient 0 +", "orient %s +" % _HUGE, 8),
+], ids=["spine", "tets", "orient"])
+def test_oversize_number_names_line(old, new, line):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse(ONE_TET.replace(old, new))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("move", ["+ face %s variant 0" % _HUGE,
+                                  "+ face 0 variant %s" % _HUGE,
+                                  "- edge %s" % _HUGE],
+                         ids=["face", "variant", "edge"])
+def test_oversize_move_log_site_names_line(move):
+    with pytest.raises(SpineSyntaxError) as err:
+        parse_move_log("movelog 1\n%s\n" % move)
+    assert err.value.line == 2
+
+
 def test_missing_header_rejected():
     with pytest.raises(SpineSyntaxError):
         parse(ONE_TET.replace("spine 1\n", ""))
@@ -168,7 +194,7 @@ def test_glue_face_index_out_of_range_names_line(glue):
 
 _FIXTURE_TEXTS = (ONE_TET, TWO_VARIANT, GOLDEN, TORSION2)
 _BAD_TOKENS = ("-1", "4", "9", "99", "4294967296", "x", ".", "->", ":", "",
-               "0.9", "1.-1", "01234", "²", "+-")
+               "0.9", "1.-1", "01234", "²", "+-", _HUGE)
 
 
 @st.composite

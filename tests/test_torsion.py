@@ -159,12 +159,12 @@ def test_fox_trivial_group_and_free_generator():
         n_generators = 1
         relators = [((0, 1),)]
     poly = fox_alexander(FakeGroup, [1])
-    assert poly.terms == {(0,): Fraction(1)}
+    assert poly == {(0,): Fraction(1)}
 
     class FreeGroup:
         n_generators = 1
         relators = []
-    assert fox_alexander(FreeGroup, [1]).is_zero()
+    assert fox_alexander(FreeGroup, [1]) == {}
 
 
 class _TwoGenerators:
@@ -191,7 +191,7 @@ def _word(letters):
 ])
 def test_fox_alexander_of_knot_groups(relator, character, terms):
     poly = fox_alexander(_TwoGenerators(_word(relator)), character)
-    assert poly.terms == terms
+    assert poly == terms
 
 
 def test_twisted_h1_order_rejects_zero_character():
@@ -211,7 +211,7 @@ def test_fox_matches_twisted_h1_order(corpus12):
             continue
         fox = fox_alexander(G, chi)
         order = twisted_h1_order(X, G, chi)
-        assert fox.terms == order.terms
+        assert fox == order
         checked += 1
     assert checked >= 10
 
