@@ -13,7 +13,7 @@ _EXPORTS = {
                  "TwistedComplex make_representation",
     "errors": "BasisRankMismatch CyclicTriangle Disconnected MoveError "
               "NonOrientable NonStandardDual NotAcyclicNoBasis NotApplicable "
-              "RelatorNotKilled ResultNonStandard SelfAdjacentFace SpineError "
+              "RelatorNotKilled SelfAdjacentFace SpineError "
               "SpineSyntaxError Stuck TorsionError TransportFailure "
               "UnpairedFace ValidationError",
     "euler": "EulerData euler_chain_class euler_data maw_cochain "

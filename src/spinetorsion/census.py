@@ -6,13 +6,13 @@ gluing permutation is odd (so all tetrahedron orientation bits are +1 and
 the triangulation is oriented by construction), and the first gluing into
 a fresh tetrahedron uses a fixed permutation.  Each complete gluing is
 encoded straight from its gluing dict, and a Triangulation is built only
-for a code not seen before.  That is sound because the checks a build can
-fail, connectedness (a disconnected gluing has no code) and a standard
-dual, are isomorphism-invariant, and it keeps the first candidate of each
+for a code not seen before.  That is sound because the one check a build
+can fail, connectedness, is isomorphism-invariant (a disconnected gluing
+has no code): odd gluings are orientable, and an oriented gluing has no
+edge glued to itself reversed.  It keeps the first candidate of each
 class, so the output is pairwise non-isomorphic in a deterministic order.
 """
 
-from .errors import NonStandardDual
 from .perms import ALL_PERMS, sign
 from .spine import encode_gluings, least_seeds, signature_from_seeds
 from .triangulation import Triangulation, glue_both_ways
@@ -33,10 +33,7 @@ def enumerate_triangulations(tet_count):
         if code is None or code in seen:
             continue
         seen.add(code)
-        try:
-            results.append(Triangulation(tet_count, gluings))
-        except NonStandardDual:
-            pass
+        results.append(Triangulation(tet_count, gluings))
     return results
 
 

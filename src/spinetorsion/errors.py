@@ -51,10 +51,6 @@ class NotApplicable(MoveError):
     """The configuration at the chosen site does not match the move pattern."""
 
 
-class ResultNonStandard(MoveError):
-    """The move result fails standardness validation."""
-
-
 class Stuck(MoveError):
     """No applicable move is available from the current spine."""
 

@@ -15,6 +15,9 @@ one rebuild derives the rest by matching label sets: where each external
 face and its gluing go, which faces lie inside the bipyramid, the after
 branching, and the tetrahedron, edge and face correspondences.
 
+A move is listed as an unbuilt candidate, its site and the bipyramid of
+its variant read off the before spine, and is built only when taken.
+
 A variant of a move has a branching exactly when the directions of the
 ten edges order the five labels linearly (Benedetti-Petronio, LNM 1653).
 The ``Bipyramid`` of a move keeps that order, from source to sink, and
@@ -31,9 +34,10 @@ order alone, so it is computed once per order (at most 120).
 """
 
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
-from .errors import (Disconnected, MoveError, NonOrientable, NonStandardDual,
-                     NotApplicable, ResultNonStandard, SelfAdjacentFace, Stuck,
+from .errors import (MoveError, NotApplicable, SelfAdjacentFace, Stuck,
                      TransportFailure)
 from .perms import compose, inverse, sign
 from .rng import SplitMix64
@@ -95,7 +99,7 @@ class MoveInstance:
                  central_class_before, central_class_after):
         self.direction = direction          # "positive" or "negative"
         self.site = site                    # face class (positive) or edge class
-        self.variant = variant              # index among the returned instances
+        self.variant = variant              # index among the branched variants
         self.new_edge_direction = new_edge_direction  # +1 a->c, -1 c->a (positive)
         self.before = before
         self.after = after
@@ -155,44 +159,41 @@ def _pair_class(trg, site, u, v):
     return None
 
 
-def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
-             h_null_only):
-    """The moves that retriangulate a labelled bipyramid of ``spine``.
+def _variants(spine, site):
+    """The Bipyramid of each variant of the move at ``site``, in order.
 
-    ``old_site`` and ``new_site`` list (tetrahedron, labels) for the two
-    sides, ``index`` sends every other tetrahedron of ``spine`` to its
-    index after the move, and ``orientations`` are the after orientation
-    bits.  Variants are numbered over the directions of the central edge
-    in ``ac_dirs`` (True: a->c) whose branching has no cyclic face.  One
-    move is returned per variant or, with ``h_null_only``, per variant
-    whose certificate is null: the certificate is read off the before
-    spine, so no after spine is built for a variant it rejects.
+    Every face but the new inner ones keeps its before directions, and
+    the ten triangles of the bipyramid are all its vertex triples: a
+    variant has a branching exactly when its directions are linear.  A
+    new central edge ac is tried a->c, then c->a.
     """
     trg = spine.triangulation
-    old_labels, new_labels = dict(old_site), dict(new_site)
-    new_faces = _faces_by_labels(new_site)
     arrows, edge_class = {}, {}
-    for t, lab in old_site:
+    for t, lab in site[2]:  # the old site
         rk = spine.ranks[t]
         for i, j in _CORNER_PAIRS:
             edge = frozenset((lab[i], lab[j]))
             edge_class[edge] = trg.edge_class_of[(t, i, j)][0]
             arrows[edge] = (lab[i], lab[j]) if rk[i] < rk[j] else (lab[j], lab[i])
-    edge_class.pop(frozenset("ac"), None)
-    # Every face but the new inner ones keeps its before directions, and
-    # the ten triangles of the bipyramid are all its vertex triples: a
-    # variant has a branching exactly when its directions are linear.
-    variants = []
-    for ac in ac_dirs:
-        arrows[frozenset("ac")] = ("a", "c") if ac else ("c", "a")
-        order = _linear_order(arrows.values())
-        if order is not None:
-            bip = Bipyramid(order, edge_class)
-            variants.append((bip, _certificate(bip)[2]))
-    chosen = [(k, bip) for k, (bip, is_null) in enumerate(variants)
-              if is_null or not h_null_only]
-    if h_null_only and not chosen:
-        return []
+    ac = frozenset("ac")
+    central = [arrows[ac]] if ac in arrows else [("a", "c"), ("c", "a")]
+    edge_class.pop(ac, None)
+    orders = (_linear_order({**arrows, ac: arrow}.values()) for arrow in central)
+    return [Bipyramid(order, edge_class) for order in orders if order is not None]
+
+
+def _rebuild(spine, site, chosen):
+    """The moves of the ``chosen`` (variant, Bipyramid) pairs at ``site``
+    on one after triangulation: the only place a move is built.
+
+    A site is (direction, face or edge class, old site, new site, index,
+    orientations): the two sides as (tetrahedron, labels) lists, the
+    after index of every other tetrahedron and the after orientation bits.
+    """
+    direction, site_class, old_site, new_site, index, orientations = site
+    trg = spine.triangulation
+    old_labels, new_labels = dict(old_site), dict(new_site)
+    new_faces = _faces_by_labels(new_site)
 
     # Where each face outside the bipyramid's interior goes: (tetrahedron,
     # face, corner map).  A boundary face goes to the face with its labels
@@ -225,12 +226,19 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
             glue_both_ways(gluings, nt, nf, nt2, nf2,
                            _follow(new_labels[nt], new_labels[nt2], nf2))
             new_inner.append((nt, nf))
-    try:
-        after_trg = Triangulation(len(orientations), gluings)
-    except (NonStandardDual, NonOrientable, Disconnected) as exc:
-        raise ResultNonStandard(str(exc))
+    # Nor can the build fail another check.  (a) It is connected: gluings
+    # between outside tetrahedra are kept, each boundary face goes to the
+    # new site tetrahedron with its label set, and those are glued along
+    # their inner faces.  (b) It is orientable: the after bits, set by the
+    # labels' handedness, make every gluing orientation-reversing, as
+    # BranchedSpine._check_orientations checks.  (c) No edge walk comes
+    # back reversed: the orientation fixes the sense of rotation around an
+    # oriented edge, so it could only come back through the other side
+    # face; it would then be its own reverse and, halfway, cross a face
+    # glued to itself.
+    after_trg = Triangulation(len(orientations), gluings)
 
-    central_before = _pair_class(trg, old_site, "a", "c")
+    central_before = None if direction == "positive" else site_class
     central_after = _pair_class(after_trg, new_site, "a", "c")
     edge_map = {}
     for k, cls in enumerate(trg.edge_classes):
@@ -255,7 +263,6 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
     vanished = tuple(sorted(vanished))
 
     old_of = {n: t for t, n in index.items()}
-    positive = central_before is None  # the central edge is new
     moves = []
     for variant, bip in chosen:
         branching = []
@@ -266,15 +273,11 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
             else:
                 d = bip.directed(new_labels[nt][i], new_labels[nt][j])
             branching.append(1 if d else -1)
-        try:
-            after = BranchedSpine(after_trg, branching, orientations)
-        except NonStandardDual as exc:
-            raise ResultNonStandard(str(exc))
         moves.append(MoveInstance(
-            "positive" if positive else "negative",
-            vanished[0] if positive else central_before, variant,
-            (1 if bip.directed("a", "c") else -1) if positive else None,
-            spine, after, index, edge_map, face_map, bip,
+            direction, site_class, variant,
+            (1 if bip.directed("a", "c") else -1) if direction == "positive" else None,
+            spine, BranchedSpine(after_trg, branching, orientations),
+            index, edge_map, face_map, bip,
             tuple(old_labels), tuple(new_labels),
             tuple(old_labels.values()), tuple(new_labels.values()),
             vanished, created, central_before, central_after))
@@ -287,12 +290,12 @@ def _rebuild(spine, old_site, new_site, index, orientations, ac_dirs,
 def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
     of the new central edge (0, 1 or 2 results)."""
-    return _positive(spine, face_class, False)
+    site = _positive_site(spine, face_class)
+    return _rebuild(spine, site, list(enumerate(_variants(spine, site))))
 
 
-def _positive(spine, face_class, h_null_only):
-    """``apply_positive``; with ``h_null_only``, only the moves whose
-    certificate is null, the others never built."""
+def _positive_site(spine, face_class):
+    """The site of the 2-to-3 move at a face class (see ``_rebuild``)."""
     trg = spine.triangulation
     _check_site(face_class, len(trg.face_classes), "face")
     (t0, f0), (t1, f1) = trg.face_classes[face_class]
@@ -314,24 +317,26 @@ def _positive(spine, face_class, h_null_only):
                 for i in range(3)]
     orientations = [1 if t in slots else o
                     for t, o in enumerate(spine.orientations)] + [1]
-    return _rebuild(spine, [(t0, "".join(lab0)), (t1, "".join(lab1))],
-                    new_site, {t: t for t in range(T) if t not in (t0, t1)},
-                    orientations, (True, False), h_null_only)
+    return ("positive", face_class,
+            [(t0, "".join(lab0)), (t1, "".join(lab1))], new_site,
+            {t: t for t in range(T) if t not in (t0, t1)}, orientations)
 
 
 def positive_move(spine, face_class, variant=0):
-    """The ``variant``-th branched 2-to-3 move at a face class.
+    """The ``variant``-th branched 2-to-3 move at a face class, the only
+    variant built.
 
     MoveError when the face class has no branched move or the variant is
     out of range, instead of an empty list or a bare index error.
     """
-    options = apply_positive(spine, face_class)
-    if not options:
+    site = _positive_site(spine, face_class)
+    variants = _variants(spine, site)
+    if not variants:
         raise MoveError("no branched positive move at face %d" % face_class)
-    if not 0 <= variant < len(options):
+    if not 0 <= variant < len(variants):
         raise MoveError("variant %d out of range (%d available)"
-                        % (variant, len(options)))
-    return options[variant]
+                        % (variant, len(variants)))
+    return _rebuild(spine, site, [(variant, variants[variant])])[0]
 
 
 # -- negative move ---------------------------------------------------------------
@@ -339,16 +344,18 @@ def positive_move(spine, face_class, variant=0):
 
 def apply_negative(spine, edge_class):
     """The branched 3-to-2 move at a valence-three edge class."""
-    moves = _negative(spine, edge_class, False)
-    if not moves:
+    site = _negative_site(spine, edge_class)
+    variants = _variants(spine, site)
+    if not variants:
         raise NotApplicable("restricted branching is not a branching "
                             "(the new face is cyclic)")
-    return moves[0]
+    return _rebuild(spine, site, [(0, variants[0])])[0]
 
 
-def _negative(spine, edge_class, h_null_only):
-    """[``apply_negative``], or [] when its new face is cyclic or, with
-    ``h_null_only``, its certificate is not null."""
+def _negative_site(spine, edge_class):
+    """The site of the 3-to-2 move at an edge class (see ``_rebuild``);
+    NotApplicable unless the class has valence three in three distinct
+    tetrahedra."""
     trg = spine.triangulation
     _check_site(edge_class, len(trg.edge_classes), "edge")
     cls = trg.edge_classes[edge_class]
@@ -377,9 +384,8 @@ def _negative(spine, edge_class, h_null_only):
     t, ia, jc, enter, exit_ = fan[0]
     s0 = spine.orientations[t] * sign((ia, enter, exit_, jc))
     orientations = [spine.orientations[t] for t in survivors] + [-s0, -s0]
-    return _rebuild(spine, old_site, [(n, "abde"), (n + 1, "cbed")],
-                    {t: i for i, t in enumerate(survivors)}, orientations,
-                    (True,), h_null_only)
+    return ("negative", edge_class, old_site, [(n, "abde"), (n + 1, "cbed")],
+            {t: i for i, t in enumerate(survivors)}, orientations)
 
 
 # -- invariance certificate -------------------------------------------------------
@@ -502,37 +508,39 @@ def h_cycle_check(move):
 # -- rigidity and walks -----------------------------------------------------------
 
 
-def _positive_moves(spine, h_null_only=False):
-    """The positive moves of a spine, by face class and variant."""
-    for fc in range(len(spine.triangulation.face_classes)):
-        try:
-            moves = _positive(spine, fc, h_null_only)
-        except (SelfAdjacentFace, ResultNonStandard):
-            continue
-        yield from moves
+def _candidates(spine, h_null_only=False):
+    """Every move of a spine as an unbuilt (site, variant, Bipyramid), in
+    canonical order: positive by face class and variant, then negative by
+    edge class.  With ``h_null_only``, only the variants whose certificate
+    is null; variants keep their numbers either way."""
+    trg = spine.triangulation
+    for site_at, count in ((_positive_site, len(trg.face_classes)),
+                           (_negative_site, len(trg.edge_classes))):
+        for k in range(count):
+            try:
+                site = site_at(spine, k)
+            except (SelfAdjacentFace, NotApplicable):
+                continue
+            for variant, bip in enumerate(_variants(spine, site)):
+                if not h_null_only or _certificate(bip)[2]:
+                    yield site, variant, bip
 
 
 def is_rigid(spine):
-    """True when no branched positive move applies at any face class."""
-    return next(_positive_moves(spine), None) is None
+    """True when no branched positive move applies at any face class;
+    builds no move (positive candidates come first)."""
+    directions = (site[0] for site, _variant, _bip in _candidates(spine))
+    return next(directions, "negative") == "negative"
 
 
 def available_moves(spine, h_null_only=False):
     """All applicable moves in canonical order (positive by face class and
-    variant, then negative by edge class)."""
-    return _moves(spine, h_null_only, True)
-
-
-def _moves(spine, h_null_only, positive):
-    """``available_moves``, without building the positive moves unless
-    ``positive``.  With ``h_null_only`` each candidate is certified before
-    its after spine is built."""
-    out = list(_positive_moves(spine, h_null_only)) if positive else []
-    for ec in range(len(spine.triangulation.edge_classes)):
-        try:
-            out.extend(_negative(spine, ec, h_null_only))
-        except (NotApplicable, ResultNonStandard):
-            continue
+    variant, then negative by edge class), every candidate built; the
+    variants of one site share its after triangulation.  With
+    ``h_null_only`` each candidate is certified before it is built."""
+    out = []
+    for site, chosen in groupby(_candidates(spine, h_null_only), itemgetter(0)):
+        out.extend(_rebuild(spine, site, [(v, bip) for _, v, bip in chosen]))
     return out
 
 
@@ -541,22 +549,22 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
 
     The candidate list at each step is deterministic and the choice is
     driven by SplitMix64(seed), so identical inputs replay identical
-    walks.  ``max_tets`` optionally drops positive moves that would grow
-    the spine past the bound; a positive move adds one tetrahedron, so at
-    the bound none is built.  Raises Stuck when no move applies.
+    walks.  Only the move taken is built.  ``max_tets`` optionally drops
+    the candidates whose after spine would have more tetrahedra than
+    that.  Raises Stuck when no move applies.
     """
     rng = SplitMix64(seed)
     walk = []
     cur = spine
     for _ in range(steps):
-        moves = _moves(cur, h_null_only,
-                       max_tets is None or cur.tet_count < max_tets)
-        if max_tets is not None:
-            moves = [m for m in moves
-                     if m.after.tet_count <= max_tets]
-        if not moves:
+        # A site's after orientation bits count its after tetrahedra.
+        cands = [(site, variant, bip)
+                 for site, variant, bip in _candidates(cur, h_null_only)
+                 if max_tets is None or len(site[-1]) <= max_tets]
+        if not cands:
             raise Stuck("no applicable move after %d steps" % len(walk))
-        move = moves[rng.below(len(moves))]
+        site, variant, bip = cands[rng.below(len(cands))]
+        move, = _rebuild(cur, site, [(variant, bip)])
         walk.append(move)
         cur = move.after
     return walk

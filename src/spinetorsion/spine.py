@@ -11,11 +11,16 @@ Spine-side counts, for a triangulation with V tetrahedra and E edge
 classes: the dual spine has V vertices, 2V edges and E regions, so
 chi(spine) = E - V and chi(X) = 1 - chi(spine) for the one-vertex
 quotient complex X built in :mod:`spinetorsion.complexes`.
+
+No edge class of any Triangulation passes through one tetrahedron edge
+twice, so no standardness check is made: the walk around an edge is the
+orbit of a bijection on (tetrahedron, oriented edge, entry face), the
+orientation fixes the entry face, and no edge comes back reversed.
 """
 
 from functools import cached_property
 
-from .errors import CyclicTriangle, NonOrientable, NonStandardDual
+from .errors import CyclicTriangle, NonOrientable
 from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
 from .triangulation import Triangulation, _face_corners
 
@@ -50,7 +55,6 @@ class BranchedSpine:
             self.orientations = tuple(orientations)
             self._check_orientations()
         self.ranks = self._compute_ranks()
-        self._check_standardness()
 
     @cached_property
     def complex(self):
@@ -98,13 +102,6 @@ class BranchedSpine:
                 raise CyclicTriangle("face %d.%d has a cyclic edge orientation" % (t, f))
             ranks.append(tuple(indeg))
         return tuple(ranks)
-
-    def _check_standardness(self):
-        """Reject an edge class that passes through one tetrahedron edge twice."""
-        for cls in self.triangulation.edge_classes:
-            if cls.size != len(set((m[0], frozenset(m[1:])) for m in cls.members)):
-                raise NonStandardDual(
-                    "edge class %d revisits a tetrahedron edge" % cls.index)
 
     # -- branching queries -------------------------------------------------------
 

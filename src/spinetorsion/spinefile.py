@@ -60,10 +60,10 @@ def _syntax(lineno, msg):
 
 
 def _number(lineno, token, msg):
-    """The int of the decimal ``token``, else the syntax error ``msg`` at
-    ``lineno``; a token past CPython's limit on int-string conversion
+    """The int of the ASCII decimal ``token``, else the syntax error ``msg``
+    at ``lineno``; a token past CPython's limit on int-string conversion
     (4,300 digits) is such an error too."""
-    if token.isdecimal():
+    if token.isascii() and token.isdecimal():
         try:
             return int(token)
         except ValueError:
@@ -104,15 +104,15 @@ def parse(text):
             if len(parts) != 6 or parts[2] != "->" or parts[4] != ":":
                 _syntax(lineno, "expected 'glue t.f -> t.f : xyz'")
             try:
-                t, f = parts[1].split(".")
-                t2, f2 = parts[3].split(".")
-                t, f, t2, f2 = int(t), int(f), int(t2), int(f2)
+                (t, f), (t2, f2) = parts[1].split("."), parts[3].split(".")
             except ValueError:
                 _syntax(lineno, "bad face reference in glue line")
+            t, t2 = (_number(lineno, x, "bad face reference in glue line") for x in (t, t2))
+            f, f2 = (_number(lineno, x, "bad face index in glue line") for x in (f, f2))
             if not (0 <= f <= 3 and 0 <= f2 <= 3):
                 _syntax(lineno, "face index out of range 0..3 in glue line")
             word = parts[5]
-            if len(word) != 3 or not word.isdecimal():
+            if len(word) != 3 or not (word.isascii() and word.isdecimal()):
                 _syntax(lineno, "bad permutation token %r" % word)
             images = [int(ch) for ch in word]
             if f2 in images or len(set(images)) != 3 or any(x > 3 for x in images):
@@ -130,13 +130,13 @@ def parse(text):
         elif parts[0] == "edge":
             if len(parts) != 4 or parts[2] != ":":
                 _syntax(lineno, "expected 'edge k : t.ij'")
+            k = _number(lineno, parts[1], "bad edge reference")
             try:
-                k = int(parts[1])
                 t, ij = parts[3].split(".")
-                t = int(t)
             except ValueError:
                 _syntax(lineno, "bad edge reference")
-            if len(ij) != 2 or not ij.isdecimal():
+            t = _number(lineno, t, "bad edge reference")
+            if len(ij) != 2 or not (ij.isascii() and ij.isdecimal()):
                 _syntax(lineno, "bad edge corners %r" % parts[3])
             i, j = int(ij[0]), int(ij[1])
             if i == j or i > 3 or j > 3:

@@ -163,8 +163,8 @@ def test_replay_variant_out_of_range_is_move_error():
 
 def test_replay_face_without_branched_move_is_move_error(monkeypatch):
     # No census spine up to three tetrahedra has such a face; an empty
-    # option list stands in for one.
-    monkeypatch.setattr(moves, "apply_positive", lambda spine, face: [])
+    # variant list stands in for one.
+    monkeypatch.setattr(moves, "_variants", lambda spine, site: [])
     with pytest.raises(MoveError, match="no branched positive move at face 0"):
         replay_move_log(parse(TWO_VARIANT),
                         parse_move_log("movelog 1\n+ face 0 variant 0\n"))
@@ -190,6 +190,32 @@ def test_glue_face_index_out_of_range_names_line(glue):
         parse(ONE_TET.replace("glue 0.2 -> 0.3 : 012", glue))
     assert err.value.line == 4
     assert "face index" in str(err.value)
+
+
+@pytest.mark.parametrize("line, template, digit", [
+    (2, "tets {}", "1"),
+    (3, "glue {}.0 -> 0.1 : 023", "0"),
+    (3, "glue 0.{} -> 0.1 : 023", "0"),
+    (3, "glue 0.0 -> {}.1 : 023", "0"),
+    (3, "glue 0.0 -> 0.{} : 023", "1"),
+    (3, "glue 0.0 -> 0.1 : {}23", "0"),
+    (6, "edge {} : 0.02", "1"),
+    (6, "edge 1 : {}.02", "0"),
+    (6, "edge 1 : 0.{}2", "0"),
+    (8, "orient {} +", "0"),
+], ids=["tets", "glue-tet", "glue-face", "glue-tet2", "glue-face2", "glue-word",
+        "edge-class", "edge-tet", "edge-corner", "orient"])
+@pytest.mark.parametrize("spell", [lambda d: "+" + d, lambda d: "0_" + d,
+                                   lambda d: chr(0xFF10 + int(d))],
+                         ids=["plus", "underscore", "fullwidth"])
+def test_numbers_outside_the_grammar_name_line(line, template, digit, spell):
+    # int() reads all three spellings as the digit; the grammar reads none.
+    lines = ONE_TET.splitlines(keepends=True)
+    assert lines[line - 1] == template.format(digit) + "\n"
+    lines[line - 1] = template.format(spell(digit)) + "\n"
+    with pytest.raises(SpineSyntaxError) as err:
+        parse("".join(lines))
+    assert err.value.line == line
 
 
 _FIXTURE_TEXTS = (ONE_TET, TWO_VARIANT, GOLDEN, TORSION2)

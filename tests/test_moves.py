@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from spinetorsion import moves
 from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
                                     TwistedComplex, make_representation)
-from spinetorsion.errors import (NotApplicable, ResultNonStandard,
-                                 SelfAdjacentFace, Stuck, TransportFailure)
+from spinetorsion.errors import (NotApplicable, SelfAdjacentFace, Stuck,
+                                 TransportFailure)
 from spinetorsion.moves import (apply_negative, apply_positive,
                                 available_moves, h_cycle_check, is_rigid,
-                                random_walk, transport_homology,
+                                positive_move, random_walk, transport_homology,
                                 transport_rational_homology,
                                 transport_representation)
 from spinetorsion.rng import SplitMix64
+from spinetorsion.spine import BranchedSpine
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log)
 from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
@@ -28,7 +29,7 @@ def all_positive_moves(spine):
     for fc in range(len(spine.triangulation.face_classes)):
         try:
             out.extend(apply_positive(spine, fc))
-        except (SelfAdjacentFace, ResultNonStandard):
+        except SelfAdjacentFace:
             pass
     return out
 
@@ -94,7 +95,7 @@ def test_negative_then_positive_is_identity(census2):
             for ec in range(len(big.triangulation.edge_classes)):
                 try:
                     m = apply_negative(big, ec)
-                except (NotApplicable, ResultNonStandard):
+                except NotApplicable:
                     continue
                 # a positive move at the reassembled face restores the spine
                 back = apply_positive(m.after, m.created_faces[0])
@@ -295,6 +296,36 @@ def test_available_moves_order_is_canonical():
     b = [(m.direction, m.site, m.variant) for m in available_moves(s)]
     assert a == b
     assert a == sorted(a, key=lambda x: (x[0] != "positive", x[1], x[2]))
+
+
+def _built_spines(monkeypatch):
+    """The BranchedSpines that ``moves`` constructs from now on, in order."""
+    built = []
+
+    def counted(*args):
+        built.append(BranchedSpine(*args))
+        return built[-1]
+    monkeypatch.setattr(moves, "BranchedSpine", counted)
+    return built
+
+
+@pytest.mark.parametrize("h_null_only, max_tets",
+                         [(False, None), (True, None), (False, 5), (True, 5)])
+def test_walk_builds_only_the_moves_it_takes(census2, monkeypatch,
+                                             h_null_only, max_tets):
+    built = _built_spines(monkeypatch)
+    walk = random_walk(census2[5], 8, seed=2, h_null_only=h_null_only,
+                       max_tets=max_tets)
+    assert len(walk) == 8 and built == [m.after for m in walk]
+
+
+def test_rigidity_and_single_moves_build_only_what_they_return(
+        corpus12, monkeypatch):
+    built = _built_spines(monkeypatch)
+    assert {is_rigid(s) for s in corpus12} == {True, False}
+    assert built == []
+    move = positive_move(parse(TWO_VARIANT), 0, variant=1)
+    assert built == [move.after]
 
 
 def _count_constructions(monkeypatch):

@@ -2,7 +2,10 @@ from itertools import permutations
 
 import pytest
 
-from spinetorsion.errors import Disconnected, NonOrientable, UnpairedFace
+from spinetorsion.census import enumerate_triangulations
+from spinetorsion.errors import (Disconnected, NonOrientable, SelfAdjacentFace,
+                                 UnpairedFace, ValidationError)
+from spinetorsion.moves import apply_positive, available_moves
 from spinetorsion.perms import (ALL_PERMS, SIGN, compose, inverse, parity,
                                 sign)
 from spinetorsion.triangulation import Triangulation, glue_both_ways
@@ -154,3 +157,39 @@ def test_edge_fans_close_in_cyclic_order(corpus12):
                 nt, ni, nj, enter2, _ = cls.fan[(p + 1) % cls.size]
                 assert (t2, perm[i], perm[j]) == (nt, ni, nj)
                 assert f2 == enter2
+
+
+def _revisits_an_edge(trg):
+    """Whether some edge class passes through one tetrahedron edge twice."""
+    return any(len({(t, frozenset((i, j))) for t, i, j in cls.members}) != cls.size
+               for cls in trg.edge_classes)
+
+
+def test_every_triangulation_is_standard(corpus12, census2):
+    # Nothing checks standardness at build time: every labelled gluing of
+    # one tetrahedron that builds, the triangulations of the census up to
+    # three tetrahedra and the after spines of the pinned moves show it.
+    built = []
+    for pairing in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        (fa, fb), (fc, fd) = pairing
+        for p1 in permutations(range(4)):
+            for p2 in permutations(range(4)):
+                if p1[fa] != fb or p2[fc] != fd:
+                    continue
+                try:
+                    built.append(Triangulation(1, one_tet_gluings(p1, p2, pairing)))
+                except ValidationError:
+                    continue
+    assert len(built) == 27  # both gluings odd: the orientable ones
+    for n in (1, 2, 3):
+        built += enumerate_triangulations(n)
+    spines = list(corpus12)
+    for s in census2:
+        for fc in range(len(s.triangulation.face_classes)):
+            try:
+                spines += [m.after for m in apply_positive(s, fc)]
+            except SelfAdjacentFace:
+                continue
+    assert len(spines) == 186
+    built += [m.after.triangulation for s in spines for m in available_moves(s)]
+    assert [trg for trg in built if _revisits_an_edge(trg)] == []
