@@ -57,6 +57,19 @@ def _at_least(value, low, flag):
     return value
 
 
+def _ascii_int(token):
+    """The int of ``token`` when it is ASCII decimal digits after an
+    optional leading "-", else None; so is a token past CPython's limit on
+    int-string conversion."""
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdecimal():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_rep_spec(spec):
     if spec == "trivial":
         return ("trivial", None, None)
@@ -64,22 +77,19 @@ def _parse_rep_spec(spec):
         return ("free_abelian", None, None)
     if spec.startswith("cyclic:"):
         bits = spec.split(":")
-        order = bits[1] if len(bits) in (2, 3) else ""
-        # The length test keeps int() off strings too long to convert.
-        if not (order.isdecimal() and len(order) <= len(str(MAX_CYCLIC_ORDER))
-                and 1 <= int(order) <= MAX_CYCLIC_ORDER):
+        order = _ascii_int(bits[1]) if len(bits) in (2, 3) else None
+        if order is None or not 1 <= order <= MAX_CYCLIC_ORDER:
             raise SpineSyntaxError("bad representation spec %r: the cyclic "
                                    "order must be an integer from 1 to %d"
                                    % (spec, MAX_CYCLIC_ORDER))
         character = None
         if len(bits) == 3:
-            try:
-                character = [int(x) for x in bits[2].split(",")]
-            except ValueError:
+            character = [_ascii_int(x) for x in bits[2].split(",")]
+            if None in character:
                 raise SpineSyntaxError(
                     "bad representation spec %r: character entries must be "
-                    "integers" % spec) from None
-        return ("cyclic", int(bits[1]), character)
+                    "integers" % spec)
+        return ("cyclic", order, character)
     raise SpineSyntaxError("bad representation spec %r" % spec)
 
 

@@ -342,10 +342,12 @@ class Representation:
 class ChainComplex:
     """Boundary matrices d1, d2, d3 over a coefficient field.
 
-    Dimensions (1, E, F, T).  The column selections, homology lifts and raw
-    torsion of the default bases, and the eliminations they are read off,
-    are computed on first use and kept: the matrices are never changed
-    after construction.  ``signs`` keeps the sign of the torsion under
+    Dimensions (1, E, F, T).  The default bases are read off one
+    ``default_pass``, one elimination of [rows R_i of d_{i+1} | identity]
+    per degree 0..2: their column selections, lift coordinates and minors.
+    That pass, the lift vectors and the raw torsion are computed on first
+    use and kept: the matrices are never changed after construction.
+    ``signs`` keeps the sign of the torsion under
     given homology lifts and row order (``torsion._oriented_value``).
     """
 
@@ -358,22 +360,12 @@ class ChainComplex:
         self.signs = {}
 
     @cached_property
-    def default_selection_pass(self):
-        """``torsion.selection_pass`` in the identity column order."""
+    def default_pass(self):
+        """``torsion.selection_pass`` in the identity column order with the
+        auto lifts: the b_i selections, the minors of the default bases and
+        the lift coordinates, from one elimination per degree."""
         from .torsion import selection_pass
         return selection_pass(self)
-
-    @property
-    def default_selections(self):
-        """The b_i selections of ``default_selection_pass``."""
-        return self.default_selection_pass[0]
-
-    @cached_property
-    def default_lift_pass(self):
-        """``torsion.lift_pass``: the lift coordinates of the degrees with
-        homology and the minors of the default bases."""
-        from .torsion import lift_pass
-        return lift_pass(self)
 
     @cached_property
     def default_lifts(self):
@@ -386,8 +378,7 @@ class ChainComplex:
         """Raw (sign-kept) torsion value in the default bases: identity
         column order, and the auto lifts unless the complex is acyclic."""
         from .torsion import _raw_value
-        return _raw_value(self, self.default_selections,
-                          self.default_lift_pass[1])
+        return _raw_value(self, *self.default_pass[:2])
 
     def path_image(self, vec):
         """Image of an integer edge chain under the twisting; 1 untwisted."""

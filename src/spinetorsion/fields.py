@@ -26,17 +26,26 @@ or 1 for the exponent ().
 
 The fields share one matrix engine, ``_bareiss``: fraction-free
 elimination (Bareiss 1968) on plain ints.  Each row is cleared first to
-integer polynomials with nonnegative exponents, in Z[t1..tr] for a
-function field, Z (no variable) for Q and Z[z] for a cyclotomic field,
-whose entries are the integer lifts of coefficient vectors: it is
+a primitive integer polynomial with nonnegative exponents, in Z[t1..tr]
+for a function field, Z (no variable) for Q and Z[z] for a cyclotomic
+field, whose entries are the integer lifts of coefficient vectors, and
+keeps its row factor; each entry is then packed into an int by
+Kronecker substitution.  Each field packs from its own elements
+(``_packed``): Q straight from the int or Fraction of each entry, times
+the row's lcm of denominators and over the gcd of the ints that gives,
+which are their own packing; Q(zeta_n) from the coefficient tuples the
+same way, each entry packed by Horner at the slot width once the row
+degrees and l1 norms, taken in the same pass, size the slots; and
+Q(t1..tr) on the exponent dicts that its elements are, each row
 multiplied by its denominators, by the monomial that lifts its negative
 exponents to 0 and by a rational that makes its coefficients coprime
-integers, and keeps those as its row factor.  (Only negative exponents
-are lifted: a cyclotomic lift has none, so its row factors stay
-constants and no z^-k reaches ``CyclotomicField._divider``.)  Each entry
-is then packed once into an int by Kronecker substitution
-(``_Kronecker``), and the loop is integer Bareiss,
-x <- (piv*x - f*y) // prev.  Every entry it
+integers.  (Only negative exponents are lifted: a cyclotomic lift has
+none, so its row factors stay constants and no z^-k reaches
+``CyclotomicField._divider``.)  A row of rationals has one primitive
+integer row with a positive multiplier, so clearing by the lcm or by
+the product of the denominators gives the same row.  ``_Kronecker`` is
+built from the box alone, the degrees D_v and the bound H below.  The
+loop is integer Bareiss, x <- (piv*x - f*y) // prev.  Every entry it
 keeps is a minor of the cleared input (Sylvester's identity), so each
 division by the previous pivot is exact in the polynomial ring and,
 evaluation being a ring homomorphism, exact on the ints, however far the
@@ -48,18 +57,17 @@ signed digits.  Only entries that are read are decoded: the last pivot,
 the cyclotomic pivot candidates and, when the rows above the pivots are
 cleared too, the pivot rows.  A minor is zero in the field exactly when
 the Gauss-Jordan entry is: pivots, row swaps and sign are those of
-elimination over the field.  The fields differ only in the pivot test:
-a nonzero int over Z[t1..tr] and Z, and over Z[z] an entry that Phi_n
-does not divide, decoded and reduced only when its top slot reaches the
-degree of Phi_n.  Nothing is reduced mod Phi_n during elimination, only
-the entries read out.
+elimination over the field.  In the loop the fields differ only in the
+pivot test: a nonzero int over Z[t1..tr] and Z, and over Z[z] an entry
+that Phi_n does not divide, decoded and reduced only when its top slot
+reaches the degree of Phi_n.  Nothing is reduced mod Phi_n during
+elimination, only the entries read out.
 
 The matrix routines are written once, in ``_Field``, and each eliminates
-once.  A field supplies only what differs: its elements as (numerator,
-denominator) polynomials (a cyclotomic element is its lift over the
-unit), its pivot test, the read-out p -> p / den into the field, the
-element of an integer character and, for values up to sign, whether the
-leading coefficient is negative.  The greedy column choice "keep a
+once.  A field supplies only what differs: its packing, its pivot
+test, the read-out p -> p / den into the field, the element of an
+integer character and, for values up to sign, whether the leading
+coefficient is negative.  The greedy column choice "keep a
 column if it raises the rank" is exactly the pivot set of one
 elimination in that column order, and ``select_minor``, the one routine
 that reads a minor, takes the determinant of the chosen columns off its
@@ -144,49 +152,56 @@ def _int_or_fraction(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def _primitive(values):
+    """The rationals ``values`` (ints or Fractions) scaled by mul / div to
+    coprime ints, and mul and div: mul is the lcm of their denominators
+    and div the gcd of the ints that gives (1 when all are zero).  The
+    list itself comes back when it already is coprime ints."""
+    dens = [v.denominator for v in values if type(v) is not int]
+    mul = 1
+    if dens:
+        mul = _int_lcm(*dens)
+        values = [v * mul if type(v) is int
+                  else v.numerator * (mul // v.denominator) for v in values]
+    div = _int_gcd(*values)
+    if div > 1:
+        values = [v // div for v in values]
+    return values, mul, div or 1
+
+
 def _integral(row):
     """The row of polynomials scaled by mul / div to coprime integer
     coefficients, and (mul, div)."""
     values = [v for e in row for v in e.values()]
-    den = 1
-    if any(type(v) is not int for v in values):
-        den = _int_lcm(*(v.denominator for v in values))
-        row = [{k: v.numerator * (den // v.denominator) for k, v in e.items()}
-               for e in row]
-        values = [v for e in row for v in e.values()]
-    g = _int_gcd(*values)
-    if g > 1:
-        row = [{k: v // g for k, v in e.items()} for e in row]
-    return row, (den, g or 1)
+    scaled, mul, div = _primitive(values)
+    if scaled is not values:
+        it = iter(scaled)
+        row = [{k: next(it) for k in e} for e in row]
+    return row, (mul, div)
 
 
 class _Kronecker:
     """Kronecker substitution for the integer polynomial rows of one matrix.
 
-    The rows have nonnegative exponents.  A polynomial p becomes the int
-    p(2^k, 2^(k*s_2), .., 2^(k*s_r)): variable v goes to 2^(k*s_v), with
-    s_1 = 1 and s_(v+1) = s_v * (D_v + 1), where D_v is the sum over the
-    rows of the row's largest exponent of v.  A minor of the rows takes
-    one entry from each of its rows, so its degree in v is at most D_v
-    and its terms fall in distinct slots, and its l1 norm is at most
-    H = prod over the rows of max(1, l1 norm of the row).  A coefficient
-    c then has |c| <= H < 2^(k-1) for k = H.bit_length() + 1, and reads
-    back as the signed digit of its slot.  Evaluation is a ring
-    homomorphism, so an identity between polynomials holds between their
-    ints, whatever their size; only a minor is read back (``unpack``).
-    When every exponent is 0 there is one slot: an entry packs to its
-    constant coefficient.
+    The rows have nonnegative exponents; ``degrees`` holds, per variable v,
+    D_v, the sum over the rows of the row's largest exponent of v, and
+    ``bound`` is H, the product over the rows of max(1, l1 norm of the
+    row).  A polynomial p becomes the int p(2^k, 2^(k*s_2), .., 2^(k*s_r)):
+    variable v goes to 2^(k*s_v), with s_1 = 1 and s_(v+1) = s_v * (D_v + 1).
+    A minor of the rows takes one entry from each of its rows, so its
+    degree in v is at most D_v and its terms fall in distinct slots, and
+    its l1 norm is at most H.  A coefficient c then has |c| <= H < 2^(k-1)
+    for k = H.bit_length() + 1, and reads back as the signed digit of its
+    slot.  Evaluation is a ring homomorphism, so an identity between
+    polynomials holds between their ints, whatever their size; only a
+    minor is read back (``unpack``).  When every D_v is 0 there is one
+    slot: an entry packs to its constant coefficient.
     """
 
     __slots__ = ("zero", "width", "strides", "radices", "slots", "_offset")
 
-    def __init__(self, rows, zero):
-        self.zero = zero
-        degrees = [0] * len(zero)
-        for row in rows:
-            keys = [e for p in row for e in p]
-            if keys:
-                degrees = list(map(_add, degrees, map(max, zip(*keys))))
+    def __init__(self, degrees, bound):
+        self.zero = (0,) * len(degrees)
         self.radices = [d + 1 for d in degrees]
         self.strides = []
         self.slots = 1
@@ -195,9 +210,6 @@ class _Kronecker:
             self.slots *= d
         self.width = self._offset = 0
         if self.slots > 1:
-            bound = 1
-            for row in rows:
-                bound *= max(1, sum(abs(c) for p in row for c in p.values()))
             self.width = bound.bit_length() + 1
             # Half a slot in every slot: the signed digits read as unsigned.
             self._offset = int(("1" + "0" * (self.width - 1)) * self.slots, 2)
@@ -411,8 +423,11 @@ class _Field:
     written once.
 
     A field supplies ``from_fraction(q)``, the constant q; ``_unit``, the
-    one of its polynomial ring keyed like the entries; ``_parts(x)``, an
-    element as (numerator, denominator) polynomials; ``_element_of(p)``,
+    one of its polynomial ring keyed like the entries; ``_packed(matrix)``,
+    its rows cleared to primitive integer polynomial rows with nonnegative
+    exponents and packed, as (packed rows, ``_Kronecker``, row factors),
+    a row factor (polynomial, (mul, div)) saying that the cleared row is
+    the row times the polynomial times mul / div; ``_element_of(p)``,
     the element of an integer polynomial keyed by character exponents
     (see ``from_terms``); ``_pivot_test(codec)``, the pivot test of
     ``_bareiss`` on packed entries (any nonzero int, unless overridden);
@@ -436,50 +451,12 @@ class _Field:
         return bool
 
     def _eliminate(self, matrix, order, reduce=False):
-        """One elimination of ``matrix``, its rows cleared and packed:
-        (packed rows after it, their ``_Kronecker``, row factors, pivots,
-        last pivot, sign); see ``_bareiss``."""
-        rows, factors = self._cleared(matrix)
-        codec = _Kronecker(rows, next(iter(self._unit)))
-        A = [list(map(codec.pack, row)) for row in rows]
+        """One elimination of ``matrix``, its rows cleared and packed by
+        ``_packed``: (packed rows after it, their ``_Kronecker``, row
+        factors, pivots, last pivot, sign); see ``_bareiss``."""
+        A, codec, factors = self._packed(matrix)
         pivots, last, sign = _bareiss(A, order, self._pivot_test(codec), reduce)
         return A, codec, factors, pivots, last, sign
-
-    def _cleared(self, matrix):
-        """(integer polynomial rows with nonnegative exponents, row factors
-        (polynomial, (mul, div))).
-
-        Each row is multiplied by the product of its denominators and by
-        the monomial that lifts its negative exponents to 0, together the
-        factor's polynomial, and by mul / div, which makes its coefficients
-        coprime integers; row scaling by nonzero factors preserves ranks,
-        kernels and solution sets, and determinants divide out the factors.
-        """
-        one = self._unit
-        cleared = []
-        factors = []
-        for row in matrix:
-            parts = [self._parts(x) for x in row]
-            dens = [(j, d) for j, (_n, d) in enumerate(parts) if d != one]
-            new_row = []
-            for k, (e, _d) in enumerate(parts):
-                for j, d in dens:
-                    if j != k:
-                        e = _dot(((e, d),))
-                new_row.append(e)
-            new_row, scale = _integral(new_row)
-            factor = one
-            for _j, d in dens:
-                factor = _dot(((factor, d),))
-            keys = [k for e in new_row for k in e]
-            lift = tuple(-min(0, *col) for col in zip(*keys))
-            if any(lift):
-                def shift(p):
-                    return {tuple(map(_add, k, lift)): v for k, v in p.items()}
-                new_row, factor = list(map(shift, new_row)), shift(factor)
-            cleared.append(new_row)
-            factors.append((factor, scale))
-        return cleared, factors
 
     def select_minor(self, matrix, order):
         """The columns, in ``order``, that raise the rank of those before,
@@ -599,8 +576,48 @@ class FunctionField(_Field):
         """Whether the leading coefficient of the numerator is negative."""
         return bool(x.num) and x.num[max(x.num)] < 0
 
-    def _parts(self, x):
-        return x.num, x.den
+    def _packed(self, matrix):
+        """The rows cleared on their exponent dicts, then packed.
+
+        Each row is multiplied by the product of its denominators and by
+        the monomial that lifts its negative exponents to 0, together the
+        factor's polynomial, and by mul / div, which makes its coefficients
+        coprime integers; row scaling by nonzero factors preserves ranks,
+        kernels and solution sets, and determinants divide out the factors.
+        """
+        one = self._unit
+        rows = []
+        factors = []
+        degrees = [0] * self.nvars
+        bound = 1
+        for row in matrix:
+            dens = [(j, x.den) for j, x in enumerate(row) if x.den != one]
+            new_row = []
+            for k, x in enumerate(row):
+                e = x.num
+                for j, d in dens:
+                    if j != k:
+                        e = _dot(((e, d),))
+                new_row.append(e)
+            new_row, scale = _integral(new_row)
+            factor = one
+            for _j, d in dens:
+                factor = _dot(((factor, d),))
+            keys = [k for e in new_row for k in e]
+            if keys:
+                lift = tuple(-min(0, *col) for col in zip(*keys))
+                if any(lift):
+                    def shift(p):
+                        return {tuple(map(_add, k, lift)): v
+                                for k, v in p.items()}
+                    new_row, factor = list(map(shift, new_row)), shift(factor)
+                    keys = [k for e in new_row for k in e]
+                degrees = list(map(_add, degrees, map(max, zip(*keys))))
+            bound *= max(1, sum(abs(c) for p in new_row for c in p.values()))
+            rows.append(new_row)
+            factors.append((factor, scale))
+        codec = _Kronecker(degrees, bound)
+        return [list(map(codec.pack, row)) for row in rows], codec, factors
 
     def _divider(self, den):
         return lambda p: RationalFunction(self.nvars, p, den)
@@ -673,11 +690,18 @@ class RationalField(_Field):
     def leading_is_negative(self, x):
         return x.q < 0
 
-    def _parts(self, x):
-        q = x.q
-        if type(q) is int:
-            return ({(): q} if q else {}), self._unit
-        return {(): q.numerator}, {(): q.denominator}
+    def _packed(self, matrix):
+        """The rows cleared straight from ``Rational.q``: each multiplied by
+        the lcm of its denominators and divided by the gcd of the ints that
+        gives, which are their own packing (no variable, one slot)."""
+        unit = self._unit
+        rows = []
+        factors = []
+        for row in matrix:
+            qs, mul, div = _primitive([x.q for x in row])
+            rows.append(qs)
+            factors.append((unit, (mul, div)))
+        return rows, _Kronecker((), 1), factors
 
     def _divider(self, den):
         """The map p -> p / den: one division by the integer ``den`` per
@@ -828,8 +852,35 @@ class CyclotomicField(_Field):
         """The coefficients of ``x`` as a polynomial in z."""
         return {(i,): c for i, c in enumerate(x.coeffs) if c}
 
-    def _parts(self, x):
-        return self._lift(x), self._unit
+    def _packed(self, matrix):
+        """The rows cleared straight from the coefficient tuples, their
+        lifts over the unit: each row's coefficients scaled to coprime ints
+        (``_primitive``), with the row's degree and l1 norm taken in the
+        same pass, then each entry packed by Horner at the slot width."""
+        deg = self.degree
+        unit = self._unit
+        rows = []
+        factors = []
+        top = 0
+        bound = 1
+        for row in matrix:
+            values, mul, div = _primitive([c for x in row for c in x.coeffs])
+            rows.append(values)
+            factors.append((unit, (mul, div)))
+            bound *= max(1, sum(map(abs, values)))
+            top += max((j % deg for j, c in enumerate(values) if c), default=0)
+        codec = _Kronecker((top,), bound)
+        k = codec.width
+        packed = []
+        for values in rows:
+            out = []
+            for j in range(0, len(values), deg):
+                x = 0
+                for c in reversed(values[j:j + deg]):
+                    x = (x << k) + c
+                out.append(x)
+            packed.append(out)
+        return packed, codec, factors
 
     def _reduced(self, p):
         """The coefficient list of the lift ``p`` modulo the monic Phi_n."""

@@ -21,17 +21,21 @@ alternating product with both signs, and every sign is ``perms.parity``.
 
 Rows are restricted to R_i.  Restriction to R_i is injective on ker d_i,
 which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1}, in any
-column order, picks the same b_{i+1} as the whole d_{i+1}; the degrees
-are eliminated in order 0 to 3, each on the rows left free by the one
-before (``selection_pass``).  Each minor of the default bases is read off
-the same pivots: in a degree without homology the block is square and
-its determinant is the last pivot of that elimination; in a degree with
-homology one elimination of [rows R_i of d_{i+1} | I] gives b_{i+1},
-then the lift coordinates (its identity pivots, where the reduced kernel
-basis of d_i is the identity), and the minor as its last pivot
-(``lift_pass``).  The default bases read those minors, with or without
-a row order; a determinant is taken only for given lifts, or for auto
-lifts under a column ``strategy``.  The kernel itself is computed only
+column order, picks the same b_{i+1} as the whole d_{i+1}.  The degrees
+are eliminated in order 0 to 2, each on the rows left free by the one
+before, and each once (``selection_pass``): the rows R_i of
+[d_{i+1} | h_i], the columns of d_{i+1} first.  Its pivots among those
+columns are b_{i+1}, its pivots among the lift columns say which lifts
+complete them to a basis, and its last pivot is the degree's minor, zero
+unless they do; the Betti numbers are read off the selections.  For the
+auto lifts the lift columns are the identity on R_i, where the reduced
+kernel basis of d_i is the identity: the pivots among them are the lift
+coordinates and the minor is that of the default bases, so the default
+selections, lifts and minors come from one cached pass per complex
+(``ChainComplex.default_pass``), with or without a row order.  Given
+lifts, or the auto lifts under a column ``strategy``, are restricted to
+R_i instead.  Degree 3 has d_4 = 0 and no elimination, save one
+determinant for given lifts of H_3.  The kernel itself is computed only
 where the lift vectors are read.
 """
 
@@ -91,16 +95,17 @@ def auto_twisted_homology(tc):
     basis of d_i that a greedy pass would add to the span of the columns of
     d_{i+1}, in that order.  On the free coordinates R_i of d_i the reduced
     basis is the identity, so they are the basis vectors at the lift
-    coordinates that ``lift_pass`` picks.  A degree with Betti number 0
-    has no lifts and is skipped.  Returns a dict degree -> list of chain
-    vectors.
+    coordinates of the complex's ``default_pass``.  A degree with Betti
+    number 0 has no lifts and is skipped.  Returns a dict degree -> list of
+    chain vectors.
     """
     field = tc.field
     mats = (tc.d1, tc.d2, tc.d3)
     out = {}
-    for i, coords in tc.default_lift_pass[0].items():
-        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
-        out[i] = [kernel[k] for k in coords]
+    for i, coords in tc.default_pass[2].items():
+        if coords:
+            kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
+            out[i] = [kernel[k] for k in coords]
     return out
 
 
@@ -111,66 +116,72 @@ def _free_rows(n, basis):
     return [r for r in range(n) if r not in basis]
 
 
-def selection_pass(cx, strategy=None):
-    """The b_i selections and, per degree i, the minor det(rows R_i of
-    d b_{i+1}), from one elimination per degree.
+def selection_pass(cx, strategy=None, lifts="auto"):
+    """The b_i selections, the minors det(rows R_i of [d b_{i+1} | h_i])
+    and the lift coordinates, from one elimination per degree.
 
-    Degree by degree from 0, d_{i+1} is eliminated on the rows R_i only,
-    its columns visited in the order ``strategy[i + 1]`` (identity when
-    absent).  The minor is zero in a degree with homology, where the block
-    is not square.  Returns (selections, minors): selections[i] for
-    i = 0..4, entries 0 and 4 empty.
+    Degree by degree from 0, the rows R_i of [d_{i+1} | extra columns] are
+    eliminated, the columns of d_{i+1} visited in the order
+    ``strategy[i + 1]`` (identity when absent) and the extra columns after
+    them.  Its pivots among the columns of d_{i+1} are b_{i+1}; its other
+    pivots are the lift coordinates, as indices into the extra columns;
+    and its last pivot is the minor, zero unless the pivots fill R_i.  The
+    extra columns are the identity on R_i for ``lifts`` "auto": the
+    reduced kernel basis of d_i is the identity there, so the coordinates
+    pick the auto lifts when the selections are the default ones.
+    Otherwise ``lifts`` is a dict degree -> chain vectors and the extra
+    columns are those vectors restricted to R_i; a degree whose vectors do
+    not all have the length of the degree gets none, which ``torsion``
+    reports.  Degree 3 has d_4 = 0 and needs no elimination, save one
+    determinant for given lifts of H_3.  Returns (selections, minors,
+    coordinates): selections[i] for i = 0..4, entries 0 and 4 empty, the
+    minor of each degree 0..3, and a dict degree -> coordinates.
     """
     orders = strategy or {}
+    for i in (1, 2, 3):
+        if sorted(orders.get(i, range(cx.dims[i]))) != list(range(cx.dims[i])):
+            raise BasisRankMismatch(
+                "degree %d: column order is not a permutation" % i)
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
     selections = [[] for _ in range(5)]
     minors = []
-    for i in range(3):
-        order = orders.get(i + 1, range(cx.dims[i + 1]))
-        if sorted(order) != list(range(cx.dims[i + 1])):
-            raise BasisRankMismatch(
-                "degree %d: column order is not a permutation" % (i + 1))
-        rows = _free_rows(cx.dims[i], selections[i])
-        selections[i + 1], minor = field.select_minor(
-            [mats[i][r] for r in rows], order)
-        minors.append(minor)
-    # d_4 = 0, so degree 3 has an empty block, square exactly when acyclic.
-    minors.append(field.zero if len(selections[3]) < cx.dims[3] else field.one)
-    return tuple(selections), minors
-
-
-def lift_pass(cx):
-    """The lift coordinates and the minors of the default bases: one
-    elimination of [rows R_i of d_{i+1} | I], in identity column order, per
-    degree i with homology.
-
-    Its pivots are b_{i+1}, then the identity columns that the auto lifts
-    take from the reduced kernel basis of d_i, as indices into R_i.  The
-    block of those pivot columns is rows R_i of [d b_{i+1} | h_i], so its
-    determinant is the degree's minor; the other degrees keep the minor of
-    the default ``selection_pass``.  Returns (coordinates, minors): a dict
-    degree -> indices into R_i, and the minor of every degree.
-    """
-    selections, minors = cx.default_selection_pass
-    minors = list(minors)
-    field = cx.field
-    mats = (cx.d1, cx.d2, cx.d3)
     coords = {}
-    for i, betti in enumerate(_betti(cx, selections)):
-        if not betti:
-            continue
-        rows = _free_rows(cx.dims[i], selections[i])
-        if i == 3:  # d_4 = 0: every kernel vector is a lift
-            coords[i], minors[i] = list(range(len(rows))), field.one
-            continue
+    for i in range(3):
         n = cx.dims[i + 1]
-        cols, minors[i] = field.select_minor(
-            [mats[i][r] + [field.one if c == k else field.zero
-                           for c in range(len(rows))]
-             for k, r in enumerate(rows)], range(n + len(rows)))
+        rows = _free_rows(cx.dims[i], selections[i])
+        extra = _extra_columns(cx, lifts, i, rows)
+        width = len(extra[0]) if extra else 0
+        cols, minor = field.select_minor(
+            [mats[i][r] + x for r, x in zip(rows, extra)],
+            [*orders.get(i + 1, range(n)), *range(n, n + width)])
+        selections[i + 1] = [c for c in cols if c < n]
         coords[i] = [c - n for c in cols if c >= n]
-    return coords, minors
+        minors.append(minor)
+    rows = _free_rows(cx.dims[3], selections[3])
+    if lifts == "auto":  # d_4 = 0: every kernel vector of d_3 lifts
+        coords[3], minor = list(range(len(rows))), field.one
+    else:  # one determinant, when H_3 has lifts
+        extra = _extra_columns(cx, lifts, 3, rows)
+        coords[3], minor = field.select_minor(extra, range(len(extra[0]))) \
+            if rows and extra[0] else ([], field.zero if rows else field.one)
+    minors.append(minor)
+    return tuple(selections), minors, coords
+
+
+def _extra_columns(cx, lifts, i, rows):
+    """The rows ``rows`` of the extra columns of degree i: the identity for
+    "auto", else the given lifts of degree i, or none when one of them
+    has not the length of the degree."""
+    if lifts == "auto":
+        out = [[cx.field.zero] * len(rows) for _ in rows]
+        for k, row in enumerate(out):
+            row[k] = cx.field.one
+        return out
+    vecs = lifts.get(i, ())
+    if any(len(v) != cx.dims[i] for v in vecs):
+        vecs = ()
+    return [[v[r] for v in vecs] for r in rows]
 
 
 def _betti(cx, selections):
@@ -216,24 +227,25 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
     is not a permutation of the cells of its degree.  With ``keep_sign``
     the raw value for this cell ordering is kept instead of the canonical
     +-representative.  Without ``strategy``, and with ``h`` None or
-    "auto", the minors are those of the default bases, and without
-    ``sigma`` as well the value is the complex's ``default_torsion``,
-    computed once per complex.
+    "auto", the selections and minors are the complex's ``default_pass``,
+    and without ``sigma`` as well the value is its ``default_torsion``,
+    computed once per complex.  Otherwise one ``selection_pass`` with the
+    lifts (the ``default_lifts`` for "auto" under a strategy) gives the
+    selections, the Betti numbers and the minors; lifts given to an
+    acyclic complex are not read.
     """
-    selections, minors = selection_pass(tc, strategy) if strategy \
-        else tc.default_selection_pass
+    given = bool(strategy) or h not in (None, "auto")
+    if given:
+        lifts = tc.default_lifts if h == "auto" else h or {}
+        selections, minors, _coords = selection_pass(tc, strategy, lifts)
+    else:
+        selections, minors, _coords = tc.default_pass
     betti = _betti(tc, selections)
     acyclic = not any(betti)
     if not acyclic and h is None:
         raise NotAcyclicNoBasis(
             "twisted homology has dimensions %s; supply a basis" % (betti,))
-    default = not strategy and (acyclic or h == "auto")
-    if default:
-        minors = tc.default_lift_pass[1]
-    elif not acyclic:  # det(rows R_i of [d b_{i+1} | h_i]) where h_i is given
-        lifts = tc.default_lifts if h == "auto" else h
-        mats = (tc.d1, tc.d2, tc.d3)
-        minors = list(minors)
+    if given and not acyclic:
         for i, n in enumerate(tc.dims):
             vecs = lifts.get(i, ())
             if len(vecs) != betti[i]:
@@ -242,11 +254,7 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
                     % (i, betti[i], len(vecs)))
             if any(len(v) != n for v in vecs):
                 raise BasisRankMismatch("degree %d lift has wrong length" % i)
-            if vecs:
-                minors[i] = tc.field.det(
-                    [[mats[i][r][j] for j in selections[i + 1]]
-                     + [v[r] for v in vecs] for r in _free_rows(n, selections[i])])
-    value = tc.default_torsion if default and not sigma \
+    value = tc.default_torsion if not (given or sigma) \
         else _raw_value(tc, selections, minors, sigma)
     if h == "auto":
         used = "auto"

@@ -182,6 +182,24 @@ def test_rep_spec_outside_contract_exit_1(golden_file, spec, capsys):
     assert spec in report["message"]
 
 
+@pytest.mark.parametrize("spec", [
+    "cyclic:５", "cyclic:+5", "cyclic:5_0", "cyclic: 5", "cyclic:5:1_0",
+    "cyclic:5:+1", "cyclic:5: 1", "cyclic:5:1,٣", "cyclic:5:--1",
+    "cyclic:5:-", "cyclic:5:" + "1" * 5000])
+def test_rep_spec_numbers_outside_the_grammar_exit_1(golden_file, spec, capsys):
+    # Orders are ASCII digits, character entries ASCII digits after an
+    # optional "-"; int() alone would take signs, underscores, spaces and
+    # other scripts' digits.
+    status, report = run_cli(["torsion", golden_file, "--rep", spec], capsys)
+    assert status == 1
+    assert report["error"] == "SpineSyntaxError"
+    assert spec in report["message"]
+
+
+def test_rep_spec_reads_signed_ascii_characters():
+    assert _parse_rep_spec("cyclic:05:-1,0,12") == ("cyclic", 5, [-1, 0, 12])
+
+
 @pytest.mark.parametrize("argv,command,words", [
     (["torsion"], "torsion", "required"),
     (["bogus"], None, "invalid choice"),

@@ -717,7 +717,145 @@ def test_minor_filling_its_slot_decodes():
     a = F.from_int(2 ** 40) * F.monomial((1,))
     M = [[a, F.one], [F.one, -a]]
     assert F.det(M) == cofactor_det(F, M) == -(a * a) - F.one
-    rows, _factors = F._cleared(M)
-    codec = fields._Kronecker(rows, (0,))
+    A, codec, _factors = F._packed(M)
     assert codec.width == (2 ** 80).bit_length() + 1
-    assert all(codec.unpack(codec.pack(p)) == p for row in rows for p in row)
+    a40 = 2 ** 40
+    assert [list(map(codec.unpack, row)) for row in A] == \
+        [[{(1,): a40}, {(0,): 1}], [{(0,): 1}, {(1,): -a40}]]
+    assert all(codec.pack(codec.unpack(x)) == x for row in A for x in row)
+
+
+# -- per-field packing against the packing of dict-cleared rows ---------------
+
+
+def _dict_integral(row):
+    """A row of exponent dicts scaled to coprime integer coefficients, and
+    (mul, div): the lcm of all denominators, then the gcd."""
+    values = [v for e in row for v in e.values()]
+    mul = 1
+    if any(type(v) is not int for v in values):
+        mul = lcm(*(v.denominator for v in values))
+        row = [{k: v.numerator * (mul // v.denominator) for k, v in e.items()}
+               for e in row]
+        values = [v for e in row for v in e.values()]
+    div = gcd(*values)
+    if div > 1:
+        row = [{k: v // div for k, v in e.items()} for e in row]
+    return row, (mul, div or 1)
+
+
+def _dict_cleared_packing(field, matrix):
+    """The packing every field shared before each packed its own elements,
+    kept as an oracle for Q and Q(zeta_n): each entry as (numerator,
+    denominator) exponent dicts, each row multiplied by the denominators
+    of its other entries and cleared to coprime integers on the dicts,
+    then packed at the degrees and bound read off the dicts.  Returns
+    (packed rows, dict rows, width, slots, the rational each row was
+    multiplied by)."""
+    if isinstance(field, RationalField):
+        zero = ()
+
+        def parts(x):
+            q = Fraction(x.q)
+            return ({(): q.numerator} if q else {}), q.denominator
+    else:
+        zero = (0,)
+
+        def parts(x):
+            return {(i,): c for i, c in enumerate(x.coeffs) if c}, 1
+    rows, scales = [], []
+    for row in matrix:
+        ps = [parts(x) for x in row]
+        new_row = []
+        for k, (p, _d) in enumerate(ps):
+            for j, (_p, d) in enumerate(ps):
+                if j != k and d != 1:
+                    p = {e: c * d for e, c in p.items()}
+            new_row.append(p)
+        new_row, (mul, div) = _dict_integral(new_row)
+        factor = 1
+        for _p, d in ps:
+            factor *= d
+        rows.append(new_row)
+        scales.append(Fraction(factor * mul, div))
+    degree, bound = 0, 1
+    for row in rows:
+        keys = [e for p in row for e in p]
+        if keys and zero:
+            degree += max(keys)[0]
+        bound *= max(1, sum(abs(c) for p in row for c in p.values()))
+    slots = degree + 1
+    width = bound.bit_length() + 1 if slots > 1 else 0
+    packed = [[sum(c << width * sum(e) for e, c in p.items()) for p in row]
+              for row in rows]
+    return packed, rows, width, slots, scales
+
+
+PACKED_FIELDS = (RationalField(), CyclotomicField(1), CyclotomicField(2),
+                 CyclotomicField(3), CyclotomicField(5), CyclotomicField(7),
+                 CyclotomicField(12))
+# Ints up to 2^80, Fractions, and Fractions over 1 (as an inverse or a
+# product can leave in a coefficient tuple).
+PACKED_COEFFS = st.one_of(
+    st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-9, 9)))
+
+
+@st.composite
+def packed_cases(draw):
+    field = draw(st.sampled_from(PACKED_FIELDS))
+    if isinstance(field, RationalField):
+        entry = st.builds(field.from_fraction, PACKED_COEFFS)
+    else:
+        entry = st.builds(lambda cs: CyclotomicElement(field, cs),
+                          st.lists(PACKED_COEFFS, min_size=field.degree,
+                                   max_size=field.degree))
+    entry = st.one_of(entry, st.just(field.zero))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if rows and draw(st.booleans()):  # an all-zero row
+        rows[draw(st.integers(0, m - 1))] = [field.zero] * n
+    return field, rows
+
+
+def _check_packing(field, M):
+    A, codec, factors = field._packed(M)
+    packed, rows, width, slots, scales = _dict_cleared_packing(field, M)
+    assert A == packed
+    assert (codec.width, codec.slots) == (width, slots)
+    assert [list(map(codec.unpack, row)) for row in A] == rows
+    for (poly, (mul, div)), scale in zip(factors, scales):
+        assert poly == field._unit and Fraction(mul, div) == scale
+    d = min(len(M), len(M[0]) if M else 0)
+    square = [row[:d] for row in M[:d]]
+    assert field.det(square) == cofactor_det(field, square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases())
+def test_packing_matches_dict_cleared_rows(case):
+    _check_packing(*case)
+
+
+def test_packing_edge_cases():
+    for field in PACKED_FIELDS:
+        deg = getattr(field, "degree", 1)
+
+        def el(*cs):
+            if isinstance(field, RationalField):
+                return field.from_fraction(cs[0])
+            return CyclotomicElement(field, (list(cs) + [0] * deg)[:deg])
+        for M in ([], [[]], [[], []], [[field.zero]], [[field.zero] * 3] * 2,
+                  [[el(Fraction(3)), el(Fraction(-6), Fraction(9))],
+                   [field.zero, field.zero]],
+                  [[el(Fraction(1, 2), 2), el(Fraction(4))],
+                   [el(Fraction(0), Fraction(5, 3)), el(7, Fraction(2))]]):
+            _check_packing(field, M)
+    # An inverse in Q(zeta_1) holds Fractions over 1.
+    C = CyclotomicField(1)
+    x = C.from_int(3).inv() * C.from_int(6)
+    assert x.coeffs == (2,) and type(x.coeffs[0]) is Fraction
+    assert C.det([[x, C.one], [C.one, x]]) == C.from_int(3)
+    _check_packing(C, [[x, C.one], [C.one, x]])

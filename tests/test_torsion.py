@@ -508,7 +508,7 @@ def test_selections_and_default_torsion_match_full_matrices(corpus12,
     for s in corpus12 + walk_spines:
         for tc in _oracle_complexes(s):
             full = _full_matrix_selections(tc, {})
-            assert tc.default_selections == full
+            assert tc.default_pass[0] == full
             for _ in range(2):
                 strat = {i: rnd.sample(range(n), n)
                          for i, n in enumerate(tc.dims) if i}
@@ -547,6 +547,140 @@ def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
     assert calls == []
     # The kernel is read where the lift vectors are.
     assert [tc.default_lifts for tc in complexes] and calls
+
+
+def _recombined(tc, lifts, rnd):
+    """The lifts of each degree mixed by a random invertible matrix, each
+    new vector c_j * (v_j + sum over l < j of a_jl * v_l) with c_j a
+    nonzero rational, the vectors then shuffled and moved by random
+    boundaries: a basis of the same homology."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    out = {}
+    for i, vecs in lifts.items():
+        mixed = []
+        for j, v in enumerate(vecs):
+            w = list(v)
+            for u in vecs[:j]:
+                a = field.from_int(rnd.randint(-2, 2))
+                w = [x + a * y for x, y in zip(w, u)]
+            c = field.from_fraction(Fraction(rnd.choice((-2, -1, 1, 3)),
+                                             rnd.choice((1, 2))))
+            mixed.append([c * x for x in w])
+        rnd.shuffle(mixed)
+        for k, w in enumerate(mixed):
+            for j in range(tc.dims[i + 1] if i < 3 else 0):
+                if rnd.random() < 0.3:
+                    a = field.from_int(rnd.choice((-1, 1)))
+                    w = [x + a * mats[i][r][j] for r, x in enumerate(w)]
+            mixed[k] = w
+        out[i] = mixed
+    return out
+
+
+def test_given_lift_pass_matches_full_matrices(corpus12, walk_spines):
+    # One elimination of [rows R_i of d_{i+1} | lifts on R_i] per degree
+    # gives the selections, the Betti numbers and the minors, under any
+    # column order: against the full n_i x n_i determinants.
+    rnd = random.Random(37)
+    mixed_degrees = set()
+    for s in corpus12 + walk_spines:
+        for tc in _oracle_complexes(s):
+            lifts = tc.default_lifts
+            mixed = _recombined(tc, lifts, rnd)
+            mixed_degrees.update(i for i, v in mixed.items() if len(v) > 1)
+            for h in (lifts, mixed):
+                strat = {i: rnd.sample(range(n), n)
+                         for i, n in enumerate(tc.dims) if i}
+                for strategy in ({}, strat):
+                    expected = _full_matrix_value(
+                        tc, _full_matrix_selections(tc, strategy), h, {})
+                    assert expected is not None
+                    assert torsion(tc, h=h or None, strategy=strategy,
+                                   keep_sign=True).value == expected
+    assert mixed_degrees  # some degree mixes two or more lifts
+
+
+def _lift_errors(tc, rnd):
+    """(lifts, message) pairs: lifts that are no basis, with the message
+    that ``torsion`` raises for them."""
+    field = tc.field
+    lifts = tc.default_lifts
+    mats = (tc.d1, tc.d2, tc.d3)
+    cases = []
+    for i, vecs in lifts.items():
+        b = len(vecs)
+        rank = "degree %d: homology rank %d but %d basis vectors"
+        cases += [({**lifts, i: vecs + vecs[:1]}, rank % (i, b, b + 1)),
+                  ({**lifts, i: vecs[:-1]}, rank % (i, b, b - 1)),
+                  ({**lifts, i: [v[:-1] for v in vecs]},
+                   "degree %d lift has wrong length" % i),
+                  ({**lifts, i: [v + [field.zero] for v in vecs]},
+                   "degree %d lift has wrong length" % i)]
+        dependent = [field.zero] * tc.dims[i]
+        if b > 1:
+            dependent = vecs[0]
+        elif i < 3 and tc.dims[i + 1]:
+            j = rnd.randrange(tc.dims[i + 1])
+            dependent = [row[j] for row in mats[i]]
+        cases.append(({**lifts, i: vecs[:-1] + [dependent]},
+                      "degree %d: combined columns are not a basis" % i))
+    betti0 = [i for i in range(4) if i not in lifts]
+    if betti0:
+        i = betti0[0]
+        cases.append(({**lifts, i: [[field.one] * tc.dims[i]]},
+                      "degree %d: homology rank 0 but 1 basis vectors" % i))
+    return cases
+
+
+def test_bad_given_lifts_raise_as_before(corpus12, walk_spines):
+    rnd = random.Random(41)
+    messages = set()
+    for s in corpus12[::3] + walk_spines:
+        for tc in _oracle_complexes(s):
+            if not tc.default_lifts:
+                # An acyclic complex does not read the lifts it is given.
+                junk = {1: [[tc.field.one]], 3: [[]]}
+                assert torsion(tc, h=junk, keep_sign=True) == \
+                    torsion(tc, keep_sign=True)
+                continue
+            strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
+                     if i}
+            for lifts, message in _lift_errors(tc, rnd):
+                for strategy in (None, strat):
+                    with pytest.raises(BasisRankMismatch) as exc:
+                        torsion(tc, h=lifts, strategy=strategy)
+                    assert str(exc.value) == message
+                messages.add(message.split()[2])
+    assert messages == {"homology", "lift", "combined"}
+
+
+def test_one_elimination_per_degree(corpus12, walk_spines, monkeypatch):
+    # torsion on a fresh complex eliminates once per degree 0..2, auto lifts
+    # or given, and once more for given lifts of H_3.
+    from spinetorsion import fields
+    count = []
+    original = fields._Field._eliminate
+
+    def counting(self, *args, **kwargs):
+        count.append(self)
+        return original(self, *args, **kwargs)
+
+    homology = 0
+    for s in corpus12 + walk_spines:
+        lifts = [tc.default_lifts for tc in _oracle_complexes(s)]
+        monkeypatch.setattr(fields._Field, "_eliminate", counting)
+        for tc in _oracle_complexes(s):
+            count.clear()
+            torsion(tc, h="auto")
+            assert len(count) <= 3
+        for tc, h in zip(_oracle_complexes(s), lifts):
+            count.clear()
+            torsion(tc, h=h or None)
+            assert len(count) <= 3 + (3 in h)
+            homology += bool(h)
+        monkeypatch.undo()
+    assert homology
 
 
 # -- large inputs: walk spines of 10-14 tetrahedra, high cyclic orders ------------
