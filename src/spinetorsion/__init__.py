@@ -25,9 +25,8 @@ _EXPORTS = {
     "spine": "BranchedSpine enumerate_branchings",
     "spinefile": "parse parse_move_log replay_move_log serialize "
                  "serialize_move_log",
-    "torsion": "TorsionValue auto_twisted_homology default_z_character "
-               "fox_alexander invariance_suite sign_refined_torsion torsion "
-               "twisted_h1_order",
+    "torsion": "TorsionValue auto_twisted_homology invariance_suite "
+               "sign_refined_torsion torsion",
     "triangulation": "Triangulation",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -146,16 +146,6 @@ class SpiderAnchors:
         self.spine = spine
         self.complex = complex_x
 
-    def face_anchor_word(self, fc):
-        cls_a, cls_b, _cls_c = self.complex.face_sides[fc]
-        return ((cls_b, -1), (cls_a, -1))
-
-    def edge_anchor_word(self, _cls):
-        return ()
-
-    def base_anchor_word(self):
-        return ()
-
     def tet_corner_word(self, t, corner):
         """Word positioning a corner of the preferred lift of tetrahedron t.
 
@@ -167,29 +157,6 @@ class SpiderAnchors:
         if corner == sink:
             return ()
         return ((self.spine.oriented_class(t, corner, sink)[0], -1),)
-
-    def epsilon(self):
-        """Sign (-1)^dim for every cell of the spine, keyed by dual cell kind.
-
-        Spine vertices (dual tetrahedra) get +1, spine edges (dual faces)
-        get -1, regions (dual edge classes) get +1.
-        """
-        return {"tet": 1, "face": -1, "edge": 1}
-
-    def spider_boundary_identity(self):
-        """Formal boundary of the signed spider, with d(path) = head - tail.
-
-        Returns (coefficient at the base vertex, per-cell coefficients).
-        Every leg runs from a cell centre to the base vertex, so the
-        base coefficient is the alternating cell count chi(spine) =
-        1 - chi(X) and each centre c keeps coefficient -epsilon(c).
-        """
-        eps = self.epsilon()
-        cells = ([("edge", k) for k in range(self.complex.n_edges)]
-                 + [("face", k) for k in range(self.complex.n_faces)]
-                 + [("tet", k) for k in range(self.complex.n_tets)])
-        x0_coeff = sum(eps[kind] for kind, _ in cells)
-        return x0_coeff, {cell: -eps[cell[0]] for cell in cells}
 
     def tet_path_words(self, t):
         """All source-to-sink edge routes of a tetrahedron, as words.
@@ -348,7 +315,7 @@ class ChainComplex:
     That pass, the lift vectors and the raw torsion are computed on first
     use and kept: the matrices are never changed after construction.
     ``signs`` keeps the sign of the torsion under
-    given homology lifts and row order (``torsion._oriented_value``).
+    given homology lifts (``torsion._oriented_value``).
     """
 
     def __init__(self, field, dims, d1, d2, d3):
@@ -384,22 +351,6 @@ class ChainComplex:
         """Image of an integer edge chain under the twisting; 1 untwisted."""
         return self.field.one
 
-    def verify_complex(self):
-        """Exact check that consecutive boundaries compose to zero."""
-        for left, right in ((self.d1, self.d2), (self.d2, self.d3)):
-            rows = len(left)
-            mid = len(right)
-            cols = len(right[0]) if mid else 0
-            for i in range(rows):
-                for j in range(cols):
-                    acc = self.field.zero
-                    for k in range(mid):
-                        if not (left[i][k].is_zero() or right[k][j].is_zero()):
-                            acc = acc + left[i][k] * right[k][j]
-                    if not acc.is_zero():
-                        return False
-        return True
-
 
 class TwistedComplex(ChainComplex):
     """Boundary matrices of the phi-twisted cellular complex.
@@ -432,18 +383,6 @@ class TwistedComplex(ChainComplex):
 
     def path_image(self, vec):
         return self.rep.image_of_vector(vec)
-
-    def matches_integer_complex(self):
-        """True when the entries equal the untwisted integer matrices."""
-        f = self.field
-        pairs = ((self.d1, self.complex.d1), (self.d2, self.complex.d2),
-                 (self.d3, self.complex.d3))
-        for twisted, plain in pairs:
-            for row_t, row_p in zip(twisted, plain):
-                for x, k in zip(row_t, row_p):
-                    if not x == f.from_int(k):
-                        return False
-        return True
 
 
 def twisted_d2(complex_x, rep):

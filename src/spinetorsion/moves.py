@@ -430,14 +430,6 @@ class HCycleReport:
     def h_class(self):
         return self.before.group.class_of_vector(self.h_chain)
 
-    def row_boundary(self, row):
-        _label, eps, e0, e1 = row
-        out = {}
-        if e0 != e1:
-            out[e0] = eps
-            out[e1] = -eps
-        return out
-
 
 def _simplex_cells(label):
     """The vertices of the cell of the 2-tet triangulation and of the

@@ -1,4 +1,4 @@
-"""Exact torsion of twisted complexes, sign refinement, and cross-checks.
+"""Exact torsion of twisted complexes and its sign refinement.
 
 The torsion of the twisted complex, with respect to the preferred-lift
 bases, is the alternating product over degrees i of determinants of the
@@ -14,36 +14,31 @@ its Laplace minor along them:
     det[d b_{i+1} | h_i | e_{b_i}] = sgn(R_i ++ b_i) * det(rows R_i of [d b_{i+1} | h_i])
 
 where R_i lists the cells of degree i not in b_i in ascending order, the
-free (non-pivot) coordinates of d_i, and a row order sigma[i] multiplies
-the value by sgn(sigma[i]).  Each step has one routine: the b_i and the
-minors come from ``select_minor`` eliminations, ``_raw_value`` takes the
-alternating product with both signs, and every sign is ``perms.parity``.
+free (non-pivot) coordinates of d_i.  Each step has one routine: the b_i
+and the minors come from ``select_minor`` eliminations, ``_raw_value``
+takes the alternating product with the Laplace signs, and every sign is
+``perms.parity``.
 
 Rows are restricted to R_i.  Restriction to R_i is injective on ker d_i,
-which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1}, in any
-column order, picks the same b_{i+1} as the whole d_{i+1}.  The degrees
-are eliminated in order 0 to 2, each on the rows left free by the one
-before, and each once (``selection_pass``): the rows R_i of
-[d_{i+1} | h_i], the columns of d_{i+1} first.  Its pivots among those
-columns are b_{i+1}, its pivots among the lift columns say which lifts
-complete them to a basis, and its last pivot is the degree's minor, zero
-unless they do; the Betti numbers are read off the selections.  For the
-auto lifts the lift columns are the identity on R_i, where the reduced
-kernel basis of d_i is the identity: the pivots among them are the lift
-coordinates and the minor is that of the default bases, so the default
-selections, lifts and minors come from one cached pass per complex
-(``ChainComplex.default_pass``), with or without a row order.  Given
-lifts, or the auto lifts under a column ``strategy``, are restricted to
-R_i instead.  Degree 3 has d_4 = 0 and no elimination, save one
-determinant for given lifts of H_3.  The kernel itself is computed only
-where the lift vectors are read.
+which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1} picks the
+same b_{i+1} as the whole d_{i+1}.  The degrees are eliminated in order
+0 to 2, each on the rows left free by the one before, and each once
+(``selection_pass``): the rows R_i of [d_{i+1} | h_i], the columns of
+d_{i+1} first, in cell order.  Its pivots among those columns are
+b_{i+1}, its pivots among the lift columns say which lifts complete them
+to a basis, and its last pivot is the degree's minor, zero unless they
+do; the Betti numbers are read off the selections.  For the auto lifts
+the lift columns are the identity on R_i, where the reduced kernel basis
+of d_i is the identity: the pivots among them are the lift coordinates
+and the minor is that of the default bases, so the default selections,
+lifts and minors come from one cached pass per complex
+(``ChainComplex.default_pass``).  Given lifts are restricted to R_i
+instead.  Degree 3 has d_4 = 0 and no elimination, save one determinant
+for given lifts of H_3.  The kernel itself is computed only where the
+lift vectors are read.
 """
 
-from itertools import combinations
-from math import gcd as _int_gcd
-
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
-from .fields import FunctionField, RationalFunction, _normal
 from .perms import parity
 
 
@@ -116,32 +111,25 @@ def _free_rows(n, basis):
     return [r for r in range(n) if r not in basis]
 
 
-def selection_pass(cx, strategy=None, lifts="auto"):
+def selection_pass(cx, lifts="auto"):
     """The b_i selections, the minors det(rows R_i of [d b_{i+1} | h_i])
     and the lift coordinates, from one elimination per degree.
 
     Degree by degree from 0, the rows R_i of [d_{i+1} | extra columns] are
-    eliminated, the columns of d_{i+1} visited in the order
-    ``strategy[i + 1]`` (identity when absent) and the extra columns after
-    them.  Its pivots among the columns of d_{i+1} are b_{i+1}; its other
-    pivots are the lift coordinates, as indices into the extra columns;
-    and its last pivot is the minor, zero unless the pivots fill R_i.  The
-    extra columns are the identity on R_i for ``lifts`` "auto": the
-    reduced kernel basis of d_i is the identity there, so the coordinates
-    pick the auto lifts when the selections are the default ones.
-    Otherwise ``lifts`` is a dict degree -> chain vectors and the extra
-    columns are those vectors restricted to R_i; a degree whose vectors do
-    not all have the length of the degree gets none, which ``torsion``
-    reports.  Degree 3 has d_4 = 0 and needs no elimination, save one
+    eliminated, the columns of d_{i+1} visited in cell order and the extra
+    columns after them.  Its pivots among the columns of d_{i+1} are
+    b_{i+1}; its other pivots are the lift coordinates, as indices into
+    the extra columns; and its last pivot is the minor, zero unless the
+    pivots fill R_i.  The extra columns are the identity on R_i for
+    ``lifts`` "auto": the reduced kernel basis of d_i is the identity
+    there, so the coordinates pick the auto lifts.  Otherwise ``lifts`` is
+    a dict degree -> chain vectors and the extra columns are those vectors
+    restricted to R_i; a degree whose vectors do not all have the length
+    of the degree gets none, which ``torsion`` reports.  Degree 3 has d_4 = 0 and needs no elimination, save one
     determinant for given lifts of H_3.  Returns (selections, minors,
     coordinates): selections[i] for i = 0..4, entries 0 and 4 empty, the
     minor of each degree 0..3, and a dict degree -> coordinates.
     """
-    orders = strategy or {}
-    for i in (1, 2, 3):
-        if sorted(orders.get(i, range(cx.dims[i]))) != list(range(cx.dims[i])):
-            raise BasisRankMismatch(
-                "degree %d: column order is not a permutation" % i)
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
     selections = [[] for _ in range(5)]
@@ -153,8 +141,7 @@ def selection_pass(cx, strategy=None, lifts="auto"):
         extra = _extra_columns(cx, lifts, i, rows)
         width = len(extra[0]) if extra else 0
         cols, minor = field.select_minor(
-            [mats[i][r] + x for r, x in zip(rows, extra)],
-            [*orders.get(i + 1, range(n)), *range(n, n + width)])
+            [mats[i][r] + x for r, x in zip(rows, extra)], range(n + width))
         selections[i + 1] = [c for c in cols if c < n]
         coords[i] = [c - n for c in cols if c >= n]
         minors.append(minor)
@@ -189,24 +176,17 @@ def _betti(cx, selections):
             for i in range(4)]
 
 
-def _raw_value(cx, selections, minors, sigma=None):
+def _raw_value(cx, selections, minors):
     """The alternating product of the change-of-basis determinants of the
     selections b_i, each its minor minors[i] = det(rows R_i of
-    [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i) and, where
-    ``sigma[i]`` orders the rows of degree i, sgn(sigma[i]).  A zero minor
-    means its columns are no basis."""
+    [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i).  A zero
+    minor means its columns are no basis."""
     value = inverse_part = cx.field.one
     for i, (n, d) in enumerate(zip(cx.dims, minors)):
-        sign = parity(_free_rows(n, selections[i]) + selections[i])
-        if sigma and i in sigma:
-            if sorted(sigma[i]) != list(range(n)):
-                raise BasisRankMismatch(
-                    "degree %d: row order is not a permutation" % i)
-            sign *= parity(sigma[i])
         if d.is_zero():
             raise BasisRankMismatch(
                 "degree %d: combined columns are not a basis" % i)
-        if sign < 0:
+        if parity(_free_rows(n, selections[i]) + selections[i]) < 0:
             d = -d
         if i % 2 == 0:
             value = value * d
@@ -215,47 +195,38 @@ def _raw_value(cx, selections, minors, sigma=None):
     return value * inverse_part.inv()
 
 
-def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
+def torsion(tc, h=None, keep_sign=False):
     """Torsion of a twisted complex with respect to its preferred bases.
 
     ``h`` supplies homology lifts: None (complex must be acyclic),
     "auto" (the complex's ``default_lifts``), or a dict degree -> list of
-    chain vectors over the coefficient field.  ``strategy`` optionally
-    gives per-degree column preference orders for the b_i selection, and
-    ``sigma`` per-degree permutations of the cell ordering (which can
-    only flip the sign); either raises BasisRankMismatch for an order that
-    is not a permutation of the cells of its degree.  With ``keep_sign``
-    the raw value for this cell ordering is kept instead of the canonical
-    +-representative.  Without ``strategy``, and with ``h`` None or
-    "auto", the selections and minors are the complex's ``default_pass``,
-    and without ``sigma`` as well the value is its ``default_torsion``,
-    computed once per complex.  Otherwise one ``selection_pass`` with the
-    lifts (the ``default_lifts`` for "auto" under a strategy) gives the
-    selections, the Betti numbers and the minors; lifts given to an
-    acyclic complex are not read.
+    chain vectors over the coefficient field, one per Betti number, which
+    raises BasisRankMismatch when their number or length is wrong or they
+    are no basis.  With ``keep_sign`` the raw value in the cell order is
+    kept instead of the canonical +-representative.  With ``h`` None or
+    "auto" the value is the complex's ``default_torsion``, computed once
+    per complex from its ``default_pass``; given lifts take one
+    ``selection_pass`` of their own, which gives the selections, the Betti
+    numbers and the minors.
     """
-    given = bool(strategy) or h not in (None, "auto")
-    if given:
-        lifts = tc.default_lifts if h == "auto" else h or {}
-        selections, minors, _coords = selection_pass(tc, strategy, lifts)
-    else:
-        selections, minors, _coords = tc.default_pass
+    given = h not in (None, "auto")
+    selections, minors, _coords = selection_pass(tc, h) if given \
+        else tc.default_pass
     betti = _betti(tc, selections)
     acyclic = not any(betti)
     if not acyclic and h is None:
         raise NotAcyclicNoBasis(
             "twisted homology has dimensions %s; supply a basis" % (betti,))
-    if given and not acyclic:
+    if given:
         for i, n in enumerate(tc.dims):
-            vecs = lifts.get(i, ())
+            vecs = h.get(i, ())
             if len(vecs) != betti[i]:
                 raise BasisRankMismatch(
                     "degree %d: homology rank %d but %d basis vectors"
                     % (i, betti[i], len(vecs)))
             if any(len(v) != n for v in vecs):
                 raise BasisRankMismatch("degree %d lift has wrong length" % i)
-    value = tc.default_torsion if not (given or sigma) \
-        else _raw_value(tc, selections, minors, sigma)
+    value = _raw_value(tc, selections, minors) if given else tc.default_torsion
     if h == "auto":
         used = "auto"
     else:
@@ -264,155 +235,46 @@ def torsion(tc, h=None, strategy=None, sigma=None, keep_sign=False):
                         homology_basis_used=used)
 
 
-def sign_refined_torsion(spine, tc, h=None, orientation=None, strategy=None,
-                         sigma=None):
+def sign_refined_torsion(spine, tc, h=None, orientation=None):
     """Sign-refined torsion: the cell-order sign is fixed by an orientation.
 
     The torsion of the rational untwisted complex is computed with the
     same cell ordering and with homology bases compatible with the given
-    homological orientation; its sign multiplies the raw twisted value,
-    making the result independent of the ordering.  ``orientation`` is
-    None, the default lifts of ``tc.complex.rational_complex``, or a dict
-    degree -> list of chain vectors over that complex's field, one per
-    Betti number, like ``h`` of ``torsion``.  ``spine`` is the spine
+    homological orientation; its sign multiplies the raw twisted value.
+    A reordering of the cells changes both signs alike, so the product
+    does not depend on the ordering.  ``orientation`` is None, the
+    default lifts of ``tc.complex.rational_complex``, or a dict degree ->
+    list of chain vectors over that complex's field, one per Betti number,
+    like ``h`` of ``torsion``.  The default lifts are read off the cell
+    labels, so on a relabelled spine the default orientation may change
+    the sign of the value; an orientation carried through the cell
+    correspondence of the relabelling does not.  ``spine`` is the spine
     ``tc`` was built on: the rational complex and the default orientation
     are read off ``tc.complex``, and the raw value comes from ``torsion``,
     so neither is recomputed for a complex that already has them.
     """
-    raw = torsion(tc, h=h, strategy=strategy, sigma=sigma, keep_sign=True)
+    raw = torsion(tc, h=h, keep_sign=True)
     value = _oriented_value(raw, tc.complex.rational_complex,
-                            "auto" if orientation is None else orientation,
-                            sigma)
+                            "auto" if orientation is None else orientation)
     return TorsionValue(tc.field, value, True, raw.acyclic,
                         homology_basis_used=raw.homology_basis_used,
                         orientation_used="default" if orientation is None
                         else "given")
 
 
-def _oriented_value(raw, rat, olifts, sigma=None):
+def _oriented_value(raw, rat, olifts):
     """The raw twisted value times the sign of the rational torsion of
     ``rat`` with homology lifts ``olifts`` ("auto": the default
     orientation).  The sign is kept in ``rat.signs``, keyed by the values
-    of the lifts and the row order, so each representation of one spine,
-    and each walk that carries the same lifts to it, reads it once."""
-    lifts = olifts if olifts == "auto" else tuple(
+    of the lifts, so each representation of one spine, and each walk that
+    carries the same lifts to it, reads it once."""
+    key = olifts if olifts == "auto" else tuple(
         (i, tuple(map(tuple, vecs))) for i, vecs in sorted(olifts.items()))
-    order = tuple((i, tuple(p)) for i, p in sorted(sigma.items())) \
-        if sigma else None
-    key = lifts, order
     negative = rat.signs.get(key)
     if negative is None:
-        a = torsion(rat, h=olifts, sigma=sigma, keep_sign=True)
+        a = torsion(rat, h=olifts, keep_sign=True)
         negative = rat.signs[key] = rat.field.leading_is_negative(a.value)
     return -raw.value if negative else raw.value
-
-
-# -- Fox calculus cross-check ---------------------------------------------------
-
-
-def default_z_character(group):
-    """The first free Smith coordinate of H_1, as generator exponents.
-
-    Returns a list of ints (one per generator) defining a surjection of
-    H_1 onto Z, or None when H_1 has rank 0.
-    """
-    if group.free_rank == 0:
-        return None
-    values = []
-    for j in range(group.n_generators):
-        free, _ = group.generator_class(j)
-        values.append(free[0])
-    g = 0
-    for v in values:
-        g = _int_gcd(g, abs(v))
-    if g == 0:
-        return None
-    if g > 1:  # rescale so the character is onto
-        values = [v // g for v in values]
-    return values
-
-
-def fox_derivative_image(word, gen, character):
-    """Fox derivative of a relator word, pushed into Q[t, 1/t]: an exponent
-    dict {(k,): coefficient of t^k}.
-
-    The free derivative is evaluated through the ring map sending each
-    generator x to t^character[x].
-    """
-    out = {}
-    prefix_exp = 0
-    for x, e in word:
-        if e > 0:
-            if x == gen:
-                out[(prefix_exp,)] = out.get((prefix_exp,), 0) + 1
-            prefix_exp += character[x]
-        else:
-            prefix_exp -= character[x]
-            if x == gen:
-                out[(prefix_exp,)] = out.get((prefix_exp,), 0) - 1
-    return {k: v for k, v in out.items() if v}
-
-
-def _minor_gcd(A, size):
-    """The gcd of the ``size`` x ``size`` minors of ``A`` as an exponent
-    dict, canonical up to +-t^k (the ``fields._normal`` form); {}, the
-    zero polynomial, when every such minor vanishes or there is none.
-
-    ``A`` is a list of rows over Q(t) whose minors are Laurent polynomials.
-    When ``A`` presents a module M on n generators, the gcd generates the
-    Fitting ideal F_{n-size}(M) over the PID Q[t, 1/t]: the order of the
-    torsion of M when M has free rank n - size, and 0 when the rank is
-    larger.
-    """
-    from .polygcd import gcd
-    field = FunctionField(1)
-    g = {}
-    for rows in combinations(range(len(A)), size):
-        for cols in combinations(range(len(A[0])), size):
-            d = field.det([[A[i][j] for j in cols] for i in rows]).num
-            if d:
-                g = _normal(gcd(g, _normal(d)[2]) if g else d)[2]
-            if len(g) == 1:
-                return g
-    return g
-
-
-def fox_alexander(group, character):
-    """One-variable Alexander polynomial of the presentation, by Fox calculus.
-
-    The gcd of the (n-1)-minors of the Fox matrix (n = number of
-    generators), canonical up to +-t^k, as an exponent dict {(k,): c}.  The Fox matrix presents coker d2
-    of the presentation complex over Q[t, 1/t]; a nonzero character makes
-    d1 nonzero, so coker d2 = H_1 + Q[t, 1/t] and the gcd is the order of
-    H_1 of the infinite cyclic cover, 0 when that H_1 has a free part.
-    Convention: a presentation with no relators has polynomial 0 (the
-    module is free, of order zero).
-    """
-    if not group.relators:
-        return {}
-    A = [[RationalFunction(1, fox_derivative_image(w, g, character))
-          for g in range(group.n_generators)] for w in group.relators]
-    return _minor_gcd(A, group.n_generators - 1)
-
-
-def twisted_h1_order(complex_x, group, character):
-    """Order of the degree-1 homology of the t-twisted complex over Q[t, 1/t].
-
-    Built from the twisted boundary matrices (not from Fox derivatives).
-    A nonzero character makes the twisted d1 nonzero, so its image is a
-    free module of rank 1 and coker d2 = H_1 + Q[t, 1/t]; the order of
-    H_1 is then the gcd of the (n-1)-minors of the twisted d2 (n = number
-    of edges), and 0 when H_1 has a free part.  An exponent dict, canonical
-    up to +-t^k, comparable with ``fox_alexander``.  An all-zero character gives d1 = 0
-    and raises ValueError.
-    """
-    from .complexes import Representation, twisted_d2
-    if not any(character):
-        raise ValueError("the character must be nonzero")
-    rep = Representation(group, FunctionField(1),
-                         [(character[j],) for j in range(group.n_generators)],
-                         "free_abelian")
-    return _minor_gcd(twisted_d2(complex_x, rep), complex_x.n_edges - 1)
 
 
 # -- invariance harness ---------------------------------------------------------

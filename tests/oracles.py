@@ -1,0 +1,288 @@
+"""Independent reference computations that the tests compare the package
+against: full change-of-basis matrices under any column and row order,
+the Fox-calculus Alexander polynomial, the spider anchors of every cell,
+and exact checks of the chain complexes and of the certificate rows."""
+
+from itertools import combinations
+from math import gcd as _int_gcd
+
+from spinetorsion.complexes import Representation, twisted_d2
+from spinetorsion.fields import FunctionField, RationalFunction, _normal
+
+
+# -- full change-of-basis matrices ----------------------------------------------
+
+
+def full_matrix_selections(tc, strategy):
+    """For i = 1..3, the pivot columns of the whole d_i visited in the order
+    ``strategy[i]`` (identity when absent); entries 0 and 4 empty."""
+    mats = (tc.d1, tc.d2, tc.d3)
+    return ([],) + tuple(
+        tc.field.select_columns(mats[i - 1], strategy.get(i, range(tc.dims[i])))
+        for i in (1, 2, 3)) + ([],)
+
+
+def full_matrix_lifts(tc):
+    """The lifts picked by one column selection over the n_i-row span
+    [columns of d_{i+1} | reduced kernel basis of d_i], in every degree."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    out = {}
+    for i in range(4):
+        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
+        image = list(zip(*mats[i])) if i < 3 else []
+        cols = image + kernel
+        span = [[col[r] for col in cols] for r in range(tc.dims[i])]
+        picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
+                  if j >= len(image)]
+        if picked:
+            out[i] = picked
+    return out
+
+
+def full_matrix_value(tc, selections, lifts, sigma):
+    """The alternating product of the n_i x n_i determinants
+    [d b_{i+1} | h_i | unit columns at b_i], rows in the order sigma[i];
+    None when one of them vanishes."""
+    field = tc.field
+    mats = (tc.d1, tc.d2, tc.d3)
+    value = field.one
+    for i, n in enumerate(tc.dims):
+        cols = [[mats[i][r][j] for r in range(n)] for j in selections[i + 1]]
+        cols += [list(v) for v in lifts.get(i, ())]
+        cols += [[field.one if r == j else field.zero for r in range(n)]
+                 for j in selections[i]]
+        M = [[col[r] for col in cols] for r in range(n)]
+        if i in sigma:
+            M = [M[r] for r in sigma[i]]
+        d = field.det(M)
+        if d.is_zero():
+            return None
+        value = value * d if i % 2 == 0 else value * d.inv()
+    return value
+
+
+def torsion_under(tc, lifts, strategy, sigma):
+    """The raw torsion of ``tc`` with homology lifts ``lifts`` (a dict
+    degree -> chain vectors), its b_i picked in the column orders
+    ``strategy`` and its cells in the row orders ``sigma``; None when the
+    columns are no basis."""
+    return full_matrix_value(tc, full_matrix_selections(tc, strategy), lifts,
+                             sigma)
+
+
+def sign_refined_under(tc, lifts, orientation, strategy, sigma):
+    """The sign-refined torsion with the cells in the row orders ``sigma``:
+    the raw value times the sign of the rational torsion under the
+    homological ``orientation`` and the same row orders."""
+    rat = tc.complex.rational_complex
+    sign = torsion_under(rat, orientation, strategy, sigma)
+    raw = torsion_under(tc, lifts, strategy, sigma)
+    return -raw if rat.field.leading_is_negative(sign) else raw
+
+
+def row_order_sign(sigma):
+    """The product of the signs of the row orders ``sigma``, by counting
+    inversions."""
+    sign = 1
+    for p in sigma.values():
+        for a, b in combinations(p, 2):
+            if a > b:
+                sign = -sign
+    return sign
+
+
+# -- Fox calculus ------------------------------------------------------------------
+
+
+def default_z_character(group):
+    """The first free Smith coordinate of H_1, as generator exponents.
+
+    Returns a list of ints (one per generator) defining a surjection of
+    H_1 onto Z, or None when H_1 has rank 0.
+    """
+    if group.free_rank == 0:
+        return None
+    values = []
+    for j in range(group.n_generators):
+        free, _ = group.generator_class(j)
+        values.append(free[0])
+    g = 0
+    for v in values:
+        g = _int_gcd(g, abs(v))
+    if g == 0:
+        return None
+    if g > 1:  # rescale so the character is onto
+        values = [v // g for v in values]
+    return values
+
+
+def fox_derivative_image(word, gen, character):
+    """Fox derivative of a relator word, pushed into Q[t, 1/t]: an exponent
+    dict {(k,): coefficient of t^k}.
+
+    The free derivative is evaluated through the ring map sending each
+    generator x to t^character[x].
+    """
+    out = {}
+    prefix_exp = 0
+    for x, e in word:
+        if e > 0:
+            if x == gen:
+                out[(prefix_exp,)] = out.get((prefix_exp,), 0) + 1
+            prefix_exp += character[x]
+        else:
+            prefix_exp -= character[x]
+            if x == gen:
+                out[(prefix_exp,)] = out.get((prefix_exp,), 0) - 1
+    return {k: v for k, v in out.items() if v}
+
+
+def minor_gcd(A, size):
+    """The gcd of the ``size`` x ``size`` minors of ``A`` as an exponent
+    dict, canonical up to +-t^k (the ``fields._normal`` form); {}, the
+    zero polynomial, when every such minor vanishes or there is none.
+
+    ``A`` is a list of rows over Q(t) whose minors are Laurent polynomials.
+    When ``A`` presents a module M on n generators, the gcd generates the
+    Fitting ideal F_{n-size}(M) over the PID Q[t, 1/t]: the order of the
+    torsion of M when M has free rank n - size, and 0 when the rank is
+    larger.
+    """
+    from spinetorsion.polygcd import gcd
+    field = FunctionField(1)
+    g = {}
+    for rows in combinations(range(len(A)), size):
+        for cols in combinations(range(len(A[0])), size):
+            d = field.det([[A[i][j] for j in cols] for i in rows]).num
+            if d:
+                g = _normal(gcd(g, _normal(d)[2]) if g else d)[2]
+            if len(g) == 1:
+                return g
+    return g
+
+
+def fox_alexander(group, character):
+    """One-variable Alexander polynomial of the presentation, by Fox calculus.
+
+    The gcd of the (n-1)-minors of the Fox matrix (n = number of
+    generators), canonical up to +-t^k, as an exponent dict {(k,): c}.  The
+    Fox matrix presents coker d2 of the presentation complex over
+    Q[t, 1/t]; a nonzero character makes d1 nonzero, so coker d2 =
+    H_1 + Q[t, 1/t] and the gcd is the order of H_1 of the infinite cyclic
+    cover, 0 when that H_1 has a free part.  Convention: a presentation
+    with no relators has polynomial 0 (the module is free, of order zero).
+    """
+    if not group.relators:
+        return {}
+    A = [[RationalFunction(1, fox_derivative_image(w, g, character))
+          for g in range(group.n_generators)] for w in group.relators]
+    return minor_gcd(A, group.n_generators - 1)
+
+
+def twisted_h1_order(complex_x, group, character):
+    """Order of the degree-1 homology of the t-twisted complex over Q[t, 1/t].
+
+    Built from the twisted boundary matrices (not from Fox derivatives).
+    A nonzero character makes the twisted d1 nonzero, so its image is a
+    free module of rank 1 and coker d2 = H_1 + Q[t, 1/t]; the order of
+    H_1 is then the gcd of the (n-1)-minors of the twisted d2 (n = number
+    of edges), and 0 when H_1 has a free part.  An exponent dict, canonical
+    up to +-t^k, comparable with ``fox_alexander``.  An all-zero character
+    gives d1 = 0 and raises ValueError.
+    """
+    if not any(character):
+        raise ValueError("the character must be nonzero")
+    rep = Representation(group, FunctionField(1),
+                         [(character[j],) for j in range(group.n_generators)],
+                         "free_abelian")
+    return minor_gcd(twisted_d2(complex_x, rep), complex_x.n_edges - 1)
+
+
+# -- spider anchors ----------------------------------------------------------------
+
+
+def face_anchor_word(complex_x, fc):
+    """The word placing the source corner of face class ``fc``, anchored at
+    its sink: b^-1 a^-1 for sides a = [s->m], b = [m->t]."""
+    cls_a, cls_b, _cls_c = complex_x.face_sides[fc]
+    return ((cls_b, -1), (cls_a, -1))
+
+
+def edge_anchor_word(_cls):
+    """Edges are anchored head-at-base: the empty word."""
+    return ()
+
+
+def base_anchor_word():
+    return ()
+
+
+def epsilon():
+    """Sign (-1)^dim for every cell of the spine, keyed by dual cell kind.
+
+    Spine vertices (dual tetrahedra) get +1, spine edges (dual faces)
+    get -1, regions (dual edge classes) get +1.
+    """
+    return {"tet": 1, "face": -1, "edge": 1}
+
+
+def spider_boundary_identity(complex_x):
+    """Formal boundary of the signed spider, with d(path) = head - tail.
+
+    Returns (coefficient at the base vertex, per-cell coefficients).
+    Every leg runs from a cell centre to the base vertex, so the
+    base coefficient is the alternating cell count chi(spine) =
+    1 - chi(X) and each centre c keeps coefficient -epsilon(c).
+    """
+    eps = epsilon()
+    cells = ([("edge", k) for k in range(complex_x.n_edges)]
+             + [("face", k) for k in range(complex_x.n_faces)]
+             + [("tet", k) for k in range(complex_x.n_tets)])
+    x0_coeff = sum(eps[kind] for kind, _ in cells)
+    return x0_coeff, {cell: -eps[cell[0]] for cell in cells}
+
+
+# -- exact checks of complexes and certificates ------------------------------------
+
+
+def verify_complex(cx):
+    """Exact check that consecutive boundaries of ``cx`` compose to zero."""
+    for left, right in ((cx.d1, cx.d2), (cx.d2, cx.d3)):
+        rows = len(left)
+        mid = len(right)
+        cols = len(right[0]) if mid else 0
+        for i in range(rows):
+            for j in range(cols):
+                acc = cx.field.zero
+                for k in range(mid):
+                    if not (left[i][k].is_zero() or right[k][j].is_zero()):
+                        acc = acc + left[i][k] * right[k][j]
+                if not acc.is_zero():
+                    return False
+    return True
+
+
+def matches_integer_complex(tc):
+    """True when the entries of the twisted complex ``tc`` equal the
+    untwisted integer matrices of its quotient complex."""
+    f = tc.field
+    pairs = ((tc.d1, tc.complex.d1), (tc.d2, tc.complex.d2),
+             (tc.d3, tc.complex.d3))
+    for twisted, plain in pairs:
+        for row_t, row_p in zip(twisted, plain):
+            for x, k in zip(row_t, row_p):
+                if not x == f.from_int(k):
+                    return False
+    return True
+
+
+def row_boundary(row):
+    """The boundary epsilon * (end0 - end1) of a certificate row, as a dict
+    over the external vertex labels."""
+    _label, eps, e0, e1 = row
+    out = {}
+    if e0 != e1:
+        out[e0] = eps
+        out[e1] = -eps
+    return out

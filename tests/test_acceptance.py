@@ -17,12 +17,14 @@ from spinetorsion.euler import (euler_chain_class, maw_cochain,
 from spinetorsion.moves import apply_positive, h_cycle_check, is_rigid, \
     random_walk
 from spinetorsion.spinefile import parse
-from spinetorsion.torsion import (auto_twisted_homology, default_z_character,
-                                  fox_alexander, invariance_suite,
-                                  sign_refined_torsion, torsion,
-                                  twisted_h1_order)
+from spinetorsion.torsion import (auto_twisted_homology, canonical_up_to_sign,
+                                  invariance_suite, sign_refined_torsion,
+                                  torsion)
 
 from fixtures import GOLDEN, GOLDEN_TABLE
+from oracles import (default_z_character, fox_alexander,
+                     matches_integer_complex, sign_refined_under,
+                     torsion_under, twisted_h1_order, verify_complex)
 
 # Acyclic twisted complexes encountered while running criteria 5-7,
 # examined by criterion 8.
@@ -120,12 +122,12 @@ def test_criterion_5_twisted_complexes(corpus3):
     for s in corpus3:
         X, G, A = _contexts(s)
         trivial = TwistedComplex(s, X, A, Representation.trivial(G))
-        assert trivial.matches_integer_complex()
+        assert matches_integer_complex(trivial)
         reps = [Representation.free_abelian(G)] + \
             [Representation.cyclic(G, n) for n in (2, 3, 5)]
         for rep in reps:
             tc = TwistedComplex(s, X, A, rep)
-            assert tc.verify_complex()
+            assert verify_complex(tc)
             _record_acyclicity(s, tc)
     elapsed = time.time() - start
     assert elapsed < 60.0, "twisted pass exceeded 60 s: %.2fs" % elapsed
@@ -155,14 +157,17 @@ def test_criterion_6_torsion_well_definedness(corpus12):
                     order = list(range(ncols))
                     rnd.shuffle(order)
                     strat[i] = order
-                assert torsion(tc, h=h, strategy=strat) == base
+                value = torsion_under(tc, lifts, strat, {})
+                assert canonical_up_to_sign(tc.field, value) == base.value
             refined = sign_refined_torsion(s, tc, h=h)
+            orientation = X.rational_complex.default_lifts
             for _ in range(10):
                 sig = {i: rnd.sample(range(n), n)
                        for i, n in enumerate(tc.dims)}
-                assert torsion(tc, h=h, sigma=sig) == base
-                other = sign_refined_torsion(s, tc, h=h, sigma=sig)
-                assert other.value == refined.value
+                value = torsion_under(tc, lifts, {}, sig)
+                assert canonical_up_to_sign(tc.field, value) == base.value
+                other = sign_refined_under(tc, lifts, orientation, {}, sig)
+                assert other == refined.value
             instances += 1
     assert instances >= 20
     report("6 torsion well-definedness", start,

@@ -14,7 +14,8 @@ from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
                                  FunctionField, RationalField,
                                  RationalFunction, cofactor_det,
                                  cyclotomic_polynomial)
-from spinetorsion.torsion import default_z_character, fox_alexander
+
+from oracles import default_z_character, fox_alexander
 
 
 def rand_element(field, rnd, nterms=3, span=2):

@@ -75,6 +75,27 @@ def test_no_unread_private_helpers():
     assert unread == []
 
 
+def test_every_oracle_is_called():
+    # An oracle that no test reaches checks nothing: each function of
+    # ``tests/oracles.py`` is imported by a test module, or read by an
+    # oracle that is.
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    reads = {node.name: loaded_names(node) for node in oracles.body
+             if isinstance(node, ast.FunctionDef)}
+    assert len(reads) > 10
+    stack = [alias.name for p in sorted((ROOT / "tests").glob("test_*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+             for alias in node.names]
+    live = set()
+    while stack:
+        name = stack.pop()
+        if name in reads and name not in live:
+            live.add(name)
+            stack += reads[name]
+    assert sorted(set(reads) - live) == []
+
+
 def test_every_error_class_is_raised():
     # An error class that nothing raises, and that no raised class derives
     # from, promises callers a failure that cannot happen.
@@ -156,7 +177,7 @@ def test_no_sympy_import_in_src():
     assert found == []
 
 
-# The package's 59 exported names, in the order of ``__all__``.
+# The package's 56 exported names, in the order of ``__all__``.
 EXPORTS = [
     "census_branched", "enumerate_triangulations",
     "CellComplexX", "GroupData", "Representation", "SpiderAnchors",
@@ -175,9 +196,8 @@ EXPORTS = [
     "BranchedSpine", "enumerate_branchings",
     "parse", "parse_move_log", "replay_move_log", "serialize",
     "serialize_move_log",
-    "TorsionValue", "auto_twisted_homology", "default_z_character",
-    "fox_alexander", "invariance_suite", "sign_refined_torsion", "torsion",
-    "twisted_h1_order",
+    "TorsionValue", "auto_twisted_homology", "invariance_suite",
+    "sign_refined_torsion", "torsion",
     "Triangulation",
 ]
 

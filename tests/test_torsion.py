@@ -5,17 +5,22 @@ from fractions import Fraction
 import pytest
 
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
-                                    SpiderAnchors, TwistedComplex)
+                                    SpiderAnchors, TwistedComplex,
+                                    make_representation)
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis, Stuck
 from spinetorsion.fields import CyclotomicField, FunctionField, RationalField
 from spinetorsion.moves import random_walk
+from spinetorsion.perms import ALL_PERMS
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
-                                  default_z_character, fox_alexander,
-                                  selection_pass, sign_refined_torsion,
-                                  torsion, twisted_h1_order)
+                                  canonical_up_to_sign, sign_refined_torsion,
+                                  torsion)
 
 from fixtures import GOLDEN, ONE_TET
+from oracles import (default_z_character, fox_alexander,
+                     full_matrix_lifts, full_matrix_selections,
+                     full_matrix_value, row_order_sign, sign_refined_under,
+                     torsion_under, twisted_h1_order)
 
 
 def build(s, kind, order=None):
@@ -54,6 +59,7 @@ def test_trivial_rep_default_homology_gives_nonzero_rational(corpus12):
 
 
 def test_pivot_strategy_independence(corpus12):
+    # The b_i picked in any column order give the torsion in cell order.
     rnd = random.Random(4)
     for s in corpus12[:8]:
         X, _G, tc = build(s, "free_abelian")
@@ -66,7 +72,8 @@ def test_pivot_strategy_independence(corpus12):
                 order = list(range(ncols))
                 rnd.shuffle(order)
                 strat[i] = order
-            assert torsion(tc, h=h, strategy=strat) == base
+            value = torsion_under(tc, lifts, strat, {})
+            assert canonical_up_to_sign(tc.field, value) == base.value
 
 
 def test_cell_order_permutation_flips_at_most_sign(corpus12):
@@ -80,26 +87,27 @@ def test_cell_order_permutation_flips_at_most_sign(corpus12):
         seen_flip = False
         for _ in range(4):
             sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-            assert torsion(tc, h=h, sigma=sig) == base
-            other = torsion(tc, h=h, sigma=sig, keep_sign=True)
-            if not other.value == raw.value:
+            other = torsion_under(tc, lifts, {}, sig)
+            assert canonical_up_to_sign(tc.field, other) == base.value
+            if not other == raw.value:
                 seen_flip = True
-                assert other.value == -raw.value
+                assert other == -raw.value
         del seen_flip
 
 
 def test_sign_refined_is_sigma_invariant(corpus12):
     rnd = random.Random(7)
     for s in corpus12[:6]:
-        _X, _G, tc = build(s, "free_abelian")
+        X, _G, tc = build(s, "free_abelian")
         lifts = auto_twisted_homology(tc)
         h = lifts if lifts else None
         ref = sign_refined_torsion(s, tc, h=h)
         assert ref.sign_fixed
+        orientation = X.rational_complex.default_lifts
         for _ in range(3):
             sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-            other = sign_refined_torsion(s, tc, h=h, sigma=sig)
-            assert other.value == ref.value
+            other = sign_refined_under(tc, lifts, orientation, {}, sig)
+            assert other == ref.value
 
 
 def test_sign_refined_same_magnitude(corpus12):
@@ -279,19 +287,29 @@ def test_memoised_values_match_fresh_complexes(corpus12, kind, order):
             with pytest.raises(NotAcyclicNoBasis):
                 torsion(tc)
 
-        # Other arguments after the memo is filled take the full path.
+        # Other arguments after the memo is filled take the full path, and
+        # the memoised values are those of any b_i and cell order.
         strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                  if i}
         sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-        orientation = _flip_degree0(tc.complex.rational_complex.default_lifts)
-        for kwargs in ({"strategy": strat}, {"sigma": sig},
-                       {"sigma": sig, "keep_sign": True}):
-            assert _as_key(torsion(tc, h="auto", **kwargs)) == \
-                _as_key(torsion(fresh(), h="auto", **kwargs))
-        for kwargs in ({"strategy": strat}, {"sigma": sig},
-                       {"orientation": orientation}):
-            assert _as_key(sign_refined_torsion(s, tc, h="auto", **kwargs)) \
-                == _as_key(sign_refined_torsion(s, fresh(), h="auto", **kwargs))
+        default = tc.complex.rational_complex.default_lifts
+        orientation = _flip_degree0(default)
+        lifts = tc.default_lifts
+        for kwargs in ({"h": lifts or None},
+                       {"h": lifts or None, "keep_sign": True}):
+            assert _as_key(torsion(tc, **kwargs)) == \
+                _as_key(torsion(fresh(), **kwargs))
+        assert _as_key(sign_refined_torsion(s, tc, h="auto",
+                                            orientation=orientation)) == \
+            _as_key(sign_refined_torsion(s, fresh(), h="auto",
+                                         orientation=orientation))
+        raw = torsion(tc, h="auto", keep_sign=True).value
+        assert torsion_under(tc, lifts, strat, sig) == \
+            (raw if row_order_sign(sig) > 0 else -raw)
+        for olifts, kwargs in ((default, {}),
+                               (orientation, {"orientation": orientation})):
+            assert sign_refined_under(tc, lifts, olifts, strat, sig) == \
+                sign_refined_torsion(s, tc, h="auto", **kwargs).value
         flipped = sign_refined_torsion(s, tc, h="auto", orientation=orientation)
         assert flipped.value == -sign_refined_torsion(s, tc, h="auto").value
 
@@ -334,24 +352,9 @@ def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
         assert over(second.field) > 0
 
 
-@pytest.mark.parametrize("sigma", [
-    {1: [0]},                      # too short
-    {0: [0, 1]},                   # too long
-    {1: [1, 2]},                   # an index past the last cell
-    {2: [0, 1, 1, 3]},             # a repeated index
-])
-def test_sigma_must_be_a_permutation(sigma):
-    s = parse(GOLDEN)
-    _X, _G, tc = build(s, "free_abelian")
-    message = "degree %d: row order is not a permutation" % next(iter(sigma))
-    with pytest.raises(BasisRankMismatch, match=message):
-        torsion(tc, h="auto", sigma=sigma)
-    with pytest.raises(BasisRankMismatch, match=message):
-        sign_refined_torsion(s, tc, h="auto", sigma=sigma)
-
-
 # sha256 of the element strings of torsion outputs over census <= 2 for both
-# representations, as the full change-of-basis matrices gave them when pinned.
+# representations, as the full change-of-basis matrices gave them when pinned;
+# the lines under random b_i and cell orders come from those matrices.
 TORSION_DIGEST = "12c172f9b5f1934c1ce2c850c8720efddbcdccfac5254849f027bf1d780ccf24"
 
 
@@ -371,64 +374,14 @@ def test_torsion_outputs_are_pinned(corpus12):
             strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                      if i}
             sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-            for kwargs in ({"strategy": strat}, {"sigma": sig},
-                           {"strategy": strat, "sigma": sig}):
-                lines += [torsion(tc, h="auto", keep_sign=True, **kwargs).to_str(),
-                          sign_refined_torsion(s, tc, h="auto", **kwargs).to_str()]
+            orientation = tc.complex.rational_complex.default_lifts
+            for order in ((strat, {}), ({}, sig), (strat, sig)):
+                lines += [field.element_str(v) for v in (
+                    torsion_under(tc, tc.default_lifts, *order),
+                    sign_refined_under(tc, tc.default_lifts, orientation,
+                                       *order))]
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == TORSION_DIGEST, text
-
-
-# -- the full change-of-basis matrices, kept as oracles ---------------------------
-
-
-def _full_matrix_selections(tc, strategy):
-    """For i = 1..3, the pivot columns of the whole d_i visited in the order
-    ``strategy[i]`` (identity when absent); entries 0 and 4 empty."""
-    mats = (tc.d1, tc.d2, tc.d3)
-    return ([],) + tuple(
-        tc.field.select_columns(mats[i - 1], strategy.get(i, range(tc.dims[i])))
-        for i in (1, 2, 3)) + ([],)
-
-
-def _full_matrix_lifts(tc):
-    """The lifts picked by one column selection over the n_i-row span
-    [columns of d_{i+1} | reduced kernel basis of d_i], in every degree."""
-    field = tc.field
-    mats = (tc.d1, tc.d2, tc.d3)
-    out = {}
-    for i in range(4):
-        kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
-        image = list(zip(*mats[i])) if i < 3 else []
-        cols = image + kernel
-        span = [[col[r] for col in cols] for r in range(tc.dims[i])]
-        picked = [cols[j] for j in field.select_columns(span, range(len(cols)))
-                  if j >= len(image)]
-        if picked:
-            out[i] = picked
-    return out
-
-
-def _full_matrix_value(tc, selections, lifts, sigma):
-    """The alternating product of the n_i x n_i determinants
-    [d b_{i+1} | h_i | unit columns at b_i], rows in the order sigma[i];
-    None when one of them vanishes."""
-    field = tc.field
-    mats = (tc.d1, tc.d2, tc.d3)
-    value = field.one
-    for i, n in enumerate(tc.dims):
-        cols = [[mats[i][r][j] for r in range(n)] for j in selections[i + 1]]
-        cols += [list(v) for v in lifts.get(i, ())]
-        cols += [[field.one if r == j else field.zero for r in range(n)]
-                 for j in selections[i]]
-        M = [[col[r] for col in cols] for r in range(n)]
-        if i in sigma:
-            M = [M[r] for r in sigma[i]]
-        d = field.det(M)
-        if d.is_zero():
-            return None
-        value = value * d if i % 2 == 0 else value * d.inv()
-    return value
 
 
 def _random_lifts(tc, rnd):
@@ -461,23 +414,22 @@ def test_minors_match_full_matrix_oracle(corpus12, kind, order):
     outcomes = set()
     for s in corpus12:
         tc = build(s, kind, order)[2]
-        assert tc.default_lifts == _full_matrix_lifts(tc)
+        assert tc.default_lifts == full_matrix_lifts(tc)
         for _ in range(4):
             strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                      if i and rnd.random() < 0.7}
             sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                    if rnd.random() < 0.7}
             lifts = _random_lifts(tc, rnd)
-            expected = _full_matrix_value(
-                tc, _full_matrix_selections(tc, strat), lifts, sig)
+            expected = torsion_under(tc, lifts, strat, sig)
             outcomes.add(expected is None)
-            kwargs = {"h": lifts or None, "strategy": strat, "sigma": sig,
-                      "keep_sign": True}
             if expected is None:
                 with pytest.raises(BasisRankMismatch, match="not a basis"):
-                    torsion(tc, **kwargs)
+                    torsion(tc, h=lifts or None, keep_sign=True)
             else:
-                assert torsion(tc, **kwargs).value == expected
+                value = torsion(tc, h=lifts or None, keep_sign=True).value
+                assert value == (expected if row_order_sign(sig) > 0
+                                 else -expected)
     assert outcomes == {True, False}
 
 
@@ -507,24 +459,23 @@ def test_selections_and_default_torsion_match_full_matrices(corpus12,
     walk_homology = set()
     for s in corpus12 + walk_spines:
         for tc in _oracle_complexes(s):
-            full = _full_matrix_selections(tc, {})
+            full = full_matrix_selections(tc, {})
             assert tc.default_pass[0] == full
+            lifts = full_matrix_lifts(tc)
+            assert tc.default_lifts == lifts
+            assert tc.default_torsion == full_matrix_value(tc, full, lifts, {})
             for _ in range(2):
                 strat = {i: rnd.sample(range(n), n)
                          for i, n in enumerate(tc.dims) if i}
-                assert selection_pass(tc, strat)[0] == \
-                    _full_matrix_selections(tc, strat)
-            lifts = _full_matrix_lifts(tc)
-            assert tc.default_lifts == lifts
-            assert tc.default_torsion == _full_matrix_value(tc, full, lifts, {})
+                assert torsion_under(tc, lifts, strat, {}) == tc.default_torsion
             if s in walk_spines:
                 walk_homology.update(lifts)
     assert {1, 2} <= walk_homology
 
 
 def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
-    # Nor a determinant: with or without a row order, the default bases
-    # read their minors off the selection and lift passes.
+    # Nor a determinant: the default bases read their minors off the
+    # selection and lift passes.
     calls = []
     for cls in (FunctionField, CyclotomicField, RationalField):
         for name in ("nullspace", "det"):
@@ -534,15 +485,12 @@ def test_default_torsion_reads_no_kernel(corpus12, monkeypatch):
                 return _original(self, matrix)
             monkeypatch.setattr(cls, name, counting)
 
-    rnd = random.Random(29)
     complexes = []
     for s in corpus12:
         for kind, order in (("free_abelian", None), ("cyclic", 5)):
             tc = build(s, kind, order)[2]
-            sig = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)}
-            for kwargs in ({}, {"sigma": sig}):
-                torsion(tc, h="auto", **kwargs)
-                sign_refined_torsion(s, tc, h="auto", **kwargs)
+            torsion(tc, h="auto")
+            sign_refined_torsion(s, tc, h="auto")
             complexes.append(tc)
     assert calls == []
     # The kernel is read where the lift vectors are.
@@ -593,10 +541,9 @@ def test_given_lift_pass_matches_full_matrices(corpus12, walk_spines):
                 strat = {i: rnd.sample(range(n), n)
                          for i, n in enumerate(tc.dims) if i}
                 for strategy in ({}, strat):
-                    expected = _full_matrix_value(
-                        tc, _full_matrix_selections(tc, strategy), h, {})
+                    expected = torsion_under(tc, h, strategy, {})
                     assert expected is not None
-                    assert torsion(tc, h=h or None, strategy=strategy,
+                    assert torsion(tc, h=h or None,
                                    keep_sign=True).value == expected
     assert mixed_degrees  # some degree mixes two or more lifts
 
@@ -639,20 +586,24 @@ def test_bad_given_lifts_raise_as_before(corpus12, walk_spines):
     for s in corpus12[::3] + walk_spines:
         for tc in _oracle_complexes(s):
             if not tc.default_lifts:
-                # An acyclic complex does not read the lifts it is given.
+                # Lifts given to an acyclic complex are checked too.
                 junk = {1: [[tc.field.one]], 3: [[]]}
-                assert torsion(tc, h=junk, keep_sign=True) == \
-                    torsion(tc, keep_sign=True)
+                with pytest.raises(BasisRankMismatch) as exc:
+                    torsion(tc, h=junk, keep_sign=True)
+                assert str(exc.value) == \
+                    "degree 1: homology rank 0 but 1 basis vectors"
+                messages.add("acyclic")
                 continue
             strat = {i: rnd.sample(range(n), n) for i, n in enumerate(tc.dims)
                      if i}
             for lifts, message in _lift_errors(tc, rnd):
-                for strategy in (None, strat):
-                    with pytest.raises(BasisRankMismatch) as exc:
-                        torsion(tc, h=lifts, strategy=strategy)
-                    assert str(exc.value) == message
+                with pytest.raises(BasisRankMismatch) as exc:
+                    torsion(tc, h=lifts)
+                assert str(exc.value) == message
+                if "combined" in message:  # no basis in any column order
+                    assert torsion_under(tc, lifts, strat, {}) is None
                 messages.add(message.split()[2])
-    assert messages == {"homology", "lift", "combined"}
+    assert messages == {"homology", "lift", "combined", "acyclic"}
 
 
 def test_one_elimination_per_degree(corpus12, walk_spines, monkeypatch):
@@ -681,6 +632,70 @@ def test_one_elimination_per_degree(corpus12, walk_spines, monkeypatch):
             homology += bool(h)
         monkeypatch.undo()
     assert homology
+
+
+def _relabelled(s, rnd):
+    """A seeded relabelling of the spine ``s`` and its cell correspondence:
+    per degree, the new index of each old cell.  An edge class goes where
+    its first member goes, a face class (t, f) to (tet_map[t], rho_t(f)),
+    a tetrahedron by ``tet_map``; every cell keeps its orientation."""
+    n = s.tet_count
+    tet_map = rnd.sample(range(n), n)
+    perms = [rnd.choice(ALL_PERMS) for _ in range(n)]
+    other = s.relabel(tet_map, perms)
+    old, new = s.triangulation, other.triangulation
+    edges = [new.edge_class_of[(tet_map[t], perms[t][i], perms[t][j])][0]
+             for t, i, j in (cls.members[0] for cls in old.edge_classes)]
+    faces = [new.face_class_of[(tet_map[t], perms[t][f])]
+             for (t, f), _ in old.face_classes]
+    return other, ([0], edges, faces, tet_map)
+
+
+def _moved(v, cell_map):
+    """The entries of ``v``, one per old cell, at the new cells."""
+    w = list(v)
+    for k, k2 in enumerate(cell_map):
+        w[k2] = v[k]
+    return w
+
+
+def test_relabelling_carries_torsion(corpus3):
+    # On a relabelled spine, with the representation carried by the
+    # edge-class correspondence, the acyclic torsion prints the same, and
+    # so does the sign-refined value under the orientation carried by the
+    # cell correspondence; the default orientation, read off the cell
+    # labels, flips the sign of some.
+    rnd = random.Random(43)
+    pairs = flips = 0
+    for s in corpus3:
+        relabellings = [_relabelled(s, rnd) for _ in range(2)]
+        X = CellComplexX(s)
+        G = GroupData(X)
+        A = SpiderAnchors(s, X)
+        for kind, order in (("free_abelian", None), ("cyclic", 3),
+                            ("cyclic", 5), ("cyclic", 7)):
+            rep = make_representation(G, kind, order)
+            tc = TwistedComplex(s, X, A, rep)
+            try:
+                value = torsion(tc).to_str()
+            except NotAcyclicNoBasis:
+                continue
+            refined = sign_refined_torsion(s, tc).to_str()
+            orientation = X.rational_complex.default_lifts
+            for other, cells in relabellings:
+                Y = CellComplexX(other)
+                carried = Representation(GroupData(Y), rep.field,
+                                         _moved(rep.exponents, cells[1]),
+                                         rep.kind)
+                otc = TwistedComplex(other, Y, SpiderAnchors(other, Y), carried)
+                assert torsion(otc).to_str() == value
+                moved = {i: [_moved(v, cells[i]) for v in vecs]
+                         for i, vecs in orientation.items()}
+                assert sign_refined_torsion(
+                    other, otc, orientation=moved).to_str() == refined
+                flips += sign_refined_torsion(other, otc).to_str() != refined
+                pairs += 1
+    assert pairs == 76 and flips, flips
 
 
 # -- large inputs: walk spines of 10-14 tetrahedra, high cyclic orders ------------
