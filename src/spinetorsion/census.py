@@ -4,35 +4,45 @@ Triangulations are generated by a canonical backtracking search over face
 gluings.  Relabelling freedom is used in the standard two ways: every
 gluing permutation is odd (so all tetrahedron orientation bits are +1 and
 the triangulation is oriented by construction), and the first gluing into
-a fresh tetrahedron uses a fixed permutation.  Each complete gluing is
-encoded straight from its gluing dict, and a Triangulation is built only
-for a code not seen before.  That is sound because the one check a build
-can fail, connectedness, is isomorphism-invariant (a disconnected gluing
-has no code): odd gluings are orientable, and an oriented gluing has no
-edge glued to itself reversed.  It keeps the first candidate of each
-class, so the output is pairwise non-isomorphic in a deterministic order.
+a fresh tetrahedron uses a fixed permutation.  A candidate is encoded
+from one seed and looked up in an orbit table, the codes of every seed of
+every class kept so far; isomorphic gluings have the same seed codes, so
+only the first candidate of each class is built, and the output is
+pairwise non-isomorphic in a deterministic order.
 """
 
-from .perms import ALL_PERMS, sign
-from .spine import encode_gluings, least_seeds, signature_from_seeds
+from .perms import ALL_PERMS, SIGN, sign
+from .spine import _encode_seed, glue_table, least_seeds, signature_from_seeds
 from .triangulation import Triangulation, glue_both_ways
 
 _ODD_WITH_IMAGE = {
     (f, f2): tuple(p for p in ALL_PERMS if sign(p) == -1 and p[f] == f2)
     for f in range(4) for f2 in range(4)
 }
+_EVEN = tuple(r for r in range(24) if SIGN[r] == 1)
 
 
 def enumerate_triangulations(tet_count):
-    """All connected oriented triangulations with the given size, up to isomorphism."""
-    results = []
-    seen = set()
-    orientations = (1,) * tet_count
+    """All connected oriented triangulations with the given size, up to isomorphism.
+
+    Each candidate is coded once, from tetrahedron 0 with the identity
+    labelling (admissible: every orientation bit is +1).  Two connected
+    gluings are isomorphic exactly when the one's code from that seed is
+    among the other's 12n seed codes, so a candidate is skipped if the
+    orbit table (every seed code of every class kept) holds its code, and
+    starts a class otherwise.  A code reaching fewer than n tetrahedra
+    means a disconnected gluing, skipped too: the one check a build can
+    fail, as odd gluings are orientable and an oriented gluing has no
+    edge glued to itself reversed.
+    """
+    results, orbit = [], set()
     for gluings in _complete_gluings(tet_count, {}, 1):
-        code = encode_gluings(gluings, orientations)
-        if code is None or code in seen:
+        glue = glue_table(gluings, tet_count)
+        code, _rho, order = _encode_seed(glue, tet_count, 0, 0, None)
+        if len(order) < tet_count or tuple(code) in orbit:
             continue
-        seen.add(code)
+        orbit.update(tuple(_encode_seed(glue, tet_count, t0, rho0, None)[0])
+                     for t0 in range(tet_count) for rho0 in _EVEN)
         results.append(Triangulation(tet_count, gluings))
     return results
 

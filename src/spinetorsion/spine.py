@@ -229,8 +229,7 @@ def least_seeds(gluings, orientations):
     triangulation shares them.
     """
     n = len(orientations)
-    glue = [[(gluings[(t, f)][0], PERM_INDEX[gluings[(t, f)][2]]) for f in range(4)]
-            for t in range(n)]
+    glue = glue_table(gluings, n)
     best = None
     seeds = []
     for t0 in range(n):
@@ -256,6 +255,12 @@ def signature_from_seeds(least, ranks=None):
     branch = () if ranks is None else min(
         _branch_code(ranks, rho, order) for rho, order in seeds)
     return tuple(divmod(v, 24) for v in best), branch
+
+
+def glue_table(gluings, n):
+    """Per tetrahedron and face: (tetrahedron behind it, gluing permutation index)."""
+    return [[(gluings[(t, f)][0], PERM_INDEX[gluings[(t, f)][2]]) for f in range(4)]
+            for t in range(n)]
 
 
 def _encode_seed(glue, n, t0, rho0, best):

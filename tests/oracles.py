@@ -1,13 +1,17 @@
 """Independent reference computations that the tests compare the package
 against: full change-of-basis matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
-and exact checks of the chain complexes and of the certificate rows."""
+exact checks of the chain complexes and of the certificate rows, and the
+census deduplicated by least gluing code."""
 
 from itertools import combinations
 from math import gcd as _int_gcd
 
+from spinetorsion.census import _complete_gluings
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
+from spinetorsion.spine import encode_gluings
+from spinetorsion.triangulation import Triangulation
 
 
 # -- full change-of-basis matrices ----------------------------------------------
@@ -286,3 +290,21 @@ def row_boundary(row):
         out[e0] = eps
         out[e1] = -eps
     return out
+
+
+# -- census by least gluing code --------------------------------------------------
+
+
+def least_code_triangulations(tet_count):
+    """The triangulations of ``enumerate_triangulations``, deduplicated by
+    the least gluing code over all seeds of each candidate: the first
+    candidate of each code is kept, disconnected ones (no code) dropped."""
+    results, seen = [], set()
+    orientations = (1,) * tet_count
+    for gluings in _complete_gluings(tet_count, {}, 1):
+        code = encode_gluings(gluings, orientations)
+        if code is None or code in seen:
+            continue
+        seen.add(code)
+        results.append(Triangulation(tet_count, gluings))
+    return results

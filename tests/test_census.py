@@ -1,8 +1,12 @@
 import hashlib
 
+import pytest
+
 from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
 from spinetorsion.spinefile import serialize
+
+from oracles import least_code_triangulations
 
 # sha256 of "count <N>\n" followed by the serialised census, in census order.
 CENSUS_DIGESTS = {
@@ -44,6 +48,14 @@ def test_census_deterministic():
     b = [s.canonical_encoding() for s in census_branched(2)]
     assert a == b
     assert a == sorted(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_table_matches_least_code_dedup(n):
+    # The orbit table keeps the same first candidate of each class as a
+    # dedup by least code over all seeds of every candidate.
+    expected = [trg.gluings for trg in least_code_triangulations(n)]
+    assert [trg.gluings for trg in enumerate_triangulations(n)] == expected
 
 
 def test_triangulation_enumeration_counts():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import spinetorsion.census as census
 from spinetorsion.errors import Disconnected, NonStandardDual
-from spinetorsion.perms import ALL_PERMS, PERM_INDEX, compose, inverse, sign
-from spinetorsion.spine import encode_gluings, triangulation_encoding
+from spinetorsion.perms import ALL_PERMS, PERM_INDEX, SIGN, compose, inverse, sign
+from spinetorsion.spine import _encode_seed, encode_gluings, glue_table, triangulation_encoding
 from spinetorsion.triangulation import Triangulation
 
 
@@ -78,12 +78,15 @@ def test_canonical_encoding_invariant_under_relabel(corpus12, data):
 
 def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
     candidates = []
+    complete_gluings = census._complete_gluings
 
-    def recording(gluings, orientations, ranks=None):
-        candidates.append(dict(gluings))
-        return encode_gluings(gluings, orientations, ranks)
+    def recording(tet_count, gluings, used):
+        for complete in complete_gluings(tet_count, gluings, used):
+            if not gluings:  # the outermost call; the search recurses through this name
+                candidates.append(dict(complete))
+            yield complete
 
-    monkeypatch.setattr(census, "encode_gluings", recording)
+    monkeypatch.setattr(census, "_complete_gluings", recording)
     census.enumerate_triangulations(2)
     assert len(candidates) == 648
     built = 0
@@ -100,3 +103,37 @@ def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
         assert code[0] == triangulation_encoding(trg)
         built += 1
     assert built > 0
+
+
+def seed_code(trg, t0, rho0):
+    n = trg.tet_count
+    return tuple(_encode_seed(glue_table(trg.gluings, n), n, t0, rho0, None)[0])
+
+
+def orbit(trg):
+    """The census orbit of a triangulation with every orientation bit +1:
+    its gluing code from every seed (tetrahedron, even corner relabelling)."""
+    assert trg.orientations == (1,) * trg.tet_count
+    return {seed_code(trg, t0, rho0)
+            for t0 in range(trg.tet_count) for rho0 in range(24) if SIGN[rho0] == 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_census_orbit_is_a_class_invariant(corpus12, data):
+    # Even corner relabellings keep every orientation bit +1, as on every
+    # census candidate, so seed (0, identity) is admissible on both sides.
+    spine = corpus12[data.draw(st.integers(0, len(corpus12) - 1))]
+    n = spine.tet_count
+    tet_map = data.draw(st.permutations(range(n)))
+    even = [p for p in ALL_PERMS if sign(p) == 1]
+    corner_perms = data.draw(st.lists(st.sampled_from(even), min_size=n, max_size=n))
+    trg, other = spine.triangulation, spine.relabel(tet_map, corner_perms).triangulation
+    codes, code = orbit(trg), seed_code(other, 0, 0)
+    assert code in codes
+    # It is the code of the seed that the relabelling sends to (0, identity).
+    t0 = tet_map.index(0)
+    assert code == seed_code(trg, t0, PERM_INDEX[corner_perms[t0]])
+    assert orbit(other) == codes
+    # The 12n seeds fall into cosets of the automorphism group, one per code.
+    assert 12 * n % len(codes) == 0
