@@ -15,7 +15,7 @@ import time
 
 from .errors import (MoveError, RelatorNotKilled, SpineSyntaxError,
                      TorsionError, TransportFailure, ValidationError)
-from .spinefile import parse, serialize, serialize_move_log
+from .spinefile import _int_token, parse, serialize, serialize_move_log
 
 
 def spine_summary(spine):
@@ -57,19 +57,6 @@ def _at_least(value, low, flag):
     return value
 
 
-def _ascii_int(token):
-    """The int of ``token`` when it is ASCII decimal digits after an
-    optional leading "-", else None; so is a token past CPython's limit on
-    int-string conversion."""
-    digits = token[1:] if token.startswith("-") else token
-    if digits.isascii() and digits.isdecimal():
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    return None
-
-
 def _parse_rep_spec(spec):
     if spec == "trivial":
         return ("trivial", None, None)
@@ -77,14 +64,14 @@ def _parse_rep_spec(spec):
         return ("free_abelian", None, None)
     if spec.startswith("cyclic:"):
         bits = spec.split(":")
-        order = _ascii_int(bits[1]) if len(bits) in (2, 3) else None
+        order = _int_token(bits[1]) if len(bits) in (2, 3) else None
         if order is None or not 1 <= order <= MAX_CYCLIC_ORDER:
             raise SpineSyntaxError("bad representation spec %r: the cyclic "
                                    "order must be an integer from 1 to %d"
                                    % (spec, MAX_CYCLIC_ORDER))
         character = None
         if len(bits) == 3:
-            character = [_ascii_int(x) for x in bits[2].split(",")]
+            character = [_int_token(x) for x in bits[2].split(",")]
             if None in character:
                 raise SpineSyntaxError(
                     "bad representation spec %r: character entries must be "

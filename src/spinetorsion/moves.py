@@ -34,8 +34,6 @@ order alone, so it is computed once per order (at most 120).
 """
 
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import (MoveError, NotApplicable, SelfAdjacentFace, Stuck,
                      TransportFailure)
@@ -86,16 +84,15 @@ def _linear_order(arrows):
 class MoveInstance:
     """One performed move, with its before/after spines and correspondences.
 
-    The site tetrahedra of each side make up the bipyramid; the site
-    labels spell the bipyramid labels of their corners 0..3, e.g. "cbed"
-    for a tetrahedron whose corner 0 is the apex c and corner 1 is b.
+    The site tetrahedra of each side make up the bipyramid, listed as
+    (tetrahedron, labels) pairs; the labels spell the bipyramid labels of
+    its corners 0..3, e.g. "cbed" for a tetrahedron whose corner 0 is the
+    apex c and corner 1 is b.
     """
 
     def __init__(self, direction, site, variant, new_edge_direction,
                  before, after, tet_map, edge_map, face_map, bipyramid,
-                 site_tets_before, site_tets_after,
-                 site_labels_before, site_labels_after,
-                 vanished_faces, created_faces,
+                 site_before, site_after, vanished_faces, created_faces,
                  central_class_before, central_class_after):
         self.direction = direction          # "positive" or "negative"
         self.site = site                    # face class (positive) or edge class
@@ -107,10 +104,8 @@ class MoveInstance:
         self.edge_map = edge_map            # old edge class -> new edge class
         self.face_map = face_map            # old face class -> new face class
         self.bipyramid = bipyramid
-        self.site_tets_before = site_tets_before      # before tets of the bipyramid
-        self.site_tets_after = site_tets_after        # after tets of the bipyramid
-        self.site_labels_before = site_labels_before  # their labels, one string each
-        self.site_labels_after = site_labels_after
+        self.site_before = site_before      # (tet, labels) of the bipyramid
+        self.site_after = site_after        # before and after
         self.vanished_faces = vanished_faces    # before face classes inside the bipyramid
         self.created_faces = created_faces      # after face classes inside the bipyramid
         self.central_class_before = central_class_before  # edge ac (negative)
@@ -182,9 +177,9 @@ def _variants(spine, site):
     return [Bipyramid(order, edge_class) for order in orders if order is not None]
 
 
-def _rebuild(spine, site, chosen):
-    """The moves of the ``chosen`` (variant, Bipyramid) pairs at ``site``
-    on one after triangulation: the only place a move is built.
+def _rebuild(spine, site, variant, bip):
+    """The move of ``variant``, with Bipyramid ``bip``, at ``site``: the
+    only place a move is built.
 
     A site is (direction, face or edge class, old site, new site, index,
     orientations): the two sides as (tetrahedron, labels) lists, the
@@ -263,25 +258,20 @@ def _rebuild(spine, site, chosen):
     vanished = tuple(sorted(vanished))
 
     old_of = {n: t for t, n in index.items()}
-    moves = []
-    for variant, bip in chosen:
-        branching = []
-        for cls in after_trg.edge_classes:
-            nt, i, j = cls.members[0]
-            if nt in old_of:
-                d = spine.edge_direction(old_of[nt], i, j)
-            else:
-                d = bip.directed(new_labels[nt][i], new_labels[nt][j])
-            branching.append(1 if d else -1)
-        moves.append(MoveInstance(
-            direction, site_class, variant,
-            (1 if bip.directed("a", "c") else -1) if direction == "positive" else None,
-            spine, BranchedSpine(after_trg, branching, orientations),
-            index, edge_map, face_map, bip,
-            tuple(old_labels), tuple(new_labels),
-            tuple(old_labels.values()), tuple(new_labels.values()),
-            vanished, created, central_before, central_after))
-    return moves
+    branching = []
+    for cls in after_trg.edge_classes:
+        nt, i, j = cls.members[0]
+        if nt in old_of:
+            d = spine.edge_direction(old_of[nt], i, j)
+        else:
+            d = bip.directed(new_labels[nt][i], new_labels[nt][j])
+        branching.append(1 if d else -1)
+    return MoveInstance(
+        direction, site_class, variant,
+        (1 if bip.directed("a", "c") else -1) if direction == "positive" else None,
+        spine, BranchedSpine(after_trg, branching, orientations),
+        index, edge_map, face_map, bip, old_site, new_site,
+        vanished, created, central_before, central_after)
 
 
 # -- positive move ---------------------------------------------------------------
@@ -291,7 +281,8 @@ def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
     of the new central edge (0, 1 or 2 results)."""
     site = _positive_site(spine, face_class)
-    return _rebuild(spine, site, list(enumerate(_variants(spine, site))))
+    return [_rebuild(spine, site, variant, bip)
+            for variant, bip in enumerate(_variants(spine, site))]
 
 
 def _positive_site(spine, face_class):
@@ -336,7 +327,7 @@ def positive_move(spine, face_class, variant=0):
     if not 0 <= variant < len(variants):
         raise MoveError("variant %d out of range (%d available)"
                         % (variant, len(variants)))
-    return _rebuild(spine, site, [(variant, variants[variant])])[0]
+    return _rebuild(spine, site, variant, variants[variant])
 
 
 # -- negative move ---------------------------------------------------------------
@@ -349,7 +340,7 @@ def apply_negative(spine, edge_class):
     if not variants:
         raise NotApplicable("restricted branching is not a branching "
                             "(the new face is cyclic)")
-    return _rebuild(spine, site, [(0, variants[0])])[0]
+    return _rebuild(spine, site, 0, variants[0])
 
 
 def _negative_site(spine, edge_class):
@@ -527,13 +518,9 @@ def is_rigid(spine):
 
 def available_moves(spine, h_null_only=False):
     """All applicable moves in canonical order (positive by face class and
-    variant, then negative by edge class), every candidate built; the
-    variants of one site share its after triangulation.  With
+    variant, then negative by edge class), every candidate built.  With
     ``h_null_only`` each candidate is certified before it is built."""
-    out = []
-    for site, chosen in groupby(_candidates(spine, h_null_only), itemgetter(0)):
-        out.extend(_rebuild(spine, site, [(v, bip) for _, v, bip in chosen]))
-    return out
+    return [_rebuild(spine, *cand) for cand in _candidates(spine, h_null_only)]
 
 
 def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
@@ -556,7 +543,7 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
         if not cands:
             raise Stuck("no applicable move after %d steps" % len(walk))
         site, variant, bip = cands[rng.below(len(cands))]
-        move, = _rebuild(cur, site, [(variant, bip)])
+        move = _rebuild(cur, site, variant, bip)
         walk.append(move)
         cur = move.after
     return walk
@@ -631,8 +618,8 @@ def transport_homology(move, before, after, lifts):
         else []
     rules = {1: (central, before.d2, move.vanished_faces, move.edge_map,
                  "the central edge"),
-             2: (move.vanished_faces, before.d3, move.site_tets_before,
-                 move.face_map, "the site")}
+             2: (move.vanished_faces, before.d3,
+                 [t for t, _ in move.site_before], move.face_map, "the site")}
     out = {}
     for deg, vecs in lifts.items():
         if not vecs:
@@ -691,8 +678,6 @@ def _site_tet_weights(move, before, vec):
     """
     bip = move.bipyramid
     chains = _tree_chains(bip, len(move.before.triangulation.edge_classes))
-    before_site = list(zip(move.site_tets_before, move.site_labels_before))
-    after_site = list(zip(move.site_tets_after, move.site_labels_after))
 
     def container(site, cell):
         return next((t, lab) for t, lab in site if set(cell) <= set(lab))
@@ -702,8 +687,8 @@ def _site_tet_weights(move, before, vec):
         for pr in _PAIRS:
             # The sub-tetrahedron at apex and pr lies in the site tetrahedron
             # on each side whose labels contain them.
-            t_bef, lab_bef = container(before_site, (apex,) + pr)
-            target, lab_aft = container(after_site, (apex,) + pr)
+            t_bef, lab_bef = container(move.site_before, (apex,) + pr)
+            target, lab_aft = container(move.site_after, (apex,) + pr)
             path = [x - y for x, y in zip(chains[_sink(bip, lab_bef)],
                                           chains[_sink(bip, lab_aft)])]
             coeff = vec[t_bef] * before.path_image(path)

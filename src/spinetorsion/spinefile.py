@@ -59,16 +59,26 @@ def _syntax(lineno, msg):
     raise SpineSyntaxError(msg, line=lineno)
 
 
-def _number(lineno, token, msg):
-    """The int of the ASCII decimal ``token``, else the syntax error ``msg``
-    at ``lineno``; a token past CPython's limit on int-string conversion
-    (4,300 digits) is such an error too."""
-    if token.isascii() and token.isdecimal():
+def _int_token(token):
+    """The int of ``token`` when it is ASCII decimal digits after an
+    optional leading "-", else None; so is a token past CPython's limit on
+    int-string conversion (4,300 digits)."""
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdecimal():
         try:
             return int(token)
         except ValueError:
             pass
-    _syntax(lineno, msg)
+    return None
+
+
+def _number(lineno, token, msg):
+    """The int of the ASCII decimal ``token``, else the syntax error ``msg``
+    at ``lineno``."""
+    value = _int_token(token)
+    if value is None or token.startswith("-"):
+        _syntax(lineno, msg)
+    return value
 
 
 def parse(text):

@@ -56,7 +56,6 @@ class Triangulation:
             raise UnpairedFace("a triangulation needs at least one tetrahedron")
         self.tet_count = tet_count
         self.gluings = self._check_involution(gluings)
-        self._check_connected()
         self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
         self.edge_classes, self.edge_class_of = self._edge_classes()
@@ -89,30 +88,18 @@ class Triangulation:
                     raise UnpairedFace("face %d.%d is not glued" % (t, f))
         return full
 
-    def _check_connected(self):
-        seen = {0}
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                t2 = self.gluings[(t, f)][0]
-                if t2 not in seen:
-                    seen.add(t2)
-                    stack.append(t2)
-        if len(seen) != self.tet_count:
-            raise Disconnected(
-                "only %d of %d tetrahedra reachable" % (len(seen), self.tet_count))
-
     def _orient(self):
         """Assign +1/-1 to the tetrahedra so every gluing is orientation-reversing.
 
         A gluing with permutation p between tetrahedra of orientations s, s'
         reverses orientation exactly when sign(p) * s * s' == -1.  The
-        assignment is normalised by orientations[0] == +1.
+        assignment is normalised by orientations[0] == +1.  The same search
+        proves connectedness, which is checked first.
         """
         orient = [0] * self.tet_count
         orient[0] = 1
         stack = [0]
+        conflict = False
         while stack:
             t = stack.pop()
             for f in range(4):
@@ -122,7 +109,12 @@ class Triangulation:
                     orient[t2] = want
                     stack.append(t2)
                 elif orient[t2] != want:
-                    raise NonOrientable("no consistent tetrahedron orientations exist")
+                    conflict = True
+        if 0 in orient:
+            raise Disconnected("only %d of %d tetrahedra reachable" % (
+                self.tet_count - orient.count(0), self.tet_count))
+        if conflict:
+            raise NonOrientable("no consistent tetrahedron orientations exist")
         return tuple(orient)
 
     # -- derived class tables -------------------------------------------------

@@ -45,8 +45,9 @@ MOVES_DIGEST = (186, 1302,
 def _move_text(m):
     return repr((m.direction, m.site, m.variant, m.new_edge_direction,
                  sorted(m.tet_map.items()), sorted(m.edge_map.items()),
-                 sorted(m.face_map.items()), tuple(m.site_tets_before),
-                 tuple(m.site_tets_after), tuple(m.vanished_faces),
+                 sorted(m.face_map.items()),
+                 tuple(t for t, _ in m.site_before),
+                 tuple(t for t, _ in m.site_after), tuple(m.vanished_faces),
                  tuple(m.created_faces), m.central_class_before,
                  m.central_class_after, h_cycle_check(m).rows)) \
         + "\n" + serialize(m.after)
@@ -58,6 +59,22 @@ def test_move_outputs_are_pinned(corpus12, census2):
     text = "".join(_move_text(m) for m in moves)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(spines), len(moves), digest) == MOVES_DIGEST
+
+
+def test_every_entry_point_builds_the_same_move(census2):
+    # Every move of every spine one positive move from census 2, built by
+    # available_moves, again by the entry point for its site alone.
+    counts = {"positive": 0, "negative": 0}
+    for s in [m.after for s0 in census2 for m in all_positive_moves(s0)]:
+        for m in available_moves(s):
+            text = _move_text(m)
+            if m.direction == "positive":
+                assert _move_text(positive_move(s, m.site, m.variant)) == text
+                assert _move_text(apply_positive(s, m.site)[m.variant]) == text
+            else:
+                assert _move_text(apply_negative(s, m.site)) == text
+            counts[m.direction] += 1
+    assert counts == {"positive": 1014, "negative": 152}
 
 
 def test_self_adjacent_face_rejected():

@@ -39,7 +39,7 @@ def _move_directions(move):
     """The directions of the ten edges of a move's bipyramid, by ordered
     label pair, read off the before spine and the new edge's direction."""
     dirs = {}
-    for t, lab in zip(move.site_tets_before, move.site_labels_before):
+    for t, lab in move.site_before:
         for i, j in combinations(range(4), 2):
             d = move.before.edge_direction(t, i, j)
             dirs[(lab[i], lab[j])], dirs[(lab[j], lab[i])] = d, not d

@@ -87,15 +87,19 @@ def test_disconnected_rejected():
 
 def test_nonorientable_rejected():
     # An even gluing permutation cannot be orientation-reversing.
-    even = (0, 1, 2, 3)
-    found = False
-    g = one_tet_gluings((1, 0, 2, 3), even, pairing=((0, 1), (2, 3)))
-    # perm for faces (2,3) must map 2 -> 3; build an even one.
-    g2 = {}
-    glue_both_ways(g2, 0, 0, 0, 1, (1, 0, 2, 3))
-    glue_both_ways(g2, 0, 2, 0, 3, (1, 0, 3, 2))  # even, maps 2->3
-    with pytest.raises(NonOrientable):
-        Triangulation(1, g2)
+    g = {}
+    glue_both_ways(g, 0, 0, 0, 1, (1, 0, 2, 3))
+    glue_both_ways(g, 0, 2, 0, 3, (1, 0, 3, 2))  # even, maps 2->3
+    with pytest.raises(NonOrientable,
+                       match="^no consistent tetrahedron orientations exist$"):
+        Triangulation(1, g)
+    # Connectedness is checked first: with a tetrahedron 1 out of reach the
+    # same gluing of tetrahedron 0 is rejected as disconnected.
+    glue_both_ways(g, 1, 0, 1, 1, (1, 0, 2, 3))
+    glue_both_ways(g, 1, 2, 1, 3, (0, 1, 3, 2))
+    with pytest.raises(Disconnected,
+                       match="^only 1 of 2 tetrahedra reachable$"):
+        Triangulation(2, g)
 
 
 def test_orientation_bits_alternate_signs():
