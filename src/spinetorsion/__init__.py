@@ -12,7 +12,7 @@ _EXPORTS = {
     "complexes": "CellComplexX GroupData Representation SpiderAnchors "
                  "TwistedComplex make_representation",
     "errors": "BasisRankMismatch CyclicTriangle Disconnected MoveError "
-              "NonOrientable NonStandardDual NotAcyclicNoBasis NotApplicable "
+              "NonOrientable NotAcyclicNoBasis NotApplicable "
               "RelatorNotKilled SelfAdjacentFace SpineError "
               "SpineSyntaxError Stuck TorsionError TransportFailure "
               "UnpairedFace ValidationError",

@@ -40,6 +40,10 @@ def spine_summary(spine):
 # every field up to this order builds in about 0.1 s.
 MAX_CYCLIC_ORDER = 1000
 
+# Largest --tets accepted by ``census``.  Census 4 takes about 37 s and
+# 0.8 GB; the orbit table of census 5 would need more than 16 GB.
+MAX_CENSUS_TETS = 4
+
 
 def _read_spine(path):
     with open(path, encoding="utf-8") as fh:
@@ -330,7 +334,10 @@ def _run(args):
 
     if cmd == "census":
         from .census import census_branched
-        spines = census_branched(_at_least(args.tets, 1, "--tets"))
+        if _at_least(args.tets, 1, "--tets") > MAX_CENSUS_TETS:
+            raise SpineSyntaxError("--tets must be at most %d, got %d"
+                                   % (MAX_CENSUS_TETS, args.tets))
+        spines = census_branched(args.tets)
         files = [serialize(s) for s in spines]
         if args.out_dir:
             import os

@@ -29,7 +29,7 @@ exact words in the edge generators, evaluated through a representation.
 from functools import cached_property
 
 from .errors import RelatorNotKilled
-from .intlinalg import CokernelData
+from .intlinalg import smith_normal_form
 from .perms import parity
 
 
@@ -104,17 +104,37 @@ class GroupData:
     corner: with corner order (s, m, t) and generators a = [s->m],
     b = [m->t], c = [s->t], the relator is c^-1 a b, whose abelianisation
     is exactly the face's d2 column.
+
+    H_1 = Z^E / im d2 comes from the Smith form U * d2 * V = D, run on
+    first read: an edge chain x has the free and torsion (mod d)
+    coordinates of U x.  A transported representation reads only the
+    presentation, so a walk spine builds no Smith form.
     """
 
     def __init__(self, complex_x):
         self.complex = complex_x
         self.n_generators = complex_x.n_edges
-        self.relators = []
-        for (cls_a, cls_b, cls_c) in complex_x.face_sides:
-            self.relators.append(((cls_c, -1), (cls_a, 1), (cls_b, 1)))
-        self.h1 = CokernelData(complex_x.d2, complex_x.n_edges, complex_x.n_faces)
-        self.free_rank = self.h1.free_rank
-        self.torsion = self.h1.torsion
+        self.relators = [((cls_c, -1), (cls_a, 1), (cls_b, 1))
+                         for cls_a, cls_b, cls_c in complex_x.face_sides]
+
+    @cached_property
+    def _smith(self):
+        """(U, free rows, (row, order) per torsion row) of the Smith form
+        of d2."""
+        X = self.complex
+        U, D, _V = smith_normal_form(X.d2, X.n_edges, X.n_faces)
+        diag = [D[i][i] for i in range(min(X.n_edges, X.n_faces))]
+        rank = sum(1 for d in diag if d != 0)
+        return (U, range(rank, X.n_edges),
+                tuple((i, d) for i, d in enumerate(diag[:rank]) if d > 1))
+
+    @property
+    def free_rank(self):
+        return len(self._smith[1])
+
+    @property
+    def torsion(self):
+        return tuple(d for _i, d in self._smith[2])
 
     def abelianized_word(self, word):
         vec = [0] * self.n_generators
@@ -123,12 +143,19 @@ class GroupData:
         return vec
 
     def generator_class(self, j):
-        vec = [0] * self.n_generators
-        vec[j] = 1
-        return self.h1.project(vec)
+        """The class of edge generator j: column j of U."""
+        U, free, tors = self._smith
+        return (tuple(U[i][j] for i in free),
+                tuple(U[i][j] % d for i, d in tors))
 
     def class_of_vector(self, vec):
-        return self.h1.project(vec)
+        U, free, tors = self._smith
+        y = [sum(u * x for u, x in zip(row, vec)) for row in U]
+        return tuple(y[i] for i in free), tuple(y[i] % d for i, d in tors)
+
+    def is_zero_class(self, vec):
+        free, tors = self.class_of_vector(vec)
+        return not any(free) and not any(tors)
 
 
 class SpiderAnchors:

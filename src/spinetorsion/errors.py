@@ -35,10 +35,6 @@ class CyclicTriangle(ValidationError):
     """Some triangle has a cyclic orientation of its edges."""
 
 
-class NonStandardDual(ValidationError):
-    """Some region of the dual polyhedron fails to be an open disc."""
-
-
 class MoveError(SpineError):
     """A requested local move cannot be performed."""
 

@@ -112,13 +112,13 @@ def path_choice_independence(spine):
         direct = [0] * n
         cls, sgn = spine.oriented_class(t, s, k)
         direct[cls] += sgn
-        if not group.h1.is_zero_class([a - b for a, b in zip(via_m, direct)]):
+        if not group.is_zero_class([a - b for a, b in zip(via_m, direct)]):
             return False
     anchors = SpiderAnchors(spine, group.complex)
     for t in range(trg.tet_count):
         vecs = [group.abelianized_word(w) for w in anchors.tet_path_words(t)]
         for v in vecs[1:]:
-            if not group.h1.is_zero_class([a - b for a, b in zip(v, vecs[0])]):
+            if not group.is_zero_class([a - b for a, b in zip(v, vecs[0])]):
                 return False
     return True
 
@@ -133,4 +133,4 @@ def pd_consistency(spine):
     """
     cochain, _ = maw_cochain(spine)
     diff = [a - b for a, b in zip(cochain, _chain_vector(spine))]
-    return spine.group.h1.is_zero_class(diff)
+    return spine.group.is_zero_class(diff)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form and cokernels."""
+"""Exact integer linear algebra: the Smith normal form."""
 
 
 def smith_normal_form(matrix, rows, cols):
@@ -77,34 +77,3 @@ def smith_normal_form(matrix, rows, cols):
         t += 1
     return U, A, V
 
-
-class CokernelData:
-    """The cokernel Z^rows / im(A), via the Smith normal form of A.
-
-    ``project(x)`` returns the class of an integer vector as a pair
-    (free coordinates, torsion coordinates), where torsion coordinate i
-    is reduced mod ``torsion[i]``.
-    """
-
-    def __init__(self, matrix, rows, cols):
-        U, D, _V = smith_normal_form(matrix, rows, cols)
-        self.U = U
-        diag = [D[i][i] for i in range(min(rows, cols))]
-        self.rank = sum(1 for d in diag if d != 0)
-        self.torsion = tuple(d for d in diag if d > 1)
-        self._torsion_pos = [i for i in range(self.rank)
-                             if i < len(diag) and diag[i] > 1]
-        self._free_pos = [i for i in range(rows) if i >= self.rank]
-        self.free_rank = len(self._free_pos)
-        self.rows = rows
-
-    def project(self, x):
-        y = [sum(self.U[i][j] * x[j] for j in range(self.rows))
-             for i in range(self.rows)]
-        free = tuple(y[i] for i in self._free_pos)
-        tors = tuple(y[p] % d for p, d in zip(self._torsion_pos, self.torsion))
-        return free, tors
-
-    def is_zero_class(self, x):
-        free, tors = self.project(x)
-        return not any(free) and not any(tors)

@@ -35,8 +35,8 @@ class BranchedSpine:
     and 3 at the sink.
 
     ``complex`` (the quotient complex X of :mod:`spinetorsion.complexes`)
-    and ``group`` (its presentation and the Smith form of H_1) are built
-    on first read and kept, so every representation, certificate class,
+    and ``group`` (its presentation, and H_1 once read) are built on
+    first read and kept, so every representation, certificate class,
     transport and report on one spine shares them, X's rational complex
     included.  X keeps no reference to the spine, so the cache makes no
     reference cycle.

@@ -14,7 +14,7 @@ combinatorial and shared by the branched-spine layer on top.
 
 from functools import cached_property
 
-from .errors import Disconnected, NonOrientable, NonStandardDual, UnpairedFace
+from .errors import Disconnected, NonOrientable, UnpairedFace
 from .perms import inverse, sign
 
 
@@ -136,10 +136,9 @@ class Triangulation:
     def _walk_around_edge(self, t, i, j):
         """Cyclic fan of tetrahedron edges glued around the edge (t, i, j).
 
-        Returns (members, fan): see EdgeClass.  Raises NonStandardDual if
-        the walk returns with the edge reversed (the dual region around
-        such an edge is not an open disc and the quotient is not an ideal
-        triangulation of a manifold).
+        Returns (members, fan): see EdgeClass.  Each step is a bijection
+        on (tetrahedron, oriented edge, entry face), so the walk always
+        closes; on an oriented gluing it never meets the edge reversed.
         """
         sides = [c for c in range(4) if c != i and c != j]
         cur = (t, i, j)
@@ -155,11 +154,6 @@ class Triangulation:
             enter = f2
             if cur == (t, i, j) and enter == sides[0]:
                 break
-            if cur == (t, j, i):
-                raise NonStandardDual(
-                    "edge through %d.%d%d is glued to itself reversed" % (t, i, j))
-            if len(members) > 12 * self.tet_count:
-                raise NonStandardDual("edge walk failed to close")  # unreachable guard
         return tuple(members), tuple(fan)
 
     def _edge_classes(self):

@@ -1,9 +1,13 @@
 import hashlib
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
 
 from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
+from spinetorsion.perms import SIGN
+from spinetorsion.spine import _encode_seed, glue_table
 from spinetorsion.spinefile import serialize
 
 from oracles import least_code_triangulations
@@ -61,6 +65,39 @@ def test_orbit_table_matches_least_code_dedup(n):
 def test_triangulation_enumeration_counts():
     assert len(enumerate_triangulations(1)) == 6
     assert len(census_branched(1)) == 4
+
+
+def _labelled_gluings(n):
+    """T(n): gluings of n labelled tetrahedra with every permutation odd,
+    (4n-1)!! face pairings times 3 odd permutations per pair."""
+    return prod(range(1, 4 * n, 2)) * 3 ** (2 * n)
+
+
+def _connected_gluings(n):
+    """C(n), from the exponential formula T(n) = sum over k of
+    binom(n-1, k-1) C(k) T(n-k): the component of tetrahedron 0 has k."""
+    t = [_labelled_gluings(m) for m in range(n + 1)]
+    c = [0] * (n + 1)
+    for m in range(1, n + 1):
+        c[m] = t[m] - sum(comb(m - 1, k - 1) * c[k] * t[m - k]
+                          for k in range(1, m))
+    return c[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_census_counts_by_orbit_counting(n):
+    # The relabelling group S_n x A_4^n, of order n! 12^n, acts on the
+    # connected labelled gluings; a class T has n! 12^n / |Aut T| members,
+    # and |Aut T| is 12n over the number of distinct codes from its 12n
+    # even seeds.  A missing class lowers the sum, a repeated one raises it.
+    even = [r for r in range(24) if SIGN[r] == 1]
+    total = 0
+    for trg in enumerate_triangulations(n):
+        glue = glue_table(trg.gluings, n)
+        codes = {tuple(_encode_seed(glue, n, t0, rho0, None)[0])
+                 for t0 in range(n) for rho0 in even}
+        total += Fraction(factorial(n) * 12 ** n * len(codes), 12 * n)
+    assert total == _connected_gluings(n)
 
 
 # sha256 of repr(boundary_report()) per spine of census <= 3, one a line.

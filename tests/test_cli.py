@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from spinetorsion.cli import MAX_CYCLIC_ORDER, _parse_rep_spec, main
+from spinetorsion.cli import (MAX_CENSUS_TETS, MAX_CYCLIC_ORDER, _parse_rep_spec,
+                             main)
 from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     SpiderAnchors, TwistedComplex)
+from spinetorsion.spinefile import parse
 from spinetorsion.torsion import sign_refined_torsion, torsion
 
 from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
@@ -277,6 +279,46 @@ def test_census_command(capsys):
     assert status == 0
     assert report["count"] == 4
     assert len(report["spines"]) == 4
+
+
+@pytest.mark.parametrize("tets", [MAX_CENSUS_TETS + 1, 10 ** 6])
+def test_census_above_ceiling_exit_1(tets, capsys):
+    status, report = run_cli(["census", "--tets", str(tets)], capsys)
+    assert status == 1
+    assert report == {"command": "census", "error": "SpineSyntaxError",
+                      "message": "--tets must be at most %d, got %d"
+                                 % (MAX_CENSUS_TETS, tets)}
+
+
+def test_census_out_dir_writes_the_reported_spines(tmp_path, capsys):
+    out = tmp_path / "census"
+    status, report = run_cli(["census", "--tets", "2", "--out-dir", str(out)],
+                             capsys)
+    assert status == 0
+    names = ["spine_2_%03d.txt" % i for i in range(46)]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [(out / n).read_text() for n in names] == report["spines"]
+
+
+def test_summary_matrices_are_the_complex(golden_file, capsys):
+    status, report = run_cli(["summary", golden_file, "--matrices"], capsys)
+    assert status == 0
+    X = CellComplexX(parse(GOLDEN))
+    assert report["boundary_matrices"] == {"d1": X.d1, "d2": X.d2, "d3": X.d3}
+    _status, plain = run_cli(["summary", golden_file], capsys)
+    assert {k: v for k, v in report.items() if k != "boundary_matrices"} == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["summary", "FILE"], ["torsion", "FILE", "--rep", "cyclic:5"],
+    ["census", "--tets", "1"], ["census", "--tets", "0"]])
+def test_timing_adds_only_timing_ms(golden_file, argv, capsys):
+    argv = [golden_file if a == "FILE" else a for a in argv]
+    status, plain = run_cli(argv, capsys)
+    timed_status, timed = run_cli(["--timing"] + argv, capsys)
+    assert timed_status == status
+    assert type(timed.pop("timing_ms")) is int
+    assert timed == plain
 
 
 def test_invariance_command(two_variant_file, capsys):

@@ -177,13 +177,13 @@ def test_no_sympy_import_in_src():
     assert found == []
 
 
-# The package's 56 exported names, in the order of ``__all__``.
+# The package's 55 exported names, in the order of ``__all__``.
 EXPORTS = [
     "census_branched", "enumerate_triangulations",
     "CellComplexX", "GroupData", "Representation", "SpiderAnchors",
     "TwistedComplex", "make_representation",
     "BasisRankMismatch", "CyclicTriangle", "Disconnected", "MoveError",
-    "NonOrientable", "NonStandardDual", "NotAcyclicNoBasis", "NotApplicable",
+    "NonOrientable", "NotAcyclicNoBasis", "NotApplicable",
     "RelatorNotKilled", "SelfAdjacentFace", "SpineError",
     "SpineSyntaxError", "Stuck", "TorsionError", "TransportFailure",
     "UnpairedFace", "ValidationError",

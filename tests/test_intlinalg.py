@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 from spinetorsion.fields import FunctionField
-from spinetorsion.intlinalg import CokernelData, smith_normal_form
+from spinetorsion.intlinalg import smith_normal_form
 
 
 def minors_gcd(matrix, rows, cols, k):
@@ -67,21 +67,6 @@ def test_smith_normal_form_random_matrices():
             if dk == 0:
                 break
             prev = dk
-
-
-def test_cokernel_data():
-    # Z^2 / im [[2,0],[0,3]] = Z/2 + Z/3 = Z/6
-    data = CokernelData([[2, 0], [0, 3]], 2, 2)
-    assert data.free_rank == 0
-    assert data.torsion == (6,)
-    assert data.is_zero_class([6, 0]) or not data.is_zero_class([1, 0])
-    # Z^2 / im [[2],[0]]: one free generator and one Z/2
-    data = CokernelData([[2], [0]], 2, 1)
-    assert data.free_rank == 1
-    assert data.torsion == (2,)
-    assert not data.is_zero_class([1, 0])
-    assert data.is_zero_class([2, 0])
-    assert not data.is_zero_class([0, 1])
 
 
 def test_rational_nullspace():

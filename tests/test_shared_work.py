@@ -15,10 +15,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinetorsion import cli, moves
+from spinetorsion import cli, complexes, moves
 from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
                                     TwistedComplex, make_representation)
 from spinetorsion.errors import Stuck, TransportFailure
+from spinetorsion.intlinalg import smith_normal_form
 from spinetorsion.moves import (available_moves, describe_move,
                                 h_cycle_check, random_walk)
 from spinetorsion.rng import SplitMix64
@@ -219,6 +220,24 @@ def test_shared_work_stays_invisible(census2):
         assert spine.complex.rational_complex.signs
         checked += 1
     assert checked >= 3
+
+
+def test_walk_builds_one_smith_form(census2, monkeypatch):
+    # A certified walk carries its characters by transport, so the suites
+    # for both representations read H_1 of the start spine only: one Smith
+    # form, not one per spine of the walk.
+    spine = parse(serialize(census2[5]))
+    walk = random_walk(spine, 10, seed=1, h_null_only=True, max_tets=6)
+    assert len(walk) == 10
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smith_normal_form(*args)
+    monkeypatch.setattr(complexes, "smith_normal_form", counted)
+    for kind, order in (("free_abelian", None), ("cyclic", 5)):
+        invariance_suite(spine, walk, kind, order=order)
+    assert len(calls) == 1
 
 
 def _orientations(X):
