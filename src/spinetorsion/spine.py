@@ -304,28 +304,63 @@ def _branch_code(ranks, rho, order):
     """Per relabelled tetrahedron and corner pair i < j: 1 if the edge runs i -> j."""
     code = []
     for t in order:
-        rk, ri = ranks[t], ALL_PERMS[INVERSE[rho[t]]]
-        code.extend(int(rk[ri[i]] < rk[ri[j]]) for i, j in _CORNER_PAIRS)
+        rk = ranks[t]
+        code.extend(int(rk[a] < rk[b]) for a, b in _RELABELLED_PAIRS[rho[t]])
     return tuple(code)
 
 
 _CORNER_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+_RELABELLED_PAIRS = tuple(tuple((ri[i], ri[j]) for i, j in _CORNER_PAIRS)
+                          for ri in (ALL_PERMS[INVERSE[r]] for r in range(24)))
+"""``_RELABELLED_PAIRS[r]``: the old corners (a, b) of each new corner pair
+i < j under the relabelling ALL_PERMS[r]."""
 
 
 def enumerate_branchings(trg):
     """All branchings of a triangulation, in deterministic bitmask order.
 
-    Orientation assignments on edge classes are scanned exhaustively
-    (2^E of them) and filtered by the no-cyclic-triangle condition; this
-    brute-force scan is the definition, so an empty result certifies
-    that no branching exists.
+    Bit k of the mask reverses edge class k.  Every mask (2^E of them) is
+    screened against the face triangles, and a ``BranchedSpine``, which
+    checks every tetrahedron for a cyclic triangle, is built for each mask
+    that passes, so an empty result certifies that no branching exists.
+    The tests check the screen against a scan of every mask by direct
+    edge checks.
     """
+    triangles = _cyclic_patterns(trg)
     n = len(trg.edge_classes)
     found = []
     for mask in range(1 << n):
-        branching = tuple(1 if not (mask >> k) & 1 else -1 for k in range(n))
-        try:
-            found.append(BranchedSpine(trg, branching))
-        except CyclicTriangle:
-            continue
+        for bits, flips in triangles:
+            backward = (mask ^ flips) & bits
+            if backward == 0 or backward == bits:
+                break
+        else:
+            found.append(BranchedSpine(
+                trg, tuple(-1 if (mask >> k) & 1 else 1 for k in range(n))))
     return found
+
+
+def _cyclic_patterns(trg):
+    """(bits, flips) per face triangle that some mask makes cyclic.
+
+    Edge x -> y of edge class k with reference direction s runs from x to
+    y under a mask exactly when bit k of the mask is set iff s = -1.  A
+    triangle a, b, c is cyclic when its edges a -> b, b -> c and c -> a all
+    run forwards or all backwards: when ``(mask ^ flips) & bits`` is 0 or
+    ``bits``, for ``bits`` their classes and ``flips`` those with s = -1.
+    A triangle that meets one class both ways is never cyclic.
+    """
+    patterns = {}
+    for (t, f), _other in trg.face_classes:
+        a, b, c = _face_corners(f)
+        bits = flips = 0
+        for x, y in ((a, b), (b, c), (c, a)):
+            k, s = trg.edge_class_of[(t, x, y)]
+            flip = (s == -1) << k
+            if bits >> k & 1 and flips & (1 << k) != flip:
+                break
+            bits |= 1 << k
+            flips |= flip
+        else:
+            patterns[bits, flips] = None
+    return tuple(patterns)

@@ -7,11 +7,11 @@ census deduplicated by least gluing code."""
 from itertools import combinations
 from math import gcd as _int_gcd
 
-from spinetorsion.census import _complete_gluings
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
+from spinetorsion.perms import ALL_PERMS, sign
 from spinetorsion.spine import encode_gluings
-from spinetorsion.triangulation import Triangulation
+from spinetorsion.triangulation import Triangulation, glue_both_ways
 
 
 # -- full change-of-basis matrices ----------------------------------------------
@@ -295,13 +295,45 @@ def row_boundary(row):
 # -- census by least gluing code --------------------------------------------------
 
 
+def complete_gluings(tet_count, gluings=None, used=1):
+    """The census search on gluing dicts: every complete gluing extending
+    ``gluings`` (which reaches tetrahedra 0..used-1), depth first, always
+    gluing the first open face next, into a fresh tetrahedron first (face
+    0, first odd permutation), then to each later open face with each odd
+    permutation."""
+    gluings = {} if gluings is None else gluings
+    open_faces = [(t, f) for t in range(used) for f in range(4) if (t, f) not in gluings]
+    if not open_faces:
+        if used == tet_count:
+            yield gluings
+        return
+    t, f = open_faces[0]
+    if used < tet_count:
+        child = _glued(gluings, t, f, used, 0, _odd_with_image(f, 0)[0])
+        yield from complete_gluings(tet_count, child, used + 1)
+    for (t2, f2) in open_faces[1:]:
+        for perm in _odd_with_image(f, f2):
+            yield from complete_gluings(tet_count, _glued(gluings, t, f, t2, f2, perm), used)
+
+
+def _odd_with_image(f, f2):
+    return [p for p in ALL_PERMS if sign(p) == -1 and p[f] == f2]
+
+
+def _glued(gluings, t, f, t2, f2, perm):
+    child = dict(gluings)
+    glue_both_ways(child, t, f, t2, f2, perm)
+    return child
+
+
 def least_code_triangulations(tet_count):
     """The triangulations of ``enumerate_triangulations``, deduplicated by
-    the least gluing code over all seeds of each candidate: the first
-    candidate of each code is kept, disconnected ones (no code) dropped."""
+    the least gluing code over all seeds of each candidate of the dict
+    search: the first candidate of each code is kept, disconnected ones
+    (no code) dropped."""
     results, seen = [], set()
     orientations = (1,) * tet_count
-    for gluings in _complete_gluings(tet_count, {}, 1):
+    for gluings in complete_gluings(tet_count):
         code = encode_gluings(gluings, orientations)
         if code is None or code in seen:
             continue

@@ -4,13 +4,15 @@ from math import comb, factorial, prod
 
 import pytest
 
+from spinetorsion import census
 from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
 from spinetorsion.perms import SIGN
-from spinetorsion.spine import _encode_seed, glue_table
+from spinetorsion.spine import (_branch_code, _encode_seed, enumerate_branchings, glue_table,
+                                least_seeds)
 from spinetorsion.spinefile import serialize
 
-from oracles import least_code_triangulations
+from oracles import complete_gluings, least_code_triangulations
 
 # sha256 of "count <N>\n" followed by the serialised census, in census order.
 CENSUS_DIGESTS = {
@@ -62,6 +64,18 @@ def test_orbit_table_matches_least_code_dedup(n):
     assert [trg.gluings for trg in enumerate_triangulations(n)] == expected
 
 
+@pytest.mark.parametrize("n, count", [(1, 27), (2, 648), (3, 24057)])
+def test_table_search_matches_dict_search(n, count):
+    # The search over one live glue table visits the candidates of the
+    # search over gluing dicts, in its order, each glued in the same order.
+    seen = 0
+    for glue, gluings in zip(census._complete_gluings(n), complete_gluings(n),
+                             strict=True):
+        assert list(census._gluings(glue, n).items()) == list(gluings.items())
+        seen += 1
+    assert seen == count
+
+
 def test_triangulation_enumeration_counts():
     assert len(enumerate_triangulations(1)) == 6
     assert len(census_branched(1)) == 4
@@ -98,6 +112,30 @@ def test_census_counts_by_orbit_counting(n):
                  for t0 in range(n) for rho0 in even}
         total += Fraction(factorial(n) * 12 ** n * len(codes), 12 * n)
     assert total == _connected_gluings(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branched_counts_by_orbit_counting(n, corpus3):
+    # Aut T, the seeds that reach the least code of T, acts on the
+    # branchings of T; the class of a branching P has |Aut T| / |Aut P|
+    # members, for Aut P the seeds among those that reach the least branch
+    # code of P.  A census that merges two classes of T or keeps one twice
+    # misses the number of branchings of T.
+    by_code = {}
+    for spine in corpus3:
+        if spine.tet_count == n:
+            trg = spine.triangulation
+            code, seeds = least_seeds(trg.gluings, trg.orientations)
+            branch = [_branch_code(spine.ranks, rho, order) for rho, order in seeds]
+            by_code[tuple(code)] = by_code.get(tuple(code), 0) + Fraction(
+                len(seeds), branch.count(min(branch)))
+    branched = 0
+    for trg in enumerate_triangulations(n):
+        code, _seeds = least_seeds(trg.gluings, trg.orientations)
+        count = len(enumerate_branchings(trg))
+        assert by_code.pop(tuple(code), 0) == count
+        branched += count > 0
+    assert by_code == {} and branched > 0
 
 
 # sha256 of repr(boundary_report()) per spine of census <= 3, one a line.

@@ -80,11 +80,10 @@ def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
     candidates = []
     complete_gluings = census._complete_gluings
 
-    def recording(tet_count, gluings, used):
-        for complete in complete_gluings(tet_count, gluings, used):
-            if not gluings:  # the outermost call; the search recurses through this name
-                candidates.append(dict(complete))
-            yield complete
+    def recording(tet_count):
+        for glue in complete_gluings(tet_count):
+            candidates.append(census._gluings(glue, tet_count))
+            yield glue
 
     monkeypatch.setattr(census, "_complete_gluings", recording)
     census.enumerate_triangulations(2)

@@ -4,7 +4,9 @@ Certificates come from a table keyed by the bipyramid's branching order,
 each spine keeps its quotient complex and Smith form, each rational
 complex keeps the torsion sign of each orientation, and h-null candidates
 are certified before their after spine is built.  Each test compares the
-shared result with one computed from scratch.
+shared result with one computed from scratch.  The census reads the least
+seeds of a class off the seed codes of its orbit, and builds a spine only
+for a branching; a count guards each.
 """
 
 import gc
@@ -15,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinetorsion import cli, complexes, moves
+from spinetorsion import census, cli, complexes, moves, spine as spine_module
 from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
                                     TwistedComplex, make_representation)
 from spinetorsion.errors import Stuck, TransportFailure
@@ -238,6 +240,27 @@ def test_walk_builds_one_smith_form(census2, monkeypatch):
     for kind, order in (("free_abelian", None), ("cyclic", 5)):
         invariance_suite(spine, walk, kind, order=order)
     assert len(calls) == 1
+
+
+def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
+    # census_branched(2) encodes each of its 648 candidates from one seed
+    # and each of its 60 classes from its 24 seeds, once: the least seeds
+    # come from the same codes.  Only the 118 masks that pass the
+    # face-triangle screen build a spine.
+    counts = {"seeds": 0, "spines": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+    encode = counted("seeds", spine_module._encode_seed)
+    monkeypatch.setattr(census, "_encode_seed", encode)
+    monkeypatch.setattr(spine_module, "_encode_seed", encode)
+    monkeypatch.setattr(spine_module, "BranchedSpine",
+                        counted("spines", spine_module.BranchedSpine))
+    assert len(census.census_branched(2)) == 46
+    assert counts == {"seeds": 2088, "spines": 118}
 
 
 def _orientations(X):

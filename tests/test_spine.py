@@ -40,9 +40,10 @@ def brute_force_branchings(trg):
 
 
 def test_enumerate_branchings_matches_brute_force():
-    for trg in enumerate_triangulations(1):
-        found = {s.branching for s in enumerate_branchings(trg)}
-        assert found == set(brute_force_branchings(trg))
+    for n in (1, 2, 3):
+        for trg in enumerate_triangulations(n):
+            found = [s.branching for s in enumerate_branchings(trg)]
+            assert found == brute_force_branchings(trg)
 
 
 def test_branchings_closed_under_global_reversal():
@@ -66,7 +67,7 @@ def test_every_branching_has_unique_sink_and_source(corpus12):
 
 
 def test_cyclic_triangle_rejected():
-    for trg in enumerate_triangulations(1):
+    for trg in enumerate_triangulations(1) + enumerate_triangulations(2):
         valid = {s.branching for s in enumerate_branchings(trg)}
         n = len(trg.edge_classes)
         for mask in range(1 << n):
