@@ -374,6 +374,17 @@ class ChainComplex:
         from .torsion import _raw_value
         return _raw_value(self, *self.default_pass[:2])
 
+    @cached_property
+    def _d3_columns(self):
+        """Per 3-cell j, the (row, entry) of each nonzero entry of column j
+        of d3, for the cycle check of a transport into this complex."""
+        cols = [[] for _ in range(self.dims[3])]
+        for r, row in enumerate(self.d3):
+            for j, x in enumerate(row):
+                if not x.is_zero():
+                    cols[j].append((r, x))
+        return cols
+
     def path_image(self, vec):
         """Image of an integer edge chain under the twisting; 1 untwisted."""
         return self.field.one

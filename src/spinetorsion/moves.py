@@ -40,7 +40,7 @@ from .errors import (MoveError, NotApplicable, SelfAdjacentFace, Stuck,
 from .perms import compose, inverse, sign
 from .rng import SplitMix64
 from .spine import _CORNER_PAIRS, BranchedSpine
-from .triangulation import Triangulation, _face_corners, glue_both_ways
+from .triangulation import _FACE_CORNERS, Triangulation, glue_both_ways
 
 _EQ_LABELS = ("b", "d", "e")
 _IDENTITY = (0, 1, 2, 3)
@@ -110,6 +110,29 @@ class MoveInstance:
         self.created_faces = created_faces      # after face classes inside the bipyramid
         self.central_class_before = central_class_before  # edge ac (negative)
         self.central_class_after = central_class_after    # edge ac (positive)
+        self._rational_transport = None  # see transport_rational_homology
+
+    @cached_property
+    def _subdivision_paths(self):
+        """(before tet, after tet, path) per sub-tetrahedron of the common
+        subdivision of the bipyramid (see ``_site_tet_weights``): the site
+        tetrahedra containing it on each side, and the edge chain of the
+        path between their two flow targets."""
+        bip = self.bipyramid
+        chains = _tree_chains(bip, len(self.before.triangulation.edge_classes))
+
+        def container(site, cell):
+            return next((t, lab) for t, lab in site if set(cell) <= set(lab))
+
+        out = []
+        for apex in ("a", "c"):
+            for pr in _PAIRS:
+                t_bef, lab_bef = container(self.site_before, (apex,) + pr)
+                t_aft, lab_aft = container(self.site_after, (apex,) + pr)
+                out.append((t_bef, t_aft, [
+                    x - y for x, y in zip(chains[_sink(bip, lab_bef)],
+                                          chains[_sink(bip, lab_aft)])]))
+        return tuple(out)
 
 
 def describe_move(move):
@@ -294,7 +317,7 @@ def _positive_site(spine, face_class):
         raise SelfAdjacentFace(
             "face class %d has both sides on tetrahedron %d" % (face_class, t0))
     perm = trg.gluings[(t0, f0)][2]
-    p, q, r = _face_corners(f0)
+    p, q, r = _FACE_CORNERS[f0]
     # Handedness: order the equator so that the three new tetrahedra,
     # labelled (a, c, x, y), are positively oriented.
     cyc = (p, q, r) if spine.orientations[t0] * sign((f0, p, q, r)) == 1 \
@@ -649,15 +672,17 @@ def transport_homology(move, before, after, lifts):
                 site_coeffs = _site_tet_weights(move, before, vec)
                 for j, c in site_coeffs.items():
                     w_out[j] = c
-                for r in range(dims_after[2]):
-                    acc = zero
-                    for j in range(dims_after[3]):
-                        if not (after.d3[r][j].is_zero()
-                                or w_out[j].is_zero()):
-                            acc = acc + after.d3[r][j] * w_out[j]
-                    if not acc.is_zero():
-                        raise TransportFailure(
-                            "transported degree-3 chain is not a cycle")
+                # The cycle check reads only the nonzero entries of d3
+                # in the columns where the chain is nonzero.
+                acc = {}
+                for j, c in enumerate(w_out):
+                    if c.is_zero():
+                        continue
+                    for r, x in after._d3_columns[j]:
+                        acc[r] = acc[r] + x * c if r in acc else x * c
+                if any(not a.is_zero() for a in acc.values()):
+                    raise TransportFailure(
+                        "transported degree-3 chain is not a cycle")
                 new_vecs.append(w_out)
     return out
 
@@ -676,33 +701,30 @@ def _site_tet_weights(move, before, vec):
     sub-tetrahedra of the cell.  The image of the path is
     ``before.path_image``.
     """
-    bip = move.bipyramid
-    chains = _tree_chains(bip, len(move.before.triangulation.edge_classes))
-
-    def container(site, cell):
-        return next((t, lab) for t, lab in site if set(cell) <= set(lab))
-
     weights = {}
-    for apex in ("a", "c"):
-        for pr in _PAIRS:
-            # The sub-tetrahedron at apex and pr lies in the site tetrahedron
-            # on each side whose labels contain them.
-            t_bef, lab_bef = container(move.site_before, (apex,) + pr)
-            target, lab_aft = container(move.site_after, (apex,) + pr)
-            path = [x - y for x, y in zip(chains[_sink(bip, lab_bef)],
-                                          chains[_sink(bip, lab_aft)])]
-            coeff = vec[t_bef] * before.path_image(path)
-            if target in weights:
-                if not weights[target] == coeff:
-                    raise TransportFailure(
-                        "inconsistent subdivision weights on the site")
-            else:
-                weights[target] = coeff
+    for t_bef, target, path in move._subdivision_paths:
+        coeff = vec[t_bef] * before.path_image(path)
+        if target in weights:
+            if not weights[target] == coeff:
+                raise TransportFailure(
+                    "inconsistent subdivision weights on the site")
+        else:
+            weights[target] = coeff
     return weights
 
 
 def transport_rational_homology(move, x_before, x_after, olifts):
     """Transport rational homology lifts (for the sign refinement) over the
-    rational complexes of the CellComplexX of the move's two spines."""
-    return transport_homology(move, x_before.rational_complex,
-                              x_after.rational_complex, olifts)
+    rational complexes of the CellComplexX of the move's two spines.
+
+    The move keeps its last (lifts in, lifts out) pair, so the suites of
+    several representations over one walk transport each orientation
+    once: a call with the same lifts object returns the kept lifts.  A
+    failed transport keeps nothing."""
+    kept = move._rational_transport
+    if kept is not None and kept[0] is olifts:
+        return kept[1]
+    out = transport_homology(move, x_before.rational_complex,
+                             x_after.rational_complex, olifts)
+    move._rational_transport = olifts, out
+    return out

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import CyclicTriangle, NonOrientable
 from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
-from .triangulation import Triangulation, _face_corners
+from .triangulation import _FACE_CORNERS, Triangulation
 
 
 class BranchedSpine:
@@ -98,7 +98,7 @@ class BranchedSpine:
                         indeg[i] += 1
             if sorted(indeg) != [0, 1, 2, 3]:
                 f = next(f for f in range(4) if all(
-                    indeg[c] - self.edge_direction(t, f, c) == 1 for c in _face_corners(f)))
+                    indeg[c] - self.edge_direction(t, f, c) == 1 for c in _FACE_CORNERS[f]))
                 raise CyclicTriangle("face %d.%d has a cyclic edge orientation" % (t, f))
             ranks.append(tuple(indeg))
         return tuple(ranks)
@@ -122,7 +122,7 @@ class BranchedSpine:
 
     def face_roles(self, t, f):
         """(source, middle, sink) corners of face f of tetrahedron t."""
-        cs = _face_corners(f)
+        cs = _FACE_CORNERS[f]
         order = sorted(cs, key=lambda c: self.ranks[t][c])
         return tuple(order)
 
@@ -302,18 +302,21 @@ def _encode_seed(glue, n, t0, rho0, best):
 
 def _branch_code(ranks, rho, order):
     """Per relabelled tetrahedron and corner pair i < j: 1 if the edge runs i -> j."""
-    code = []
+    code = ()
     for t in order:
-        rk = ranks[t]
-        code.extend(int(rk[a] < rk[b]) for a, b in _RELABELLED_PAIRS[rho[t]])
-    return tuple(code)
+        code += _BRANCH_BITS[rho[t]][PERM_INDEX[ranks[t]]]
+    return code
 
 
 _CORNER_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-_RELABELLED_PAIRS = tuple(tuple((ri[i], ri[j]) for i, j in _CORNER_PAIRS)
-                          for ri in (ALL_PERMS[INVERSE[r]] for r in range(24)))
-"""``_RELABELLED_PAIRS[r]``: the old corners (a, b) of each new corner pair
-i < j under the relabelling ALL_PERMS[r]."""
+_BRANCH_BITS = tuple(
+    tuple(tuple(int(rk[ri[i]] < rk[ri[j]]) for i, j in _CORNER_PAIRS) for rk in ALL_PERMS)
+    for ri in (ALL_PERMS[INVERSE[r]] for r in range(24)))
+"""``_BRANCH_BITS[r][k]``: the ``_branch_code`` bits of a tetrahedron
+relabelled by ALL_PERMS[r] whose corner ranks are ALL_PERMS[k] (always a
+permutation of 0..3 on a branched tetrahedron): per new corner pair i < j,
+1 if the edge runs i -> j, i.e. its old corners ri[i], ri[j] do, for ri
+the inverse relabelling."""
 
 
 def enumerate_branchings(trg):
@@ -352,7 +355,7 @@ def _cyclic_patterns(trg):
     """
     patterns = {}
     for (t, f), _other in trg.face_classes:
-        a, b, c = _face_corners(f)
+        a, b, c = _FACE_CORNERS[f]
         bits = flips = 0
         for x, y in ((a, b), (b, c), (c, a)):
             k, s = trg.edge_class_of[(t, x, y)]

@@ -27,7 +27,7 @@ serialize(parse(text)) == text byte-for-byte for serialiser output.
 
 from .errors import SpineSyntaxError
 from .spine import BranchedSpine
-from .triangulation import Triangulation, _face_corners
+from .triangulation import _FACE_CORNERS, Triangulation
 
 FORMAT_VERSION = 1
 
@@ -43,7 +43,7 @@ def serialize(spine):
             t2, f2, perm = trg.gluings[(t, f)]
             seen.add((t, f))
             seen.add((t2, f2))
-            word = "".join(str(perm[c]) for c in _face_corners(f))
+            word = "".join(str(perm[c]) for c in _FACE_CORNERS[f])
             lines.append("glue %d.%d -> %d.%d : %s" % (t, f, t2, f2, word))
     for k, cls in enumerate(trg.edge_classes):
         t, i, j = min(cls.members, key=lambda m: (m[0], min(m[1:]), max(m[1:])))
@@ -134,7 +134,7 @@ def parse(text):
             glued[(t, f)] = glued[(t2, f2)] = lineno
             perm = [None] * 4
             perm[f] = f2
-            for corner, image in zip(_face_corners(f), images):
+            for corner, image in zip(_FACE_CORNERS[f], images):
                 perm[corner] = image
             gluings[(t, f)] = (t2, f2, tuple(perm))
         elif parts[0] == "edge":

@@ -15,7 +15,7 @@ combinatorial and shared by the branched-spine layer on top.
 from functools import cached_property
 
 from .errors import Disconnected, NonOrientable, UnpairedFace
-from .perms import inverse, sign
+from .perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse
 
 
 class EdgeClass:
@@ -44,8 +44,8 @@ class EdgeClass:
         return "EdgeClass(%d, %s)" % (self.index, list(self.members))
 
 
-def _face_corners(f):
-    return tuple(c for c in range(4) if c != f)
+_FACE_CORNERS = tuple(tuple(c for c in range(4) if c != f) for f in range(4))
+"""``_FACE_CORNERS[f]``: the corners of face f, in increasing order."""
 
 
 class Triangulation:
@@ -63,26 +63,30 @@ class Triangulation:
     # -- construction checks -------------------------------------------------
 
     def _check_involution(self, gluings):
+        n = self.tet_count
         full = {}
         for (t, f), (t2, f2, perm) in gluings.items():
-            if not (0 <= t < self.tet_count and 0 <= t2 < self.tet_count):
+            if not (0 <= t < n and 0 <= t2 < n):
                 raise UnpairedFace("gluing refers to tetrahedron out of range")
             if not (0 <= f < 4 and 0 <= f2 < 4):
                 raise UnpairedFace("gluing refers to face out of range")
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise UnpairedFace("gluing permutation %r is not a bijection" % (perm,))
+            try:
+                k = PERM_INDEX[tuple(perm)]
+            except (KeyError, TypeError):
+                raise UnpairedFace(
+                    "gluing permutation %r is not a bijection" % (perm,)) from None
+            perm = ALL_PERMS[k]
             if perm[f] != f2:
                 raise UnpairedFace(
                     "gluing permutation must carry face %d to face %d" % (f, f2))
             if (t, f) == (t2, f2):
                 raise UnpairedFace("face %d.%d glued to itself" % (t, f))
-            for key, val in (((t, f), (t2, f2, tuple(perm))),
-                             ((t2, f2), (t, f, inverse(perm)))):
-                if key in full and full[key] != val:
+            for key, val in (((t, f), (t2, f2, perm)),
+                             ((t2, f2), (t, f, ALL_PERMS[INVERSE[k]]))):
+                if full.setdefault(key, val) != val:
                     raise UnpairedFace(
                         "face %d.%d glued twice inconsistently" % key)
-                full[key] = val
-        for t in range(self.tet_count):
+        for t in range(n):
             for f in range(4):
                 if (t, f) not in full:
                     raise UnpairedFace("face %d.%d is not glued" % (t, f))
@@ -104,7 +108,7 @@ class Triangulation:
             t = stack.pop()
             for f in range(4):
                 t2, _, perm = self.gluings[(t, f)]
-                want = -orient[t] * sign(perm)
+                want = -orient[t] * SIGN[PERM_INDEX[perm]]
                 if orient[t2] == 0:
                     orient[t2] = want
                     stack.append(t2)
@@ -146,7 +150,7 @@ class Triangulation:
         members, fan = [], []
         while True:
             ct, ci, cj = cur
-            exit_face = next(c for c in range(4) if c not in (ci, cj, enter))
+            exit_face = 6 - ci - cj - enter  # the corner labels sum to 6
             members.append(cur)
             fan.append((ct, ci, cj, enter, exit_face))
             t2, f2, perm = self.gluings[(ct, exit_face)]
@@ -187,7 +191,7 @@ class Triangulation:
             return x
 
         for (t, f), (t2, f2, perm) in self.gluings.items():
-            for c in _face_corners(f):
+            for c in _FACE_CORNERS[f]:
                 a, b = find((t, c)), find((t2, perm[c]))
                 if a != b:
                     parent[a] = b

@@ -1,15 +1,16 @@
 """Independent reference computations that the tests compare the package
 against: full change-of-basis matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
-exact checks of the chain complexes and of the certificate rows, and the
-census deduplicated by least gluing code."""
+exact checks of the chain complexes and of the certificate rows, the
+census deduplicated by least gluing code, and branch codes by comparing
+corner ranks."""
 
 from itertools import combinations
 from math import gcd as _int_gcd
 
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
-from spinetorsion.perms import ALL_PERMS, sign
+from spinetorsion.perms import ALL_PERMS, inverse, sign
 from spinetorsion.spine import encode_gluings
 from spinetorsion.triangulation import Triangulation, glue_both_ways
 
@@ -340,3 +341,20 @@ def least_code_triangulations(tet_count):
         seen.add(code)
         results.append(Triangulation(tet_count, gluings))
     return results
+
+
+# -- branch codes by comparison ---------------------------------------------------
+
+
+def branch_code(ranks, rho, order):
+    """The branch code of a seed (``order`` and the corner relabelling
+    index ``rho[t]`` of each tetrahedron) read off the corner ranks: per
+    relabelled tetrahedron and new corner pair i < j, 1 if the edge runs
+    i -> j, i.e. if old corner ri[i] ranks below ri[j] for ri the inverse
+    relabelling."""
+    code = []
+    for t in order:
+        rk = ranks[t]
+        ri = inverse(ALL_PERMS[rho[t]])
+        code.extend(int(rk[ri[i]] < rk[ri[j]]) for i, j in combinations(range(4), 2))
+    return tuple(code)

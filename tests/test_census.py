@@ -7,12 +7,12 @@ import pytest
 from spinetorsion import census
 from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
-from spinetorsion.perms import SIGN
-from spinetorsion.spine import (_branch_code, _encode_seed, enumerate_branchings, glue_table,
-                                least_seeds)
+from spinetorsion.perms import ALL_PERMS, SIGN
+from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumerate_branchings,
+                                glue_table, least_seeds)
 from spinetorsion.spinefile import serialize
 
-from oracles import complete_gluings, least_code_triangulations
+from oracles import branch_code, complete_gluings, least_code_triangulations
 
 # sha256 of "count <N>\n" followed by the serialised census, in census order.
 CENSUS_DIGESTS = {
@@ -136,6 +136,28 @@ def test_branched_counts_by_orbit_counting(n, corpus3):
         assert by_code.pop(tuple(code), 0) == count
         branched += count > 0
     assert by_code == {} and branched > 0
+
+
+def test_branch_bits_match_rank_comparison():
+    # One tetrahedron under every relabelling rho and every rank order.
+    for rho in range(24):
+        for k, rk in enumerate(ALL_PERMS):
+            expected = branch_code((rk,), (rho,), (0,))
+            assert _BRANCH_BITS[rho][k] == expected
+            assert _branch_code((rk,), (rho,), (0,)) == expected
+
+
+def test_branch_codes_match_rank_comparison_on_census(corpus3):
+    # Every seed that reaches the least gluing code of a census <= 3 spine.
+    seeds_checked = 0
+    for spine in corpus3:
+        trg = spine.triangulation
+        _code, seeds = least_seeds(trg.gluings, trg.orientations)
+        for rho, order in seeds:
+            assert _branch_code(spine.ranks, rho, order) == \
+                branch_code(spine.ranks, rho, order)
+        seeds_checked += len(seeds)
+    assert seeds_checked >= len(corpus3) == 850
 
 
 # sha256 of repr(boundary_report()) per spine of census <= 3, one a line.

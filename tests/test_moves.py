@@ -487,3 +487,32 @@ def test_invariance_suite_failure_paths(census2, monkeypatch):
             invariance_suite(spine, walk, "cyclic", order=5)
     assert str(exc.value) == ("homology transport failed: x; "
                               "orientation transport failed: x")
+
+
+def test_degree3_transport_names_a_broken_chain(census2):
+    # A degree-3 chain carried across a move must give each after site
+    # tetrahedron one weight and stay a cycle; each check names itself.
+    # The default lifts pass, and their image is a cycle entry by entry.
+    walk = random_walk(census2[5], 6, seed=1, h_null_only=True)
+    not_cycles = 0
+    for move in walk:
+        before = move.before.complex.rational_complex
+        after = move.after.complex.rational_complex
+        one, zero = before.field.one, before.field.zero
+        n = before.dims[3]
+        site = sorted(t for t, _lab in move.site_before)
+        for w in transport_homology(move, before, after,
+                                    {3: before.default_lifts[3]})[3]:
+            assert all(sum((x * c for x, c in zip(row, w)), zero).is_zero()
+                       for row in after.d3)
+        lopsided = [one if t == site[0] else zero for t in range(n)]
+        with pytest.raises(TransportFailure) as exc:
+            transport_homology(move, before, after, {3: [lopsided]})
+        assert str(exc.value) == "inconsistent subdivision weights on the site"
+        if len(site) < n:
+            on_site = [one if t in site else zero for t in range(n)]
+            with pytest.raises(TransportFailure) as exc:
+                transport_homology(move, before, after, {3: [on_site]})
+            assert str(exc.value) == "transported degree-3 chain is not a cycle"
+            not_cycles += 1
+    assert not_cycles == 3

@@ -242,6 +242,53 @@ def test_walk_builds_one_smith_form(census2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_walk_transports_each_orientation_once(census2, monkeypatch):
+    # The suites for both representations carry one orientation along a
+    # walk, so each move transports it once, not once per suite.
+    spine = parse(serialize(census2[5]))
+    walk = random_walk(spine, 10, seed=1, h_null_only=True, max_tets=6)
+    assert len(walk) == 10
+    original = moves.transport_homology
+    rational = []
+
+    def counted(move, before, after, lifts):
+        if before is move.before.complex.rational_complex:
+            rational.append(move)
+        return original(move, before, after, lifts)
+    monkeypatch.setattr(moves, "transport_homology", counted)
+    for kind, order in (("free_abelian", None), ("cyclic", 5)):
+        report = invariance_suite(spine, walk, kind, order=order)
+        assert [st.sign_refined_equal for st in report.steps] == [True] * 10
+    assert rational == walk
+
+    # Other lifts are transported afresh: those with every lift of positive
+    # degree negated.
+    move = walk[0]
+    X, X2 = move.before.complex, move.after.complex
+    lifts = X.rational_complex.default_lifts
+    other = {i: [[-x for x in vec] for vec in vecs] if i else vecs
+             for i, vecs in lifts.items()}
+    fresh = original(move, X.rational_complex, X2.rational_complex, other)
+    assert moves.transport_rational_homology(move, X, X2, other) == fresh
+    assert moves.transport_rational_homology(move, X, X2, lifts) != fresh
+    assert len(rational) == 12
+
+
+def test_failed_orientation_transport_is_not_kept(census2, monkeypatch):
+    # A suite whose orientation transport fails at the first step keeps
+    # nothing on the move: a later suite over the same walk transports it
+    # and compares sign-refined values at every step.
+    spine = census2[5]
+    walk = random_walk(spine, 4, seed=1, h_null_only=True)
+    with monkeypatch.context() as m:
+        _failing_at(m, 2)
+        failed = invariance_suite(spine, walk, "cyclic", order=5)
+    assert failed.steps[0].transport_note == "orientation transport failed: x"
+    report = invariance_suite(spine, walk, "cyclic", order=5)
+    assert [st.transport_note for st in report.steps] == [None] * 4
+    assert [st.sign_refined_equal for st in report.steps] == [True] * 4
+
+
 def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
     # census_branched(2) encodes each of its 648 candidates from one seed
     # and each of its 60 classes from its 24 seeds, once: the least seeds
@@ -311,8 +358,9 @@ def test_spine_caches_make_no_reference_cycle(census2):
 
 def _failing_at(monkeypatch, call):
     """Make ``moves.transport_homology`` raise TransportFailure("x") on its
-    ``call``-th call.  Each step calls it for the twisted lifts, then
-    (through ``transport_rational_homology``) for the orientation."""
+    ``call``-th call.  On a walk no suite has run over yet, each step calls
+    it for the twisted lifts, then (through ``transport_rational_homology``)
+    for the orientation."""
     original = moves.transport_homology
     calls = []
 

@@ -7,7 +7,7 @@ from spinetorsion.errors import CyclicTriangle, NonOrientable
 from spinetorsion.perms import ALL_PERMS
 from spinetorsion.spine import BranchedSpine, enumerate_branchings
 from spinetorsion.spinefile import parse
-from spinetorsion.triangulation import _face_corners
+from spinetorsion.triangulation import _FACE_CORNERS
 
 from fixtures import ONE_TET, TWO_VARIANT
 
@@ -27,7 +27,7 @@ def brute_force_branchings(trg):
         ok = True
         for t in range(trg.tet_count):
             for f in range(4):
-                a, b, c = _face_corners(f)
+                a, b, c = _FACE_CORNERS[f]
                 edges = [(a, b), (b, c), (a, c)]
                 dirs = [direction(t, *e) for e in edges]
                 # cyclic iff a->b, b->c, c->a or the reverse cycle
@@ -100,7 +100,7 @@ def test_face_sink_source_against_edge_scan(corpus12):
         for t in range(s.tet_count):
             for f in range(4):
                 src, _m, snk = s.face_roles(t, f)
-                cs = _face_corners(f)
+                cs = _FACE_CORNERS[f]
                 for c in cs:
                     others = [x for x in cs if x != c]
                     out = sum(1 for x in others if s.edge_direction(t, c, x))

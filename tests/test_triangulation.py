@@ -75,6 +75,48 @@ def test_non_bijective_permutation_rejected():
         Triangulation(1, g)
 
 
+# Gluings of one tetrahedron that each ``Triangulation`` check rejects, with
+# the message it names them by: faces 2 and 3 glued as in a valid gluing,
+# plus the entries listed.
+_FACES_2_3 = {(0, 2): (0, 3, (0, 1, 3, 2))}
+_REJECTED = [
+    ({(0, 0): (1, 1, (1, 0, 2, 3))}, "gluing refers to tetrahedron out of range"),
+    ({(-1, 0): (0, 1, (1, 0, 2, 3))}, "gluing refers to tetrahedron out of range"),
+    ({(0, 4): (0, 1, (4, 0, 2, 3))}, "gluing refers to face out of range"),
+    ({(0, 0): (0, -1, (1, 0, 2, 3))}, "gluing refers to face out of range"),
+    ({(0, 0): (0, 1, (1, 1, 2, 3))},
+     "gluing permutation (1, 1, 2, 3) is not a bijection"),
+    ({(0, 0): (0, 1, [1, 1, 2, 3])},
+     "gluing permutation [1, 1, 2, 3] is not a bijection"),
+    ({(0, 0): (0, 1, (1, 0, 2))}, "gluing permutation (1, 0, 2) is not a bijection"),
+    ({(0, 0): (0, 1, (1, 0, 2, 3, 4))},
+     "gluing permutation (1, 0, 2, 3, 4) is not a bijection"),
+    ({(0, 0): (0, 1, (1, 0, 2, 4))}, "gluing permutation (1, 0, 2, 4) is not a bijection"),
+    ({(0, 0): (0, 1, (0, 1, 3, 2))}, "gluing permutation must carry face 0 to face 1"),
+    ({(0, 0): (0, 0, (0, 2, 1, 3))}, "face 0.0 glued to itself"),
+    # The same partner under another permutation, then another partner.
+    ({(0, 0): (0, 1, (1, 0, 2, 3)), (0, 1): (0, 0, (1, 0, 3, 2))},
+     "face 0.1 glued twice inconsistently"),
+    ({(0, 0): (0, 1, (1, 0, 2, 3)), (0, 1): (0, 2, (0, 2, 1, 3))},
+     "face 0.1 glued twice inconsistently"),
+    ({(0, 0): (0, 1, (1, 0, 2, 3)), (0, 2): None}, "face 0.2 is not glued"),
+]
+
+
+@pytest.mark.parametrize("entries, message", _REJECTED)
+def test_rejected_gluings_name_the_check(entries, message):
+    gluings = {**_FACES_2_3, **entries}
+    gluings = {key: val for key, val in gluings.items() if val is not None}
+    with pytest.raises(UnpairedFace) as exc:
+        Triangulation(1, gluings)
+    assert str(exc.value) == message
+    valid = {**_FACES_2_3, (0, 0): (0, 1, (1, 0, 2, 3))}
+    assert Triangulation(1, valid).tet_count == 1
+    with pytest.raises(UnpairedFace) as exc:
+        Triangulation(0, {})
+    assert str(exc.value) == "a triangulation needs at least one tetrahedron"
+
+
 def test_disconnected_rejected():
     g = {}
     glue_both_ways(g, 0, 0, 0, 1, (1, 0, 2, 3))
