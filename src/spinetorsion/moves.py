@@ -623,13 +623,14 @@ def transport_homology(move, before, after, lifts):
     ``before`` and ``after`` are the chain complexes of the move's two
     spines over one field: the TwistedComplex of a representation and of
     its transport, or the rational complexes of the two CellComplexX.
-    Degree 0 is the base point.  A cycle of degree 1 or 2 injects once
-    its coordinates on the cells that vanish are cleared with boundaries:
-    the central edge of a negative move with the boundaries of the
-    vanishing faces, the vanishing faces with the boundaries of the site
-    tetrahedra.  Degree-3 cycles keep their outside coefficients and the
-    site coefficients are re-solved in the after complex.  Raises
-    TransportFailure when a class cannot be resolved.
+    Degree 0 is the base point: its multiples carry over as they are.  A
+    cycle of degree 1 or 2 injects once its coordinates on the cells that
+    vanish are cleared with boundaries: the central edge of a negative
+    move with the boundaries of the vanishing faces, the vanishing faces
+    with the boundaries of the site tetrahedra.  Degree-3 cycles keep
+    their outside coefficients and the site coefficients are re-solved in
+    the after complex.  Raises TransportFailure when a class cannot be
+    resolved.
     """
     field = before.field
     zero = after.field.zero
@@ -649,7 +650,7 @@ def transport_homology(move, before, after, lifts):
             continue
         new_vecs = out[deg] = []
         if deg == 0:
-            new_vecs.extend([after.field.one] for _ in vecs)
+            new_vecs.extend(list(vec) for vec in vecs)
         elif deg in rules:
             coords, d, clearing, corr, where = rules[deg]
             cols = [[row[j] for row in d] for j in clearing]

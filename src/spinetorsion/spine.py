@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .errors import CyclicTriangle, NonOrientable
 from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
-from .triangulation import _FACE_CORNERS, Triangulation
+from .triangulation import _CORNER_PAIRS, _FACE_CORNERS, _PAIR, Triangulation
 
 
 class BranchedSpine:
@@ -82,26 +82,20 @@ class BranchedSpine:
     def _compute_ranks(self):
         """Per tetrahedron, the rank of each corner in the branching order.
 
-        Raises CyclicTriangle if some triangle is cyclically oriented.  The
-        tournament on a tetrahedron's corners is transitive, so in-degrees
-        0..3 give a linear order, exactly when none of its four triangles is
-        cyclic, i.e. has in-degree 1 at each corner within the triangle.
+        Raises CyclicTriangle, naming the first cyclic face triangle of the
+        first tetrahedron whose corner tournament the rank table finds
+        cyclic.
         """
-        ranks = []
-        for t in range(self.triangulation.tet_count):
-            indeg = [0, 0, 0, 0]
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if self.edge_direction(t, i, j):
-                        indeg[j] += 1
-                    else:
-                        indeg[i] += 1
-            if sorted(indeg) != [0, 1, 2, 3]:
-                f = next(f for f in range(4) if all(
-                    indeg[c] - self.edge_direction(t, f, c) == 1 for c in _FACE_CORNERS[f]))
-                raise CyclicTriangle("face %d.%d has a cyclic edge orientation" % (t, f))
-            ranks.append(tuple(indeg))
-        return tuple(ranks)
+        pairs = self.triangulation.pair_classes
+        mask = sum(1 << k for k, b in enumerate(self.branching) if b == -1)
+        ranks = _mask_ranks(mask, pairs)
+        if None in ranks:
+            t = ranks.index(None)
+            bits = _tet_bits(mask, pairs[t])
+            f = next(f for f, (ab, bc, ac) in enumerate(_FACE_PAIRS)
+                     if (bits >> ab & 1) == (bits >> bc & 1) != (bits >> ac & 1))
+            raise CyclicTriangle("face %d.%d has a cyclic edge orientation" % (t, f))
+        return ranks
 
     # -- branching queries -------------------------------------------------------
 
@@ -308,7 +302,6 @@ def _branch_code(ranks, rho, order):
     return code
 
 
-_CORNER_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 _BRANCH_BITS = tuple(
     tuple(tuple(int(rk[ri[i]] < rk[ri[j]]) for i, j in _CORNER_PAIRS) for rk in ALL_PERMS)
     for ri in (ALL_PERMS[INVERSE[r]] for r in range(24)))
@@ -322,28 +315,36 @@ the inverse relabelling."""
 def enumerate_branchings(trg):
     """All branchings of a triangulation, in deterministic bitmask order.
 
-    Bit k of the mask reverses edge class k.  Every mask (2^E of them) is
-    screened against the face triangles, and a ``BranchedSpine``, which
-    checks every tetrahedron for a cyclic triangle, is built for each mask
-    that passes, so an empty result certifies that no branching exists.
-    The tests check the screen against a scan of every mask by direct
-    edge checks.
+    A ``BranchedSpine``, which checks every tetrahedron for a cyclic
+    triangle, is built for each branching ``_branchings`` finds, so an
+    empty result certifies that no branching exists.  The tests check the
+    screen against a scan of every mask by direct edge checks.
     """
-    triangles = _cyclic_patterns(trg)
-    n = len(trg.edge_classes)
-    found = []
-    for mask in range(1 << n):
-        for bits, flips in triangles:
+    return [BranchedSpine(trg, branching) for branching, _ranks
+            in _branchings(trg.pair_classes, len(trg.edge_classes))]
+
+
+def _branchings(pair_classes, class_count):
+    """(branching, ranks) per branching of the edge classes of
+    ``edge_walk``, in bitmask order: bit k of the mask reverses class k.
+
+    Every mask (2^E of them) is screened against the face triangles.  A
+    mask that passes orients no triangle cyclically, so the tournament on
+    each tetrahedron's corners is transitive and the rank table gives its
+    ranks.
+    """
+    patterns = _cyclic_patterns(pair_classes)
+    for mask in range(1 << class_count):
+        for bits, flips in patterns:
             backward = (mask ^ flips) & bits
             if backward == 0 or backward == bits:
                 break
         else:
-            found.append(BranchedSpine(
-                trg, tuple(-1 if (mask >> k) & 1 else 1 for k in range(n))))
-    return found
+            yield (tuple(-1 if mask >> k & 1 else 1 for k in range(class_count)),
+                   _mask_ranks(mask, pair_classes))
 
 
-def _cyclic_patterns(trg):
+def _cyclic_patterns(pair_classes):
     """(bits, flips) per face triangle that some mask makes cyclic.
 
     Edge x -> y of edge class k with reference direction s runs from x to
@@ -351,19 +352,58 @@ def _cyclic_patterns(trg):
     triangle a, b, c is cyclic when its edges a -> b, b -> c and c -> a all
     run forwards or all backwards: when ``(mask ^ flips) & bits`` is 0 or
     ``bits``, for ``bits`` their classes and ``flips`` those with s = -1.
-    A triangle that meets one class both ways is never cyclic.
+    That test holds for ``flips ^ bits`` too, so each triangle, met from
+    both its faces, keeps the lesser.  A triangle that meets one class
+    both ways is never cyclic.
     """
     patterns = {}
-    for (t, f), _other in trg.face_classes:
-        a, b, c = _FACE_CORNERS[f]
-        bits = flips = 0
-        for x, y in ((a, b), (b, c), (c, a)):
-            k, s = trg.edge_class_of[(t, x, y)]
-            flip = (s == -1) << k
-            if bits >> k & 1 and flips & (1 << k) != flip:
-                break
-            bits |= 1 << k
-            flips |= flip
-        else:
-            patterns[bits, flips] = None
+    for row in pair_classes:
+        for ab, bc, ac in _FACE_PAIRS:
+            bits = flips = 0
+            # c -> a runs along pair (a, c) backwards: it flips when s = 1.
+            for (k, s), flipped in ((row[ab], -1), (row[bc], -1), (row[ac], 1)):
+                flip = (s == flipped) << k
+                if bits >> k & 1 and flips & (1 << k) != flip:
+                    break
+                bits |= 1 << k
+                flips |= flip
+            else:
+                patterns[bits, min(flips, flips ^ bits)] = None
     return tuple(patterns)
+
+
+def _tet_bits(mask, row):
+    """The rank-table index of one tetrahedron under a mask: bit e set when
+    corner pair e = (i, j) runs i -> j, for ``row`` its ``pair_classes`` row."""
+    bits = 0
+    for e, (k, s) in enumerate(row):
+        if (mask >> k & 1) != (s == 1):
+            bits |= 1 << e
+    return bits
+
+
+def _mask_ranks(mask, pair_classes):
+    """Per tetrahedron, the rank table's entry under a mask."""
+    return tuple(_RANKS[_tet_bits(mask, row)] for row in pair_classes)
+
+
+_FACE_PAIRS = tuple((_PAIR[a][b], _PAIR[b][c], _PAIR[a][c]) for a, b, c in _FACE_CORNERS)
+"""Per face with corners a < b < c: the indices of its pairs (a, b), (b, c), (a, c)."""
+
+
+def _rank_table():
+    """``_RANKS``: each rank order, a transitive tournament whose edges run
+    up the ranks, at the index of its direction pattern; None elsewhere."""
+    table = [None] * 64
+    for rk in ALL_PERMS:
+        table[sum(1 << e for e, (i, j) in enumerate(_CORNER_PAIRS) if rk[i] < rk[j])] = rk
+    return tuple(table)
+
+
+_RANKS = _rank_table()
+"""``_RANKS[bits]``: the corner ranks of a tetrahedron whose corner pair e
+= (i, j) runs i -> j exactly when bit e of ``bits`` is set, each corner
+ranked by its in-degree (0 at the source, 3 at the sink), or None when
+the in-degrees are not 0..3.  The tournament on four corners is
+transitive, so its in-degrees are 0..3, exactly when none of its four
+face triangles is cyclic; 24 of the 64 entries are rank orders."""

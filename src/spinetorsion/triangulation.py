@@ -46,6 +46,11 @@ class EdgeClass:
 
 _FACE_CORNERS = tuple(tuple(c for c in range(4) if c != f) for f in range(4))
 """``_FACE_CORNERS[f]``: the corners of face f, in increasing order."""
+_CORNER_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+"""The six corner pairs i < j of a tetrahedron; pair e is ``_CORNER_PAIRS[e]``."""
+_PAIR = tuple(tuple(_CORNER_PAIRS.index((min(i, j), max(i, j))) if i != j else None
+                    for j in range(4)) for i in range(4))
+"""``_PAIR[i][j]``: the index in ``_CORNER_PAIRS`` of the pair {i, j}."""
 
 
 class Triangulation:
@@ -55,16 +60,20 @@ class Triangulation:
         if tet_count <= 0:
             raise UnpairedFace("a triangulation needs at least one tetrahedron")
         self.tet_count = tet_count
-        self.gluings = self._check_involution(gluings)
-        self.orientations = self._orient()
+        self.gluings, glue = self._check_involution(gluings)
+        self.orientations = self._orient(glue)
         self.face_classes, self.face_class_of = self._face_classes()
-        self.edge_classes, self.edge_class_of = self._edge_classes()
+        self.edge_classes, self.edge_class_of, self.pair_classes = self._edge_classes(glue)
 
     # -- construction checks -------------------------------------------------
 
     def _check_involution(self, gluings):
+        """The gluing dict with every face pair entered both ways, and its
+        glue table: ``glue[t][f]`` is (tetrahedron behind face f of t,
+        gluing permutation index)."""
         n = self.tet_count
         full = {}
+        indices = []
         for (t, f), (t2, f2, perm) in gluings.items():
             if not (0 <= t < n and 0 <= t2 < n):
                 raise UnpairedFace("gluing refers to tetrahedron out of range")
@@ -86,13 +95,17 @@ class Triangulation:
                 if full.setdefault(key, val) != val:
                     raise UnpairedFace(
                         "face %d.%d glued twice inconsistently" % key)
+            indices.append((t, f, t2, f2, k))
         for t in range(n):
             for f in range(4):
                 if (t, f) not in full:
                     raise UnpairedFace("face %d.%d is not glued" % (t, f))
-        return full
+        glue = [[None] * 4 for _ in range(n)]
+        for t, f, t2, f2, k in indices:
+            glue[t][f], glue[t2][f2] = (t2, k), (t, INVERSE[k])
+        return full, glue
 
-    def _orient(self):
+    def _orient(self, glue):
         """Assign +1/-1 to the tetrahedra so every gluing is orientation-reversing.
 
         A gluing with permutation p between tetrahedra of orientations s, s'
@@ -106,9 +119,8 @@ class Triangulation:
         conflict = False
         while stack:
             t = stack.pop()
-            for f in range(4):
-                t2, _, perm = self.gluings[(t, f)]
-                want = -orient[t] * SIGN[PERM_INDEX[perm]]
+            for t2, k in glue[t]:
+                want = -orient[t] * SIGN[k]
                 if orient[t2] == 0:
                     orient[t2] = want
                     stack.append(t2)
@@ -137,46 +149,19 @@ class Triangulation:
                 of[(t2, f2)] = idx
         return tuple(classes), of
 
-    def _walk_around_edge(self, t, i, j):
-        """Cyclic fan of tetrahedron edges glued around the edge (t, i, j).
-
-        Returns (members, fan): see EdgeClass.  Each step is a bijection
-        on (tetrahedron, oriented edge, entry face), so the walk always
-        closes; on an oriented gluing it never meets the edge reversed.
-        """
-        sides = [c for c in range(4) if c != i and c != j]
-        cur = (t, i, j)
-        enter = sides[0]
-        members, fan = [], []
-        while True:
-            ct, ci, cj = cur
-            exit_face = 6 - ci - cj - enter  # the corner labels sum to 6
-            members.append(cur)
-            fan.append((ct, ci, cj, enter, exit_face))
-            t2, f2, perm = self.gluings[(ct, exit_face)]
-            cur = (t2, perm[ci], perm[cj])
-            enter = f2
-            if cur == (t, i, j) and enter == sides[0]:
-                break
-        return tuple(members), tuple(fan)
-
-    def _edge_classes(self):
-        classes = []
+    def _edge_classes(self, glue):
+        """Edge classes, ``edge_class_of`` (oriented tetrahedron edge ->
+        (class, sign)) and ``pair_classes`` (see ``edge_walk``), from one
+        ``edge_walk`` over the glue table."""
+        fans, pair_classes = edge_walk(glue, self.tet_count)
+        classes = tuple(EdgeClass(k, tuple(step[:3] for step in fan), fan)
+                        for k, fan in enumerate(fans))
         of = {}
-        for t in range(self.tet_count):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if (t, i, j) in of:
-                        continue
-                    members, fan = self._walk_around_edge(t, i, j)
-                    idx = len(classes)
-                    classes.append(EdgeClass(idx, members, fan))
-                    for (mt, mi, mj) in members:
-                        of[(mt, mi, mj)] = (idx, 1)
-                        of[(mt, mj, mi)] = (idx, -1)
-        # Every tetrahedron edge must land in exactly one class.
-        assert len(of) == 12 * self.tet_count
-        return tuple(classes), of
+        for t, row in enumerate(pair_classes):
+            for (i, j), (k, s) in zip(_CORNER_PAIRS, row):
+                of[(t, i, j)] = (k, s)
+                of[(t, j, i)] = (k, -s)
+        return classes, of, pair_classes
 
     @cached_property
     def vertex_classes(self):
@@ -225,3 +210,40 @@ def glue_both_ways(gluings, t, f, t2, f2, perm):
     perm = tuple(perm)
     gluings[(t, f)] = (t2, f2, perm)
     gluings[(t2, f2)] = (t, f, inverse(perm))
+
+
+def edge_walk(glue, tet_count):
+    """The edge classes of an oriented glue table, one walk around each.
+
+    Returns ``(fans, pair_classes)``.  ``fans[k]`` is the walk around edge
+    class k as in ``EdgeClass.fan``, started at its first tetrahedron edge
+    (t, i < j) and entering through the lower of the two other corners;
+    classes are numbered in the order their first edges come.
+    ``pair_classes[t][e]`` is (k, s) for corner pair e = (i, j) of
+    ``_CORNER_PAIRS`` of tetrahedron t: s = 1 if the walk of class k runs
+    along it from i to j, -1 if from j to i.  Each step is a bijection on
+    (tetrahedron, oriented edge, entry face), so the walk always closes; on
+    an oriented gluing it never meets the edge reversed.
+    """
+    pair_classes = [[None] * 6 for _ in range(tet_count)]
+    fans = []
+    for t in range(tet_count):
+        for e, (i, j) in enumerate(_CORNER_PAIRS):
+            if pair_classes[t][e] is not None:
+                continue
+            k = len(fans)
+            forward, backward = (k, 1), (k, -1)
+            start = enter = (i == 0) + (j == 1)  # the least corner off the edge
+            ct, ci, cj = t, i, j
+            fan = []
+            while True:
+                exit_face = 6 - ci - cj - enter  # the corner labels sum to 6
+                fan.append((ct, ci, cj, enter, exit_face))
+                pair_classes[ct][_PAIR[ci][cj]] = forward if ci < cj else backward
+                ct, p = glue[ct][exit_face]
+                perm = ALL_PERMS[p]
+                ci, cj, enter = perm[ci], perm[cj], perm[exit_face]
+                if ct == t and ci == i and cj == j and enter == start:
+                    break
+            fans.append(tuple(fan))
+    return fans, pair_classes

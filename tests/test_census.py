@@ -11,6 +11,7 @@ from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumerate_branchings,
                                 glue_table, least_seeds)
 from spinetorsion.spinefile import serialize
+from spinetorsion.triangulation import Triangulation
 
 from oracles import branch_code, complete_gluings, least_code_triangulations
 
@@ -68,12 +69,39 @@ def test_orbit_table_matches_least_code_dedup(n):
 def test_table_search_matches_dict_search(n, count):
     # The search over one live glue table visits the candidates of the
     # search over gluing dicts, in its order, each glued in the same order.
+    # Each table is connected: the walk from tetrahedron 0 reaches all n.
     seen = 0
     for glue, gluings in zip(census._complete_gluings(n), complete_gluings(n),
                              strict=True):
         assert list(census._gluings(glue, n).items()) == list(gluings.items())
+        assert len(_encode_seed(glue, n, 0, 0, None)[2]) == n
         seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_branchings_match_built_triangulation(n):
+    # The branchings and ranks the census reads off each class's glue
+    # table are those of the spines built on its Triangulation, in order.
+    branched = 0
+    for glue, _least in census._classes(n):
+        found = list(census._class_branchings(glue, n))
+        trg = Triangulation(n, census._gluings(glue, n))
+        assert found == [(s.branching, s.ranks) for s in enumerate_branchings(trg)]
+        branched += bool(found)
+    assert branched == {1: 3, 2: 23, 3: 269}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_seed_codes_sort_as_int_tuples(n):
+    # Every seed code of every class, packed as the orbit table packs it.
+    pack = census._packer(n)
+    assert pack is bytes and census._packer(11) is tuple
+    codes = [_encode_seed(glue, n, t0, rho0, None)[0]
+             for glue, _least in census._classes(n)
+             for t0 in range(n) for rho0 in range(24)]
+    assert sorted(codes, key=pack) == sorted(codes)
+    assert len({pack(code) for code in codes}) == len({tuple(code) for code in codes})
 
 
 def test_triangulation_enumeration_counts():

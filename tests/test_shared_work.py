@@ -6,7 +6,7 @@ complex keeps the torsion sign of each orientation, and h-null candidates
 are certified before their after spine is built.  Each test compares the
 shared result with one computed from scratch.  The census reads the least
 seeds of a class off the seed codes of its orbit, and builds a spine only
-for a branching; a count guards each.
+for a branching with a new signature; a count guards each.
 """
 
 import gc
@@ -289,12 +289,42 @@ def test_failed_orientation_transport_is_not_kept(census2, monkeypatch):
     assert [st.sign_refined_equal for st in report.steps] == [True] * 4
 
 
+def test_opposite_orientation_is_carried_negated(census2):
+    # Along a walk the opposite orientation carries to the carried default
+    # one with its degree-0 lift negated, and its sign-refined value stays
+    # the same at every step, opposite to the default one's.
+    spine = parse(serialize(census2[5]))
+    walk = random_walk(spine, 10, seed=1, h_null_only=True, max_tets=6)
+    X = spine.complex
+    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X),
+                        make_representation(spine.group, "cyclic", 5))
+    lifts = tc.default_lifts
+    default, opposite = _orientations(X)
+    values = []
+    for move in [*walk, None]:
+        values.append([sign_refined_torsion(spine, tc, h=lifts or None, orientation=o)
+                       .to_str() for o in (default, opposite)])
+        if move is None:
+            break
+        spine, X2 = move.after, move.after.complex
+        after = TwistedComplex(spine, X2, SpiderAnchors(spine, X2),
+                               moves.transport_representation(move, tc.rep))
+        lifts = moves.transport_homology(move, tc, after, lifts)
+        default = moves.transport_rational_homology(move, X, X2, default)
+        opposite = moves.transport_rational_homology(move, X, X2, opposite)
+        assert opposite == {**default, 0: [[-x for x in default[0][0]]]}
+        X, tc = X2, after
+    assert len(values) == 11 and values.count(values[0]) == 11
+    assert values[0][0] != values[0][1]
+
+
 def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
     # census_branched(2) encodes each of its 648 candidates from one seed
     # and each of its 60 classes from its 24 seeds, once: the least seeds
-    # come from the same codes.  Only the 118 masks that pass the
-    # face-triangle screen build a spine.
-    counts = {"seeds": 0, "spines": 0}
+    # come from the same codes.  Of the 118 branchings that pass the
+    # face-triangle screen, only the 46 whose signature is new build a
+    # spine, and only the 23 classes that have one build a triangulation.
+    counts = {"seeds": 0, "triangulations": 0, "spines": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -304,10 +334,12 @@ def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
     encode = counted("seeds", spine_module._encode_seed)
     monkeypatch.setattr(census, "_encode_seed", encode)
     monkeypatch.setattr(spine_module, "_encode_seed", encode)
-    monkeypatch.setattr(spine_module, "BranchedSpine",
-                        counted("spines", spine_module.BranchedSpine))
+    monkeypatch.setattr(census, "Triangulation",
+                        counted("triangulations", census.Triangulation))
+    monkeypatch.setattr(census, "BranchedSpine",
+                        counted("spines", census.BranchedSpine))
     assert len(census.census_branched(2)) == 46
-    assert counts == {"seeds": 2088, "spines": 118}
+    assert counts == {"seeds": 2088, "triangulations": 23, "spines": 46}
 
 
 def _orientations(X):

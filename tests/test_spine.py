@@ -5,9 +5,9 @@ import pytest
 from spinetorsion.census import enumerate_triangulations
 from spinetorsion.errors import CyclicTriangle, NonOrientable
 from spinetorsion.perms import ALL_PERMS
-from spinetorsion.spine import BranchedSpine, enumerate_branchings
+from spinetorsion.spine import _RANKS, BranchedSpine, enumerate_branchings
 from spinetorsion.spinefile import parse
-from spinetorsion.triangulation import _FACE_CORNERS
+from spinetorsion.triangulation import _CORNER_PAIRS, _FACE_CORNERS
 
 from fixtures import ONE_TET, TWO_VARIANT
 
@@ -44,6 +44,27 @@ def test_enumerate_branchings_matches_brute_force():
         for trg in enumerate_triangulations(n):
             found = [s.branching for s in enumerate_branchings(trg)]
             assert found == brute_force_branchings(trg)
+
+
+def test_rank_table_is_the_indegree_rule():
+    # Pattern bit e set: corner pair e = (i, j) runs i -> j.  A transitive
+    # tournament ranks each corner by its in-degree and runs every edge up
+    # the ranks; any other has a cyclic face triangle.
+    transitive = 0
+    for bits in range(64):
+        runs = {}
+        for e, (i, j) in enumerate(_CORNER_PAIRS):
+            runs[i, j], runs[j, i] = bool(bits >> e & 1), not bits >> e & 1
+        indeg = tuple(sum(runs[x, c] for x in range(4) if x != c) for c in range(4))
+        cyclic = any(runs[a, b] == runs[b, c] == runs[c, a] for a, b, c in _FACE_CORNERS)
+        ranks = _RANKS[bits]
+        if ranks is None:
+            assert cyclic and sorted(indeg) != [0, 1, 2, 3]
+        else:
+            transitive += 1
+            assert not cyclic and ranks == indeg and ranks in ALL_PERMS
+            assert all(runs[i, j] == (ranks[i] < ranks[j]) for i, j in _CORNER_PAIRS)
+    assert transitive == 24
 
 
 def test_branchings_closed_under_global_reversal():
