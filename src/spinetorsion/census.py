@@ -89,7 +89,7 @@ def _classes(tet_count):
     seed codes.  So a candidate is skipped if the orbit table (every seed
     code of every class kept, packed by ``_packer``) holds its code, and
     starts a class otherwise.  ``least`` is what ``least_seeds`` returns
-    for the gluings, its code packed, read off the 12n seed codes of the
+    for the table, its code packed, read off the 12n seed codes of the
     class.
     """
     pack = _packer(tet_count)

@@ -40,8 +40,10 @@ def spine_summary(spine):
 # every field up to this order builds in about 0.1 s.
 MAX_CYCLIC_ORDER = 1000
 
-# Largest --tets accepted by ``census``.  Census 4 takes about 37 s and
-# 0.8 GB; the orbit table of census 5 would need more than 16 GB.
+# Largest --tets accepted by ``census``.  Census 4 takes 12-16 s of process
+# time at about 215 MB ru_maxrss (2 CPUs, CPython 3.11); the orbit table of
+# census 5 alone would need about 7 GB (at least 73M seed codes at about
+# 95 B each).
 MAX_CENSUS_TETS = 4
 
 

@@ -78,7 +78,7 @@ class CellComplexX:
                 w = tuple(c for c in pos if c != omitted)
                 roles = spine.face_roles(t, omitted)
                 sgn = (-1) ** i * parity([roles.index(c) for c in w])
-                fc = trg.face_class_of[(t, omitted)]
+                fc = trg.face_class_of[t][omitted]
                 self.d3_terms.append((fc, t, sgn, roles[2]))
                 self.d3[fc][t] += sgn
 

@@ -24,11 +24,10 @@ from .complexes import SpiderAnchors
 
 
 class EulerData:
-    def __init__(self, chain_class, cochain, tangency_counts, chain_vector):
+    def __init__(self, chain_class, cochain, tangency_counts):
         self.chain_class = chain_class          # (free coords, torsion coords)
         self.cochain = cochain                  # region -> int, 1 - n/2
         self.tangency_counts = tangency_counts  # region -> n(R)
-        self.chain_vector = chain_vector        # integer 1-chain on edge classes
 
 
 def _chain_vector(spine):
@@ -87,9 +86,8 @@ def maw_cochain(spine):
 
 
 def euler_data(spine):
-    vec = _chain_vector(spine)
     cochain, counts = maw_cochain(spine)
-    return EulerData(spine.group.class_of_vector(vec), cochain, counts, vec)
+    return EulerData(euler_chain_class(spine), cochain, counts)
 
 
 def path_choice_independence(spine):

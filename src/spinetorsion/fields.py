@@ -76,8 +76,6 @@ last pivot and the row factors.  ``select_columns`` is its columns,
 ``nullspace`` and ``solve`` clear above the pivots as well, which leaves
 every pivot row equal to the last pivot times its reduced echelon row,
 and read kernels and solutions off by dividing by the last pivot.
-``cofactor_det`` gives an independent slow determinant used to
-cross-check the engine.
 """
 
 from fractions import Fraction
@@ -926,20 +924,3 @@ class CyclotomicField(_Field):
                 self, [_quo(c, d) for c in self._reduced(p)])
         inv = self._element(den).inv()
         return lambda p: self._element(p) * inv
-
-
-def cofactor_det(field, matrix):
-    """Determinant by first-row cofactor expansion; slow cross-check oracle."""
-    n = len(matrix)
-    if n == 0:
-        return field.one
-    if n == 1:
-        return matrix[0][0]
-    total = field.zero
-    for j in range(n):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = matrix[0][j] * cofactor_det(field, minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total

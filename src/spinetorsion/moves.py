@@ -37,7 +37,7 @@ from functools import cached_property
 
 from .errors import (MoveError, NotApplicable, SelfAdjacentFace, Stuck,
                      TransportFailure)
-from .perms import compose, inverse, sign
+from .perms import ALL_PERMS, compose, inverse, sign
 from .rng import SplitMix64
 from .spine import _CORNER_PAIRS, BranchedSpine
 from .triangulation import _FACE_CORNERS, Triangulation, glue_both_ways
@@ -173,7 +173,7 @@ def _pair_class(trg, site, u, v):
     """Edge class of the edge labelled u, v in a site, or None."""
     for t, lab in site:
         if u in lab and v in lab:
-            return trg.edge_class_of[(t, lab.index(u), lab.index(v))][0]
+            return trg.edge_class_of(t, lab.index(u), lab.index(v))[0]
     return None
 
 
@@ -189,9 +189,9 @@ def _variants(spine, site):
     arrows, edge_class = {}, {}
     for t, lab in site[2]:  # the old site
         rk = spine.ranks[t]
-        for i, j in _CORNER_PAIRS:
+        for (i, j), (k, _s) in zip(_CORNER_PAIRS, trg.pair_classes[t]):
             edge = frozenset((lab[i], lab[j]))
-            edge_class[edge] = trg.edge_class_of[(t, i, j)][0]
+            edge_class[edge] = k
             arrows[edge] = (lab[i], lab[j]) if rk[i] < rk[j] else (lab[j], lab[i])
     ac = frozenset("ac")
     central = [arrows[ac]] if ac in arrows else [("a", "c"), ("c", "a")]
@@ -228,15 +228,15 @@ def _rebuild(spine, site, variant, bip):
     # or distinct label sets on the boundary): no face can end up glued to
     # itself, so the result needs no check for that.
     gluings = {}
-    for side, (t2, f2, g) in trg.gluings.items():
-        if side in moved:
-            nt, nf, lam = moved[side]
-            nt2, nf2, lam2 = moved[(t2, f2)]
-            if lam is not _IDENTITY:
-                g = compose(g, inverse(lam))
-            if lam2 is not _IDENTITY:
-                g = compose(lam2, g)
-            gluings[(nt, nf)] = (nt2, nf2, g)
+    for (t, f), (nt, nf, lam) in moved.items():
+        t2, k = trg.glue[t][f]
+        g = ALL_PERMS[k]
+        nt2, nf2, lam2 = moved[(t2, g[f])]
+        if lam is not _IDENTITY:
+            g = compose(g, inverse(lam))
+        if lam2 is not _IDENTITY:
+            g = compose(lam2, g)
+        gluings[(nt, nf)] = (nt2, nf2, g)
     new_inner = []
     for sides in new_faces.values():
         if len(sides) == 2:
@@ -269,15 +269,16 @@ def _rebuild(spine, site, variant, bip):
             lab = old_labels[t]
             edge_map[k] = _pair_class(after_trg, new_site, lab[i], lab[j])
         else:
-            edge_map[k] = after_trg.edge_class_of[kept][0]
+            edge_map[k] = after_trg.edge_class_of(*kept)[0]
     face_map = {}
     vanished = set()
     for k, (side, _) in enumerate(trg.face_classes):
         if side in moved:
-            face_map[k] = after_trg.face_class_of[moved[side][:2]]
+            nt, nf, _lam = moved[side]
+            face_map[k] = after_trg.face_class_of[nt][nf]
         else:
             vanished.add(k)
-    created = tuple(sorted({after_trg.face_class_of[side] for side in new_inner}))
+    created = tuple(sorted({after_trg.face_class_of[nt][nf] for nt, nf in new_inner}))
     vanished = tuple(sorted(vanished))
 
     old_of = {n: t for t, n in index.items()}
@@ -316,7 +317,7 @@ def _positive_site(spine, face_class):
     if t0 == t1:
         raise SelfAdjacentFace(
             "face class %d has both sides on tetrahedron %d" % (face_class, t0))
-    perm = trg.gluings[(t0, f0)][2]
+    perm = ALL_PERMS[trg.glue[t0][f0][1]]
     p, q, r = _FACE_CORNERS[f0]
     # Handedness: order the equator so that the three new tetrahedra,
     # labelled (a, c, x, y), are positively oriented.

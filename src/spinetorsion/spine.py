@@ -69,15 +69,19 @@ class BranchedSpine:
     # -- validation ------------------------------------------------------------
 
     def _check_orientations(self):
+        """Accept the triangulation's orientation bits or their negation,
+        the only two that make every gluing of a connected triangulation
+        orientation-reversing; otherwise name the first gluing they do not."""
         trg = self.triangulation
-        if len(self.orientations) != trg.tet_count or any(
-                o not in (1, -1) for o in self.orientations):
+        orient = self.orientations
+        if len(orient) != trg.tet_count or any(o not in (1, -1) for o in orient):
             raise NonOrientable("one +-1 orientation bit per tetrahedron required")
-        for (t, _f), (t2, _f2, perm) in trg.gluings.items():
-            if sign(perm) * self.orientations[t] * self.orientations[t2] != -1:
-                raise NonOrientable(
-                    "orientation bits do not make gluing %d-%d orientation-reversing"
-                    % (t, t2))
+        if any(o != orient[0] * o0 for o, o0 in zip(orient, trg.orientations)):
+            t, t2 = next((t, t2) for t, row in enumerate(trg.glue) for t2, k in row
+                         if SIGN[k] * orient[t] * orient[t2] != -1)
+            raise NonOrientable(
+                "orientation bits do not make gluing %d-%d orientation-reversing"
+                % (t, t2))
 
     def _compute_ranks(self):
         """Per tetrahedron, the rank of each corner in the branching order.
@@ -101,12 +105,12 @@ class BranchedSpine:
 
     def edge_direction(self, t, i, j):
         """True if the branching directs the edge of tetrahedron t from i to j."""
-        k, s = self.triangulation.edge_class_of[(t, i, j)]
-        return s * self.branching[k] == 1
+        rk = self.ranks[t]
+        return rk[i] < rk[j]
 
     def oriented_class(self, t, i, j):
         """(class index, +1) if i->j equals the class direction, else (class, -1)."""
-        k, s = self.triangulation.edge_class_of[(t, i, j)]
+        k, s = self.triangulation.edge_class_of(t, i, j)
         return k, s * self.branching[k]
 
     def corners_by_rank(self, t):
@@ -159,10 +163,12 @@ class BranchedSpine:
         """
         trg = self.triangulation
         new_gluings = {}
-        for (t, f), (t2, f2, perm) in trg.gluings.items():
-            rho, rho2 = corner_perms[t], corner_perms[t2]
-            new_perm = compose(rho2, compose(perm, inverse(rho)))
-            new_gluings[(tet_map[t], rho[f])] = (tet_map[t2], rho2[f2], new_perm)
+        for t, row in enumerate(trg.glue):
+            rho = corner_perms[t]
+            for f, (t2, k) in enumerate(row):
+                perm, rho2 = ALL_PERMS[k], corner_perms[t2]
+                new_gluings[(tet_map[t], rho[f])] = (
+                    tet_map[t2], rho2[perm[f]], compose(rho2, compose(perm, inverse(rho))))
         new_trg = Triangulation(trg.tet_count, new_gluings)
         inv_tet = [0] * trg.tet_count
         for t, nt in enumerate(tet_map):
@@ -186,7 +192,7 @@ class BranchedSpine:
         branching-preserving relabelling exactly when their canonical
         encodings coincide.
         """
-        return encode_gluings(self.triangulation.gluings, self.orientations, self.ranks)
+        return encode_gluings(self.triangulation.glue, self.orientations, self.ranks)
 
     def is_isomorphic(self, other):
         return self.canonical_encoding() == other.canonical_encoding()
@@ -194,11 +200,12 @@ class BranchedSpine:
 
 def triangulation_encoding(trg):
     """Canonical oriented encoding of a bare triangulation (no branching)."""
-    return encode_gluings(trg.gluings, trg.orientations)[0]
+    return encode_gluings(trg.glue, trg.orientations)[0]
 
 
-def encode_gluings(gluings, orientations, ranks=None):
-    """Isomorphism signature ``(gluing code, branch code)`` of a gluing dict.
+def encode_gluings(glue, orientations, ranks=None):
+    """Isomorphism signature ``(gluing code, branch code)`` of a connected
+    glue table (see ``Triangulation``).
 
     Each seed, a tetrahedron t0 and a corner relabelling rho0 whose sign is
     the orientation bit of t0, relabels the tetrahedra breadth-first and
@@ -207,23 +214,21 @@ def encode_gluings(gluings, orientations, ranks=None):
     (``least_seeds``).  The branch code (``()`` without ``ranks``, the
     per-tetrahedron branching rank of each corner) only breaks ties, so it
     is built only for seeds that reach the least gluing code
-    (``signature_from_seeds``).  Returns None for gluings that do not
-    connect every tetrahedron, so compared codes all have length 4n.
+    (``signature_from_seeds``).  Every seed reaches all n tetrahedra of a
+    connected table, so compared codes all have length 4n.
     """
-    least = least_seeds(gluings, orientations)
-    return None if least is None else signature_from_seeds(least, ranks)
+    return signature_from_seeds(least_seeds(glue, orientations), ranks)
 
 
-def least_seeds(gluings, orientations):
-    """(least gluing code, the (rho, order) of every seed that reaches it),
-    or None for gluings that do not connect every tetrahedron.
+def least_seeds(glue, orientations):
+    """(least gluing code, the (rho, order) of every seed that reaches it)
+    of a connected glue table.
 
     A seed stops at its first entry above the least code so far.  Only the
     branch code tells apart the seeds kept, so every branching of one
     triangulation shares them.
     """
-    n = len(orientations)
-    glue = glue_table(gluings, n)
+    n = len(glue)
     best = None
     seeds = []
     for t0 in range(n):
@@ -234,8 +239,6 @@ def least_seeds(gluings, orientations):
             if seeded is None:
                 continue
             code, rho, order = seeded
-            if best is None and len(order) < n:
-                return None
             if code != best:
                 best, seeds = code, []
             seeds.append((rho, order))
@@ -249,12 +252,6 @@ def signature_from_seeds(least, ranks=None):
     branch = () if ranks is None else min(
         _branch_code(ranks, rho, order) for rho, order in seeds)
     return tuple(divmod(v, 24) for v in best), branch
-
-
-def glue_table(gluings, n):
-    """Per tetrahedron and face: (tetrahedron behind it, gluing permutation index)."""
-    return [[(gluings[(t, f)][0], PERM_INDEX[gluings[(t, f)][2]]) for f in range(4)]
-            for t in range(n)]
 
 
 def _encode_seed(glue, n, t0, rho0, best):

@@ -26,6 +26,7 @@ serialize(parse(text)) == text byte-for-byte for serialiser output.
 """
 
 from .errors import SpineSyntaxError
+from .perms import ALL_PERMS
 from .spine import BranchedSpine
 from .triangulation import _FACE_CORNERS, Triangulation
 
@@ -35,16 +36,10 @@ FORMAT_VERSION = 1
 def serialize(spine):
     trg = spine.triangulation
     lines = ["spine %d" % FORMAT_VERSION, "tets %d" % trg.tet_count]
-    seen = set()
-    for t in range(trg.tet_count):
-        for f in range(4):
-            if (t, f) in seen:
-                continue
-            t2, f2, perm = trg.gluings[(t, f)]
-            seen.add((t, f))
-            seen.add((t2, f2))
-            word = "".join(str(perm[c]) for c in _FACE_CORNERS[f])
-            lines.append("glue %d.%d -> %d.%d : %s" % (t, f, t2, f2, word))
+    for (t, f), (t2, f2) in trg.face_classes:  # each from its lesser side
+        perm = ALL_PERMS[trg.glue[t][f][1]]
+        word = "".join(str(perm[c]) for c in _FACE_CORNERS[f])
+        lines.append("glue %d.%d -> %d.%d : %s" % (t, f, t2, f2, word))
     for k, cls in enumerate(trg.edge_classes):
         t, i, j = min(cls.members, key=lambda m: (m[0], min(m[1:]), max(m[1:])))
         if not spine.edge_direction(t, i, j):
@@ -176,7 +171,7 @@ def parse(text):
     for k, (lineno, t, i, j) in edge_lines.items():
         if not (0 <= k < len(branching)):
             _syntax(lineno, "edge class %d out of range" % k)
-        cls_sign = trg.edge_class_of.get((t, i, j))
+        cls_sign = trg.edge_class_of(t, i, j) if t < tet_count else None
         if cls_sign is None or cls_sign[0] != k:
             _syntax(lineno, "edge %d.%d%d is not in class %d" % (t, i, j, k))
         branching[k] = cls_sign[1]

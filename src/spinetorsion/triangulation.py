@@ -7,6 +7,11 @@ permutation of {0,1,2,3} carrying f to the partner face index and the
 three corners of f to the corners of the partner face.  Self-adjacencies
 and multiple adjacencies are allowed; gluing a face to itself is not.
 
+The glue table ``glue[t][f] = (t2, permutation index)`` is the one stored
+gluing format: the census, the edge walk, the isomorphism encoder, the
+moves and the spine files all read it, and the face and edge class
+lookups are per-tetrahedron tables beside it.
+
 Everything derived here (face, edge and vertex classes, tetrahedron
 orientations, around-the-edge fans, vertex links) is purely
 combinatorial and shared by the branched-spine layer on top.
@@ -54,26 +59,36 @@ _PAIR = tuple(tuple(_CORNER_PAIRS.index((min(i, j), max(i, j))) if i != j else N
 
 
 class Triangulation:
-    """A connected, orientable gluing of tetrahedra along all faces."""
+    """A connected, orientable gluing of tetrahedra along all faces.
+
+    The gluing is stored once, as the glue table: ``glue[t][f]`` is (the
+    tetrahedron behind face f of t, the index in ``ALL_PERMS`` of the
+    gluing permutation).  ``face_class_of[t][f]`` is the face class of
+    face f of t, and ``pair_classes`` (see ``edge_walk``) the edge class of
+    each corner pair.
+    """
 
     def __init__(self, tet_count, gluings):
         if tet_count <= 0:
             raise UnpairedFace("a triangulation needs at least one tetrahedron")
         self.tet_count = tet_count
-        self.gluings, glue = self._check_involution(gluings)
-        self.orientations = self._orient(glue)
+        self.glue = self._glue_table(gluings)
+        self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
-        self.edge_classes, self.edge_class_of, self.pair_classes = self._edge_classes(glue)
+        fans, self.pair_classes = edge_walk(self.glue, tet_count)
+        self.edge_classes = tuple(EdgeClass(k, tuple(step[:3] for step in fan), fan)
+                                  for k, fan in enumerate(fans))
 
     # -- construction checks -------------------------------------------------
 
-    def _check_involution(self, gluings):
-        """The gluing dict with every face pair entered both ways, and its
-        glue table: ``glue[t][f]`` is (tetrahedron behind face f of t,
-        gluing permutation index)."""
+    def _glue_table(self, gluings):
+        """The glue table of a gluing dict ``(t, f) -> (t2, f2, perm)``, which
+        may give a face pair from either side or from both.  Rows are made
+        only for the tetrahedra the entries name, so a tetrahedron count far
+        beyond them fails on its first unglued face without a table of that
+        size."""
         n = self.tet_count
-        full = {}
-        indices = []
+        rows = {}
         for (t, f), (t2, f2, perm) in gluings.items():
             if not (0 <= t < n and 0 <= t2 < n):
                 raise UnpairedFace("gluing refers to tetrahedron out of range")
@@ -84,28 +99,24 @@ class Triangulation:
             except (KeyError, TypeError):
                 raise UnpairedFace(
                     "gluing permutation %r is not a bijection" % (perm,)) from None
-            perm = ALL_PERMS[k]
-            if perm[f] != f2:
+            if ALL_PERMS[k][f] != f2:
                 raise UnpairedFace(
                     "gluing permutation must carry face %d to face %d" % (f, f2))
             if (t, f) == (t2, f2):
                 raise UnpairedFace("face %d.%d glued to itself" % (t, f))
-            for key, val in (((t, f), (t2, f2, perm)),
-                             ((t2, f2), (t, f, ALL_PERMS[INVERSE[k]]))):
-                if full.setdefault(key, val) != val:
-                    raise UnpairedFace(
-                        "face %d.%d glued twice inconsistently" % key)
-            indices.append((t, f, t2, f2, k))
+            for a, b, val in ((t, f, (t2, k)), (t2, f2, (t, INVERSE[k]))):
+                row = rows.setdefault(a, [None] * 4)
+                if row[b] is None:
+                    row[b] = val
+                elif row[b] != val:
+                    raise UnpairedFace("face %d.%d glued twice inconsistently" % (a, b))
         for t in range(n):
-            for f in range(4):
-                if (t, f) not in full:
-                    raise UnpairedFace("face %d.%d is not glued" % (t, f))
-        glue = [[None] * 4 for _ in range(n)]
-        for t, f, t2, f2, k in indices:
-            glue[t][f], glue[t2][f2] = (t2, k), (t, INVERSE[k])
-        return full, glue
+            row = rows.get(t, (None,))
+            if None in row:
+                raise UnpairedFace("face %d.%d is not glued" % (t, row.index(None)))
+        return [rows[t] for t in range(n)]
 
-    def _orient(self, glue):
+    def _orient(self):
         """Assign +1/-1 to the tetrahedra so every gluing is orientation-reversing.
 
         A gluing with permutation p between tetrahedra of orientations s, s'
@@ -119,7 +130,7 @@ class Triangulation:
         conflict = False
         while stack:
             t = stack.pop()
-            for t2, k in glue[t]:
+            for t2, k in self.glue[t]:
                 want = -orient[t] * SIGN[k]
                 if orient[t2] == 0:
                     orient[t2] = want
@@ -136,32 +147,23 @@ class Triangulation:
     # -- derived class tables -------------------------------------------------
 
     def _face_classes(self):
+        """The face classes, each as its two sides ((t, f), (t2, f2)) from
+        the lesser, and the table ``face_class_of``."""
         classes = []
-        of = {}
-        for t in range(self.tet_count):
-            for f in range(4):
-                if (t, f) in of:
-                    continue
-                t2, f2, _ = self.gluings[(t, f)]
-                idx = len(classes)
-                classes.append(((t, f), (t2, f2)))
-                of[(t, f)] = idx
-                of[(t2, f2)] = idx
+        of = [[None] * 4 for _ in range(self.tet_count)]
+        for t, row in enumerate(self.glue):
+            for f, (t2, k) in enumerate(row):
+                if of[t][f] is None:
+                    f2 = ALL_PERMS[k][f]
+                    of[t][f] = of[t2][f2] = len(classes)
+                    classes.append(((t, f), (t2, f2)))
         return tuple(classes), of
 
-    def _edge_classes(self, glue):
-        """Edge classes, ``edge_class_of`` (oriented tetrahedron edge ->
-        (class, sign)) and ``pair_classes`` (see ``edge_walk``), from one
-        ``edge_walk`` over the glue table."""
-        fans, pair_classes = edge_walk(glue, self.tet_count)
-        classes = tuple(EdgeClass(k, tuple(step[:3] for step in fan), fan)
-                        for k, fan in enumerate(fans))
-        of = {}
-        for t, row in enumerate(pair_classes):
-            for (i, j), (k, s) in zip(_CORNER_PAIRS, row):
-                of[(t, i, j)] = (k, s)
-                of[(t, j, i)] = (k, -s)
-        return classes, of, pair_classes
+    def edge_class_of(self, t, i, j):
+        """(class, sign) of the edge of tetrahedron t from corner i to j:
+        sign 1 if the walk of the class runs along it from i to j, else -1."""
+        k, s = self.pair_classes[t][_PAIR[i][j]]
+        return (k, s) if i < j else (k, -s)
 
     @cached_property
     def vertex_classes(self):
@@ -175,11 +177,13 @@ class Triangulation:
                 x = parent[x]
             return x
 
-        for (t, f), (t2, f2, perm) in self.gluings.items():
-            for c in _FACE_CORNERS[f]:
-                a, b = find((t, c)), find((t2, perm[c]))
-                if a != b:
-                    parent[a] = b
+        for t, row in enumerate(self.glue):
+            for f, (t2, k) in enumerate(row):
+                perm = ALL_PERMS[k]
+                for c in _FACE_CORNERS[f]:
+                    a, b = find((t, c)), find((t2, perm[c]))
+                    if a != b:
+                        parent[a] = b
         groups = {}
         for key in parent:
             groups.setdefault(find(key), []).append(key)

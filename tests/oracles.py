@@ -1,5 +1,6 @@
 """Independent reference computations that the tests compare the package
-against: full change-of-basis matrices under any column and row order,
+against: determinants by cofactor expansion, full change-of-basis
+matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
 exact checks of the chain complexes and of the certificate rows, the
 census deduplicated by least gluing code, and branch codes by comparing
@@ -10,9 +11,29 @@ from math import gcd as _int_gcd
 
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
-from spinetorsion.perms import ALL_PERMS, inverse, sign
+from spinetorsion.perms import ALL_PERMS, PERM_INDEX, inverse, sign
 from spinetorsion.spine import encode_gluings
 from spinetorsion.triangulation import Triangulation, glue_both_ways
+
+
+# -- determinants by cofactor expansion -------------------------------------------
+
+
+def cofactor_det(field, matrix):
+    """Determinant by first-row cofactor expansion; slow cross-check oracle."""
+    n = len(matrix)
+    if n == 0:
+        return field.one
+    if n == 1:
+        return matrix[0][0]
+    total = field.zero
+    for j in range(n):
+        if matrix[0][j].is_zero():
+            continue
+        minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = matrix[0][j] * cofactor_det(field, minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 # -- full change-of-basis matrices ----------------------------------------------
@@ -330,13 +351,15 @@ def _glued(gluings, t, f, t2, f2, perm):
 def least_code_triangulations(tet_count):
     """The triangulations of ``enumerate_triangulations``, deduplicated by
     the least gluing code over all seeds of each candidate of the dict
-    search: the first candidate of each code is kept, disconnected ones
-    (no code) dropped."""
+    search (each connected, as each new tetrahedron is glued to one in
+    use): the first candidate of each code is kept."""
     results, seen = [], set()
     orientations = (1,) * tet_count
     for gluings in complete_gluings(tet_count):
-        code = encode_gluings(gluings, orientations)
-        if code is None or code in seen:
+        glue = [[(gluings[t, f][0], PERM_INDEX[gluings[t, f][2]]) for f in range(4)]
+                for t in range(tet_count)]
+        code = encode_gluings(glue, orientations)
+        if code in seen:
             continue
         seen.add(code)
         results.append(Triangulation(tet_count, gluings))

@@ -9,7 +9,7 @@ from spinetorsion.census import census_branched, enumerate_triangulations
 from spinetorsion.moves import is_rigid
 from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumerate_branchings,
-                                glue_table, least_seeds)
+                                least_seeds)
 from spinetorsion.spinefile import serialize
 from spinetorsion.triangulation import Triangulation
 
@@ -61,8 +61,8 @@ def test_census_deterministic():
 def test_orbit_table_matches_least_code_dedup(n):
     # The orbit table keeps the same first candidate of each class as a
     # dedup by least code over all seeds of every candidate.
-    expected = [trg.gluings for trg in least_code_triangulations(n)]
-    assert [trg.gluings for trg in enumerate_triangulations(n)] == expected
+    expected = [trg.glue for trg in least_code_triangulations(n)]
+    assert [trg.glue for trg in enumerate_triangulations(n)] == expected
 
 
 @pytest.mark.parametrize("n, count", [(1, 27), (2, 648), (3, 24057)])
@@ -135,8 +135,7 @@ def test_census_counts_by_orbit_counting(n):
     even = [r for r in range(24) if SIGN[r] == 1]
     total = 0
     for trg in enumerate_triangulations(n):
-        glue = glue_table(trg.gluings, n)
-        codes = {tuple(_encode_seed(glue, n, t0, rho0, None)[0])
+        codes = {tuple(_encode_seed(trg.glue, n, t0, rho0, None)[0])
                  for t0 in range(n) for rho0 in even}
         total += Fraction(factorial(n) * 12 ** n * len(codes), 12 * n)
     assert total == _connected_gluings(n)
@@ -153,13 +152,13 @@ def test_branched_counts_by_orbit_counting(n, corpus3):
     for spine in corpus3:
         if spine.tet_count == n:
             trg = spine.triangulation
-            code, seeds = least_seeds(trg.gluings, trg.orientations)
+            code, seeds = least_seeds(trg.glue, trg.orientations)
             branch = [_branch_code(spine.ranks, rho, order) for rho, order in seeds]
             by_code[tuple(code)] = by_code.get(tuple(code), 0) + Fraction(
                 len(seeds), branch.count(min(branch)))
     branched = 0
     for trg in enumerate_triangulations(n):
-        code, _seeds = least_seeds(trg.gluings, trg.orientations)
+        code, _seeds = least_seeds(trg.glue, trg.orientations)
         count = len(enumerate_branchings(trg))
         assert by_code.pop(tuple(code), 0) == count
         branched += count > 0
@@ -180,7 +179,7 @@ def test_branch_codes_match_rank_comparison_on_census(corpus3):
     seeds_checked = 0
     for spine in corpus3:
         trg = spine.triangulation
-        _code, seeds = least_seeds(trg.gluings, trg.orientations)
+        _code, seeds = least_seeds(trg.glue, trg.orientations)
         for rho, order in seeds:
             assert _branch_code(spine.ranks, rho, order) == \
                 branch_code(spine.ranks, rho, order)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinetorsion.census as census
-from spinetorsion.errors import Disconnected
 from spinetorsion.perms import ALL_PERMS, PERM_INDEX, SIGN, compose, inverse, sign
-from spinetorsion.spine import _encode_seed, encode_gluings, glue_table, triangulation_encoding
+from spinetorsion.spine import _encode_seed, encode_gluings, triangulation_encoding
 from spinetorsion.triangulation import Triangulation
 
 
@@ -21,7 +20,8 @@ def oracle_seed(trg, direction, t0, rho0):
         t = order[cursor]
         for f_new in range(4):
             f_old = inverse(rho[t])[f_new]
-            t2, _f2, perm = trg.gluings[(t, f_old)]
+            t2, k = trg.glue[t][f_old]
+            perm = ALL_PERMS[k]
             if t2 not in new_of:
                 new_of[t2] = len(order)
                 rho[t2] = compose(rho[t], inverse(perm))
@@ -72,8 +72,8 @@ def test_canonical_encoding_invariant_under_relabel(corpus12, data):
     assert other.canonical_encoding() == spine.canonical_encoding()
     # The bare gluing code is invariant too once the orientation bits are
     # carried along (a Triangulation normalises tetrahedron 0 to +1).
-    assert encode_gluings(other.triangulation.gluings, other.orientations)[0] == \
-        encode_gluings(spine.triangulation.gluings, spine.orientations)[0]
+    assert encode_gluings(other.triangulation.glue, other.orientations)[0] == \
+        encode_gluings(spine.triangulation.glue, spine.orientations)[0]
 
 
 def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
@@ -82,29 +82,22 @@ def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
 
     def recording(tet_count):
         for glue in complete_gluings(tet_count):
-            candidates.append(census._gluings(glue, tet_count))
+            candidates.append([row[:] for row in glue])
             yield glue
 
     monkeypatch.setattr(census, "_complete_gluings", recording)
     census.enumerate_triangulations(2)
     assert len(candidates) == 648
-    built = 0
-    for gluings in candidates:
-        code = encode_gluings(gluings, (1, 1))
-        try:
-            trg = Triangulation(2, gluings)
-        except Disconnected:
-            assert code is None
-            continue
-        assert trg.orientations == (1, 1)
-        assert code[0] == triangulation_encoding(trg)
-        built += 1
-    assert built > 0
+    for glue in candidates:
+        # Every candidate is connected, so it builds.
+        trg = Triangulation(2, census._gluings(glue, 2))
+        assert trg.glue == glue and trg.orientations == (1, 1)
+        assert encode_gluings(glue, (1, 1))[0] == triangulation_encoding(trg)
 
 
 def seed_code(trg, t0, rho0):
     n = trg.tet_count
-    return tuple(_encode_seed(glue_table(trg.gluings, n), n, t0, rho0, None)[0])
+    return tuple(_encode_seed(trg.glue, n, t0, rho0, None)[0])
 
 
 def orbit(trg):

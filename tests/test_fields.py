@@ -12,10 +12,9 @@ from spinetorsion import fields, polygcd
 from spinetorsion.complexes import CellComplexX, GroupData
 from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
                                  FunctionField, RationalField,
-                                 RationalFunction, cofactor_det,
-                                 cyclotomic_polynomial)
+                                 RationalFunction, cyclotomic_polynomial)
 
-from oracles import default_z_character, fox_alexander
+from oracles import cofactor_det, default_z_character, fox_alexander
 
 
 def rand_element(field, rnd, nterms=3, span=2):

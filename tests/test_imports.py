@@ -3,6 +3,7 @@ no part of the package loads sympy, and a process loads only the modules
 its command runs."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -72,6 +73,28 @@ def test_no_unread_private_helpers():
     assert len(defined) > 50
     unread = [(path, name) for path, name, node in defined
               if not any(name in reads for other, reads in statements if other is not node)]
+    assert unread == []
+
+
+def test_no_unread_public_definitions():
+    # A public def or class that no other statement of the package reads,
+    # that the package does not export and that the benchmark's tracer does
+    # not patch is kept for the tests alone; it belongs in ``tests/``.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {part for _mod, attr, _span in tracer.TARGETS for part in attr.split(".")}
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+    statements = [(node, loaded_names(node)) for tree in trees.values()
+                  for node in tree.body]
+    defined = [(path, node.name, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert len(defined) > 50
+    unread = [(path, name) for path, name, node in defined
+              if name not in spinetorsion.__all__ and name not in traced
+              and not any(name in reads for other, reads in statements if other is not node)]
     assert unread == []
 
 

@@ -95,10 +95,12 @@ def test_missing_header_rejected():
 
 
 def test_bad_edge_reference_rejected():
-    text = ONE_TET.replace("edge 0 : 0.01", "edge 0 : 0.23")
-    with pytest.raises(SpineSyntaxError) as err:
-        parse(text)
-    assert err.value.line is not None
+    # An edge of another class, and an edge of a tetrahedron out of range.
+    for edge in ("0.23", "7.01"):
+        text = ONE_TET.replace("edge 0 : 0.01", "edge 0 : " + edge)
+        with pytest.raises(SpineSyntaxError) as err:
+            parse(text)
+        assert err.value.line == 5
 
 
 def test_missing_edge_direction_rejected():

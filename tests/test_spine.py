@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from spinetorsion.census import enumerate_triangulations
 from spinetorsion.errors import CyclicTriangle, NonOrientable
-from spinetorsion.perms import ALL_PERMS
+from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import _RANKS, BranchedSpine, enumerate_branchings
 from spinetorsion.spinefile import parse
 from spinetorsion.triangulation import _CORNER_PAIRS, _FACE_CORNERS
@@ -21,7 +22,7 @@ def brute_force_branchings(trg):
         branching = [1 if not (mask >> k) & 1 else -1 for k in range(n)]
 
         def direction(t, i, j):
-            k, s = trg.edge_class_of[(t, i, j)]
+            k, s = trg.edge_class_of(t, i, j)
             return s * branching[k] == 1
 
         ok = True
@@ -199,3 +200,23 @@ def test_orientation_bits_validated():
     bad[0] = -bad[0]
     with pytest.raises(NonOrientable):
         BranchedSpine(two.triangulation, two.branching, bad)
+
+
+def test_only_the_two_coherent_orientations_build(corpus3):
+    # Of the 2^n orientation vectors, one per sign pattern, exactly those
+    # that make every gluing orientation-reversing build a spine: the
+    # triangulation's own and its opposite.
+    for spine in corpus3:
+        trg = spine.triangulation
+        built = []
+        for orient in itertools.product((1, -1), repeat=trg.tet_count):
+            coherent = all(SIGN[k] * orient[t] * orient[t2] == -1
+                           for t, row in enumerate(trg.glue) for t2, k in row)
+            try:
+                BranchedSpine(trg, spine.branching, orient)
+            except NonOrientable:
+                assert not coherent
+            else:
+                assert coherent
+                built.append(orient)
+        assert built == [trg.orientations, tuple(-o for o in trg.orientations)]

@@ -644,9 +644,9 @@ def _relabelled(s, rnd):
     perms = [rnd.choice(ALL_PERMS) for _ in range(n)]
     other = s.relabel(tet_map, perms)
     old, new = s.triangulation, other.triangulation
-    edges = [new.edge_class_of[(tet_map[t], perms[t][i], perms[t][j])][0]
+    edges = [new.edge_class_of(tet_map[t], perms[t][i], perms[t][j])[0]
              for t, i, j in (cls.members[0] for cls in old.edge_classes)]
-    faces = [new.face_class_of[(tet_map[t], perms[t][f])]
+    faces = [new.face_class_of[tet_map[t]][perms[t][f]]
              for (t, f), _ in old.face_classes]
     return other, ([0], edges, faces, tet_map)
 

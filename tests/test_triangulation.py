@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -117,6 +118,20 @@ def test_rejected_gluings_name_the_check(entries, message):
     assert str(exc.value) == "a triangulation needs at least one tetrahedron"
 
 
+def test_unglued_faces_of_a_large_count_fail_without_its_table():
+    # A spine file may declare any tetrahedron count; the first unglued
+    # face is named without building a table of that many rows.
+    valid = {**_FACES_2_3, (0, 0): (0, 1, (1, 0, 2, 3))}
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnpairedFace, match=r"^face 1\.0 is not glued$"):
+            Triangulation(10 ** 6, valid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_disconnected_rejected():
     g = {}
     glue_both_ways(g, 0, 0, 0, 1, (1, 0, 2, 3))
@@ -148,20 +163,46 @@ def test_orientation_bits_alternate_signs():
     # Properly orientable: signs satisfy sign(perm)*o*o' == -1 throughout.
     g = one_tet_gluings((1, 0, 2, 3), (0, 1, 3, 2))
     trg = Triangulation(1, g)
-    for (t, _f), (t2, _f2, perm) in trg.gluings.items():
-        assert sign(perm) * trg.orientations[t] * trg.orientations[t2] == -1
+    for t, row in enumerate(trg.glue):
+        for t2, k in row:
+            assert SIGN[k] * trg.orientations[t] * trg.orientations[t2] == -1
 
 
-def test_edge_classes_partition_all_edges():
-    g = one_tet_gluings((1, 0, 2, 3), (0, 1, 3, 2))
-    trg = Triangulation(1, g)
+def _check_class_tables(trg):
+    """The edge and face classes partition the tetrahedron edges and
+    faces, and ``edge_class_of`` and ``face_class_of`` name the class each
+    lies in, an edge with the sign of its walk."""
     covered = set()
-    for cls in trg.edge_classes:
+    for k, cls in enumerate(trg.edge_classes):
         for (t, i, j) in cls.members:
             covered.add((t, frozenset((i, j))))
+            assert trg.edge_class_of(t, i, j) == (k, 1)
+            assert trg.edge_class_of(t, j, i) == (k, -1)
     assert len(covered) == 6 * trg.tet_count
-    # every oriented edge resolves to exactly one class
-    assert len(trg.edge_class_of) == 12 * trg.tet_count
+    sides = [side for pair in trg.face_classes for side in pair]
+    assert sorted(sides) == [(t, f) for t in range(trg.tet_count) for f in range(4)]
+    for k, pair in enumerate(trg.face_classes):
+        for t, f in pair:
+            assert trg.face_class_of[t][f] == k
+
+
+def test_edge_classes_partition_all_edges(corpus3, census2):
+    g = one_tet_gluings((1, 0, 2, 3), (0, 1, 3, 2))
+    _check_class_tables(Triangulation(1, g))
+    # The census up to three tetrahedra and one positive move from census 2.
+    spines = corpus3 + [m.after for s in census2
+                        for fc in range(len(s.triangulation.face_classes))
+                        if len({t for t, _f in s.triangulation.face_classes[fc]}) == 2
+                        for m in apply_positive(s, fc)]
+    assert len(spines) == 850 + 136
+    for spine in spines:
+        trg = spine.triangulation
+        _check_class_tables(trg)
+        # The branching read off the ranks agrees with the class directions.
+        for t in range(trg.tet_count):
+            for i, j in permutations(range(4), 2):
+                k, s = trg.edge_class_of(t, i, j)
+                assert spine.edge_direction(t, i, j) == (s * spine.branching[k] == 1)
 
 
 def test_vertex_links_are_closed_surfaces():
@@ -192,7 +233,9 @@ def test_edge_fans_close_in_cyclic_order(corpus12):
             # consecutive fan entries are glued through the exit face
             for p in range(cls.size):
                 t, i, j, _enter, exit_ = cls.fan[p]
-                t2, f2, perm = trg.gluings[(t, exit_)]
+                t2, k = trg.glue[t][exit_]
+                perm = ALL_PERMS[k]
+                f2 = perm[exit_]
                 nt, ni, nj, enter2, _ = cls.fan[(p + 1) % cls.size]
                 assert (t2, perm[i], perm[j]) == (nt, ni, nj)
                 assert f2 == enter2
