@@ -17,13 +17,14 @@ reach it, which every branching of the class shares.
 The branched census works on the glue table of each class too: one
 ``edge_walk`` gives its edge classes, the face-triangle screen its
 branchings and the rank table their ranks, so each branching's signature
-is known before anything is built.  A ``Triangulation`` and a
-``BranchedSpine`` are built only for a signature not kept yet.
+is known before anything is built.  A ``Triangulation``, built from a
+row copy of the table, and a ``BranchedSpine`` are made only for a
+signature not kept yet.
 """
 
 from .perms import ALL_PERMS, INVERSE, SIGN
 from .spine import BranchedSpine, _branchings, _encode_seed, signature_from_seeds
-from .triangulation import Triangulation, edge_walk, glue_both_ways
+from .triangulation import Triangulation, edge_walk
 
 _ODD_WITH_IMAGE = {
     (f, f2): tuple((r, INVERSE[r]) for r in range(24)
@@ -37,8 +38,7 @@ _EVEN = tuple(r for r in range(24) if SIGN[r] == 1)
 
 def enumerate_triangulations(tet_count):
     """All connected oriented triangulations with the given size, up to isomorphism."""
-    return [Triangulation(tet_count, _gluings(glue, tet_count))
-            for glue, _least in _classes(tet_count)]
+    return [Triangulation([row[:] for row in glue]) for glue, _least in _classes(tet_count)]
 
 
 def census_branched(tet_count):
@@ -58,7 +58,7 @@ def census_branched(tet_count):
             code = signature_from_seeds(least, ranks)
             if code not in spines:
                 if trg is None:
-                    trg = Triangulation(tet_count, _gluings(glue, tet_count))
+                    trg = Triangulation([row[:] for row in glue])
                 spines[code] = BranchedSpine(trg, branching)
     return [spines[code] for code in sorted(spines)]
 
@@ -143,15 +143,3 @@ def _complete_gluings(tet_count):
 
     return search(1, 0)
 
-
-def _gluings(glue, tet_count):
-    """The gluing dict of a complete glue table, each face pair entered
-    from its first face, as the search glued it."""
-    gluings = {}
-    for t in range(tet_count):
-        for f in range(4):
-            t2, p = glue[t][f]
-            perm = ALL_PERMS[p]
-            if (t2, perm[f]) > (t, f):
-                glue_both_ways(gluings, t, f, t2, perm[f], perm)
-    return gluings

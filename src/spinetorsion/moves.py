@@ -37,13 +37,12 @@ from functools import cached_property
 
 from .errors import (MoveError, NotApplicable, SelfAdjacentFace, Stuck,
                      TransportFailure)
-from .perms import ALL_PERMS, compose, inverse, sign
+from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, sign
 from .rng import SplitMix64
 from .spine import _CORNER_PAIRS, BranchedSpine
-from .triangulation import _FACE_CORNERS, Triangulation, glue_both_ways
+from .triangulation import _FACE_CORNERS, Triangulation
 
 _EQ_LABELS = ("b", "d", "e")
-_IDENTITY = (0, 1, 2, 3)
 _ROW_ORDER = ("v", "va", "vb", "vc", "vd", "ve",
               "vab", "vad", "vae", "vcb", "vcd", "vce",
               "vbe", "ved", "vdb",
@@ -162,11 +161,11 @@ def _faces_by_labels(site):
 
 
 def _follow(lab, lab2, f2):
-    """Corner map from the tetrahedron labelled ``lab`` onto the one
-    labelled ``lab2`` across their common face, which is face f2 of the
-    second: each corner goes to the corner with its label, the one
-    opposite the face to f2."""
-    return tuple(lab2.index(x) if x in lab2 else f2 for x in lab)
+    """Permutation index of the corner map from the tetrahedron labelled
+    ``lab`` onto the one labelled ``lab2`` across their common face, which
+    is face f2 of the second: each corner goes to the corner with its
+    label, the one opposite the face to f2."""
+    return PERM_INDEX[tuple(lab2.index(x) if x in lab2 else f2 for x in lab)]
 
 
 def _pair_class(trg, site, u, v):
@@ -204,20 +203,33 @@ def _rebuild(spine, site, variant, bip):
     """The move of ``variant``, with Bipyramid ``bip``, at ``site``: the
     only place a move is built.
 
-    A site is (direction, face or edge class, old site, new site, index,
-    orientations): the two sides as (tetrahedron, labels) lists, the
-    after index of every other tetrahedron and the after orientation bits.
+    A site is (direction, face or edge class, old site, new site): the two
+    sides of the bipyramid as (tetrahedron, labels) lists.  The other
+    tetrahedra keep their order: a positive move keeps their indices and
+    appends one tetrahedron, a negative one numbers them first and appends
+    the two new ones.  The after orientation bits are +1 on the positive
+    site, whose labels are chosen so, and -s0 on the negative one, for s0
+    the handedness of the labels of its first old tetrahedron.
     """
-    direction, site_class, old_site, new_site, index, orientations = site
+    direction, site_class, old_site, new_site = site
     trg = spine.triangulation
     old_labels, new_labels = dict(old_site), dict(new_site)
     new_faces = _faces_by_labels(new_site)
+    survivors = [t for t in range(trg.tet_count) if t not in old_labels]
+    if direction == "positive":
+        index = {t: t for t in survivors}
+        orientations = [1 if t in old_labels else o
+                        for t, o in enumerate(spine.orientations)] + [1]
+    else:
+        index = {t: n for n, t in enumerate(survivors)}
+        t, lab = old_site[0]
+        s0 = spine.orientations[t] * sign([lab.index(x) for x in "abec"])
+        orientations = [spine.orientations[t] for t in survivors] + [-s0, -s0]
 
     # Where each face outside the bipyramid's interior goes: (tetrahedron,
-    # face, corner map).  A boundary face goes to the face with its labels
-    # on the other side; interior faces have no entry.
-    moved = {(t, f): (n, f, _IDENTITY) for t, n in index.items()
-             for f in range(4)}
+    # face, corner map index).  A boundary face goes to the face with its
+    # labels on the other side; interior faces have no entry.
+    moved = {(t, f): (n, f, 0) for t, n in index.items() for f in range(4)}
     for key, sides in _faces_by_labels(old_site).items():
         if len(sides) == 1:
             (t, f), = sides
@@ -226,23 +238,18 @@ def _rebuild(spine, site, variant, bip):
 
     # Distinct outside faces move to distinct faces (distinct tetrahedra,
     # or distinct label sets on the boundary): no face can end up glued to
-    # itself, so the result needs no check for that.
-    gluings = {}
+    # itself, and every face of the after table is written once.
+    glue = [[None] * 4 for _ in range(len(orientations))]
     for (t, f), (nt, nf, lam) in moved.items():
         t2, k = trg.glue[t][f]
-        g = ALL_PERMS[k]
-        nt2, nf2, lam2 = moved[(t2, g[f])]
-        if lam is not _IDENTITY:
-            g = compose(g, inverse(lam))
-        if lam2 is not _IDENTITY:
-            g = compose(lam2, g)
-        gluings[(nt, nf)] = (nt2, nf2, g)
+        nt2, _nf2, lam2 = moved[(t2, ALL_PERMS[k][f])]
+        glue[nt][nf] = (nt2, COMPOSE[lam2][COMPOSE[k][INVERSE[lam]]])
     new_inner = []
     for sides in new_faces.values():
         if len(sides) == 2:
             (nt, nf), (nt2, nf2) = sides
-            glue_both_ways(gluings, nt, nf, nt2, nf2,
-                           _follow(new_labels[nt], new_labels[nt2], nf2))
+            k = _follow(new_labels[nt], new_labels[nt2], nf2)
+            glue[nt][nf], glue[nt2][nf2] = (nt2, k), (nt, INVERSE[k])
             new_inner.append((nt, nf))
     # Nor can the build fail another check.  (a) It is connected: gluings
     # between outside tetrahedra are kept, each boundary face goes to the
@@ -254,7 +261,7 @@ def _rebuild(spine, site, variant, bip):
     # oriented edge, so it could only come back through the other side
     # face; it would then be its own reverse and, halfway, cross a face
     # glued to itself.
-    after_trg = Triangulation(len(orientations), gluings)
+    after_trg = Triangulation(glue)
 
     central_before = None if direction == "positive" else site_class
     central_after = _pair_class(after_trg, new_site, "a", "c")
@@ -326,15 +333,11 @@ def _positive_site(spine, face_class):
     lab0, lab1 = ["a"] * 4, ["c"] * 4
     for x, label in zip(cyc, _EQ_LABELS):
         lab0[x] = lab1[perm[x]] = label
-    T = trg.tet_count
-    slots = (t0, t1, T)
+    slots = (t0, t1, trg.tet_count)
     new_site = [(slots[i], "ac" + _EQ_LABELS[i] + _EQ_LABELS[(i + 1) % 3])
                 for i in range(3)]
-    orientations = [1 if t in slots else o
-                    for t, o in enumerate(spine.orientations)] + [1]
     return ("positive", face_class,
-            [(t0, "".join(lab0)), (t1, "".join(lab1))], new_site,
-            {t: t for t in range(T) if t not in (t0, t1)}, orientations)
+            [(t0, "".join(lab0)), (t1, "".join(lab1))], new_site)
 
 
 def positive_move(spine, face_class, variant=0):
@@ -393,14 +396,8 @@ def _negative_site(spine, edge_class):
         lab[ia], lab[jc], lab[enter], lab[exit_] = \
             "a", "c", _EQ_LABELS[p], _EQ_LABELS[p - 1]
         old_site.append((t, "".join(lab)))
-    survivors = [t for t in range(trg.tet_count) if t not in tets]
-    n = len(survivors)
-    # Ambient orientation of the two new tetrahedra, from the first fan tet.
-    t, ia, jc, enter, exit_ = fan[0]
-    s0 = spine.orientations[t] * sign((ia, enter, exit_, jc))
-    orientations = [spine.orientations[t] for t in survivors] + [-s0, -s0]
-    return ("negative", edge_class, old_site, [(n, "abde"), (n + 1, "cbed")],
-            {t: i for i, t in enumerate(survivors)}, orientations)
+    n = trg.tet_count - 3
+    return ("negative", edge_class, old_site, [(n, "abde"), (n + 1, "cbed")])
 
 
 # -- invariance certificate -------------------------------------------------------
@@ -560,10 +557,11 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
     walk = []
     cur = spine
     for _ in range(steps):
-        # A site's after orientation bits count its after tetrahedra.
+        # A move replaces the old site's tetrahedra by the new site's.
         cands = [(site, variant, bip)
                  for site, variant, bip in _candidates(cur, h_null_only)
-                 if max_tets is None or len(site[-1]) <= max_tets]
+                 if max_tets is None
+                 or cur.tet_count + len(site[3]) - len(site[2]) <= max_tets]
         if not cands:
             raise Stuck("no applicable move after %d steps" % len(walk))
         site, variant, bip = cands[rng.below(len(cands))]

@@ -21,7 +21,7 @@ orientation fixes the entry face, and no edge comes back reversed.
 from functools import cached_property
 
 from .errors import CyclicTriangle, NonOrientable
-from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN, compose, inverse, sign
+from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN
 from .triangulation import _CORNER_PAIRS, _FACE_CORNERS, _PAIR, Triangulation
 
 
@@ -161,29 +161,23 @@ class BranchedSpine:
         ``corner_perms[t]`` the permutation sending old corner labels of t
         to new ones.
         """
-        trg = self.triangulation
-        new_gluings = {}
-        for t, row in enumerate(trg.glue):
-            rho = corner_perms[t]
+        n = self.tet_count
+        rhos = [PERM_INDEX[tuple(rho)] for rho in corner_perms]
+        glue, orient, old_of = [[None] * 4 for _ in range(n)], [0] * n, [0] * n
+        for t, row in enumerate(self.triangulation.glue):
+            r, nt = rhos[t], tet_map[t]
+            rho, r_inv = ALL_PERMS[r], INVERSE[r]
             for f, (t2, k) in enumerate(row):
-                perm, rho2 = ALL_PERMS[k], corner_perms[t2]
-                new_gluings[(tet_map[t], rho[f])] = (
-                    tet_map[t2], rho2[perm[f]], compose(rho2, compose(perm, inverse(rho))))
-        new_trg = Triangulation(trg.tet_count, new_gluings)
-        inv_tet = [0] * trg.tet_count
-        for t, nt in enumerate(tet_map):
-            inv_tet[nt] = t
-        new_branching = []
+                glue[nt][rho[f]] = (tet_map[t2], COMPOSE[rhos[t2]][COMPOSE[k][r_inv]])
+            orient[nt], old_of[nt] = self.orientations[t] * SIGN[r], t
+        new_trg = Triangulation(glue)
+        branching = []
         for cls in new_trg.edge_classes:
             nt, ni, nj = cls.members[0]
-            t = inv_tet[nt]
-            rho_inv = inverse(corner_perms[t])
-            new_branching.append(1 if self.edge_direction(t, rho_inv[ni], rho_inv[nj])
-                                 else -1)
-        new_orient = [0] * trg.tet_count
-        for t in range(trg.tet_count):
-            new_orient[tet_map[t]] = self.orientations[t] * sign(corner_perms[t])
-        return BranchedSpine(new_trg, new_branching, new_orient)
+            t = old_of[nt]
+            rho_inv = ALL_PERMS[INVERSE[rhos[t]]]
+            branching.append(1 if self.edge_direction(t, rho_inv[ni], rho_inv[nj]) else -1)
+        return BranchedSpine(new_trg, branching, orient)
 
     def canonical_encoding(self):
         """Minimal encoding over all orientation-positive seed labellings.

@@ -28,7 +28,7 @@ serialize(parse(text)) == text byte-for-byte for serialiser output.
 from .errors import SpineSyntaxError
 from .perms import ALL_PERMS
 from .spine import BranchedSpine
-from .triangulation import _FACE_CORNERS, Triangulation
+from .triangulation import _FACE_CORNERS, Triangulation, glue_table
 
 FORMAT_VERSION = 1
 
@@ -166,7 +166,7 @@ def parse(text):
         if t >= tet_count:
             _syntax(lineno, "orient line for tetrahedron %d, but there are %d"
                     % (t, tet_count))
-    trg = Triangulation(tet_count, gluings)
+    trg = Triangulation(glue_table(tet_count, gluings))
     branching = [None] * len(trg.edge_classes)
     for k, (lineno, t, i, j) in edge_lines.items():
         if not (0 <= k < len(branching)):

@@ -7,10 +7,13 @@ permutation of {0,1,2,3} carrying f to the partner face index and the
 three corners of f to the corners of the partner face.  Self-adjacencies
 and multiple adjacencies are allowed; gluing a face to itself is not.
 
-The glue table ``glue[t][f] = (t2, permutation index)`` is the one stored
-gluing format: the census, the edge walk, the isomorphism encoder, the
-moves and the spine files all read it, and the face and edge class
-lookups are per-tetrahedron tables beside it.
+The glue table ``glue[t][f] = (t2, permutation index)`` is the one gluing
+format: a ``Triangulation`` is built from one and stores it.  The census
+hands it a copy of its live table, the moves and relabelling write the
+after table, and only ``glue_table`` reads a gluing dict, the form a spine
+file gives.  The edge walk, the isomorphism encoder, the moves and the
+spine files all read the table, and the face and edge class lookups are
+per-tetrahedron tables beside it.
 
 Everything derived here (face, edge and vertex classes, tetrahedron
 orientations, around-the-edge fans, vertex links) is purely
@@ -20,7 +23,7 @@ combinatorial and shared by the branched-spine layer on top.
 from functools import cached_property
 
 from .errors import Disconnected, NonOrientable, UnpairedFace
-from .perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse
+from .perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN
 
 
 class EdgeClass:
@@ -61,60 +64,25 @@ _PAIR = tuple(tuple(_CORNER_PAIRS.index((min(i, j), max(i, j))) if i != j else N
 class Triangulation:
     """A connected, orientable gluing of tetrahedra along all faces.
 
-    The gluing is stored once, as the glue table: ``glue[t][f]`` is (the
+    Built from, and stored as, the glue table: ``glue[t][f]`` is (the
     tetrahedron behind face f of t, the index in ``ALL_PERMS`` of the
-    gluing permutation).  ``face_class_of[t][f]`` is the face class of
-    face f of t, and ``pair_classes`` (see ``edge_walk``) the edge class of
-    each corner pair.
+    gluing permutation), a gluing of every face that inverts on the
+    partner side (``glue_table`` checks one read from outside).
+    ``face_class_of[t][f]`` is the face class of face f of t, and
+    ``pair_classes`` (see ``edge_walk``) the edge class of each corner
+    pair.
     """
 
-    def __init__(self, tet_count, gluings):
-        if tet_count <= 0:
-            raise UnpairedFace("a triangulation needs at least one tetrahedron")
-        self.tet_count = tet_count
-        self.glue = self._glue_table(gluings)
+    def __init__(self, glue):
+        self.tet_count = len(glue)
+        self.glue = glue
         self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
-        fans, self.pair_classes = edge_walk(self.glue, tet_count)
+        fans, self.pair_classes = edge_walk(glue, self.tet_count)
         self.edge_classes = tuple(EdgeClass(k, tuple(step[:3] for step in fan), fan)
                                   for k, fan in enumerate(fans))
 
     # -- construction checks -------------------------------------------------
-
-    def _glue_table(self, gluings):
-        """The glue table of a gluing dict ``(t, f) -> (t2, f2, perm)``, which
-        may give a face pair from either side or from both.  Rows are made
-        only for the tetrahedra the entries name, so a tetrahedron count far
-        beyond them fails on its first unglued face without a table of that
-        size."""
-        n = self.tet_count
-        rows = {}
-        for (t, f), (t2, f2, perm) in gluings.items():
-            if not (0 <= t < n and 0 <= t2 < n):
-                raise UnpairedFace("gluing refers to tetrahedron out of range")
-            if not (0 <= f < 4 and 0 <= f2 < 4):
-                raise UnpairedFace("gluing refers to face out of range")
-            try:
-                k = PERM_INDEX[tuple(perm)]
-            except (KeyError, TypeError):
-                raise UnpairedFace(
-                    "gluing permutation %r is not a bijection" % (perm,)) from None
-            if ALL_PERMS[k][f] != f2:
-                raise UnpairedFace(
-                    "gluing permutation must carry face %d to face %d" % (f, f2))
-            if (t, f) == (t2, f2):
-                raise UnpairedFace("face %d.%d glued to itself" % (t, f))
-            for a, b, val in ((t, f, (t2, k)), (t2, f2, (t, INVERSE[k]))):
-                row = rows.setdefault(a, [None] * 4)
-                if row[b] is None:
-                    row[b] = val
-                elif row[b] != val:
-                    raise UnpairedFace("face %d.%d glued twice inconsistently" % (a, b))
-        for t in range(n):
-            row = rows.get(t, (None,))
-            if None in row:
-                raise UnpairedFace("face %d.%d is not glued" % (t, row.index(None)))
-        return [rows[t] for t in range(n)]
 
     def _orient(self):
         """Assign +1/-1 to the tetrahedra so every gluing is orientation-reversing.
@@ -209,11 +177,42 @@ class Triangulation:
         return chi, (2 - chi) // 2
 
 
-def glue_both_ways(gluings, t, f, t2, f2, perm):
-    """Record a gluing and its inverse in a gluing dict under construction."""
-    perm = tuple(perm)
-    gluings[(t, f)] = (t2, f2, perm)
-    gluings[(t2, f2)] = (t, f, inverse(perm))
+def glue_table(tet_count, gluings):
+    """The glue table of a gluing dict ``(t, f) -> (t2, f2, perm)``, which
+    may give a face pair from either side or from both, for a new
+    ``Triangulation``; UnpairedFace names the first entry that is not a
+    gluing.  Rows are made only for the tetrahedra the entries name, so a
+    tetrahedron count far beyond them fails on its first unglued face
+    without a table of that size."""
+    if tet_count <= 0:
+        raise UnpairedFace("a triangulation needs at least one tetrahedron")
+    rows = {}
+    for (t, f), (t2, f2, perm) in gluings.items():
+        if not (0 <= t < tet_count and 0 <= t2 < tet_count):
+            raise UnpairedFace("gluing refers to tetrahedron out of range")
+        if not (0 <= f < 4 and 0 <= f2 < 4):
+            raise UnpairedFace("gluing refers to face out of range")
+        try:
+            k = PERM_INDEX[tuple(perm)]
+        except (KeyError, TypeError):
+            raise UnpairedFace(
+                "gluing permutation %r is not a bijection" % (perm,)) from None
+        if ALL_PERMS[k][f] != f2:
+            raise UnpairedFace(
+                "gluing permutation must carry face %d to face %d" % (f, f2))
+        if (t, f) == (t2, f2):
+            raise UnpairedFace("face %d.%d glued to itself" % (t, f))
+        for a, b, val in ((t, f, (t2, k)), (t2, f2, (t, INVERSE[k]))):
+            row = rows.setdefault(a, [None] * 4)
+            if row[b] is None:
+                row[b] = val
+            elif row[b] != val:
+                raise UnpairedFace("face %d.%d glued twice inconsistently" % (a, b))
+    for t in range(tet_count):
+        row = rows.get(t, (None,))
+        if None in row:
+            raise UnpairedFace("face %d.%d is not glued" % (t, row.index(None)))
+    return [rows[t] for t in range(tet_count)]
 
 
 def edge_walk(glue, tet_count):

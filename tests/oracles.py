@@ -3,17 +3,17 @@ against: determinants by cofactor expansion, full change-of-basis
 matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
 exact checks of the chain complexes and of the certificate rows, the
-census deduplicated by least gluing code, and branch codes by comparing
-corner ranks."""
+census deduplicated by least gluing code on gluing dicts, the validity of
+a glue table, and branch codes by comparing corner ranks."""
 
 from itertools import combinations
 from math import gcd as _int_gcd
 
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
-from spinetorsion.perms import ALL_PERMS, PERM_INDEX, inverse, sign
+from spinetorsion.perms import ALL_PERMS, INVERSE, inverse, sign
 from spinetorsion.spine import encode_gluings
-from spinetorsion.triangulation import Triangulation, glue_both_ways
+from spinetorsion.triangulation import Triangulation, glue_table
 
 
 # -- determinants by cofactor expansion -------------------------------------------
@@ -317,6 +317,27 @@ def row_boundary(row):
 # -- census by least gluing code --------------------------------------------------
 
 
+def glue_both_ways(gluings, t, f, t2, f2, perm):
+    """Record a gluing and its inverse in a gluing dict under construction."""
+    perm = tuple(perm)
+    gluings[(t, f)] = (t2, f2, perm)
+    gluings[(t2, f2)] = (t, f, inverse(perm))
+
+
+def assert_valid_glue(glue):
+    """A glue table is a gluing: four in-range entries (tetrahedron,
+    permutation index) per tetrahedron, no face glued to itself, and the
+    partner side of every face glued back by the inverse permutation."""
+    n = len(glue)
+    for t, row in enumerate(glue):
+        assert len(row) == 4
+        for f, (t2, k) in enumerate(row):
+            assert 0 <= t2 < n and 0 <= k < 24
+            f2 = ALL_PERMS[k][f]
+            assert (t2, f2) != (t, f)
+            assert glue[t2][f2] == (t, INVERSE[k])
+
+
 def complete_gluings(tet_count, gluings=None, used=1):
     """The census search on gluing dicts: every complete gluing extending
     ``gluings`` (which reaches tetrahedra 0..used-1), depth first, always
@@ -356,13 +377,12 @@ def least_code_triangulations(tet_count):
     results, seen = [], set()
     orientations = (1,) * tet_count
     for gluings in complete_gluings(tet_count):
-        glue = [[(gluings[t, f][0], PERM_INDEX[gluings[t, f][2]]) for f in range(4)]
-                for t in range(tet_count)]
+        glue = glue_table(tet_count, gluings)
         code = encode_gluings(glue, orientations)
         if code in seen:
             continue
         seen.add(code)
-        results.append(Triangulation(tet_count, gluings))
+        results.append(Triangulation(glue))
     return results
 
 

@@ -11,9 +11,10 @@ from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumerate_branchings,
                                 least_seeds)
 from spinetorsion.spinefile import serialize
-from spinetorsion.triangulation import Triangulation
+from spinetorsion.triangulation import Triangulation, glue_table
 
-from oracles import branch_code, complete_gluings, least_code_triangulations
+from oracles import (assert_valid_glue, branch_code, complete_gluings,
+                     least_code_triangulations)
 
 # sha256 of "count <N>\n" followed by the serialised census, in census order.
 CENSUS_DIGESTS = {
@@ -60,20 +61,24 @@ def test_census_deterministic():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_table_matches_least_code_dedup(n):
     # The orbit table keeps the same first candidate of each class as a
-    # dedup by least code over all seeds of every candidate.
+    # dedup by least code over all seeds of every candidate, and each
+    # class's table copy is a gluing.
     expected = [trg.glue for trg in least_code_triangulations(n)]
-    assert [trg.glue for trg in enumerate_triangulations(n)] == expected
+    found = [trg.glue for trg in enumerate_triangulations(n)]
+    for glue in found:
+        assert_valid_glue(glue)
+    assert found == expected
 
 
 @pytest.mark.parametrize("n, count", [(1, 27), (2, 648), (3, 24057)])
 def test_table_search_matches_dict_search(n, count):
     # The search over one live glue table visits the candidates of the
-    # search over gluing dicts, in its order, each glued in the same order.
+    # search over gluing dicts, in its order, each the table of its dict.
     # Each table is connected: the walk from tetrahedron 0 reaches all n.
     seen = 0
     for glue, gluings in zip(census._complete_gluings(n), complete_gluings(n),
                              strict=True):
-        assert list(census._gluings(glue, n).items()) == list(gluings.items())
+        assert glue == glue_table(n, gluings)
         assert len(_encode_seed(glue, n, 0, 0, None)[2]) == n
         seen += 1
     assert seen == count
@@ -86,7 +91,7 @@ def test_class_branchings_match_built_triangulation(n):
     branched = 0
     for glue, _least in census._classes(n):
         found = list(census._class_branchings(glue, n))
-        trg = Triangulation(n, census._gluings(glue, n))
+        trg = Triangulation([row[:] for row in glue])
         assert found == [(s.branching, s.ranks) for s in enumerate_branchings(trg)]
         branched += bool(found)
     assert branched == {1: 3, 2: 23, 3: 269}[n]

@@ -16,9 +16,12 @@ from oracles import sign_refined_under
 
 
 def run_cli(argv, capsys):
+    """Exit status and report of one in-process run, which prints exactly
+    one JSON object and nothing on stderr (no traceback)."""
     status = main(argv)
-    out = capsys.readouterr().out
-    return status, json.loads(out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return status, json.loads(captured.out)
 
 
 @pytest.fixture
@@ -91,7 +94,8 @@ def test_missing_input_file_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["move", "--face", "99"], ["move", "--edge", "99"],
-    ["hcheck", "--face", "-1"], ["move", "--face", "-1"]])
+    ["hcheck", "--face", "-1"], ["move", "--face", "-1"],
+    ["hcheck", "--face", str(10 ** 30)], ["move", "--edge", str(10 ** 30)]])
 def test_move_site_out_of_range_exit_2(two_variant_file, argv, capsys):
     status, report = run_cli(argv[:1] + [two_variant_file] + argv[1:], capsys)
     assert status == 2
@@ -108,13 +112,39 @@ def test_move_site_out_of_range_exit_2(two_variant_file, argv, capsys):
     ["invariance", "FILE", "--steps", "3", "--seed", "1", "--rep", "trivial",
      "--max-tets", "0"],
     ["invariance", "FILE", "--steps", "3", "--seed", "1", "--rep", "trivial",
-     "--max-tets", "-3"]])
+     "--max-tets", "-3"],
+    ["walk", "FILE", "--steps", "-1", "--seed", "1"],
+    ["invariance", "FILE", "--steps", "-1", "--seed", "1", "--rep", "trivial"]])
 def test_counts_below_minimum_exit_1(two_variant_file, argv, capsys):
     argv = [two_variant_file if a == "FILE" else a for a in argv]
     status, report = run_cli(argv, capsys)
     assert status == 1
     assert report["error"] == "SpineSyntaxError"
     assert "must be at least" in report["message"]
+
+
+@pytest.mark.parametrize("argv, status, error", [
+    (["walk", "TWOVAR", "--steps", "2", "--seed", str(2 ** 70)], 0, None),
+    (["walk", "TWOVAR", "--steps", "2", "--seed", "-5"], 0, None),
+    (["torsion", "TORSION2", "--rep", "cyclic:5:9"], 2, "RelatorNotKilled"),
+    (["validate", "DIR"], 1, "IsADirectoryError"),
+    (["summary", "DIR/absent.txt"], 1, "FileNotFoundError"),
+    (["walk", "TWOVAR", "--steps", "1", "--seed", "1", "--out", "DIR"],
+     1, "IsADirectoryError"),
+    (["walk", "TWOVAR", "--steps", "1", "--seed", "1", "--out", "DIR/absent/x"],
+     1, "FileNotFoundError"),
+    (["census", "--tets", "1", "--out-dir", "TWOVAR"], 1, "FileExistsError"),
+    (["move", "TWOVAR", "--face", "0", "--edge", "0"], 1, "SpineSyntaxError"),
+    (["move", "TWOVAR"], 1, "SpineSyntaxError")])
+def test_argv_edge_cases_report_once(tmp_path, argv, status, error, capsys):
+    # Out-of-range seeds wrap, and each failure is one JSON error report.
+    files = {"TWOVAR": TWO_VARIANT, "TORSION2": TORSION2}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a.replace("DIR", str(tmp_path))
+            for a in argv]
+    got, report = run_cli(argv, capsys)
+    assert (got, report.get("error")) == (status, error)
 
 
 def test_branchings(two_variant_file, capsys):

@@ -8,6 +8,8 @@ from spinetorsion.perms import ALL_PERMS, PERM_INDEX, SIGN, compose, inverse, si
 from spinetorsion.spine import _encode_seed, encode_gluings, triangulation_encoding
 from spinetorsion.triangulation import Triangulation
 
+from oracles import assert_valid_glue
+
 
 def oracle_seed(trg, direction, t0, rho0):
     """Relabelled (gluing code, branch code) grown from one seed, on tuples."""
@@ -51,7 +53,9 @@ def relabelled(draw, corpus):
     n = spine.tet_count
     tet_map = draw(st.permutations(range(n)))
     corner_perms = draw(st.lists(st.sampled_from(ALL_PERMS), min_size=n, max_size=n))
-    return spine, spine.relabel(tet_map, corner_perms)
+    other = spine.relabel(tet_map, corner_perms)
+    assert_valid_glue(other.triangulation.glue)
+    return spine, other
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,9 +93,10 @@ def test_raw_gluing_encoding_matches_built_triangulation(monkeypatch):
     census.enumerate_triangulations(2)
     assert len(candidates) == 648
     for glue in candidates:
-        # Every candidate is connected, so it builds.
-        trg = Triangulation(2, census._gluings(glue, 2))
-        assert trg.glue == glue and trg.orientations == (1, 1)
+        # Every candidate is a connected gluing, so it builds.
+        assert_valid_glue(glue)
+        trg = Triangulation([row[:] for row in glue])
+        assert trg.orientations == (1, 1)
         assert encode_gluings(glue, (1, 1))[0] == triangulation_encoding(trg)
 
 

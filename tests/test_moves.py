@@ -20,9 +20,10 @@ from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log)
 from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
                                   torsion)
+from spinetorsion.triangulation import Triangulation
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
-from oracles import row_boundary
+from oracles import assert_valid_glue, row_boundary
 
 
 def all_positive_moves(spine):
@@ -53,12 +54,31 @@ def _move_text(m):
         + "\n" + serialize(m.after)
 
 
-def test_move_outputs_are_pinned(corpus12, census2):
+def _digest_moves(corpus12, census2):
+    """The spines and the moves that ``MOVES_DIGEST`` pins."""
     spines = corpus12 + [m.after for s in census2 for m in all_positive_moves(s)]
-    moves = [m for s in spines for m in available_moves(s)]
-    text = "".join(_move_text(m) for m in moves)
+    return spines, [m for s in spines for m in available_moves(s)]
+
+
+def test_move_outputs_are_pinned(corpus12, census2):
+    spines, found = _digest_moves(corpus12, census2)
+    text = "".join(_move_text(m) for m in found)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert (len(spines), len(moves), digest) == MOVES_DIGEST
+    assert (len(spines), len(found), digest) == MOVES_DIGEST
+
+
+def test_after_tables_are_gluings_that_reparse(corpus12, census2):
+    # The rebuild writes each after glue table itself; the spine file
+    # reader, which builds its table from a gluing dict, is the reference.
+    for m in _digest_moves(corpus12, census2)[1]:
+        after = m.after
+        assert_valid_glue(after.triangulation.glue)
+        back = parse(serialize(after))
+        for name in ("glue", "face_classes", "pair_classes"):
+            assert getattr(back.triangulation, name) == \
+                getattr(after.triangulation, name)
+        assert (back.orientations, back.branching) == \
+            (after.orientations, after.branching)
 
 
 def test_every_entry_point_builds_the_same_move(census2):
@@ -344,6 +364,34 @@ def test_rigidity_and_single_moves_build_only_what_they_return(
     assert built == []
     move = positive_move(parse(TWO_VARIANT), 0, variant=1)
     assert built == [move.after]
+
+
+def _moves_constructions(monkeypatch):
+    """Count the Triangulations and BranchedSpines that ``moves`` builds."""
+    counts = {"Triangulation": 0, "BranchedSpine": 0}
+    for cls in (Triangulation, BranchedSpine):
+        def counted(*args, _cls=cls):
+            counts[_cls.__name__] += 1
+            return _cls(*args)
+        monkeypatch.setattr(moves, cls.__name__, counted)
+    return counts
+
+
+def test_listing_moves_builds_nothing(monkeypatch):
+    # A 12-tetrahedron spine: ten first moves from TORSION2, all positive.
+    small = big = parse(TORSION2)
+    for _ in range(10):
+        big = moves._rebuild(big, *next(moves._candidates(big))).after
+    assert big.tet_count == 12
+    counts = _moves_constructions(monkeypatch)
+    for s in (small, big):
+        assert not is_rigid(s)
+        sites = [site for site, _variant, _bip in moves._candidates(s)]
+        assert sites and all(len(site) == 4 for site in sites)
+    assert counts == {"Triangulation": 0, "BranchedSpine": 0}
+    walk = random_walk(small, 10, seed=1, h_null_only=True, max_tets=6)
+    assert len(walk) == 10
+    assert counts == {"Triangulation": 10, "BranchedSpine": 10}
 
 
 def _count_constructions(monkeypatch):
