@@ -6,13 +6,12 @@ passing the first open face down.  Relabelling freedom is used in the
 standard two ways: every gluing permutation is odd (so all tetrahedron
 orientation bits are +1 and the triangulation is oriented by
 construction), and the first gluing into a fresh tetrahedron uses a fixed
-permutation.  A candidate is encoded from one seed of the live table and
-looked up in an orbit table, the codes of every seed of every class kept
-so far, each packed as order-preserving bytes; isomorphic gluings have
-the same seed codes, so only the first candidate of each class goes on,
-and the output is pairwise non-isomorphic in a deterministic order.  The
-seed codes of a new class also give its least code and the seeds that
-reach it, which every branching of the class shares.
+permutation.  A canonicity test inside the search (orderly generation,
+Read 1978; Faradzev 1978) keeps the first candidate of each class and
+holds no table of the classes kept, so the output is pairwise
+non-isomorphic in a deterministic order.  The seeds that reach a kept
+table's least gluing code are the ones every branching of the class
+shares.
 
 The branched census works on the glue table of each class too: one
 ``edge_walk`` gives its edge classes, the face-triangle screen its
@@ -22,8 +21,8 @@ row copy of the table, and a ``BranchedSpine`` are made only for a
 signature not kept yet.
 """
 
-from .perms import ALL_PERMS, INVERSE, SIGN
-from .spine import BranchedSpine, _branchings, _encode_seed, signature_from_seeds
+from .perms import ALL_PERMS, COMPOSE, INVERSE, SIGN
+from .spine import BranchedSpine, _branchings, least_seeds, signature_from_seeds
 from .triangulation import Triangulation, edge_walk
 
 _ODD_WITH_IMAGE = {
@@ -70,76 +69,137 @@ def _class_branchings(glue, tet_count):
     return _branchings(pair_classes, len(fans))
 
 
-def _packer(tet_count):
-    """An order-preserving packing of seed codes: bytes while every entry,
-    24 * (tetrahedron index) + (permutation index) < 24n, fits one byte
-    (n <= 10), int tuples beyond."""
-    return bytes if 24 * tet_count <= 256 else tuple
-
-
 def _classes(tet_count):
-    """(glue, least) per isomorphism class of candidate, in search order.
+    """(glue, least) per isomorphism class of gluing, in search order.
 
-    ``glue`` is the live table of the class's first candidate, valid until
-    the search resumes.  Each candidate is coded once, from tetrahedron 0
-    with the identity labelling (admissible: every orientation bit is
-    +1).  Every candidate is connected, as each new tetrahedron is glued
-    to one already in use, and two connected gluings are isomorphic
-    exactly when the one's code from that seed is among the other's 12n
-    seed codes.  So a candidate is skipped if the orbit table (every seed
-    code of every class kept, packed by ``_packer``) holds its code, and
-    starts a class otherwise.  ``least`` is what ``least_seeds`` returns
-    for the table, its code packed, read off the 12n seed codes of the
-    class.
+    ``glue`` is the live table of the first candidate of the class that
+    the search meets, valid until the search resumes, and ``least`` what
+    ``least_seeds`` returns for it.  The search glues the first open face
+    of the tetrahedra in use (position 4t + f), to a fresh tetrahedron
+    first, then to each later open face with each odd permutation, and so
+    meets candidates in lexicographic order of their choice sequences:
+    one entry per gluing, 0 for a fresh tetrahedron and 1 + 24 * (4 * t2
+    + f2) + r for a gluing to face (t2, f2) by permutation r.  Every
+    candidate is connected, as each new tetrahedron is glued to one
+    already in use.
+
+    An even seed (t0, rho0) relabels a candidate into the one of its
+    class that the search reaches with t0 as tetrahedron 0 and rho0 as its
+    corner labels (``_resume``), so the first candidate of a class is the
+    one whose own sequence is least over its 12n seeds.  A seed's sequence
+    on a partial table stops at its first open face, so a node is pruned
+    once some seed's sequence is below the table's own on their common
+    prefix, and a seed above it drops out of the subtree.  Each live seed
+    waits on the open face that blocks it, and a gluing resumes only the
+    seeds of its two faces; the seeds of a tetrahedron start when it
+    joins.  Every complete table reached starts a class.
     """
-    pack = _packer(tet_count)
-    orbit = set()
-    for glue in _complete_gluings(tet_count):
-        if pack(_encode_seed(glue, tet_count, 0, 0, None)[0]) in orbit:
-            continue
-        seeded = [_encode_seed(glue, tet_count, t0, rho0, None)
-                  for t0 in range(tet_count) for rho0 in _EVEN]
-        codes = [pack(code) for code, _rho, _order in seeded]
-        orbit.update(codes)
-        best = min(codes)
-        yield glue, (best, [
-            (rho, order) for code, (_c, rho, order) in zip(codes, seeded) if code == best])
-
-
-def _complete_gluings(tet_count):
-    """Every complete glue table of the search, depth first, always gluing
-    the first open face next: the same table each time, valid until the
-    search resumes.  ``glue[t][f]`` is (tetrahedron behind face f of t,
-    gluing permutation index), None while the face is open."""
     glue = [[None] * 4 for _ in range(tet_count)]
-    faces = [(t, f) for t in range(tet_count) for f in range(4)]
+    own = []
+    parked = [[] for _ in range(4 * tet_count)]
+    ones = (1,) * tet_count
 
     def search(used, pos):
-        # Faces before position pos = 4t + f are glued; the first open one
-        # is glued next, to a fresh tetrahedron or to a later open face.
+        # Faces before position pos are glued; the first open one is glued
+        # next, to a fresh tetrahedron or to a later open face.
         end = 4 * used
         while pos < end and glue[pos >> 2][pos & 3] is not None:
             pos += 1
         if pos == end:
             if used == tet_count:
-                yield glue
+                yield glue, least_seeds(glue, ones)
             return
-        t, f = faces[pos]
+        t, f = pos >> 2, pos & 3
         row = glue[t]
+        waiting = parked[pos]
         if used < tet_count:
-            p, p_inv = _ODD_WITH_IMAGE[(f, 0)][0]
+            p, p_inv = _ODD_WITH_IMAGE[f, 0][0]
             row[f], glue[used][0] = (used, p), (t, p_inv)
-            yield from search(used + 1, pos + 1)
+            yield from descend(0, waiting + _seeds(used, tet_count), used + 1, pos + 1)
             glue[used][0] = None
-        for t2, f2 in faces[pos + 1:end]:
-            row2 = glue[t2]
+        for pos2 in range(pos + 1, end):
+            row2, f2 = glue[pos2 >> 2], pos2 & 3
             if row2[f2] is not None:
                 continue
-            for p, p_inv in _ODD_WITH_IMAGE[(f, f2)]:
-                row[f], row2[f2] = (t2, p), (t, p_inv)
-                yield from search(used, pos + 1)
+            states = waiting + parked[pos2]
+            for p, p_inv in _ODD_WITH_IMAGE[f, f2]:
+                row[f], row2[f2] = (pos2 >> 2, p), (t, p_inv)
+                yield from descend(1 + 24 * pos2 + p, states, used, pos + 1)
             row2[f2] = None
         row[f] = None
 
+    def descend(choice, states, used, pos):
+        # Glued faces are never resumed again, so their parked seeds stay.
+        own.append(choice)
+        survivors = _resume(glue, own, states)
+        if survivors is not None:
+            for face, state in survivors:
+                parked[face].append(state)
+            yield from search(used, pos)
+            for face, _state in survivors:
+                parked[face].pop()
+        own.pop()
+
+    for face, state in _resume(glue, own, _seeds(0, tet_count)[1:]):
+        parked[face].append(state)
     return search(1, 0)
 
+
+def _seeds(t0, tet_count):
+    """The scan state of each even seed (t0, rho0), identity first, before
+    its first face: (position, sequence length, new index per tetrahedron
+    or -1, relabelling per tetrahedron, tetrahedron per new index)."""
+    new_of = [-1] * tet_count
+    new_of[t0] = 0
+    return [(0, 0, new_of, [rho0 if t == t0 else 0 for t in range(tet_count)], [t0])
+            for rho0 in _EVEN]
+
+
+def _resume(glue, own, states):
+    """Advance each seed's scan over the relabelled faces of ``glue``, in
+    search order, as far as the table is glued.
+
+    Returns None as soon as a seed's choice sequence falls below ``own``,
+    the table's own, on their common prefix.  Otherwise returns (open
+    face, state) per seed that is still tied with ``own`` and blocked by
+    that face; a seed that rises above ``own``, or has scanned every face,
+    is left out.  A face whose partner was scanned earlier is skipped; a
+    fresh tetrahedron takes the next index and the labels that make its
+    gluing the search's fixed one.  States are never changed in place:
+    a seed's lists are copied when it numbers a tetrahedron.
+    """
+    survivors = []
+    for pos, i, new_of, rho, order in states:
+        while True:
+            k = pos >> 2
+            if k == len(order):
+                break
+            t = order[k]
+            r = rho[t]
+            f = ALL_PERMS[INVERSE[r]][pos & 3]
+            entry = glue[t][f]
+            if entry is None:
+                survivors.append((4 * t + f, (pos, i, new_of, rho, order)))
+                break
+            t2, p = entry
+            k2 = new_of[t2]
+            if k2 < 0:
+                new_of, rho = new_of[:], rho[:]
+                new_of[t2] = len(order)
+                rho[t2] = COMPOSE[_ODD_WITH_IMAGE[pos & 3, 0][0][0]][COMPOSE[r][INVERSE[p]]]
+                order = order + [t2]
+                v = 0
+            else:
+                pos2 = 4 * k2 + ALL_PERMS[rho[t2]][ALL_PERMS[p][f]]
+                if pos2 < pos:
+                    pos += 1
+                    continue
+                v = 1 + 24 * pos2 + COMPOSE[rho[t2]][COMPOSE[p][INVERSE[r]]]
+            w = own[i]
+            if v != w:
+                if v < w:
+                    return None
+                break
+            pos += 1
+            i += 1
+    return survivors

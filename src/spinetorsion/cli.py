@@ -40,10 +40,10 @@ def spine_summary(spine):
 # every field up to this order builds in about 0.1 s.
 MAX_CYCLIC_ORDER = 1000
 
-# Largest --tets accepted by ``census``.  Census 4 takes 12-16 s of process
-# time at about 215 MB ru_maxrss (2 CPUs, CPython 3.11); the orbit table of
-# census 5 alone would need about 7 GB (at least 73M seed codes at about
-# 95 B each).
+# Largest --tets accepted by ``census``.  Census 4 takes about 4 s of process
+# time at about 117 MB ru_maxrss (2 CPUs, CPython 3.11).  The class search of
+# census 5 takes about 130 s at 14 MB, but the branched census 5 has not
+# been run, so neither its time nor its memory is known.
 MAX_CENSUS_TETS = 4
 
 

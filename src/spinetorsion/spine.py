@@ -20,7 +20,7 @@ orientation fixes the entry face, and no edge comes back reversed.
 
 from functools import cached_property
 
-from .errors import CyclicTriangle, NonOrientable
+from .errors import CyclicTriangle, NonOrientable, UnpairedFace
 from .perms import ALL_PERMS, COMPOSE, INVERSE, PERM_INDEX, SIGN
 from .triangulation import _CORNER_PAIRS, _FACE_CORNERS, _PAIR, Triangulation
 
@@ -159,10 +159,17 @@ class BranchedSpine:
 
         ``tet_map[t]`` is the new index of old tetrahedron t and
         ``corner_perms[t]`` the permutation sending old corner labels of t
-        to new ones.
+        to new ones.  UnpairedFace names an argument that is not one
+        bijection onto 0..n-1, or one of 0..3 per tetrahedron.
         """
         n = self.tet_count
-        rhos = [PERM_INDEX[tuple(rho)] for rho in corner_perms]
+        if sorted(tet_map) != list(range(n)):
+            raise UnpairedFace("tetrahedron map %r is not a bijection onto 0..%d"
+                               % (list(tet_map), n - 1))
+        rhos = [PERM_INDEX.get(tuple(rho), -1) for rho in corner_perms]
+        if len(rhos) != n or -1 in rhos:
+            raise UnpairedFace("corner relabelling %r is not a bijection of 0..3 per "
+                               "tetrahedron" % (list(corner_perms),))
         glue, orient, old_of = [[None] * 4 for _ in range(n)], [0] * n, [0] * n
         for t, row in enumerate(self.triangulation.glue):
             r, nt = rhos[t], tet_map[t]

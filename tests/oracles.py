@@ -3,7 +3,8 @@ against: determinants by cofactor expansion, full change-of-basis
 matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
 exact checks of the chain complexes and of the certificate rows, the
-census deduplicated by least gluing code on gluing dicts, the validity of
+census unpruned, deduplicated by least gluing code on gluing dicts and
+by an orbit table on glue tables, the validity of
 a glue table, and branch codes by comparing corner ranks."""
 
 from itertools import combinations
@@ -11,8 +12,8 @@ from math import gcd as _int_gcd
 
 from spinetorsion.complexes import Representation, twisted_d2
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
-from spinetorsion.perms import ALL_PERMS, INVERSE, inverse, sign
-from spinetorsion.spine import encode_gluings
+from spinetorsion.perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse, sign
+from spinetorsion.spine import _encode_seed, encode_gluings
 from spinetorsion.triangulation import Triangulation, glue_table
 
 
@@ -367,6 +368,64 @@ def _glued(gluings, t, f, t2, f2, perm):
     child = dict(gluings)
     glue_both_ways(child, t, f, t2, f2, perm)
     return child
+
+
+def complete_gluing_tables(tet_count):
+    """The census search on one live glue table, unpruned: every complete
+    table, depth first, in the order of ``complete_gluings``.  The same
+    table each time, valid until the search resumes; ``glue[t][f]`` is
+    (tetrahedron behind face f of t, gluing permutation index), None while
+    the face is open."""
+    glue = [[None] * 4 for _ in range(tet_count)]
+
+    def search(used, pos):
+        end = 4 * used
+        while pos < end and glue[pos >> 2][pos & 3] is not None:
+            pos += 1
+        if pos == end:
+            if used == tet_count:
+                yield glue
+            return
+        t, f = pos >> 2, pos & 3
+        row = glue[t]
+        if used < tet_count:
+            p = PERM_INDEX[_odd_with_image(f, 0)[0]]
+            row[f], glue[used][0] = (used, p), (t, INVERSE[p])
+            yield from search(used + 1, pos + 1)
+            glue[used][0] = None
+        for pos2 in range(pos + 1, end):
+            t2, f2 = pos2 >> 2, pos2 & 3
+            row2 = glue[t2]
+            if row2[f2] is not None:
+                continue
+            for perm in _odd_with_image(f, f2):
+                p = PERM_INDEX[perm]
+                row[f], row2[f2] = (t2, p), (t, INVERSE[p])
+                yield from search(used, pos + 1)
+            row2[f2] = None
+        row[f] = None
+
+    return search(1, 0)
+
+
+def orbit_table_classes(tet_count):
+    """(glue, least) per class of ``complete_gluing_tables``, in search
+    order, deduplicated by an orbit table: a candidate whose code from
+    seed (0, identity) is among the codes of every even seed of every
+    class kept so far is skipped, and otherwise starts a class, its
+    ``least`` read off its 12n seed codes as ``least_seeds`` gives it."""
+    n = tet_count
+    even = [r for r in range(24) if SIGN[r] == 1]
+    orbit = set()
+    for glue in complete_gluing_tables(n):
+        if tuple(_encode_seed(glue, n, 0, 0, None)[0]) in orbit:
+            continue
+        seeded = [_encode_seed(glue, n, t0, rho0, None) for t0 in range(n) for rho0 in even]
+        codes = [tuple(code) for code, _rho, _order in seeded]
+        orbit.update(codes)
+        best = min(codes)
+        yield glue, (list(best), [
+            (rho, order) for code, (_c, rho, order) in zip(codes, seeded) if code == best])
 
 
 def least_code_triangulations(tet_count):

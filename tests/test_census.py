@@ -13,14 +13,15 @@ from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumer
 from spinetorsion.spinefile import serialize
 from spinetorsion.triangulation import Triangulation, glue_table
 
-from oracles import (assert_valid_glue, branch_code, complete_gluings,
-                     least_code_triangulations)
+from oracles import (assert_valid_glue, branch_code, complete_gluing_tables, complete_gluings,
+                     least_code_triangulations, orbit_table_classes)
 
 # sha256 of "count <N>\n" followed by the serialised census, in census order.
 CENSUS_DIGESTS = {
     1: (4, "b3f05de6f790965c35049f7871220cb58691ae5e70efb9fb3a5dc5d605da7c5f"),
     2: (46, "00605b0f399f5850873737b1bb49214b9c7a3f1dfb2e2eda7fc1f2264bdaba54"),
     3: (800, "71fd1be49010e5e9e2e25461e38e661d54f0d62787e39798fcf378c5c429e9e4"),
+    4: (22744, "7d377be2990b6e38df665d54fdc5fa51bd128bb417cffe87b710bc9571ca95c9"),
 }
 
 
@@ -60,9 +61,9 @@ def test_census_deterministic():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_table_matches_least_code_dedup(n):
-    # The orbit table keeps the same first candidate of each class as a
-    # dedup by least code over all seeds of every candidate, and each
-    # class's table copy is a gluing.
+    # The census keeps the same first candidate of each class as a dedup
+    # by least code over all seeds of every candidate, and each class's
+    # table copy is a gluing.
     expected = [trg.glue for trg in least_code_triangulations(n)]
     found = [trg.glue for trg in enumerate_triangulations(n)]
     for glue in found:
@@ -72,16 +73,43 @@ def test_orbit_table_matches_least_code_dedup(n):
 
 @pytest.mark.parametrize("n, count", [(1, 27), (2, 648), (3, 24057)])
 def test_table_search_matches_dict_search(n, count):
-    # The search over one live glue table visits the candidates of the
-    # search over gluing dicts, in its order, each the table of its dict.
-    # Each table is connected: the walk from tetrahedron 0 reaches all n.
+    # The two unpruned oracle searches, over one live glue table and over
+    # gluing dicts, visit the same candidates in the same order, each the
+    # table of its dict.  Each table is connected: the walk from
+    # tetrahedron 0 reaches all n.
     seen = 0
-    for glue, gluings in zip(census._complete_gluings(n), complete_gluings(n),
-                             strict=True):
+    for glue, gluings in zip(complete_gluing_tables(n), complete_gluings(n), strict=True):
         assert glue == glue_table(n, gluings)
         assert len(_encode_seed(glue, n, 0, 0, None)[2]) == n
         seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classes_match_orbit_table_oracle(n):
+    # The pruned search keeps, in the same order, the first candidate of
+    # each class that the unpruned search deduplicated by an orbit table
+    # keeps, with the same least code and seeds.
+    found = [([row[:] for row in glue], least) for glue, least in census._classes(n)]
+    expected = [([row[:] for row in glue], least) for glue, least in orbit_table_classes(n)]
+    assert found == expected
+
+
+@pytest.mark.parametrize("n, resumed", [(2, 224), (3, 3152)])
+def test_search_prunes_to_pinned_node_count(n, resumed, monkeypatch):
+    # One seed resumption at the root and one per gluing tried: 223 and
+    # 3,151 search nodes, against 648 and 24,057 complete candidates
+    # alone unpruned.  An exhaustive search visits more nodes, and one
+    # that prunes on a tie fewer.
+    calls = []
+    resume = census._resume
+
+    def counted(*args):
+        calls.append(None)
+        return resume(*args)
+    monkeypatch.setattr(census, "_resume", counted)
+    assert sum(1 for _ in census._classes(n)) == {2: 60, 3: 889}[n]
+    assert len(calls) == resumed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -95,18 +123,6 @@ def test_class_branchings_match_built_triangulation(n):
         assert found == [(s.branching, s.ranks) for s in enumerate_branchings(trg)]
         branched += bool(found)
     assert branched == {1: 3, 2: 23, 3: 269}[n]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_packed_seed_codes_sort_as_int_tuples(n):
-    # Every seed code of every class, packed as the orbit table packs it.
-    pack = census._packer(n)
-    assert pack is bytes and census._packer(11) is tuple
-    codes = [_encode_seed(glue, n, t0, rho0, None)[0]
-             for glue, _least in census._classes(n)
-             for t0 in range(n) for rho0 in range(24)]
-    assert sorted(codes, key=pack) == sorted(codes)
-    assert len({pack(code) for code in codes}) == len({tuple(code) for code in codes})
 
 
 def test_triangulation_enumeration_counts():
@@ -144,6 +160,31 @@ def test_census_counts_by_orbit_counting(n):
                  for t0 in range(n) for rho0 in even}
         total += Fraction(factorial(n) * 12 ** n * len(codes), 12 * n)
     assert total == _connected_gluings(n)
+
+
+def test_census_4_is_pinned(monkeypatch):
+    # 27,267 triangulation classes, and the spines of CENSUS_DIGESTS[4].
+    classes = census._classes
+    counted = []
+
+    def counting(n):
+        for item in classes(n):
+            counted.append(None)
+            yield item
+    monkeypatch.setattr(census, "_classes", counting)
+    spines = census_branched(4)
+    count, digest = CENSUS_DIGESTS[4]
+    text = "count %d\n" % len(spines) + "".join(serialize(s) for s in spines)
+    assert (len(counted), len(spines)) == (27267, count)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_census_4_counts_by_orbit_counting():
+    # As for n <= 3, with |Aut T| the number of seeds that reach the least
+    # code of T, which the search returns with each class.
+    total = sum(Fraction(factorial(4) * 12 ** 4, len(seeds))
+                for _glue, (_code, seeds) in census._classes(4))
+    assert total == _connected_gluings(4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

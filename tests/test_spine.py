@@ -4,13 +4,13 @@ import random
 import pytest
 
 from spinetorsion.census import enumerate_triangulations
-from spinetorsion.errors import CyclicTriangle, NonOrientable
+from spinetorsion.errors import CyclicTriangle, NonOrientable, UnpairedFace
 from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import _RANKS, BranchedSpine, enumerate_branchings
 from spinetorsion.spinefile import parse
 from spinetorsion.triangulation import _CORNER_PAIRS, _FACE_CORNERS
 
-from fixtures import ONE_TET, TWO_VARIANT
+from fixtures import ONE_TET, TORSION2, TWO_VARIANT
 
 
 def brute_force_branchings(trg):
@@ -179,6 +179,24 @@ def test_relabelling_preserves_canonical_encoding(corpus12):
             other = s.relabel(tet_map, perms)
             assert other.canonical_encoding() == code
             assert other.is_isomorphic(s)
+
+
+@pytest.mark.parametrize("tet_map, message", [
+    ([1, 1], r"tetrahedron map \[1, 1\] is not a bijection onto 0\.\.1"),
+    ([0, 2], r"tetrahedron map \[0, 2\] is not a bijection onto 0\.\.1"),
+    ([0], r"tetrahedron map \[0\] is not a bijection onto 0\.\.1")])
+def test_relabel_rejects_a_tet_map_that_is_no_bijection(tet_map, message):
+    spine = parse(TORSION2)
+    with pytest.raises(UnpairedFace, match=message):
+        spine.relabel(tet_map, [ALL_PERMS[0]] * 2)
+
+
+@pytest.mark.parametrize("corner_perms", [
+    [(0, 0, 2, 3), (0, 1, 2, 3)], [(0, 1, 2, 3), (0, 1, 2, 4)], [(0, 1, 2, 3)]])
+def test_relabel_rejects_corner_labels_that_are_no_bijection(corner_perms):
+    spine = parse(TORSION2)
+    with pytest.raises(UnpairedFace, match=r"corner relabelling .* is not a bijection"):
+        spine.relabel([1, 0], corner_perms)
 
 
 def test_distinct_census_members_not_isomorphic(census2):
