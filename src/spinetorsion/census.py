@@ -9,16 +9,14 @@ construction), and the first gluing into a fresh tetrahedron uses a fixed
 permutation.  A canonicity test inside the search (orderly generation,
 Read 1978; Faradzev 1978) keeps the first candidate of each class and
 holds no table of the classes kept, so the output is pairwise
-non-isomorphic in a deterministic order.  The seeds that reach a kept
-table's least gluing code are the ones every branching of the class
-shares.
+non-isomorphic in a deterministic order.
 
 The branched census works on the glue table of each class too: one
 ``edge_walk`` gives its edge classes, the face-triangle screen its
-branchings and the rank table their ranks, so each branching's signature
-is known before anything is built.  A ``Triangulation``, built from a
-row copy of the table, and a ``BranchedSpine`` are made only for a
-signature not kept yet.
+branchings and the rank table their ranks.  The seeds that reach the
+least gluing code of a class with a branching give every branching's
+signature, so a ``Triangulation``, built from a row copy of the table,
+and a ``BranchedSpine`` are made only for a signature not kept yet.
 """
 
 from .perms import ALL_PERMS, COMPOSE, INVERSE, SIGN
@@ -37,7 +35,7 @@ _EVEN = tuple(r for r in range(24) if SIGN[r] == 1)
 
 def enumerate_triangulations(tet_count):
     """All connected oriented triangulations with the given size, up to isomorphism."""
-    return [Triangulation([row[:] for row in glue]) for glue, _least in _classes(tet_count)]
+    return [Triangulation([row[:] for row in glue]) for glue in _classes(tet_count)]
 
 
 def census_branched(tet_count):
@@ -45,15 +43,17 @@ def census_branched(tet_count):
 
     Deterministic: spines are sorted by canonical encoding, and each is
     the first branching found with its signature.  A class's branchings
-    and their ranks are read off its glue table, and its seeds reaching
-    the least gluing code give each branching's signature; a
-    ``Triangulation`` and a ``BranchedSpine`` are built only for a
-    signature not kept yet.
+    and their ranks are read off its glue table.  Only a class with a
+    branching has its least gluing code computed, and its seeds reaching
+    that code give each branching's signature; a ``Triangulation`` and a
+    ``BranchedSpine`` are built only for a signature not kept yet.
     """
     spines = {}
-    for glue, least in _classes(tet_count):
-        trg = None
+    for glue in _classes(tet_count):
+        least = trg = None
         for branching, ranks in _class_branchings(glue, tet_count):
+            if least is None:
+                least = least_seeds(glue, (1,) * tet_count)
             code = signature_from_seeds(least, ranks)
             if code not in spines:
                 if trg is None:
@@ -70,18 +70,17 @@ def _class_branchings(glue, tet_count):
 
 
 def _classes(tet_count):
-    """(glue, least) per isomorphism class of gluing, in search order.
+    """The glue table of each isomorphism class of gluing, in search order.
 
-    ``glue`` is the live table of the first candidate of the class that
-    the search meets, valid until the search resumes, and ``least`` what
-    ``least_seeds`` returns for it.  The search glues the first open face
-    of the tetrahedra in use (position 4t + f), to a fresh tetrahedron
-    first, then to each later open face with each odd permutation, and so
-    meets candidates in lexicographic order of their choice sequences:
-    one entry per gluing, 0 for a fresh tetrahedron and 1 + 24 * (4 * t2
-    + f2) + r for a gluing to face (t2, f2) by permutation r.  Every
-    candidate is connected, as each new tetrahedron is glued to one
-    already in use.
+    Each is the live table of the first candidate of the class that the
+    search meets, valid until the search resumes.  The search glues the
+    first open face of the tetrahedra in use (position 4t + f), to a fresh
+    tetrahedron first, then to each later open face with each odd
+    permutation, and so meets candidates in lexicographic order of their
+    choice sequences: one entry per gluing, 0 for a fresh tetrahedron and
+    1 + 24 * (4 * t2 + f2) + r for a gluing to face (t2, f2) by
+    permutation r.  Every candidate is connected, as each new tetrahedron
+    is glued to one already in use.
 
     An even seed (t0, rho0) relabels a candidate into the one of its
     class that the search reaches with t0 as tetrahedron 0 and rho0 as its
@@ -97,7 +96,6 @@ def _classes(tet_count):
     glue = [[None] * 4 for _ in range(tet_count)]
     own = []
     parked = [[] for _ in range(4 * tet_count)]
-    ones = (1,) * tet_count
 
     def search(used, pos):
         # Faces before position pos are glued; the first open one is glued
@@ -107,7 +105,7 @@ def _classes(tet_count):
             pos += 1
         if pos == end:
             if used == tet_count:
-                yield glue, least_seeds(glue, ones)
+                yield glue
             return
         t, f = pos >> 2, pos & 3
         row = glue[t]

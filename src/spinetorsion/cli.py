@@ -40,10 +40,11 @@ def spine_summary(spine):
 # every field up to this order builds in about 0.1 s.
 MAX_CYCLIC_ORDER = 1000
 
-# Largest --tets accepted by ``census``.  Census 4 takes about 4 s of process
-# time at about 117 MB ru_maxrss (2 CPUs, CPython 3.11).  The class search of
-# census 5 takes about 130 s at 14 MB, but the branched census 5 has not
-# been run, so neither its time nor its memory is known.
+# Largest --tets accepted by ``census``.  ``census --tets 4`` takes about 5 s
+# of process time, 3-4 s of it in the census, at about 110 MB ru_maxrss
+# (2-CPU Intel Xeon, CPython 3.11.7).  The class search of census 5 takes
+# about 46 s at 18 MB, but the branched census 5 has not been run, so
+# neither its time nor its memory is known.
 MAX_CENSUS_TETS = 4
 
 

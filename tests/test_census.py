@@ -90,7 +90,8 @@ def test_classes_match_orbit_table_oracle(n):
     # The pruned search keeps, in the same order, the first candidate of
     # each class that the unpruned search deduplicated by an orbit table
     # keeps, with the same least code and seeds.
-    found = [([row[:] for row in glue], least) for glue, least in census._classes(n)]
+    found = [([row[:] for row in glue], least_seeds(glue, (1,) * n))
+             for glue in census._classes(n)]
     expected = [([row[:] for row in glue], least) for glue, least in orbit_table_classes(n)]
     assert found == expected
 
@@ -117,12 +118,30 @@ def test_class_branchings_match_built_triangulation(n):
     # The branchings and ranks the census reads off each class's glue
     # table are those of the spines built on its Triangulation, in order.
     branched = 0
-    for glue, _least in census._classes(n):
+    for glue in census._classes(n):
         found = list(census._class_branchings(glue, n))
         trg = Triangulation([row[:] for row in glue])
         assert found == [(s.branching, s.ranks) for s in enumerate_branchings(trg)]
         branched += bool(found)
     assert branched == {1: 3, 2: 23, 3: 269}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_least_seeds_runs_once_per_branched_class(n, monkeypatch):
+    # The census encodes a class from its seeds only to name its spines:
+    # once per class with a branching (3 / 23 / 269 of 6 / 60 / 889), and
+    # never for the triangulations alone.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return least_seeds(*args)
+    monkeypatch.setattr(census, "least_seeds", counted)
+    census_branched(n)
+    assert len(calls) == {1: 3, 2: 23, 3: 269}[n]
+    calls.clear()
+    enumerate_triangulations(n)
+    assert calls == []
 
 
 def test_triangulation_enumeration_counts():
@@ -181,9 +200,9 @@ def test_census_4_is_pinned(monkeypatch):
 
 def test_census_4_counts_by_orbit_counting():
     # As for n <= 3, with |Aut T| the number of seeds that reach the least
-    # code of T, which the search returns with each class.
-    total = sum(Fraction(factorial(4) * 12 ** 4, len(seeds))
-                for _glue, (_code, seeds) in census._classes(4))
+    # code of T, read off the glue table of each class the search yields.
+    total = sum(Fraction(factorial(4) * 12 ** 4, len(least_seeds(glue, (1,) * 4)[1]))
+                for glue in census._classes(4))
     assert total == _connected_gluings(4)
 
 

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinetorsion.cli import (MAX_CENSUS_TETS, MAX_CYCLIC_ORDER, _parse_rep_spec,
                              main)
@@ -409,3 +413,112 @@ def test_trivial_representation_outputs_are_pinned(corpus12, tmp_path, capsys):
                                           json.dumps(report, sort_keys=True)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == TRIVIAL_DIGEST, text
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+_FILES = {"GOLDEN": GOLDEN, "ONE_TET": ONE_TET, "TORSION2": TORSION2,
+          "TWO_VARIANT": TWO_VARIANT, "EMPTY": ""}
+# Non-ASCII digits that int() reads, all at most 2, and superscript two,
+# which it refuses.  Huge values start at 5, past the census ceiling; junk
+# that int() reads is at most 1.  So no drawn value passes a size cap.
+_NON_ASCII = st.sampled_from(["\u0662", "\uff11", "\u09e6", "\u07c1",
+                              "\U0001d7d0", "\u00b2"])
+_JUNK = st.sampled_from(["", "x", "-", "--", "1.5", "0x10", " 1", "+1", "0_1",
+                         "nan", "\x00", "\u00e9", "--bogus", "1e3"])
+_NEGATIVE = st.integers(-10 ** 30, -1).map(str)
+_HUGE = st.sampled_from([5, 10 ** 6, 2 ** 63, 2 ** 70, 10 ** 30]).map(str)
+
+
+def _mostly(good, bad):
+    """A value of ``good``, or with odds 1 in 4 one of ``bad``."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+def _number(low, high, huge=True):
+    """An in-range count, or a negative, huge, non-ASCII or junk value;
+    ``huge=False`` for a count that sets how much work is done."""
+    return _mostly(st.integers(low, high).map(str),
+                   st.one_of(_NEGATIVE, _NON_ASCII, _JUNK, *([_HUGE] if huge else [])))
+
+
+@st.composite
+def _cyclic_specs(draw):
+    spec = "cyclic:" + draw(_number(1, 7))
+    if draw(st.booleans()):
+        spec += ":" + ",".join(draw(st.lists(_number(-3, 3), max_size=3)))
+    return spec
+
+
+_REP = _mostly(st.sampled_from(["trivial", "free-abelian"]) | _cyclic_specs(), _JUNK)
+# "@" stands for the fuzz directory, which holds the _FILES and DIR.
+_FILE = st.sampled_from(["@" + name for name in (*_FILES, "DIR", "MISSING")])
+_OUT = st.sampled_from(["@DIR", "@DIR/absent/out.txt", "@DIR/out.txt"])
+_FLAGS = {
+    "validate": {},
+    "branchings": {},
+    "summary": {"--matrices": None},
+    "move": {"--face": _number(0, 8), "--variant": _number(0, 2),
+             "--edge": _number(0, 8), "--out": _OUT},
+    "walk": {"--steps": _number(0, 3, huge=False), "--seed": _number(0, 99),
+             "--h-null-only": None, "--max-tets": _number(1, 6), "--out": _OUT},
+    "hcheck": {"--face": _number(0, 8), "--variant": _number(0, 2)},
+    "torsion": {"--rep": _REP, "--sign-refined": None,
+                "--homology-basis": _mostly(st.just("auto"), _JUNK)},
+    "euler": {},
+    "census": {"--tets": _number(1, 2),
+               "--out-dir": st.sampled_from(["@DIR/census", "@EMPTY", "@DIR"])},
+    "invariance": {"--steps": _number(0, 3, huge=False),
+                   "--seed": _number(0, 99), "--rep": _REP,
+                   "--max-tets": _number(1, 5)},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Any command, each of its flags with odds 7 in 8, in any order, with
+    drawn values, maybe a file operand, --timing or a stray token.  A
+    stray token goes first or last, never where a flag would read it as a
+    path to write."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command != "census" and draw(st.integers(0, 9)):
+        argv.append(draw(_FILE))
+    for flag in draw(st.permutations(sorted(_FLAGS[command]))):
+        if not draw(st.integers(0, 7)):
+            continue
+        values = _FLAGS[command][flag]
+        argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.sampled_from([1, len(argv)])), draw(_JUNK))
+    if draw(st.booleans()):
+        argv.insert(0, "--timing")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FILES.items():
+        (root / name).write_text(text)
+    (root / "DIR").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_any_argv_ends_in_one_json_report(fuzz_dir, argv):
+    # Every command with drawn flags, over the fixtures, an empty file, a
+    # directory and a missing path: one JSON object on stdout, status 0, 1
+    # or 2, an error report naming the error, and nothing on stderr.
+    argv = [a.replace("@", "%s/" % fuzz_dir) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    report = json.loads(out.getvalue())
+    assert type(report) is dict and err.getvalue() == ""
+    assert status in (0, 1, 2)
+    if status == 0 or "all_equal" in report:
+        assert "error" not in report
+    else:
+        assert type(report["error"]) is str and type(report["message"]) is str

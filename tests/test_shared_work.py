@@ -319,12 +319,12 @@ def test_opposite_orientation_is_carried_negated(census2):
 
 
 def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
-    # census_branched(2) encodes each of its 60 classes from its 24 seeds,
-    # once, for the least seeds, and no other candidate: the search's
-    # canonicity test reads the table, not a code.  Of the 118 branchings
-    # that pass the face-triangle screen, only the 46 whose signature is
-    # new build a spine, and only the 23 classes that have one build a
-    # triangulation.
+    # census_branched(2) encodes from its 24 seeds, once, for the least
+    # seeds, only the 23 of its 60 classes that have a branching, and no
+    # other candidate: the search's canonicity test reads the table, not a
+    # code.  Of the 118 branchings that pass the face-triangle screen, only
+    # the 46 whose signature is new build a spine, and only the 23 classes
+    # that have one build a triangulation.
     counts = {"seeds": 0, "triangulations": 0, "spines": 0}
 
     def counted(key, fn):
@@ -339,7 +339,7 @@ def test_census_encodes_each_seed_once_and_builds_only_branchings(monkeypatch):
     monkeypatch.setattr(census, "BranchedSpine",
                         counted("spines", census.BranchedSpine))
     assert len(census.census_branched(2)) == 46
-    assert counts == {"seeds": 1440, "triangulations": 23, "spines": 46}
+    assert counts == {"seeds": 552, "triangulations": 23, "spines": 46}
 
 
 def _orientations(X):
