@@ -217,9 +217,7 @@ class Representation:
     face relator is checked at construction to sum to the identity
     exponent, so the images are constant on H_1 classes.  Entries of
     twisted matrices are built once each from (exponent, integer
-    coefficient) terms by the field's ``from_terms``; ``images`` and
-    ``inverses``, the monomials of the generators and of their inverses,
-    are derived on first read.
+    coefficient) terms by the field's ``from_terms``.
     """
 
     def __init__(self, group, field, exponents, kind, character=None):
@@ -248,19 +246,8 @@ class Representation:
         """The exponent of the image of the integer edge chain ``vec``."""
         return self.exponent_of_word(enumerate(vec))
 
-    def word_image(self, word):
-        return self.field.from_terms(((self.exponent_of_word(word), 1),))
-
     def image_of_vector(self, vec):
         return self.field.from_terms(((self.exponent_of_vector(vec), 1),))
-
-    @cached_property
-    def images(self):
-        return [self.word_image(((g, 1),)) for g in range(len(self.exponents))]
-
-    @cached_property
-    def inverses(self):
-        return [self.word_image(((g, -1),)) for g in range(len(self.exponents))]
 
     @classmethod
     def trivial(cls, group):

@@ -3,7 +3,7 @@
 A positive move replaces the two tetrahedra around a face class by three
 tetrahedra around a new central edge; every edge class survives and the
 new edge needs an orientation, constrained by the branching condition
-(0, 1 or 2 choices).  A negative move is the inverse, applicable at an
+(1 or 2 choices).  A negative move is the inverse, applicable at an
 edge class of valence three lying in three distinct tetrahedra.
 
 Both moves swap the two triangulations of one bipyramid with apexes
@@ -15,14 +15,13 @@ one rebuild derives the rest by matching label sets: where each external
 face and its gluing go, which faces lie inside the bipyramid, the after
 branching, and the tetrahedron, edge and face correspondences.
 
-A move is listed as an unbuilt candidate, its site and the bipyramid of
-its variant read off the before spine, and is built only when taken.
-
 A variant of a move has a branching exactly when the directions of the
 ten edges order the five labels linearly (Benedetti-Petronio, LNM 1653).
-The ``Bipyramid`` of a move keeps that order, from source to sink, and
-the edge classes of its nine external edges; edge directions and the
-sink of every cell are read off the order.
+A move is listed as an unbuilt candidate (site, variant, order): its site
+and that order, from source to sink, read off the before spine.  Edge
+directions and the sink of every cell are read off the order.  A move is
+built only when taken, and only then gets its ``Bipyramid``: the order
+and the edge classes of the four tree edges that chains are read along.
 
 The invariance certificate of a move is computed on the common
 subdivision of the bipyramid by its centre: for each of its 21 internal
@@ -50,29 +49,29 @@ _ROW_ORDER = ("v", "va", "vb", "vc", "vd", "ve",
 
 
 class Bipyramid:
-    """Unfolded local model: the branching order and edge classes by label.
+    """Unfolded local model of a move taken: its branching order and the
+    edge classes of its tree edges.
 
-    ``order`` spells the five vertex labels from source to sink and
-    ``rank`` maps each label to its place in it; every edge points from
-    the lower rank to the higher.  ``edge_class`` maps the unordered
-    label pair of each external edge (all but ac) to its edge class in
-    the before spine.
+    ``order`` spells the five vertex labels from source to sink; every
+    edge points from the label that comes first to the later one.
+    ``edge_class`` maps the unordered label pair of each tree edge of
+    ``_tree_chains`` (ab, ad, ae and cb) to its edge class in the before
+    spine.
     """
 
     def __init__(self, order, edge_class):
         self.order = order
-        self.rank = {x: k for k, x in enumerate(order)}
         self.edge_class = edge_class
 
     def directed(self, u, v):
-        return self.rank[u] < self.rank[v]
+        return self.order.index(u) < self.order.index(v)
 
 
 def _linear_order(arrows):
     """The five labels from source to sink when the directed edges
-    ``arrows`` (one (u, v) per edge, for u -> v) order them linearly,
-    i.e. the labels point to 4, 3, 2, 1 and 0 others; else None, as then
-    some triangle is cyclic."""
+    ``arrows`` ((u, v) for u -> v) order them linearly, i.e. the labels
+    point to 4, 3, 2, 1 and 0 others; else None, as then some triangle is
+    cyclic or some edge points both ways."""
     out = dict.fromkeys("abcde", 0)
     for u, _v in arrows:
         out[u] += 1
@@ -129,8 +128,8 @@ class MoveInstance:
                 t_bef, lab_bef = container(self.site_before, (apex,) + pr)
                 t_aft, lab_aft = container(self.site_after, (apex,) + pr)
                 out.append((t_bef, t_aft, [
-                    x - y for x, y in zip(chains[_sink(bip, lab_bef)],
-                                          chains[_sink(bip, lab_aft)])]))
+                    x - y for x, y in zip(chains[_sink(bip.order, lab_bef)],
+                                          chains[_sink(bip.order, lab_aft)])]))
         return tuple(out)
 
 
@@ -177,31 +176,29 @@ def _pair_class(trg, site, u, v):
 
 
 def _variants(spine, site):
-    """The Bipyramid of each variant of the move at ``site``, in order.
+    """The branching order of each variant of the move at ``site``, in order.
 
     Every face but the new inner ones keeps its before directions, and
     the ten triangles of the bipyramid are all its vertex triples: a
     variant has a branching exactly when its directions are linear.  A
-    new central edge ac is tried a->c, then c->a.
+    new central edge ac is tried a->c, then c->a; a negative site has it
+    already, and its reverse makes eleven arrows, never linear.  A
+    positive site always has one or two variants: its tetrahedra order
+    {a,b,d,e} and {c,b,d,e} alike on the equator, so at most one
+    direction of ac closes a cycle.
     """
-    trg = spine.triangulation
-    arrows, edge_class = {}, {}
+    arrows = set()
     for t, lab in site[2]:  # the old site
         rk = spine.ranks[t]
-        for (i, j), (k, _s) in zip(_CORNER_PAIRS, trg.pair_classes[t]):
-            edge = frozenset((lab[i], lab[j]))
-            edge_class[edge] = k
-            arrows[edge] = (lab[i], lab[j]) if rk[i] < rk[j] else (lab[j], lab[i])
-    ac = frozenset("ac")
-    central = [arrows[ac]] if ac in arrows else [("a", "c"), ("c", "a")]
-    edge_class.pop(ac, None)
-    orders = (_linear_order({**arrows, ac: arrow}.values()) for arrow in central)
-    return [Bipyramid(order, edge_class) for order in orders if order is not None]
+        for i, j in _CORNER_PAIRS:
+            arrows.add((lab[i], lab[j]) if rk[i] < rk[j] else (lab[j], lab[i]))
+    orders = (_linear_order(arrows | {arrow}) for arrow in (("a", "c"), ("c", "a")))
+    return [order for order in orders if order is not None]
 
 
-def _rebuild(spine, site, variant, bip):
-    """The move of ``variant``, with Bipyramid ``bip``, at ``site``: the
-    only place a move is built.
+def _rebuild(spine, site, variant, order):
+    """The move of ``variant``, with branching order ``order``, at
+    ``site``: the only place a move, and its Bipyramid, is built.
 
     A site is (direction, face or edge class, old site, new site): the two
     sides of the bipyramid as (tetrahedron, labels) lists.  The other
@@ -215,6 +212,8 @@ def _rebuild(spine, site, variant, bip):
     trg = spine.triangulation
     old_labels, new_labels = dict(old_site), dict(new_site)
     new_faces = _faces_by_labels(new_site)
+    bip = Bipyramid(order, {frozenset(pair): _pair_class(trg, old_site, *pair)
+                            for pair in ("ab", "ad", "ae", "cb")})
     survivors = [t for t in range(trg.tet_count) if t not in old_labels]
     if direction == "positive":
         index = {t: t for t in survivors}
@@ -266,13 +265,13 @@ def _rebuild(spine, site, variant, bip):
     central_before = None if direction == "positive" else site_class
     central_after = _pair_class(after_trg, new_site, "a", "c")
     edge_map = {}
-    for k, cls in enumerate(trg.edge_classes):
+    for k, fan in enumerate(trg.edge_classes):
         if k == central_before:
             continue
-        kept = next(((index[t], i, j) for t, i, j in cls.members
+        kept = next(((index[t], i, j) for t, i, j, _enter, _exit in fan
                      if t in index), None)
         if kept is None:
-            t, i, j = cls.members[0]
+            t, i, j = fan[0][:3]
             lab = old_labels[t]
             edge_map[k] = _pair_class(after_trg, new_site, lab[i], lab[j])
         else:
@@ -290,8 +289,8 @@ def _rebuild(spine, site, variant, bip):
 
     old_of = {n: t for t, n in index.items()}
     branching = []
-    for cls in after_trg.edge_classes:
-        nt, i, j = cls.members[0]
+    for fan in after_trg.edge_classes:
+        nt, i, j = fan[0][:3]
         if nt in old_of:
             d = spine.edge_direction(old_of[nt], i, j)
         else:
@@ -310,10 +309,10 @@ def _rebuild(spine, site, variant, bip):
 
 def apply_positive(spine, face_class):
     """All branched 2-to-3 moves at a face class, one per valid orientation
-    of the new central edge (0, 1 or 2 results)."""
+    of the new central edge (1 or 2 results)."""
     site = _positive_site(spine, face_class)
-    return [_rebuild(spine, site, variant, bip)
-            for variant, bip in enumerate(_variants(spine, site))]
+    return [_rebuild(spine, site, variant, order)
+            for variant, order in enumerate(_variants(spine, site))]
 
 
 def _positive_site(spine, face_class):
@@ -344,13 +343,11 @@ def positive_move(spine, face_class, variant=0):
     """The ``variant``-th branched 2-to-3 move at a face class, the only
     variant built.
 
-    MoveError when the face class has no branched move or the variant is
-    out of range, instead of an empty list or a bare index error.
+    MoveError when the variant is out of range, instead of a bare index
+    error.
     """
     site = _positive_site(spine, face_class)
     variants = _variants(spine, site)
-    if not variants:
-        raise MoveError("no branched positive move at face %d" % face_class)
     if not 0 <= variant < len(variants):
         raise MoveError("variant %d out of range (%d available)"
                         % (variant, len(variants)))
@@ -376,17 +373,15 @@ def _negative_site(spine, edge_class):
     tetrahedra."""
     trg = spine.triangulation
     _check_site(edge_class, len(trg.edge_classes), "edge")
-    cls = trg.edge_classes[edge_class]
-    if cls.size != 3:
+    fan = trg.edge_classes[edge_class]
+    if len(fan) != 3:
         raise NotApplicable(
-            "edge class %d has valence %d, need 3" % (edge_class, cls.size))
-    tets = [member[0] for member in cls.members]
-    if len(set(tets)) != 3:
+            "edge class %d has valence %d, need 3" % (edge_class, len(fan)))
+    if len({step[0] for step in fan}) != 3:
         raise NotApplicable(
             "edge class %d does not meet three distinct tetrahedra" % edge_class)
-    fan = cls.fan
     if spine.branching[edge_class] == -1:
-        # Work with the branching direction: swap the ends of each member.
+        # Work with the branching direction: swap the ends of each step.
         fan = [(t, j, i, enter, exit_) for (t, i, j, enter, exit_) in fan]
     # The p-th tetrahedron of the fan is {a, c, EQ[p], EQ[p-1]}: the walk
     # enters it through the face opposite EQ[p] and leaves opposite EQ[p-1].
@@ -455,9 +450,10 @@ def _simplex_cells(label):
     return apex + "bde", "ac" + "".join(x for x in verts if x in "bde")
 
 
-def _sink(bip, verts):
-    """The vertex of a bipyramid simplex that its other vertices point to."""
-    return max(verts, key=bip.rank.__getitem__)
+def _sink(order, verts):
+    """The vertex of a bipyramid simplex that its other vertices point to,
+    under the branching order ``order``."""
+    return max(verts, key=order.index)
 
 
 def _tree_chains(bip, n):
@@ -483,28 +479,28 @@ def _tree_chains(bip, n):
 _CERTIFICATES = {}
 
 
-def _certificate(bip):
-    """(rows, total, is_null) of a bipyramid, computed once per order;
-    callers copy what they hand out."""
-    cert = _CERTIFICATES.get(bip.order)
+def _certificate(order):
+    """(rows, total, is_null) of a branching order, computed once per
+    order; callers copy what they hand out."""
+    cert = _CERTIFICATES.get(order)
     if cert is None:
         rows = []
         total = {}
         for label in _ROW_ORDER:
             eps = (-1) ** (len(label) - 1)
-            e0, e1 = (_sink(bip, cell) for cell in _simplex_cells(label))
+            e0, e1 = (_sink(order, cell) for cell in _simplex_cells(label))
             rows.append((label, eps, e0, e1))
             if e0 != e1:
                 total[e0] = total.get(e0, 0) + eps
                 total[e1] = total.get(e1, 0) - eps
         total = {k: v for k, v in total.items() if v}
-        cert = _CERTIFICATES[bip.order] = rows, total, not total
+        cert = _CERTIFICATES[order] = rows, total, not total
     return cert
 
 
 def h_cycle_check(move):
     """Certificate table of a move instance; see HCycleReport."""
-    rows, total, is_null = _certificate(move.bipyramid)
+    rows, total, is_null = _certificate(move.bipyramid.order)
     return HCycleReport(list(rows), dict(total), is_null, move.before,
                         move.bipyramid)
 
@@ -513,10 +509,10 @@ def h_cycle_check(move):
 
 
 def _candidates(spine, h_null_only=False):
-    """Every move of a spine as an unbuilt (site, variant, Bipyramid), in
-    canonical order: positive by face class and variant, then negative by
-    edge class.  With ``h_null_only``, only the variants whose certificate
-    is null; variants keep their numbers either way."""
+    """Every move of a spine as an unbuilt (site, variant, branching
+    order), in canonical order: positive by face class and variant, then
+    negative by edge class.  With ``h_null_only``, only the variants whose
+    certificate is null; variants keep their numbers either way."""
     trg = spine.triangulation
     for site_at, count in ((_positive_site, len(trg.face_classes)),
                            (_negative_site, len(trg.edge_classes))):
@@ -525,16 +521,16 @@ def _candidates(spine, h_null_only=False):
                 site = site_at(spine, k)
             except (SelfAdjacentFace, NotApplicable):
                 continue
-            for variant, bip in enumerate(_variants(spine, site)):
-                if not h_null_only or _certificate(bip)[2]:
-                    yield site, variant, bip
+            for variant, order in enumerate(_variants(spine, site)):
+                if not h_null_only or _certificate(order)[2]:
+                    yield site, variant, order
 
 
 def is_rigid(spine):
-    """True when no branched positive move applies at any face class;
-    builds no move (positive candidates come first)."""
-    directions = (site[0] for site, _variant, _bip in _candidates(spine))
-    return next(directions, "negative") == "negative"
+    """True when no branched positive move applies at any face class: when
+    every face class has both sides on one tetrahedron, as a positive move
+    at any other face class has a variant (see ``_variants``)."""
+    return all(t0 == t1 for (t0, _f0), (t1, _f1) in spine.triangulation.face_classes)
 
 
 def available_moves(spine, h_null_only=False):
@@ -558,14 +554,12 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
     cur = spine
     for _ in range(steps):
         # A move replaces the old site's tetrahedra by the new site's.
-        cands = [(site, variant, bip)
-                 for site, variant, bip in _candidates(cur, h_null_only)
+        cands = [cand for cand in _candidates(cur, h_null_only)
                  if max_tets is None
-                 or cur.tet_count + len(site[3]) - len(site[2]) <= max_tets]
+                 or cur.tet_count + len(cand[0][3]) - len(cand[0][2]) <= max_tets]
         if not cands:
             raise Stuck("no applicable move after %d steps" % len(walk))
-        site, variant, bip = cands[rng.below(len(cands))]
-        move = _rebuild(cur, site, variant, bip)
+        move = _rebuild(cur, *cands[rng.below(len(cands))])
         walk.append(move)
         cur = move.after
     return walk

@@ -179,8 +179,8 @@ class BranchedSpine:
             orient[nt], old_of[nt] = self.orientations[t] * SIGN[r], t
         new_trg = Triangulation(glue)
         branching = []
-        for cls in new_trg.edge_classes:
-            nt, ni, nj = cls.members[0]
+        for fan in new_trg.edge_classes:
+            nt, ni, nj = fan[0][:3]
             t = old_of[nt]
             rho_inv = ALL_PERMS[INVERSE[rhos[t]]]
             branching.append(1 if self.edge_direction(t, rho_inv[ni], rho_inv[nj]) else -1)

@@ -40,8 +40,8 @@ def serialize(spine):
         perm = ALL_PERMS[trg.glue[t][f][1]]
         word = "".join(str(perm[c]) for c in _FACE_CORNERS[f])
         lines.append("glue %d.%d -> %d.%d : %s" % (t, f, t2, f2, word))
-    for k, cls in enumerate(trg.edge_classes):
-        t, i, j = min(cls.members, key=lambda m: (m[0], min(m[1:]), max(m[1:])))
+    for k, fan in enumerate(trg.edge_classes):
+        t, i, j = fan[0][:3]  # the least tetrahedron edge of the class, i < j
         if not spine.edge_direction(t, i, j):
             i, j = j, i
         lines.append("edge %d : %d.%d%d" % (k, t, i, j))

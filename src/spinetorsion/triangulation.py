@@ -16,41 +16,15 @@ spine files all read the table, and the face and edge class lookups are
 per-tetrahedron tables beside it.
 
 Everything derived here (face, edge and vertex classes, tetrahedron
-orientations, around-the-edge fans, vertex links) is purely
-combinatorial and shared by the branched-spine layer on top.
+orientations, vertex links) is purely combinatorial and shared by the
+branched-spine layer on top.  An edge class is its fan, the walk around
+it (see ``edge_walk``); its valence is the length of the fan.
 """
 
 from functools import cached_property
 
 from .errors import Disconnected, NonOrientable, UnpairedFace
 from .perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN
-
-
-class EdgeClass:
-    """An orbit of tetrahedron edges under the face gluings.
-
-    ``members`` lists one oriented representative (t, i, j) per
-    tetrahedron edge in the class, all coherently oriented, in cyclic
-    order of the walk around the edge.  ``fan`` records the walk:
-    ``fan[p] = (t, i, j, enter_face, exit_face)`` where the walk enters
-    the p-th tetrahedron through ``enter_face`` and leaves through
-    ``exit_face``.
-    """
-
-    __slots__ = ("index", "members", "fan")
-
-    def __init__(self, index, members, fan):
-        self.index = index
-        self.members = members
-        self.fan = fan
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    def __repr__(self):
-        return "EdgeClass(%d, %s)" % (self.index, list(self.members))
-
 
 _FACE_CORNERS = tuple(tuple(c for c in range(4) if c != f) for f in range(4))
 """``_FACE_CORNERS[f]``: the corners of face f, in increasing order."""
@@ -68,9 +42,9 @@ class Triangulation:
     tetrahedron behind face f of t, the index in ``ALL_PERMS`` of the
     gluing permutation), a gluing of every face that inverts on the
     partner side (``glue_table`` checks one read from outside).
-    ``face_class_of[t][f]`` is the face class of face f of t, and
-    ``pair_classes`` (see ``edge_walk``) the edge class of each corner
-    pair.
+    ``face_class_of[t][f]`` is the face class of face f of t.
+    ``edge_classes`` and ``pair_classes`` are the fans of the edge classes
+    and the edge class of each corner pair (see ``edge_walk``).
     """
 
     def __init__(self, glue):
@@ -78,9 +52,7 @@ class Triangulation:
         self.glue = glue
         self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
-        fans, self.pair_classes = edge_walk(glue, self.tet_count)
-        self.edge_classes = tuple(EdgeClass(k, tuple(step[:3] for step in fan), fan)
-                                  for k, fan in enumerate(fans))
+        self.edge_classes, self.pair_classes = edge_walk(glue, self.tet_count)
 
     # -- construction checks -------------------------------------------------
 
@@ -169,8 +141,8 @@ class Triangulation:
         """
         corners = set(self.vertex_classes[vclass_index])
         ends = 0
-        for cls in self.edge_classes:
-            t, i, j = cls.members[0]
+        for fan in self.edge_classes:
+            t, i, j = fan[0][:3]
             ends += ((t, i) in corners) + ((t, j) in corners)
         chi = ends - len(corners) // 2
         assert chi % 2 == 0 and chi <= 2
@@ -219,9 +191,13 @@ def edge_walk(glue, tet_count):
     """The edge classes of an oriented glue table, one walk around each.
 
     Returns ``(fans, pair_classes)``.  ``fans[k]`` is the walk around edge
-    class k as in ``EdgeClass.fan``, started at its first tetrahedron edge
-    (t, i < j) and entering through the lower of the two other corners;
-    classes are numbered in the order their first edges come.
+    class k, one step ``(t, i, j, enter_face, exit_face)`` per tetrahedron
+    edge in it, all coherently oriented from i to j, in cyclic order: the
+    walk enters tetrahedron t through ``enter_face`` and leaves through
+    ``exit_face``.  It starts at the first tetrahedron edge (t, i < j) of
+    the class in scan order, its least, and enters through the lower of
+    the two other corners; classes are numbered in the order their first
+    edges come.
     ``pair_classes[t][e]`` is (k, s) for corner pair e = (i, j) of
     ``_CORNER_PAIRS`` of tetrahedron t: s = 1 if the walk of class k runs
     along it from i to j, -1 if from j to i.  Each step is a bijection on
@@ -249,4 +225,4 @@ def edge_walk(glue, tet_count):
                 if ct == t and ci == i and cj == j and enter == start:
                     break
             fans.append(tuple(fan))
-    return fans, pair_classes
+    return tuple(fans), pair_classes

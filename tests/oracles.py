@@ -5,9 +5,11 @@ the Fox-calculus Alexander polynomial, the spider anchors of every cell,
 exact checks of the chain complexes and of the certificate rows, the
 census unpruned, deduplicated by least gluing code on gluing dicts and
 by an orbit table on glue tables, the validity of
-a glue table, and branch codes by comparing corner ranks."""
+a glue table, branch codes by comparing corner ranks, the branching
+orders of a move's variants among all 120, and the images of words under
+a representation."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd as _int_gcd
 
 from spinetorsion.complexes import Representation, twisted_d2
@@ -302,6 +304,26 @@ def matches_integer_complex(tc):
                 if not x == f.from_int(k):
                     return False
     return True
+
+
+def word_image(rep, word):
+    """The image under ``rep`` of a word of (generator, power) pairs: the
+    monomial of its exponent, built by the field's ``from_terms``."""
+    return rep.field.from_terms(((rep.exponent_of_word(word), 1),))
+
+
+def images_of_generators(rep, power=1):
+    """The image under ``rep`` of each generator raised to ``power``."""
+    return [word_image(rep, ((g, power),)) for g in range(len(rep.exponents))]
+
+
+def branching_orders(directed):
+    """The linear orders of the labels "abcde", from source to sink, that
+    agree with every directed label pair (u, v), for u -> v, in
+    ``directed``; those with a before c first.  Searched among all 120."""
+    orders = ["".join(p) for p in permutations("abcde")
+              if all(p.index(u) < p.index(v) for u, v in directed)]
+    return sorted(orders, key=lambda order: order.index("c") < order.index("a"))
 
 
 def row_boundary(row):

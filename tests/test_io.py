@@ -167,7 +167,7 @@ def test_replay_face_without_branched_move_is_move_error(monkeypatch):
     # No census spine up to three tetrahedra has such a face; an empty
     # variant list stands in for one.
     monkeypatch.setattr(moves, "_variants", lambda spine, site: [])
-    with pytest.raises(MoveError, match="no branched positive move at face 0"):
+    with pytest.raises(MoveError, match="variant 0 out of range"):
         replay_move_log(parse(TWO_VARIANT),
                         parse_move_log("movelog 1\n+ face 0 variant 0\n"))
 

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given, reject, settings
@@ -23,7 +24,7 @@ from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
 from spinetorsion.triangulation import Triangulation
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
-from oracles import assert_valid_glue, row_boundary
+from oracles import assert_valid_glue, branching_orders, row_boundary
 
 
 def all_positive_moves(spine):
@@ -145,17 +146,17 @@ def test_negative_then_positive_is_identity(census2):
 def test_negative_preconditions():
     s = parse(TORSION2)
     # valence-1 edge class
-    assert s.triangulation.edge_classes[1].size == 1
+    assert len(s.triangulation.edge_classes[1]) == 1
     with pytest.raises(NotApplicable):
         apply_negative(s, 1)
     # valence-3 class meeting only two distinct tetrahedra
-    cls = s.triangulation.edge_classes[2]
-    assert cls.size == 3
-    assert len(set(m[0] for m in cls.members)) == 2
+    fan = s.triangulation.edge_classes[2]
+    assert len(fan) == 3
+    assert len(set(step[0] for step in fan)) == 2
     with pytest.raises(NotApplicable):
         apply_negative(s, 2)
     # valence-8 class
-    assert s.triangulation.edge_classes[0].size == 8
+    assert len(s.triangulation.edge_classes[0]) == 8
     with pytest.raises(NotApplicable):
         apply_negative(s, 0)
 
@@ -165,8 +166,8 @@ def test_moves_preserve_edge_directions(census2):
         for m in all_positive_moves(s)[:4]:
             for old, new in m.edge_map.items():
                 # compare directions through any surviving representative
-                cls_old = s.triangulation.edge_classes[old]
-                for (t, i, j) in cls_old.members:
+                fan_old = s.triangulation.edge_classes[old]
+                for (t, i, j, _enter, _exit) in fan_old:
                     if t in m.tet_map:
                         d_old = s.edge_direction(t, i, j)
                         d_new = m.after.edge_direction(m.tet_map[t], i, j)
@@ -228,6 +229,54 @@ def test_golden_certificate_table():
     assert report.rows == GOLDEN_TABLE
     assert report.is_null
     assert report.total == {}
+
+
+def _sites(spine):
+    """The positive and the negative move sites of a spine."""
+    trg = spine.triangulation
+    out = []
+    for site_at, count in ((moves._positive_site, len(trg.face_classes)),
+                           (moves._negative_site, len(trg.edge_classes))):
+        for k in range(count):
+            try:
+                out.append(site_at(spine, k))
+            except (SelfAdjacentFace, NotApplicable):
+                pass
+    return out
+
+
+def test_variants_are_the_orders_that_agree_with_the_site(corpus12, census2):
+    # The variants of every site of the pinned corpus are the orders, among
+    # all 120, that agree with the directions of its edges, read here
+    # through the class branching.
+    counts = {"positive": 0, "negative": 0}
+    for s in _digest_moves(corpus12, census2)[0]:
+        for site in _sites(s):
+            directed = set()
+            for t, lab in site[2]:
+                for i, j in combinations(range(4), 2):
+                    forward = s.oriented_class(t, i, j)[1] == 1
+                    directed.add((lab[i], lab[j]) if forward else (lab[j], lab[i]))
+            assert moves._variants(s, site) == branching_orders(directed)
+            counts[site[0]] += 1
+    assert counts == {"positive": 834, "negative": 152}
+
+
+def test_positive_sites_have_one_or_two_variants(corpus3):
+    # Two tetrahedra order {a,b,d,e} and {c,b,d,e} alike on their common
+    # face, so one direction of the new edge ac always gives a branching,
+    # and a spine is rigid exactly when every face class is self-adjacent.
+    walk = random_walk(parse(TORSION2), 100, seed=1)
+    sites_by_count = {}
+    for s in corpus3 + [m.after for m in walk]:
+        positive = [site for site in _sites(s) if site[0] == "positive"]
+        for site in positive:
+            count = len(moves._variants(s, site))
+            sites_by_count[count] = sites_by_count.get(count, 0) + 1
+        # Rigid as defined: no positive move is a candidate.
+        assert is_rigid(s) == all(site[0] == "negative"
+                                  for site, _variant, _order in moves._candidates(s))
+    assert sites_by_count == {1: 7199, 2: 3418}
 
 
 def test_one_vertex_spines_are_rigid(census1):
@@ -367,9 +416,10 @@ def test_rigidity_and_single_moves_build_only_what_they_return(
 
 
 def _moves_constructions(monkeypatch):
-    """Count the Triangulations and BranchedSpines that ``moves`` builds."""
-    counts = {"Triangulation": 0, "BranchedSpine": 0}
-    for cls in (Triangulation, BranchedSpine):
+    """Count the Triangulations, BranchedSpines and Bipyramids that
+    ``moves`` builds."""
+    counts = {"Triangulation": 0, "BranchedSpine": 0, "Bipyramid": 0}
+    for cls in (Triangulation, BranchedSpine, moves.Bipyramid):
         def counted(*args, _cls=cls):
             counts[_cls.__name__] += 1
             return _cls(*args)
@@ -386,12 +436,12 @@ def test_listing_moves_builds_nothing(monkeypatch):
     counts = _moves_constructions(monkeypatch)
     for s in (small, big):
         assert not is_rigid(s)
-        sites = [site for site, _variant, _bip in moves._candidates(s)]
+        sites = [site for site, _variant, _order in moves._candidates(s)]
         assert sites and all(len(site) == 4 for site in sites)
-    assert counts == {"Triangulation": 0, "BranchedSpine": 0}
+    assert counts == {"Triangulation": 0, "BranchedSpine": 0, "Bipyramid": 0}
     walk = random_walk(small, 10, seed=1, h_null_only=True, max_tets=6)
     assert len(walk) == 10
-    assert counts == {"Triangulation": 10, "BranchedSpine": 10}
+    assert counts == {"Triangulation": 10, "BranchedSpine": 10, "Bipyramid": 10}
 
 
 def _count_constructions(monkeypatch):

@@ -637,7 +637,7 @@ def test_one_elimination_per_degree(corpus12, walk_spines, monkeypatch):
 def _relabelled(s, rnd):
     """A seeded relabelling of the spine ``s`` and its cell correspondence:
     per degree, the new index of each old cell.  An edge class goes where
-    its first member goes, a face class (t, f) to (tet_map[t], rho_t(f)),
+    the first edge of its fan goes, a face class (t, f) to (tet_map[t], rho_t(f)),
     a tetrahedron by ``tet_map``; every cell keeps its orientation."""
     n = s.tet_count
     tet_map = rnd.sample(range(n), n)
@@ -645,7 +645,7 @@ def _relabelled(s, rnd):
     other = s.relabel(tet_map, perms)
     old, new = s.triangulation, other.triangulation
     edges = [new.edge_class_of(tet_map[t], perms[t][i], perms[t][j])[0]
-             for t, i, j in (cls.members[0] for cls in old.edge_classes)]
+             for t, i, j in (fan[0][:3] for fan in old.edge_classes)]
     faces = [new.face_class_of[tet_map[t]][perms[t][f]]
              for (t, f), _ in old.face_classes]
     return other, ([0], edges, faces, tet_map)

@@ -173,13 +173,17 @@ def test_orientation_bits_alternate_signs():
 def _check_class_tables(trg):
     """The edge and face classes partition the tetrahedron edges and
     faces, and ``edge_class_of`` and ``face_class_of`` name the class each
-    lies in, an edge with the sign of its walk."""
+    lies in, an edge with the sign of its walk.  Each fan starts at the
+    least tetrahedron edge (t, i < j) of its class, which the spine files,
+    relabelling and the moves read as the class's representative."""
     covered = set()
-    for k, cls in enumerate(trg.edge_classes):
-        for (t, i, j) in cls.members:
+    for k, fan in enumerate(trg.edge_classes):
+        for (t, i, j, _enter, _exit) in fan:
             covered.add((t, frozenset((i, j))))
             assert trg.edge_class_of(t, i, j) == (k, 1)
             assert trg.edge_class_of(t, j, i) == (k, -1)
+        assert fan[0][:3] == min((t, min(i, j), max(i, j))
+                                 for t, i, j, _enter, _exit in fan)
     assert len(covered) == 6 * trg.tet_count
     sides = [side for pair in trg.face_classes for side in pair]
     assert sorted(sides) == [(t, f) for t in range(trg.tet_count) for f in range(4)]
@@ -230,23 +234,24 @@ def test_reversed_edge_walk_rejected():
 def test_edge_fans_close_in_cyclic_order(corpus12):
     for spine in corpus12[:10]:
         trg = spine.triangulation
-        for cls in trg.edge_classes:
-            assert len(cls.fan) == cls.size
+        # the valences, the fan lengths, count every tetrahedron edge once
+        assert sum(len(fan) for fan in trg.edge_classes) == 6 * trg.tet_count
+        for fan in trg.edge_classes:
             # consecutive fan entries are glued through the exit face
-            for p in range(cls.size):
-                t, i, j, _enter, exit_ = cls.fan[p]
+            for p in range(len(fan)):
+                t, i, j, _enter, exit_ = fan[p]
                 t2, k = trg.glue[t][exit_]
                 perm = ALL_PERMS[k]
                 f2 = perm[exit_]
-                nt, ni, nj, enter2, _ = cls.fan[(p + 1) % cls.size]
+                nt, ni, nj, enter2, _ = fan[(p + 1) % len(fan)]
                 assert (t2, perm[i], perm[j]) == (nt, ni, nj)
                 assert f2 == enter2
 
 
 def _revisits_an_edge(trg):
     """Whether some edge class passes through one tetrahedron edge twice."""
-    return any(len({(t, frozenset((i, j))) for t, i, j in cls.members}) != cls.size
-               for cls in trg.edge_classes)
+    return any(len({(t, frozenset((i, j))) for t, i, j, _enter, _exit in fan})
+               != len(fan) for fan in trg.edge_classes)
 
 
 def test_every_triangulation_is_standard(corpus12, census2):
