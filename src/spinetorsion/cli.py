@@ -49,6 +49,8 @@ MAX_CENSUS_TETS = 4
 
 
 def _read_spine(path):
+    if "\0" in path:  # open() raises ValueError on it, not OSError
+        raise SpineSyntaxError("file path contains a NUL byte")
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()

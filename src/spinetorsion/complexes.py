@@ -328,8 +328,9 @@ class ChainComplex:
     per degree 0..2: their column selections, lift coordinates and minors.
     That pass, the lift vectors and the raw torsion are computed on first
     use and kept: the matrices are never changed after construction.
-    ``signs`` keeps the sign of the torsion under
-    given homology lifts (``torsion._oriented_value``).
+    ``raw_torsions`` keeps the raw torsion under each set of homology
+    lifts it was asked for, keyed by the values of the lifts
+    (``torsion._rational_value``, on the rational complex of a spine).
     """
 
     def __init__(self, field, dims, d1, d2, d3):
@@ -338,7 +339,7 @@ class ChainComplex:
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
-        self.signs = {}
+        self.raw_torsions = {}
 
     @cached_property
     def default_pass(self):

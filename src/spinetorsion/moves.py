@@ -708,8 +708,9 @@ def _site_tet_weights(move, before, vec):
 
 
 def transport_rational_homology(move, x_before, x_after, olifts):
-    """Transport rational homology lifts (for the sign refinement) over the
-    rational complexes of the CellComplexX of the move's two spines.
+    """Transport rational homology lifts (for the sign refinement, and the
+    lifts of a trivial representation) over the rational complexes of the
+    CellComplexX of the move's two spines.
 
     The move keeps its last (lifts in, lifts out) pair, so the suites of
     several representations over one walk transport each orientation

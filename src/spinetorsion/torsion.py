@@ -265,16 +265,25 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None):
 def _oriented_value(raw, rat, olifts):
     """The raw twisted value times the sign of the rational torsion of
     ``rat`` with homology lifts ``olifts`` ("auto": the default
-    orientation).  The sign is kept in ``rat.signs``, keyed by the values
-    of the lifts, so each representation of one spine, and each walk that
-    carries the same lifts to it, reads it once."""
-    key = olifts if olifts == "auto" else tuple(
-        (i, tuple(map(tuple, vecs))) for i, vecs in sorted(olifts.items()))
-    negative = rat.signs.get(key)
-    if negative is None:
-        a = torsion(rat, h=olifts, keep_sign=True)
-        negative = rat.signs[key] = rat.field.leading_is_negative(a.value)
+    orientation), read off ``_rational_value``."""
+    negative = rat.field.leading_is_negative(_rational_value(rat, olifts))
     return -raw.value if negative else raw.value
+
+
+def _rational_value(rat, lifts):
+    """The raw torsion of the rational complex ``rat`` with homology lifts
+    ``lifts`` ("auto": the default ones).  It is kept in
+    ``rat.raw_torsions``, keyed by the values of the lifts, so each
+    representation of one spine, and each walk that carries the same
+    lifts to it, computes it once: the sign refinement reads its sign, and
+    a trivial representation reads the value itself."""
+    key = lifts if lifts == "auto" else tuple(
+        (i, tuple(map(tuple, vecs))) for i, vecs in sorted(lifts.items()))
+    value = rat.raw_torsions.get(key)
+    if value is None:
+        value = rat.raw_torsions[key] = torsion(rat, h=lifts,
+                                                keep_sign=True).value
+    return value
 
 
 # -- invariance harness ---------------------------------------------------------
@@ -313,10 +322,20 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
 
     Everything that does not depend on the representation is read off
     the spines of the walk and kept there: each spine's ``complex`` and
-    ``group``, its rational complex, and the rational torsion sign of
-    each orientation carried to it.  A second suite over the same walk,
-    for another representation, builds only its twisted complexes, its
+    ``group``, its rational complex, and the raw rational torsion of each
+    orientation carried to it.  A second suite over the same walk, for
+    another representation, builds only its twisted complexes, its
     transports and their torsion.
+
+    A trivial representation, one whose every image is 1 (as the
+    free-abelian one is on a spine with H_1 of free rank 0, and a cyclic
+    character that kills H_1), twists nothing: its complex is the rational
+    complex of each spine, its lifts are the orientation lifts, carried by
+    the same ``transport_rational_homology``, and its value is the raw
+    rational torsion that the sign refinement reads, embedded into the
+    representation's field.  Such a suite builds no TwistedComplex and
+    transports no representation, and a second one over the same walk
+    computes nothing new.
     """
     from . import moves as moves_mod
     from .complexes import SpiderAnchors, TwistedComplex, make_representation
@@ -324,40 +343,54 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
 
     X = spine.complex
     rep = make_representation(spine.group, rep_kind, order, character)
-    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
-    lifts = tc.default_lifts
     olifts = X.rational_complex.default_lifts  # None once transport fails
+    trivial = all(e == rep.identity for e in rep.exponents)
+    if trivial:
+        cx, lifts = X.rational_complex, olifts
+    else:
+        cx = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
+        lifts = cx.default_lifts
 
-    def values(tc, lifts, olifts):
+    def values(X, cx, lifts, olifts):
         """Torsion up to sign, and the sign-refined value (None without
         an orientation)."""
-        raw = torsion(tc, h=lifts or None, keep_sign=True)
+        if trivial:  # the rational complex is never acyclic: H_0 = Q
+            raw = TorsionValue(rep.field, rep.field.from_fraction(
+                _rational_value(cx, lifts).as_fraction()), True, False,
+                homology_basis_used="given")
+        else:
+            raw = torsion(cx, h=lifts or None, keep_sign=True)
         sgn = None if olifts is None else _oriented_value(
-            raw, tc.complex.rational_complex, olifts)
+            raw, X.rational_complex, olifts)
         return TorsionValue(raw.field, raw.value, False, raw.acyclic,
                             homology_basis_used=raw.homology_basis_used), sgn
 
     steps = []
     first_violation = None
-    before_t, before_s = values(tc, lifts, olifts)
+    before_t, before_s = values(X, cx, lifts, olifts)
     for idx, move in enumerate(walk):
         if not moves_mod.h_cycle_check(move).is_null:
             raise TorsionError(
                 "step %d: move has a nonzero invariance certificate" % idx)
-        new_rep = moves_mod.transport_representation(move, tc.rep)
-        X = new_rep.group.complex
-        new_tc = TwistedComplex(move.after, X, SpiderAnchors(move.after, X),
-                                new_rep)
+        X2 = move.after.complex
+        if trivial:
+            new_cx = X2.rational_complex
+        else:
+            new_cx = TwistedComplex(
+                move.after, X2, SpiderAnchors(move.after, X2),
+                moves_mod.transport_representation(move, cx.rep))
         notes = []
         try:
-            lifts = moves_mod.transport_homology(move, tc, new_tc, lifts)
+            lifts = moves_mod.transport_rational_homology(
+                move, X, X2, lifts) if trivial \
+                else moves_mod.transport_homology(move, cx, new_cx, lifts)
         except TransportFailure as exc:
             lifts = None
             notes.append("homology transport failed: %s" % exc)
         if olifts is not None:
             try:
                 olifts = moves_mod.transport_rational_homology(
-                    move, tc.complex, X, olifts)
+                    move, X, X2, olifts)
             except TransportFailure as exc:
                 olifts = None
                 notes.append("orientation transport failed: %s" % exc)
@@ -366,7 +399,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
             exc = TransportFailure(note)
             exc.step, exc.move = idx, moves_mod.describe_move(move)
             raise exc
-        after_t, after_s = values(new_tc, lifts, olifts)
+        after_t, after_s = values(X2, new_cx, lifts, olifts)
         equal = before_t.equal_up_to_sign(after_t)
         sgn_equal = None if after_s is None else before_s == after_s
         steps.append(InvarianceStep(
@@ -374,5 +407,5 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
             sgn_equal, note))
         if first_violation is None and (not equal or sgn_equal is False):
             first_violation = idx
-        tc, before_t, before_s = new_tc, after_t, after_s
+        X, cx, before_t, before_s = X2, new_cx, after_t, after_s
     return InvarianceReport(steps, first_violation is None, first_violation)

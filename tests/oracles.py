@@ -2,20 +2,28 @@
 against: determinants by cofactor expansion, full change-of-basis
 matrices under any column and row order,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
-exact checks of the chain complexes and of the certificate rows, the
+exact checks of the chain complexes and of the certificate rows, an
+invariance report with every spine of a walk twisted, the
 census unpruned, deduplicated by least gluing code on gluing dicts and
 by an orbit table on glue tables, the validity of
 a glue table, branch codes by comparing corner ranks, the branching
 orders of a move's variants among all 120, and the images of words under
 a representation."""
 
+import json
 from itertools import combinations, permutations
 from math import gcd as _int_gcd
 
-from spinetorsion.complexes import Representation, twisted_d2
+from spinetorsion.complexes import (Representation, SpiderAnchors,
+                                    TwistedComplex, make_representation,
+                                    twisted_d2)
+from spinetorsion.errors import TransportFailure
 from spinetorsion.fields import FunctionField, RationalFunction, _normal
+from spinetorsion.moves import (describe_move, transport_homology,
+                                transport_representation)
 from spinetorsion.perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse, sign
 from spinetorsion.spine import _encode_seed, encode_gluings
+from spinetorsion.torsion import TorsionValue, torsion
 from spinetorsion.triangulation import Triangulation, glue_table
 
 
@@ -315,6 +323,54 @@ def word_image(rep, word):
 def images_of_generators(rep, power=1):
     """The image under ``rep`` of each generator raised to ``power``."""
     return [word_image(rep, ((g, power),)) for g in range(len(rep.exponents))]
+
+
+def twisted_invariance_text(spine, walk, kind, order=None):
+    """The steps of ``torsion.invariance_suite`` over ``walk`` as JSON text:
+    per step the move, the values before and after up to sign, whether
+    they agree up to sign and sign-refined, and the transport note; then
+    whether all agree and the first step that does not.  Every spine of
+    the walk gets its own TwistedComplex, whatever the representation,
+    whose lifts ``transport_homology`` carries; the orientation is carried
+    by ``transport_homology`` on the rational complexes, and its sign is
+    that of a fresh ``torsion`` of the rational complex, kept nowhere."""
+    def values(tc, lifts, olifts):
+        raw = torsion(tc, h=lifts or None, keep_sign=True).value
+        if olifts is None:
+            return TorsionValue(tc.field, raw, False, None), None
+        rat = tc.complex.rational_complex
+        sign = torsion(rat, h=olifts, keep_sign=True).value
+        return (TorsionValue(tc.field, raw, False, None),
+                -raw if rat.field.leading_is_negative(sign) else raw)
+
+    X = spine.complex
+    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X),
+                        make_representation(spine.group, kind, order))
+    lifts, olifts = tc.default_lifts, X.rational_complex.default_lifts
+    before = values(tc, lifts, olifts)
+    steps, first = [], None
+    for idx, move in enumerate(walk):
+        X2 = move.after.complex
+        after_tc = TwistedComplex(move.after, X2,
+                                  SpiderAnchors(move.after, X2),
+                                  transport_representation(move, tc.rep))
+        lifts = transport_homology(move, tc, after_tc, lifts)
+        note = None
+        if olifts is not None:
+            try:
+                olifts = transport_homology(move, X.rational_complex,
+                                            X2.rational_complex, olifts)
+            except TransportFailure as exc:
+                olifts, note = None, "orientation transport failed: %s" % exc
+        after = values(after_tc, lifts, olifts)
+        equal = before[0].equal_up_to_sign(after[0])
+        sign_equal = None if after[1] is None else before[1] == after[1]
+        steps.append([describe_move(move), before[0].to_str(),
+                      after[0].to_str(), equal, sign_equal, note])
+        if first is None and (not equal or sign_equal is False):
+            first = idx
+        X, tc, before = X2, after_tc, after
+    return json.dumps(steps + [first is None, first])
 
 
 def branching_orders(directed):

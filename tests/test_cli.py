@@ -17,6 +17,7 @@ from spinetorsion.torsion import sign_refined_torsion, torsion
 
 from fixtures import GOLDEN, ONE_TET, TORSION2, TWO_VARIANT
 from oracles import sign_refined_under
+from test_io import mutated_fixture
 
 
 def run_cli(argv, capsys):
@@ -139,7 +140,8 @@ def test_counts_below_minimum_exit_1(two_variant_file, argv, capsys):
      1, "FileNotFoundError"),
     (["census", "--tets", "1", "--out-dir", "TWOVAR"], 1, "FileExistsError"),
     (["move", "TWOVAR", "--face", "0", "--edge", "0"], 1, "SpineSyntaxError"),
-    (["move", "TWOVAR"], 1, "SpineSyntaxError")])
+    (["move", "TWOVAR"], 1, "SpineSyntaxError"),
+    (["branchings", "\x00"], 1, "SpineSyntaxError")])
 def test_argv_edge_cases_report_once(tmp_path, argv, status, error, capsys):
     # Out-of-range seeds wrap, and each failure is one JSON error report.
     files = {"TWOVAR": TWO_VARIANT, "TORSION2": TORSION2}
@@ -451,8 +453,10 @@ def _cyclic_specs(draw):
 
 
 _REP = _mostly(st.sampled_from(["trivial", "free-abelian"]) | _cyclic_specs(), _JUNK)
-# "@" stands for the fuzz directory, which holds the _FILES and DIR.
-_FILE = st.sampled_from(["@" + name for name in (*_FILES, "DIR", "MISSING")])
+# "@" stands for the fuzz directory, which holds the _FILES, DIR and
+# MUTATED, a mutated fixture written afresh for each example.
+_FILE = st.sampled_from(["@" + name
+                         for name in (*_FILES, "MUTATED", "DIR", "MISSING")])
 _OUT = st.sampled_from(["@DIR", "@DIR/absent/out.txt", "@DIR/out.txt"])
 _FLAGS = {
     "validate": {},
@@ -506,11 +510,13 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_argvs())
-def test_any_argv_ends_in_one_json_report(fuzz_dir, argv):
-    # Every command with drawn flags, over the fixtures, an empty file, a
-    # directory and a missing path: one JSON object on stdout, status 0, 1
-    # or 2, an error report naming the error, and nothing on stderr.
+@given(_argvs(), mutated_fixture())
+def test_any_argv_ends_in_one_json_report(fuzz_dir, argv, mutated):
+    # Every command with drawn flags, over the fixtures, a mutated fixture,
+    # an empty file, a directory and a missing path: one JSON object on
+    # stdout, status 0, 1 or 2, an error report naming the error, and
+    # nothing on stderr.
+    (fuzz_dir / "MUTATED").write_text(mutated, encoding="utf-8")
     argv = [a.replace("@", "%s/" % fuzz_dir) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

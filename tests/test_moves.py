@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 from itertools import combinations
 
 import pytest
@@ -469,6 +470,30 @@ def test_invariance_suite_builds_one_complex_per_spine(census2, monkeypatch):
     assert counts["GroupData"] <= spines
 
 
+def test_trivial_suites_read_only_rational_complexes(census2, monkeypatch):
+    # Both representations are trivial on start 7, so both suites read the
+    # rational complex of each spine: no TwistedComplex, and one rational
+    # pass per walk spine under the carried lifts, after the default pass
+    # that finds the start's lifts; the second suite computes nothing new.
+    spine = parse(serialize(census2[7]))
+    walk = random_walk(spine, 6, seed=1, h_null_only=True)
+    counts = _count_constructions(monkeypatch)
+    torsion_module = importlib.import_module("spinetorsion.torsion")
+    passes = []
+
+    def counted(cx, lifts="auto", _original=torsion_module.selection_pass):
+        passes.append((cx, lifts))
+        return _original(cx, lifts)
+    monkeypatch.setattr(torsion_module, "selection_pass", counted)
+    for kind, order in (("free_abelian", None), ("cyclic", 5)):
+        assert invariance_suite(spine, walk, kind, order=order).all_equal
+    assert counts["TwistedComplex"] == 0
+    rational = [s.complex.rational_complex
+                for s in (spine, *(move.after for move in walk))]
+    assert [cx for cx, lifts in passes if lifts == "auto"] == rational[:1]
+    assert [cx for cx, lifts in passes if lifts != "auto"] == rational
+
+
 def test_h_null_filter_builds_no_smith_form(census2, monkeypatch):
     counts = _count_constructions(monkeypatch)
     assert available_moves(census2[5], h_null_only=True)
@@ -536,32 +561,54 @@ def test_transported_lifts_are_homology_bases(census2, kind, order):
     assert moved >= 100
 
 
-def _failing_once(monkeypatch, name):
-    """Make ``moves.<name>`` raise TransportFailure("x") on its first call
-    and behave as before afterwards."""
+def _failing_on(monkeypatch, name, calls):
+    """Make ``moves.<name>`` raise TransportFailure("x") on each of its
+    ``calls``-th calls (counted from 1) and behave as before otherwise."""
     original = getattr(moves, name)
-    calls = []
+    seen = []
 
     def patched(*args):
-        calls.append(args)
-        if len(calls) == 1:
+        seen.append(args)
+        if len(seen) in calls:
             raise TransportFailure("x")
         return original(*args)
     monkeypatch.setattr(moves, name, patched)
 
 
-def test_invariance_suite_failure_paths(census2, monkeypatch):
-    spine = census2[5]
+# The calls to fail so that, at the first step of a walk whose moves keep
+# their transports, the orientation transport fails, the homology transport
+# fails, or both.  Start 5 twists cyclic:5: its lifts go through
+# transport_homology and its orientation through transport_rational_homology.
+# Start 7 has a trivial cyclic:5 character: its lifts are the orientation
+# lifts, and both go through transport_rational_homology, the lifts first.
+_FAILURES = {
+    5: {"orientation": {"transport_rational_homology": (1,)},
+        "homology": {"transport_homology": (1,)},
+        "both": {"transport_homology": (1,),
+                 "transport_rational_homology": (1,)}},
+    7: {"orientation": {"transport_rational_homology": (2,)},
+        "homology": {"transport_rational_homology": (1,)},
+        "both": {"transport_rational_homology": (1, 2)}},
+}
+
+
+@pytest.mark.parametrize("start", sorted(_FAILURES))
+def test_invariance_suite_failure_paths(census2, monkeypatch, start):
+    spine = census2[start]
     walk = random_walk(spine, 4, seed=1, h_null_only=True)
     ref = invariance_suite(spine, walk, "cyclic", order=5)
     assert ref.all_equal
     assert [st.sign_refined_equal for st in ref.steps] == [True] * 4
     assert [st.transport_note for st in ref.steps] == [None] * 4
 
+    def failing(m, failure):
+        for name, calls in _FAILURES[start][failure].items():
+            _failing_on(m, name, calls)
+
     # A failed orientation transport ends the sign-refined comparison for
     # the rest of the walk; torsion up to sign is still compared.
     with monkeypatch.context() as m:
-        _failing_once(m, "transport_rational_homology")
+        failing(m, "orientation")
         report = invariance_suite(spine, walk, "cyclic", order=5)
     assert [st.transport_note for st in report.steps] == \
         ["orientation transport failed: x", None, None, None]
@@ -574,13 +621,12 @@ def test_invariance_suite_failure_paths(census2, monkeypatch):
     # A failed homology transport raises, with the orientation failure
     # appended when both fail.
     with monkeypatch.context() as m:
-        _failing_once(m, "transport_homology")
+        failing(m, "homology")
         with pytest.raises(TransportFailure) as exc:
             invariance_suite(spine, walk, "cyclic", order=5)
     assert str(exc.value) == "homology transport failed: x"
     with monkeypatch.context() as m:
-        _failing_once(m, "transport_homology")
-        _failing_once(m, "transport_rational_homology")
+        failing(m, "both")
         with pytest.raises(TransportFailure) as exc:
             invariance_suite(spine, walk, "cyclic", order=5)
     assert str(exc.value) == ("homology transport failed: x; "

@@ -2,7 +2,8 @@
 
 Certificates come from a table keyed by the bipyramid's branching order,
 each spine keeps its quotient complex and Smith form, each rational
-complex keeps the torsion sign of each orientation, and h-null candidates
+complex keeps the raw torsion of each orientation, a trivial
+representation reads the rational complexes, and h-null candidates
 are certified before their after spine is built.  Each test compares the
 shared result with one computed from scratch.  The census reads the least
 seeds of a class off the seed codes of its orbit, and builds a spine only
@@ -27,6 +28,8 @@ from spinetorsion.moves import (available_moves, describe_move,
 from spinetorsion.rng import SplitMix64
 from spinetorsion.spinefile import parse, serialize
 from spinetorsion.torsion import invariance_suite, sign_refined_torsion
+
+from oracles import twisted_invariance_text
 
 
 def _scanned_sink(dirs, verts):
@@ -219,9 +222,32 @@ def test_shared_work_stays_invisible(census2):
                                      max_tets=6)
             assert _report_text(shared) == _report_text(
                 invariance_suite(fresh, fresh_walk, kind, order=order))
-        assert spine.complex.rational_complex.signs
+        assert spine.complex.rational_complex.raw_torsions
         checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("kind,order", [("free_abelian", None), ("cyclic", 5),
+                                        ("trivial", None)])
+def test_trivial_suites_match_the_twisted_oracle(census2, kind, order):
+    # On every census-2 start where the representation is trivial, the
+    # suite over the rational complexes prints what a TwistedComplex per
+    # walk spine, carried by transport_homology, prints.
+    checked = 0
+    for i, start in enumerate(census2):
+        spine = parse(serialize(start))
+        rep = make_representation(spine.group, kind, order)
+        if any(e != rep.identity for e in rep.exponents):
+            continue
+        try:
+            walk = random_walk(spine, 4, seed=i, h_null_only=True, max_tets=5)
+        except Stuck:
+            continue
+        report = invariance_suite(spine, walk, kind, order=order)
+        assert _report_text(report) == twisted_invariance_text(
+            spine, walk, kind, order)
+        checked += 1
+    assert checked == {"free_abelian": 25, "cyclic": 25, "trivial": 45}[kind]
 
 
 def test_walk_builds_one_smith_form(census2, monkeypatch):
@@ -378,7 +404,7 @@ def test_spine_caches_make_no_reference_cycle(census2):
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     sign_refined_torsion(spine, tc, h="auto")
     invariance_suite(spine, walk, "free_abelian")
-    assert X.rational_complex.signs
+    assert X.rational_complex.raw_torsions
     refs = [weakref.ref(x) for x in (spine, X, spine.group, walk[-1].after)]
     gc.disable()
     try:
@@ -390,9 +416,11 @@ def test_spine_caches_make_no_reference_cycle(census2):
 
 def _failing_at(monkeypatch, call):
     """Make ``moves.transport_homology`` raise TransportFailure("x") on its
-    ``call``-th call.  On a walk no suite has run over yet, each step calls
-    it for the twisted lifts, then (through ``transport_rational_homology``)
-    for the orientation."""
+    ``call``-th call.  On a walk no suite has run over yet, each step of a
+    twisting suite calls it for the twisted lifts, then (through
+    ``transport_rational_homology``) for the orientation; each step of a
+    trivial one calls it once, through ``transport_rational_homology``, for
+    the lifts that are the orientation."""
     original = moves.transport_homology
     calls = []
 
@@ -404,21 +432,28 @@ def _failing_at(monkeypatch, call):
     monkeypatch.setattr(moves, "transport_homology", patched)
 
 
+# Calls of transport_homology per walk step, on census-2 start 5, where
+# cyclic:5 twists, and on start 7, where its character is trivial.
+_CALLS_PER_STEP = {5: 2, 7: 1}
+
+
+@pytest.mark.parametrize("start", sorted(_CALLS_PER_STEP))
 @pytest.mark.parametrize("step", [0, 2])
 def test_transport_failure_names_its_step(census2, monkeypatch, tmp_path,
-                                          capsys, step):
+                                          capsys, step, start):
     path = tmp_path / "start.spine"
-    path.write_text(serialize(census2[5]))
-    walk = random_walk(census2[5], 4, seed=1, h_null_only=True)
+    path.write_text(serialize(census2[start]))
+    walk = random_walk(census2[start], 4, seed=1, h_null_only=True)
+    call = _CALLS_PER_STEP[start] * step + 1
     with monkeypatch.context() as m:
-        _failing_at(m, 2 * step + 1)
+        _failing_at(m, call)
         with pytest.raises(TransportFailure) as exc:
-            invariance_suite(census2[5], walk, "cyclic", order=5)
+            invariance_suite(census2[start], walk, "cyclic", order=5)
     assert (exc.value.step, exc.value.move) == (step, describe_move(walk[step]))
     assert str(exc.value) == "homology transport failed: x"
 
     with monkeypatch.context() as m:
-        _failing_at(m, 2 * step + 1)
+        _failing_at(m, call)
         status = cli.main(["invariance", str(path), "--steps", "4",
                            "--seed", "1", "--rep", "cyclic:5"])
     report = json.loads(capsys.readouterr().out)

@@ -322,6 +322,38 @@ def test_rational_complex_is_the_trivial_twisted_complex(corpus12):
         assert (rat.d1, rat.d2, rat.d3) == (trivial.d1, trivial.d2, trivial.d3)
 
 
+@pytest.mark.parametrize("kind,order", [("trivial", None),
+                                        ("free_abelian", None), ("cyclic", 5)])
+def test_trivial_twisted_torsion_is_the_rational_torsion(corpus12, kind,
+                                                         order):
+    # Where every image is 1, the TwistedComplex has the lifts of the
+    # rational complex, and its torsion under the auto lifts and under
+    # given ones is the rational torsion under the same lifts, embedded
+    # into its field: what invariance_suite reads instead.
+    checked = 0
+    for s in corpus12:
+        X, _G, tc = build(s, kind, order)
+        if any(e != tc.rep.identity for e in tc.rep.exponents):
+            continue
+        rat, field = X.rational_complex, tc.field
+
+        def embedded(lifts):
+            return {i: [[field.from_fraction(x.q) for x in vec] for vec in vecs]
+                    for i, vecs in lifts.items()}
+        scaled = {i: [[x * rat.field.from_fraction(Fraction((-1) ** i * (k + 2), i + 3))
+                       for x in vec] for k, vec in enumerate(vecs)]
+                  for i, vecs in rat.default_lifts.items()}
+        assert tc.default_lifts == embedded(rat.default_lifts)
+        for h, rat_h in (("auto", "auto"), (embedded(scaled), scaled)):
+            value = torsion(tc, h=h, keep_sign=True)
+            expected = field.from_fraction(
+                torsion(rat, h=rat_h, keep_sign=True).value.q)
+            assert value.value == expected
+            assert value.to_str() == field.element_str(expected)
+        checked += 1
+    assert checked == {"trivial": 50, "free_abelian": 27, "cyclic": 27}[kind]
+
+
 def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
     eliminations = []
     for cls in (FunctionField, CyclotomicField, RationalField):
