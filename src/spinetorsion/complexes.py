@@ -86,9 +86,8 @@ class CellComplexX:
     def rational_complex(self):
         """The untwisted complex over Q, read off d1..d3; computed once.
 
-        Entry by entry it equals the trivial-representation TwistedComplex,
-        without the Smith form a Representation needs.
-        """
+        It is the TwistedComplex of every representation whose images are
+        all 1, without the Smith form a Representation needs."""
         from .fields import RationalField
         field = RationalField()
         return ChainComplex(
@@ -210,14 +209,14 @@ class Representation:
 
     ``exponents[g]`` is the exponent tuple of generator g's image: the
     free Smith coordinates of its H_1 class in Z^r for "free_abelian"
-    (the monomial t1^e1..tr^er; r = 0 maps into Q), a 1-tuple residue k
-    mod n for "cyclic" (zeta_n^k), and () for "trivial" (1).  The image of
-    a word or an integer edge chain is the monomial of the sum of its
-    letters' exponents, taken mod n for a cyclic character, and every
-    face relator is checked at construction to sum to the identity
-    exponent, so the images are constant on H_1 classes.  Entries of
-    twisted matrices are built once each from (exponent, integer
-    coefficient) terms by the field's ``from_terms``.
+    (the monomial t1^e1..tr^er), a 1-tuple residue k mod n for "cyclic"
+    (zeta_n^k), and () for "trivial" and wherever every image is 1, which
+    maps into Q.  The image of a word or an integer edge chain is the
+    monomial of the sum of its letters' exponents, taken mod n in
+    Q(zeta_n), and every face relator is checked at construction to sum
+    to the identity exponent, so the images are constant on H_1 classes.
+    Entries of twisted matrices are built once each from (exponent,
+    integer coefficient) terms by the field's ``from_terms``.
     """
 
     def __init__(self, group, field, exponents, kind, character=None):
@@ -226,7 +225,7 @@ class Representation:
         self.exponents = [tuple(e) for e in exponents]
         self.kind = kind
         self.character = character
-        self.modulus = field.order if kind == "cyclic" else 0
+        self.modulus = getattr(field, "order", 0)  # n of Q(zeta_n)
         self.identity = (0,) * len(self.exponents[0]) if self.exponents else ()
         for word in group.relators:
             if self.exponent_of_word(word) != self.identity:
@@ -279,10 +278,11 @@ class Representation:
         d * value = 0 mod order, otherwise the character does not factor
         through H_1 and RelatorNotKilled is raised.  The default character
         sends the first free generator to 1 if there is one, else scales
-        through the first usable torsion generator.
+        through the first usable torsion generator.  A character vanishing
+        on every generator, as every one mod 1 does, maps into Q.
         """
-        from .fields import CyclotomicField
-        field = CyclotomicField(order)
+        from .fields import CyclotomicField, RationalField
+        field = CyclotomicField(order)  # order < 1 raises ValueError here
         ncoords = group.free_rank + len(group.torsion)
         if character is None:
             character = cls._default_character(group, order)
@@ -303,6 +303,8 @@ class Representation:
             k += sum(tv * c for tv, c in
                      zip(tors, character[group.free_rank:]))
             exponents.append((k % order,))
+        if not any(k for (k,) in exponents):
+            field, exponents = RationalField(), [()] * group.n_generators
         return cls(group, field, exponents, "cyclic", character)
 
     @staticmethod
@@ -323,14 +325,13 @@ class Representation:
 class ChainComplex:
     """Boundary matrices d1, d2, d3 over a coefficient field.
 
-    Dimensions (1, E, F, T).  The default bases are read off one
-    ``default_pass``, one elimination of [rows R_i of d_{i+1} | identity]
-    per degree 0..2: their column selections, lift coordinates and minors.
-    That pass, the lift vectors and the raw torsion are computed on first
-    use and kept: the matrices are never changed after construction.
-    ``raw_torsions`` keeps the raw torsion under each set of homology
-    lifts it was asked for, keyed by the values of the lifts
-    (``torsion._rational_value``, on the rational complex of a spine).
+    Dimensions (1, E, F, T); the matrices are never changed after
+    construction.  ``passes`` is the torsion memo: keyed by the values of
+    the homology lifts, or "auto" for the default ones, it holds the
+    (selections, minors, coordinates, raw value) of one
+    ``torsion.selection_pass`` under them.  ``default_pass`` is its "auto"
+    entry, which ``default_lifts`` keys under the lifts too, so torsion
+    under a complex's own default lifts takes no second pass.
     """
 
     def __init__(self, field, dims, d1, d2, d3):
@@ -339,28 +340,20 @@ class ChainComplex:
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
-        self.raw_torsions = {}
+        self.passes = {}
 
-    @cached_property
+    @property
     def default_pass(self):
-        """``torsion.selection_pass`` in the identity column order with the
-        auto lifts: the b_i selections, the minors of the default bases and
-        the lift coordinates, from one elimination per degree."""
-        from .torsion import selection_pass
-        return selection_pass(self)
+        """The memo entry of the auto lifts: the b_i selections, minors,
+        lift coordinates and raw torsion of the default bases."""
+        from .torsion import _memo_entry
+        return _memo_entry(self, "auto")
 
     @cached_property
     def default_lifts(self):
         """``torsion.auto_twisted_homology`` of this complex."""
         from .torsion import auto_twisted_homology
         return auto_twisted_homology(self)
-
-    @cached_property
-    def default_torsion(self):
-        """Raw (sign-kept) torsion value in the default bases: identity
-        column order, and the auto lifts unless the complex is acyclic."""
-        from .torsion import _raw_value
-        return _raw_value(self, *self.default_pass[:2])
 
     @cached_property
     def _d3_columns(self):
@@ -382,8 +375,9 @@ class TwistedComplex(ChainComplex):
     """Boundary matrices of the phi-twisted cellular complex.
 
     Dimensions (1, E, 2V, V); the matrices are expressed in the
-    preferred-lift bases, so applying the trivial representation
-    reproduces the integer matrices of CellComplexX entry-wise.
+    preferred-lift bases.  A representation whose images are all 1 maps
+    into Q, and its complex takes the matrices and the torsion memo of
+    ``complex_x.rational_complex``, which they equal entry-wise.
     """
 
     def __init__(self, spine, complex_x, anchors, rep):
@@ -392,6 +386,11 @@ class TwistedComplex(ChainComplex):
         self.anchors = anchors
         self.rep = rep
         field = rep.field
+        rat = complex_x.rational_complex
+        if field == rat.field:  # every image is 1
+            super().__init__(rat.field, rat.dims, rat.d1, rat.d2, rat.d3)
+            self.passes = rat.passes
+            return
         E, F, T = complex_x.n_edges, complex_x.n_faces, complex_x.n_tets
         entry = field.from_terms
         d3 = [[field.zero] * T for _ in range(F)]

@@ -12,12 +12,13 @@ Three fields are provided:
   rank 0 maps into ``RationalField()`` instead.
 - ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
   vectors modulo the n-th cyclotomic polynomial Phi_n; the twisted
-  complexes of cyclic representations.
+  complexes of cyclic characters that do not vanish.
 - ``RationalField()``: Q, elements an int when integral, else a
-  Fraction; the trivial representation, free-abelian representations of
-  free rank 0 (25 of the 46 spines of the 2-tetrahedron census) and the
-  untwisted rational complex whose torsion sign refines the others.  Its
-  elements print as the constants of ``FunctionField(0)`` do.
+  Fraction; every representation whose images are all 1 (trivial,
+  free-abelian of free rank 0, or a vanishing cyclic character) and the
+  untwisted rational complex, their twisted complex, whose torsion sign
+  refines the others.  Its elements print as the constants of
+  ``FunctionField(0)`` and ``CyclotomicField(n)`` do.
 
 A representation hands a field its matrix entries through one hook,
 ``from_terms``: the element sum of c * x^e over (exponent, integer

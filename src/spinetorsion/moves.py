@@ -108,7 +108,7 @@ class MoveInstance:
         self.created_faces = created_faces      # after face classes inside the bipyramid
         self.central_class_before = central_class_before  # edge ac (negative)
         self.central_class_after = central_class_after    # edge ac (positive)
-        self._rational_transport = None  # see transport_rational_homology
+        self._carried = {}  # id(lifts) -> (lifts, out); see transport_homology
 
     @cached_property
     def _subdivision_paths(self):
@@ -624,7 +624,19 @@ def transport_homology(move, before, after, lifts):
     their outside coefficients and the site coefficients are re-solved in
     the after complex.  Raises TransportFailure when a class cannot be
     resolved.
+
+    The move keeps the lifts it carried, keyed by the lifts object, so the
+    suites of several representations over one walk carry each orientation
+    once.  A failed transport keeps nothing.
     """
+    key = id(lifts)
+    if key not in move._carried:
+        move._carried[key] = lifts, _carry(move, before, after, lifts)
+    return move._carried[key][1]
+
+
+def _carry(move, before, after, lifts):
+    """The transport of ``transport_homology``, computed afresh."""
     field = before.field
     zero = after.field.zero
     dims_after = after.dims
@@ -708,18 +720,6 @@ def _site_tet_weights(move, before, vec):
 
 
 def transport_rational_homology(move, x_before, x_after, olifts):
-    """Transport rational homology lifts (for the sign refinement, and the
-    lifts of a trivial representation) over the rational complexes of the
-    CellComplexX of the move's two spines.
-
-    The move keeps its last (lifts in, lifts out) pair, so the suites of
-    several representations over one walk transport each orientation
-    once: a call with the same lifts object returns the kept lifts.  A
-    failed transport keeps nothing."""
-    kept = move._rational_transport
-    if kept is not None and kept[0] is olifts:
-        return kept[1]
-    out = transport_homology(move, x_before.rational_complex,
-                             x_after.rational_complex, olifts)
-    move._rational_transport = olifts, out
-    return out
+    """``transport_homology`` over the rational complexes of the two X."""
+    return transport_homology(move, x_before.rational_complex,
+                              x_after.rational_complex, olifts)

@@ -76,6 +76,19 @@ def _number(lineno, token, msg):
     return value
 
 
+def _header(lineno, parts, seen):
+    """Check that ``parts`` is '<kind> <FORMAT_VERSION>', not seen; True."""
+    expected = "expected '%s <version>'" % parts[0]
+    if len(parts) != 2:
+        _syntax(lineno, expected)
+    version = _number(lineno, parts[1], expected)
+    if seen:
+        _syntax(lineno, "repeated '%s' line" % parts[0])
+    if version != FORMAT_VERSION:
+        _syntax(lineno, "unsupported format version %s" % parts[1])
+    return True
+
+
 def parse(text):
     """Parse a spine file into a validated BranchedSpine."""
     tet_count = None
@@ -90,14 +103,7 @@ def parse(text):
             continue
         parts = line.split()
         if parts[0] == "spine":
-            if len(parts) != 2:
-                _syntax(lineno, "expected 'spine <version>'")
-            version = _number(lineno, parts[1], "expected 'spine <version>'")
-            if version_seen:
-                _syntax(lineno, "repeated 'spine' line")
-            if version != FORMAT_VERSION:
-                _syntax(lineno, "unsupported format version %s" % parts[1])
-            version_seen = True
+            version_seen = _header(lineno, parts, version_seen)
         elif parts[0] == "tets":
             if len(parts) != 2:
                 _syntax(lineno, "expected 'tets <count>'")
@@ -204,12 +210,14 @@ def serialize_move_log(walk):
 
 def parse_move_log(text):
     steps = []
+    header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "movelog":
+            header_seen = _header(lineno, parts, header_seen)
             continue
         if parts[0] == "+" and len(parts) == 5 and parts[1] == "face" \
                 and parts[3] == "variant":

@@ -31,11 +31,12 @@ do; the Betti numbers are read off the selections.  For the auto lifts
 the lift columns are the identity on R_i, where the reduced kernel basis
 of d_i is the identity: the pivots among them are the lift coordinates
 and the minor is that of the default bases, so the default selections,
-lifts and minors come from one cached pass per complex
+lifts and minors come from one pass per complex
 (``ChainComplex.default_pass``).  Given lifts are restricted to R_i
 instead.  Degree 3 has d_4 = 0 and no elimination, save one determinant
 for given lifts of H_3.  The kernel itself is computed only where the
-lift vectors are read.
+lift vectors are read.  ``torsion`` reads every value off the memo
+``ChainComplex.passes``: one pass per complex and set of lifts.
 """
 
 from .errors import BasisRankMismatch, NotAcyclicNoBasis, TorsionError
@@ -92,7 +93,7 @@ def auto_twisted_homology(tc):
     basis is the identity, so they are the basis vectors at the lift
     coordinates of the complex's ``default_pass``.  A degree with Betti
     number 0 has no lifts and is skipped.  Returns a dict degree -> list of
-    chain vectors.
+    chain vectors, under which the memo keeps the default pass's entry too.
     """
     field = tc.field
     mats = (tc.d1, tc.d2, tc.d3)
@@ -101,6 +102,7 @@ def auto_twisted_homology(tc):
         if coords:
             kernel = field.nullspace(mats[i - 1]) if i else [[field.one]]
             out[i] = [kernel[k] for k in coords]
+    tc.passes.setdefault(_lifts_key(out), tc.default_pass)
     return out
 
 
@@ -176,16 +178,32 @@ def _betti(cx, selections):
             for i in range(4)]
 
 
+def _lifts_key(lifts):
+    """The memo key of ``lifts``: "auto", or the values of its vectors."""
+    return lifts if lifts == "auto" else tuple(
+        (i, tuple(map(tuple, vecs))) for i, vecs in sorted(lifts.items()))
+
+
+def _memo_entry(cx, lifts):
+    """(selections, minors, coordinates, raw value) of ``selection_pass(cx,
+    lifts)``, kept in ``cx.passes``."""
+    key = _lifts_key(lifts)
+    if key not in cx.passes:
+        selections, minors, coords = selection_pass(cx, lifts)
+        cx.passes[key] = (selections, minors, coords,
+                          _raw_value(cx, selections, minors))
+    return cx.passes[key]
+
+
 def _raw_value(cx, selections, minors):
     """The alternating product of the change-of-basis determinants of the
     selections b_i, each its minor minors[i] = det(rows R_i of
-    [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i).  A zero
-    minor means its columns are no basis."""
+    [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i); None when
+    a minor is zero, that is, when its columns are no basis."""
+    if any(d.is_zero() for d in minors):
+        return None
     value = inverse_part = cx.field.one
     for i, (n, d) in enumerate(zip(cx.dims, minors)):
-        if d.is_zero():
-            raise BasisRankMismatch(
-                "degree %d: combined columns are not a basis" % i)
         if parity(_free_rows(n, selections[i]) + selections[i]) < 0:
             d = -d
         if i % 2 == 0:
@@ -203,15 +221,14 @@ def torsion(tc, h=None, keep_sign=False):
     chain vectors over the coefficient field, one per Betti number, which
     raises BasisRankMismatch when their number or length is wrong or they
     are no basis.  With ``keep_sign`` the raw value in the cell order is
-    kept instead of the canonical +-representative.  With ``h`` None or
-    "auto" the value is the complex's ``default_torsion``, computed once
-    per complex from its ``default_pass``; given lifts take one
-    ``selection_pass`` of their own, which gives the selections, the Betti
-    numbers and the minors.
+    kept instead of the canonical +-representative.  The selections, the
+    Betti numbers and the raw value are those of the complex's memo entry
+    for the lifts: ``default_pass`` for None and "auto", and for given
+    lifts the entry of their values, whose ``selection_pass`` runs on
+    first use.
     """
     given = h not in (None, "auto")
-    selections, minors, _coords = selection_pass(tc, h) if given \
-        else tc.default_pass
+    selections, minors, _c, value = _memo_entry(tc, h if given else "auto")
     betti = _betti(tc, selections)
     acyclic = not any(betti)
     if not acyclic and h is None:
@@ -226,11 +243,11 @@ def torsion(tc, h=None, keep_sign=False):
                     % (i, betti[i], len(vecs)))
             if any(len(v) != n for v in vecs):
                 raise BasisRankMismatch("degree %d lift has wrong length" % i)
-    value = _raw_value(tc, selections, minors) if given else tc.default_torsion
-    if h == "auto":
-        used = "auto"
-    else:
-        used = None if acyclic or h is None else "given"
+    if value is None:
+        raise BasisRankMismatch("degree %d: combined columns are not a basis"
+                                % [d.is_zero() for d in minors].index(True))
+    used = "auto" if h == "auto" else "given" if given and not acyclic \
+        else None
     return TorsionValue(tc.field, value, keep_sign, acyclic,
                         homology_basis_used=used)
 
@@ -250,7 +267,7 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None):
     the sign of the value; an orientation carried through the cell
     correspondence of the relabelling does not.  ``spine`` is the spine
     ``tc`` was built on: the rational complex and the default orientation
-    are read off ``tc.complex``, and the raw value comes from ``torsion``,
+    are read off ``tc.complex``, and both values come from ``torsion``,
     so neither is recomputed for a complex that already has them.
     """
     raw = torsion(tc, h=h, keep_sign=True)
@@ -265,25 +282,9 @@ def sign_refined_torsion(spine, tc, h=None, orientation=None):
 def _oriented_value(raw, rat, olifts):
     """The raw twisted value times the sign of the rational torsion of
     ``rat`` with homology lifts ``olifts`` ("auto": the default
-    orientation), read off ``_rational_value``."""
-    negative = rat.field.leading_is_negative(_rational_value(rat, olifts))
-    return -raw.value if negative else raw.value
-
-
-def _rational_value(rat, lifts):
-    """The raw torsion of the rational complex ``rat`` with homology lifts
-    ``lifts`` ("auto": the default ones).  It is kept in
-    ``rat.raw_torsions``, keyed by the values of the lifts, so each
-    representation of one spine, and each walk that carries the same
-    lifts to it, computes it once: the sign refinement reads its sign, and
-    a trivial representation reads the value itself."""
-    key = lifts if lifts == "auto" else tuple(
-        (i, tuple(map(tuple, vecs))) for i, vecs in sorted(lifts.items()))
-    value = rat.raw_torsions.get(key)
-    if value is None:
-        value = rat.raw_torsions[key] = torsion(rat, h=lifts,
-                                                keep_sign=True).value
-    return value
+    orientation)."""
+    sign = torsion(rat, h=olifts, keep_sign=True).value
+    return -raw.value if rat.field.leading_is_negative(sign) else raw.value
 
 
 # -- invariance harness ---------------------------------------------------------
@@ -320,51 +321,48 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     ``move`` name the walk step and its move.  Returns an
     InvarianceReport; the first violating move, if any, is pinpointed.
 
-    Everything that does not depend on the representation is read off
-    the spines of the walk and kept there: each spine's ``complex`` and
-    ``group``, its rational complex, and the raw rational torsion of each
-    orientation carried to it.  A second suite over the same walk, for
-    another representation, builds only its twisted complexes, its
-    transports and their torsion.
+    Everything that does not depend on the representation is kept on the
+    spines of the walk: each spine's ``complex``, ``group`` and rational
+    complex, whose memo holds the torsion of each orientation carried to
+    it; each move keeps the lifts it carried.  A second suite over the
+    same walk, for another representation, builds only its twisted
+    complexes, its transports and their torsion.
 
-    A trivial representation, one whose every image is 1 (as the
-    free-abelian one is on a spine with H_1 of free rank 0, and a cyclic
-    character that kills H_1), twists nothing: its complex is the rational
-    complex of each spine, its lifts are the orientation lifts, carried by
-    the same ``transport_rational_homology``, and its value is the raw
-    rational torsion that the sign refinement reads, embedded into the
-    representation's field.  Such a suite builds no TwistedComplex and
-    transports no representation, and a second one over the same walk
-    computes nothing new.
+    Triviality only chooses the complex.  A representation whose every
+    image is 1 (free-abelian on a spine with H_1 of free rank 0, or a
+    cyclic character that kills H_1) maps into Q, and its complex on each
+    spine is the rational complex, whose default lifts are the
+    orientation's.  Such a suite builds no TwistedComplex, transports no
+    representation and eliminates only over Q, once per spine.
     """
     from . import moves as moves_mod
     from .complexes import SpiderAnchors, TwistedComplex, make_representation
     from .errors import TransportFailure
 
-    X = spine.complex
     rep = make_representation(spine.group, rep_kind, order, character)
-    olifts = X.rational_complex.default_lifts  # None once transport fails
-    trivial = all(e == rep.identity for e in rep.exponents)
-    if trivial:
-        cx, lifts = X.rational_complex, olifts
-    else:
-        cx = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
-        lifts = cx.default_lifts
+
+    def complex_on(s, move=None, before=None):
+        """The complex on ``s``, reached by ``move`` from ``before``."""
+        X = s.complex
+        if rep.field == X.rational_complex.field:  # every image is 1
+            return X.rational_complex
+        carried = rep if move is None \
+            else moves_mod.transport_representation(move, before.rep)
+        return TwistedComplex(s, X, SpiderAnchors(s, X), carried)
 
     def values(X, cx, lifts, olifts):
         """Torsion up to sign, and the sign-refined value (None without
         an orientation)."""
-        if trivial:  # the rational complex is never acyclic: H_0 = Q
-            raw = TorsionValue(rep.field, rep.field.from_fraction(
-                _rational_value(cx, lifts).as_fraction()), True, False,
-                homology_basis_used="given")
-        else:
-            raw = torsion(cx, h=lifts or None, keep_sign=True)
+        raw = torsion(cx, h=lifts or None, keep_sign=True)
         sgn = None if olifts is None else _oriented_value(
             raw, X.rational_complex, olifts)
         return TorsionValue(raw.field, raw.value, False, raw.acyclic,
                             homology_basis_used=raw.homology_basis_used), sgn
 
+    X = spine.complex
+    cx = complex_on(spine)
+    lifts = cx.default_lifts
+    olifts = X.rational_complex.default_lifts  # None once transport fails
     steps = []
     first_violation = None
     before_t, before_s = values(X, cx, lifts, olifts)
@@ -373,17 +371,10 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
             raise TorsionError(
                 "step %d: move has a nonzero invariance certificate" % idx)
         X2 = move.after.complex
-        if trivial:
-            new_cx = X2.rational_complex
-        else:
-            new_cx = TwistedComplex(
-                move.after, X2, SpiderAnchors(move.after, X2),
-                moves_mod.transport_representation(move, cx.rep))
+        new_cx = complex_on(move.after, move, cx)
         notes = []
         try:
-            lifts = moves_mod.transport_rational_homology(
-                move, X, X2, lifts) if trivial \
-                else moves_mod.transport_homology(move, cx, new_cx, lifts)
+            lifts = moves_mod.transport_homology(move, cx, new_cx, lifts)
         except TransportFailure as exc:
             lifts = None
             notes.append("homology transport failed: %s" % exc)

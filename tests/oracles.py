@@ -18,7 +18,8 @@ from spinetorsion.complexes import (Representation, SpiderAnchors,
                                     TwistedComplex, make_representation,
                                     twisted_d2)
 from spinetorsion.errors import TransportFailure
-from spinetorsion.fields import FunctionField, RationalFunction, _normal
+from spinetorsion.fields import (CyclotomicField, FunctionField,
+                                 RationalField, RationalFunction, _normal)
 from spinetorsion.moves import (describe_move, transport_homology,
                                 transport_representation)
 from spinetorsion.perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse, sign
@@ -331,9 +332,14 @@ def twisted_invariance_text(spine, walk, kind, order=None):
     they agree up to sign and sign-refined, and the transport note; then
     whether all agree and the first step that does not.  Every spine of
     the walk gets its own TwistedComplex, whatever the representation,
-    whose lifts ``transport_homology`` carries; the orientation is carried
-    by ``transport_homology`` on the rational complexes, and its sign is
-    that of a fresh ``torsion`` of the rational complex, kept nowhere."""
+    whose lifts ``transport_homology`` carries; a representation whose
+    images are all 1, which maps into Q and would take the rational
+    complex, is replaced by the all-ones character into Q(zeta_n) (n the
+    order, or 1), whose complex builds and eliminates its own entries.
+    The orientation is carried by ``transport_homology`` on the rational
+    complexes, and its sign is that of ``torsion`` of the rational
+    complex.  Run it on a spine and walk that no suite has read, so that
+    nothing it reads was kept by one."""
     def values(tc, lifts, olifts):
         raw = torsion(tc, h=lifts or None, keep_sign=True).value
         if olifts is None:
@@ -344,8 +350,11 @@ def twisted_invariance_text(spine, walk, kind, order=None):
                 -raw if rat.field.leading_is_negative(sign) else raw)
 
     X = spine.complex
-    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X),
-                        make_representation(spine.group, kind, order))
+    rep = make_representation(spine.group, kind, order)
+    if rep.field == RationalField():
+        rep = Representation(spine.group, CyclotomicField(order or 1),
+                             [(0,)] * len(rep.exponents), "cyclic")
+    tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     lifts, olifts = tc.default_lifts, X.rational_complex.default_lifts
     before = values(tc, lifts, olifts)
     steps, first = [], None

@@ -264,12 +264,16 @@ def test_cyclic_character_validation():
 
 
 def test_twisted_trivial_specialization(corpus12):
+    # The trivial representation takes the rational complex; the all-ones
+    # character into Q(zeta_1) builds its twisted entries, the integer ones.
     for s in corpus12[:15]:
         X = CellComplexX(s)
         G = GroupData(X)
         A = SpiderAnchors(s, X)
-        tw = TwistedComplex(s, X, A, Representation.trivial(G))
-        assert matches_integer_complex(tw)
+        ones = Representation(G, CyclotomicField(1), [(0,)] * G.n_generators,
+                              "cyclic")
+        for rep in (Representation.trivial(G), ones):
+            assert matches_integer_complex(TwistedComplex(s, X, A, rep))
 
 
 def test_twisted_dd_zero(corpus12):
@@ -311,17 +315,19 @@ def test_twisted_d1_row_pattern(corpus12):
 # -- the integer character against products in the field ------------------------
 
 
-def _generator_images(G, rep):
+def _generator_images(G, rep, order):
     """Each generator's image built in the field from its H_1 class:
     t1^f1..tr^fr from its free coordinates f, or zeta_n multiplied out
-    k times, k the character of its Smith coordinates."""
+    k times, k the character of its Smith coordinates, n = ``order``.
+    Where every image is 1 the field is Q."""
+    Q = RationalField()
     if rep.kind == "free_abelian":
         if not G.free_rank:
-            return RationalField(), [RationalField().one] * G.n_generators
+            return Q, [Q.one] * G.n_generators
         F = FunctionField(G.free_rank)
         return F, [F.monomial(G.generator_class(j)[0])
                    for j in range(G.n_generators)]
-    C = CyclotomicField(rep.field.order)
+    C = CyclotomicField(order)
     out = []
     for j in range(G.n_generators):
         free, tors = G.generator_class(j)
@@ -330,6 +336,8 @@ def _generator_images(G, rep):
         for _ in range(k % C.order):
             x = x * C.zeta(1)
         out.append(x)
+    if all(x == C.one for x in out):
+        return Q, [Q.one] * G.n_generators
     return C, out
 
 
@@ -352,7 +360,7 @@ def test_character_matches_field_products(corpus12, kind, order):
         G = GroupData(X)
         A = SpiderAnchors(s, X)
         rep = make_representation(G, kind, order)
-        field, images = _generator_images(G, rep)
+        field, images = _generator_images(G, rep, order)
         assert rep.field == field
         assert images_of_generators(rep) == images
         assert images_of_generators(rep, -1) == [x.inv() for x in images]
@@ -366,6 +374,19 @@ def test_character_matches_field_products(corpus12, kind, order):
         for _ in range(5):
             vec = [rnd.randint(-2, 2) for _ in range(G.n_generators)]
             assert rep.image_of_vector(vec) == _product(field, images, enumerate(vec))
+
+
+def test_cyclic_order_below_one_raises_before_the_character(corpus12):
+    # Order 0 fails on the field, not with a ZeroDivisionError from the
+    # character taken mod 0, whether the character is given or the default.
+    for s in corpus12[:10]:
+        G = GroupData(CellComplexX(s))
+        ncoords = G.free_rank + len(G.torsion)
+        for character in (None, [1] * ncoords):
+            for order in (0, -3):
+                with pytest.raises(ValueError,
+                                   match="cyclotomic order must be >= 1"):
+                    Representation.cyclic(G, order, character)
 
 
 def test_transported_character_matches_tree_path_products(census2):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from spinetorsion import moves
 from spinetorsion.errors import (MoveError, NonOrientable, SpineError,
-                                 SpineSyntaxError)
+                                 SpineSyntaxError, Stuck)
 from spinetorsion.moves import random_walk
 from spinetorsion.spinefile import (parse, parse_move_log, replay_move_log,
                                     serialize, serialize_move_log)
@@ -87,6 +87,38 @@ def test_oversize_move_log_site_names_line(move):
     with pytest.raises(SpineSyntaxError) as err:
         parse_move_log("movelog 1\n%s\n" % move)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("movelog 7\n- edge 0\n", 1, "unsupported format version 7"),
+    ("movelog\n- edge 0\n", 1, "expected 'movelog <version>'"),
+    ("movelog 1 junk\n- edge 0\n", 1, "expected 'movelog <version>'"),
+    ("movelog x\n- edge 0\n", 1, "expected 'movelog <version>'"),
+    ("movelog 1\n- edge 0\nmovelog 1\n", 3, "repeated 'movelog' line"),
+    ("# walk\nmovelog 1\nmovelog 1\n", 3, "repeated 'movelog' line"),
+], ids=["version", "bare", "junk", "word", "repeated", "repeated-header"])
+def test_move_log_header_is_checked(text, line, message):
+    # The header is 'movelog <FORMAT_VERSION>', at most once, as the
+    # spine file's 'spine <version>' is.
+    with pytest.raises(SpineSyntaxError, match=message) as err:
+        parse_move_log(text)
+    assert err.value.line == line
+
+
+def test_move_log_header_is_optional_and_serialised_logs_parse(census2):
+    assert parse_move_log("- edge 0\n+ face 1 variant 2\n") == \
+        [("negative", 0, 0), ("positive", 1, 2)]
+    assert parse_move_log(serialize_move_log([])) == []
+    for i, s in enumerate(census2[:12]):
+        try:
+            walk = random_walk(s, 3, seed=i)
+        except Stuck:
+            continue
+        log = serialize_move_log(walk)
+        assert log.startswith("movelog 1\n")
+        assert parse_move_log(log) == [
+            (m.direction, m.site,
+             m.variant if m.direction == "positive" else 0) for m in walk]
 
 
 def test_missing_header_rejected():

@@ -470,14 +470,8 @@ def test_invariance_suite_builds_one_complex_per_spine(census2, monkeypatch):
     assert counts["GroupData"] <= spines
 
 
-def test_trivial_suites_read_only_rational_complexes(census2, monkeypatch):
-    # Both representations are trivial on start 7, so both suites read the
-    # rational complex of each spine: no TwistedComplex, and one rational
-    # pass per walk spine under the carried lifts, after the default pass
-    # that finds the start's lifts; the second suite computes nothing new.
-    spine = parse(serialize(census2[7]))
-    walk = random_walk(spine, 6, seed=1, h_null_only=True)
-    counts = _count_constructions(monkeypatch)
+def _count_passes(monkeypatch):
+    """The (complex, lifts) of every ``torsion.selection_pass`` run."""
     torsion_module = importlib.import_module("spinetorsion.torsion")
     passes = []
 
@@ -485,13 +479,50 @@ def test_trivial_suites_read_only_rational_complexes(census2, monkeypatch):
         passes.append((cx, lifts))
         return _original(cx, lifts)
     monkeypatch.setattr(torsion_module, "selection_pass", counted)
+    return passes
+
+
+def test_trivial_suites_read_only_rational_complexes(census2, monkeypatch):
+    # Both representations are trivial on start 7, so both suites read the
+    # rational complex of each spine: no TwistedComplex, the default pass
+    # alone on the start, whose lifts are the orientation's, and one
+    # rational pass per later spine under the carried lifts; the second
+    # suite computes nothing new.
+    spine = parse(serialize(census2[7]))
+    walk = random_walk(spine, 6, seed=1, h_null_only=True)
+    counts = _count_constructions(monkeypatch)
+    passes = _count_passes(monkeypatch)
     for kind, order in (("free_abelian", None), ("cyclic", 5)):
         assert invariance_suite(spine, walk, kind, order=order).all_equal
     assert counts["TwistedComplex"] == 0
     rational = [s.complex.rational_complex
                 for s in (spine, *(move.after for move in walk))]
     assert [cx for cx, lifts in passes if lifts == "auto"] == rational[:1]
-    assert [cx for cx, lifts in passes if lifts != "auto"] == rational
+    assert [cx for cx, lifts in passes if lifts != "auto"] == rational[1:]
+
+
+def test_twisting_suite_takes_one_pass_per_complex(census2, monkeypatch):
+    # On start 5 cyclic:5 twists.  The start's TwistedComplex and rational
+    # complex take their default passes alone, under their own default
+    # lifts too, and every later complex one pass under the carried lifts.
+    spine = parse(serialize(census2[5]))
+    walk = random_walk(spine, 6, seed=1, h_null_only=True)
+    built = []
+
+    def recorded(self, *args, _init=TwistedComplex.__init__):
+        built.append(self)
+        _init(self, *args)
+    monkeypatch.setattr(TwistedComplex, "__init__", recorded)
+    passes = _count_passes(monkeypatch)
+    assert invariance_suite(spine, walk, "cyclic", order=5).all_equal
+    assert len(built) == len(walk) + 1
+    rational = [s.complex.rational_complex
+                for s in (spine, *(move.after for move in walk))]
+    assert [cx for cx, lifts in passes if lifts == "auto"] == \
+        [built[0], rational[0]]
+    given = [cx for cx, lifts in passes if lifts != "auto"]
+    assert sorted(map(id, given)) == \
+        sorted(map(id, built[1:] + rational[1:]))
 
 
 def test_h_null_filter_builds_no_smith_form(census2, monkeypatch):
@@ -577,22 +608,18 @@ def _failing_on(monkeypatch, name, calls):
 
 # The calls to fail so that, at the first step of a walk whose moves keep
 # their transports, the orientation transport fails, the homology transport
-# fails, or both.  Start 5 twists cyclic:5: its lifts go through
-# transport_homology and its orientation through transport_rational_homology.
-# Start 7 has a trivial cyclic:5 character: its lifts are the orientation
-# lifts, and both go through transport_rational_homology, the lifts first.
+# fails, or both.  The lifts go through transport_homology and the
+# orientation through transport_rational_homology, on start 5, where
+# cyclic:5 twists, and on start 7, where its character is trivial and the
+# lifts are the orientation's.
 _FAILURES = {
-    5: {"orientation": {"transport_rational_homology": (1,)},
-        "homology": {"transport_homology": (1,)},
-        "both": {"transport_homology": (1,),
-                 "transport_rational_homology": (1,)}},
-    7: {"orientation": {"transport_rational_homology": (2,)},
-        "homology": {"transport_rational_homology": (1,)},
-        "both": {"transport_rational_homology": (1, 2)}},
+    "orientation": {"transport_rational_homology": (1,)},
+    "homology": {"transport_homology": (1,)},
+    "both": {"transport_homology": (1,), "transport_rational_homology": (1,)},
 }
 
 
-@pytest.mark.parametrize("start", sorted(_FAILURES))
+@pytest.mark.parametrize("start", [5, 7])
 def test_invariance_suite_failure_paths(census2, monkeypatch, start):
     spine = census2[start]
     walk = random_walk(spine, 4, seed=1, h_null_only=True)
@@ -602,7 +629,7 @@ def test_invariance_suite_failure_paths(census2, monkeypatch, start):
     assert [st.transport_note for st in ref.steps] == [None] * 4
 
     def failing(m, failure):
-        for name, calls in _FAILURES[start][failure].items():
+        for name, calls in _FAILURES[failure].items():
             _failing_on(m, name, calls)
 
     # A failed orientation transport ends the sign-refined comparison for

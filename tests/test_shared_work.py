@@ -1,8 +1,8 @@
 """Work shared along certified walks stays invisible in every output.
 
 Certificates come from a table keyed by the bipyramid's branching order,
-each spine keeps its quotient complex and Smith form, each rational
-complex keeps the raw torsion of each orientation, a trivial
+each spine keeps its quotient complex and Smith form, each complex keeps
+its torsion passes, each move the lifts it carried, a trivial
 representation reads the rational complexes, and h-null candidates
 are certified before their after spine is built.  Each test compares the
 shared result with one computed from scratch.  The census reads the least
@@ -222,7 +222,7 @@ def test_shared_work_stays_invisible(census2):
                                      max_tets=6)
             assert _report_text(shared) == _report_text(
                 invariance_suite(fresh, fresh_walk, kind, order=order))
-        assert spine.complex.rational_complex.raw_torsions
+        assert spine.complex.rational_complex.passes
         checked += 1
     assert checked >= 3
 
@@ -231,8 +231,9 @@ def test_shared_work_stays_invisible(census2):
                                         ("trivial", None)])
 def test_trivial_suites_match_the_twisted_oracle(census2, kind, order):
     # On every census-2 start where the representation is trivial, the
-    # suite over the rational complexes prints what a TwistedComplex per
-    # walk spine, carried by transport_homology, prints.
+    # suite over the rational complexes prints what a TwistedComplex over
+    # Q(zeta_n) per walk spine, carried by transport_homology, prints on a
+    # fresh copy of the spine and walk.
     checked = 0
     for i, start in enumerate(census2):
         spine = parse(serialize(start))
@@ -244,8 +245,11 @@ def test_trivial_suites_match_the_twisted_oracle(census2, kind, order):
         except Stuck:
             continue
         report = invariance_suite(spine, walk, kind, order=order)
+        fresh = parse(serialize(start))
+        fresh_walk = random_walk(fresh, 4, seed=i, h_null_only=True,
+                                 max_tets=5)
         assert _report_text(report) == twisted_invariance_text(
-            spine, walk, kind, order)
+            fresh, fresh_walk, kind, order)
         checked += 1
     assert checked == {"free_abelian": 25, "cyclic": 25, "trivial": 45}[kind]
 
@@ -268,36 +272,59 @@ def test_walk_builds_one_smith_form(census2, monkeypatch):
     assert len(calls) == 1
 
 
-def test_walk_transports_each_orientation_once(census2, monkeypatch):
-    # The suites for both representations carry one orientation along a
-    # walk, so each move transports it once, not once per suite.
-    spine = parse(serialize(census2[5]))
-    walk = random_walk(spine, 10, seed=1, h_null_only=True, max_tets=6)
-    assert len(walk) == 10
-    original = moves.transport_homology
-    rational = []
+def _count_carries(monkeypatch):
+    """The moves of the transports that do work, over rational complexes
+    and over twisted ones."""
+    original = moves._carry
+    carried = {"rational": [], "twisted": []}
 
     def counted(move, before, after, lifts):
-        if before is move.before.complex.rational_complex:
-            rational.append(move)
+        rational = before is move.before.complex.rational_complex
+        carried["rational" if rational else "twisted"].append(move)
         return original(move, before, after, lifts)
-    monkeypatch.setattr(moves, "transport_homology", counted)
+    monkeypatch.setattr(moves, "_carry", counted)
+    return carried
+
+
+def _walk_both_suites(census2, monkeypatch, start):
+    """A 10-step walk from census-2 ``start``, and the moves of the
+    transports that do work in the suites of both representations."""
+    spine = parse(serialize(census2[start]))
+    walk = random_walk(spine, 10, seed=1, h_null_only=True, max_tets=6)
+    assert len(walk) == 10
+    carried = _count_carries(monkeypatch)
     for kind, order in (("free_abelian", None), ("cyclic", 5)):
         report = invariance_suite(spine, walk, kind, order=order)
         assert [st.sign_refined_equal for st in report.steps] == [True] * 10
-    assert rational == walk
+    return walk, carried
 
-    # Other lifts are transported afresh: those with every lift of positive
-    # degree negated.
+
+def test_trivial_lifts_travel_with_the_orientation(census2, monkeypatch):
+    # On start 7 both representations are trivial: their lifts are the
+    # orientation, which each move carries once for both suites.
+    walk, carried = _walk_both_suites(census2, monkeypatch, 7)
+    assert carried == {"rational": walk, "twisted": []}
+
+
+def test_walk_transports_each_orientation_once(census2, monkeypatch):
+    # The suites for both representations carry one orientation along a
+    # walk, so each move transports it once, not once per suite; start 5
+    # twists both, whose lifts each move carries once per suite.
+    walk, carried = _walk_both_suites(census2, monkeypatch, 5)
+    assert carried == {"rational": walk, "twisted": walk * 2}
+
+    # Other lifts are transported afresh, once: those with every lift of
+    # positive degree negated.
     move = walk[0]
     X, X2 = move.before.complex, move.after.complex
     lifts = X.rational_complex.default_lifts
     other = {i: [[-x for x in vec] for vec in vecs] if i else vecs
              for i, vecs in lifts.items()}
-    fresh = original(move, X.rational_complex, X2.rational_complex, other)
-    assert moves.transport_rational_homology(move, X, X2, other) == fresh
+    fresh = moves.transport_rational_homology(move, X, X2, other)
+    assert moves.transport_homology(move, X.rational_complex,
+                                    X2.rational_complex, other) is fresh
     assert moves.transport_rational_homology(move, X, X2, lifts) != fresh
-    assert len(rational) == 12
+    assert len(carried["rational"]) == 11
 
 
 def test_failed_orientation_transport_is_not_kept(census2, monkeypatch):
@@ -396,16 +423,23 @@ def test_rational_signs_are_kept_per_orientation(census2):
 
 def test_spine_caches_make_no_reference_cycle(census2):
     # Everything a spine keeps refers to it weakly or not at all, so it is
-    # freed by reference counting alone, with every cache filled.
+    # freed by reference counting alone, with every cache filled: the
+    # torsion memos of the complexes and the lifts each move carried, by
+    # a twisting suite (cyclic:5 on start 5) and a trivial one.
     spine = parse(serialize(census2[5]))
     walk = random_walk(spine, 3, seed=1, h_null_only=True)
     X = spine.complex
     rep = make_representation(spine.group, "cyclic", 5)
     tc = TwistedComplex(spine, X, SpiderAnchors(spine, X), rep)
     sign_refined_torsion(spine, tc, h="auto")
-    invariance_suite(spine, walk, "free_abelian")
-    assert X.rational_complex.raw_torsions
-    refs = [weakref.ref(x) for x in (spine, X, spine.group, walk[-1].after)]
+    for kind, order in (("cyclic", 5), ("trivial", None)):
+        invariance_suite(spine, walk, kind, order=order)
+    assert tc.passes and X.rational_complex.passes
+    assert all(len(move._carried) == 2
+               and move.after.complex.rational_complex.passes
+               for move in walk)
+    refs = [weakref.ref(x) for x in (spine, X, spine.group, walk[-1].after,
+                                     walk[-1])]
     gc.disable()
     try:
         del spine, walk, X, rep, tc
@@ -416,11 +450,10 @@ def test_spine_caches_make_no_reference_cycle(census2):
 
 def _failing_at(monkeypatch, call):
     """Make ``moves.transport_homology`` raise TransportFailure("x") on its
-    ``call``-th call.  On a walk no suite has run over yet, each step of a
-    twisting suite calls it for the twisted lifts, then (through
-    ``transport_rational_homology``) for the orientation; each step of a
-    trivial one calls it once, through ``transport_rational_homology``, for
-    the lifts that are the orientation."""
+    ``call``-th call.  Each step of a suite calls it for the lifts, then
+    (through ``transport_rational_homology``) for the orientation: twice
+    per step, also in a trivial suite, whose lifts are the orientation's
+    and whose second call reads what the first carried."""
     original = moves.transport_homology
     calls = []
 
@@ -432,19 +465,15 @@ def _failing_at(monkeypatch, call):
     monkeypatch.setattr(moves, "transport_homology", patched)
 
 
-# Calls of transport_homology per walk step, on census-2 start 5, where
-# cyclic:5 twists, and on start 7, where its character is trivial.
-_CALLS_PER_STEP = {5: 2, 7: 1}
-
-
-@pytest.mark.parametrize("start", sorted(_CALLS_PER_STEP))
+# On census-2 start 5 cyclic:5 twists; on start 7 its character is trivial.
+@pytest.mark.parametrize("start", [5, 7])
 @pytest.mark.parametrize("step", [0, 2])
 def test_transport_failure_names_its_step(census2, monkeypatch, tmp_path,
                                           capsys, step, start):
     path = tmp_path / "start.spine"
     path.write_text(serialize(census2[start]))
     walk = random_walk(census2[start], 4, seed=1, h_null_only=True)
-    call = _CALLS_PER_STEP[start] * step + 1
+    call = 2 * step + 1
     with monkeypatch.context() as m:
         _failing_at(m, call)
         with pytest.raises(TransportFailure) as exc:

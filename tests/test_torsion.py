@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -19,6 +21,7 @@ from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
 from fixtures import GOLDEN, ONE_TET
 from oracles import (default_z_character, fox_alexander,
                      full_matrix_lifts, full_matrix_selections,
+                     images_of_generators,
                      full_matrix_value, row_order_sign, sign_refined_under,
                      torsion_under, twisted_h1_order)
 
@@ -320,38 +323,53 @@ def test_rational_complex_is_the_trivial_twisted_complex(corpus12):
         rat = X.rational_complex
         assert rat.field == trivial.field and rat.dims == trivial.dims
         assert (rat.d1, rat.d2, rat.d3) == (trivial.d1, trivial.d2, trivial.d3)
+        assert trivial.passes is rat.passes
 
 
-@pytest.mark.parametrize("kind,order", [("trivial", None),
-                                        ("free_abelian", None), ("cyclic", 5)])
+@pytest.mark.parametrize("kind,order", [
+    ("trivial", None), ("free_abelian", None), ("cyclic", 1), ("cyclic", 5),
+    ("cyclic", 12)])
 def test_trivial_twisted_torsion_is_the_rational_torsion(corpus12, kind,
                                                          order):
-    # Where every image is 1, the TwistedComplex has the lifts of the
-    # rational complex, and its torsion under the auto lifts and under
-    # given ones is the rational torsion under the same lifts, embedded
-    # into its field: what invariance_suite reads instead.
+    # A representation whose images are all 1 maps into Q, and its torsion
+    # under the auto lifts and under given ones is the rational torsion
+    # under the same lifts.  Embedded into Q(zeta_n), it is what the
+    # all-ones character into Q(zeta_n) gives, whose TwistedComplex builds
+    # and eliminates its own entries: the same printed strings.
     checked = 0
     for s in corpus12:
-        X, _G, tc = build(s, kind, order)
-        if any(e != tc.rep.identity for e in tc.rep.exponents):
+        X, G, tc = build(s, kind, order)
+        trivial = all(x == tc.field.one for x in images_of_generators(tc.rep))
+        assert (tc.rep.field == RationalField()) == trivial
+        if not trivial:
             continue
-        rat, field = X.rational_complex, tc.field
+        rat = X.rational_complex
+        C = CyclotomicField(order or 1)
+        ones = TwistedComplex(s, X, SpiderAnchors(s, X), Representation(
+            G, C, [(0,)] * G.n_generators, "cyclic"))
 
         def embedded(lifts):
-            return {i: [[field.from_fraction(x.q) for x in vec] for vec in vecs]
+            return {i: [[C.from_fraction(x.q) for x in vec] for vec in vecs]
                     for i, vecs in lifts.items()}
         scaled = {i: [[x * rat.field.from_fraction(Fraction((-1) ** i * (k + 2), i + 3))
                        for x in vec] for k, vec in enumerate(vecs)]
                   for i, vecs in rat.default_lifts.items()}
-        assert tc.default_lifts == embedded(rat.default_lifts)
-        for h, rat_h in (("auto", "auto"), (embedded(scaled), scaled)):
+        assert tc.default_lifts == rat.default_lifts
+        assert ones.default_lifts == embedded(rat.default_lifts)
+        for h, ones_h in (("auto", "auto"), (scaled, embedded(scaled))):
             value = torsion(tc, h=h, keep_sign=True)
-            expected = field.from_fraction(
-                torsion(rat, h=rat_h, keep_sign=True).value.q)
-            assert value.value == expected
-            assert value.to_str() == field.element_str(expected)
+            assert value.value == torsion(rat, h=h, keep_sign=True).value
+            expected = C.from_fraction(value.value.q)
+            assert torsion(ones, h=ones_h, keep_sign=True).value == expected
+            assert value.to_str() == C.element_str(expected)
+        for refine in (torsion, partial(sign_refined_torsion, s)):
+            value = refine(tc, h="auto")
+            assert value.to_str() == refine(ones, h="auto").to_str()
+            assert value.to_str() == C.element_str(
+                C.from_fraction(value.value.q))
         checked += 1
-    assert checked == {"trivial": 50, "free_abelian": 27, "cyclic": 27}[kind]
+    assert checked == {"trivial": 50, "free_abelian": 27, 1: 50, 5: 27,
+                       12: 23}[order or kind]
 
 
 def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
@@ -369,19 +387,57 @@ def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
         X = CellComplexX(s)
         G = GroupData(X)
         A = SpiderAnchors(s, X)
+        rat = X.rational_complex
         first = TwistedComplex(s, X, A, Representation.free_abelian(G))
         torsion(first, h="auto")
-        assert over(first.field) > 0
+        assert over(first.field) == 3
         eliminations.clear()
         sign_refined_torsion(s, first, h="auto")
         assert over(first.field) == 0
-        assert over(X.rational_complex.field) > 0
+        # A complex over Q shares its spine's rational pass.
+        assert over(rat.field) == (0 if first.field is rat.field else 3)
         # A second representation on the same X reuses the rational side.
         second = TwistedComplex(s, X, A, Representation.cyclic(G, 5))
         eliminations.clear()
         sign_refined_torsion(s, second, h="auto")
-        assert over(X.rational_complex.field) == 0
-        assert over(second.field) > 0
+        assert over(rat.field) == 0
+        assert over(second.field) == (0 if second.field is rat.field else 3)
+        assert (first.field is rat.field) == (first.field == RationalField())
+        assert (second.field is rat.field) == (second.field == RationalField())
+
+
+def test_trivial_representations_share_one_rational_pass(corpus12,
+                                                          monkeypatch):
+    # Torsion and sign-refined torsion under every representation whose
+    # images are all 1 take one rational default pass per spine in all.
+    torsion_module = importlib.import_module("spinetorsion.torsion")
+    passes = []
+
+    def counted(cx, lifts="auto", _original=torsion_module.selection_pass):
+        passes.append((cx, lifts))
+        return _original(cx, lifts)
+    monkeypatch.setattr(torsion_module, "selection_pass", counted)
+    trivial = 0
+    for s in corpus12:
+        X = CellComplexX(s)
+        G = GroupData(X)
+        A = SpiderAnchors(s, X)
+        passes.clear()
+        for kind, order in (("trivial", None), ("free_abelian", None),
+                            ("cyclic", 1), ("cyclic", 5), ("cyclic", 12)):
+            rep = make_representation(G, kind, order)
+            if rep.field != RationalField():
+                continue
+            trivial += 1
+            tc = TwistedComplex(s, X, A, rep)
+            assert (tc.d1, tc.d2, tc.d3) == (X.rational_complex.d1,
+                                             X.rational_complex.d2,
+                                             X.rational_complex.d3)
+            torsion(tc, h="auto")
+            sign_refined_torsion(s, tc, h="auto")
+        assert [lifts for _cx, lifts in passes] == ["auto"]
+        assert passes[0][0].passes is X.rational_complex.passes
+    assert trivial == 50 + 27 + 50 + 27 + 23
 
 
 # sha256 of the element strings of torsion outputs over census <= 2 for both
@@ -495,11 +551,12 @@ def test_selections_and_default_torsion_match_full_matrices(corpus12,
             assert tc.default_pass[0] == full
             lifts = full_matrix_lifts(tc)
             assert tc.default_lifts == lifts
-            assert tc.default_torsion == full_matrix_value(tc, full, lifts, {})
+            raw = tc.default_pass[3]
+            assert raw == full_matrix_value(tc, full, lifts, {})
             for _ in range(2):
                 strat = {i: rnd.sample(range(n), n)
                          for i, n in enumerate(tc.dims) if i}
-                assert torsion_under(tc, lifts, strat, {}) == tc.default_torsion
+                assert torsion_under(tc, lifts, strat, {}) == raw
             if s in walk_spines:
                 walk_homology.update(lifts)
     assert {1, 2} <= walk_homology
