@@ -15,8 +15,8 @@ The branched census works on the glue table of each class too: one
 ``edge_walk`` gives its edge classes, the face-triangle screen its
 branchings and the rank table their ranks.  The seeds that reach the
 least gluing code of a class with a branching give every branching's
-signature, so a ``Triangulation``, built from a row copy of the table,
-and a ``BranchedSpine`` are made only for a signature not kept yet.
+signature, so a ``Triangulation``, built from a row copy of the table
+and that walk, and a ``BranchedSpine`` are made only for a new one.
 """
 
 from .perms import ALL_PERMS, COMPOSE, INVERSE, SIGN
@@ -51,21 +51,22 @@ def census_branched(tet_count):
     spines = {}
     for glue in _classes(tet_count):
         least = trg = None
-        for branching, ranks in _class_branchings(glue, tet_count):
+        walk = edge_walk(glue, tet_count)
+        for branching, ranks in _class_branchings(walk):
             if least is None:
                 least = least_seeds(glue, (1,) * tet_count)
             code = signature_from_seeds(least, ranks)
             if code not in spines:
                 if trg is None:
-                    trg = Triangulation([row[:] for row in glue])
+                    trg = Triangulation([row[:] for row in glue], walk)
                 spines[code] = BranchedSpine(trg, branching)
     return [spines[code] for code in sorted(spines)]
 
 
-def _class_branchings(glue, tet_count):
-    """(branching, ranks) per branching of a glue table, as
-    ``enumerate_branchings`` finds them on its ``Triangulation``."""
-    fans, pair_classes = edge_walk(glue, tet_count)
+def _class_branchings(walk):
+    """(branching, ranks) per branching of a glue table whose ``edge_walk``
+    is ``walk``, as ``enumerate_branchings`` finds them."""
+    fans, pair_classes = walk
     return _branchings(pair_classes, len(fans))
 
 

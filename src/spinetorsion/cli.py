@@ -246,7 +246,8 @@ def main(argv=None):
     except (MoveError, TorsionError, TransportFailure, RelatorNotKilled) as exc:
         message = str(exc)
         if getattr(exc, "step", None) is not None:
-            message = "step %d (%s): %s" % (exc.step, exc.move, message)
+            where = "" if exc.degree is None else ", degree %d" % exc.degree
+            message = "step %d (%s)%s: %s" % (exc.step, exc.move, where, message)
         report = {"command": args.command, "error": type(exc).__name__,
                   "message": message}
         status = 2

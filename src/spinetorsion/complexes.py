@@ -376,8 +376,8 @@ class TwistedComplex(ChainComplex):
 
     Dimensions (1, E, 2V, V); the matrices are expressed in the
     preferred-lift bases.  A representation whose images are all 1 maps
-    into Q, and its complex takes the matrices and the torsion memo of
-    ``complex_x.rational_complex``, which they equal entry-wise.
+    into Q, and its complex takes the matrices, torsion memo and default
+    lifts of ``complex_x.rational_complex``, which they equal entry-wise.
     """
 
     def __init__(self, spine, complex_x, anchors, rep):
@@ -405,6 +405,11 @@ class TwistedComplex(ChainComplex):
                                   (rep.exponent_of_word(((j, -1),)), -1)))
                            for j in range(E)]],
                          twisted_d2(complex_x, rep), d3)
+
+    @cached_property
+    def default_lifts(self):
+        rat = self.complex.rational_complex  # over Q, its memo is this one
+        return rat.default_lifts if self.passes is rat.passes else super().default_lifts
 
     def path_image(self, vec):
         return self.rep.image_of_vector(vec)

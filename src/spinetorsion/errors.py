@@ -70,8 +70,9 @@ class RelatorNotKilled(SpineError):
 class TransportFailure(SpineError):
     """A homology basis could not be carried across a move correspondence.
 
-    Raised by an invariance run, it names the walk ``step`` (0-based) and
-    its ``move`` (``moves.describe_move``); both are None otherwise.
+    ``degree`` is that of the class not carried.  Raised by an invariance
+    run, it names the walk ``step`` (0-based) and its ``move``
+    (``moves.describe_move``) too; both are None otherwise.
     """
 
-    step = move = None
+    step = move = degree = None

@@ -1,82 +1,56 @@
 """Exact coefficient fields for twisted complexes and torsion values.
 
-Three fields are provided:
+- ``FunctionField(r)``: Q(t1..tr), for free-abelian representations
+  (r = 0 is Q, printed alike).  Elements are ``RationalFunction``s,
+  reduced pairs (num, den) of Laurent polynomials {exponent tuple: int
+  or Fraction}, den in its one normal form (``_normal``), the gcd taken
+  in ``polygcd``.  Arithmetic over 1 needs no normal form: a product or
+  sum of Laurent polynomials is reduced already, and a denominator
+  c * t^s divides out termwise.
+- ``CyclotomicField(n)``: Q(zeta_n), coefficient vectors modulo the n-th
+  cyclotomic polynomial Phi_n, for cyclic characters that do not vanish.
+- ``RationalField()``: Q, an int when integral, else a Fraction: every
+  representation whose images are all 1 and the untwisted rational
+  complex, whose torsion sign refines the others.  It prints as the
+  constants of the other fields do.
 
-- ``FunctionField(r)``: the rational-function field Q(t1..tr), elements
-  ``RationalFunction``s: reduced pairs (num, den) of exponent dicts, the
-  Laurent polynomials {exponent tuple: int or Fraction} that the matrix
-  engine uses too, with den in the one normal form of a polynomial
-  (``_normal``) and the gcd taken in ``polygcd``; the twisted complexes
-  of free-abelian representations.  r = 0 degenerates to Q, printed
-  alike; the free-abelian representation of a spine whose H_1 has free
-  rank 0 maps into ``RationalField()`` instead.
-- ``CyclotomicField(n)``: Q(zeta_n), elements stored as coefficient
-  vectors modulo the n-th cyclotomic polynomial Phi_n; the twisted
-  complexes of cyclic characters that do not vanish.
-- ``RationalField()``: Q, elements an int when integral, else a
-  Fraction; every representation whose images are all 1 (trivial,
-  free-abelian of free rank 0, or a vanishing cyclic character) and the
-  untwisted rational complex, their twisted complex, whose torsion sign
-  refines the others.  Its elements print as the constants of
-  ``FunctionField(0)`` and ``CyclotomicField(n)`` do.
+A representation hands a field its entries through ``from_terms``: the
+sum of c * x^e over (exponent, int coefficient) terms, x^e being
+t1^e1..tr^er, zeta_n^e (e mod n), or 1 for the exponent ().
 
-A representation hands a field its matrix entries through one hook,
-``from_terms``: the element sum of c * x^e over (exponent, integer
-coefficient) terms, x^e being t1^e1..tr^er, zeta_n^e with e taken mod n,
-or 1 for the exponent ().
-
-The fields share one matrix engine, ``_bareiss``: fraction-free
-elimination (Bareiss 1968) on plain ints.  Each row is cleared first to
-a primitive integer polynomial with nonnegative exponents, in Z[t1..tr]
-for a function field, Z (no variable) for Q and Z[z] for a cyclotomic
-field, whose entries are the integer lifts of coefficient vectors, and
-keeps its row factor; each entry is then packed into an int by
-Kronecker substitution.  Each field packs from its own elements
-(``_packed``): Q straight from the int or Fraction of each entry, times
-the row's lcm of denominators and over the gcd of the ints that gives,
-which are their own packing; Q(zeta_n) from the coefficient tuples the
-same way, each entry packed by Horner at the slot width once the row
-degrees and l1 norms, taken in the same pass, size the slots; and
-Q(t1..tr) on the exponent dicts that its elements are, each row
-multiplied by its denominators, by the monomial that lifts its negative
-exponents to 0 and by a rational that makes its coefficients coprime
-integers.  (Only negative exponents are lifted: a cyclotomic lift has
-none, so its row factors stay constants and no z^-k reaches
+The matrix routines are written once, in ``_Field``, on one engine,
+``_bareiss``: fraction-free elimination (Bareiss 1968) on plain ints,
+x <- (piv*x - f*y) // prev.  Each field clears its rows (``_packed``) to
+primitive integer polynomials with nonnegative exponents, in Z[t1..tr],
+Z or Z[z], keeping each row factor, and packs each nonzero cell into an
+int by Kronecker substitution (``_Kronecker``); a zero cell packs to 0.
+Q clears the ints and Fractions themselves, Q(zeta_n) its coefficient
+tuples, packed by Horner, and Q(t1..tr) its exponent dicts, times the
+row's denominators and the monomial that lifts its negative exponents to
+0.  (Cyclotomic lifts have no negative exponents, so no z^-k reaches
 ``CyclotomicField._divider``.)  A row of rationals has one primitive
-integer row with a positive multiplier, so clearing by the lcm or by
-the product of the denominators gives the same row.  ``_Kronecker`` is
-built from the box alone, the degrees D_v and the bound H below.  The
-loop is integer Bareiss, x <- (piv*x - f*y) // prev.  Every entry it
-keeps is a minor of the cleared input (Sylvester's identity), so each
-division by the previous pivot is exact in the polynomial ring and,
-evaluation being a ring homomorphism, exact on the ints, however far the
-products before it overflow the packing box.  ``_Kronecker`` sizes its
-slots so that every minor decodes: a minor has degree at most D_v in x_v
-and coefficients at most H in size, so slots of k = H.bit_length() + 1
-bits, s_(v+1) = s_v * (D_v + 1) of them per unit of x_v, hold it as
-signed digits.  Only entries that are read are decoded: the last pivot,
-the cyclotomic pivot candidates and, when the rows above the pivots are
-cleared too, the pivot rows.  A minor is zero in the field exactly when
-the Gauss-Jordan entry is: pivots, row swaps and sign are those of
-elimination over the field.  In the loop the fields differ only in the
-pivot test: a nonzero int over Z[t1..tr] and Z, and over Z[z] an entry
-that Phi_n does not divide, decoded and reduced only when its top slot
-reaches the degree of Phi_n.  Nothing is reduced mod Phi_n during
-elimination, only the entries read out.
+integer row with a positive multiplier, so clearing by the lcm or by the
+product of the denominators gives the same row.  Every entry the loop
+keeps is a minor of the cleared rows (Sylvester's identity), so each
+division is exact in the polynomial ring and, evaluation being a ring
+homomorphism, on the ints, however far the products overflow the box.
+A minor has degree at most D_v in x_v and l1 norm at most H (see
+``_Kronecker``), so slots of k = H.bit_length() + 1 bits,
+s_(v+1) = s_v * (D_v + 1) of them per unit of x_v, hold it as signed
+digits; only the entries read are decoded.  The fields differ in the
+loop only by the pivot test: a nonzero int, or over Z[z] an entry that
+Phi_n does not divide, reduced only when its top slot reaches deg Phi_n.
+Pivots, row swaps and sign are those of elimination over the field.
 
-The matrix routines are written once, in ``_Field``, and each eliminates
-once.  A field supplies only what differs: its packing, its pivot
-test, the read-out p -> p / den into the field, the element of an
-integer character and, for values up to sign, whether the leading
-coefficient is negative.  The greedy column choice "keep a
-column if it raises the rank" is exactly the pivot set of one
-elimination in that column order, and ``select_minor``, the one routine
-that reads a minor, takes the determinant of the chosen columns off its
-last pivot and the row factors.  ``select_columns`` is its columns,
-``rank`` their number and ``det`` its minor in the identity order.
-``nullspace`` and ``solve`` clear above the pivots as well, which leaves
-every pivot row equal to the last pivot times its reduced echelon row,
-and read kernels and solutions off by dividing by the last pivot.
+A field supplies only what differs (see ``_Field``).  The greedy column
+choice "keep a column if it raises the rank" is the pivot set of one
+elimination in that column order; ``select_minor`` takes the determinant
+of those columns off its last pivot and the row factors, and reads a
+one-row matrix without elimination: its first column with a nonzero
+entry, and that entry.  ``select_columns``, ``rank`` and ``det`` are
+read off it.  ``nullspace`` and ``solve`` clear above the pivots too,
+leaving each pivot row the last pivot times its reduced echelon row,
+and divide by the last pivot.
 """
 
 from fractions import Fraction
@@ -339,6 +313,16 @@ class RationalFunction:
         if den is None or not num:
             self.num, self.den = num, {(0,) * nvars: 1}
             return
+        if len(den) == 1:
+            # den = c * t^s with c an int: num / den is t^-s * num / c.
+            (shift, c), = den.items()
+            if type(c) is int:
+                if c != 1 or any(shift):
+                    num = {tuple(map(_sub, k, shift)):
+                           _quo(v, c) if type(v) is int else _int_or_fraction(v / c)
+                           for k, v in num.items()}
+                self.num, self.den = num, {(0,) * nvars: 1}
+                return
         # den = t^s * c * q, so num / den = t^-s / c * num / q.  Unless q
         # is 1, num = t^s' * c' * p is normalised too and gcd(p, q) cancels.
         shift, c, den = _normal(den)
@@ -372,9 +356,11 @@ class RationalFunction:
 
     def __add__(self, other):
         if self.den == other.den:
-            one = {(0,) * self.nvars: 1}
+            num = dict(self.num)
+            for k, v in other.num.items():
+                num[k] = num.get(k, 0) + v
             return RationalFunction(
-                self.nvars, _dot(((self.num, one), (other.num, one))), self.den)
+                self.nvars, {k: v for k, v in num.items() if v}, self.den)
         return RationalFunction(
             self.nvars, _dot(((self.num, other.den), (other.num, self.den))),
             _dot(((self.den, other.den),)))
@@ -389,8 +375,10 @@ class RationalFunction:
         return x
 
     def __mul__(self, other):
-        return RationalFunction(self.nvars, _dot(((self.num, other.num),)),
-                                _dot(((self.den, other.den),)))
+        num = _dot(((self.num, other.num),))
+        if len(self.den) == len(other.den) == 1:  # over 1: the product is reduced
+            return RationalFunction(self.nvars, num)
+        return RationalFunction(self.nvars, num, _dot(((self.den, other.den),)))
 
     def inv(self):
         if self.is_zero():
@@ -462,16 +450,18 @@ class _Field:
         and the determinant of those columns in that order: zero unless
         they are as many as the rows.
 
-        The last pivot of the one elimination is that determinant for the
-        cleared rows after the row swaps; each row was multiplied by its
-        factor times mul / div.
+        One row needs no elimination: its first column in ``order`` with a
+        nonzero entry, and that entry.  Otherwise the last pivot of the one
+        elimination is that determinant for the cleared rows after the row
+        swaps, each row multiplied by its factor times mul / div.
         """
+        if len(matrix) == 1:
+            c = next((c for c in order if not matrix[0][c].is_zero()), None)
+            return ([], self.zero) if c is None else ([c], matrix[0][c])
         _A, codec, factors, pivots, last, sign = self._eliminate(matrix, order)
         cols = [c for _r, c in pivots]
         if len(pivots) < len(factors):
             return cols, self.zero
-        if not factors:
-            return cols, self.one
         den = {k: sign for k in self._unit}
         mul = div = 1
         for factor, (m, d) in factors:
@@ -576,7 +566,8 @@ class FunctionField(_Field):
         return bool(x.num) and x.num[max(x.num)] < 0
 
     def _packed(self, matrix):
-        """The rows cleared on their exponent dicts, then packed.
+        """The nonzero cells cleared on their exponent dicts, then packed; a
+        zero packs to 0.
 
         Each row is multiplied by the product of its denominators and by
         the monomial that lifts its negative exponents to 0, together the
@@ -590,9 +581,10 @@ class FunctionField(_Field):
         degrees = [0] * self.nvars
         bound = 1
         for row in matrix:
-            dens = [(j, x.den) for j, x in enumerate(row) if x.den != one]
+            cells = [(j, x) for j, x in enumerate(row) if x.num]
+            dens = [(j, x.den) for j, x in cells if x.den != one]
             new_row = []
-            for k, x in enumerate(row):
+            for k, x in cells:
                 e = x.num
                 for j, d in dens:
                     if j != k:
@@ -613,10 +605,14 @@ class FunctionField(_Field):
                     keys = [k for e in new_row for k in e]
                 degrees = list(map(_add, degrees, map(max, zip(*keys))))
             bound *= max(1, sum(abs(c) for p in new_row for c in p.values()))
-            rows.append(new_row)
+            rows.append(zip([j for j, _x in cells], new_row))
             factors.append((factor, scale))
         codec = _Kronecker(degrees, bound)
-        return [list(map(codec.pack, row)) for row in rows], codec, factors
+        packed = [[0] * len(row) for row in matrix]
+        for out, cells in zip(packed, rows):
+            for j, p in cells:
+                out[j] = codec.pack(p)
+        return packed, codec, factors
 
     def _divider(self, den):
         return lambda p: RationalFunction(self.nvars, p, den)
@@ -853,9 +849,10 @@ class CyclotomicField(_Field):
 
     def _packed(self, matrix):
         """The rows cleared straight from the coefficient tuples, their
-        lifts over the unit: each row's coefficients scaled to coprime ints
-        (``_primitive``), with the row's degree and l1 norm taken in the
-        same pass, then each entry packed by Horner at the slot width."""
+        lifts over the unit: the coefficients of each row's nonzero cells
+        scaled to coprime ints (``_primitive``), with the row's degree and
+        l1 norm taken in the same pass, then each nonzero cell packed by
+        Horner at the slot width; a zero packs to 0."""
         deg = self.degree
         unit = self._unit
         rows = []
@@ -863,22 +860,21 @@ class CyclotomicField(_Field):
         top = 0
         bound = 1
         for row in matrix:
-            values, mul, div = _primitive([c for x in row for c in x.coeffs])
-            rows.append(values)
+            cells = [j for j, x in enumerate(row) if any(x.coeffs)]
+            values, mul, div = _primitive([c for j in cells for c in row[j].coeffs])
+            rows.append((cells, values))
             factors.append((unit, (mul, div)))
             bound *= max(1, sum(map(abs, values)))
             top += max((j % deg for j, c in enumerate(values) if c), default=0)
         codec = _Kronecker((top,), bound)
         k = codec.width
-        packed = []
-        for values in rows:
-            out = []
-            for j in range(0, len(values), deg):
+        packed = [[0] * len(row) for row in matrix]
+        for out, (cells, values) in zip(packed, rows):
+            for i, j in enumerate(cells):
                 x = 0
-                for c in reversed(values[j:j + deg]):
+                for c in reversed(values[i * deg:i * deg + deg]):
                     x = (x << k) + c
-                out.append(x)
-            packed.append(out)
+                out[j] = x
         return packed, codec, factors
 
     def _reduced(self, p):

@@ -622,8 +622,8 @@ def transport_homology(move, before, after, lifts):
     move with the boundaries of the vanishing faces, the vanishing faces
     with the boundaries of the site tetrahedra.  Degree-3 cycles keep
     their outside coefficients and the site coefficients are re-solved in
-    the after complex.  Raises TransportFailure when a class cannot be
-    resolved.
+    the after complex.  Raises TransportFailure, with the ``degree`` of
+    the class, when a class cannot be resolved.
 
     The move keeps the lifts it carried, keyed by the lifts object, so the
     suites of several representations over one walk carry each orientation
@@ -650,46 +650,50 @@ def _carry(move, before, after, lifts):
              2: (move.vanished_faces, before.d3,
                  [t for t, _ in move.site_before], move.face_map, "the site")}
     out = {}
-    for deg, vecs in lifts.items():
-        if not vecs:
-            continue
-        new_vecs = out[deg] = []
-        if deg == 0:
-            new_vecs.extend(list(vec) for vec in vecs)
-        elif deg in rules:
-            coords, d, clearing, corr, where = rules[deg]
-            cols = [[row[j] for row in d] for j in clearing]
-            for vec in vecs:
-                v = _zero_out(field, vec, coords, cols)
-                if v is None:
-                    raise TransportFailure("degree-%d class stuck on %s"
-                                           % (deg, where))
-                w = [zero] * dims_after[deg]
-                for old, new in corr.items():
-                    w[new] = v[old]
-                new_vecs.append(w)
-        else:
-            for vec in vecs:
-                # Degree 3: outside coefficients carry over; site
-                # coefficients come from the common-subdivision weights.
-                w_out = [zero] * dims_after[3]
-                for old, new in move.tet_map.items():
-                    w_out[new] = vec[old]
-                site_coeffs = _site_tet_weights(move, before, vec)
-                for j, c in site_coeffs.items():
-                    w_out[j] = c
-                # The cycle check reads only the nonzero entries of d3
-                # in the columns where the chain is nonzero.
-                acc = {}
-                for j, c in enumerate(w_out):
-                    if c.is_zero():
-                        continue
-                    for r, x in after._d3_columns[j]:
-                        acc[r] = acc[r] + x * c if r in acc else x * c
-                if any(not a.is_zero() for a in acc.values()):
-                    raise TransportFailure(
-                        "transported degree-3 chain is not a cycle")
-                new_vecs.append(w_out)
+    try:
+        for deg, vecs in lifts.items():
+            if not vecs:
+                continue
+            new_vecs = out[deg] = []
+            if deg == 0:
+                new_vecs.extend(list(vec) for vec in vecs)
+            elif deg in rules:
+                coords, d, clearing, corr, where = rules[deg]
+                cols = [[row[j] for row in d] for j in clearing]
+                for vec in vecs:
+                    v = _zero_out(field, vec, coords, cols)
+                    if v is None:
+                        raise TransportFailure("degree-%d class stuck on %s"
+                                               % (deg, where))
+                    w = [zero] * dims_after[deg]
+                    for old, new in corr.items():
+                        w[new] = v[old]
+                    new_vecs.append(w)
+            else:
+                for vec in vecs:
+                    # Degree 3: outside coefficients carry over; site
+                    # coefficients come from the common-subdivision weights.
+                    w_out = [zero] * dims_after[3]
+                    for old, new in move.tet_map.items():
+                        w_out[new] = vec[old]
+                    site_coeffs = _site_tet_weights(move, before, vec)
+                    for j, c in site_coeffs.items():
+                        w_out[j] = c
+                    # The cycle check reads only the nonzero entries of d3
+                    # in the columns where the chain is nonzero.
+                    acc = {}
+                    for j, c in enumerate(w_out):
+                        if c.is_zero():
+                            continue
+                        for r, x in after._d3_columns[j]:
+                            acc[r] = acc[r] + x * c if r in acc else x * c
+                    if any(not a.is_zero() for a in acc.values()):
+                        raise TransportFailure(
+                            "transported degree-3 chain is not a cycle")
+                    new_vecs.append(w_out)
+    except TransportFailure as exc:  # a class of degree deg is stuck
+        exc.degree = deg
+        raise
     return out
 
 

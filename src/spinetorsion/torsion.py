@@ -15,27 +15,17 @@ its Laplace minor along them:
 
 where R_i lists the cells of degree i not in b_i in ascending order, the
 free (non-pivot) coordinates of d_i.  Each step has one routine: the b_i
-and the minors come from ``select_minor`` eliminations, ``_raw_value``
+and the minors come from ``select_minor`` calls, ``_raw_value``
 takes the alternating product with the Laplace signs, and every sign is
 ``perms.parity``.
 
-Rows are restricted to R_i.  Restriction to R_i is injective on ker d_i,
-which holds im d_{i+1}, so eliminating the rows R_i of d_{i+1} picks the
-same b_{i+1} as the whole d_{i+1}.  The degrees are eliminated in order
-0 to 2, each on the rows left free by the one before, and each once
-(``selection_pass``): the rows R_i of [d_{i+1} | h_i], the columns of
-d_{i+1} first, in cell order.  Its pivots among those columns are
-b_{i+1}, its pivots among the lift columns say which lifts complete them
-to a basis, and its last pivot is the degree's minor, zero unless they
-do; the Betti numbers are read off the selections.  For the auto lifts
-the lift columns are the identity on R_i, where the reduced kernel basis
-of d_i is the identity: the pivots among them are the lift coordinates
-and the minor is that of the default bases, so the default selections,
-lifts and minors come from one pass per complex
-(``ChainComplex.default_pass``).  Given lifts are restricted to R_i
-instead.  Degree 3 has d_4 = 0 and no elimination, save one determinant
-for given lifts of H_3.  The kernel itself is computed only where the
-lift vectors are read.  ``torsion`` reads every value off the memo
+Rows are restricted to R_i: restriction to R_i is injective on ker d_i,
+which holds im d_{i+1}, so the rows R_i of d_{i+1} pick the same b_{i+1}
+as the whole d_{i+1}.  ``selection_pass`` takes the degrees in order 0 to 2,
+each once, on the rows left free by the one before; the default
+selections, lifts and minors are one pass per complex
+(``ChainComplex.default_pass``), and the kernel itself is computed only
+where lift vectors are read.  ``torsion`` reads every value off the memo
 ``ChainComplex.passes``: one pass per complex and set of lifts.
 """
 
@@ -117,20 +107,19 @@ def selection_pass(cx, lifts="auto"):
     """The b_i selections, the minors det(rows R_i of [d b_{i+1} | h_i])
     and the lift coordinates, from one elimination per degree.
 
-    Degree by degree from 0, the rows R_i of [d_{i+1} | extra columns] are
-    eliminated, the columns of d_{i+1} visited in cell order and the extra
-    columns after them.  Its pivots among the columns of d_{i+1} are
-    b_{i+1}; its other pivots are the lift coordinates, as indices into
-    the extra columns; and its last pivot is the minor, zero unless the
-    pivots fill R_i.  The extra columns are the identity on R_i for
-    ``lifts`` "auto": the reduced kernel basis of d_i is the identity
-    there, so the coordinates pick the auto lifts.  Otherwise ``lifts`` is
-    a dict degree -> chain vectors and the extra columns are those vectors
-    restricted to R_i; a degree whose vectors do not all have the length
-    of the degree gets none, which ``torsion`` reports.  Degree 3 has d_4 = 0 and needs no elimination, save one
-    determinant for given lifts of H_3.  Returns (selections, minors,
-    coordinates): selections[i] for i = 0..4, entries 0 and 4 empty, the
-    minor of each degree 0..3, and a dict degree -> coordinates.
+    Degree by degree from 0, ``select_minor`` takes the rows R_i of
+    [d_{i+1} | extra columns], the columns of d_{i+1} in cell order, then
+    the extra ones.  Its columns of d_{i+1} are b_{i+1}, its others the
+    lift coordinates, as indices into the extra columns, and its minor is
+    zero unless they fill R_i.  For ``lifts`` "auto" the extra columns are
+    the identity on R_i, where the reduced kernel basis of d_i is the
+    identity, so the coordinates pick the auto lifts.  Otherwise ``lifts``
+    is a dict degree -> chain vectors, restricted to R_i; a degree whose
+    vectors do not all have the length of the degree gets none, which
+    ``torsion`` reports.  Degree 0 is one row, read without elimination;
+    degree 3 has d_4 = 0, and only given lifts of H_3 take a determinant.
+    Returns (selections, minors, coordinates): selections[i], i = 0..4,
+    0 and 4 empty, each degree's minor, and a dict degree -> coordinates.
     """
     field = cx.field
     mats = (cx.d1, cx.d2, cx.d3)
@@ -199,18 +188,18 @@ def _raw_value(cx, selections, minors):
     """The alternating product of the change-of-basis determinants of the
     selections b_i, each its minor minors[i] = det(rows R_i of
     [d b_{i+1} | h_i]) times the Laplace sign sgn(R_i ++ b_i); None when
-    a minor is zero, that is, when its columns are no basis."""
+    a minor is zero (no basis).  Only factors other than one multiply."""
     if any(d.is_zero() for d in minors):
         return None
-    value = inverse_part = cx.field.one
+    one = cx.field.one
+    parts = [one, one]  # the products over the even and the odd degrees
     for i, (n, d) in enumerate(zip(cx.dims, minors)):
         if parity(_free_rows(n, selections[i]) + selections[i]) < 0:
             d = -d
-        if i % 2 == 0:
-            value = value * d
-        else:
-            inverse_part = inverse_part * d
-    return value * inverse_part.inv()
+        if d != one:
+            parts[i % 2] = d if parts[i % 2] is one else parts[i % 2] * d
+    value, inverse_part = parts
+    return value if inverse_part is one else value * inverse_part.inv()
 
 
 def torsion(tc, h=None, keep_sign=False):
@@ -317,9 +306,10 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
     fixed on the first spine and transported along each move; torsion
     must agree up to sign at every step, and exactly for the
     sign-refined value until an orientation transport fails.  A failed
-    homology transport raises TransportFailure, whose ``step`` and
-    ``move`` name the walk step and its move.  Returns an
-    InvarianceReport; the first violating move, if any, is pinpointed.
+    homology transport raises TransportFailure, whose ``step``, ``move``
+    and ``degree`` name the walk step, its move and the degree of the
+    class not carried.  Returns an InvarianceReport; the first violating
+    move, if any, is pinpointed.
 
     Everything that does not depend on the representation is kept on the
     spines of the walk: each spine's ``complex``, ``group`` and rational
@@ -376,7 +366,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
         try:
             lifts = moves_mod.transport_homology(move, cx, new_cx, lifts)
         except TransportFailure as exc:
-            lifts = None
+            lifts, degree = None, exc.degree
             notes.append("homology transport failed: %s" % exc)
         if olifts is not None:
             try:
@@ -389,6 +379,7 @@ def invariance_suite(spine, walk, rep_kind, order=None, character=None):
         if lifts is None:
             exc = TransportFailure(note)
             exc.step, exc.move = idx, moves_mod.describe_move(move)
+            exc.degree = degree
             raise exc
         after_t, after_s = values(X2, new_cx, lifts, olifts)
         equal = before_t.equal_up_to_sign(after_t)

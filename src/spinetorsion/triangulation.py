@@ -44,15 +44,15 @@ class Triangulation:
     partner side (``glue_table`` checks one read from outside).
     ``face_class_of[t][f]`` is the face class of face f of t.
     ``edge_classes`` and ``pair_classes`` are the fans of the edge classes
-    and the edge class of each corner pair (see ``edge_walk``).
+    and the edge class of each corner pair, from ``edge_walk`` or ``_walk``.
     """
 
-    def __init__(self, glue):
+    def __init__(self, glue, _walk=None):
         self.tet_count = len(glue)
         self.glue = glue
         self.orientations = self._orient()
         self.face_classes, self.face_class_of = self._face_classes()
-        self.edge_classes, self.pair_classes = edge_walk(glue, self.tet_count)
+        self.edge_classes, self.pair_classes = _walk or edge_walk(glue, self.tet_count)
 
     # -- construction checks -------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Independent reference computations that the tests compare the package
 against: determinants by cofactor expansion, full change-of-basis
 matrices under any column and row order,
+the general reduction of a rational function to its canonical pair,
 the Fox-calculus Alexander polynomial, the spider anchors of every cell,
 exact checks of the chain complexes and of the certificate rows, an
 invariance report with every spine of a walk twisted, the
@@ -11,15 +12,18 @@ orders of a move's variants among all 120, and the images of words under
 a representation."""
 
 import json
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd as _int_gcd
+from operator import add
 
 from spinetorsion.complexes import (Representation, SpiderAnchors,
                                     TwistedComplex, make_representation,
                                     twisted_d2)
 from spinetorsion.errors import TransportFailure
 from spinetorsion.fields import (CyclotomicField, FunctionField,
-                                 RationalField, RationalFunction, _normal)
+                                 RationalField, RationalFunction,
+                                 _int_or_fraction, _normal, _pdiv)
 from spinetorsion.moves import (describe_move, transport_homology,
                                 transport_representation)
 from spinetorsion.perms import ALL_PERMS, INVERSE, PERM_INDEX, SIGN, inverse, sign
@@ -46,6 +50,32 @@ def cofactor_det(field, matrix):
         term = matrix[0][j] * cofactor_det(field, minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def normalised_pair(num, den):
+    """(num, den) of the quotient of two Laurent polynomials, reduced the
+    general way for any denominator: num / den = t^-s / c * num / q with
+    den = t^s * c * q in ``_normal`` form, then, unless q is 1, num
+    normalised too and gcd(num, q) cancelled; every coefficient of a
+    rescaled num is an int where integral."""
+    from spinetorsion.polygcd import gcd
+    if not num:
+        return num, {(0,) * len(next(iter(den))): 1}
+    shift, c, den = _normal(den)
+    shift, c = tuple(-e for e in shift), 1 / Fraction(c)
+    if len(den) > 1:
+        nshift, nc, num = _normal(num)
+        shift, c = tuple(map(add, shift, nshift)), c * nc
+        if len(num) > 1:
+            g = gcd(num, den)
+            if len(g) > 1:
+                g = _normal(g)[2]
+                num, den = _pdiv(num, g), _pdiv(den, g)
+    if c != 1 or any(shift):
+        c = _int_or_fraction(c)
+        num = {tuple(map(add, k, shift)): _int_or_fraction(v * c)
+               for k, v in num.items()}
+    return num, den
 
 
 # -- full change-of-basis matrices ----------------------------------------------

@@ -11,7 +11,7 @@ from spinetorsion.perms import ALL_PERMS, SIGN
 from spinetorsion.spine import (_BRANCH_BITS, _branch_code, _encode_seed, enumerate_branchings,
                                 least_seeds)
 from spinetorsion.spinefile import serialize
-from spinetorsion.triangulation import Triangulation, glue_table
+from spinetorsion.triangulation import Triangulation, edge_walk, glue_table
 
 from oracles import (assert_valid_glue, branch_code, complete_gluing_tables, complete_gluings,
                      least_code_triangulations, orbit_table_classes)
@@ -115,15 +115,35 @@ def test_search_prunes_to_pinned_node_count(n, resumed, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_class_branchings_match_built_triangulation(n):
-    # The branchings and ranks the census reads off each class's glue
-    # table are those of the spines built on its Triangulation, in order.
+    # The branchings and ranks the census reads off each class's edge walk
+    # are those of the spines built on its Triangulation, in order, and the
+    # walk it hands that Triangulation is the one it would take itself.
     branched = 0
     for glue in census._classes(n):
-        found = list(census._class_branchings(glue, n))
+        walk = edge_walk(glue, n)
+        found = list(census._class_branchings(walk))
         trg = Triangulation([row[:] for row in glue])
+        assert walk == (trg.edge_classes, trg.pair_classes)
         assert found == [(s.branching, s.ranks) for s in enumerate_branchings(trg)]
         branched += bool(found)
     assert branched == {1: 3, 2: 23, 3: 269}[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_census_walks_each_class_once(n, monkeypatch):
+    # census_branched walks the edges of each class's table once: the
+    # Triangulation of a kept class takes that walk instead of its own.
+    from spinetorsion import triangulation
+    calls = []
+
+    def counted(glue, tet_count, _walk=triangulation.edge_walk):
+        calls.append(tet_count)
+        return _walk(glue, tet_count)
+    monkeypatch.setattr(census, "edge_walk", counted)
+    monkeypatch.setattr(triangulation, "edge_walk", counted)
+    spines = census_branched(n)
+    assert len(spines) == CENSUS_DIGESTS[n][0]
+    assert len(calls) == {1: 6, 2: 60, 3: 889}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

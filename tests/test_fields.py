@@ -14,7 +14,7 @@ from spinetorsion.fields import (CyclotomicElement, CyclotomicField,
                                  FunctionField, RationalField,
                                  RationalFunction, cyclotomic_polynomial)
 
-from oracles import cofactor_det, default_z_character, fox_alexander
+from oracles import cofactor_det, default_z_character, fox_alexander, normalised_pair
 
 
 def rand_element(field, rnd, nterms=3, span=2):
@@ -176,12 +176,9 @@ def test_det_matches_cofactor(field_and_matrix):
     assert field.det(M) == cofactor_det(field, M)
 
 
-@settings(max_examples=30, deadline=None)
-@given(matrices(), st.randoms(use_true_random=False))
-def test_select_columns_is_greedy(field_and_matrix, rnd):
-    field, M = field_and_matrix
-    order = list(range(len(M[0])))
-    rnd.shuffle(order)
+def _check_greedy(field, M, order):
+    """select_columns, rank and select_minor of M against the greedy column
+    choice by minor ranks and the cofactor determinant of its columns."""
     kept = []
     for j in order:
         trial = kept + [j]
@@ -192,6 +189,77 @@ def test_select_columns_is_greedy(field_and_matrix, rnd):
     square = len(kept) == len(M)
     assert field.select_minor(M, order) == (kept, cofactor_det(
         field, [[row[c] for c in kept] for row in M]) if square else field.zero)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_select_columns_is_greedy(field_and_matrix, rnd):
+    field, M = field_and_matrix
+    order = list(range(len(M[0])))
+    rnd.shuffle(order)
+    _check_greedy(field, M, order)
+
+
+@st.composite
+def one_rows(draw):
+    """A field and one-row matrices as the torsion passes meet them: zeros
+    before the first nonzero entry, entries then an identity tail (the
+    auto lift column of degree 0), an all-zero row and 1 x 1 ones."""
+    field = draw(st.sampled_from(FIELDS))
+    x = draw(elements(field).filter(lambda e: not e.is_zero()))
+    ys = draw(st.lists(st.one_of(elements(field), st.just(field.zero)),
+                       max_size=3))
+    zeros = [field.zero] * draw(st.integers(0, 3))
+    return field, [zeros + [x] + ys, ys + [field.one], zeros + [field.zero],
+                   [x], [field.zero]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_rows(), st.randoms(use_true_random=False))
+def test_one_row_matrices_match_the_oracles(case, rnd):
+    field, rows = case
+    for row in rows:
+        order = list(range(len(row)))
+        for _ in range(2):
+            _check_greedy(field, [row], order)
+            rnd.shuffle(order)
+        if len(row) == 1:
+            assert field.det([row]) == cofactor_det(field, [row])
+
+
+def test_one_row_matrices_take_no_elimination(corpus12, monkeypatch):
+    # select_minor, and so rank, select_columns, det and every torsion
+    # pass, reads a one-row matrix without an elimination: degree 0 of
+    # each pass and the H_3 determinant of given lifts.
+    from spinetorsion.complexes import (SpiderAnchors, TwistedComplex,
+                                        make_representation)
+    from spinetorsion.torsion import torsion
+    sizes = []
+
+    def counting(self, matrix, *args, _original=fields._Field._eliminate):
+        sizes.append(len(matrix))
+        return _original(self, matrix, *args)
+    for field in FIELDS:
+        x = field.from_int(3)
+        with monkeypatch.context() as m:
+            m.setattr(fields._Field, "_eliminate", counting)
+            for row in ([field.zero, x, field.one], [field.zero] * 2, [x]):
+                field.select_minor([row], range(len(row)))
+                field.select_columns([row], range(len(row)))
+                field.rank([row])
+            field.det([[x]])
+    assert sizes == []
+    for s in corpus12[::4]:
+        X, G = s.complex, s.group
+        for kind, order in (("free_abelian", None), ("cyclic", 5)):
+            rep = make_representation(G, kind, order)
+            lifts = TwistedComplex(s, X, SpiderAnchors(s, X), rep).default_lifts
+            tc = TwistedComplex(s, X, SpiderAnchors(s, X), rep)
+            with monkeypatch.context() as m:
+                m.setattr(fields._Field, "_eliminate", counting)
+                torsion(tc, h="auto")
+                torsion(tc, h=lifts or None)
+    assert sizes and 1 not in sizes
 
 
 @settings(max_examples=30, deadline=None)
@@ -379,6 +447,43 @@ def test_common_factors_and_units_do_not_change_the_value(case):
         assert R.from_dict(cleared(x.num)).gcd(R.from_dict(x.den)).is_ground
     with pytest.raises(ZeroDivisionError):
         RationalFunction(r, p or q, {})
+
+
+@st.composite
+def laurent_cases(draw):
+    """(r, p, q, c * t^s): Laurent polynomials p and q in r variables with
+    int, Fraction and Fraction-over-1 coefficients, and an int monomial."""
+    r = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * r)
+    coeffs = st.one_of(SMALL, COEFFS, st.builds(Fraction, SMALL))
+
+    def poly():
+        return {k: v for k, v in draw(st.dictionaries(exps, coeffs, max_size=3)).items()
+                if v}
+    c = draw(st.sampled_from((1, -1, 2, -3, 6)))
+    return r, poly(), poly(), {draw(exps): c}
+
+
+def _typed(p):
+    return sorted((k, v, type(v)) for k, v in p.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_cases())
+def test_arithmetic_over_1_matches_the_general_reduction(case):
+    # A product, sum or difference of two elements over 1, and a quotient
+    # by a monomial c * t^s, built directly, is the pair the general
+    # reduction gives, down to each coefficient's type.
+    r, p, q, mono = case
+    a, b = RationalFunction(r, p), RationalFunction(r, q)
+    one = {(0,) * r: 1}
+    minus_q = {k: -v for k, v in q.items()}
+    for x, (num, den) in (
+            (a * b, normalised_pair(fields._dot(((p, q),)), one)),
+            (a + b, normalised_pair(fields._dot(((p, one), (q, one))), one)),
+            (a - b, normalised_pair(fields._dot(((p, one), (minus_q, one))), one)),
+            (RationalFunction(r, p, mono), normalised_pair(p, mono))):
+        assert (_typed(x.num), _typed(x.den)) == (_typed(num), _typed(den))
 
 
 def test_fox_alexander_is_in_normal_form(corpus12):

@@ -449,18 +449,21 @@ def test_spine_caches_make_no_reference_cycle(census2):
 
 
 def _failing_at(monkeypatch, call):
-    """Make ``moves.transport_homology`` raise TransportFailure("x") on its
-    ``call``-th call.  Each step of a suite calls it for the lifts, then
-    (through ``transport_rational_homology``) for the orientation: twice
-    per step, also in a trivial suite, whose lifts are the orientation's
-    and whose second call reads what the first carried."""
+    """Make ``moves.transport_homology`` raise TransportFailure("x"), of a
+    degree-2 class, on its ``call``-th call.  Each step of a suite calls it
+    for the lifts, then (through ``transport_rational_homology``) for the
+    orientation: twice per step, also in a trivial suite, whose lifts are
+    the orientation's and whose second call reads what the first
+    carried."""
     original = moves.transport_homology
     calls = []
 
     def patched(*args):
         calls.append(args)
         if len(calls) == call:
-            raise TransportFailure("x")
+            exc = TransportFailure("x")
+            exc.degree = 2
+            raise exc
         return original(*args)
     monkeypatch.setattr(moves, "transport_homology", patched)
 
@@ -478,7 +481,8 @@ def test_transport_failure_names_its_step(census2, monkeypatch, tmp_path,
         _failing_at(m, call)
         with pytest.raises(TransportFailure) as exc:
             invariance_suite(census2[start], walk, "cyclic", order=5)
-    assert (exc.value.step, exc.value.move) == (step, describe_move(walk[step]))
+    assert (exc.value.step, exc.value.move, exc.value.degree) == \
+        (step, describe_move(walk[step]), 2)
     assert str(exc.value) == "homology transport failed: x"
 
     with monkeypatch.context() as m:
@@ -489,5 +493,48 @@ def test_transport_failure_names_its_step(census2, monkeypatch, tmp_path,
     assert status == 2
     assert report == {
         "command": "invariance", "error": "TransportFailure",
-        "message": "step %d (%s): homology transport failed: x"
+        "message": "step %d (%s), degree 2: homology transport failed: x"
                    % (step, describe_move(walk[step]))}
+
+
+# Start 5 under cyclic:5 has lifts in degrees 1 and 3, start 7 (trivial)
+# in degrees 0, 2 and 3: a class that cannot be cleared is the first of
+# degree 1 or 2.
+@pytest.mark.parametrize("start, degree, where",
+                         [(5, 1, "the central edge"), (7, 2, "the site")])
+def test_stuck_class_names_its_degree(census2, monkeypatch, tmp_path, capsys,
+                                      start, degree, where):
+    path = tmp_path / "start.spine"
+    path.write_text(serialize(census2[start]))
+    walk = random_walk(census2[start], 4, seed=1, h_null_only=True)
+    monkeypatch.setattr(moves, "_zero_out", lambda *args: None)
+    with pytest.raises(TransportFailure) as exc:
+        invariance_suite(census2[start], walk, "cyclic", order=5)
+    message = "degree-%d class stuck on %s" % (degree, where)
+    assert (exc.value.step, exc.value.degree) == (0, degree)
+    assert str(exc.value).startswith("homology transport failed: " + message)
+    assert cli.main(["invariance", str(path), "--steps", "4", "--seed", "1",
+                     "--rep", "cyclic:5"]) == 2
+    assert json.loads(capsys.readouterr().out)["message"].startswith(
+        "step 0 (%s), degree %d: homology transport failed: %s"
+        % (describe_move(walk[0]), degree, message))
+
+
+def test_degree_3_failures_name_their_degree(census2):
+    # A 3-chain that is no cycle fails to carry, as a degree-3 class, at
+    # either of the two checks of degree 3.
+    messages = set()
+    for move in random_walk(census2[0], 4, seed=1, h_null_only=True):
+        before = move.before.complex.rational_complex
+        after = move.after.complex.rational_complex
+        field = before.field
+        for j in range(before.dims[3]):
+            chain = [field.one if k == j else field.zero
+                     for k in range(before.dims[3])]
+            try:
+                moves._carry(move, before, after, {3: [chain]})
+            except TransportFailure as exc:
+                assert exc.degree == 3
+                messages.add(str(exc))
+    assert messages == {"inconsistent subdivision weights on the site",
+                        "transported degree-3 chain is not a cycle"}

@@ -372,6 +372,14 @@ def test_trivial_twisted_torsion_is_the_rational_torsion(corpus12, kind,
                        12: 23}[order or kind]
 
 
+def _eliminated(cx):
+    """The degrees of the default pass of ``cx`` that take an elimination:
+    each of 1 and 2 unless its free rows R_i are exactly one.  Degree 0 is
+    the one row of d1, whose minor ``select_minor`` reads off the row."""
+    selections = cx.default_pass[0]
+    return sum(cx.dims[i] - len(selections[i]) != 1 for i in (1, 2))
+
+
 def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
     eliminations = []
     for cls in (FunctionField, CyclotomicField, RationalField):
@@ -383,6 +391,7 @@ def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
     def over(field):
         return sum(f is field for f in eliminations)
 
+    per_pass = set()
     for s in corpus12[::5]:
         X = CellComplexX(s)
         G = GroupData(X)
@@ -390,20 +399,24 @@ def test_sign_refinement_reuses_memoised_work(corpus12, monkeypatch):
         rat = X.rational_complex
         first = TwistedComplex(s, X, A, Representation.free_abelian(G))
         torsion(first, h="auto")
-        assert over(first.field) == 3
+        assert over(first.field) == _eliminated(first)
+        per_pass.add(over(first.field))
         eliminations.clear()
         sign_refined_torsion(s, first, h="auto")
         assert over(first.field) == 0
         # A complex over Q shares its spine's rational pass.
-        assert over(rat.field) == (0 if first.field is rat.field else 3)
+        assert over(rat.field) == (0 if first.field is rat.field
+                                 else _eliminated(rat))
         # A second representation on the same X reuses the rational side.
         second = TwistedComplex(s, X, A, Representation.cyclic(G, 5))
         eliminations.clear()
         sign_refined_torsion(s, second, h="auto")
         assert over(rat.field) == 0
-        assert over(second.field) == (0 if second.field is rat.field else 3)
+        assert over(second.field) == (0 if second.field is rat.field
+                                    else _eliminated(second))
         assert (first.field is rat.field) == (first.field == RationalField())
         assert (second.field is rat.field) == (second.field == RationalField())
+    assert per_pass == {1, 2}  # never 3: degree 0 is one row
 
 
 def test_trivial_representations_share_one_rational_pass(corpus12,
@@ -438,6 +451,34 @@ def test_trivial_representations_share_one_rational_pass(corpus12,
         assert [lifts for _cx, lifts in passes] == ["auto"]
         assert passes[0][0].passes is X.rational_complex.passes
     assert trivial == 50 + 27 + 50 + 27 + 23
+
+
+def test_trivial_complexes_share_the_rational_lifts(corpus12, monkeypatch):
+    # A TwistedComplex over Q reads its default lifts off the rational
+    # complex: none at construction, and one nullspace per positive degree
+    # with lifts, however many trivial complexes and the rational one read
+    # them.
+    kernels = []
+
+    def counted(self, matrix, _original=RationalField.nullspace):
+        kernels.append(len(matrix))
+        return _original(self, matrix)
+    monkeypatch.setattr(RationalField, "nullspace", counted)
+    for s in corpus12:
+        X = CellComplexX(s)
+        G = GroupData(X)
+        A = SpiderAnchors(s, X)
+        kernels.clear()
+        trivial = [TwistedComplex(s, X, A, rep) for rep in (
+            make_representation(G, "trivial"), make_representation(G, "cyclic", 1))]
+        assert kernels == []
+        for tc in trivial:
+            assert tc.default_lifts is X.rational_complex.default_lifts
+        lifts = X.rational_complex.default_lifts
+        assert len(kernels) == sum(1 for i in lifts if i)
+        if G.free_rank:  # a twisting complex keeps lifts of its own
+            tc = TwistedComplex(s, X, A, make_representation(G, "free_abelian"))
+            assert tc.default_lifts is not lifts
 
 
 # sha256 of the element strings of torsion outputs over census <= 2 for both
