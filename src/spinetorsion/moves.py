@@ -13,7 +13,7 @@ tetrahedra {a,c,x,y} around the central edge ac.  A move gives each site
 tetrahedron, before and after, the bipyramid labels of its corners, and
 one rebuild derives the rest by matching label sets: where each external
 face and its gluing go, which faces lie inside the bipyramid, the after
-branching, and the tetrahedron, edge and face correspondences.
+branching, and the cell map of every degree, which all transports read.
 
 A variant of a move has a branching exactly when the directions of the
 ten edges order the five labels linearly (Benedetti-Petronio, LNM 1653).
@@ -80,33 +80,32 @@ def _linear_order(arrows):
 
 
 class MoveInstance:
-    """One performed move, with its before/after spines and correspondences.
+    """One performed move, with its before/after spines and cell map.
 
     The site tetrahedra of each side make up the bipyramid, listed as
     (tetrahedron, labels) pairs; the labels spell the bipyramid labels of
     its corners 0..3, e.g. "cbed" for a tetrahedron whose corner 0 is the
     apex c and corner 1 is b.
+
+    ``cells[i]`` maps each i-cell of the before complex X to its index in
+    the after one, or to None for a cell inside the bipyramid; the after
+    cells outside its image are the new inner cells.  No cell changes its
+    orientation, so the map has no signs; ``push`` carries vectors along it.
     """
 
     def __init__(self, direction, site, variant, new_edge_direction,
-                 before, after, tet_map, edge_map, face_map, bipyramid,
-                 site_before, site_after, vanished_faces, created_faces,
-                 central_class_before, central_class_after):
+                 before, after, cells, bipyramid, site_before, site_after,
+                 central_class_after):
         self.direction = direction          # "positive" or "negative"
         self.site = site                    # face class (positive) or edge class
         self.variant = variant              # index among the branched variants
         self.new_edge_direction = new_edge_direction  # +1 a->c, -1 c->a (positive)
         self.before = before
         self.after = after
-        self.tet_map = tet_map              # old tet -> new tet, surviving only
-        self.edge_map = edge_map            # old edge class -> new edge class
-        self.face_map = face_map            # old face class -> new face class
+        self.cells = cells                  # per degree: old cell -> new cell or None
         self.bipyramid = bipyramid
         self.site_before = site_before      # (tet, labels) of the bipyramid
         self.site_after = site_after        # before and after
-        self.vanished_faces = vanished_faces    # before face classes inside the bipyramid
-        self.created_faces = created_faces      # after face classes inside the bipyramid
-        self.central_class_before = central_class_before  # edge ac (negative)
         self.central_class_after = central_class_after    # edge ac (positive)
         self._carried = {}  # id(lifts) -> (lifts, out); see transport_homology
 
@@ -131,6 +130,17 @@ class MoveInstance:
                     x - y for x, y in zip(chains[_sink(bip.order, lab_bef)],
                                           chains[_sink(bip.order, lab_aft)])]))
         return tuple(out)
+
+
+def push(cells, vec, fill, size):
+    """The vector on ``size`` new cells that has the entry of ``vec`` at
+    the image of each old cell under the cell map ``cells`` (one degree of
+    ``MoveInstance.cells``) and ``fill`` elsewhere."""
+    out = [fill] * size
+    for old, new in enumerate(cells):
+        if new is not None:
+            out[new] = vec[old]
+    return out
 
 
 def describe_move(move):
@@ -198,7 +208,8 @@ def _variants(spine, site):
 
 def _rebuild(spine, site, variant, order):
     """The move of ``variant``, with branching order ``order``, at
-    ``site``: the only place a move, and its Bipyramid, is built.
+    ``site``: the only place a move, its Bipyramid and its cell map
+    (``MoveInstance.cells``) are built.
 
     A site is (direction, face or edge class, old site, new site): the two
     sides of the bipyramid as (tetrahedron, labels) lists.  The other
@@ -206,7 +217,10 @@ def _rebuild(spine, site, variant, order):
     appends one tetrahedron, a negative one numbers them first and appends
     the two new ones.  The after orientation bits are +1 on the positive
     site, whose labels are chosen so, and -s0 on the negative one, for s0
-    the handedness of the labels of its first old tetrahedron.
+    the handedness of the labels of its first old tetrahedron.  A kept
+    tetrahedron or face goes where the table sends it, an edge class where
+    an edge of its fan in a kept tetrahedron goes, else to the site edge
+    with its labels.
     """
     direction, site_class, old_site, new_site = site
     trg = spine.triangulation
@@ -243,13 +257,11 @@ def _rebuild(spine, site, variant, order):
         t2, k = trg.glue[t][f]
         nt2, _nf2, lam2 = moved[(t2, ALL_PERMS[k][f])]
         glue[nt][nf] = (nt2, COMPOSE[lam2][COMPOSE[k][INVERSE[lam]]])
-    new_inner = []
     for sides in new_faces.values():
         if len(sides) == 2:
             (nt, nf), (nt2, nf2) = sides
             k = _follow(new_labels[nt], new_labels[nt2], nf2)
             glue[nt][nf], glue[nt2][nf2] = (nt2, k), (nt, INVERSE[k])
-            new_inner.append((nt, nf))
     # Nor can the build fail another check.  (a) It is connected: gluings
     # between outside tetrahedra are kept, each boundary face goes to the
     # new site tetrahedron with its label set, and those are glued along
@@ -262,30 +274,20 @@ def _rebuild(spine, site, variant, order):
     # glued to itself.
     after_trg = Triangulation(glue)
 
-    central_before = None if direction == "positive" else site_class
     central_after = _pair_class(after_trg, new_site, "a", "c")
-    edge_map = {}
-    for k, fan in enumerate(trg.edge_classes):
-        if k == central_before:
-            continue
+    edges = []
+    for fan in trg.edge_classes:
         kept = next(((index[t], i, j) for t, i, j, _enter, _exit in fan
                      if t in index), None)
-        if kept is None:
+        if kept is not None:
+            edges.append(after_trg.edge_class_of(*kept)[0])
+        else:  # None for a negative move's edge ac, as for central_after
             t, i, j = fan[0][:3]
             lab = old_labels[t]
-            edge_map[k] = _pair_class(after_trg, new_site, lab[i], lab[j])
-        else:
-            edge_map[k] = after_trg.edge_class_of(*kept)[0]
-    face_map = {}
-    vanished = set()
-    for k, (side, _) in enumerate(trg.face_classes):
-        if side in moved:
-            nt, nf, _lam = moved[side]
-            face_map[k] = after_trg.face_class_of[nt][nf]
-        else:
-            vanished.add(k)
-    created = tuple(sorted({after_trg.face_class_of[nt][nf] for nt, nf in new_inner}))
-    vanished = tuple(sorted(vanished))
+            edges.append(_pair_class(after_trg, new_site, lab[i], lab[j]))
+    faces = [after_trg.face_class_of[moved[side][0]][moved[side][1]]
+             if side in moved else None for side, _ in trg.face_classes]
+    cells = ([0], edges, faces, [index.get(t) for t in range(trg.tet_count)])
 
     old_of = {n: t for t, n in index.items()}
     branching = []
@@ -300,8 +302,7 @@ def _rebuild(spine, site, variant, order):
         direction, site_class, variant,
         (1 if bip.directed("a", "c") else -1) if direction == "positive" else None,
         spine, BranchedSpine(after_trg, branching, orientations),
-        index, edge_map, face_map, bip, old_site, new_site,
-        vanished, created, central_before, central_after)
+        cells, bip, old_site, new_site, central_after)
 
 
 # -- positive move ---------------------------------------------------------------
@@ -569,17 +570,16 @@ def random_walk(spine, steps, seed, h_null_only=False, max_tets=None):
 
 
 def transport_representation(move, rep):
-    """The representation on the after spine induced by the correspondence.
+    """The representation on the after spine pulled back along the move.
 
-    Surviving edge classes keep their exponents; the central edge of a
-    positive move gets the exponent of the tree path from c to a, through
-    b, which is its class in the common model.
+    Edge classes outside the bipyramid keep their exponents, pushed along
+    the edge map ``move.cells[1]``; the central edge of a positive move,
+    the one after edge outside its image, gets the exponent of the tree
+    path from c to a, through b, which is its class in the common model.
     """
     from .complexes import Representation
     G2 = move.after.group
-    exponents = [None] * G2.n_generators
-    for old, new in move.edge_map.items():
-        exponents[new] = rep.exponents[old]
+    exponents = push(move.cells[1], rep.exponents, None, G2.n_generators)
     if move.direction == "positive":
         # The central generator is the class of the new edge as oriented
         # by the branching: the path from c to a, reversed when a -> c.
@@ -588,7 +588,6 @@ def transport_representation(move, rep):
         if bip.directed("a", "c"):
             path = [-x for x in path]
         exponents[move.central_class_after] = rep.exponent_of_vector(path)
-    assert all(v is not None for v in exponents)
     return Representation(G2, rep.field, exponents, rep.kind, rep.character)
 
 
@@ -611,19 +610,21 @@ def _zero_out(field, vec, coords, columns):
 
 
 def transport_homology(move, before, after, lifts):
-    """Carry homology lifts across a move correspondence.
+    """Carry homology lifts across a move along its cell map.
 
     ``before`` and ``after`` are the chain complexes of the move's two
     spines over one field: the TwistedComplex of a representation and of
     its transport, or the rational complexes of the two CellComplexX.
-    Degree 0 is the base point: its multiples carry over as they are.  A
-    cycle of degree 1 or 2 injects once its coordinates on the cells that
-    vanish are cleared with boundaries: the central edge of a negative
-    move with the boundaries of the vanishing faces, the vanishing faces
-    with the boundaries of the site tetrahedra.  Degree-3 cycles keep
-    their outside coefficients and the site coefficients are re-solved in
-    the after complex.  Raises TransportFailure, with the ``degree`` of
-    the class, when a class cannot be resolved.
+    Every chain is pushed along ``move.cells`` of its degree.  Degree 0
+    is the base point, which the move keeps.  A cycle of degree 1 or 2
+    first clears its coordinates on the site cells of its degree (those
+    the cell map sends to None) with the boundaries of the site cells one
+    degree up: the central edge of a negative move with the boundaries of
+    the faces inside the site, those faces with the boundaries of the site
+    tetrahedra.  Degree-3 cycles keep their outside coefficients and the
+    new site coefficients are re-solved in the after complex.  Raises
+    TransportFailure, with the ``degree`` of the class, when a class
+    cannot be resolved.
 
     The move keeps the lifts it carried, keyed by the lifts object, so the
     suites of several representations over one walk carry each orientation
@@ -635,54 +636,45 @@ def transport_homology(move, before, after, lifts):
     return move._carried[key][1]
 
 
+def _site_cells(move, deg):
+    """The before cells of degree ``deg`` inside the bipyramid.  Site
+    tetrahedra come in ``move.site_before`` order, which picks the
+    solution that clears a degree-2 class."""
+    if deg == 3:
+        return [t for t, _ in move.site_before]
+    return [k for k, new in enumerate(move.cells[deg]) if new is None]
+
+
 def _carry(move, before, after, lifts):
     """The transport of ``transport_homology``, computed afresh."""
     field = before.field
     zero = after.field.zero
-    dims_after = after.dims
-    # Degrees 1 and 2: the coordinates that vanish, the boundary matrix
-    # and cells that clear them, the correspondence, and where a class
-    # that cannot be cleared is stuck.
-    central = [move.central_class_before] if move.direction == "negative" \
-        else []
-    rules = {1: (central, before.d2, move.vanished_faces, move.edge_map,
-                 "the central edge"),
-             2: (move.vanished_faces, before.d3,
-                 [t for t, _ in move.site_before], move.face_map, "the site")}
     out = {}
     try:
         for deg, vecs in lifts.items():
             if not vecs:
                 continue
+            if deg in (1, 2):
+                coords = _site_cells(move, deg)
+                d = before.d2 if deg == 1 else before.d3
+                cols = [[row[j] for row in d] for j in _site_cells(move, deg + 1)]
             new_vecs = out[deg] = []
-            if deg == 0:
-                new_vecs.extend(list(vec) for vec in vecs)
-            elif deg in rules:
-                coords, d, clearing, corr, where = rules[deg]
-                cols = [[row[j] for row in d] for j in clearing]
-                for vec in vecs:
-                    v = _zero_out(field, vec, coords, cols)
-                    if v is None:
-                        raise TransportFailure("degree-%d class stuck on %s"
-                                               % (deg, where))
-                    w = [zero] * dims_after[deg]
-                    for old, new in corr.items():
-                        w[new] = v[old]
-                    new_vecs.append(w)
-            else:
-                for vec in vecs:
-                    # Degree 3: outside coefficients carry over; site
-                    # coefficients come from the common-subdivision weights.
-                    w_out = [zero] * dims_after[3]
-                    for old, new in move.tet_map.items():
-                        w_out[new] = vec[old]
-                    site_coeffs = _site_tet_weights(move, before, vec)
-                    for j, c in site_coeffs.items():
-                        w_out[j] = c
-                    # The cycle check reads only the nonzero entries of d3
-                    # in the columns where the chain is nonzero.
+            for vec in vecs:
+                if deg in (1, 2):
+                    vec = _zero_out(field, vec, coords, cols)
+                    if vec is None:
+                        raise TransportFailure(
+                            "degree-%d class stuck on %s" % (
+                                deg, "the central edge" if deg == 1 else "the site"))
+                w = push(move.cells[deg], vec, zero, after.dims[deg])
+                if deg == 3:
+                    # Site coefficients come from the common-subdivision
+                    # weights; the cycle check reads only the nonzero d3
+                    # entries in the columns where the chain is nonzero.
+                    for j, c in _site_tet_weights(move, before, vec).items():
+                        w[j] = c
                     acc = {}
-                    for j, c in enumerate(w_out):
+                    for j, c in enumerate(w):
                         if c.is_zero():
                             continue
                         for r, x in after._d3_columns[j]:
@@ -690,7 +682,7 @@ def _carry(move, before, after, lifts):
                     if any(not a.is_zero() for a in acc.values()):
                         raise TransportFailure(
                             "transported degree-3 chain is not a cycle")
-                    new_vecs.append(w_out)
+                new_vecs.append(w)
     except TransportFailure as exc:  # a class of degree deg is stuck
         exc.degree = deg
         raise

@@ -456,6 +456,27 @@ def assert_valid_glue(glue):
             assert glue[t2][f2] == (t, INVERSE[k])
 
 
+def assert_chain_map(X, Y, cells):
+    """``cells`` (per degree, the index in Y of each cell of X, or None) is
+    one-to-one in every degree and commutes with d2 and d3 on the cells it
+    keeps, every sign +1: the boundary of a kept face or tetrahedron lies on
+    kept cells, and its image is the boundary of the cell's image."""
+    for m in cells:
+        images = [k for k in m if k is not None]
+        assert len(set(images)) == len(images)
+    for deg, d, d_after in ((2, X.d2, Y.d2), (3, X.d3, Y.d3)):
+        below = cells[deg - 1]
+        for old, new in enumerate(cells[deg]):
+            if new is None:
+                continue
+            image = [0] * len(d_after)
+            for r, row in enumerate(d):
+                if row[old]:
+                    assert below[r] is not None
+                    image[below[r]] = row[old]
+            assert image == [row[new] for row in d_after]
+
+
 def complete_gluings(tet_count, gluings=None, used=1):
     """The census search on gluing dicts: every complete gluing extending
     ``gluings`` (which reaches tetrahedra 0..used-1), depth first, always

@@ -401,8 +401,9 @@ def test_transported_character_matches_tree_path_products(census2):
                 after = transport_representation(move, rep)
                 before_images = images_of_generators(rep)
                 after_images = images_of_generators(after)
-                for old, new in move.edge_map.items():
-                    assert after_images[new] == before_images[old]
+                for old, new in enumerate(move.cells[1]):
+                    if new is not None:
+                        assert after_images[new] == before_images[old]
                 if move.direction == "positive":
                     bip = move.bipyramid
                     sign = -1 if bip.directed("a", "c") else 1

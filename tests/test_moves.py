@@ -11,6 +11,7 @@ from spinetorsion.complexes import (CellComplexX, GroupData, SpiderAnchors,
                                     TwistedComplex, make_representation)
 from spinetorsion.errors import (NotApplicable, SelfAdjacentFace, Stuck,
                                  TransportFailure)
+from spinetorsion.fields import CyclotomicElement, RationalFunction
 from spinetorsion.moves import (apply_negative, apply_positive,
                                 available_moves, h_cycle_check, is_rigid,
                                 positive_move, random_walk, transport_homology,
@@ -25,7 +26,8 @@ from spinetorsion.torsion import (auto_twisted_homology, invariance_suite,
 from spinetorsion.triangulation import Triangulation
 
 from fixtures import GOLDEN, GOLDEN_TABLE, ONE_TET, TORSION2, TWO_VARIANT
-from oracles import assert_valid_glue, branching_orders, row_boundary
+from oracles import (assert_chain_map, assert_valid_glue, branching_orders,
+                     row_boundary)
 
 
 def all_positive_moves(spine):
@@ -45,13 +47,25 @@ MOVES_DIGEST = (186, 1302,
                 "4e55663ff3286bec6c254048ea69d3f891504161bb4ae2945339d853138f81dc")
 
 
+def _created_faces(m):
+    """The after face classes inside the new site: those outside the image
+    of the face map."""
+    return tuple(sorted(set(range(len(m.after.triangulation.face_classes)))
+                        - set(m.cells[2])))
+
+
 def _move_text(m):
+    # Per move: the kept cells of each degree as sorted (old, new) pairs,
+    # the faces inside each site and the central edge on each side.
+    kept = [[(k, n) for k, n in enumerate(cells) if n is not None]
+            for cells in m.cells]
+    inside = [tuple(k for k, n in enumerate(cells) if n is None)
+              for cells in m.cells]
     return repr((m.direction, m.site, m.variant, m.new_edge_direction,
-                 sorted(m.tet_map.items()), sorted(m.edge_map.items()),
-                 sorted(m.face_map.items()),
+                 kept[3], kept[1], kept[2],
                  tuple(t for t, _ in m.site_before),
-                 tuple(t for t, _ in m.site_after), tuple(m.vanished_faces),
-                 tuple(m.created_faces), m.central_class_before,
+                 tuple(t for t, _ in m.site_after), inside[2],
+                 _created_faces(m), next(iter(inside[1]), None),
                  m.central_class_after, h_cycle_check(m).rows)) \
         + "\n" + serialize(m.after)
 
@@ -67,6 +81,21 @@ def test_move_outputs_are_pinned(corpus12, census2):
     text = "".join(_move_text(m) for m in found)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(spines), len(found), digest) == MOVES_DIGEST
+
+
+def test_cell_maps_are_chain_maps(corpus12, census2):
+    # A move's cell map commutes with d2 and d3 on the cells it keeps,
+    # without signs, and misses only the cells inside the bipyramid: before,
+    # the inner face and both tetrahedra of a positive site, the central
+    # edge, three inner faces and three tetrahedra of a negative one; after,
+    # of the edges, only the central edge of a positive move.
+    for m in _digest_moves(corpus12, census2)[1]:
+        assert_chain_map(m.before.complex, m.after.complex, m.cells)
+        assert tuple(c.count(None) for c in m.cells[1:]) == \
+            ((0, 1, 2) if m.direction == "positive" else (1, 3, 3))
+        assert set(m.cells[1]) - {None} == \
+            set(range(len(m.after.triangulation.edge_classes))) \
+            - {m.central_class_after}
 
 
 def test_after_tables_are_gluings_that_reparse(corpus12, census2):
@@ -138,7 +167,7 @@ def test_negative_then_positive_is_identity(census2):
                 except NotApplicable:
                     continue
                 # a positive move at the reassembled face restores the spine
-                back = apply_positive(m.after, m.created_faces[0])
+                back = apply_positive(m.after, _created_faces(m)[0])
                 assert any(b.after.is_isomorphic(big) for b in back)
                 count += 1
     assert count >= 5
@@ -165,13 +194,13 @@ def test_negative_preconditions():
 def test_moves_preserve_edge_directions(census2):
     for s in census2[:8]:
         for m in all_positive_moves(s)[:4]:
-            for old, new in m.edge_map.items():
+            tets = m.cells[3]
+            for fan_old in s.triangulation.edge_classes:
                 # compare directions through any surviving representative
-                fan_old = s.triangulation.edge_classes[old]
                 for (t, i, j, _enter, _exit) in fan_old:
-                    if t in m.tet_map:
+                    if tets[t] is not None:
                         d_old = s.edge_direction(t, i, j)
-                        d_new = m.after.edge_direction(m.tet_map[t], i, j)
+                        d_new = m.after.edge_direction(tets[t], i, j)
                         assert d_old == d_new
                         break
 
@@ -590,6 +619,39 @@ def test_transported_lifts_are_homology_bases(census2, kind, order):
             X, cx = X_after, after
             moved += 1
     assert moved >= 100
+
+
+def _entry_text(x):
+    """A canonical text of an element of any of the three fields."""
+    if isinstance(x, RationalFunction):
+        return repr((sorted(x.num.items()), sorted(x.den.items())))
+    return repr(x.coeffs if isinstance(x, CyclotomicElement) else x.q)
+
+
+# sha256 of every lift vector that the moves of seeded 6-step h-null walks
+# from every tenth census-3 start carried for a free-abelian and a cyclic:5
+# suite, in the order carried: walks, vectors, digest.
+CARRIED_LIFTS_DIGEST = (
+    80, 2208, "48347f4ef327284da0e0b9e973b38f6ff0ce29b1ca5e18d759e8e6a44baae9be")
+
+
+def test_carried_lifts_are_pinned(census3):
+    walks, lines = 0, []
+    for i in range(0, len(census3), 10):
+        try:
+            walk = random_walk(census3[i], 6, 100 + i, h_null_only=True,
+                               max_tets=6)
+        except Stuck:
+            continue
+        for kind, order in (("free_abelian", None), ("cyclic", 5)):
+            invariance_suite(census3[i], walk, kind, order)
+        walks += 1
+        for step, move in enumerate(walk):
+            for _lifts, out in move._carried.values():
+                lines += [repr((i, step, deg, [_entry_text(x) for x in vec]))
+                          for deg in sorted(out) for vec in out[deg]]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (walks, len(lines), digest) == CARRIED_LIFTS_DIGEST
 
 
 def _failing_on(monkeypatch, name, calls):

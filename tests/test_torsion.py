@@ -11,7 +11,7 @@ from spinetorsion.complexes import (CellComplexX, GroupData, Representation,
                                     make_representation)
 from spinetorsion.errors import BasisRankMismatch, NotAcyclicNoBasis, Stuck
 from spinetorsion.fields import CyclotomicField, FunctionField, RationalField
-from spinetorsion.moves import random_walk
+from spinetorsion.moves import push, random_walk
 from spinetorsion.perms import ALL_PERMS
 from spinetorsion.spinefile import parse
 from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
@@ -19,7 +19,7 @@ from spinetorsion.torsion import (TorsionValue, auto_twisted_homology,
                                   torsion)
 
 from fixtures import GOLDEN, ONE_TET
-from oracles import (default_z_character, fox_alexander,
+from oracles import (assert_chain_map, default_z_character, fox_alexander,
                      full_matrix_lifts, full_matrix_selections,
                      images_of_generators,
                      full_matrix_value, row_order_sign, sign_refined_under,
@@ -765,28 +765,33 @@ def test_one_elimination_per_degree(corpus12, walk_spines, monkeypatch):
 
 
 def _relabelled(s, rnd):
-    """A seeded relabelling of the spine ``s`` and its cell correspondence:
-    per degree, the new index of each old cell.  An edge class goes where
-    the first edge of its fan goes, a face class (t, f) to (tet_map[t], rho_t(f)),
-    a tetrahedron by ``tet_map``; every cell keeps its orientation."""
+    """A seeded relabelling of the spine ``s`` and its cell map, in the shape
+    of ``MoveInstance.cells``: per degree, the new index of each old cell.
+    An edge class goes where the first edge of its fan goes, a face class
+    (t, f) to (tets[t], rho_t(f)), a tetrahedron t to tets[t]; every cell
+    keeps its orientation."""
     n = s.tet_count
-    tet_map = rnd.sample(range(n), n)
+    tets = rnd.sample(range(n), n)
     perms = [rnd.choice(ALL_PERMS) for _ in range(n)]
-    other = s.relabel(tet_map, perms)
+    other = s.relabel(tets, perms)
     old, new = s.triangulation, other.triangulation
-    edges = [new.edge_class_of(tet_map[t], perms[t][i], perms[t][j])[0]
+    edges = [new.edge_class_of(tets[t], perms[t][i], perms[t][j])[0]
              for t, i, j in (fan[0][:3] for fan in old.edge_classes)]
-    faces = [new.face_class_of[tet_map[t]][perms[t][f]]
+    faces = [new.face_class_of[tets[t]][perms[t][f]]
              for (t, f), _ in old.face_classes]
-    return other, ([0], edges, faces, tet_map)
+    return other, ([0], edges, faces, tets)
 
 
-def _moved(v, cell_map):
-    """The entries of ``v``, one per old cell, at the new cells."""
-    w = list(v)
-    for k, k2 in enumerate(cell_map):
-        w[k2] = v[k]
-    return w
+def test_relabelling_cell_maps_are_chain_maps(corpus3):
+    # The relabellings of test_relabelling_carries_torsion: each cell map is
+    # a bijection in every degree and commutes with d2 and d3, without signs.
+    rnd = random.Random(43)
+    for s in corpus3:
+        for other, cells in [_relabelled(s, rnd) for _ in range(2)]:
+            assert_chain_map(s.complex, other.complex, cells)
+            sizes = (1, len(other.triangulation.edge_classes),
+                     len(other.triangulation.face_classes), other.tet_count)
+            assert [sorted(c) for c in cells] == [list(range(k)) for k in sizes]
 
 
 def test_relabelling_carries_torsion(corpus3):
@@ -815,11 +820,12 @@ def test_relabelling_carries_torsion(corpus3):
             for other, cells in relabellings:
                 Y = CellComplexX(other)
                 carried = Representation(GroupData(Y), rep.field,
-                                         _moved(rep.exponents, cells[1]),
+                                         push(cells[1], rep.exponents, None,
+                                              len(rep.exponents)),
                                          rep.kind)
                 otc = TwistedComplex(other, Y, SpiderAnchors(other, Y), carried)
                 assert torsion(otc).to_str() == value
-                moved = {i: [_moved(v, cells[i]) for v in vecs]
+                moved = {i: [push(cells[i], v, None, len(v)) for v in vecs]
                          for i, vecs in orientation.items()}
                 assert sign_refined_torsion(
                     other, otc, orientation=moved).to_str() == refined
